@@ -15,7 +15,7 @@ use crate::split::{
     alignment_ranks, build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode,
     Split,
 };
-use rma_relation::{Attribute, Relation, Schema};
+use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{Column, ColumnData, DataType};
 use std::time::Instant;
 
@@ -59,6 +59,7 @@ impl RmaContext {
         let out = eval_unary(self, op, &s.app, &mut stats)?;
 
         let t_merge = Instant::now();
+        let span = trace::clock();
         let result = match op {
             // (r1,c1): γ(µU(r) ‖ OP(µ_U̅(r)), U ◦ U̅)
             RmaOp::Inv | RmaOp::Evc | RmaOp::Chf | RmaOp::Qqr => {
@@ -86,6 +87,7 @@ impl RmaContext {
             RmaOp::Det | RmaOp::Rnk => scalar_relation(op, r, out)?,
             other => unreachable!("binary op {other:?} in unary dispatch"),
         };
+        record_merge(span, s.rows, &result);
         stats.sort += t_merge.elapsed();
         self.record(&stats);
         Ok(result)
@@ -196,6 +198,7 @@ impl RmaContext {
 
         let out = eval_binary(self, op, &rs.app, &ss.app, &mut stats)?;
 
+        let span = trace::clock();
         let result = match op {
             // (r∗,c∗): γ(µU(r) ‖ µV(s) ‖ OP, U ◦ V ◦ U̅)
             RmaOp::Add | RmaOp::Sub | RmaOp::Emu => {
@@ -223,6 +226,7 @@ impl RmaContext {
             }
             other => unreachable!("unary op {other:?} in binary dispatch"),
         };
+        record_merge(span, rs.rows + ss.rows, &result);
         self.record(&stats);
         Ok(result)
     }
@@ -350,6 +354,19 @@ impl RmaContext {
     ) -> Result<Relation, RmaError> {
         self.binary(RmaOp::Sol, r, r_order, s, s_order)
     }
+}
+
+/// Close the `rma.merge` span around the relation constructor `γ`.
+fn record_merge(span: Option<Instant>, rows_in: usize, result: &Relation) {
+    trace::record(
+        "rma.merge",
+        "rma",
+        0,
+        span,
+        rows_in as u64,
+        result.len() as u64,
+        1,
+    );
 }
 
 /// Row context of shape `r1`: the (ordered) order part with its attributes.

@@ -196,6 +196,12 @@ pub struct NodeActual {
     /// (inclusive): encoded columns a kernel could not process in encoded
     /// form and had to materialize. 0 = fully compressed execution.
     pub decode_sinks: u64,
+    /// `Rma` nodes only: this node's own order-schema handling (split,
+    /// sort, align, merge — `ExecStats::sort`), in nanoseconds.
+    pub order_nanos: u64,
+    /// `Rma` nodes only: this node's own kernel time including the
+    /// BAT↔dense copies, in nanoseconds.
+    pub kernel_nanos: u64,
 }
 
 /// Execute a plan while recording per-node actuals, returned **in the
@@ -289,6 +295,8 @@ fn execute_inner(
     let span = trace::clock();
     let threads = pool.threads();
     let mut morsels: u64 = 1;
+    // an RMA node's (order handling, kernel) split, from its ExecStats delta
+    let mut rma_nanos = (0u64, 0u64);
     let result = match plan {
         LogicalPlan::Values { rel, projection } => {
             scan_projected(rel.as_ref(), projection.as_deref())
@@ -425,7 +433,8 @@ fn execute_inner(
                 .iter()
                 .map(|a| execute_inner(&a.input, ctx, provider, analyze))
                 .collect::<Result<_, _>>()?;
-            match backend {
+            let before = analyze.map(|_| ctx.stats());
+            let result = match backend {
                 Some(b) if *b != ctx.options.backend => {
                     let sub = ctx.with_options_shared_pool(RmaOptions {
                         backend: *b,
@@ -436,7 +445,16 @@ fn execute_inner(
                     result
                 }
                 _ => dispatch_rma(ctx, *op, args, &inputs),
+            };
+            if let Some(before) = before {
+                let after = ctx.stats();
+                let kernel = |s: &crate::context::ExecStats| s.compute + s.copy_in + s.copy_out;
+                rma_nanos = (
+                    (after.sort - before.sort).as_nanos() as u64,
+                    (kernel(&after) - kernel(&before)).as_nanos() as u64,
+                );
             }
+            result
         }
         LogicalPlan::AssertKey { input, attrs } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -469,6 +487,8 @@ fn execute_inner(
             spill_bytes,
             spill_partitions,
             decode_sinks,
+            order_nanos: rma_nanos.0,
+            kernel_nanos: rma_nanos.1,
         };
     }
     Ok(result)

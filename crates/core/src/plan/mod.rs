@@ -428,7 +428,9 @@ pub fn explain_with_stats(plan: &LogicalPlan, provider: &dyn TableProvider) -> S
 /// measured actuals of an [`execute_analyzed`] run: every line carries
 /// `rows≈`/`cost≈` plus `actual=N time=T morsels=M q_err=Q`, where the
 /// q-error is `max(est/actual, actual/est)` (clamped to ≥ 1-row sides) —
-/// the standard one-glance measure of estimator drift. `actuals` must come
+/// the standard one-glance measure of estimator drift. `Rma` lines add
+/// `order=T kernel=T`: the node's own order-schema handling apart from its
+/// kernel. `actuals` must come
 /// from an analyzed execution of **this** plan (same pre-order).
 pub fn explain_analyze(
     plan: &LogicalPlan,
@@ -632,6 +634,14 @@ fn walk_explain(
             }
             if act.decode_sinks > 0 {
                 let _ = write!(out, " sinks={}", act.decode_sinks);
+            }
+            if matches!(p, LogicalPlan::Rma { .. }) {
+                let _ = write!(
+                    out,
+                    " order={} kernel={}",
+                    fmt_nanos(act.order_nanos),
+                    fmt_nanos(act.kernel_nanos)
+                );
             }
         }
     }

@@ -11,7 +11,7 @@
 use crate::context::{RmaContext, SortPolicy};
 use crate::error::RmaError;
 use rma_relation::algebra::is_key_hash;
-use rma_relation::{Attribute, Relation, Schema};
+use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{invert_permutation, is_identity_permutation, Column, ColumnData, StorageError};
 
 /// The split of one argument relation: contextual information plus the
@@ -88,16 +88,17 @@ pub fn split(
     // establish operation order; identity permutations (already-sorted
     // data) skip the gather entirely, like MonetDB's sortedness property
     let perm: Option<Vec<usize>> = match mode {
-        SortMode::Full => Some(r.sort_permutation_by(order)?),
+        SortMode::Full => Some(sort_permutation(r, order)?),
         SortMode::Skip => None,
         SortMode::AlignTo { ranks } => {
             // this relation sorted by its own keys, then re-ordered so that
             // row i matches the other relation's physical row i
-            let own_sorted = r.sort_permutation_by(order)?;
+            let own_sorted = sort_permutation(r, order)?;
             Some(ranks.iter().map(|&rank| own_sorted[rank]).collect())
         }
     };
     let perm = perm.filter(|p| !is_identity_permutation(p));
+    let span = trace::clock();
     // gather order part
     let order_cols: Vec<Column> = match &perm {
         Some(p) => order
@@ -114,6 +115,10 @@ pub fn split(
         .names()
         .map(|n| gather_f64(r.column(n)?, perm.as_deref(), n))
         .collect::<Result<_, _>>()?;
+    if perm.is_some() {
+        let rows = r.len() as u64;
+        trace::record("rma.align", "rma", 0, span, rows, rows, 1);
+    }
     Ok(Split {
         order_attrs: order_schema.attributes().to_vec(),
         app_names: app_schema.names().map(str::to_string).collect(),
@@ -141,8 +146,18 @@ pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
 /// For aligned binary operations: ranks of the first relation's physical
 /// rows under its order schema (`ranks[i]` = sorted position of row `i`).
 pub fn alignment_ranks(r: &Relation, order: &[&str]) -> Result<Vec<usize>, RmaError> {
-    let perm = r.sort_permutation_by(order)?;
+    let perm = sort_permutation(r, order)?;
     Ok(invert_permutation(&perm))
+}
+
+/// The sort permutation of `r` under `order` — the one typed sort of
+/// `rma_storage::sort` — recorded as an `rma.sort` span.
+fn sort_permutation(r: &Relation, order: &[&str]) -> Result<Vec<usize>, RmaError> {
+    let span = trace::clock();
+    let perm = r.sort_permutation_by(order)?;
+    let rows = r.len() as u64;
+    trace::record("rma.sort", "rma", 0, span, rows, rows, 1);
+    Ok(perm)
 }
 
 /// Gather one column as `f64` in the given order, widening integers and

@@ -112,6 +112,13 @@ mod tests {
     use crate::RmaContext;
     use rma_relation::{Expr, RelationBuilder};
 
+    /// The collector slot is process-global (last session wins), so tests
+    /// that start sessions must not interleave.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn big(n: i64) -> rma_relation::Relation {
         RelationBuilder::new()
             .column("x", (0..n).collect::<Vec<_>>())
@@ -122,6 +129,7 @@ mod tests {
 
     #[test]
     fn a_traced_query_yields_exec_and_pool_spans() {
+        let _serial = serial();
         let ctx = RmaContext::default();
         let session = TraceSession::start();
         let out = Frame::scan(big(5000))
@@ -178,6 +186,7 @@ mod tests {
 
     #[test]
     fn empty_session_exports_an_empty_trace() {
+        let _serial = serial();
         let session = TraceSession::start();
         let spans = session.finish();
         let json = chrome_trace_json(&spans);

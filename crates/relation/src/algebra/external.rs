@@ -29,7 +29,7 @@
 //! order** of the grace join and the spilling aggregate is partition-major
 //! rather than probe-major, which SQL semantics leave unspecified.
 
-use super::sort::SortKeys;
+use super::sort::sort_keys;
 use super::{hash_row, row_key};
 use crate::error::RelationError;
 use crate::par::{current_guard, guard_checkpoint, WorkerPool};
@@ -300,7 +300,7 @@ pub fn order_by_external(
     if attrs.is_empty() || r.len() <= 1 {
         return super::setops::order_by(r, attrs, ascending);
     }
-    let keys = SortKeys::new(r, attrs, ascending)?;
+    let keys = sort_keys(r, attrs, ascending)?;
     let dirs: Vec<bool> = (0..attrs.len())
         .map(|k| ascending.get(k).copied().unwrap_or(true))
         .collect();
@@ -331,7 +331,7 @@ pub fn order_by_external(
     let runs: Vec<Result<SpillFile, RelationError>> = pool.for_each(&ranges, |lane, range| {
         let span = trace::clock();
         let mut idx: Vec<usize> = (range.start..range.end).collect();
-        idx.sort_unstable_by(|&x, &y| keys.cmp(x, y));
+        idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
         let out = (|| {
             let mut f = SpillFile::create()?;
             for chunk in idx.chunks(SPILL_CHUNK_ROWS) {
@@ -561,7 +561,7 @@ mod tests {
     use super::*;
     use crate::algebra::{aggregate, join_on, natural_join, order_by, AggFunc, AggSpec};
     use crate::relation::RelationBuilder;
-    use crate::spill::live_spill_files;
+    use crate::spill::{live_spill_files, spill_test_guard};
 
     fn orders(n: usize) -> Relation {
         RelationBuilder::new()
@@ -597,6 +597,7 @@ mod tests {
 
     #[test]
     fn grace_join_matches_in_memory() {
+        let _serial = spill_test_guard();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let o = orders(5000);
@@ -617,6 +618,7 @@ mod tests {
 
     #[test]
     fn external_sort_matches_serial_exactly() {
+        let _serial = spill_test_guard();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let r = orders(7000);
@@ -629,6 +631,7 @@ mod tests {
 
     #[test]
     fn spilling_aggregate_matches_in_memory() {
+        let _serial = spill_test_guard();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let r = orders(6000);

@@ -41,25 +41,9 @@ pub fn order_by(
     attrs: &[&str],
     ascending: &[bool],
 ) -> Result<Relation, RelationError> {
-    if !ascending.is_empty() && ascending.len() != attrs.len() {
-        return Err(RelationError::ArityMismatch {
-            expected: attrs.len(),
-            found: ascending.len(),
-        });
-    }
-    let cols = r.columns_of(attrs)?;
+    let keys = super::sort::sort_keys(r, attrs, ascending)?;
     let mut perm: Vec<usize> = (0..r.len()).collect();
-    perm.sort_by(|&x, &y| {
-        for (k, c) in cols.iter().enumerate() {
-            let asc = ascending.get(k).copied().unwrap_or(true);
-            let ord = c.cmp_rows(x, y);
-            let ord = if asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    perm.sort_by(|&x, &y| keys.cmp(x, y));
     Ok(r.take(&perm))
 }
 
@@ -78,12 +62,12 @@ pub fn top_k(
     ascending: &[bool],
     n: usize,
 ) -> Result<Relation, RelationError> {
-    let keys = super::sort::SortKeys::new(r, attrs, ascending)?;
+    let keys = super::sort::sort_keys(r, attrs, ascending)?;
     if n == 0 {
         return Ok(r.take(&[]));
     }
     let mut best = super::sort::bounded_top_k(0..r.len(), n, &keys);
-    best.sort_unstable_by(|&x, &y| keys.cmp(x, y));
+    best.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
     Ok(r.take(&best))
 }
 

@@ -27,53 +27,27 @@ use crate::error::RelationError;
 use crate::par::{partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::trace;
-use rma_storage::Column;
+use rma_storage::RowOrder;
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// The sort-key columns and directions of one ORDER BY, with the
-/// index-tie-break total order shared by the serial top-k, the parallel
-/// sort, and the parallel top-k.
-pub(super) struct SortKeys {
-    cols: Vec<Column>,
-    ascending: Vec<bool>,
-}
-
-impl SortKeys {
-    /// Gather (via the compacting accessors — sorting is a key-column sink,
-    /// same as the serial operator) and validate the key columns.
-    pub(super) fn new(
-        r: &Relation,
-        attrs: &[&str],
-        ascending: &[bool],
-    ) -> Result<Self, RelationError> {
-        if !ascending.is_empty() && ascending.len() != attrs.len() {
-            return Err(RelationError::ArityMismatch {
-                expected: attrs.len(),
-                found: ascending.len(),
-            });
-        }
-        let cols: Vec<Column> = r.columns_of(attrs)?.into_iter().cloned().collect();
-        let ascending = (0..attrs.len())
-            .map(|k| ascending.get(k).copied().unwrap_or(true))
-            .collect();
-        Ok(SortKeys { cols, ascending })
+/// Validate an ORDER BY's arguments and resolve its typed comparator over
+/// `r`'s visible key columns (gathered via the compacting accessors —
+/// sorting is a key-column sink). Every ordering operator — serial and
+/// parallel sort, top-k, the external sort's run phase — compares through
+/// the one [`RowOrder`] this returns.
+pub(super) fn sort_keys<'a>(
+    r: &'a Relation,
+    attrs: &[&str],
+    ascending: &[bool],
+) -> Result<RowOrder<'a>, RelationError> {
+    if !ascending.is_empty() && ascending.len() != attrs.len() {
+        return Err(RelationError::ArityMismatch {
+            expected: attrs.len(),
+            found: ascending.len(),
+        });
     }
-
-    /// Strict total order over visible row indices: column comparison in
-    /// key order, direction applied per key, ties broken by row index —
-    /// i.e. exactly the serial stable sort's output order.
-    #[inline]
-    pub(super) fn cmp(&self, x: usize, y: usize) -> Ordering {
-        for (c, &asc) in self.cols.iter().zip(&self.ascending) {
-            let ord = c.cmp_rows(x, y);
-            let ord = if asc { ord } else { ord.reverse() };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        x.cmp(&y)
-    }
+    Ok(RowOrder::new(&r.columns_of(attrs)?, ascending))
 }
 
 /// Parallel `ORDER BY`: per-worker local sorts of contiguous index ranges,
@@ -90,17 +64,14 @@ pub fn order_by_parallel(
     if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || attrs.is_empty() {
         return order_by(r, attrs, ascending);
     }
-    let keys = SortKeys::new(r, attrs, ascending)?;
+    let keys = sort_keys(r, attrs, ascending)?;
     let ranges = partition_ranges(r.len(), pool.threads());
-    if ranges.len() <= 1 {
-        return order_by(r, attrs, ascending);
-    }
     let runs: Vec<Vec<usize>> = pool.for_each(&ranges, |lane, range| {
         let span = trace::clock();
         let mut idx: Vec<usize> = (range.start..range.end).collect();
         // unstable sort under a strict total order (index tie-break) equals
         // the serial stable sort's output
-        idx.sort_unstable_by(|&x, &y| keys.cmp(x, y));
+        idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
         trace::record(
             "sort.run",
             "sort",
@@ -144,7 +115,7 @@ pub fn top_k_parallel(
     if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n == 0 || n * 4 >= r.len() {
         return top_k(r, attrs, ascending, n);
     }
-    let keys = SortKeys::new(r, attrs, ascending)?;
+    let keys = sort_keys(r, attrs, ascending)?;
     let ranges = partition_ranges(r.len(), pool.threads());
     if ranges.len() <= 1 {
         return top_k(r, attrs, ascending, n);
@@ -167,7 +138,7 @@ pub fn top_k_parallel(
     let span = trace::clock();
     let mut cand: Vec<usize> = locals.concat();
     let merged_in = cand.len() as u64;
-    cand.sort_unstable_by(|&x, &y| keys.cmp(x, y));
+    cand.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
     cand.truncate(n);
     trace::record(
         "topk.merge",
@@ -184,7 +155,7 @@ pub fn top_k_parallel(
 /// K-way merge of sorted index runs into one permutation, via a binary
 /// min-heap of run heads. Runs are few (one per worker), so the heap is
 /// tiny; the comparator's index tie-break keeps the merge deterministic.
-fn merge_runs(runs: &[Vec<usize>], keys: &SortKeys) -> Vec<usize> {
+fn merge_runs(runs: &[Vec<usize>], keys: &RowOrder<'_>) -> Vec<usize> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     // heap entries: (row, run); `pos[run]` is the next unconsumed position
@@ -208,11 +179,11 @@ fn merge_runs(runs: &[Vec<usize>], keys: &SortKeys) -> Vec<usize> {
 /// Min-heap ordering for merge entries: by row under `keys` (strict, so the
 /// run index never matters).
 #[inline]
-fn entry_lt(a: (usize, usize), b: (usize, usize), keys: &SortKeys) -> bool {
-    keys.cmp(a.0, b.0) == Ordering::Less
+fn entry_lt(a: (usize, usize), b: (usize, usize), keys: &RowOrder<'_>) -> bool {
+    keys.cmp_indexed(a.0, b.0) == Ordering::Less
 }
 
-fn heap_push(heap: &mut Vec<(usize, usize)>, entry: (usize, usize), keys: &SortKeys) {
+fn heap_push(heap: &mut Vec<(usize, usize)>, entry: (usize, usize), keys: &RowOrder<'_>) {
     heap.push(entry);
     let mut i = heap.len() - 1;
     while i > 0 {
@@ -226,7 +197,7 @@ fn heap_push(heap: &mut Vec<(usize, usize)>, entry: (usize, usize), keys: &SortK
     }
 }
 
-fn heap_pop(heap: &mut Vec<(usize, usize)>, keys: &SortKeys) -> Option<(usize, usize)> {
+fn heap_pop(heap: &mut Vec<(usize, usize)>, keys: &RowOrder<'_>) -> Option<(usize, usize)> {
     if heap.is_empty() {
         return None;
     }
@@ -259,7 +230,7 @@ fn heap_pop(heap: &mut Vec<(usize, usize)>, keys: &SortKeys) -> Option<(usize, u
 /// callers sort (serial top-k) or merge-then-sort (parallel barrier) once.
 /// Shared by the serial [`top_k`] and each parallel worker, so the two
 /// paths cannot drift apart.
-pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &SortKeys) -> Vec<usize> {
+pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &RowOrder<'_>) -> Vec<usize> {
     let mut heap: Vec<usize> = Vec::with_capacity(k.min(range.len()));
     for i in range {
         if heap.len() < k {
@@ -267,24 +238,24 @@ pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &SortKeys) -> V
             let mut j = heap.len() - 1;
             while j > 0 {
                 let parent = (j - 1) / 2;
-                if keys.cmp(heap[j], heap[parent]) == Ordering::Greater {
+                if keys.cmp_indexed(heap[j], heap[parent]) == Ordering::Greater {
                     heap.swap(j, parent);
                     j = parent;
                 } else {
                     break;
                 }
             }
-        } else if keys.cmp(i, heap[0]) == Ordering::Less {
+        } else if keys.cmp_indexed(i, heap[0]) == Ordering::Less {
             heap[0] = i;
             let len = heap.len();
             let mut j = 0;
             loop {
                 let (l, r) = (2 * j + 1, 2 * j + 2);
                 let mut largest = j;
-                if l < len && keys.cmp(heap[l], heap[largest]) == Ordering::Greater {
+                if l < len && keys.cmp_indexed(heap[l], heap[largest]) == Ordering::Greater {
                     largest = l;
                 }
-                if r < len && keys.cmp(heap[r], heap[largest]) == Ordering::Greater {
+                if r < len && keys.cmp_indexed(heap[r], heap[largest]) == Ordering::Greater {
                     largest = r;
                 }
                 if largest == j {
@@ -304,7 +275,7 @@ mod tests {
     use crate::algebra::limit;
     use crate::expr::Expr;
     use crate::relation::RelationBuilder;
-    use rma_storage::{Bitmap, ColumnData, DataType};
+    use rma_storage::{Bitmap, Column, ColumnData, DataType};
 
     /// Rows large enough to clear `MIN_PARALLEL_ROWS`, with heavy key
     /// duplication (tie-break coverage), a float secondary key, and a

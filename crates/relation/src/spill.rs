@@ -62,6 +62,16 @@ pub fn live_spill_files() -> usize {
     LIVE_FILES.load(Ordering::SeqCst)
 }
 
+/// Serialises the unit tests that create spill files: they assert
+/// [`live_spill_files`] against a baseline, and the counter is
+/// process-global, so a sibling test spilling concurrently breaks them.
+#[cfg(test)]
+pub(crate) fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // a poisoned lock only means another spill test failed
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn io_err(e: std::io::Error) -> RelationError {
     RelationError::SpillIo(e.to_string())
 }
@@ -594,6 +604,7 @@ mod tests {
 
     #[test]
     fn roundtrip_whole_and_chunked() {
+        let _serial = spill_test_guard();
         let r = mixed(1000);
         let baseline = live_spill_files();
         {
@@ -619,6 +630,7 @@ mod tests {
 
     #[test]
     fn roundtrip_of_a_view_materializes() {
+        let _serial = spill_test_guard();
         let r = mixed(100);
         let view = r.take(&[5, 3, 99, 0]);
         let mut f = SpillFile::create().unwrap();
@@ -632,6 +644,7 @@ mod tests {
     /// same runs/codes/packing rather than plain vectors.
     #[test]
     fn roundtrip_preserves_encodings_without_sinking() {
+        let _serial = spill_test_guard();
         use rma_storage::Encoding;
         let n = 4096usize;
         let r = RelationBuilder::new()
@@ -684,6 +697,7 @@ mod tests {
 
     #[test]
     fn empty_file_reads_empty_relation() {
+        let _serial = spill_test_guard();
         let r = mixed(4);
         let f = SpillFile::create().unwrap();
         let back = f.read_all(r.schema()).unwrap();

@@ -7,9 +7,10 @@
 //!
 //! The relational and matrix layers are compiled down to the bulk operators
 //! in this module, mirroring the paper's §7.1: `take` is `leftfetchjoin`
-//! (`X ↓ Y`), [`sort_permutation`] produces the OID order used to sort a BAT
-//! by its own values (`X ↓ X`), and the float kernels (`add`, `scale`, …)
-//! are the vectorised operations used by Algorithm 2.
+//! (`X ↓ Y`), [`sort_permutation`](crate::sort::sort_permutation) produces
+//! the OID order used to sort a BAT by its own values (`X ↓ X`), and the
+//! float kernels (`add`, `scale`, …) are the vectorised operations used by
+//! Algorithm 2.
 
 use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
@@ -67,33 +68,6 @@ impl Bat {
     }
 }
 
-/// Compute the stable sort permutation of rows ordered lexicographically by
-/// the given columns (the paper's ascending order on the order schema `U`).
-///
-/// Returns `perm` such that `perm[k]` is the OID of the `k`-th row in sorted
-/// order — applying `take(&perm)` to every BAT of the relation yields the
-/// sorted relation.
-///
-/// Data that is already sorted is detected in a single O(n) pass (MonetDB
-/// tracks a sortedness property on BATs for the same reason) and the
-/// identity permutation is returned without sorting.
-pub fn sort_permutation(columns: &[&Column]) -> Vec<usize> {
-    let n = columns.first().map_or(0, |c| c.len());
-    debug_assert!(columns.iter().all(|c| c.len() == n));
-    let mut perm: Vec<usize> = (0..n).collect();
-    if is_sorted_by(columns) {
-        return perm;
-    }
-    perm.sort_by(|&a, &b| cmp_rows(columns, a, b));
-    perm
-}
-
-/// Is the relation already in ascending lexicographic order on `columns`?
-pub fn is_sorted_by(columns: &[&Column]) -> bool {
-    let n = columns.first().map_or(0, |c| c.len());
-    (1..n).all(|i| cmp_rows(columns, i - 1, i) != Ordering::Greater)
-}
-
 /// Is `perm` the identity permutation?
 pub fn is_identity_permutation(perm: &[usize]) -> bool {
     perm.iter().enumerate().all(|(k, &p)| k == p)
@@ -108,17 +82,6 @@ pub fn cmp_rows(columns: &[&Column], a: usize, b: usize) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// Check whether the given columns form a key (no duplicate row in the
-/// projection). Runs in O(n log n) via the sort permutation.
-pub fn is_key(columns: &[&Column]) -> bool {
-    if columns.is_empty() {
-        return columns.iter().all(|c| c.len() <= 1);
-    }
-    let perm = sort_permutation(columns);
-    perm.windows(2)
-        .all(|w| cmp_rows(columns, w[0], w[1]) != Ordering::Equal)
 }
 
 /// Inverse of a permutation: `inv[perm[k]] = k`.
@@ -197,48 +160,6 @@ pub mod float_ops {
 mod tests {
     use super::*;
     use crate::value::Value;
-
-    fn strcol(vals: &[&str]) -> Column {
-        Column::from(vals.to_vec())
-    }
-
-    #[test]
-    fn sort_permutation_single_column() {
-        let c = strcol(&["8am", "7am", "5am", "6am"]);
-        let perm = sort_permutation(&[&c]);
-        assert_eq!(perm, vec![2, 3, 1, 0]);
-        let sorted = c.take(&perm);
-        assert_eq!(sorted.get(0), Value::Str("5am".into()));
-        assert_eq!(sorted.get(3), Value::Str("8am".into()));
-    }
-
-    #[test]
-    fn sort_permutation_lexicographic_two_columns() {
-        let a = Column::from(vec![2i64, 1, 2, 1]);
-        let b = strcol(&["x", "z", "a", "a"]);
-        let perm = sort_permutation(&[&a, &b]);
-        // rows sorted by (a, b): (1,"a")=3, (1,"z")=1, (2,"a")=2, (2,"x")=0
-        assert_eq!(perm, vec![3, 1, 2, 0]);
-    }
-
-    #[test]
-    fn sort_is_stable_on_ties() {
-        let a = Column::from(vec![1i64, 1, 1]);
-        assert_eq!(sort_permutation(&[&a]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn key_detection() {
-        let unique = Column::from(vec![3i64, 1, 2]);
-        assert!(is_key(&[&unique]));
-        let dup = Column::from(vec![1i64, 2, 1]);
-        assert!(!is_key(&[&dup]));
-        // composite key: neither column alone is a key, together they are
-        let a = Column::from(vec![1i64, 1, 2]);
-        let b = Column::from(vec![1i64, 2, 1]);
-        assert!(!is_key(&[&a]));
-        assert!(is_key(&[&a, &b]));
-    }
 
     #[test]
     fn permutation_inverse() {

@@ -493,10 +493,26 @@ impl Column {
         }
     }
 
-    /// Compare row `i` of this column with row `j` of another column of the
-    /// same type (used by multi-relation alignment).
+    /// Compare row `i` of this column with row `j` of another column in the
+    /// null-first total order of [`Value::total_cmp`] (the external sort's
+    /// run merge and column-vs-column predicates). Same-type pairs compare
+    /// typed through the accessors — no boxing, no string clone; only mixed
+    /// types go through `Value`.
     pub fn cmp_rows_cross(&self, i: usize, other: &Column, j: usize) -> Ordering {
-        self.get(i).total_cmp(&other.get(j))
+        use crate::access::ColumnAccessor as A;
+        match (self.is_null(i), other.is_null(j)) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            (false, false) => match (self.accessor(), other.accessor()) {
+                (A::Int(a), A::Int(b)) => a.get(i).cmp(&b.get(j)),
+                (A::Float(a), A::Float(b)) => a.get(i).total_cmp(&b.get(j)),
+                (A::Str(a), A::Str(b)) => a.get(i).cmp(b.get(j)),
+                (A::Bool(a), A::Bool(b)) => a[i].cmp(&b[j]),
+                (A::Date(a), A::Date(b)) => a[i].cmp(&b[j]),
+                _ => self.get(i).total_cmp(&other.get(j)),
+            },
+        }
     }
 
     /// Gather rows: `out[k] = self[idx[k]]` (MonetDB `leftfetchjoin`).
@@ -891,6 +907,37 @@ mod tests {
         let c = Column::from_values(&[Value::Int(5), Value::Null]).unwrap();
         assert_eq!(c.cmp_rows(1, 0), Ordering::Less);
         assert_eq!(c.cmp_rows(0, 0), Ordering::Equal);
+    }
+
+    #[test]
+    fn cmp_rows_cross_matches_boxed_order() {
+        use crate::encoding::Encoding;
+        let words = Column::from(vec!["b", "a", "c", "a"]);
+        let cols = [
+            Column::from_values(&[Value::Int(5), Value::Null, Value::Int(-2)]).unwrap(),
+            Column::from(vec![2.5f64, f64::NAN, -0.0]),
+            Column::from(vec![5i64, 7, 1])
+                .encode_as(Encoding::Packed)
+                .unwrap(),
+            words.encode_as(Encoding::Dict).unwrap(),
+            words,
+            Column::from(vec![true, false, true]),
+        ];
+        // typed pairs, mixed numeric, and cross-type pairs all agree with
+        // the boxed comparison
+        for a in &cols {
+            for b in &cols {
+                for i in 0..3 {
+                    for j in 0..3 {
+                        assert_eq!(
+                            a.cmp_rows_cross(i, b, j),
+                            a.get(i).total_cmp(&b.get(j)),
+                            "{a:?}[{i}] vs {b:?}[{j}]"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -152,6 +152,8 @@ impl<T: RleValue> Rle<T> {
         while i < values.len() {
             let start = i;
             let v = values[i];
+            // a NaN equals nothing, itself included: it is a run of one
+            i += 1;
             while i < values.len() && values[i] == v {
                 i += 1;
             }

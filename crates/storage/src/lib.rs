@@ -20,18 +20,17 @@ pub mod column;
 pub mod encoding;
 pub mod error;
 pub mod selvec;
+pub mod sort;
 pub mod stats;
 pub mod value;
 
 pub use access::{ColumnAccessor, FloatsRef, IntsRef, StrsRef};
-pub use bat::{
-    cmp_rows, invert_permutation, is_identity_permutation, is_key, is_sorted_by, sort_permutation,
-    Bat,
-};
+pub use bat::{cmp_rows, invert_permutation, is_identity_permutation, Bat};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData};
 pub use encoding::{decode_sink_events, Dict, Encoding, Packed, Rle, Seg};
 pub use error::StorageError;
 pub use selvec::SelVec;
+pub use sort::{is_key, key_sort, sort_permutation, KeySort, RowOrder};
 pub use stats::ColumnStats;
 pub use value::{DataType, Value};

@@ -3,9 +3,32 @@
 
 use proptest::prelude::*;
 use rma_storage::{
-    bat::float_ops, cmp_rows, encoding::rle_add_f64, invert_permutation, is_key, sort_permutation,
-    Column, Dict, Encoding, Packed, Rle,
+    bat::float_ops, cmp_rows, encoding::rle_add_f64, invert_permutation, is_key, key_sort,
+    sort_permutation, Bitmap, Column, ColumnData, Dict, Encoding, Packed, Rle,
 };
+use std::cmp::Ordering;
+
+/// The typed sort must be the stable reference `sort_by(cmp_rows)` —
+/// permutation, already-in-order verdict and key verdict alike.
+fn assert_sorts_like_reference(what: &str, columns: &[&Column]) {
+    let n = columns[0].len();
+    let mut reference: Vec<usize> = (0..n).collect();
+    reference.sort_by(|&a, &b| cmp_rows(columns, a, b));
+    let sorted = key_sort(columns);
+    assert_eq!(
+        sorted.perm.is_none(),
+        reference.iter().enumerate().all(|(k, &p)| k == p),
+        "{what}: in-order verdict"
+    );
+    assert_eq!(
+        sorted.unique,
+        reference
+            .windows(2)
+            .all(|w| cmp_rows(columns, w[0], w[1]) != Ordering::Equal),
+        "{what}: key verdict"
+    );
+    assert_eq!(sorted.into_perm(n), reference, "{what}: permutation");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -49,6 +72,75 @@ proptest! {
         let perm = sort_permutation(&[&a, &b]);
         for w in perm.windows(2) {
             prop_assert!(cmp_rows(&[&a, &b], w[0], w[1]) != std::cmp::Ordering::Greater);
+        }
+    }
+
+    // radix and comparator paths alike equal the stable reference sort, for
+    // every key type, encoding, nullable and multi-column schema
+    #[test]
+    fn key_sort_equals_the_stable_reference(
+        raw in proptest::collection::vec((0u64..u64::MAX, 0usize..8), 0..96),
+        spread in 1u64..40,
+    ) {
+        let narrow = |x: u64| (x % spread) as i64 - (spread / 2) as i64;
+        let ints: Vec<i64> = raw
+            .iter()
+            .map(|&(x, pick)| match pick {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => -(x as i64 >> 20),
+                _ => narrow(x),
+            })
+            .collect();
+        let special = [
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -1.5,
+        ];
+        let floats: Vec<f64> = raw
+            .iter()
+            .map(|&(x, pick)| if pick < 3 { special[(x % 8) as usize] } else { narrow(x) as f64 / 4.0 })
+            .collect();
+        let small: Vec<i64> = raw.iter().map(|&(x, _)| narrow(x)).collect();
+        let runs: Vec<i64> = raw.iter().enumerate().map(|(i, &(x, _))| narrow(x / 7) + (i / 11) as i64 % 3).collect();
+        let words: Vec<String> = raw.iter().map(|&(x, _)| format!("w{}", narrow(x))).collect();
+        let int_col = Column::from(ints);
+        let float_col = Column::from(floats.clone());
+        let small_col = Column::from(small.clone());
+        let runs_col = Column::from(runs);
+        let word_col = Column::from(words);
+        let date_col = Column::new(ColumnData::Date(small.iter().map(|&v| v as i32 * 1000).collect()));
+        let bool_col = Column::from(raw.iter().map(|&(x, _)| x % 3 == 0).collect::<Vec<bool>>());
+        let mask: Vec<bool> = raw.iter().map(|&(_, pick)| pick == 5).collect();
+        let nullable = Column::with_nulls(ColumnData::Int(small), Bitmap::from_bools(&mask)).unwrap();
+        let mut cases: Vec<(&str, Vec<&Column>)> = vec![
+            ("int", vec![&int_col]),
+            ("float", vec![&float_col]),
+            ("date", vec![&date_col]),
+            ("bool", vec![&bool_col]),
+            ("plain strings", vec![&word_col]),
+            ("nullable", vec![&nullable]),
+            ("two columns", vec![&small_col, &float_col]),
+            ("string then nullable", vec![&word_col, &nullable]),
+        ];
+        let encoded = [
+            ("packed", small_col.encode_as(Encoding::Packed)),
+            ("rle int", runs_col.encode_as(Encoding::Rle)),
+            ("rle float", Column::from(floats.iter().map(|f| f.round()).collect::<Vec<f64>>()).encode_as(Encoding::Rle)),
+            ("dictionary", word_col.encode_as(Encoding::Dict)),
+        ];
+        for (what, col) in &encoded {
+            if let Some(col) = col {
+                cases.push((what, vec![col]));
+            }
+        }
+        for (what, columns) in &cases {
+            assert_sorts_like_reference(what, columns);
         }
     }
 
