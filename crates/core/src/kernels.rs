@@ -3,6 +3,10 @@
 //! The dense path times the BAT→contiguous copy, the kernel, and the copy
 //! back separately, so the Fig. 14 transformation-share experiment can read
 //! the exact split from [`ExecStats`].
+//!
+//! Application parts arrive as `&[C]` with `C: AsRef<[f64]>` — in practice
+//! the `Cow<[f64]>` columns a [`Split`](crate::split::Split) lends out of
+//! the relation, so the BAT path reads the stored floats in place.
 
 use crate::context::{Backend, ExecStats, KernelUsed, RmaContext};
 use crate::error::RmaError;
@@ -39,13 +43,13 @@ pub fn bat_supports(op: RmaOp) -> bool {
 }
 
 /// Execute a unary base operation on an application part.
-pub fn eval_unary(
+pub fn eval_unary<C: AsRef<[f64]>>(
     ctx: &RmaContext,
     op: RmaOp,
-    app: &[Vec<f64>],
+    app: &[C],
     stats: &mut ExecStats,
 ) -> Result<KernelOut, RmaError> {
-    let m = app.first().map_or(0, Vec::len);
+    let m = app.first().map_or(0, |c| c.as_ref().len());
     let n = app.len();
     let mut backend = ctx.choose_kernel(op, m, n, None);
     let mut kernel_used = match backend {
@@ -85,22 +89,28 @@ pub fn eval_unary(
     Ok(out)
 }
 
-/// Execute a binary base operation.
-pub fn eval_binary(
+/// Execute a binary base operation. `b_align` is the second argument's
+/// row alignment under relative sorting (§7.2): operation row `i` of `b`
+/// is its stored row `b_align[i]` (`None` = `b` is in operation order).
+/// The element-wise BAT kernels read `b` through it in the pass that
+/// writes the result; every other consumer gathers `b` once — on the dense
+/// path that gather is the copy-in itself.
+pub fn eval_binary<A: AsRef<[f64]>, B: AsRef<[f64]>>(
     ctx: &RmaContext,
     op: RmaOp,
-    a: &[Vec<f64>],
-    b: &[Vec<f64>],
+    a: &[A],
+    b: &[B],
+    b_align: Option<&[usize]>,
     stats: &mut ExecStats,
 ) -> Result<KernelOut, RmaError> {
-    let m = a.first().map_or(0, Vec::len);
+    let m = a.first().map_or(0, |c| c.as_ref().len());
     let n = a.len();
-    let second = (b.first().map_or(0, Vec::len), b.len());
+    let second = (b.first().map_or(0, |c| c.as_ref().len()), b.len());
     let backend = ctx.choose_kernel(op, m, n, Some(second));
     let out = match backend {
         Backend::Bat => {
             let t = Instant::now();
-            let out = bat_binary(op, a, b)?;
+            let out = bat_binary(op, a, b, b_align)?;
             stats.compute += t.elapsed();
             stats.last_kernel = Some(KernelUsed::Bat);
             out
@@ -108,7 +118,10 @@ pub fn eval_binary(
         _ => {
             let t = Instant::now();
             let ma = Matrix::from_columns(a)?;
-            let mb = Matrix::from_columns(b)?;
+            let mb = match b_align {
+                Some(rows) => Matrix::gather_columns(b, rows)?,
+                None => Matrix::from_columns(b)?,
+            };
             stats.copy_in += t.elapsed();
             let t = Instant::now();
             let out = dense_binary(op, &ma, &mb)?;
@@ -124,7 +137,7 @@ pub fn eval_binary(
     Ok(out)
 }
 
-fn bat_unary(op: RmaOp, app: &[Vec<f64>]) -> Result<KernelOut, RmaError> {
+fn bat_unary<C: AsRef<[f64]>>(op: RmaOp, app: &[C]) -> Result<KernelOut, RmaError> {
     let out = match op {
         RmaOp::Inv => KernelOut::Cols(bat::inv(app)?),
         RmaOp::Qqr => KernelOut::Cols(bat::qqr(app)?),
@@ -192,18 +205,36 @@ fn dense_binary(op: RmaOp, a: &Matrix, b: &Matrix) -> Result<Matrix, RmaError> {
     Ok(out)
 }
 
-fn bat_binary(op: RmaOp, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<KernelOut, RmaError> {
-    let out = match op {
-        RmaOp::Mmu => bat::mmu(a, b)?,
-        RmaOp::Cpd => bat::cpd(a, b)?,
-        RmaOp::Opd => bat::opd(a, b)?,
-        RmaOp::Sol => bat::sol(a, b)?,
-        RmaOp::Add => bat::add(a, b)?,
-        RmaOp::Sub => bat::sub(a, b)?,
-        RmaOp::Emu => bat::emu(a, b)?,
-        other => unreachable!("bat_binary called for unary op {other:?}"),
+fn bat_binary<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    op: RmaOp,
+    a: &[A],
+    b: &[B],
+    b_align: Option<&[usize]>,
+) -> Result<KernelOut, RmaError> {
+    let out = match (op, b_align) {
+        // fused: b is read through the alignment as the result is written
+        (RmaOp::Add, _) => bat::zip_aligned(a, b, b_align, |x, y| x + y)?,
+        (RmaOp::Sub, _) => bat::zip_aligned(a, b, b_align, |x, y| x - y)?,
+        (RmaOp::Emu, _) => bat::zip_aligned(a, b, b_align, |x, y| x * y)?,
+        // products read b many times: gather it into operation order once
+        (_, Some(rows)) => return bat_binary(op, a, &gather(b, rows), None),
+        (RmaOp::Mmu, None) => bat::mmu(a, b)?,
+        (RmaOp::Cpd, None) => bat::cpd(a, b)?,
+        (RmaOp::Opd, None) => bat::opd(a, b)?,
+        (RmaOp::Sol, None) => bat::sol(a, b)?,
+        (other, None) => unreachable!("bat_binary called for unary op {other:?}"),
     };
     Ok(KernelOut::Cols(out))
+}
+
+/// Columns gathered into operation order: row `i` is stored row `rows[i]`.
+fn gather<C: AsRef<[f64]>>(cols: &[C], rows: &[usize]) -> Vec<Vec<f64>> {
+    cols.iter()
+        .map(|c| {
+            let c = c.as_ref();
+            rows.iter().map(|&i| c[i]).collect()
+        })
+        .collect()
 }
 
 /// Complete the thin-SVD `U` (m×n) to the full orthonormal `m×m` basis by
@@ -315,11 +346,32 @@ mod tests {
         let ctx = RmaContext::new(RmaOptions::default());
         let a = vec![vec![1.0, 2.0]];
         let b = vec![vec![10.0, 20.0]];
-        let out = eval_binary(&ctx, RmaOp::Add, &a, &b, &mut s)
+        let out = eval_binary(&ctx, RmaOp::Add, &a, &b, None, &mut s)
             .unwrap()
             .into_cols();
         assert_eq!(out[0], vec![11.0, 22.0]);
         assert_eq!(s.last_kernel, Some(KernelUsed::Bat));
+    }
+
+    #[test]
+    fn aligned_second_argument_agrees_across_backends() {
+        // b's stored rows are reversed: row i pairs with b row 2 - i
+        let mut s = ExecStats::default();
+        let a = vec![vec![1.0, 2.0, 3.0], vec![0.5, 0.25, 2.0]];
+        let b = vec![vec![30.0, 20.0, 10.0], vec![4.0, 8.0, 16.0]];
+        let in_order = vec![vec![10.0, 20.0, 30.0], vec![16.0, 8.0, 4.0]];
+        for op in [RmaOp::Add, RmaOp::Sub, RmaOp::Emu, RmaOp::Cpd] {
+            for backend in [Backend::Bat, Backend::Dense] {
+                let ctx = RmaContext::with_backend(backend);
+                let got = eval_binary(&ctx, op, &a, &b, Some(&[2, 1, 0]), &mut s)
+                    .unwrap()
+                    .into_cols();
+                let want = eval_binary(&ctx, op, &a, &in_order, None, &mut s)
+                    .unwrap()
+                    .into_cols();
+                assert_eq!(got, want, "{op:?} {backend:?}");
+            }
+        }
     }
 
     #[test]
@@ -332,6 +384,7 @@ mod tests {
             RmaOp::Mmu,
             &a,
             &b,
+            None,
             &mut s,
         )
         .unwrap()
@@ -341,6 +394,7 @@ mod tests {
             RmaOp::Mmu,
             &a,
             &b,
+            None,
             &mut s,
         )
         .unwrap()

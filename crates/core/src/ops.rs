@@ -12,8 +12,7 @@ use crate::error::RmaError;
 use crate::kernels::{eval_binary, eval_unary, KernelOut};
 use crate::shape::RmaOp;
 use crate::split::{
-    alignment_ranks, build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode,
-    Split,
+    build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode, Split,
 };
 use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{Column, ColumnData, DataType};
@@ -126,38 +125,54 @@ impl RmaContext {
                 found: s_order.len(),
             });
         }
-        let mut stats = crate::context::ExecStats::default();
-        let t_sort = Instant::now();
         let aligned = matches!(
             op,
             RmaOp::Add | RmaOp::Sub | RmaOp::Emu | RmaOp::Cpd | RmaOp::Sol
         );
+        let elementwise = matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu);
+        // element-wise / row-aligned: both relations must have equally many
+        // tuples, paired by rank under their own order schemas
+        if aligned && r.len() != s.len() {
+            return Err(RmaError::TupleCountMismatch {
+                left: r.len(),
+                right: s.len(),
+            });
+        }
+        // schema errors are decided from the schemas, before any sort
+        if elementwise {
+            let (r_keys, s_keys) = (r.schema().subset(r_order)?, s.schema().subset(s_order)?);
+            if r.schema().complement(r_order).len() != s.schema().complement(s_order).len() {
+                return Err(RmaError::ApplicationNotUnionCompatible);
+            }
+            let overlap = s_keys.names().find(|n| r_keys.names().any(|m| m == *n));
+            if let Some(name) = overlap {
+                return Err(RmaError::OverlappingOrderSchemas(name.to_string()));
+            }
+        }
+
+        let mut stats = crate::context::ExecStats::default();
+        let t_sort = Instant::now();
         let optimized = self.options.sort_policy == crate::context::SortPolicy::Optimized;
         let (rs, ss) = if aligned {
-            // element-wise / row-aligned: both relations must have equally
-            // many tuples, paired by rank under their own order schemas
-            if r.len() != s.len() {
-                return Err(RmaError::TupleCountMismatch {
-                    left: r.len(),
-                    right: s.len(),
-                });
-            }
             if optimized && r_sorted && s_sorted {
                 // both physically sorted: ranks align positionally for free
                 let rs = split(self, r, r_order, SortMode::Skip)?;
                 let ss = split(self, s, s_order, SortMode::Skip)?;
                 (rs, ss)
             } else if optimized {
-                // relative sorting: r stays physical, s is aligned to it
-                let ranks = if r_sorted {
-                    (0..r.len()).collect()
+                // relative sorting: r stays in physical order and is sorted
+                // only to rank its rows; s is read through one alignment to
+                // those ranks
+                let r_mode = if r_sorted {
+                    SortMode::Skip
                 } else {
                     stats.sorts += 1;
-                    alignment_ranks(r, r_order)?
+                    SortMode::Rank
                 };
-                let rs = split(self, r, r_order, SortMode::Skip)?;
+                let mut rs = split(self, r, r_order, r_mode)?;
                 stats.sorts += 1;
-                let ss = split(self, s, s_order, SortMode::AlignTo { ranks })?;
+                let other = rs.perm.take();
+                let ss = split(self, s, s_order, SortMode::AlignTo { other })?;
                 (rs, ss)
             } else {
                 stats.sorts += 2;
@@ -191,24 +206,14 @@ impl RmaContext {
         };
         stats.sort += t_sort.elapsed();
 
-        // element-wise ops need union-compatible application schemas
-        if matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu) && rs.app.len() != ss.app.len() {
-            return Err(RmaError::ApplicationNotUnionCompatible);
-        }
-
-        let out = eval_binary(self, op, &rs.app, &ss.app, &mut stats)?;
+        let out = eval_binary(self, op, &rs.app, &ss.app, ss.align.as_deref(), &mut stats)?;
 
         let span = trace::clock();
         let result = match op {
             // (r∗,c∗): γ(µU(r) ‖ µV(s) ‖ OP, U ◦ V ◦ U̅)
             RmaOp::Add | RmaOp::Sub | RmaOp::Emu => {
                 let mut ctx_cols = order_context(&rs);
-                for (a, c) in order_context(&ss) {
-                    if ctx_cols.iter().any(|(e, _)| e.name() == a.name()) {
-                        return Err(RmaError::OverlappingOrderSchemas(a.name().to_string()));
-                    }
-                    ctx_cols.push((a, c));
-                }
+                ctx_cols.extend(order_context(&ss));
                 build_relation(ctx_cols, &rs.app_names.clone(), out.into_cols())?
             }
             // (r1,c2): γ(µU(r) ‖ OP, U ◦ V̅)

@@ -3,37 +3,54 @@
 //! A relational matrix operation splits its argument into order part and
 //! application part (the paper's Algorithm 1 lines 2–4): the order schema
 //! `U` is validated as a key, the tuples are ordered by `U`, the order
-//! columns are gathered in that order, and the application columns are
-//! gathered into `f64` vectors — the matrix constructor `µ`. The relation
-//! constructor `γ` reassembles row-context columns and base-result columns
-//! into the result relation.
+//! columns are gathered in that order, and the application columns become
+//! `f64` columns — the matrix constructor `µ` — lent from the relation
+//! wherever the order and the storage allow. The relation constructor `γ`
+//! reassembles row-context columns and base-result columns into the result
+//! relation.
 
 use crate::context::{RmaContext, SortPolicy};
 use crate::error::RmaError;
 use rma_relation::algebra::is_key_hash;
 use rma_relation::{trace, Attribute, Relation, Schema};
-use rma_storage::{invert_permutation, is_identity_permutation, Column, ColumnData, StorageError};
+use rma_storage::{
+    invert_permutation, is_identity_permutation, key_sort, Column, ColumnAccessor, ColumnData,
+    FloatsRef, IntsRef, StorageError,
+};
+use std::borrow::Cow;
 
 /// The split of one argument relation: contextual information plus the
-/// application part as `f64` columns, both in operation order.
+/// application part as `f64` columns. Borrows from the relation it split
+/// (`'a`): plain float columns are lent, not copied.
 #[derive(Debug)]
-pub struct Split {
+pub struct Split<'a> {
     /// Order-schema attribute metadata, in the order given by the caller.
     pub order_attrs: Vec<Attribute>,
     /// Application-schema attribute names, in schema order.
     pub app_names: Vec<String>,
-    /// Order part `r.U`, gathered in operation order.
+    /// Order part `r.U`, in operation order.
     pub order_cols: Vec<Column>,
-    /// Application part `µ_{U̅}(r)`: one `f64` vector per application
-    /// attribute, rows in operation order.
-    pub app: Vec<Vec<f64>>,
+    /// Application part `µ_{U̅}(r)`: one `f64` column per application
+    /// attribute. Lent (`Cow::Borrowed`) from plain `Float` columns; owned
+    /// only when a column is widened (`Int`), decoded (RLE, packed) or
+    /// gathered (`SortMode::Full`). Rows are in operation order unless
+    /// [`Split::align`] is set.
+    pub app: Vec<Cow<'a, [f64]>>,
+    /// Under [`SortMode::AlignTo`]: operation row `i` is row `align[i]` of
+    /// `app` — the relation stays in physical order and consumers read it
+    /// through this one vector (`None` = `app` is in operation order).
+    pub align: Option<Vec<usize>>,
     /// Number of tuples.
     pub rows: usize,
-    /// The sort permutation actually applied (`None` = physical order kept).
+    /// The sort permutation this split computed (`perm[k]` = physical row
+    /// at sorted position `k`; `None` when it did not sort or the rows were
+    /// already in order): applied to both parts under [`SortMode::Full`],
+    /// only recorded under [`SortMode::Rank`].
     pub perm: Option<Vec<usize>>,
 }
 
-/// How the split orders tuples.
+/// How the split orders tuples. Every mode that sorts reads the key verdict
+/// off its own sort; only [`SortMode::Skip`] checks the key by hashing.
 #[derive(Debug, Clone)]
 pub enum SortMode {
     /// Materialise the sort by the order schema.
@@ -41,23 +58,28 @@ pub enum SortMode {
     /// Keep physical order (valid when the operation's result does not
     /// depend on row order).
     Skip,
-    /// Align to another relation's row order: row `i` of this split matches
-    /// row `i` of the relation that produced `align_ranks` (the paper's
-    /// "relative sorting" for element-wise operations).
+    /// Keep physical order, but sort to rank the rows: [`Split::perm`] is
+    /// what the other argument of a row-aligned operation aligns to.
+    Rank,
+    /// Align to another relation's row order: operation row `i` of this
+    /// split pairs with physical row `i` of the other relation, by rank
+    /// under each side's own order schema (the paper's "relative sorting"
+    /// for element-wise operations). This relation stays in physical order
+    /// behind [`Split::align`].
     AlignTo {
-        /// `ranks[i]` = sorted position of the *other* relation's physical
-        /// row `i` under its own order schema.
-        ranks: Vec<usize>,
+        /// The other relation's sort permutation — its [`Split::perm`]
+        /// under [`SortMode::Rank`] (`None` = already in key order).
+        other: Option<Vec<usize>>,
     },
 }
 
 /// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
-pub fn split(
+pub fn split<'a>(
     ctx: &RmaContext,
-    r: &Relation,
+    r: &'a Relation,
     order: &[&str],
     mode: SortMode,
-) -> Result<Split, RmaError> {
+) -> Result<Split<'a>, RmaError> {
     // resolve schemas
     let order_schema = r.schema().subset(order)?;
     let app_schema = r.schema().complement(order);
@@ -71,60 +93,56 @@ pub fn split(
             });
         }
     }
-    // key validation: hash-based so that sort-avoiding operations do not
-    // pay a sort here
-    if ctx.options.validate_keys {
-        let cols = r.columns_of(order)?;
-        if order.is_empty() {
-            if r.len() > 1 {
-                return Err(RmaError::OrderSchemaNotKey(vec![]));
-            }
-        } else if !is_key_hash(&cols) {
-            return Err(RmaError::OrderSchemaNotKey(
-                order.iter().map(|s| s.to_string()).collect(),
-            ));
+    let rows = r.len();
+    let keys = r.columns_of(order)?;
+    if let SortMode::AlignTo { other: Some(other) } = &mode {
+        if other.len() != rows {
+            return Err(RmaError::TupleCountMismatch {
+                left: other.len(),
+                right: rows,
+            });
         }
     }
-    // establish operation order; identity permutations (already-sorted
-    // data) skip the gather entirely, like MonetDB's sortedness property
-    let perm: Option<Vec<usize>> = match mode {
-        SortMode::Full => Some(sort_permutation(r, order)?),
-        SortMode::Skip => None,
-        SortMode::AlignTo { ranks } => {
-            // this relation sorted by its own keys, then re-ordered so that
-            // row i matches the other relation's physical row i
-            let own_sorted = sort_permutation(r, order)?;
-            Some(ranks.iter().map(|&rank| own_sorted[rank]).collect())
-        }
+    // a split that sorts takes the key verdict from that sort, so only a
+    // split that never sorts pays the hash check
+    let sorted = if matches!(mode, SortMode::Skip) {
+        require_key(ctx, order, rows, || is_key_hash(&keys))?;
+        None
+    } else {
+        key_sorted(ctx, &keys, order, rows)?
     };
-    let perm = perm.filter(|p| !is_identity_permutation(p));
     let span = trace::clock();
-    // gather order part
-    let order_cols: Vec<Column> = match &perm {
-        Some(p) => order
-            .iter()
-            .map(|n| Ok(r.column(n)?.take(p)))
-            .collect::<Result<_, RmaError>>()?,
-        None => order
-            .iter()
-            .map(|n| Ok(r.column(n)?.clone()))
-            .collect::<Result<_, RmaError>>()?,
+    // the order the parts are read in: Full gathers both by its sort;
+    // AlignTo keeps the application part in physical order behind one
+    // alignment vector and gathers only the order part; Skip and Rank keep
+    // physical order. Already-sorted data never builds a permutation, like
+    // MonetDB's sortedness property.
+    let full = matches!(mode, SortMode::Full);
+    let (perm, align) = match mode {
+        SortMode::AlignTo { other } => (None, compose_alignment(other, sorted)),
+        _ => (sorted, None),
     };
-    // gather application part as f64 columns (matrix constructor µ)
-    let app: Vec<Vec<f64>> = app_schema
+    let app_rows = if full { perm.as_deref() } else { None };
+    let order_rows = app_rows.or(align.as_deref());
+    let order_cols: Vec<Column> = keys
+        .iter()
+        .map(|c| order_rows.map_or_else(|| (*c).clone(), |p| c.take(p)))
+        .collect();
+    // the matrix constructor µ
+    let app: Vec<Cow<'a, [f64]>> = app_schema
         .names()
-        .map(|n| gather_f64(r.column(n)?, perm.as_deref(), n))
+        .map(|n| app_column(r.column(n)?, app_rows, n))
         .collect::<Result<_, _>>()?;
-    if perm.is_some() {
-        let rows = r.len() as u64;
-        trace::record("rma.align", "rma", 0, span, rows, rows, 1);
+    if order_rows.is_some() {
+        trace::record("rma.align", "rma", 0, span, rows as u64, rows as u64, 1);
     }
     Ok(Split {
         order_attrs: order_schema.attributes().to_vec(),
         app_names: app_schema.names().map(str::to_string).collect(),
         order_cols,
         app,
-        rows: r.len(),
+        align,
+        rows,
         perm,
     })
 }
@@ -143,41 +161,110 @@ pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
     }
 }
 
-/// For aligned binary operations: ranks of the first relation's physical
-/// rows under its order schema (`ranks[i]` = sorted position of row `i`).
-pub fn alignment_ranks(r: &Relation, order: &[&str]) -> Result<Vec<usize>, RmaError> {
-    let perm = sort_permutation(r, order)?;
-    Ok(invert_permutation(&perm))
+/// `OrderSchemaNotKey` unless the order schema is a key: `unique` decides
+/// for a non-empty schema, the empty schema is a key only of relations with
+/// at most one row. Nothing is checked when the context does not validate
+/// keys.
+fn require_key(
+    ctx: &RmaContext,
+    order: &[&str],
+    rows: usize,
+    unique: impl FnOnce() -> bool,
+) -> Result<(), RmaError> {
+    if !ctx.options.validate_keys {
+        return Ok(());
+    }
+    let key = if order.is_empty() {
+        rows <= 1
+    } else {
+        unique()
+    };
+    if key {
+        Ok(())
+    } else {
+        Err(RmaError::OrderSchemaNotKey(
+            order.iter().map(|s| s.to_string()).collect(),
+        ))
+    }
 }
 
-/// The sort permutation of `r` under `order` — the one typed sort of
-/// `rma_storage::sort` — recorded as an `rma.sort` span.
-fn sort_permutation(r: &Relation, order: &[&str]) -> Result<Vec<usize>, RmaError> {
+/// Sort rows by the order schema — the one typed sort of
+/// `rma_storage::sort`, recorded as an `rma.sort` span — and take the key
+/// verdict from the same call. `None` = already in order.
+fn key_sorted(
+    ctx: &RmaContext,
+    keys: &[&Column],
+    order: &[&str],
+    rows: usize,
+) -> Result<Option<Vec<usize>>, RmaError> {
     let span = trace::clock();
-    let perm = r.sort_permutation_by(order)?;
-    let rows = r.len() as u64;
-    trace::record("rma.sort", "rma", 0, span, rows, rows, 1);
-    Ok(perm)
+    let sorted = key_sort(keys);
+    trace::record("rma.sort", "rma", 0, span, rows as u64, rows as u64, 1);
+    require_key(ctx, order, rows, || sorted.unique)?;
+    Ok(sorted.perm)
 }
 
-/// Gather one column as `f64` in the given order, widening integers and
-/// rejecting nulls and non-numeric types.
-fn gather_f64(col: &Column, perm: Option<&[usize]>, name: &str) -> Result<Vec<f64>, RmaError> {
+/// Relative sorting's one alignment vector: the other relation's row at
+/// rank `k` pairs with this relation's row at rank `k`, so
+/// `align[other[k]] = own[k]` — composed directly, not by inverting and
+/// then indexing. `None` on either side is the identity (so the alignment
+/// is `own`, or the inverse of `other`); `None` comes back when the rows
+/// already pair positionally.
+fn compose_alignment(other: Option<Vec<usize>>, own: Option<Vec<usize>>) -> Option<Vec<usize>> {
+    match (other, own) {
+        (None, own) => own,
+        (Some(other), None) => Some(invert_permutation(&other)),
+        (Some(other), Some(own)) => {
+            let mut align = vec![0; own.len()];
+            for (&o, &s) in other.iter().zip(&own) {
+                align[o] = s;
+            }
+            (!is_identity_permutation(&align)).then_some(align)
+        }
+    }
+}
+
+/// One application column as `f64` in the order `perm` gives (`None` =
+/// physical order), read through the column accessor — never through the
+/// `Column::data()` decode sink. A plain `Float` column in physical order
+/// is lent; otherwise one pass widens (`Int`), decodes (RLE, packed) and
+/// gathers. Nulls and non-numeric types are rejected.
+fn app_column<'a>(
+    col: &'a Column,
+    perm: Option<&[usize]>,
+    name: &str,
+) -> Result<Cow<'a, [f64]>, RmaError> {
     if col.null_count() > 0 {
         return Err(RmaError::Storage(StorageError::NullInNumericContext));
     }
-    let out = match (col.data(), perm) {
-        (ColumnData::Float(v), None) => v.clone(),
-        (ColumnData::Float(v), Some(p)) => p.iter().map(|&i| v[i]).collect(),
-        (ColumnData::Int(v), None) => v.iter().map(|&x| x as f64).collect(),
-        (ColumnData::Int(v), Some(p)) => p.iter().map(|&i| v[i] as f64).collect(),
+    fn read(len: usize, perm: Option<&[usize]>, get: impl Fn(usize) -> f64) -> Vec<f64> {
+        match perm {
+            Some(p) => p.iter().map(|&i| get(i)).collect(),
+            None => (0..len).map(get).collect(),
+        }
+    }
+    let owned = match col.accessor() {
+        ColumnAccessor::Float(FloatsRef::Slice(v)) => match perm {
+            None => return Ok(Cow::Borrowed(v)),
+            Some(_) => read(v.len(), perm, |i| v[i]),
+        },
+        ColumnAccessor::Float(FloatsRef::Rle(r)) => {
+            let v = r.to_vec();
+            read(v.len(), perm, |i| v[i])
+        }
+        ColumnAccessor::Int(IntsRef::Slice(v)) => read(v.len(), perm, |i| v[i] as f64),
+        ColumnAccessor::Int(IntsRef::Rle(r)) => {
+            let v = r.to_vec();
+            read(v.len(), perm, |i| v[i] as f64)
+        }
+        ColumnAccessor::Int(v @ IntsRef::Packed(_)) => read(v.len(), perm, |i| v.get(i) as f64),
         _ => {
             return Err(RmaError::NonNumericApplication {
                 attribute: name.to_string(),
             })
         }
     };
-    Ok(out)
+    Ok(Cow::Owned(owned))
 }
 
 /// The schema cast `∆U`: a string column holding attribute names (becomes
@@ -242,20 +329,37 @@ mod tests {
     #[test]
     fn full_sort_gathers_in_key_order() {
         let ctx = RmaContext::default();
-        let s = split(&ctx, &weather(), &["T"], SortMode::Full).unwrap();
+        let r = weather();
+        let s = split(&ctx, &r, &["T"], SortMode::Full).unwrap();
         assert_eq!(s.app_names, vec!["H", "W"]);
         assert_eq!(s.app[0], vec![1.0, 1.0, 6.0, 8.0]); // H sorted by T
         assert_eq!(s.app[1], vec![3.0, 4.0, 7.0, 5.0]); // W sorted by T
         assert_eq!(s.order_cols[0].get(0), Value::from("5am"));
         assert!(s.perm.is_some());
+        assert!(matches!(s.app[0], Cow::Owned(_)));
     }
 
     #[test]
     fn skip_keeps_physical_order() {
         let ctx = RmaContext::default();
-        let s = split(&ctx, &weather(), &["T"], SortMode::Skip).unwrap();
+        let r = weather();
+        let s = split(&ctx, &r, &["T"], SortMode::Skip).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(s.perm.is_none());
+        assert!(matches!(s.app[0], Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn rank_keeps_physical_order_and_records_the_sort() {
+        let ctx = RmaContext::default();
+        let r = weather();
+        let s = split(&ctx, &r, &["T"], SortMode::Rank).unwrap();
+        assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
+        assert!(matches!(s.app[0], Cow::Borrowed(_)));
+        assert_eq!(s.order_cols[0].get(1), Value::from("8am"));
+        // 5am, 6am, 7am, 8am sit at physical rows 0, 3, 2, 1
+        assert_eq!(s.perm, Some(vec![0, 3, 2, 1]));
+        assert!(s.align.is_none());
     }
 
     #[test]
@@ -269,10 +373,16 @@ mod tests {
             .column("X", vec![60.0f64, 50.0, 80.0, 70.0])
             .build()
             .unwrap();
-        let ranks = alignment_ranks(&r, &["T"]).unwrap();
-        let s = split(&ctx, &s_rel, &["T2"], SortMode::AlignTo { ranks }).unwrap();
-        // r physical order: 5am, 8am, 7am, 6am → aligned X: 50, 80, 70, 60
-        assert_eq!(s.app[0], vec![50.0, 80.0, 70.0, 60.0]);
+        let other = split(&ctx, &r, &["T"], SortMode::Rank).unwrap().perm;
+        let s = split(&ctx, &s_rel, &["T2"], SortMode::AlignTo { other }).unwrap();
+        // s stays in physical order, lent; operation order is read through
+        // the alignment — r physical order: 5am, 8am, 7am, 6am → X: 50, 80,
+        // 70, 60
+        assert!(matches!(s.app[0], Cow::Borrowed(_)));
+        assert_eq!(s.app[0], vec![60.0, 50.0, 80.0, 70.0]);
+        let align = s.align.as_deref().unwrap();
+        let x: Vec<f64> = align.iter().map(|&i| s.app[0][i]).collect();
+        assert_eq!(x, vec![50.0, 80.0, 70.0, 60.0]);
         let t2: Vec<Value> = s.order_cols[0].iter_values().collect();
         assert_eq!(
             t2,
@@ -283,6 +393,31 @@ mod tests {
                 Value::from("6am")
             ]
         );
+    }
+
+    #[test]
+    fn composed_alignment_equals_invert_then_index() {
+        let perms: [Option<Vec<usize>>; 4] = [
+            None,
+            Some(vec![2, 0, 4, 1, 3]),
+            Some(vec![4, 3, 2, 1, 0]),
+            Some(vec![1, 2, 3, 4, 0]),
+        ];
+        let identity = |p: &Option<Vec<usize>>| p.clone().unwrap_or_else(|| (0..5).collect());
+        for other in &perms {
+            for own in &perms {
+                let ranks = invert_permutation(&identity(other));
+                let want: Vec<usize> = ranks.iter().map(|&k| identity(own)[k]).collect();
+                let got = compose_alignment(other.clone(), own.clone());
+                assert_eq!(
+                    got.unwrap_or_else(|| (0..5).collect()),
+                    want,
+                    "{other:?} {own:?}"
+                );
+            }
+        }
+        // identical orders pair positionally: no alignment at all
+        assert_eq!(compose_alignment(perms[1].clone(), perms[1].clone()), None);
     }
 
     #[test]
@@ -350,6 +485,9 @@ mod tests {
             .unwrap();
         let s = split(&ctx, &r, &["k"], SortMode::Full).unwrap();
         assert_eq!(s.app[0], vec![10.0, 20.0]);
+        let s = split(&ctx, &r, &["k"], SortMode::Skip).unwrap();
+        assert_eq!(s.app[0], vec![20.0, 10.0]);
+        assert!(matches!(s.app[0], Cow::Owned(_)));
     }
 
     #[test]

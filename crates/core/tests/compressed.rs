@@ -290,14 +290,15 @@ fn catalog_tables_report_encodings_in_explain_and_metrics() {
 /// `EXPLAIN ANALYZE` surfaces forced decodes per node (` sinks=N`), and a
 /// session attributes them to its counters: a query that must materialize
 /// plain values out of encoded storage reports a nonzero sink count in
-/// the server metrics, while the encoded fast-path query stays at zero.
+/// the server metrics, while the encoded fast-path query — and a matrix
+/// operation, which reads its application part through the column
+/// accessors — stays at zero.
 #[test]
 fn decode_sinks_attribute_to_sessions_and_explain() {
     let _g = sink_lock();
     let mut rng = TestRng::from_seed_u64(5);
-    // serial on purpose: the parallel dense path reads floats per row and
-    // (correctly) never fills the decode cache, so the guaranteed-sink
-    // half of this test only holds on the serial interpreter
+    // serial on purpose: the guaranteed-sink half of this test evaluates an
+    // expression through the decode escape hatch on the serial interpreter
     let server = Server::new(ctx(Backend::Auto, 1));
     let session = server.session();
     session
@@ -314,10 +315,25 @@ fn decode_sinks_attribute_to_sessions_and_explain() {
         .expect("fast-path query");
     assert_eq!(server.metrics_snapshot().decode_sinks, 0);
 
-    // a matrix operation needs plain float vectors: forced decode
+    // a matrix operation over the RLE `amount` column decodes it through
+    // the accessor into its own f64 column: no sink either
     session
         .query(Frame::table("t").project(&["k", "amount"]).qqr(&["k"]))
-        .expect("sinking query");
+        .expect("qqr query");
+    assert_eq!(
+        server.metrics_snapshot().decode_sinks,
+        0,
+        "the RMA split must read encoded columns through the accessors"
+    );
+
+    // arithmetic on an encoded column needs its plain vector: forced decode
+    let negated = |table: &str| {
+        Frame::table(table).project_exprs(vec![(
+            Expr::Neg(Box::new(Expr::col("amount"))),
+            "neg".to_string(),
+        )])
+    };
+    session.query(negated("t")).expect("sinking query");
     assert!(
         server.metrics_snapshot().decode_sinks > 0,
         "materializing query must count its decode sinks"
@@ -329,9 +345,7 @@ fn decode_sinks_attribute_to_sessions_and_explain() {
         .create_table("t2", gen_rel(4096, 0, &mut rng))
         .expect("create t2");
     let snap = session.pin();
-    let analyzed = Frame::table("t2")
-        .project(&["k", "amount"])
-        .qqr(&["k"])
+    let analyzed = negated("t2")
         .explain_analyze_with(server.context(), &snap)
         .expect("analyze");
     assert!(

@@ -9,16 +9,23 @@
 //! - the row-aligned operations pair rows **by rank**: over disjoint key
 //!   sets of different types they equal the `SortPolicy::Always` result (a
 //!   key-equality probe would pair nothing);
-//! - a relatively sorted `add` equals gather-then-`bat::add` bit for bit;
+//! - a relatively sorted `add`/`sub`/`emu` — the aligned side read through
+//!   its alignment in the kernel's own pass — equals gather-then-combine
+//!   bit for bit, over widened and encoded columns, views and every backend;
+//! - a `Skip` split lends its float columns; the key verdict of every split
+//!   that sorts comes from the sort; schema errors precede every sort;
 //! - the order handling is visible apart from the kernel in a
 //!   `TraceSession` and in `EXPLAIN ANALYZE`.
 
 use rma_core::plan::Frame;
-use rma_core::split::{alignment_ranks, split, SortMode};
+use rma_core::split::{split, SortMode};
 use rma_core::{Backend, RmaContext, RmaError, RmaOp, RmaOptions, SortPolicy, TraceSession};
 use rma_linalg::bat;
 use rma_relation::{Relation, RelationBuilder};
-use rma_storage::{cmp_rows, key_sort, Bitmap, Column, ColumnData, Encoding};
+use rma_storage::{
+    cmp_rows, key_sort, Bitmap, Column, ColumnAccessor, ColumnData, Encoding, FloatsRef,
+};
+use std::borrow::Cow;
 
 /// xorshift: deterministic test data without a dev-dependency.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -159,7 +166,9 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
             .column("y", vec![1.0f64; n + 1])
             .build()
             .unwrap();
-        let ranks = alignment_ranks(&clean, &["k2"]).unwrap();
+        let ranks = split(&RmaContext::default(), &clean, &["k2"], SortMode::Rank)
+            .unwrap()
+            .perm;
         for dup_at in [0, n / 2, n - 1] {
             let dup = with_duplicate(n, dup_at, 5 + dup_at as u64);
             let not_key = |r: Result<_, RmaError>| {
@@ -173,18 +182,29 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
                 for mode in [
                     SortMode::Full,
                     SortMode::Skip,
+                    SortMode::Rank,
                     SortMode::AlignTo {
-                        ranks: ranks.clone(),
+                        other: ranks.clone(),
                     },
                 ] {
                     not_key(split(&ctx, &dup, &["k"], mode).map(|_| ()));
                 }
-                // and through the operations, under both policies
+                // and through the operations, under both policies; every
+                // split of an aligned op sorts (`Rank`/`AlignTo`, or `Full`
+                // under `Always`), so on either side the verdict is the sort's
                 for policy in [SortPolicy::Optimized, SortPolicy::Always] {
                     let ctx = ctx_with(threads, Backend::Auto, policy);
                     not_key(ctx.add(&dup, &["k"], &clean, &["k2"]).map(|_| ()));
+                    not_key(ctx.add(&clean, &["k2"], &dup, &["k"]).map(|_| ()));
+                    not_key(ctx.cpd(&clean, &["k2"], &dup, &["k"]).map(|_| ()));
                     not_key(ctx.qqr(&dup, &["k"]).map(|_| ()));
                     not_key(ctx.tra(&dup, &["k"]).map(|_| ()));
+                    // `validate_keys: false` skips the check
+                    let lax = RmaContext::new(RmaOptions {
+                        validate_keys: false,
+                        ..ctx.options.clone()
+                    });
+                    assert_eq!(lax.add(&clean, &["k2"], &dup, &["k"]).unwrap().len(), n + 1);
                 }
             }
         }
@@ -280,58 +300,162 @@ fn aligned_operations_pair_by_rank_not_by_key_equality() {
     }
 }
 
+/// One argument of the element-wise parity test: `rows + extra` physical
+/// rows, where rows `lo..lo + rows` (`lo = extra / 2`) hold the keys
+/// `0..rows` shuffled and the others hold larger keys — so the range view
+/// `lo..lo + rows` and the filter `key < rows` both see exactly the keys
+/// `0..rows`. Application columns: a plain float, a plain `Int` (widened),
+/// an RLE float and a bit-packed `Int`.
+fn elementwise_side(key: &str, app: [&str; 4], rows: usize, extra: usize, seed: u64) -> Relation {
+    let mut next = rng(seed);
+    let lo = extra / 2;
+    let mut keys: Vec<i64> = (rows..rows + extra).map(|k| k as i64).collect();
+    let inner = shuffled(rows, seed).into_iter().map(|k| k as i64);
+    keys.splice(lo..lo, inner);
+    let total = keys.len();
+    let plain: Vec<f64> = (0..total)
+        .map(|_| f64::from_bits(0x3ff0_0000_0000_0000 | (next() >> 12)) * 1e3 - 1.5e3)
+        .collect();
+    let ints: Vec<i64> = (0..total).map(|_| (next() % 2001) as i64 - 1000).collect();
+    let runs: Vec<f64> = (0..total)
+        .map(|i| ((i / 40) % 7) as f64 * 0.375 - 1.0)
+        .collect();
+    let narrow: Vec<i64> = (0..total).map(|_| (next() % 200) as i64 - 50).collect();
+    RelationBuilder::new()
+        .column(key, keys)
+        .column(app[0], plain)
+        .column(app[1], ints)
+        .column(app[2], Column::from(runs).encode_as(Encoding::Rle).unwrap())
+        .column(
+            app[3],
+            Column::from(narrow).encode_as(Encoding::Packed).unwrap(),
+        )
+        .build()
+        .unwrap()
+}
+
+/// The three ways an argument reaches the operation: compact (encodings
+/// kept), a range view (encodings kept through the slice) and an index
+/// view (compacted by gather).
+fn elementwise_views(base: &Relation, key: &str, rows: usize, extra: usize) -> Vec<Relation> {
+    let lo = extra / 2;
+    let keep: Vec<bool> = floats(base, key).iter().map(|&k| k < rows as f64).collect();
+    let range = base.slice(lo..lo + rows);
+    vec![range.materialize(), range, base.filter(&keep)]
+}
+
 #[test]
 fn relative_sorting_add_equals_gather_then_add_bit_for_bit() {
-    let n = 5000usize;
-    let mut next = rng(99);
-    let mut cell = || f64::from_bits(0x3ff0_0000_0000_0000 | (next() >> 12)) * 1e3 - 1.5e3;
-    let r_keys: Vec<i64> = shuffled(n, 1).into_iter().map(|i| i as i64).collect();
-    let s_keys: Vec<i64> = shuffled(n, 2).into_iter().map(|i| i as i64).collect();
-    let r_cols: Vec<Vec<f64>> = (0..3).map(|_| (0..n).map(|_| cell()).collect()).collect();
-    // the aligned side's last application column is an integer one: it is
-    // widened as it is gathered
-    let counts: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 1001 - 500).collect();
-    let s_cols: Vec<Vec<f64>> = vec![
-        (0..n).map(|_| cell()).collect(),
-        (0..n).map(|_| cell()).collect(),
-        counts.iter().map(|&c| c as f64).collect(),
-    ];
-    let r = RelationBuilder::new()
-        .column("k", r_keys.clone())
-        .column("a", r_cols[0].clone())
-        .column("b", r_cols[1].clone())
-        .column("c", r_cols[2].clone())
-        .build()
-        .unwrap();
-    let s = RelationBuilder::new()
-        .column("k2", s_keys.clone())
-        .column("d", s_cols[0].clone())
-        .column("e", s_cols[1].clone())
-        .column("f", counts)
-        .build()
-        .unwrap();
-    // the reference: gather s into r's physical order by key, then add
-    let mut s_row_of = vec![0usize; n];
-    for (row, &k) in s_keys.iter().enumerate() {
-        s_row_of[k as usize] = row;
-    }
-    let gathered: Vec<Vec<f64>> = s_cols
-        .iter()
-        .map(|c| r_keys.iter().map(|&k| c[s_row_of[k as usize]]).collect())
-        .collect();
-    let want = bat::add(&r_cols, &gathered).unwrap();
-    for backend in [Backend::Auto, Backend::Bat] {
-        for threads in [1, 2, 4] {
-            let ctx = ctx_with(threads, backend, SortPolicy::Optimized);
-            let got = ctx.add(&r, &["k"], &s, &["k2"]).unwrap();
-            assert_eq!(ctx.stats().sorts, 2);
-            assert_eq!(got.column("k").unwrap(), got.column("k2").unwrap());
-            for (name, want) in ["a", "b", "c"].iter().zip(&want) {
-                let got: Vec<u64> = floats(&got, name).iter().map(|x| x.to_bits()).collect();
-                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "{name} {backend:?} threads={threads}");
+    let (n, extra) = (3000usize, 600usize);
+    let r_base = elementwise_side("k", ["a", "b", "c", "d"], n, extra, 1);
+    let s_base = elementwise_side("k2", ["e", "f", "g", "h"], n, extra, 2);
+    let apps = [["a", "b", "c", "d"], ["e", "f", "g", "h"]];
+    for r in elementwise_views(&r_base, "k", n, extra) {
+        for s in elementwise_views(&s_base, "k2", n, extra) {
+            // the reference: gather s into r's physical order by key, then
+            // combine with the plain element-wise kernel
+            let r_keys = floats(&r, "k");
+            let mut s_row_of = vec![0usize; n];
+            for (row, k) in floats(&s, "k2").into_iter().enumerate() {
+                s_row_of[k as usize] = row;
+            }
+            let r_cols: Vec<Vec<f64>> = apps[0].iter().map(|c| floats(&r, c)).collect();
+            let gathered: Vec<Vec<f64>> = apps[1]
+                .iter()
+                .map(|c| {
+                    let col = floats(&s, c);
+                    r_keys.iter().map(|&k| col[s_row_of[k as usize]]).collect()
+                })
+                .collect();
+            let wants = [
+                (RmaOp::Add, bat::add(&r_cols, &gathered).unwrap()),
+                (RmaOp::Sub, bat::sub(&r_cols, &gathered).unwrap()),
+                (RmaOp::Emu, bat::emu(&r_cols, &gathered).unwrap()),
+            ];
+            for backend in [Backend::Auto, Backend::Bat, Backend::Dense] {
+                for threads in [1, 2] {
+                    for (op, want) in &wants {
+                        let ctx = ctx_with(threads, backend, SortPolicy::Optimized);
+                        let got = ctx.binary(*op, &r, &["k"], &s, &["k2"]).unwrap();
+                        assert_eq!(ctx.stats().sorts, 2);
+                        assert_eq!(got.column("k").unwrap(), got.column("k2").unwrap());
+                        let what = format!(
+                            "{op:?} {backend:?} threads={threads} views={}/{}",
+                            r.is_view(),
+                            s.is_view()
+                        );
+                        for (name, want) in apps[0].iter().zip(want) {
+                            let got: Vec<u64> =
+                                floats(&got, name).iter().map(|x| x.to_bits()).collect();
+                            let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                            assert_eq!(got, want, "{name} {what}");
+                        }
+                    }
+                }
             }
         }
+    }
+}
+
+#[test]
+fn a_skip_split_lends_its_float_columns() {
+    let r = elementwise_side("k", ["a", "b", "c", "d"], 500, 0, 3);
+    let ctx = RmaContext::default();
+    let stored = |name: &str| match r.column(name).unwrap().accessor() {
+        ColumnAccessor::Float(FloatsRef::Slice(v)) => v,
+        other => panic!("{name} is not a plain float column: {other:?}"),
+    };
+    let lends_a = |app: &Cow<'_, [f64]>| match app {
+        Cow::Borrowed(lent) => std::ptr::eq(*lent, stored("a")),
+        Cow::Owned(_) => false,
+    };
+    let skip = split(&ctx, &r, &["k"], SortMode::Skip).unwrap();
+    assert!(lends_a(&skip.app[0]), "the plain float column is lent");
+    // widened, decoded: owned, never through the decode sink
+    for (app, name) in skip.app.iter().zip(&skip.app_names).skip(1) {
+        assert!(matches!(app, Cow::Owned(_)), "{name}");
+        assert_eq!(app.as_ref(), floats(&r, name).as_slice(), "{name}");
+    }
+    // the relation an aligned operation keeps in place and the aligned side
+    // itself both lend; a full sort gathers
+    let rank = split(&ctx, &r, &["k"], SortMode::Rank).unwrap();
+    assert!(lends_a(&rank.app[0]));
+    let other = Some(shuffled(500, 9));
+    let aligned = split(&ctx, &r, &["k"], SortMode::AlignTo { other }).unwrap();
+    assert!(lends_a(&aligned.app[0]) && aligned.align.is_some());
+    let full = split(&ctx, &r, &["k"], SortMode::Full).unwrap();
+    assert!(!lends_a(&full.app[0]));
+}
+
+#[test]
+fn schema_errors_are_raised_before_any_sort() {
+    // `r`'s order schema is not a key: a split would report that first, so
+    // getting the schema error proves no split ran
+    let r = with_duplicate(50, 10, 3);
+    let narrow = RelationBuilder::new()
+        .column("k2", (0..51i64).collect::<Vec<i64>>())
+        .column("y", vec![1.0f64; 51])
+        .column("z", vec![2.0f64; 51])
+        .build()
+        .unwrap();
+    let same_key = RelationBuilder::new()
+        .column("k", (0..51i64).collect::<Vec<i64>>())
+        .column("y", vec![1.0f64; 51])
+        .build()
+        .unwrap();
+    for policy in [SortPolicy::Optimized, SortPolicy::Always] {
+        let ctx = ctx_with(1, Backend::Auto, policy);
+        for op in [RmaOp::Add, RmaOp::Sub, RmaOp::Emu] {
+            assert!(matches!(
+                ctx.binary(op, &r, &["k"], &narrow, &["k2"]),
+                Err(RmaError::ApplicationNotUnionCompatible)
+            ));
+            assert!(matches!(
+                ctx.binary(op, &r, &["k"], &same_key, &["k"]),
+                Err(RmaError::OverlappingOrderSchemas(name)) if name == "k"
+            ));
+        }
+        assert_eq!(ctx.stats().sorts, 0, "{policy:?}");
     }
 }
 

@@ -2,38 +2,65 @@
 //!
 //! These are single-pass column operations — the case where the paper's
 //! RMA+BAT configuration beats RMA+MKL, because the copy into the dense
-//! format can never be amortised (Fig. 18b).
+//! format can never be amortised (Fig. 18b). Under relative sorting (§7.2)
+//! the second operand stays in its physical order and is read through a row
+//! alignment in the same pass, so it is never gathered into a copy first.
 
-use super::{shape, Cols};
+use super::shape;
 use crate::error::LinalgError;
 
-fn binary(a: &Cols, b: &Cols, f: impl Fn(f64, f64) -> f64) -> Result<Vec<Vec<f64>>, LinalgError> {
+/// `out[j][i] = f(a[j][i], b[j][align[i]])`: combine two equally shaped
+/// matrices column at a time, reading `b` through the row alignment `align`
+/// (`None` = positionally) in the pass that writes the result.
+pub fn zip_aligned<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+    align: Option<&[usize]>,
+    f: impl Fn(f64, f64) -> f64,
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (ra, ca) = shape(a)?;
     let (rb, cb) = shape(b)?;
-    if ra != rb || ca != cb {
+    if ra != rb || ca != cb || align.is_some_and(|p| p.len() != ra) {
         return Err(LinalgError::DimensionMismatch {
             context: "element-wise BAT operation shapes",
         });
     }
+    // column at a time: the random reads of one column of `b` stay within
+    // that column, which mostly fits in L2
     Ok(a.iter()
         .zip(b)
-        .map(|(ac, bc)| ac.iter().zip(bc).map(|(&x, &y)| f(x, y)).collect())
+        .map(|(ac, bc)| {
+            let (ac, bc) = (ac.as_ref(), bc.as_ref());
+            match align {
+                Some(rows) => ac.iter().zip(rows).map(|(&x, &k)| f(x, bc[k])).collect(),
+                None => ac.iter().zip(bc).map(|(&x, &y)| f(x, y)).collect(),
+            }
+        })
         .collect())
 }
 
 /// Matrix addition, column at a time.
-pub fn add(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
-    binary(a, b, |x, y| x + y)
+pub fn add<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
+    zip_aligned(a, b, None, |x, y| x + y)
 }
 
 /// Matrix subtraction, column at a time.
-pub fn sub(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
-    binary(a, b, |x, y| x - y)
+pub fn sub<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
+    zip_aligned(a, b, None, |x, y| x - y)
 }
 
 /// Element-wise (Hadamard) multiplication, column at a time.
-pub fn emu(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
-    binary(a, b, |x, y| x * y)
+pub fn emu<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
+    zip_aligned(a, b, None, |x, y| x * y)
 }
 
 #[cfg(test)]
@@ -61,6 +88,19 @@ mod tests {
             emu(&a(), &b()).unwrap(),
             vec![vec![10.0, 40.0], vec![90.0, 160.0]]
         );
+    }
+
+    #[test]
+    fn aligned_reads_the_second_operand_through_the_alignment() {
+        // row 0 of the result pairs with b's row 1 and vice versa; b is
+        // lent as slices, not copied
+        let b = b();
+        let lent: Vec<&[f64]> = b.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            zip_aligned(&a(), &lent, Some(&[1, 0]), |x, y| x + y).unwrap(),
+            vec![vec![21.0, 12.0], vec![43.0, 34.0]]
+        );
+        assert!(zip_aligned(&a(), &lent, Some(&[0]), |x, y| x + y).is_err());
     }
 
     #[test]

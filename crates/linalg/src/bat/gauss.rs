@@ -8,20 +8,20 @@
 //! `A·E = I` and `I·E = A⁻¹`. We extend Algorithm 2 with column pivoting for
 //! numerical robustness (the paper's listing omits it).
 
-use super::{scale_col, sel, shape, sub_scaled_col, Cols};
+use super::{scale_col, sel, shape, sub_scaled_col, to_owned_cols};
 use crate::error::LinalgError;
 
 const PIVOT_EPS: f64 = 1e-12;
 
-fn max_abs(cols: &Cols) -> f64 {
+fn max_abs<C: AsRef<[f64]>>(cols: &[C]) -> f64 {
     cols.iter()
-        .flat_map(|c| c.iter())
+        .flat_map(|c| c.as_ref().iter())
         .fold(0.0f64, |m, &x| m.max(x.abs()))
         .max(1.0)
 }
 
 /// Algorithm 2: matrix inversion by Gauss-Jordan elimination over BATs.
-pub fn inv(b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn inv<C: AsRef<[f64]>>(b: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, n) = shape(b)?;
     if m != n {
         return Err(LinalgError::NotSquare);
@@ -30,7 +30,7 @@ pub fn inv(b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
         return Err(LinalgError::Empty);
     }
     let scale = max_abs(b);
-    let mut b: Vec<Vec<f64>> = b.to_vec();
+    let mut b = to_owned_cols(b);
     // BR ← IDmatrix(n)
     let mut br: Vec<Vec<f64>> = (0..n)
         .map(|j| {
@@ -75,7 +75,7 @@ pub fn inv(b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
 
 /// Determinant by triangularising with column operations; the product of
 /// pivots (sign-adjusted for column swaps) is the determinant.
-pub fn det(b: &Cols) -> Result<f64, LinalgError> {
+pub fn det<C: AsRef<[f64]>>(b: &[C]) -> Result<f64, LinalgError> {
     let (m, n) = shape(b)?;
     if m != n {
         return Err(LinalgError::NotSquare);
@@ -84,7 +84,7 @@ pub fn det(b: &Cols) -> Result<f64, LinalgError> {
         return Err(LinalgError::Empty);
     }
     let scale = max_abs(b);
-    let mut b: Vec<Vec<f64>> = b.to_vec();
+    let mut b = to_owned_cols(b);
     let mut d = 1.0f64;
     for i in 0..n {
         let p = (i..n)
@@ -114,7 +114,10 @@ pub fn det(b: &Cols) -> Result<f64, LinalgError> {
 /// Solve `A·x = b` over columns. Square systems run Gauss-Jordan on the
 /// augmented column list; overdetermined systems use Gram-Schmidt least
 /// squares.
-pub fn sol(a: &Cols, rhs: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn sol<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    rhs: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, n) = shape(a)?;
     let (mr, _nr) = shape(rhs)?;
     if m != mr {
@@ -138,14 +141,14 @@ pub fn sol(a: &Cols, rhs: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
 /// Numerical rank by modified Gram-Schmidt with a relative threshold: the
 /// number of columns whose residual after orthogonalisation against the
 /// previously accepted columns stays above `ε·‖column‖`.
-pub fn rnk(a: &Cols) -> Result<usize, LinalgError> {
+pub fn rnk<C: AsRef<[f64]>>(a: &[C]) -> Result<usize, LinalgError> {
     let (m, _n) = shape(a)?;
     if a.is_empty() || m == 0 {
         return Err(LinalgError::Empty);
     }
     let scale = a
         .iter()
-        .map(|c| super::dot_col(c, c).sqrt())
+        .map(|c| super::dot_col(c.as_ref(), c.as_ref()).sqrt())
         .fold(0.0f64, f64::max);
     if scale == 0.0 {
         return Ok(0);
@@ -153,7 +156,7 @@ pub fn rnk(a: &Cols) -> Result<usize, LinalgError> {
     let tol = 1e-10 * scale;
     let mut basis: Vec<Vec<f64>> = Vec::new();
     for col in a.iter() {
-        let mut w = col.clone();
+        let mut w = col.as_ref().to_vec();
         for q in &basis {
             let proj = super::dot_col(q, &w);
             sub_scaled_col(&mut w, q, proj);
@@ -169,7 +172,7 @@ pub fn rnk(a: &Cols) -> Result<usize, LinalgError> {
 
 /// Columnwise Cholesky (upper factor `R` with `A = Rᵀ·R`), using per-element
 /// access within columns — slower than the dense kernel but copy-free.
-pub fn chf(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn chf<C: AsRef<[f64]>>(a: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, n) = shape(a)?;
     if m != n {
         return Err(LinalgError::NotSquare);
@@ -181,7 +184,7 @@ pub fn chf(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
     let scale = max_abs(a);
     for i in 0..n {
         for j in i + 1..n {
-            if (sel(&a[j], i) - sel(&a[i], j)).abs() > 1e-10 * scale {
+            if (sel(a[j].as_ref(), i) - sel(a[i].as_ref(), j)).abs() > 1e-10 * scale {
                 return Err(LinalgError::NotPositiveDefinite);
             }
         }
@@ -189,7 +192,7 @@ pub fn chf(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
     // r[j][i] = R[i][j]: columns of the result
     let mut r: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; n]).collect();
     for j in 0..n {
-        let mut s = sel(&a[j], j);
+        let mut s = sel(a[j].as_ref(), j);
         for k in 0..j {
             let rkj = r[j][k];
             s -= rkj * rkj;
@@ -200,7 +203,7 @@ pub fn chf(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
         let rjj = s.sqrt();
         r[j][j] = rjj;
         for i in j + 1..n {
-            let mut s = sel(&a[i], j);
+            let mut s = sel(a[i].as_ref(), j);
             for k in 0..j {
                 s -= r[j][k] * r[i][k];
             }
@@ -228,7 +231,7 @@ mod tests {
     use crate::dense;
     use crate::dense::matrix::Matrix;
 
-    fn to_matrix(cols: &Cols) -> Matrix {
+    fn to_matrix(cols: &[Vec<f64>]) -> Matrix {
         Matrix::from_columns(cols).unwrap()
     }
 

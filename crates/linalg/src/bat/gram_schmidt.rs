@@ -4,13 +4,13 @@
 //! Modified Gram-Schmidt is naturally column-at-a-time: it only ever scales
 //! columns, takes column dot products, and subtracts scaled columns.
 
-use super::{dot_col, scale_col, shape, sub_scaled_col, Cols};
+use super::{dot_col, scale_col, shape, sub_scaled_col, to_owned_cols};
 use crate::error::LinalgError;
 
 /// Thin QR by modified Gram-Schmidt. Returns `(q, r)` with `q: m×n` columns
 /// orthonormal and `r: n×n` upper triangular (as columns). Rank-deficient
 /// columns yield a zero column in `q` and zero diagonal in `r`.
-pub fn qr(a: &Cols) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), LinalgError> {
+pub fn qr<C: AsRef<[f64]>>(a: &[C]) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), LinalgError> {
     let (m, n) = shape(a)?;
     if m == 0 || n == 0 {
         return Err(LinalgError::Empty);
@@ -22,11 +22,11 @@ pub fn qr(a: &Cols) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), LinalgError> {
     }
     let scale = a
         .iter()
-        .map(|c| dot_col(c, c).sqrt())
+        .map(|c| dot_col(c.as_ref(), c.as_ref()).sqrt())
         .fold(0.0f64, f64::max)
         .max(f64::MIN_POSITIVE);
     let tol = 1e-13 * scale;
-    let mut q: Vec<Vec<f64>> = a.to_vec();
+    let mut q = to_owned_cols(a);
     let mut r: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; n]).collect();
     for k in 0..n {
         for i in 0..k {
@@ -52,17 +52,20 @@ pub fn qr(a: &Cols) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), LinalgError> {
 }
 
 /// QQR: the `Q` factor only.
-pub fn qqr(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn qqr<C: AsRef<[f64]>>(a: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     Ok(qr(a)?.0)
 }
 
 /// RQR: the `R` factor only.
-pub fn rqr(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn rqr<C: AsRef<[f64]>>(a: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     Ok(qr(a)?.1)
 }
 
 /// Least squares via Gram-Schmidt QR: `x = R⁻¹ Qᵀ b` per rhs column.
-pub fn least_squares(a: &Cols, rhs: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn least_squares<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    rhs: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, n) = shape(a)?;
     let (mr, _) = shape(rhs)?;
     if m != mr {
@@ -74,7 +77,7 @@ pub fn least_squares(a: &Cols, rhs: &Cols) -> Result<Vec<Vec<f64>>, LinalgError>
     let mut out = Vec::with_capacity(rhs.len());
     for b in rhs.iter() {
         // qtb[i] = qᵢ · b
-        let qtb: Vec<f64> = q.iter().map(|qi| dot_col(qi, b)).collect();
+        let qtb: Vec<f64> = q.iter().map(|qi| dot_col(qi, b.as_ref())).collect();
         // back substitution on R (stored column-wise: r[j][i] = R[i][j])
         let mut x = qtb;
         for i in (0..n).rev() {
@@ -105,7 +108,7 @@ mod tests {
     use crate::dense;
     use crate::dense::matrix::Matrix;
 
-    fn to_matrix(cols: &Cols) -> Matrix {
+    fn to_matrix(cols: &[Vec<f64>]) -> Matrix {
         Matrix::from_columns(cols).unwrap()
     }
 

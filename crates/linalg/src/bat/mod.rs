@@ -15,32 +15,40 @@
 //! paper's Gander reference \[12\]), and a columnwise `chf`. The remaining
 //! operations (SVD and eigen decompositions) always delegate to the dense
 //! kernel; the policy layer in `rma-core` handles that.
+//!
+//! Every entry point takes its matrices as `&[C]` with `C: AsRef<[f64]>`:
+//! owned `Vec<f64>` columns, or columns the storage layer lends
+//! (`Cow<[f64]>` borrowed straight from a relation's float BATs), so a
+//! caller never has to copy a column just to hand it to a kernel.
 
 mod elementwise;
 mod gauss;
 mod gram_schmidt;
 mod products;
 
-pub use elementwise::{add, emu, sub};
+pub use elementwise::{add, emu, sub, zip_aligned};
 pub use gauss::{chf, det, inv, rnk, sol};
 pub use gram_schmidt::{qqr, rqr};
 pub use products::{cpd, mmu, opd, tra};
 
 use crate::error::LinalgError;
 
-/// A matrix as a list of equally long column vectors (borrowed BAT tails).
-pub type Cols = [Vec<f64>];
-
 /// Validate that `cols` is rectangular and return `(rows, cols)`.
-pub(crate) fn shape(cols: &Cols) -> Result<(usize, usize), LinalgError> {
+pub(crate) fn shape<C: AsRef<[f64]>>(cols: &[C]) -> Result<(usize, usize), LinalgError> {
     let n = cols.len();
-    let m = cols.first().map_or(0, Vec::len);
-    if cols.iter().any(|c| c.len() != m) {
+    let m = cols.first().map_or(0, |c| c.as_ref().len());
+    if cols.iter().any(|c| c.as_ref().len() != m) {
         return Err(LinalgError::DimensionMismatch {
             context: "ragged column list",
         });
     }
     Ok((m, n))
+}
+
+/// An owned working copy of a column list (for kernels that update in
+/// place).
+pub(crate) fn to_owned_cols<C: AsRef<[f64]>>(cols: &[C]) -> Vec<Vec<f64>> {
+    cols.iter().map(|c| c.as_ref().to_vec()).collect()
 }
 
 /// `sel(B, i)` — the single-element access primitive of Algorithm 2.
@@ -78,7 +86,9 @@ mod tests {
     #[test]
     fn shape_checks() {
         assert_eq!(shape(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap(), (2, 2));
-        assert_eq!(shape(&[]).unwrap(), (0, 0));
+        assert_eq!(shape::<Vec<f64>>(&[]).unwrap(), (0, 0));
+        let lent: [&[f64]; 2] = [&[1.0, 2.0], &[3.0, 4.0]];
+        assert_eq!(shape(&lent).unwrap(), (2, 2));
         assert!(shape(&[vec![1.0], vec![1.0, 2.0]]).is_err());
     }
 

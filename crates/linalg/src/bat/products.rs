@@ -5,12 +5,15 @@
 //! the access pattern the paper identifies as the BAT path's weakness for
 //! complex operations (Fig. 17b's 24–70× gap for the cross product).
 
-use super::{sel, shape, sub_scaled_col, Cols};
+use super::{sel, shape, sub_scaled_col};
 use crate::error::LinalgError;
 
 /// Matrix multiplication `A·B`: result column `j` is the linear combination
 /// of `A`'s columns weighted by `B[:, j]`.
-pub fn mmu(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn mmu<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, ka) = shape(a)?;
     let (kb, n) = shape(b)?;
     if ka != kb {
@@ -22,10 +25,10 @@ pub fn mmu(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
     for j in 0..n {
         let mut col = vec![0.0f64; m];
         for (l, al) in a.iter().enumerate() {
-            let w = sel(&b[j], l);
+            let w = sel(b[j].as_ref(), l);
             if w != 0.0 {
                 // col += al * w  (negated axpy reused as fused op)
-                sub_scaled_col(&mut col, al, -w);
+                sub_scaled_col(&mut col, al.as_ref(), -w);
             }
         }
         out.push(col);
@@ -34,7 +37,10 @@ pub fn mmu(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
 }
 
 /// Cross product `Aᵀ·B`: one column dot product per output cell.
-pub fn cpd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn cpd<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (ra, ca) = shape(a)?;
     let (rb, cb) = shape(b)?;
     if ra != rb {
@@ -46,7 +52,7 @@ pub fn cpd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
     for j in 0..cb {
         let mut col = Vec::with_capacity(ca);
         for ai in a.iter() {
-            col.push(super::dot_col(ai, &b[j]));
+            col.push(super::dot_col(ai.as_ref(), b[j].as_ref()));
         }
         out.push(col);
     }
@@ -56,7 +62,10 @@ pub fn cpd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
 /// Outer product `A·Bᵀ` for matrices sharing a column count: result column
 /// `j` (length = rows of A) accumulates `A[:,k] · B[j,k]` — per-element
 /// access into `B`.
-pub fn opd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn opd<A: AsRef<[f64]>, B: AsRef<[f64]>>(
+    a: &[A],
+    b: &[B],
+) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (ma, ka) = shape(a)?;
     let (mb, kb) = shape(b)?;
     if ka != kb {
@@ -68,9 +77,9 @@ pub fn opd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
     for j in 0..mb {
         let mut col = vec![0.0f64; ma];
         for (k, ak) in a.iter().enumerate() {
-            let w = sel(&b[k], j);
+            let w = sel(b[k].as_ref(), j);
             if w != 0.0 {
-                sub_scaled_col(&mut col, ak, -w);
+                sub_scaled_col(&mut col, ak.as_ref(), -w);
             }
         }
         out.push(col);
@@ -79,11 +88,11 @@ pub fn opd(a: &Cols, b: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
 }
 
 /// Transpose: pure element shuffling (the worst case for columnar storage).
-pub fn tra(a: &Cols) -> Result<Vec<Vec<f64>>, LinalgError> {
+pub fn tra<C: AsRef<[f64]>>(a: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     let (m, n) = shape(a)?;
     let mut out = vec![vec![0.0f64; n]; m];
     for (j, col) in a.iter().enumerate() {
-        for (i, &v) in col.iter().enumerate() {
+        for (i, &v) in col.as_ref().iter().enumerate() {
             out[i][j] = v;
         }
     }
@@ -96,7 +105,7 @@ mod tests {
     use crate::dense::gemm;
     use crate::dense::matrix::Matrix;
 
-    fn to_matrix(cols: &Cols) -> Matrix {
+    fn to_matrix(cols: &[Vec<f64>]) -> Matrix {
         Matrix::from_columns(cols).unwrap()
     }
 

@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn matmul_rectangular_matches_naive() {
         let a = Matrix::from_columns(&[
-            (0..70).map(|x| x as f64).collect(),
+            (0..70).map(|x| x as f64).collect::<Vec<f64>>(),
             (0..70).map(|x| (x * 2) as f64).collect(),
             (0..70).map(|x| (x % 7) as f64).collect(),
         ])
@@ -272,13 +272,21 @@ mod tests {
         let n = 300;
         let a = Matrix::from_columns(
             &(0..n)
-                .map(|j| (0..n).map(|i| ((i * 7 + j * 3) % 11) as f64).collect())
+                .map(|j| {
+                    (0..n)
+                        .map(|i| ((i * 7 + j * 3) % 11) as f64)
+                        .collect::<Vec<f64>>()
+                })
                 .collect::<Vec<_>>(),
         )
         .unwrap();
         let b = Matrix::from_columns(
             &(0..n)
-                .map(|j| (0..n).map(|i| ((i + j) % 5) as f64 - 2.0).collect())
+                .map(|j| {
+                    (0..n)
+                        .map(|i| ((i + j) % 5) as f64 - 2.0)
+                        .collect::<Vec<f64>>()
+                })
                 .collect::<Vec<_>>(),
         )
         .unwrap();

@@ -45,21 +45,50 @@ impl Matrix {
         Ok(Matrix { data, rows, cols })
     }
 
-    /// Build from column vectors (the BAT→dense copy). All columns must have
-    /// equal length.
-    pub fn from_columns(columns: &[Vec<f64>]) -> Result<Self, LinalgError> {
-        let cols = columns.len();
-        let rows = columns.first().map_or(0, Vec::len);
-        if columns.iter().any(|c| c.len() != rows) {
-            return Err(LinalgError::DimensionMismatch {
-                context: "from_columns ragged input",
-            });
-        }
-        let mut data = Vec::with_capacity(rows * cols);
+    /// Build from column vectors (the BAT→dense copy): owned vectors or
+    /// lent slices. All columns must have equal length.
+    pub fn from_columns<C: AsRef<[f64]>>(columns: &[C]) -> Result<Self, LinalgError> {
+        let rows = columns.first().map_or(0, |c| c.as_ref().len());
+        let mut data = Vec::with_capacity(rows * columns.len());
         for c in columns {
+            let c = c.as_ref();
+            if c.len() != rows {
+                return Err(LinalgError::DimensionMismatch {
+                    context: "from_columns ragged input",
+                });
+            }
             data.extend_from_slice(c);
         }
-        Ok(Matrix { data, rows, cols })
+        Ok(Matrix {
+            data,
+            rows,
+            cols: columns.len(),
+        })
+    }
+
+    /// [`Matrix::from_columns`] with the rows gathered on the way in: row
+    /// `i` of the result is row `rows[i]` of every column. The BAT→dense
+    /// copy and a row alignment in one pass.
+    pub fn gather_columns<C: AsRef<[f64]>>(
+        columns: &[C],
+        rows: &[usize],
+    ) -> Result<Self, LinalgError> {
+        let len = columns.first().map_or(0, |c| c.as_ref().len());
+        let mut data = Vec::with_capacity(rows.len() * columns.len());
+        for c in columns {
+            let c = c.as_ref();
+            if c.len() != len {
+                return Err(LinalgError::DimensionMismatch {
+                    context: "gather_columns ragged input",
+                });
+            }
+            data.extend(rows.iter().map(|&i| c[i]));
+        }
+        Ok(Matrix {
+            data,
+            rows: rows.len(),
+            cols: columns.len(),
+        })
     }
 
     /// Build from row slices (test convenience).
@@ -320,6 +349,17 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.get(2, 1), 6.0);
         assert_eq!(m.into_columns(), cols);
+        let lent: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        assert_eq!(Matrix::from_columns(&lent).unwrap().get(2, 1), 6.0);
+    }
+
+    #[test]
+    fn gather_columns_is_from_columns_of_the_gather() {
+        let cols = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
+        let m = Matrix::gather_columns(&cols, &[2, 0, 1]).unwrap();
+        let want = Matrix::from_columns(&[vec![3.0, 1.0, 2.0], vec![6.0, 4.0, 5.0]]).unwrap();
+        assert_eq!(m, want);
+        assert!(Matrix::gather_columns(&[vec![1.0], vec![1.0, 2.0]], &[0]).is_err());
     }
 
     #[test]
@@ -373,7 +413,11 @@ mod tests {
         let n = 260;
         let m = Matrix::from_columns(
             &(0..n)
-                .map(|j| (0..n).map(|i| ((i * 3 + j) % 29) as f64 - 14.0).collect())
+                .map(|j| {
+                    (0..n)
+                        .map(|i| ((i * 3 + j) % 29) as f64 - 14.0)
+                        .collect::<Vec<f64>>()
+                })
                 .collect::<Vec<_>>(),
         )
         .unwrap();
