@@ -1,17 +1,14 @@
-//! # rma-bench — evaluation harness
+//! # rma-bench — paper-evaluation reproduction
 //!
 //! Competitor simulators (R, AIDA, MADlib, SciDB), the four mixed workloads
-//! of §8.6, and helpers shared by the Criterion benches and the
-//! `reproduce` binary that regenerates every table and figure of the
-//! paper's evaluation.
+//! of §8.6, and the helpers behind the `reproduce` binary that regenerates
+//! every table and figure of the paper's evaluation.
 
 pub mod competitors;
 pub mod workloads;
 
 pub use competitors::{MatEngine, MatFlavor, RelEngine, RelFlavor, SimTimes};
 pub use workloads::{
-    joinorder_tables, pipeline_tables, run_conferences_covariance, run_joinorder,
-    run_journeys_regression, run_pipeline, run_scidb_comparison, run_sort, run_thread_scaling,
-    run_topk, run_trip_count, run_trips_ols, sort_table, thread_scaling_table, trip_count_tables,
-    SystemKind, WorkloadReport,
+    run_conferences_covariance, run_journeys_regression, run_scidb_comparison, run_trip_count,
+    run_trips_ols, trip_count_tables, SystemKind, WorkloadReport,
 };

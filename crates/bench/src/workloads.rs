@@ -681,382 +681,3 @@ pub fn run_scidb_comparison(
 
     (rma_time, scidb_time, rma_count, scidb_count)
 }
-
-// ---------------------------------------------------------------------
-// Thread scaling (PR 2): the morsel-driven parallel engine
-// ---------------------------------------------------------------------
-
-/// The thread-scaling table: a distinct int key `k`, a 64-value grouping
-/// attribute `g`, and three float measures. Sized so the partition-parallel
-/// scan+select+aggregate pipeline is compute-bound, not spawn-bound.
-pub fn thread_scaling_table(rows: usize, seed: u64) -> Relation {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let k: Vec<i64> = (0..rows as i64).collect();
-    let g: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..64)).collect();
-    let x: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
-    let y: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
-    let z: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..100.0)).collect();
-    rma_relation::RelationBuilder::new()
-        .name("scaling")
-        .column("k", k)
-        .column("g", g)
-        .column("x", x)
-        .column("y", y)
-        .column("z", z)
-        .build()
-        .expect("valid relation")
-}
-
-/// Run the fixed scan→select→aggregate workload through the lazy plan at a
-/// given worker-thread count. The filter evaluates a compute-heavy
-/// expression per row and the aggregation folds three measures over 64
-/// groups, so the morsel pipeline and the parallel aggregation both
-/// contribute. Returns (wall time, integer checksum). The checksum digests
-/// each group's key and exact counts — values whose parallel merge is
-/// bit-exact — so a mis-merged or mis-ordered parallel aggregation changes
-/// it, while float-sum association (legitimately order-dependent) does not.
-pub fn run_thread_scaling(table: &Relation, threads: usize) -> (Duration, i64) {
-    let ctx = RmaContext::new(RmaOptions {
-        threads,
-        ..RmaOptions::default()
-    });
-    let predicate = Expr::col("x")
-        .mul(Expr::col("y"))
-        .add(Expr::col("z").sqrt())
-        .abs()
-        .gt(Expr::lit(25.0));
-    let frame = rma_core::Frame::scan(table.clone())
-        .select(predicate)
-        .aggregate(
-            &["g"],
-            vec![
-                AggSpec::count_star("n"),
-                AggSpec::sum("x", "sx"),
-                AggSpec::avg("y", "ay"),
-                AggSpec::new(rma_relation::AggFunc::Max, Some("z"), "mz"),
-            ],
-        );
-    let t = Instant::now();
-    let out = frame.collect(&ctx).expect("scaling workload");
-    let elapsed = t.elapsed();
-    let mut checksum = out.len() as i64;
-    for i in 0..out.len() {
-        let (Value::Int(g), Value::Int(n)) =
-            (out.cell(i, "g").expect("g"), out.cell(i, "n").expect("n"))
-        else {
-            panic!("unexpected aggregate output types");
-        };
-        // position-sensitive digest: catches wrong counts, wrong group
-        // keys, and wrong group order alike
-        checksum = checksum
-            .wrapping_mul(31)
-            .wrapping_add((g + 1).wrapping_mul(n));
-    }
-    (elapsed, checksum)
-}
-
-// ---------------------------------------------------------------------
-// Late-materialization pipeline (PR 3)
-// ---------------------------------------------------------------------
-
-/// Tables for the Scan→Select→Project→Join pipeline bench: a fact table
-/// with a join key `k` into the dimension, an integer filter column `f`
-/// uniform in `0..1000` (so a cutoff of `c` keeps c/1000 of the rows), and
-/// three float payload columns; a dimension table keyed on `dk` with one
-/// weight column.
-pub fn pipeline_tables(rows: usize, dim_rows: usize, seed: u64) -> (Relation, Relation) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let k: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(0..dim_rows as i64))
-        .collect();
-    let f: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..1000)).collect();
-    let a: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
-    let b: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
-    let c: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..100.0)).collect();
-    let fact = rma_relation::RelationBuilder::new()
-        .name("fact")
-        .column("k", k)
-        .column("f", f)
-        .column("a", a)
-        .column("b", b)
-        .column("c", c)
-        .build()
-        .expect("valid fact table");
-    let dk: Vec<i64> = (0..dim_rows as i64).collect();
-    let w: Vec<f64> = (0..dim_rows).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let dim = rma_relation::RelationBuilder::new()
-        .name("dim")
-        .column("dk", dk)
-        .column("w", w)
-        .build()
-        .expect("valid dimension table");
-    (fact, dim)
-}
-
-/// Deep-copy every column's data vector (and bitmap), defeating the Arc
-/// sharing — this reproduces what the seed engine paid per operator, when
-/// `Relation::clone`/`project` duplicated the backing `Vec`s.
-fn deep_copy(r: &Relation) -> Relation {
-    let columns: Vec<rma_storage::Column> = r
-        .columns()
-        .iter()
-        .map(|c| match c.nulls() {
-            Some(b) => rma_storage::Column::with_nulls(c.data().clone(), b.clone())
-                .expect("bitmap length matches"),
-            None => rma_storage::Column::new(c.data().clone()),
-        })
-        .collect();
-    let mut out =
-        Relation::new(r.schema().clone(), columns).expect("schema unchanged by deep copy");
-    if let Some(n) = r.name() {
-        out = out.with_name(n);
-    }
-    out
-}
-
-/// One run of the `Scan→σ(f < cutoff)→π(k,a,b)→⋈ dim` pipeline.
-///
-/// `eager` reproduces the seed's copy-per-operator execution: the scan
-/// deep-copies the table, σ materialises the surviving rows, π deep-copies
-/// the kept columns. The lazy path is today's engine: the scan is shared,
-/// σ and π produce selection-vector views, and the join probes through the
-/// SelVec — the only copy is the final gather of matching rows.
-///
-/// Returns wall time and a position-sensitive checksum of the join result,
-/// so the two paths can be asserted identical.
-pub fn run_pipeline(fact: &Relation, dim: &Relation, cutoff: i64, eager: bool) -> (Duration, i64) {
-    let pred = Expr::col("f").lt(Expr::lit(cutoff));
-    let t = Instant::now();
-    let out = if eager {
-        let scanned = deep_copy(fact);
-        let selected = rma_relation::select(&scanned, &pred)
-            .expect("σ")
-            .materialize();
-        let projected = deep_copy(&project(&selected, &["k", "a", "b"]).expect("π"));
-        rma_relation::join_on(&projected, dim, &[("k", "dk")]).expect("⋈")
-    } else {
-        let selected = rma_relation::select(fact, &pred).expect("σ");
-        let projected = project(&selected, &["k", "a", "b"]).expect("π");
-        rma_relation::join_on(&projected, dim, &[("k", "dk")]).expect("⋈")
-    };
-    let elapsed = t.elapsed();
-    // position-sensitive digest over the key AND the payload columns, so a
-    // gather bug that corrupts only non-key data still flips the checksum
-    let mut checksum = out.len() as i64;
-    let ks = match out.column("k").expect("k").data() {
-        rma_storage::ColumnData::Int(v) => v,
-        _ => unreachable!("k is an int column"),
-    };
-    for &k in ks {
-        checksum = checksum.wrapping_mul(31).wrapping_add(k + 1);
-    }
-    for payload in ["a", "b", "w"] {
-        let vs = match out.column(payload).expect("payload").data() {
-            rma_storage::ColumnData::Float(v) => v,
-            _ => unreachable!("payloads are float columns"),
-        };
-        for &x in vs {
-            checksum = checksum.wrapping_mul(31).wrapping_add(x.to_bits() as i64);
-        }
-    }
-    (elapsed, checksum)
-}
-
-// ---------------------------------------------------------------------
-// Cost-based join ordering (PR 4)
-// ---------------------------------------------------------------------
-
-/// Star-schema tables for the join-order bench, sized so the *written*
-/// join order is deliberately bad:
-///
-/// - `fact(f1, f2, f3, v)` — `rows` tuples; `f1`/`f2`/`f3` are foreign
-///   keys into the three dimensions;
-/// - `big(k1, w1)` — `rows/5` tuples, key `k1`: joining it first keeps the
-///   intermediate at `rows` tuples and only adds width;
-/// - `mid(k2, w2)` — 10 000 tuples, key `k2`: same, no reduction;
-/// - `small(k3, p, w3)` — 2 000 tuples, key `k3`, with `p` uniform in
-///   `0..1000`: the bench filters `p < 10`, so joining `small` *first*
-///   shrinks the pipeline to ~1% immediately.
-///
-/// The queries join `fact ⋈ big ⋈ mid ⋈ small` in exactly that written
-/// order; a cost-based optimizer should flip it to `small` first.
-pub fn joinorder_tables(rows: usize, seed: u64) -> (Relation, Relation, Relation, Relation) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let big_rows = (rows / 5).max(100);
-    let mid_rows = 10_000.min(rows).max(10);
-    let small_rows = 2_000.min(rows).max(10);
-    let f1: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(0..big_rows as i64))
-        .collect();
-    let f2: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(0..mid_rows as i64))
-        .collect();
-    let f3: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(0..small_rows as i64))
-        .collect();
-    let v: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let fact = rma_relation::RelationBuilder::new()
-        .name("fact")
-        .column("f1", f1)
-        .column("f2", f2)
-        .column("f3", f3)
-        .column("v", v)
-        .build()
-        .expect("valid fact table");
-    let dim = |name: &str, key: &str, payload: &str, n: usize, rng: &mut StdRng| {
-        let k: Vec<i64> = (0..n as i64).collect();
-        let w: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
-        rma_relation::RelationBuilder::new()
-            .name(name)
-            .column(key, k)
-            .column(payload, w)
-            .build()
-            .expect("valid dimension table")
-    };
-    let big = dim("big", "k1", "w1", big_rows, &mut rng);
-    let mid = dim("mid", "k2", "w2", mid_rows, &mut rng);
-    let p: Vec<i64> = (0..small_rows).map(|_| rng.gen_range(0..1000)).collect();
-    let w3: Vec<f64> = (0..small_rows).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let small = rma_relation::RelationBuilder::new()
-        .name("small")
-        .column("k3", (0..small_rows as i64).collect::<Vec<_>>())
-        .column("p", p)
-        .column("w3", w3)
-        .build()
-        .expect("valid small table");
-    (fact, big, mid, small)
-}
-
-/// One run of the `ways`-way star join (`3` joins big and small, `4` also
-/// mid), written worst-first, with the filter `small.p < 10` on top —
-/// selection pushdown applies in both modes, so the measured difference is
-/// purely the join *order* chosen when `reorder` is on.
-///
-/// Returns wall time and an order-insensitive checksum (join orders
-/// legitimately permute result rows), so reordered and written-order runs
-/// can be asserted identical.
-pub fn run_joinorder(
-    fact: &Relation,
-    big: &Relation,
-    mid: &Relation,
-    small: &Relation,
-    ways: usize,
-    reorder: bool,
-) -> (Duration, i64) {
-    let ctx = RmaContext::new(RmaOptions {
-        join_reorder: reorder,
-        ..RmaOptions::default()
-    });
-    let mut frame = rma_core::Frame::scan(fact.clone())
-        .join(rma_core::Frame::scan(big.clone()), &[("f1", "k1")]);
-    if ways >= 4 {
-        frame = frame.join(rma_core::Frame::scan(mid.clone()), &[("f2", "k2")]);
-    }
-    let frame = frame
-        .join(rma_core::Frame::scan(small.clone()), &[("f3", "k3")])
-        .select(Expr::col("p").lt(Expr::lit(10i64)));
-    let t = Instant::now();
-    let out = frame.collect(&ctx).expect("join-order workload");
-    let elapsed = t.elapsed();
-    // commutative digest: per-row product over the integer key columns,
-    // wrapping-summed — identical under any row permutation
-    let mut checksum = out.len() as i64;
-    let int_col = |name: &str| match out.column(name).expect("key column").data() {
-        rma_storage::ColumnData::Int(v) => v.clone(),
-        _ => unreachable!("keys are int columns"),
-    };
-    let f1 = int_col("f1");
-    let f3 = int_col("f3");
-    let p = int_col("p");
-    for i in 0..out.len() {
-        let d = (f1[i] + 1).wrapping_mul(f3[i] + 3).wrapping_mul(p[i] + 7);
-        checksum = checksum.wrapping_add(d);
-    }
-    (elapsed, checksum)
-}
-
-// ---------------------------------------------------------------------
-// Parallel sort / top-k (PR 5)
-// ---------------------------------------------------------------------
-
-/// Table for the sort bench: a heavily duplicated primary sort key `s`
-/// (tie-break coverage), a float secondary key `m`, a distinct `id`, and a
-/// float payload — shaped so the sort is comparison-bound, not key-bound.
-pub fn sort_table(rows: usize, seed: u64) -> Relation {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dup = (rows as i64 / 8).max(16);
-    let s: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..dup)).collect();
-    let m: Vec<f64> = (0..rows).map(|_| rng.gen_range(-1000.0..1000.0)).collect();
-    let id: Vec<i64> = (0..rows as i64).collect();
-    let w: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..10.0)).collect();
-    rma_relation::RelationBuilder::new()
-        .name("sortbench")
-        .column("s", s)
-        .column("m", m)
-        .column("id", id)
-        .column("w", w)
-        .build()
-        .expect("valid sort table")
-}
-
-/// Position-sensitive digest of an ordered result: every row's `s` and
-/// `id` fold in at their output position, so a mis-sorted, mis-merged, or
-/// mis-tie-broken result changes the value. Parallel sort is
-/// result-identical to serial (ties break on the row index), so serial and
-/// parallel runs must agree exactly.
-fn ordered_checksum(out: &Relation) -> i64 {
-    let int_col = |name: &str| match out.column(name).expect("int column").data() {
-        rma_storage::ColumnData::Int(v) => v.clone(),
-        _ => unreachable!("s/id are int columns"),
-    };
-    let s = int_col("s");
-    let id = int_col("id");
-    let mut checksum = out.len() as i64;
-    for i in 0..out.len() {
-        checksum = checksum
-            .wrapping_mul(31)
-            .wrapping_add((s[i] + 1).wrapping_mul(id[i] + 7));
-    }
-    checksum
-}
-
-/// One `ORDER BY s ASC, m DESC` over the full table through the lazy plan
-/// at a given worker-thread count (`1` = the serial sort; above, the
-/// pool's per-worker local sorts + k-way merge). Returns (wall time,
-/// position-sensitive checksum).
-pub fn run_sort(table: &Relation, threads: usize) -> (Duration, i64) {
-    let ctx = RmaContext::new(RmaOptions {
-        threads,
-        ..RmaOptions::default()
-    });
-    let frame = rma_core::Frame::scan(table.clone()).order_by(&["s", "m"], &[true, false]);
-    let t = Instant::now();
-    let out = frame.collect(&ctx).expect("sort workload");
-    let elapsed = t.elapsed();
-    (elapsed, ordered_checksum(&out))
-}
-
-/// One `ORDER BY s ASC, m DESC LIMIT k` (the optimizer rewrites it to a
-/// `TopK` node: serial bounded heap at one thread, per-worker bounded
-/// heaps merged at the barrier above). Returns (wall time, checksum).
-pub fn run_topk(table: &Relation, threads: usize, k: usize) -> (Duration, i64) {
-    let ctx = RmaContext::new(RmaOptions {
-        threads,
-        ..RmaOptions::default()
-    });
-    let frame = rma_core::Frame::scan(table.clone())
-        .order_by(&["s", "m"], &[true, false])
-        .limit(k);
-    let t = Instant::now();
-    let out = frame.collect(&ctx).expect("top-k workload");
-    let elapsed = t.elapsed();
-    (elapsed, ordered_checksum(&out))
-}

@@ -38,6 +38,17 @@ fn trips_ols_all_systems_agree() {
         );
         assert!(r.total().as_nanos() > 0);
     }
+    // the BAT path never copies; the MKL path always does
+    let transform = |kind| {
+        reports
+            .iter()
+            .find(|r| r.system == kind)
+            .unwrap()
+            .transform
+            .as_nanos()
+    };
+    assert_eq!(transform(SystemKind::RmaBat), 0);
+    assert!(transform(SystemKind::RmaMkl) > 0);
 }
 
 #[test]
@@ -89,22 +100,24 @@ fn conferences_covariance_all_systems_agree() {
 
 #[test]
 fn trip_count_all_systems_agree() {
-    let (y1, y2) = trip_count_tables(2000, 10, 41);
-    let reports: Vec<_> = ALL.iter().map(|&s| run_trip_count(s, &y1, &y2)).collect();
-    let reference = reports[0].check;
-    for r in &reports {
-        assert!(
-            (r.check - reference).abs() < 1e-6 * reference.abs(),
-            "{} disagrees",
-            r.system.name()
-        );
+    for riders in [500, 2000] {
+        let (y1, y2) = trip_count_tables(riders, 10, 41);
+        let reports: Vec<_> = ALL.iter().map(|&s| run_trip_count(s, &y1, &y2)).collect();
+        let reference = reports[0].check;
+        for r in &reports {
+            assert!(
+                (r.check - reference).abs() < 1e-6 * reference.abs(),
+                "{riders} riders: {} disagrees",
+                r.system.name()
+            );
+        }
+        // RMA+BAT must not pay any transformation cost on add
+        let bat = reports
+            .iter()
+            .find(|r| r.system == SystemKind::RmaBat)
+            .unwrap();
+        assert_eq!(bat.transform.as_nanos(), 0);
     }
-    // RMA+BAT must not pay any transformation cost on add
-    let bat = reports
-        .iter()
-        .find(|r| r.system == SystemKind::RmaBat)
-        .unwrap();
-    assert_eq!(bat.transform.as_nanos(), 0);
 }
 
 #[test]

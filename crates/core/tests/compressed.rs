@@ -271,8 +271,9 @@ fn catalog_tables_report_encodings_in_explain_and_metrics() {
 
     let metrics = server.metrics_snapshot();
     assert!(metrics.storage_encoded_bytes > 0);
+    // the few-distinct shape compresses at least 2x
     assert!(
-        metrics.storage_plain_bytes > metrics.storage_encoded_bytes,
+        metrics.storage_plain_bytes >= 2 * metrics.storage_encoded_bytes,
         "catalog storage must report a real compression win: {} encoded vs {} plain",
         metrics.storage_encoded_bytes,
         metrics.storage_plain_bytes

@@ -484,6 +484,12 @@ fn order_handling_shows_apart_from_the_kernel() {
     let out = frame.collect(&ctx).unwrap();
     let spans = session.finish();
     assert_eq!(out.len(), n);
+    let untraced = frame.collect(&ctx).unwrap();
+    assert_eq!(
+        floats(&out, "x"),
+        floats(&untraced, "x"),
+        "tracing changed the result"
+    );
     // the collector is process-global: sibling tests' spans land in it too,
     // so pick this query's out by its (unique) row count
     let named = |name: &str, rows: usize| {

@@ -253,6 +253,23 @@ fn zero_seat_sessions_run_governed_queries() {
     );
     session.set_mem_budget(0);
     assert_eq!(session.query(Frame::table("t")).unwrap().len(), 1000);
+    // limits far from tripping poll and charge on every morsel but never
+    // change the answer
+    let sum = |s: &rma::Session| {
+        s.query(Frame::table("t").aggregate(&[], vec![rma::relation::AggSpec::sum("x", "s")]))
+            .unwrap()
+            .cell(0, "s")
+            .unwrap()
+    };
+    let ungoverned = sum(&session);
+    session.set_mem_budget(u64::MAX / 2);
+    session.set_deadline(Some(Duration::from_secs(3600)));
+    assert_eq!(
+        sum(&session),
+        ungoverned,
+        "the governor changed the query result"
+    );
+    assert_eq!(ungoverned, Value::Int((0..1000).sum()));
     // a single-seat session (every morsel job inline) behaves the same
     let inline = server.session_with_budget(1);
     assert_eq!(inline.query(Frame::table("t")).unwrap().len(), 1000);

@@ -1,22 +1,5 @@
-//! Workload-level integration: the evaluation pipelines produce consistent
-//! analytics across RMA backends, and the documented performance mechanisms
-//! hold (no transform cost on the BAT path, compression monotonicity).
-
-use rma_bench::{run_trip_count, run_trips_ols, trip_count_tables, SystemKind};
-
-#[test]
-fn rma_backends_agree_on_ols() {
-    let trips = rma::data::trips(5_000, 20, 3);
-    let stations = rma::data::stations(20, 3 ^ 0x5a5a);
-    let auto = run_trips_ols(SystemKind::RmaAuto, &trips, &stations, 10);
-    let bat = run_trips_ols(SystemKind::RmaBat, &trips, &stations, 10);
-    let mkl = run_trips_ols(SystemKind::RmaMkl, &trips, &stations, 10);
-    assert!((auto.check - bat.check).abs() < 1e-6);
-    assert!((auto.check - mkl.check).abs() < 1e-6);
-    // BAT path never copies; MKL path always does
-    assert_eq!(bat.transform.as_nanos(), 0);
-    assert!(mkl.transform.as_nanos() > 0);
-}
+//! Workload-level integration: the documented compression mechanism holds
+//! through the facade (stored values fall monotonically with sparsity).
 
 #[test]
 fn compression_reduces_stored_values_monotonically() {
@@ -27,15 +10,5 @@ fn compression_reduces_stored_values_monotonically() {
         let stored = rma::storage::Rle::encode(&col).stored_values();
         assert!(stored <= last, "stored values must fall with sparsity");
         last = stored;
-    }
-}
-
-#[test]
-fn trip_count_checksums_stable_across_scales() {
-    for riders in [500usize, 2_000] {
-        let (y1, y2) = trip_count_tables(riders, 10, 12);
-        let a = run_trip_count(SystemKind::RmaBat, &y1, &y2);
-        let b = run_trip_count(SystemKind::RmaMkl, &y1, &y2);
-        assert!((a.check - b.check).abs() < 1e-6 * a.check.abs());
     }
 }
