@@ -161,7 +161,7 @@ fn dense_unary(op: RmaOp, a: Matrix) -> Result<DenseOut, RmaError> {
     let out = match op {
         RmaOp::Inv => DenseOut::Matrix(dense::inverse(&a)?),
         RmaOp::Qqr => DenseOut::Matrix(dense::qr_in_place(a)?.q),
-        RmaOp::Rqr => DenseOut::Matrix(dense::qr_in_place(a)?.r),
+        RmaOp::Rqr => DenseOut::Matrix(dense::qr_r(a)?),
         RmaOp::Tra => DenseOut::Matrix(a.transpose()),
         RmaOp::Chf => DenseOut::Matrix(dense::cholesky(&a)?),
         RmaOp::Det => DenseOut::Scalar(dense::det(&a)?),

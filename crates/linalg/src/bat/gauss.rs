@@ -10,8 +10,7 @@
 
 use super::{scale_col, sel, shape, sub_scaled_col, to_owned_cols};
 use crate::error::LinalgError;
-
-const PIVOT_EPS: f64 = 1e-12;
+use crate::PIVOT_EPS;
 
 fn max_abs<C: AsRef<[f64]>>(cols: &[C]) -> f64 {
     cols.iter()

@@ -6,6 +6,7 @@
 
 use super::{dot_col, scale_col, shape, sub_scaled_col, to_owned_cols};
 use crate::error::LinalgError;
+use crate::PIVOT_EPS;
 
 /// Thin QR by modified Gram-Schmidt. Returns `(q, r)` with `q: m×n` columns
 /// orthonormal and `r: n×n` upper triangular (as columns). Rank-deficient
@@ -61,7 +62,9 @@ pub fn rqr<C: AsRef<[f64]>>(a: &[C]) -> Result<Vec<Vec<f64>>, LinalgError> {
     Ok(qr(a)?.1)
 }
 
-/// Least squares via Gram-Schmidt QR: `x = R⁻¹ Qᵀ b` per rhs column.
+/// Least squares via Gram-Schmidt QR: `x = R⁻¹ Qᵀ b` per rhs column. A
+/// diagonal entry of `R` at most `1e-12` times the largest one is a
+/// rank deficiency.
 pub fn least_squares<A: AsRef<[f64]>, B: AsRef<[f64]>>(
     a: &[A],
     rhs: &[B],
@@ -74,6 +77,10 @@ pub fn least_squares<A: AsRef<[f64]>, B: AsRef<[f64]>>(
         });
     }
     let (q, r) = qr(a)?;
+    let scale = (0..n).fold(0.0f64, |s, i| s.max(r[i][i].abs()));
+    if (0..n).any(|i| r[i][i].abs() <= PIVOT_EPS * scale) {
+        return Err(LinalgError::Singular);
+    }
     let mut out = Vec::with_capacity(rhs.len());
     for b in rhs.iter() {
         // qtb[i] = qᵢ · b
@@ -85,11 +92,7 @@ pub fn least_squares<A: AsRef<[f64]>, B: AsRef<[f64]>>(
             for j in i + 1..n {
                 s -= r[j][i] * x[j];
             }
-            let d = r[i][i];
-            if d.abs() < 1e-12 {
-                return Err(LinalgError::Singular);
-            }
-            x[i] = s / d;
+            x[i] = s / r[i][i];
         }
         out.push(x);
     }

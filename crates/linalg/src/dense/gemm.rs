@@ -175,21 +175,22 @@ pub fn outer(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
 #[inline]
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    // 4-lane unrolled dot product; LLVM vectorises this reliably.
-    let mut acc = [0.0f64; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += a[i] * b[i];
-        acc[1] += a[i + 1] * b[i + 1];
-        acc[2] += a[i + 2] * b[i + 2];
-        acc[3] += a[i + 3] * b[i + 3];
+    // 8 × 2 independent accumulators: enough add chains in flight to hide
+    // the add latency; LLVM vectorises each pair of lanes.
+    let mut acc = [0.0f64; 16];
+    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    for (x, y) in ca.zip(cb) {
+        for l in 0..16 {
+            acc[l] += x[l] * y[l];
+        }
     }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        s += a[i] * b[i];
-    }
-    s
+    acc.iter().sum::<f64>() + tail
 }
 
 #[cfg(test)]

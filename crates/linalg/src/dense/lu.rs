@@ -3,9 +3,7 @@
 
 use super::matrix::Matrix;
 use crate::error::LinalgError;
-
-/// Relative singularity threshold for pivots.
-const PIVOT_EPS: f64 = 1e-12;
+use crate::PIVOT_EPS;
 
 /// A packed LU factorisation `P·A = L·U` of a square matrix.
 #[derive(Debug, Clone)]

@@ -16,5 +16,5 @@ pub use eig::{eigen, eigenvalues, is_symmetric, Eigen};
 pub use gemm::{crossprod, matmul, outer};
 pub use lu::{det, inverse, solve, Lu};
 pub use matrix::Matrix;
-pub use qr::{least_squares, qr, qr_in_place, Qr};
+pub use qr::{least_squares, qr, qr_in_place, qr_r, Qr};
 pub use svd::{rank, svd, Svd};

@@ -21,6 +21,10 @@ pub mod dense;
 pub mod error;
 pub mod threads;
 
+/// Relative singularity threshold: a pivot, or a diagonal entry of `R`, at
+/// most this fraction of the matrix's scale counts as zero.
+pub(crate) const PIVOT_EPS: f64 = 1e-12;
+
 pub use dense::Matrix;
 pub use error::LinalgError;
 pub use threads::{available_threads, install_parallelism, par_chunks_mut, Parallelism};

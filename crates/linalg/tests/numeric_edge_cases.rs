@@ -173,3 +173,32 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn least_squares_singularity_is_scale_free() {
+    // A rank-1 and a full-rank 3 × 2 system, both scaled by s: the verdict
+    // may depend neither on the units nor on the backend.
+    for s in [1e-13, 1e-9, 1.0, 1e6] {
+        let rank1 = vec![vec![s, 2.0 * s, 3.0 * s], vec![2.0 * s, 4.0 * s, 6.0 * s]];
+        let full = vec![vec![s, s, s], vec![0.0, s, 2.0 * s]];
+        // b = full · (1, 2)
+        let b = vec![vec![s, 3.0 * s, 5.0 * s]];
+        let mb = mat_from(&b);
+        assert_eq!(
+            dense::solve(&mat_from(&rank1), &mb),
+            Err(LinalgError::Singular),
+            "dense, scale {s}"
+        );
+        assert_eq!(
+            bat::sol(&rank1, &b),
+            Err(LinalgError::Singular),
+            "BAT, scale {s}"
+        );
+        let x = dense::solve(&mat_from(&full), &mb).unwrap();
+        let xb = bat::sol(&full, &b).unwrap();
+        for (i, want) in [1.0, 2.0].into_iter().enumerate() {
+            assert!((x.get(i, 0) - want).abs() < 1e-9, "dense, scale {s}");
+            assert!((xb[0][i] - want).abs() < 1e-9, "BAT, scale {s}");
+        }
+    }
+}
