@@ -20,8 +20,10 @@
 //!    output column order is restored with an identity projection, so the
 //!    rewrite is invisible to everything downstream. Gated on
 //!    [`RmaOptions::join_reorder`](crate::RmaOptions::join_reorder).
-//! 5. **Projection pushdown** — column requirements propagate to scans,
-//!    which prune unused columns at the source.
+//! 5. **Projection pushdown** — column requirements propagate through
+//!    equi-joins, cross products and projections to scans, which prune
+//!    unused columns at the source; a projection drops the items nobody
+//!    above reads.
 //! 6. **Limit-into-Sort fusion** — `Limit n` directly over `OrderBy`
 //!    becomes a [`LogicalPlan::TopK`] node, executed with a bounded heap in
 //!    O(|r| log n) instead of a full O(|r| log |r|) sort.
@@ -838,7 +840,7 @@ fn order_component_greedy(
 }
 
 // ---------------------------------------------------------------------
-// Pass 5: projection pushdown into scans
+// Pass 5: projection pushdown through joins and projections into scans
 // ---------------------------------------------------------------------
 
 /// Propagate the set of columns required from above down to scans; a scan
@@ -868,6 +870,14 @@ fn prune_projections(
             LogicalPlan::Scan { table, projection }
         }
         LogicalPlan::Project { input, items } => {
+            // items nobody above reads are dropped; when none is named (a
+            // `COUNT(*)` above) all stay, so the row count survives
+            let items = match required {
+                Some(req) if items.iter().any(|(_, n)| req.contains(n)) => {
+                    items.into_iter().filter(|(_, n)| req.contains(n)).collect()
+                }
+                _ => items,
+            };
             let mut needed = BTreeSet::new();
             for (e, _) in &items {
                 let mut refs = Vec::new();
@@ -945,11 +955,80 @@ fn prune_projections(
                 aggs,
             }
         }
-        // duplicate elimination is over the full row; joins, unions, and
-        // RMA operations consume every column of their inputs — recurse
+        // an equi-join or cross product needs from each side the required
+        // columns it provides plus its join keys
+        LogicalPlan::JoinOn { left, right, on } => {
+            let left_req = side_requirement(required, &left, on.iter().map(|(l, _)| l), provider);
+            let right_req = side_requirement(required, &right, on.iter().map(|(_, r)| r), provider);
+            LogicalPlan::JoinOn {
+                left: Box::new(prune_join_input(*left, left_req.as_ref(), provider)),
+                right: Box::new(prune_join_input(*right, right_req.as_ref(), provider)),
+                on,
+            }
+        }
+        LogicalPlan::Cross { left, right } => {
+            let left_req = side_requirement(required, &left, [].into_iter(), provider);
+            let right_req = side_requirement(required, &right, [].into_iter(), provider);
+            LogicalPlan::Cross {
+                left: Box::new(prune_join_input(*left, left_req.as_ref(), provider)),
+                right: Box::new(prune_join_input(*right, right_req.as_ref(), provider)),
+            }
+        }
+        // duplicate elimination is over the full row; a natural join's keys
+        // are its common columns, so pruning one would change them; unions
+        // and RMA operations consume every column of their inputs — recurse
         // with no requirement so nothing below is pruned incorrectly
         other => other.map_children(&mut |p| prune_projections(p, None, provider)),
     }
+}
+
+/// Prune one join input to `required`. A join gathers every column of its
+/// inputs, so an input that is itself a join or cross product also drops
+/// the columns nobody above reads — the keys it consumed — through a
+/// zero-copy projection.
+fn prune_join_input(
+    plan: LogicalPlan,
+    required: Option<&BTreeSet<String>>,
+    provider: &dyn TableProvider,
+) -> LogicalPlan {
+    let plan = prune_projections(plan, required, provider);
+    let Some(req) = required else { return plan };
+    if !matches!(plan, LogicalPlan::JoinOn { .. } | LogicalPlan::Cross { .. }) {
+        return plan;
+    }
+    let Some(cols) = output_columns(&plan, provider) else {
+        return plan;
+    };
+    let kept: Vec<String> = cols.iter().filter(|c| req.contains(*c)).cloned().collect();
+    if kept.is_empty() || kept.len() == cols.len() {
+        return plan;
+    }
+    LogicalPlan::Project {
+        input: Box::new(plan),
+        items: kept
+            .into_iter()
+            .map(|c| (Expr::col(c.clone()), c))
+            .collect(),
+    }
+}
+
+/// One join input's share of the requirement above it: the required
+/// columns it outputs plus its join `keys`. `None` (all columns) when
+/// nothing is required from above or the input's columns are not
+/// statically known.
+fn side_requirement<'a>(
+    required: Option<&BTreeSet<String>>,
+    side: &LogicalPlan,
+    keys: impl Iterator<Item = &'a String>,
+    provider: &dyn TableProvider,
+) -> Option<BTreeSet<String>> {
+    let req = required?;
+    let mut needed: BTreeSet<String> = output_columns(side, provider)?
+        .into_iter()
+        .filter(|c| req.contains(c))
+        .collect();
+    needed.extend(keys.cloned());
+    Some(needed)
 }
 
 /// Narrow a scan's projection to the required columns (kept in schema

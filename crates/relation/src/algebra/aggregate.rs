@@ -5,8 +5,14 @@ use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
 use rma_storage::encoding::RleValue;
-use rma_storage::{Column, ColumnAccessor, DataType, Rle, Seg, Value};
+use rma_storage::{Column, ColumnAccessor, DataType, IntsRef, Rle, Seg, Value};
 use std::collections::HashMap;
+use std::ops::Range;
+
+/// A group key is direct-addressed when the product of its columns' value
+/// spans is at most this many slots, or twice the morsel's rows when that
+/// is larger.
+const DIRECT_MIN_SLOTS: usize = 1 << 16;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +63,14 @@ impl AggSpec {
 
 /// Per-group accumulator. Accumulators are *mergeable*: the parallel
 /// aggregation path computes one per group per worker and combines them at
-/// the barrier ([`Acc::merge`]).
+/// the barrier ([`Acc::merge`]). `Int` inputs sum exactly into `isum`,
+/// `Float` inputs into `sum`; only one of the two is ever non-zero.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Acc {
     count: u64,
     count_nonnull: u64,
     sum: f64,
+    isum: i128,
     min: Option<Value>,
     max: Option<Value>,
 }
@@ -73,6 +81,7 @@ impl Acc {
         self.count += other.count;
         self.count_nonnull += other.count_nonnull;
         self.sum += other.sum;
+        self.isum += other.isum;
         if let Some(v) = &other.min {
             if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
                 self.min = Some(v.clone());
@@ -86,15 +95,117 @@ impl Acc {
     }
 }
 
-/// Partial aggregation state over one row range: group keys and
-/// representative rows in first-seen order, plus one accumulator row per
-/// aggregate. Merging partials in range order reproduces the serial
-/// first-seen group order exactly.
+/// Partial aggregation state over one row range: representative rows in
+/// first-seen order, plus one accumulator row per aggregate. Merging
+/// partials in range order reproduces the serial first-seen group order
+/// exactly.
 #[derive(Debug, Default)]
 pub(super) struct Partial {
-    pub(super) keys: Vec<Vec<KeyPart>>,
     pub(super) rep: Vec<usize>,
     pub(super) accs: Vec<Vec<Acc>>,
+}
+
+/// The direct-addressed image of a group key: null-free `Int` columns in
+/// any encoding whose value spans multiply to a small slot count, so a row's
+/// group is `slots[Σ (v − base)·stride]` — no key allocation, no hashing.
+pub(super) struct DirectKey<'a> {
+    /// Per key column: values, frame base and slot stride.
+    parts: Vec<(IntsRef<'a>, i64, usize)>,
+    slots: usize,
+}
+
+impl<'a> DirectKey<'a> {
+    /// The image of `group_cols` over `range`, for tables filled from
+    /// morsels of `morsel_rows` rows; `None` when a column is not a
+    /// null-free `Int` or the slot count exceeds the bound.
+    pub(super) fn new(
+        group_cols: &[&'a Column],
+        range: Range<usize>,
+        morsel_rows: usize,
+    ) -> Option<Self> {
+        let bound = (2 * morsel_rows)
+            .max(DIRECT_MIN_SLOTS)
+            .min(u32::MAX as usize);
+        let ints = group_cols
+            .iter()
+            .map(|c| match c.accessor() {
+                ColumnAccessor::Int(v) if !c.has_nulls() => Some(v),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let mut parts = Vec::with_capacity(ints.len());
+        let mut slots = 1usize;
+        for v in ints {
+            let (base, span) = int_span(v, range.clone())?;
+            parts.push((v, base, slots));
+            slots = slots.checked_mul(span).filter(|&s| s <= bound)?;
+        }
+        Some(DirectKey { parts, slots })
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        self.parts
+            .iter()
+            .map(|(v, base, stride)| (v.get(i) - base) as usize * stride)
+            .sum()
+    }
+}
+
+/// Frame base and value span of `v` over `range`: a packed column's frame
+/// comes for free, plain and RLE columns take one min/max pass. `None` for
+/// an empty range or a span beyond `usize`.
+fn int_span(v: IntsRef, range: Range<usize>) -> Option<(i64, usize)> {
+    let (min, max) = match v {
+        IntsRef::Packed(p) => return Some((p.min(), 1usize.checked_shl(p.width())?)),
+        IntsRef::Slice(s) => {
+            let s = &s[range];
+            (*s.iter().min()?, *s.iter().max()?)
+        }
+        IntsRef::Rle(r) => {
+            let mut min_max: Option<(i64, i64)> = None;
+            for_runs_in(r, range, |x, _| {
+                let (lo, hi) = min_max.unwrap_or((x, x));
+                min_max = Some((lo.min(x), hi.max(x)));
+            });
+            min_max?
+        }
+    };
+    let span = usize::try_from(max.abs_diff(min)).ok()?.checked_add(1)?;
+    Some((min, span))
+}
+
+/// Group ids in first-seen order, keyed by a row's [`DirectKey`] slot when
+/// the key has one and by its boxed [`row_key`] otherwise. Accumulation
+/// looks up every input row; the parallel barrier looks up each partial
+/// group's representative row, so both number groups the same way.
+pub(super) enum GroupIds<'a> {
+    Direct(&'a DirectKey<'a>, Vec<u32>),
+    Hashed(&'a [&'a Column], HashMap<Vec<KeyPart>, usize>),
+}
+
+impl<'a> GroupIds<'a> {
+    pub(super) fn new(group_cols: &'a [&'a Column], direct: Option<&'a DirectKey<'a>>) -> Self {
+        match direct {
+            Some(key) => GroupIds::Direct(key, vec![u32::MAX; key.slots]),
+            None => GroupIds::Hashed(group_cols, HashMap::new()),
+        }
+    }
+
+    /// The group id of row `i`; a row of an unseen key gets `next`.
+    #[inline]
+    pub(super) fn id(&mut self, i: usize, next: usize) -> usize {
+        match self {
+            GroupIds::Direct(key, slot_gid) => {
+                let gid = &mut slot_gid[key.slot(i)];
+                if *gid == u32::MAX {
+                    *gid = next as u32;
+                }
+                *gid as usize
+            }
+            GroupIds::Hashed(cols, ids) => *ids.entry(row_key(cols, i)).or_insert(next),
+        }
+    }
 }
 
 /// Check aggregate specs against the input schema (shared by the serial and
@@ -119,88 +230,77 @@ pub(super) fn validate_aggs(r: &Relation, aggs: &[AggSpec]) -> Result<(), Relati
     Ok(())
 }
 
-/// Accumulate rows `range` of the input into per-group partial states.
-/// `seed_global` inserts the single empty-key group up front (global
-/// aggregation semantics: one output row even for empty input).
+/// Accumulate rows `range` of the input into per-group partial states,
+/// keyed through `direct` when the group key has a direct-addressed image.
+/// Without group columns, `seed_global` opens the single group even over
+/// an empty range (global aggregation semantics: one output row even for
+/// empty input).
 pub(super) fn accumulate(
     group_cols: &[&Column],
+    direct: Option<&DirectKey>,
     agg_cols: &[Option<&Column>],
     aggs: &[AggSpec],
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     seed_global: bool,
 ) -> Partial {
-    let mut group_ids: HashMap<Vec<KeyPart>, usize> = HashMap::new();
     let mut out = Partial::default();
-    if seed_global {
-        group_ids.insert(Vec::new(), 0);
-        out.keys.push(Vec::new());
-        out.rep.push(0);
-        out.accs.push(vec![Acc::default(); aggs.len()]);
-    }
     // Global (ungrouped) aggregation is column-at-a-time: each aggregate
     // folds its own input column, and an RLE input folds run-at-a-time —
     // one multiply per run for SUM, one comparison per run for MIN/MAX —
     // without decoding.
     if group_cols.is_empty() {
-        if !seed_global {
-            // parallel partial: materialise the single group only if this
-            // worker saw any rows, mirroring the per-row path exactly
-            if range.is_empty() {
-                return out;
-            }
-            out.keys.push(Vec::new());
-            out.rep.push(range.start);
-            out.accs.push(vec![Acc::default(); aggs.len()]);
+        // a parallel partial materialises the single group only if this
+        // worker saw any rows, mirroring the per-row path exactly
+        if range.is_empty() && !seed_global {
+            return out;
         }
+        out.rep.push(range.start);
+        out.accs.push(vec![Acc::default(); aggs.len()]);
         for (k, spec) in aggs.iter().enumerate() {
             accumulate_global(&mut out.accs[0][k], spec, agg_cols[k], range.clone());
         }
         return out;
     }
+    let mut ids = GroupIds::new(group_cols, direct);
     for i in range {
-        let key = row_key(group_cols, i);
-        let gid = match group_ids.get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = group_ids.len();
-                out.keys.push(key.clone());
-                out.rep.push(i);
-                out.accs.push(vec![Acc::default(); aggs.len()]);
-                group_ids.insert(key, g);
-                g
-            }
-        };
-        for (k, spec) in aggs.iter().enumerate() {
-            let acc = &mut out.accs[gid][k];
-            acc.count += 1;
-            if let Some(col) = agg_cols[k] {
-                if col.is_null(i) {
-                    continue;
-                }
-                acc.count_nonnull += 1;
-                match spec.func {
-                    AggFunc::Sum | AggFunc::Avg => {
-                        // numeric-only checked by validate_aggs
-                        acc.sum += value_f64(col, i);
-                    }
-                    AggFunc::Min => {
-                        let v = col.get(i);
-                        if acc.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
-                            acc.min = Some(v);
-                        }
-                    }
-                    AggFunc::Max => {
-                        let v = col.get(i);
-                        if acc.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
-                            acc.max = Some(v);
-                        }
-                    }
-                    AggFunc::Count | AggFunc::CountStar => {}
-                }
-            }
+        let gid = ids.id(i, out.rep.len());
+        if gid == out.rep.len() {
+            out.rep.push(i);
+            out.accs.push(vec![Acc::default(); aggs.len()]);
         }
+        update(&mut out.accs[gid], agg_cols, aggs, i);
     }
     out
+}
+
+/// Fold row `i` into one group's accumulators.
+#[inline]
+fn update(accs: &mut [Acc], agg_cols: &[Option<&Column>], aggs: &[AggSpec], i: usize) {
+    for ((acc, spec), col) in accs.iter_mut().zip(aggs).zip(agg_cols) {
+        acc.count += 1;
+        let Some(col) = col else { continue };
+        if col.is_null(i) {
+            continue;
+        }
+        acc.count_nonnull += 1;
+        match spec.func {
+            // numeric-only checked by validate_aggs
+            AggFunc::Sum | AggFunc::Avg => add_sum(acc, col, i),
+            AggFunc::Min => {
+                let v = col.get(i);
+                if acc.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                    acc.min = Some(v);
+                }
+            }
+            AggFunc::Max => {
+                let v = col.get(i);
+                if acc.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                    acc.max = Some(v);
+                }
+            }
+            AggFunc::Count | AggFunc::CountStar => {}
+        }
+    }
 }
 
 /// Build the output relation from finished group states. `rep` holds one
@@ -232,7 +332,7 @@ pub(super) fn finalize(
         let vals: Vec<Value> = accs
             .iter()
             .map(|group| finish(&group[k], spec, dt))
-            .collect();
+            .collect::<Result<_, _>>()?;
         columns.push(Column::from_values_typed(dt, &vals)?);
     }
     Relation::new(schema, columns)
@@ -259,8 +359,10 @@ pub fn aggregate(
     validate_aggs(r, aggs)?;
     let group_cols = r.columns_of(group_by)?;
     let agg_cols = resolve_agg_cols(r, aggs)?;
+    let direct = DirectKey::new(&group_cols, 0..r.len(), r.len());
     let partial = accumulate(
         &group_cols,
+        direct.as_ref(),
         &agg_cols,
         aggs,
         0..r.len(),
@@ -269,10 +371,12 @@ pub fn aggregate(
     finalize(r, group_by, aggs, &partial.rep, &partial.accs)
 }
 
-fn value_f64(col: &Column, i: usize) -> f64 {
+/// Add row `i` of a numeric column to the accumulator's sum: `Int`
+/// exactly, `Float` in `f64`.
+fn add_sum(acc: &mut Acc, col: &Column, i: usize) {
     match col.accessor() {
-        ColumnAccessor::Int(v) => v.get(i) as f64,
-        ColumnAccessor::Float(v) => v.get(i),
+        ColumnAccessor::Int(v) => acc.isum += i128::from(v.get(i)),
+        ColumnAccessor::Float(v) => acc.sum += v.get(i),
         _ => unreachable!("checked numeric"),
     }
 }
@@ -328,7 +432,7 @@ fn accumulate_global(
                 acc.count_nonnull += range.len() as u64;
                 for_runs_in(r, range, |x, mult| {
                     if needs_sum {
-                        acc.sum += x as f64 * mult as f64;
+                        acc.isum += i128::from(x) * mult as i128;
                     }
                     if needs_minmax {
                         observe_minmax(acc, Value::Int(x));
@@ -358,7 +462,7 @@ fn accumulate_global(
         }
         acc.count_nonnull += 1;
         if needs_sum {
-            acc.sum += value_f64(col, i);
+            add_sum(acc, col, i);
         }
         if needs_minmax {
             observe_minmax(acc, col.get(i));
@@ -397,15 +501,19 @@ fn output_type(spec: &AggSpec, r: &Relation) -> Result<DataType, RelationError> 
     })
 }
 
-fn finish(acc: &Acc, spec: &AggSpec, dt: DataType) -> Value {
-    match spec.func {
+/// The aggregate's value for one group. An integer `SUM` outside `i64` is
+/// an [`RelationError::IntegerOverflow`], never a saturated value.
+fn finish(acc: &Acc, spec: &AggSpec, dt: DataType) -> Result<Value, RelationError> {
+    Ok(match spec.func {
         AggFunc::CountStar => Value::Int(acc.count as i64),
         AggFunc::Count => Value::Int(acc.count_nonnull as i64),
         AggFunc::Sum => {
             if acc.count_nonnull == 0 {
                 Value::Null
             } else if dt == DataType::Int {
-                Value::Int(acc.sum as i64)
+                let sum = i64::try_from(acc.isum)
+                    .map_err(|_| RelationError::IntegerOverflow(spec.output.clone()))?;
+                Value::Int(sum)
             } else {
                 Value::Float(acc.sum)
             }
@@ -414,12 +522,12 @@ fn finish(acc: &Acc, spec: &AggSpec, dt: DataType) -> Value {
             if acc.count_nonnull == 0 {
                 Value::Null
             } else {
-                Value::Float(acc.sum / acc.count_nonnull as f64)
+                Value::Float((acc.sum + acc.isum as f64) / acc.count_nonnull as f64)
             }
         }
         AggFunc::Min => acc.min.clone().unwrap_or(Value::Null),
         AggFunc::Max => acc.max.clone().unwrap_or(Value::Null),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -539,5 +647,290 @@ mod tests {
             .unwrap();
         let out = aggregate(&r, &[], &[AggSpec::sum("x", "s")]).unwrap();
         assert_eq!(out.schema().attribute("s").unwrap().dtype(), DataType::Int);
+    }
+
+    // -----------------------------------------------------------------
+    // Exact integer SUM
+    // -----------------------------------------------------------------
+
+    /// `x` (Int) grouped by `g`, with `x` in the given encoding.
+    fn ints(g: Vec<i64>, x: Vec<i64>, enc: rma_storage::Encoding) -> Relation {
+        let x = Column::from(x).encode_as(enc).expect("encodable");
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]).unwrap();
+        Relation::new(schema, vec![Column::from(g), x]).unwrap()
+    }
+
+    /// The `s` column of an aggregate's result.
+    fn sums(out: Result<Relation, RelationError>) -> Result<Vec<Value>, RelationError> {
+        let out = out?;
+        Ok((0..out.len()).map(|i| out.cell(i, "s").unwrap()).collect())
+    }
+
+    fn sum_x(r: &Relation, group_by: &[&str]) -> Result<Vec<Value>, RelationError> {
+        sums(aggregate(r, group_by, &[AggSpec::sum("x", "s")]))
+    }
+
+    #[test]
+    fn int_sum_is_exact_above_2_pow_53() {
+        use rma_storage::Encoding::{Plain, Rle};
+        let big = 1i64 << 53;
+        // the row path (grouped) and the plain global path
+        let r = ints(vec![7, 7], vec![big, 1], Plain);
+        assert_eq!(sum_x(&r, &["g"]).unwrap(), vec![Value::Int(big + 1)]);
+        assert_eq!(sum_x(&r, &[]).unwrap(), vec![Value::Int(big + 1)]);
+        // the RLE run path: one multiply per run
+        let r = ints(vec![7; 4], vec![big, big, big, 1], Rle);
+        assert_eq!(sum_x(&r, &[]).unwrap(), vec![Value::Int(3 * big + 1)]);
+        // AVG reads the same exact sum
+        let out = aggregate(&r, &[], &[AggSpec::avg("x", "a")]).unwrap();
+        assert_eq!(
+            out.cell(0, "a").unwrap(),
+            Value::Float((3 * big + 1) as f64 / 4.0)
+        );
+    }
+
+    #[test]
+    fn int_sum_overflow_is_a_typed_error() {
+        use rma_storage::Encoding::{Plain, Rle};
+        let overflow = Err(RelationError::IntegerOverflow("s".to_string()));
+        let r = ints(vec![1, 1], vec![i64::MAX, 1], Plain);
+        assert_eq!(sum_x(&r, &["g"]), overflow);
+        assert_eq!(sum_x(&r, &[]), overflow);
+        let r = ints(vec![1, 1], vec![i64::MAX, i64::MAX], Rle);
+        assert_eq!(sum_x(&r, &[]), overflow);
+        // an intermediate overflow that cancels out is not an error
+        let r = ints(vec![1; 3], vec![i64::MAX, 1, -2], Plain);
+        assert_eq!(sum_x(&r, &["g"]).unwrap(), vec![Value::Int(i64::MAX - 1)]);
+    }
+
+    #[test]
+    fn parallel_int_sum_merges_exactly() {
+        use crate::algebra::aggregate_parallel;
+        use crate::par::WorkerPool;
+        use rma_storage::Encoding::Plain;
+        // 3000 × (2^51 + 1): every partial sum past 2^53 drops low bits in
+        // f64, so neither the per-group nor the global total would be exact
+        let (n, v) = (3000i64, (1i64 << 51) + 1);
+        let r = ints((0..n).map(|i| i % 2).collect(), vec![v; n as usize], Plain);
+        let half = Value::Int(v * (n / 2));
+        let sum = [AggSpec::sum("x", "s")];
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let grouped = sums(aggregate_parallel(&r, &["g"], &sum, &pool));
+            assert_eq!(grouped.unwrap(), vec![half.clone(), half.clone()]);
+            let global = sums(aggregate_parallel(&r, &[], &sum, &pool));
+            assert_eq!(global.unwrap(), vec![Value::Int(v * n)]);
+        }
+        let r = ints(vec![0; 3000], vec![1 << 53; 3000], Plain);
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let out = aggregate_parallel(&r, &["g"], &sum, &pool);
+            assert_eq!(out, Err(RelationError::IntegerOverflow("s".to_string())));
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Direct-addressed group-by: parity with the hash path
+    // -----------------------------------------------------------------
+
+    /// Rows in the parity relations: above `MIN_PARALLEL_ROWS`, so the
+    /// pooled aggregate really runs morsels.
+    const N: usize = 3000;
+
+    /// The key columns plus an Int payload `x` with negative values.
+    fn keyed(keys: Vec<(&str, Column)>) -> Relation {
+        let mut attrs = Vec::new();
+        let mut cols = Vec::new();
+        for (name, c) in keys {
+            attrs.push(Attribute::new(name, c.data_type()));
+            cols.push(c);
+        }
+        attrs.push(Attribute::new("x", DataType::Int));
+        cols.push(Column::from(
+            (0..N as i64).map(|i| i * 7 % 11 - 5).collect::<Vec<_>>(),
+        ));
+        Relation::new(Schema::new(attrs).unwrap(), cols).unwrap()
+    }
+
+    fn int_col(f: impl Fn(i64) -> i64, enc: rma_storage::Encoding) -> Column {
+        let v: Vec<i64> = (0..N as i64).map(f).collect();
+        Column::from(v).encode_as(enc).expect("encodable")
+    }
+
+    fn parity_aggs() -> Vec<AggSpec> {
+        vec![
+            AggSpec::count_star("n"),
+            AggSpec::sum("x", "s"),
+            AggSpec::new(AggFunc::Min, Some("x"), "lo"),
+            AggSpec::new(AggFunc::Max, Some("x"), "hi"),
+            AggSpec::avg("x", "a"),
+        ]
+    }
+
+    /// The hash path: the same accumulation without a direct image.
+    fn hashed(r: &Relation, keys: &[&str]) -> Relation {
+        let aggs = parity_aggs();
+        let group_cols = r.columns_of(keys).unwrap();
+        let agg_cols = resolve_agg_cols(r, &aggs).unwrap();
+        let p = accumulate(&group_cols, None, &agg_cols, &aggs, 0..r.len(), false);
+        finalize(r, keys, &aggs, &p.rep, &p.accs).unwrap()
+    }
+
+    /// A group key ordered by `Value::total_cmp`, for the reference map.
+    #[derive(PartialEq)]
+    struct RefKey(Vec<Value>);
+    impl Eq for RefKey {}
+    impl PartialOrd for RefKey {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for RefKey {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            let pairs = self.0.iter().zip(&other.0);
+            pairs
+                .map(|(a, b)| a.total_cmp(b))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        }
+    }
+
+    /// An engine-independent reference: a `BTreeMap` from key values to
+    /// (first row, count, sum, min, max) over `x`, emitted in first-seen
+    /// order as the rows `parity_aggs` produce.
+    fn naive(r: &Relation, keys: &[&str]) -> Vec<Vec<Value>> {
+        let mut groups: std::collections::BTreeMap<RefKey, (usize, i64, i64, i64, i64)> =
+            Default::default();
+        for i in 0..r.len() {
+            let key = RefKey(keys.iter().map(|k| r.cell(i, k).unwrap()).collect());
+            let Value::Int(x) = r.cell(i, "x").unwrap() else {
+                unreachable!("x is a null-free Int")
+            };
+            let g = groups.entry(key).or_insert((i, 0, 0, x, x));
+            g.1 += 1;
+            g.2 += x;
+            g.3 = g.3.min(x);
+            g.4 = g.4.max(x);
+        }
+        let mut rows: Vec<_> = groups.into_iter().collect();
+        rows.sort_by_key(|(_, g)| g.0);
+        rows.into_iter()
+            .map(|(RefKey(mut key), (_, n, s, lo, hi))| {
+                key.extend([
+                    Value::Int(n),
+                    Value::Int(s),
+                    Value::Int(lo),
+                    Value::Int(hi),
+                    Value::Float(s as f64 / n as f64),
+                ]);
+                key
+            })
+            .collect()
+    }
+
+    /// Check one key set: it takes the direct path iff `direct`, and the
+    /// serial and pooled aggregates at 1, 2 and 4 threads equal the hash
+    /// path row for row (first-seen order included) and the reference.
+    fn assert_parity(r: &Relation, keys: &[&str], direct: bool) {
+        use crate::algebra::aggregate_parallel;
+        use crate::par::WorkerPool;
+        let group_cols = r.columns_of(keys).unwrap();
+        assert_eq!(
+            DirectKey::new(&group_cols, 0..r.len(), r.len()).is_some(),
+            direct,
+            "direct-addressed image for {keys:?}"
+        );
+        let hash = hashed(r, keys);
+        let reference = naive(r, keys);
+        assert_eq!(
+            hash.rows().collect::<Vec<_>>(),
+            reference,
+            "hash path vs reference"
+        );
+        assert_eq!(aggregate(r, keys, &parity_aggs()).unwrap(), hash, "serial");
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let par = aggregate_parallel(r, keys, &parity_aggs(), &pool).unwrap();
+            assert_eq!(par, hash, "{keys:?} at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn direct_group_by_matches_hash_path_on_int_encodings() {
+        use rma_storage::Encoding::{Packed, Plain, Rle};
+        // negative and offset domains, plain
+        let r = keyed(vec![
+            ("neg", int_col(|i| -(i * 13 % 37) - 1000, Plain)),
+            ("off", int_col(|i| 1_000_000_007 + i * 5 % 23, Plain)),
+        ]);
+        assert_parity(&r, &["neg"], true);
+        assert_parity(&r, &["off"], true);
+        assert_parity(&r, &["neg", "off"], true);
+        // RLE and packed keys; a one-value packed column has width 0
+        let r = keyed(vec![
+            ("rle", int_col(|i| i / 97 - 7, Rle)),
+            ("packed", int_col(|i| 6000 + i * 31 % 100, Packed)),
+            ("one", int_col(|_| 42, Packed)),
+        ]);
+        assert_parity(&r, &["rle"], true);
+        assert_parity(&r, &["packed"], true);
+        assert_parity(&r, &["one"], true);
+        assert_parity(&r, &["packed", "one"], true);
+        // two- and three-column keys across encodings
+        assert_parity(&r, &["packed", "rle"], true);
+        assert_parity(&r, &["one", "rle", "packed"], true);
+    }
+
+    #[test]
+    fn direct_group_by_bound_is_exact() {
+        use rma_storage::Encoding::Plain;
+        // N rows bound the image at 2^16 slots: a span of exactly 2^16 is
+        // direct-addressed, one more slot takes the hash path
+        let span = |top: i64| int_col(move |i| if i == 1 { top } else { i % 5 }, Plain);
+        let r = keyed(vec![("at", span(65_535)), ("over", span(65_536))]);
+        assert_parity(&r, &["at"], true);
+        assert_parity(&r, &["over"], false);
+        // 2^8 · 2^8 fits, 2^8 · (2^8 + 1) does not
+        let r = keyed(vec![
+            ("k256", int_col(|i| i * 7 % 256, Plain)),
+            ("j256", int_col(|i| i * 11 % 256, Plain)),
+            ("j257", int_col(|i| i * 11 % 257, Plain)),
+        ]);
+        assert_parity(&r, &["k256", "j256"], true);
+        assert_parity(&r, &["k256", "j257"], false);
+    }
+
+    #[test]
+    fn nullable_float_and_string_keys_take_the_hash_path() {
+        let with_nulls: Vec<Value> = (0..N as i64)
+            .map(|i| {
+                if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 4)
+                }
+            })
+            .collect();
+        let r = keyed(vec![
+            (
+                "nullable",
+                Column::from_values_typed(DataType::Int, &with_nulls).unwrap(),
+            ),
+            (
+                "f",
+                Column::from((0..N).map(|i| (i % 6) as f64 / 2.0).collect::<Vec<_>>()),
+            ),
+            (
+                "str",
+                Column::from((0..N).map(|i| format!("k{}", i % 8)).collect::<Vec<_>>()),
+            ),
+            ("i", int_col(|i| i % 3, rma_storage::Encoding::Plain)),
+        ]);
+        assert_parity(&r, &["nullable"], false);
+        assert_parity(&r, &["f"], false);
+        assert_parity(&r, &["str"], false);
+        // one non-Int column sends the whole key to the hash path
+        assert_parity(&r, &["i", "str"], false);
+        assert_parity(&r, &["i", "nullable"], false);
     }
 }

@@ -3,10 +3,12 @@
 //! Late materialization: both join inputs may be selection-vector views.
 //! The build and probe sides read key cells straight through their
 //! selection vectors ([`JoinSide`]) — neither side is compacted — and the
-//! hash table hashes typed column slices ([`super::hash_row`]) instead of
-//! boxing a `Value` key per row. The single gather happens in
-//! [`assemble_join`], which composes the match indices with each side's
-//! selection vector and materialises only the surviving rows.
+//! hash table keys on one multiply–xorshift digest of the typed key cells
+//! ([`JoinSide::hash_key`]) instead of boxing a `Value` key per row; the
+//! table passes that digest through ([`JoinTable`]) rather than hashing it
+//! again. The single gather happens in [`assemble_join`], which composes
+//! the match indices with each side's selection vector and materialises
+//! only the surviving rows.
 
 use super::{float_key_bits, rows_eq};
 use crate::error::RelationError;
@@ -14,7 +16,51 @@ use crate::expr::Expr;
 use crate::relation::Relation;
 use rma_storage::{ColumnAccessor, Dict, SelVec};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A join's build-side hash table: key digest → build positions, ascending.
+pub(super) type JoinTable = HashMap<u64, Vec<usize>, BuildHasherDefault<PassThrough>>;
+
+/// The [`JoinTable`] hasher: its keys are already mixed digests, so the
+/// digest itself is the hash. The digest is unkeyed, as the fixed-key
+/// SipHash it replaces was, so keys that collide still share a bucket
+/// whatever the table's hasher.
+#[derive(Default)]
+pub(super) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// Multiply–xorshift finaliser (splitmix64's): every input bit reaches the
+/// high and the low bits of the output, which both halves of the table
+/// lookup use.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One key cell's bits with its type tag folded in, so e.g. `Int 0` and
+/// `Bool false` land apart (equal tags and bits are still only a bucket
+/// match: [`rows_eq`] decides).
+#[inline]
+fn tagged(tag: u64, bits: u64) -> u64 {
+    bits ^ (tag + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
 
 /// Inner equi-join `a ⋈_{a.x = b.y} b` via a hash table on the smaller
 /// side's key columns. The output schema is the concatenation of both full
@@ -79,6 +125,8 @@ pub fn cross_product(a: &Relation, b: &Relation) -> Result<Relation, RelationErr
 /// compacting either input.
 pub(super) struct JoinSide<'a> {
     cols: Vec<&'a rma_storage::Column>,
+    /// The key columns' accessors, resolved once per join.
+    accs: Vec<ColumnAccessor<'a>>,
     sel: Option<&'a SelVec>,
     /// Per key column: when dictionary encoded, the dictionary plus a
     /// code → value-hash LUT computed once per join (one string hash per
@@ -92,9 +140,10 @@ impl<'a> JoinSide<'a> {
             .iter()
             .map(|n| r.base_column(n))
             .collect::<Result<_, _>>()?;
-        let dict_luts = cols
+        let accs: Vec<ColumnAccessor> = cols.iter().map(|c| c.accessor()).collect();
+        let dict_luts = accs
             .iter()
-            .map(|c| match c.accessor() {
+            .map(|a| match a {
                 ColumnAccessor::Str(s) => s.dict().map(|d| {
                     let lut = d.values().iter().map(|v| str_value_hash(v)).collect();
                     (d, lut)
@@ -104,6 +153,7 @@ impl<'a> JoinSide<'a> {
             .collect();
         Ok(JoinSide {
             cols,
+            accs,
             sel: r.sel(),
             dict_luts,
         })
@@ -123,25 +173,26 @@ impl<'a> JoinSide<'a> {
         self.cols.iter().any(|c| c.is_null(base))
     }
 
-    /// Composite key hash of base row `base`: per-column value hashes
-    /// (dictionary columns via the code LUT) folded into one digest. Both
+    /// Composite key digest of base row `base`: per-column cell hashes
+    /// (dictionary columns via the code LUT) folded as
+    /// `h = mix(rotl(h) ^ cell)`, so `(a, b)` and `(b, a)` differ. Both
     /// sides of a join hash through this, so a dict-encoded build side and
     /// a plain probe side still land in the same bucket.
     #[inline]
     fn hash_key(&self, base: usize) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (c, lut) in self.cols.iter().zip(&self.dict_luts) {
-            let col_hash = match lut {
+        let mut h = 0u64;
+        for (a, lut) in self.accs.iter().zip(&self.dict_luts) {
+            let cell = match lut {
                 Some((d, lut)) => lut[d.code(base) as usize],
-                None => column_value_hash(c, base),
+                None => cell_hash(a, base),
             };
-            col_hash.hash(&mut h);
+            h = mix(h.rotate_left(23) ^ cell);
         }
-        h.finish()
+        h
     }
 }
 
-/// Hash one string the way [`column_value_hash`] hashes a string cell, so
+/// Hash one string the way [`cell_hash`] hashes a string cell, so
 /// dictionary LUT entries and plain-column hashes agree.
 fn str_value_hash(s: &str) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -150,45 +201,28 @@ fn str_value_hash(s: &str) -> u64 {
     h.finish()
 }
 
-/// Hash of one non-null cell, with the same type-discriminant discipline as
-/// [`super::hash_row`]; reads through the encoding-aware accessors.
-fn column_value_hash(c: &rma_storage::Column, i: usize) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match c.accessor() {
-        ColumnAccessor::Int(v) => {
-            0u8.hash(&mut h);
-            v.get(i).hash(&mut h);
-        }
-        ColumnAccessor::Float(v) => {
-            1u8.hash(&mut h);
-            float_key_bits(v.get(i)).hash(&mut h);
-        }
-        ColumnAccessor::Str(v) => {
-            2u8.hash(&mut h);
-            v.get(i).hash(&mut h);
-        }
-        ColumnAccessor::Bool(v) => {
-            3u8.hash(&mut h);
-            v[i].hash(&mut h);
-        }
-        ColumnAccessor::Date(v) => {
-            4u8.hash(&mut h);
-            v[i].hash(&mut h);
-        }
+/// Cell hash of one non-null cell: its bits under a type tag (floats by
+/// [`float_key_bits`], so `-0.0` meets `0.0` and NaN meets NaN), strings by
+/// [`str_value_hash`]; reads through the encoding-aware accessors.
+#[inline]
+fn cell_hash(a: &ColumnAccessor, i: usize) -> u64 {
+    match a {
+        ColumnAccessor::Int(v) => tagged(0, v.get(i) as u64),
+        ColumnAccessor::Float(v) => tagged(1, float_key_bits(v.get(i))),
+        ColumnAccessor::Str(v) => str_value_hash(v.get(i)),
+        ColumnAccessor::Bool(v) => tagged(3, u64::from(v[i])),
+        ColumnAccessor::Date(v) => tagged(4, v[i] as u64),
     }
-    h.finish()
 }
 
 /// Build-side hash table over visible positions `range` (positions within a
 /// morsel are ascending and morsels are disjoint ascending ranges, so
 /// per-partition tables merge in partition order). Buckets are keyed by the
-/// composite row hash; equal-hash rows of *different* keys are separated at
-/// probe time by [`rows_eq`].
-pub(super) fn build_side_range(
-    side: &JoinSide,
-    range: std::ops::Range<usize>,
-) -> HashMap<u64, Vec<usize>> {
-    let mut table: HashMap<u64, Vec<usize>> = HashMap::with_capacity(range.end - range.start);
+/// composite key digest; equal-digest rows of *different* keys are
+/// separated at probe time by [`rows_eq`].
+pub(super) fn build_side_range(side: &JoinSide, range: std::ops::Range<usize>) -> JoinTable {
+    let mut table =
+        JoinTable::with_capacity_and_hasher(range.end - range.start, Default::default());
     for pos in range {
         let base = side.base(pos);
         if side.key_has_null(base) {
@@ -202,13 +236,14 @@ pub(super) fn build_side_range(
 /// Probe visible positions `range` of the probe side against a build
 /// table, emitting matching (probe, build) position pairs in probe order.
 pub(super) fn probe_range(
-    table: &HashMap<u64, Vec<usize>>,
+    table: &JoinTable,
     build: &JoinSide,
     probe: &JoinSide,
     range: std::ops::Range<usize>,
 ) -> (Vec<usize>, Vec<usize>) {
-    let mut left_idx = Vec::new();
-    let mut right_idx = Vec::new();
+    // one match per probe row (a foreign key) is the common case
+    let mut left_idx = Vec::with_capacity(range.len());
+    let mut right_idx = Vec::with_capacity(range.len());
     for pos in range {
         let pb = probe.base(pos);
         if probe.key_has_null(pb) {
@@ -216,7 +251,7 @@ pub(super) fn probe_range(
         }
         if let Some(bucket) = table.get(&probe.hash_key(pb)) {
             for &j in bucket {
-                if rows_eq(&probe.cols, pb, &build.cols, build.base(j)) {
+                if rows_eq(&probe.accs, pb, &build.accs, build.base(j)) {
                     left_idx.push(pos);
                     right_idx.push(j);
                 }
@@ -428,5 +463,152 @@ mod tests {
     #[test]
     fn join_requires_key_pairs() {
         assert!(join_on(&users(), &ratings(), &[]).is_err());
+    }
+
+    // -----------------------------------------------------------------
+    // Join-key semantics under the multiply–xorshift digest
+    // -----------------------------------------------------------------
+
+    /// A relation from typed columns.
+    fn rel(cols: Vec<(&str, rma_storage::Column)>) -> Relation {
+        let attrs = cols
+            .iter()
+            .map(|(n, c)| crate::schema::Attribute::new(*n, c.data_type()))
+            .collect();
+        let schema = crate::schema::Schema::new(attrs).unwrap();
+        Relation::new(schema, cols.into_iter().map(|(_, c)| c).collect()).unwrap()
+    }
+
+    /// `r` repeated until it reaches the pooled join's minimum size.
+    fn tiled(r: &Relation) -> Relation {
+        let times = crate::par::MIN_PARALLEL_ROWS.div_ceil(r.len().max(1)) + 1;
+        Relation::concat(&vec![r.clone(); times]).unwrap()
+    }
+
+    /// Rows as text, so NaN keys compare equal to themselves.
+    fn rows_text(r: &Relation) -> Vec<String> {
+        r.rows().map(|row| format!("{row:?}")).collect()
+    }
+
+    fn sorted_rows(r: &Relation) -> Vec<String> {
+        let mut rows = rows_text(r);
+        rows.sort();
+        rows
+    }
+
+    /// Join `a ⋈ b` on the serial, pooled (2 and 4 threads) and grace
+    /// paths; the pooled ones must equal the serial one row for row, the
+    /// grace one (partition-major) as a bag. Returns the serial result.
+    fn all_paths(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Relation {
+        use crate::algebra::{grace_join_on, join_on_parallel};
+        use crate::par::WorkerPool;
+        use crate::spill::{live_spill_files, spill_test_guard};
+        let serial = join_on(a, b, on).unwrap();
+        for threads in [2, 4] {
+            let pool = WorkerPool::new(threads);
+            let par = join_on_parallel(a, b, on, &pool).unwrap();
+            assert_eq!(par.schema(), serial.schema());
+            assert_eq!(
+                rows_text(&par),
+                rows_text(&serial),
+                "pooled join at {threads} threads"
+            );
+        }
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let grace = grace_join_on(a, b, on, &WorkerPool::new(2)).unwrap();
+        assert_eq!(sorted_rows(&grace), sorted_rows(&serial), "grace join");
+        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+        serial
+    }
+
+    #[test]
+    fn int_key_never_joins_float_key() {
+        let ints = tiled(&rel(vec![("k", vec![5i64, 0, 1].into())]));
+        let floats = rel(vec![("f", vec![5.0f64, 0.0, 1.0].into())]);
+        assert_eq!(all_paths(&ints, &floats, &[("k", "f")]).len(), 0);
+        let floats = tiled(&floats);
+        let ints = rel(vec![("k", vec![5i64, 0, 1].into())]);
+        assert_eq!(all_paths(&floats, &ints, &[("f", "k")]).len(), 0);
+    }
+
+    #[test]
+    fn float_keys_join_by_normalised_bits() {
+        // -0.0 meets 0.0 and NaN meets NaN, exactly as KeyPart compares
+        let a = tiled(&rel(vec![("k", vec![-0.0f64, f64::NAN, 1.5, 2.0].into())]));
+        let b = rel(vec![("k2", vec![0.0f64, -f64::NAN, 2.5].into())]);
+        let j = all_paths(&a, &b, &[("k", "k2")]);
+        assert_eq!(j.len(), 2 * a.len() / 4);
+        assert!(j.rows().all(|row| match (&row[0], &row[1]) {
+            (Value::Float(x), Value::Float(y)) => (x.is_nan() && y.is_nan()) || x == y,
+            _ => false,
+        }));
+    }
+
+    #[test]
+    fn dict_build_side_meets_plain_probe_side() {
+        use rma_storage::{Column, Encoding};
+        let plain = tiled(&rel(vec![("s", vec!["x", "y", "z", "w"].into())]));
+        let dict_col = Column::from(vec!["y", "x", "q"])
+            .encode_as(Encoding::Dict)
+            .unwrap();
+        let dict = rel(vec![("s2", dict_col)]);
+        let j = all_paths(&plain, &dict, &[("s", "s2")]);
+        assert_eq!(j.len(), 2 * plain.len() / 4);
+        assert!(j.rows().all(|row| row[0] == row[1]));
+        // and the other way round: a dictionary probe against a plain build
+        let dict_col = Column::from(["y", "x", "q"].repeat(400))
+            .encode_as(Encoding::Dict)
+            .unwrap();
+        let dict_probe = rel(vec![("s2", dict_col)]);
+        let plain_build = rel(vec![("s", vec!["x", "q", "w"].into())]);
+        let j = all_paths(&dict_probe, &plain_build, &[("s2", "s")]);
+        assert_eq!(j.len(), 2 * dict_probe.len() / 3);
+    }
+
+    #[test]
+    fn composite_key_column_order_is_significant() {
+        let a = rel(vec![
+            ("p", vec![1i64, 2, 3].into()),
+            ("q", vec![2i64, 1, 3].into()),
+        ]);
+        // the digest of (1, 2) is not the digest of (2, 1)
+        let side = JoinSide::new(&a, &["p", "q"]).unwrap();
+        assert_ne!(side.hash_key(0), side.hash_key(1));
+        let a = tiled(&a);
+        let b = rel(vec![("p2", vec![2i64].into()), ("q2", vec![1i64].into())]);
+        let j = all_paths(&a, &b, &[("p", "p2"), ("q", "q2")]);
+        assert_eq!(j.len(), a.len() / 3);
+        assert!(j.rows().all(|row| row[0] == Value::Int(2)));
+        // the same pair with the key columns swapped matches the other row
+        let j = all_paths(&a, &b, &[("p", "q2"), ("q", "p2")]);
+        assert_eq!(j.len(), a.len() / 3);
+        assert!(j.rows().all(|row| row[0] == Value::Int(1)));
+    }
+
+    #[test]
+    fn null_keys_never_match_on_any_path() {
+        use rma_storage::{Column, DataType};
+        let col = |v: &[Option<i64>]| {
+            let vals: Vec<Value> = v
+                .iter()
+                .map(|x| x.map_or(Value::Null, Value::Int))
+                .collect();
+            Column::from_values_typed(DataType::Int, &vals).unwrap()
+        };
+        let a = tiled(&rel(vec![
+            ("p", col(&[Some(1), None, Some(2), None])),
+            ("q", col(&[Some(1), Some(1), None, None])),
+        ]));
+        let b = rel(vec![
+            ("p2", col(&[Some(1), None, Some(2), None])),
+            ("q2", col(&[Some(1), Some(1), None, None])),
+        ]);
+        // only (1, 1) = (1, 1): a NULL in any key column never matches
+        let j = all_paths(&a, &b, &[("p", "p2"), ("q", "q2")]);
+        assert_eq!(j.len(), a.len() / 4);
+        assert!(j
+            .rows()
+            .all(|row| row[0] == Value::Int(1) && row[2] == Value::Int(1)));
     }
 }

@@ -29,7 +29,8 @@ use std::hash::{Hash, Hasher};
 
 /// A hashable, equatable key extracted from one row of a set of columns.
 /// Used by grouping and duplicate elimination (joins hash the typed column
-/// data directly — see [`hash_row`] / [`rows_eq`] — and never box keys).
+/// data directly and confirm matches with [`rows_eq`] — they never box
+/// keys).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum KeyPart {
     Int(i64),
@@ -117,28 +118,26 @@ pub(crate) fn hash_row(cols: &[&Column], i: usize) -> u64 {
 /// comparison only (an `Int 5` never equals a `Float 5.0` key), floats by
 /// normalised bits. Rows must be null-free (callers skip null keys).
 #[inline]
-pub(crate) fn rows_eq(a: &[&Column], i: usize, b: &[&Column], j: usize) -> bool {
+pub(crate) fn rows_eq(a: &[ColumnAccessor], i: usize, b: &[ColumnAccessor], j: usize) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .all(|(ca, cb)| match (ca.accessor(), cb.accessor()) {
-            (ColumnAccessor::Int(x), ColumnAccessor::Int(y)) => x.get(i) == y.get(j),
-            (ColumnAccessor::Float(x), ColumnAccessor::Float(y)) => {
-                float_key_bits(x.get(i)) == float_key_bits(y.get(j))
-            }
-            (ColumnAccessor::Str(x), ColumnAccessor::Str(y)) => {
-                // same shared dictionary ⇒ compare codes, not bytes
-                if let (Some(dx), Some(dy)) = (x.dict(), y.dict()) {
-                    if dx.shares_table(dy) {
-                        return dx.code(i) == dy.code(j);
-                    }
+    a.iter().zip(b).all(|(ca, cb)| match (ca, cb) {
+        (ColumnAccessor::Int(x), ColumnAccessor::Int(y)) => x.get(i) == y.get(j),
+        (ColumnAccessor::Float(x), ColumnAccessor::Float(y)) => {
+            float_key_bits(x.get(i)) == float_key_bits(y.get(j))
+        }
+        (ColumnAccessor::Str(x), ColumnAccessor::Str(y)) => {
+            // same shared dictionary ⇒ compare codes, not bytes
+            if let (Some(dx), Some(dy)) = (x.dict(), y.dict()) {
+                if dx.shares_table(dy) {
+                    return dx.code(i) == dy.code(j);
                 }
-                x.get(i) == y.get(j)
             }
-            (ColumnAccessor::Bool(x), ColumnAccessor::Bool(y)) => x[i] == y[j],
-            (ColumnAccessor::Date(x), ColumnAccessor::Date(y)) => x[i] == y[j],
-            _ => false,
-        })
+            x.get(i) == y.get(j)
+        }
+        (ColumnAccessor::Bool(x), ColumnAccessor::Bool(y)) => x[i] == y[j],
+        (ColumnAccessor::Date(x), ColumnAccessor::Date(y)) => x[i] == y[j],
+        _ => false,
+    })
 }
 
 /// Hash-based key check: do the columns contain no duplicate row? O(n)

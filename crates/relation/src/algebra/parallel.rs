@@ -13,17 +13,18 @@
 //! operators without a parallel implementation. Operators never spawn
 //! threads themselves: every job runs on the pool's parked workers.
 
-use super::aggregate::{accumulate, finalize, resolve_agg_cols, validate_aggs, Partial};
-use super::join::{
-    assemble_join, build_side_range, common_attributes, join_key_sides, probe_range,
+use super::aggregate::{
+    accumulate, finalize, resolve_agg_cols, validate_aggs, DirectKey, GroupIds, Partial,
 };
-use super::{AggSpec, KeyPart};
+use super::join::{
+    assemble_join, build_side_range, common_attributes, join_key_sides, probe_range, JoinTable,
+};
+use super::AggSpec;
 use crate::error::RelationError;
 use crate::expr::Expr;
 use crate::par::{morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::trace;
-use std::collections::HashMap;
 
 /// Parallel σ: evaluate the predicate over row-range morsels on worker
 /// threads, then combine the per-morsel keep masks into one lazy selection
@@ -78,38 +79,40 @@ pub fn aggregate_parallel(
     let group_cols = r.columns_of(group_by)?;
     let agg_cols = resolve_agg_cols(r, aggs)?;
     let ranges = partition_ranges(r.len(), morsel_count(threads, r.len()));
+    // one key image for every morsel, so the barrier merges by slot too
+    let direct = DirectKey::new(&group_cols, 0..r.len(), ranges[0].len());
     let partials = pool.for_each(&ranges, |_, range| {
-        accumulate(&group_cols, &agg_cols, aggs, range.clone(), false)
+        accumulate(
+            &group_cols,
+            direct.as_ref(),
+            &agg_cols,
+            aggs,
+            range.clone(),
+            false,
+        )
     });
     crate::par::guard_checkpoint()?;
 
     // merge at the barrier, in morsel order
     let mut merged = Partial::default();
-    let mut group_ids: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-    if group_by.is_empty() {
-        // global aggregation: one group even over empty input
-        group_ids.insert(Vec::new(), 0);
-        merged.keys.push(Vec::new());
-        merged.rep.push(0);
-        merged.accs.push(vec![Default::default(); aggs.len()]);
-    }
+    let mut ids = GroupIds::new(&group_cols, direct.as_ref());
     for partial in partials {
-        for (k, key) in partial.keys.into_iter().enumerate() {
-            let gid = match group_ids.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = group_ids.len();
-                    merged.keys.push(key.clone());
-                    merged.rep.push(partial.rep[k]);
-                    merged.accs.push(vec![Default::default(); aggs.len()]);
-                    group_ids.insert(key, g);
-                    g
+        for (rep, accs) in partial.rep.into_iter().zip(partial.accs) {
+            let gid = ids.id(rep, merged.rep.len());
+            if gid == merged.rep.len() {
+                merged.rep.push(rep);
+                merged.accs.push(accs);
+            } else {
+                for (into, acc) in merged.accs[gid].iter_mut().zip(&accs) {
+                    into.merge(acc);
                 }
-            };
-            for (j, acc) in partial.accs[k].iter().enumerate() {
-                merged.accs[gid][j].merge(acc);
             }
         }
+    }
+    if group_by.is_empty() && merged.rep.is_empty() {
+        // global aggregation: one group even over empty input
+        merged.rep.push(0);
+        merged.accs.push(vec![Default::default(); aggs.len()]);
     }
     finalize(r, group_by, aggs, &merged.rep, &merged.accs)
 }
@@ -185,7 +188,7 @@ fn parallel_join_indices(
         t
     });
     crate::par::guard_checkpoint()?;
-    let mut table: HashMap<u64, Vec<usize>> = HashMap::with_capacity(b.len());
+    let mut table = JoinTable::with_capacity_and_hasher(b.len(), Default::default());
     for part in tables {
         for (key, mut rows) in part {
             table.entry(key).or_default().append(&mut rows);
@@ -218,11 +221,12 @@ fn parallel_join_indices(
         out
     });
     crate::par::guard_checkpoint()?;
-    let mut left_idx = Vec::new();
-    let mut right_idx = Vec::new();
-    for (mut l, mut r) in pairs {
-        left_idx.append(&mut l);
-        right_idx.append(&mut r);
+    let matches = pairs.iter().map(|(l, _)| l.len()).sum();
+    let mut left_idx = Vec::with_capacity(matches);
+    let mut right_idx = Vec::with_capacity(matches);
+    for (l, r) in pairs {
+        left_idx.extend_from_slice(&l);
+        right_idx.extend_from_slice(&r);
     }
     Ok((left_idx, right_idx))
 }

@@ -40,6 +40,9 @@ pub enum RelationError {
     /// (the message carries the underlying I/O error; `std::io::Error`
     /// itself is neither `Clone` nor `PartialEq`).
     SpillIo(String),
+    /// An integer aggregate's result does not fit `i64` (the payload names
+    /// the aggregate's output attribute).
+    IntegerOverflow(String),
 }
 
 impl fmt::Display for RelationError {
@@ -55,6 +58,9 @@ impl fmt::Display for RelationError {
                 write!(f, "column type does not match schema for `{attribute}`")
             }
             RelationError::Expression(msg) => write!(f, "expression error: {msg}"),
+            RelationError::IntegerOverflow(out) => {
+                write!(f, "integer overflow computing aggregate `{out}`")
+            }
             RelationError::NotAKey(attrs) => {
                 write!(f, "attributes {attrs:?} do not form a key")
             }
