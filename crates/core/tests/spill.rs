@@ -246,34 +246,52 @@ fn spill_io_fault_is_typed_cleans_up_and_session_survives() {
     assert_eq!(live_spill_files(), 0);
 }
 
+/// Budgets that cut the 400 000-row external sort of [`sort_shapes`]'s
+/// table into runs of different shapes: 16 KiB gives 32 runs of 12 501
+/// rows, each a single spill chunk (the merge reads nothing more once its
+/// runs are open); 1 MiB gives 19 runs of 21 845 rows, two chunks each.
+const SORT_SHAPES: [(u64, &str); 2] = [
+    (16 * 1024, "one-chunk runs"),
+    (1024 * 1024, "two-chunk runs"),
+];
+
+/// The table the cancel and deadline tests sort, and its sort.
+fn sort_shapes() -> (Relation, Frame) {
+    (
+        orders(400_000, 997),
+        Frame::table("t").order_by(&["amount", "oid"], &[true, true]),
+    )
+}
+
 /// A deadline that fires while the external sort is writing or merging
 /// runs must surface the typed error and release all spill disk.
 #[test]
 fn deadline_kill_mid_spill_releases_disk() {
     let _serial = lock();
-    let server = Server::default();
-    let s = server.session();
-    s.create_table("t", orders(400_000, 997)).unwrap();
-    s.set_mem_budget(16 * 1024);
-    s.set_deadline(Some(Duration::from_millis(2)));
-    let err = s
-        .query(Frame::table("t").order_by(&["amount", "oid"], &[true, true]))
-        .unwrap_err();
-    assert!(
-        matches!(err, PlanError::Rma(RmaError::DeadlineExceeded)),
-        "got {err:?}"
-    );
-    assert_eq!(
-        live_spill_files(),
-        0,
-        "deadline kill left spill files behind"
-    );
-    // the session is not poisoned
-    s.set_deadline(None);
-    let r = s
-        .query(Frame::table("t").aggregate(&[], vec![AggSpec::count_star("n")]))
-        .unwrap();
-    assert_eq!(r.len(), 1);
+    let (table, sort) = sort_shapes();
+    for (budget, shape) in SORT_SHAPES {
+        let server = Server::default();
+        let s = server.session();
+        s.create_table("t", table.clone()).unwrap();
+        s.set_mem_budget(budget);
+        s.set_deadline(Some(Duration::from_millis(2)));
+        let err = s.query(sort.clone()).unwrap_err();
+        assert!(
+            matches!(err, PlanError::Rma(RmaError::DeadlineExceeded)),
+            "{shape}: got {err:?}"
+        );
+        assert_eq!(
+            live_spill_files(),
+            0,
+            "{shape}: deadline kill left spill files behind"
+        );
+        // the session is not poisoned
+        s.set_deadline(None);
+        let r = s
+            .query(Frame::table("t").aggregate(&[], vec![AggSpec::count_star("n")]))
+            .unwrap();
+        assert_eq!(r.len(), 1);
+    }
 }
 
 /// Cancellation landing mid-spill (partition write or disk merge) must
@@ -281,32 +299,35 @@ fn deadline_kill_mid_spill_releases_disk() {
 #[test]
 fn cancel_mid_spill_releases_disk() {
     let _serial = lock();
-    let server = Server::default();
-    let s = server.session();
-    s.create_table("t", orders(400_000, 997)).unwrap();
-    s.set_mem_budget(16 * 1024);
-    let out = std::thread::scope(|scope| {
-        let session = &s;
-        let h = scope.spawn(move || {
-            session.query(Frame::table("t").order_by(&["amount", "oid"], &[true, true]))
+    let (table, sort) = sort_shapes();
+    for (budget, shape) in SORT_SHAPES {
+        let server = Server::default();
+        let s = server.session();
+        s.create_table("t", table.clone()).unwrap();
+        s.set_mem_budget(budget);
+        let out = std::thread::scope(|scope| {
+            let session = &s;
+            let query = sort.clone();
+            let h = scope.spawn(move || session.query(query));
+            // press cancel until it lands on the running guard (or the
+            // query wins the race and finishes — either way no files may
+            // survive)
+            while !h.is_finished() && !s.cancel() {
+                std::thread::yield_now();
+            }
+            h.join().expect("query thread panicked")
         });
-        // press cancel until it lands on the running guard (or the query
-        // wins the race and finishes — either way no files may survive)
-        while !h.is_finished() && !s.cancel() {
-            std::thread::yield_now();
+        match out {
+            Err(PlanError::Rma(RmaError::Cancelled)) => {}
+            Ok(r) => assert_eq!(r.len(), 400_000, "{shape}: uncancelled run must be correct"),
+            Err(other) => panic!("{shape}: expected Cancelled or a clean result, got {other:?}"),
         }
-        h.join().expect("query thread panicked")
-    });
-    match out {
-        Err(PlanError::Rma(RmaError::Cancelled)) => {}
-        Ok(r) => assert_eq!(r.len(), 400_000, "uncancelled run must be correct"),
-        Err(other) => panic!("expected Cancelled or a clean result, got {other:?}"),
+        assert_eq!(
+            live_spill_files(),
+            0,
+            "{shape}: cancellation left spill files behind"
+        );
     }
-    assert_eq!(
-        live_spill_files(),
-        0,
-        "cancellation left spill files behind"
-    );
 }
 
 /// Admission flip: a join whose estimated footprint exceeds the budget —

@@ -10,16 +10,22 @@
 //!   into [`SpillFile`]s (null-key rows are dropped up front — inner-join
 //!   semantics), then each partition pair is joined independently with the
 //!   ordinary pool-parallel hash join, so every spilled partition re-enters
-//!   the worker pool as its own morsel source. A partition whose build
-//!   side still exceeds the budget is recursively repartitioned (different
-//!   hash bits per level) up to [`MAX_GRACE_DEPTH`]; past that depth it is
+//!   the worker pool as its own morsel source. Rows are partitioned by the
+//!   join's own key digest ([`JoinSide::hash_key`]), on bits the in-partition
+//!   hash table never reads ([`grace_bucket`]). A partition whose build side
+//!   still exceeds the budget is recursively repartitioned (fresh digest
+//!   bits per level) up to [`MAX_GRACE_DEPTH`]; past that depth it is
 //!   joined in memory regardless — the budget becomes best-effort rather
 //!   than looping forever on pathological key skew.
 //! - **External sort**: the input is cut into budget-sized consecutive
 //!   ranges; workers sort each range and spill it as a sorted run; the
-//!   runs are streamed back chunk-at-a-time and k-way merged. The merge
-//!   breaks key ties by run index, which (runs being consecutive ranges)
-//!   reproduces the serial sort's global-row-index tie-break exactly.
+//!   runs are streamed back chunk-at-a-time and merged through a loser tree
+//!   (⌈log₂ k⌉ comparisons per output row over k runs), comparing rows by a
+//!   [`RowOrder`] resolved once per run chunk. The merge breaks key ties by
+//!   run index, which (runs being consecutive ranges) reproduces the serial
+//!   sort's global-row-index tie-break exactly. It gathers its output in
+//!   blocks of `(run, row)` picks, one typed pass per column, and polls the
+//!   query guard once per block.
 //! - **Spilling aggregate**: rows are hash-partitioned on the group key
 //!   (null keys *are* group keys here, unlike joins), each partition is
 //!   aggregated independently — group keys never span partitions — and
@@ -29,6 +35,7 @@
 //! order** of the grace join and the spilling aggregate is partition-major
 //! rather than probe-major, which SQL semantics leave unspecified.
 
+use super::join::JoinSide;
 use super::sort::sort_keys;
 use super::{hash_row, row_key};
 use crate::error::RelationError;
@@ -37,15 +44,28 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::spill::{SpillFile, SpillReader, SPILL_CHUNK_ROWS};
 use crate::trace;
-use rma_storage::{Bitmap, Column, ColumnAccessor as A, ColumnData, DataType};
+use rma_storage::{
+    Bitmap, Column, ColumnAccessor as A, ColumnData, FloatsRef, IntsRef, RowOrder, StrsRef,
+};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-/// Maximum grace-join repartition depth. Each level consumes 16 fresh bits
-/// of the 64-bit key hash, so two levels of fanout ≤ 32 already separate
-/// everything except genuinely duplicate keys — which no partitioning can
-/// split further.
+/// Maximum grace-join repartition depth: partitioning runs at depths
+/// `0..=MAX_GRACE_DEPTH`, each on ten fresh bits of the join digest, and
+/// fanout ≤ 32 per level already separates everything except genuinely
+/// duplicate keys — which no partitioning can split further.
 pub const MAX_GRACE_DEPTH: u32 = 2;
+
+/// Digest bits one grace level partitions on.
+const PART_BITS: u32 = 10;
+
+/// The digest bit just above the first grace level's field: the join
+/// table tags its slots with the 7 bits from here up.
+const PART_TOP: u32 = 57;
+
+// the deepest level's field must stay clear of the low bits a join table
+// indexes by (2^27 slots and beyond are not a partition's size)
+const _: () = assert!(PART_TOP - PART_BITS * (MAX_GRACE_DEPTH + 1) >= 27);
 
 /// Grace fanout bounds: at least a real split, at most a file-descriptor
 /// count that stays polite at two levels of recursion.
@@ -55,6 +75,10 @@ const MAX_FANOUT: usize = 32;
 /// Minimum rows per external-sort run — below this, file overhead dwarfs
 /// the sort.
 const MIN_RUN_ROWS: usize = 1024;
+
+/// Output rows the disk merge picks before it gathers them (and polls the
+/// guard).
+const MERGE_BLOCK_ROWS: usize = 4096;
 
 /// The partition fanout for an operator whose working set is estimated at
 /// `est_bytes`, aiming each partition at half the budget's headroom.
@@ -75,49 +99,75 @@ fn rel_bytes_est(r: &Relation) -> u64 {
     (r.len() as u64) * (r.schema().len().max(1) as u64) * 8
 }
 
-fn key_cols<'a>(r: &'a Relation, keys: &[&str]) -> Result<Vec<&'a Column>, RelationError> {
-    keys.iter().map(|n| r.base_column(n)).collect()
+/// Grace partition of a join-key digest at recursion `depth`: the
+/// [`PART_BITS`]-bit field just below the previous level's (the first sits
+/// just below the join table's 7 tag bits), scaled onto `0..parts`. The
+/// table indexes by the low bits, so rows that share a partition still
+/// spread over its buckets.
+fn grace_bucket(digest: u64, parts: usize, depth: u32) -> usize {
+    let shift = PART_TOP - PART_BITS * (depth + 1);
+    let field = (digest >> shift) & ((1 << PART_BITS) - 1);
+    ((field * parts as u64) >> PART_BITS) as usize
 }
 
-/// Partition bucket of base row `base`: key hash, shifted by 16 bits per
-/// recursion level so each level splits on fresh bits. Null-containing
-/// keys take the boxed-key hash (only the aggregate path sees them).
-fn part_bucket(cols: &[&Column], base: usize, parts: usize, depth: u32) -> usize {
-    let h = if cols.iter().any(|c| c.is_null(base)) {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        row_key(cols, base).hash(&mut hasher);
-        hasher.finish()
-    } else {
-        hash_row(cols, base)
-    };
-    ((h >> (16 * depth.min(3))) % parts as u64) as usize
+/// Visible positions of `r` per grace partition at `depth`, by the join
+/// key `keys`; rows with a null in any key column are dropped (they never
+/// join).
+fn grace_buckets(
+    r: &Relation,
+    keys: &[&str],
+    parts: usize,
+    depth: u32,
+) -> Result<Vec<Vec<usize>>, RelationError> {
+    let side = JoinSide::new(r, keys)?;
+    let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    for pos in 0..r.len() {
+        let base = side.base(pos);
+        if !side.key_has_null(base) {
+            idx[grace_bucket(side.hash_key(base), parts, depth)].push(pos);
+        }
+    }
+    Ok(idx)
+}
+
+/// Visible positions of `r` per aggregate partition, by the group key
+/// `keys`. Null-containing keys are groups too, hashed through their boxed
+/// key.
+fn group_buckets(
+    r: &Relation,
+    keys: &[&str],
+    parts: usize,
+) -> Result<Vec<Vec<usize>>, RelationError> {
+    let cols: Vec<&Column> = keys
+        .iter()
+        .map(|n| r.base_column(n))
+        .collect::<Result<_, _>>()?;
+    let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    for pos in 0..r.len() {
+        let base = r.base_index(pos);
+        let h = if cols.iter().any(|c| c.is_null(base)) {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            row_key(&cols, base).hash(&mut hasher);
+            hasher.finish()
+        } else {
+            hash_row(&cols, base)
+        };
+        idx[(h % parts as u64) as usize].push(pos);
+    }
+    Ok(idx)
 }
 
 fn create_files(parts: usize) -> Result<Vec<SpillFile>, RelationError> {
     (0..parts).map(|_| SpillFile::create()).collect()
 }
 
-/// Hash-partition the visible rows of `r` by `keys` into `files`,
-/// appending chunk-wise so no partition is ever materialized whole.
-/// `skip_null_keys` drops rows with a null in any key column (inner-join
-/// semantics); aggregation keeps them (null group keys form groups).
-fn partition_into(
+/// Append each partition's rows of `r` to its file, chunk-wise, so no
+/// partition is ever materialized whole.
+fn spill_buckets(
     r: &Relation,
-    keys: &[&str],
-    parts: usize,
-    depth: u32,
-    skip_null_keys: bool,
+    idx: &[Vec<usize>],
     files: &mut [SpillFile],
 ) -> Result<(), RelationError> {
-    let cols = key_cols(r, keys)?;
-    let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for pos in 0..r.len() {
-        let base = r.base_index(pos);
-        if skip_null_keys && cols.iter().any(|c| c.is_null(base)) {
-            continue;
-        }
-        idx[part_bucket(&cols, base, parts, depth)].push(pos);
-    }
     for (p, rows) in idx.iter().enumerate() {
         for chunk in rows.chunks(SPILL_CHUNK_ROWS) {
             files[p].append(&r.take(chunk))?;
@@ -126,21 +176,25 @@ fn partition_into(
     Ok(())
 }
 
-fn partition_side(
-    r: &Relation,
-    keys: &[&str],
-    parts: usize,
-) -> Result<Vec<SpillFile>, RelationError> {
-    let mut files = create_files(parts)?;
-    partition_into(r, keys, parts, 0, true, &mut files)?;
+fn finish_files(mut files: Vec<SpillFile>) -> Result<Vec<SpillFile>, RelationError> {
     for f in &mut files {
         f.finish()?;
     }
     Ok(files)
 }
 
-/// Stream a spilled partition back and re-partition it on fresh hash bits
-/// (grace recursion for skewed partitions).
+fn partition_side(
+    r: &Relation,
+    keys: &[&str],
+    parts: usize,
+) -> Result<Vec<SpillFile>, RelationError> {
+    let mut files = create_files(parts)?;
+    spill_buckets(r, &grace_buckets(r, keys, parts, 0)?, &mut files)?;
+    finish_files(files)
+}
+
+/// Stream a spilled partition back and re-partition it on fresh digest
+/// bits (grace recursion for skewed partitions).
 fn repartition(
     f: &SpillFile,
     schema: &Schema,
@@ -151,12 +205,13 @@ fn repartition(
     let mut files = create_files(parts)?;
     let mut rd = f.reader(schema)?;
     while let Some(chunk) = rd.next_chunk()? {
-        partition_into(&chunk, keys, parts, depth, true, &mut files)?;
+        spill_buckets(
+            &chunk,
+            &grace_buckets(&chunk, keys, parts, depth)?,
+            &mut files,
+        )?;
     }
-    for f in &mut files {
-        f.finish()?;
-    }
-    Ok(files)
+    finish_files(files)
 }
 
 /// Grace hash equi-join (spill path of [`super::join_on`] /
@@ -300,18 +355,6 @@ pub fn order_by_external(
     if attrs.is_empty() || r.len() <= 1 {
         return super::setops::order_by(r, attrs, ascending);
     }
-    let keys = sort_keys(r, attrs, ascending)?;
-    let dirs: Vec<bool> = (0..attrs.len())
-        .map(|k| ascending.get(k).copied().unwrap_or(true))
-        .collect();
-    let key_idx: Vec<usize> = attrs
-        .iter()
-        .map(|n| {
-            r.schema()
-                .index_of(n)
-                .ok_or_else(|| RelationError::UnknownAttribute(n.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
     // run size: aim a materialized run at half the budget's headroom,
     // bounded below (file overhead) and so the run count stays a sane
     // merge width
@@ -327,8 +370,29 @@ pub fn order_by_external(
         .step_by(run_rows)
         .map(|s| s..(s + run_rows).min(r.len()))
         .collect();
+    sort_in_runs(r, attrs, ascending, &ranges, pool)
+}
+
+/// The external sort over given runs: the consecutive row `ranges` of `r`
+/// are sorted and spilled by the workers, then merged from disk.
+fn sort_in_runs(
+    r: &Relation,
+    attrs: &[&str],
+    ascending: &[bool],
+    ranges: &[std::ops::Range<usize>],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    let keys = sort_keys(r, attrs, ascending)?;
+    let key_idx: Vec<usize> = attrs
+        .iter()
+        .map(|n| {
+            r.schema()
+                .index_of(n)
+                .ok_or_else(|| RelationError::UnknownAttribute(n.to_string()))
+        })
+        .collect::<Result<_, _>>()?;
     // run phase: workers sort consecutive ranges and spill them
-    let runs: Vec<Result<SpillFile, RelationError>> = pool.for_each(&ranges, |lane, range| {
+    let runs: Vec<Result<SpillFile, RelationError>> = pool.for_each(ranges, |lane, range| {
         let span = trace::clock();
         let mut idx: Vec<usize> = (range.start..range.end).collect();
         idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
@@ -357,7 +421,7 @@ pub fn order_by_external(
         files.push(f?);
     }
     let span = trace::clock();
-    let merged = merge_spilled(r.schema(), &files, &key_idx, &dirs, r.len())?;
+    let merged = merge_spilled(r.schema(), &files, &key_idx, ascending, r.len())?;
     trace::record(
         "sort.disk_merge",
         "sort",
@@ -375,52 +439,6 @@ pub fn order_by_external(
     })
 }
 
-/// One run's read-back state during the merge: the current chunk and a
-/// position within it. `chunk == None` means the run is exhausted.
-struct RunCursor {
-    reader: SpillReader,
-    chunk: Option<Relation>,
-    pos: usize,
-}
-
-impl RunCursor {
-    fn open(f: &SpillFile, schema: &Schema) -> Result<Self, RelationError> {
-        let mut reader = f.reader(schema)?;
-        let chunk = reader.next_chunk()?;
-        Ok(RunCursor {
-            reader,
-            chunk,
-            pos: 0,
-        })
-    }
-
-    fn advance(&mut self) -> Result<(), RelationError> {
-        self.pos += 1;
-        if self.chunk.as_ref().is_some_and(|c| self.pos >= c.len()) {
-            self.chunk = self.reader.next_chunk()?;
-            self.pos = 0;
-        }
-        Ok(())
-    }
-}
-
-/// Key comparison of two cursors' current rows (`Equal` leaves the
-/// tie-break — run index — to the caller).
-fn cmp_cursors(x: &RunCursor, y: &RunCursor, key_idx: &[usize], dirs: &[bool]) -> Ordering {
-    let (cx, cy) = (
-        x.chunk.as_ref().expect("live cursor"),
-        y.chunk.as_ref().expect("live cursor"),
-    );
-    for (&k, &asc) in key_idx.iter().zip(dirs) {
-        let ord = cx.base_columns()[k].cmp_rows_cross(x.pos, &cy.base_columns()[k], y.pos);
-        let ord = if asc { ord } else { ord.reverse() };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Streaming k-way merge of sorted runs read back from disk. Ties keep
 /// the lowest run index — runs hold consecutive row ranges, so this is
 /// exactly the serial sort's global-row-index tie-break.
@@ -428,101 +446,267 @@ fn merge_spilled(
     schema: &Schema,
     files: &[SpillFile],
     key_idx: &[usize],
-    dirs: &[bool],
+    ascending: &[bool],
     total_rows: usize,
 ) -> Result<Relation, RelationError> {
-    let mut cursors: Vec<RunCursor> = files
-        .iter()
-        .map(|f| RunCursor::open(f, schema))
-        .collect::<Result<_, _>>()?;
-    let mut builders: Vec<ColBuilder> = schema
-        .attributes()
-        .iter()
-        .map(|a| ColBuilder::new(a.dtype(), total_rows))
-        .collect();
+    let mut readers = Vec::with_capacity(files.len());
+    let mut chunks = Vec::with_capacity(files.len());
+    for f in files {
+        let mut rd = f.reader(schema)?;
+        chunks.push(rd.next_chunk()?);
+        readers.push(rd);
+    }
+    merge_runs(schema, readers, chunks, key_idx, ascending, total_rows)
+}
+
+/// The merge proper, over runs whose first chunks are loaded. A loser tree
+/// over the runs yields the next row in ⌈log₂ k⌉ comparisons. Between two
+/// chunk loads the runs' key columns stay put, so the runs' [`RowOrder`]s
+/// are resolved once per load, not per comparison. Picks are gathered into
+/// the output before any run loads its next chunk, at every
+/// [`MERGE_BLOCK_ROWS`], and at the end; the guard is polled at each such
+/// flush.
+fn merge_runs(
+    schema: &Schema,
+    mut readers: Vec<SpillReader>,
+    mut chunks: Vec<Option<Relation>>,
+    key_idx: &[usize],
+    ascending: &[bool],
+    total_rows: usize,
+) -> Result<Relation, RelationError> {
+    let mut out = MergeOutput::new(schema, total_rows);
+    let mut picks: Vec<(usize, usize)> = Vec::with_capacity(MERGE_BLOCK_ROWS);
+    let mut pos = vec![0usize; chunks.len()];
+    let mut tree = LoserTree::default();
+    let mut reloaded: Option<usize> = None;
     loop {
-        let mut best: Option<usize> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.chunk.is_none() {
-                continue;
+        let orders: Vec<Option<RowOrder>> = chunks
+            .iter()
+            .map(|c| {
+                c.as_ref().map(|c| {
+                    let cols: Vec<&Column> =
+                        key_idx.iter().map(|&k| &c.base_columns()[k]).collect();
+                    RowOrder::new(&cols, ascending)
+                })
+            })
+            .collect();
+        // does run `x`'s current row come before run `y`'s? Exhausted runs
+        // come last; full key ties go to the lower run index
+        let before = |pos: &[usize], x: usize, y: usize| match (&orders[x], &orders[y]) {
+            (Some(ox), Some(oy)) => match ox.cmp_across(pos[x], oy, pos[y]) {
+                Ordering::Equal => x < y,
+                ord => ord == Ordering::Less,
+            },
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => x < y,
+        };
+        match reloaded.take() {
+            Some(run) => tree.replay(run, |x, y| before(&pos, x, y)),
+            None => tree.build(chunks.len(), |x, y| before(&pos, x, y)),
+        }
+        // a run whose chunk ran out ends the loop: its next chunk loads
+        // once this one's picks are gathered
+        let spent = loop {
+            let Some(run) = tree.winner() else { break None };
+            let Some(chunk) = &chunks[run] else {
+                break None;
+            };
+            picks.push((run, pos[run]));
+            pos[run] += 1;
+            if pos[run] == chunk.len() {
+                break Some(run);
             }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if cmp_cursors(c, &cursors[b], key_idx, dirs) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
+            tree.replay(run, |x, y| before(&pos, x, y));
+            if picks.len() == MERGE_BLOCK_ROWS {
+                out.gather(&picks, &chunks)?;
+                picks.clear();
+                guard_checkpoint()?;
+            }
+        };
+        out.gather(&picks, &chunks)?;
+        picks.clear();
+        guard_checkpoint()?;
+        drop(orders);
+        let Some(run) = spent else { break };
+        chunks[run] = readers[run].next_chunk()?;
+        pos[run] = 0;
+        reloaded = Some(run);
+    }
+    out.finish(schema)
+}
+
+/// A tournament tree of losers over `k` runs: `nodes[0]` holds the current
+/// winner, `nodes[1..k]` the loser of each match, with run `i` as leaf
+/// `k + i` of the implicit heap. After the winner's run advances, one
+/// replay up its leaf's path restores the tree in ⌈log₂ k⌉ comparisons.
+#[derive(Default)]
+struct LoserTree {
+    nodes: Vec<usize>,
+}
+
+impl LoserTree {
+    const EMPTY: usize = usize::MAX;
+
+    /// Play every run in: a run meeting an empty node waits there for its
+    /// sibling subtree's winner; the last match at node 1 crowns the root.
+    fn build(&mut self, k: usize, mut before: impl FnMut(usize, usize) -> bool) {
+        self.nodes = vec![Self::EMPTY; k.max(1)];
+        for run in 0..k {
+            let mut winner = run;
+            let mut node = (k + run) / 2;
+            while node > 0 {
+                let other = self.nodes[node];
+                if other == Self::EMPTY {
+                    self.nodes[node] = winner;
+                    break;
+                }
+                if before(other, winner) {
+                    self.nodes[node] = winner;
+                    winner = other;
+                }
+                node /= 2;
+            }
+            if node == 0 {
+                self.nodes[0] = winner;
+            }
+        }
+    }
+
+    /// Re-play `run`'s path after its current row changed.
+    fn replay(&mut self, run: usize, mut before: impl FnMut(usize, usize) -> bool) {
+        let k = self.nodes.len();
+        let mut winner = run;
+        let mut node = (k + run) / 2;
+        while node > 0 {
+            if before(self.nodes[node], winner) {
+                std::mem::swap(&mut self.nodes[node], &mut winner);
+            }
+            node /= 2;
+        }
+        self.nodes[0] = winner;
+    }
+
+    fn winner(&self) -> Option<usize> {
+        self.nodes.first().copied().filter(|&w| w != Self::EMPTY)
+    }
+}
+
+/// The merge's output columns, filled block by block from `(run, row)`
+/// picks: per block and column, each run's accessor is resolved once and
+/// the column is gathered in one typed pass. Nulls go into a bitmap that
+/// is allocated at the first null seen.
+struct MergeOutput {
+    cols: Vec<(ColumnData, Option<Bitmap>)>,
+    len: usize,
+    total: usize,
+}
+
+/// One column's typed reads of every run's current chunk (`fill` where a
+/// run is exhausted: no pick names it).
+fn per_run<'a, T: Copy>(
+    chunks: &'a [Option<Relation>],
+    ci: usize,
+    fill: T,
+    typed: impl Fn(A<'a>) -> Option<T>,
+) -> Result<Vec<T>, RelationError> {
+    chunks
+        .iter()
+        .map(|c| match c {
+            None => Ok(fill),
+            Some(c) => typed(c.base_columns()[ci].accessor()).ok_or_else(|| {
+                RelationError::SpillIo("spill chunk column type does not match schema".to_string())
+            }),
+        })
+        .collect()
+}
+
+impl MergeOutput {
+    fn new(schema: &Schema, total: usize) -> Self {
+        let cols = schema
+            .attributes()
+            .iter()
+            .map(|a| (ColumnData::with_capacity(a.dtype(), total), None))
+            .collect();
+        MergeOutput {
+            cols,
+            len: 0,
+            total,
+        }
+    }
+
+    fn gather(
+        &mut self,
+        picks: &[(usize, usize)],
+        chunks: &[Option<Relation>],
+    ) -> Result<(), RelationError> {
+        for (ci, (data, nulls)) in self.cols.iter_mut().enumerate() {
+            match data {
+                ColumnData::Int(v) => {
+                    let src = per_run(chunks, ci, IntsRef::Slice(&[]), |a| match a {
+                        A::Int(s) => Some(s),
+                        _ => None,
+                    })?;
+                    v.extend(picks.iter().map(|&(r, p)| src[r].get(p)));
+                }
+                ColumnData::Float(v) => {
+                    let src = per_run(chunks, ci, FloatsRef::Slice(&[]), |a| match a {
+                        A::Float(s) => Some(s),
+                        _ => None,
+                    })?;
+                    v.extend(picks.iter().map(|&(r, p)| src[r].get(p)));
+                }
+                ColumnData::Str(v) => {
+                    let src = per_run(chunks, ci, StrsRef::Slice(&[]), |a| match a {
+                        A::Str(s) => Some(s),
+                        _ => None,
+                    })?;
+                    v.extend(picks.iter().map(|&(r, p)| src[r].get(p).to_string()));
+                }
+                ColumnData::Bool(v) => {
+                    let src = per_run(chunks, ci, &[][..], |a| match a {
+                        A::Bool(s) => Some(s),
+                        _ => None,
+                    })?;
+                    v.extend(picks.iter().map(|&(r, p)| src[r][p]));
+                }
+                ColumnData::Date(v) => {
+                    let src = per_run(chunks, ci, &[][..], |a| match a {
+                        A::Date(s) => Some(s),
+                        _ => None,
+                    })?;
+                    v.extend(picks.iter().map(|&(r, p)| src[r][p]));
+                }
+                _ => unreachable!("merge output columns are plain"),
+            }
+            let src: Vec<Option<&Bitmap>> = chunks
+                .iter()
+                .map(|c| c.as_ref().and_then(|c| c.base_columns()[ci].nulls()))
+                .collect();
+            if src.iter().any(Option::is_some) {
+                let bits = nulls.get_or_insert_with(|| Bitmap::new(self.total));
+                for (k, &(r, p)) in picks.iter().enumerate() {
+                    if src[r].is_some_and(|b| b.get(p)) {
+                        bits.set(self.len + k);
                     }
                 }
-            };
-        }
-        let Some(b) = best else { break };
-        {
-            let cur = &cursors[b];
-            let chunk = cur.chunk.as_ref().expect("live cursor");
-            for (bld, col) in builders.iter_mut().zip(chunk.base_columns()) {
-                bld.push_from(col, cur.pos)?;
             }
         }
-        cursors[b].advance()?;
-    }
-    let cols = builders
-        .into_iter()
-        .map(ColBuilder::finish)
-        .collect::<Result<Vec<_>, _>>()?;
-    Relation::new(schema.clone(), cols)
-}
-
-/// Column assembly for the merge output: typed pushes from source chunks,
-/// null bitmap built on the side.
-struct ColBuilder {
-    data: ColumnData,
-    nulls: Vec<bool>,
-    any_null: bool,
-}
-
-impl ColBuilder {
-    fn new(dt: DataType, cap: usize) -> Self {
-        ColBuilder {
-            data: ColumnData::with_capacity(dt, cap),
-            nulls: Vec::with_capacity(cap),
-            any_null: false,
-        }
-    }
-
-    fn push_from(&mut self, col: &Column, i: usize) -> Result<(), RelationError> {
-        let null = col.is_null(i);
-        self.nulls.push(null);
-        self.any_null |= null;
-        match (&mut self.data, col.accessor()) {
-            (ColumnData::Int(v), A::Int(s)) => v.push(if null { 0 } else { s.get(i) }),
-            (ColumnData::Float(v), A::Float(s)) => v.push(if null { 0.0 } else { s.get(i) }),
-            (ColumnData::Str(v), A::Str(s)) => v.push(if null {
-                String::new()
-            } else {
-                s.get(i).to_string()
-            }),
-            (ColumnData::Bool(v), A::Bool(s)) => v.push(!null && s[i]),
-            (ColumnData::Date(v), A::Date(s)) => v.push(if null { 0 } else { s[i] }),
-            _ => {
-                return Err(RelationError::SpillIo(
-                    "spill chunk column type does not match schema".to_string(),
-                ))
-            }
-        }
+        self.len += picks.len();
         Ok(())
     }
 
-    fn finish(self) -> Result<Column, RelationError> {
-        if self.any_null {
-            Ok(Column::with_nulls(
-                self.data,
-                Bitmap::from_bools(&self.nulls),
-            )?)
-        } else {
-            Ok(Column::new(self.data))
-        }
+    fn finish(self, schema: &Schema) -> Result<Relation, RelationError> {
+        debug_assert_eq!(self.len, self.total);
+        let cols = self
+            .cols
+            .into_iter()
+            .map(|(data, nulls)| match nulls {
+                Some(bits) => Column::with_nulls(data, bits),
+                None => Ok(Column::new(data)),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Relation::new(schema.clone(), cols)
     }
 }
 
@@ -543,10 +727,8 @@ pub fn aggregate_external(
     }
     let parts = fanout(32 * r.len() as u64);
     let mut files = create_files(parts)?;
-    partition_into(r, group_by, parts, 0, false, &mut files)?;
-    for f in &mut files {
-        f.finish()?;
-    }
+    spill_buckets(r, &group_buckets(r, group_by, parts)?, &mut files)?;
+    let files = finish_files(files)?;
     let mut results = Vec::with_capacity(parts);
     for f in &files {
         let part = f.read_all(r.schema())?;
@@ -562,8 +744,10 @@ pub fn aggregate_external(
 mod tests {
     use super::*;
     use crate::algebra::{aggregate, join_on, natural_join, order_by, AggFunc, AggSpec};
+    use crate::par::QueryGuard;
     use crate::relation::RelationBuilder;
     use crate::spill::{live_spill_files, spill_test_guard};
+    use rma_storage::{DataType, Encoding, Value};
 
     fn orders(n: usize) -> Relation {
         RelationBuilder::new()
@@ -644,6 +828,530 @@ mod tests {
         let ext = aggregate_external(&r, &["cust"], &aggs, &pool).unwrap();
         let mem = aggregate(&r, &["cust"], &aggs).unwrap();
         assert_eq!(sorted_rows(&ext), sorted_rows(&mem));
+        assert_eq!(live_spill_files(), baseline);
+    }
+
+    // -----------------------------------------------------------------
+    // External sort: exact row order against the serial sort
+    // -----------------------------------------------------------------
+
+    /// Cells as text, floats by their bits: NaN payloads and signed zeros
+    /// must land exactly where the serial sort puts them.
+    fn cells(r: &Relation) -> Vec<Vec<String>> {
+        r.rows()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                        v => format!("{v:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `n` rows cut into `runs` near-equal consecutive ranges.
+    fn even_runs(n: usize, runs: usize) -> Vec<std::ops::Range<usize>> {
+        (0..runs)
+            .map(|i| i * n / runs..(i + 1) * n / runs)
+            .collect()
+    }
+
+    /// The external sort of `r` over the given runs equals the serial sort
+    /// row for row, and leaves no spill file behind.
+    fn assert_exact(r: &Relation, attrs: &[&str], asc: &[bool], ranges: &[std::ops::Range<usize>]) {
+        let baseline = live_spill_files();
+        let ext = sort_in_runs(r, attrs, asc, ranges, &WorkerPool::new(2)).unwrap();
+        let ser = order_by(r, attrs, asc).unwrap();
+        assert_eq!(ext.schema(), ser.schema());
+        assert_eq!(
+            cells(&ext),
+            cells(&ser),
+            "{attrs:?} {asc:?} over {} runs",
+            ranges.len()
+        );
+        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+    }
+
+    fn nullable_ints(vals: impl Iterator<Item = Option<i64>>) -> Column {
+        let vals: Vec<Value> = vals.map(|x| x.map_or(Value::Null, Value::Int)).collect();
+        Column::from_values_typed(DataType::Int, &vals).unwrap()
+    }
+
+    #[test]
+    fn external_sort_nullable_keys_both_directions() {
+        let _serial = spill_test_guard();
+        let n = 3000usize;
+        let floats: Vec<Value> = (0..n)
+            .map(|i| match i % 7 {
+                0 => Value::Null,
+                m => Value::Float((m as f64) * 0.5 - 1.0),
+            })
+            .collect();
+        let r = RelationBuilder::new()
+            .column(
+                "k",
+                nullable_ints((0..n as i64).map(|i| (i % 5 != 0).then_some(i % 11))),
+            )
+            .column(
+                "f",
+                Column::from_values_typed(DataType::Float, &floats).unwrap(),
+            )
+            .column("oid", (0..n as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for asc in [[true, true], [false, true], [true, false], [false, false]] {
+            assert_exact(&r, &["k", "f"], &asc, &even_runs(n, 7));
+        }
+    }
+
+    #[test]
+    fn external_sort_dictionary_keys_compare_by_value_across_runs() {
+        let _serial = spill_test_guard();
+        let words = ["pear", "fig", "apple", "kiwi", "date", "lime", "plum"];
+        let n = 2500usize;
+        let dict = Column::from(
+            (0..n)
+                .map(|i| words[(i * 5) % words.len()])
+                .collect::<Vec<&str>>(),
+        )
+        .encode_as(Encoding::Dict)
+        .unwrap();
+        let nullable: Vec<Value> = (0..n)
+            .map(|i| match i % 9 {
+                0 => Value::Null,
+                _ => Value::Str(words[(i * 3) % words.len()].to_string()),
+            })
+            .collect();
+        let nullable = Column::from_values_typed(DataType::Str, &nullable)
+            .unwrap()
+            .encode_as(Encoding::Dict)
+            .unwrap();
+        let r = RelationBuilder::new()
+            .column("s", dict)
+            .column("t", nullable)
+            .column("oid", (0..n as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for asc in [[true, true], [false, true], [true, false]] {
+            assert_exact(&r, &["s", "t"], &asc, &even_runs(n, 6));
+        }
+        // runs whose dictionaries were built apart: their codes disagree,
+        // so the merge has to compare the strings
+        let ranges = even_runs(n, 4);
+        let runs: Vec<Relation> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, rows)| {
+                let words = &words[i..];
+                let vals: Vec<&str> = rows.clone().map(|j| words[j % words.len()]).collect();
+                RelationBuilder::new()
+                    .column("s", Column::from(vals).encode_as(Encoding::Dict).unwrap())
+                    .column("oid", rows.clone().map(|j| j as i64).collect::<Vec<_>>())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let code_of_pear = |r: &Relation| match r.base_columns()[0].accessor() {
+            A::Str(s) => s.dict().and_then(|d| d.code_of("pear")),
+            _ => None,
+        };
+        assert_ne!(code_of_pear(&runs[0]), code_of_pear(&runs[1]));
+        let whole = Relation::concat(&runs).unwrap();
+        let key_idx = [0];
+        let (files, readers, chunks) = open_runs(&runs, "s");
+        let merged = merge_runs(whole.schema(), readers, chunks, &key_idx, &[true], n).unwrap();
+        drop(files);
+        assert_eq!(
+            cells(&merged),
+            cells(&order_by(&whole, &["s"], &[true]).unwrap())
+        );
+    }
+
+    #[test]
+    fn external_sort_rle_and_packed_int_keys() {
+        let _serial = spill_test_guard();
+        let n = 4000usize;
+        let rle = Column::from((0..n as i64).map(|i| 9 - i / 250).collect::<Vec<_>>())
+            .encode_as(Encoding::Rle)
+            .unwrap();
+        let packed = Column::from((0..n as i64).map(|i| (i * 7919) % 503).collect::<Vec<_>>())
+            .encode_as(Encoding::Packed)
+            .unwrap();
+        let r = RelationBuilder::new()
+            .column("r", rle)
+            .column("p", packed)
+            .column("oid", (0..n as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for asc in [[true, true], [false, true]] {
+            assert_exact(&r, &["r", "p"], &asc, &even_runs(n, 5));
+            assert_exact(&r, &["p", "r"], &asc, &even_runs(n, 5));
+        }
+    }
+
+    #[test]
+    fn external_sort_special_floats() {
+        let _serial = spill_test_guard();
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -1.5,
+        ];
+        let n = 2000usize;
+        let r = RelationBuilder::new()
+            .column(
+                "x",
+                (0..n)
+                    .map(|i| specials[(i * 3) % specials.len()])
+                    .collect::<Vec<f64>>(),
+            )
+            .column("oid", (0..n as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for asc in [true, false] {
+            assert_exact(&r, &["x"], &[asc], &even_runs(n, 4));
+        }
+    }
+
+    #[test]
+    fn external_sort_run_counts_and_full_ties() {
+        let _serial = spill_test_guard();
+        let n = 3300usize;
+        let r = RelationBuilder::new()
+            .column(
+                "k",
+                (0..n).map(|i| ((i * 37) % 101) as i64).collect::<Vec<_>>(),
+            )
+            .column("same", vec![1i64; n])
+            .column("oid", (0..n as i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for runs in [1, 2, 3, 31, 32, 33] {
+            assert_exact(&r, &["k"], &[false], &even_runs(n, runs));
+            // every key tied: the run index alone orders the output, which
+            // must come back in input order
+            assert_exact(&r, &["same"], &[true], &even_runs(n, runs));
+        }
+        let ties = sort_in_runs(
+            &r,
+            &["same"],
+            &[true],
+            &even_runs(n, 33),
+            &WorkerPool::new(2),
+        )
+        .unwrap();
+        assert_eq!(ties.materialize(), r.materialize());
+        // order_by_external's own run sizing: 32 runs of 1025 rows
+        let r = orders(32 * 1024);
+        let baseline = live_spill_files();
+        let ext = order_by_external(&r, &["amount", "cust"], &[false, true], &WorkerPool::new(2))
+            .unwrap();
+        assert_eq!(
+            ext,
+            order_by(&r, &["amount", "cust"], &[false, true]).unwrap()
+        );
+        assert_eq!(live_spill_files(), baseline);
+    }
+
+    #[test]
+    fn external_sort_reloads_chunks_mid_merge() {
+        let _serial = spill_test_guard();
+        let n = 2 * SPILL_CHUNK_ROWS + 3000;
+        let r = orders(n);
+        // two runs of more than one chunk each, then uneven runs whose
+        // chunk boundaries fall at different output positions
+        assert_exact(&r, &["amount", "cust"], &[true, false], &even_runs(n, 2));
+        let uneven = [
+            0..SPILL_CHUNK_ROWS + 100,
+            SPILL_CHUNK_ROWS + 100..SPILL_CHUNK_ROWS + 600,
+            SPILL_CHUNK_ROWS + 600..n,
+        ];
+        assert_exact(&r, &["cust", "amount"], &[false, true], &uneven);
+    }
+
+    #[test]
+    fn external_sort_empty_and_single_row_inputs() {
+        let _serial = spill_test_guard();
+        let r = orders(10);
+        let pool = WorkerPool::new(2);
+        for rows in [&[][..], &[4][..]] {
+            let part = r.take(rows);
+            let ext = order_by_external(&part, &["amount"], &[true], &pool).unwrap();
+            assert_eq!(ext, order_by(&part, &["amount"], &[true]).unwrap());
+            assert_exact(&part, &["amount"], &[true], &even_runs(rows.len(), 1));
+        }
+        assert_exact(&r.take(&[]), &["amount"], &[true], &[]);
+    }
+
+    /// `runs`, each sorted on `key` and spilled, with each run's first
+    /// chunk loaded — the state the merge starts from.
+    fn open_runs(
+        runs: &[Relation],
+        key: &str,
+    ) -> (Vec<SpillFile>, Vec<SpillReader>, Vec<Option<Relation>>) {
+        let files: Vec<SpillFile> = runs
+            .iter()
+            .map(|run| {
+                let mut f = SpillFile::create().unwrap();
+                f.append(&order_by(run, &[key], &[true]).unwrap()).unwrap();
+                f.finish().unwrap();
+                f
+            })
+            .collect();
+        let mut readers: Vec<SpillReader> = files
+            .iter()
+            .map(|f| f.reader(runs[0].schema()).unwrap())
+            .collect();
+        let chunks = readers
+            .iter_mut()
+            .map(|rd| rd.next_chunk().unwrap())
+            .collect();
+        (files, readers, chunks)
+    }
+
+    #[test]
+    fn disk_merge_polls_the_guard_once_its_runs_are_open() {
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let n = 4 * MERGE_BLOCK_ROWS;
+        let r = orders(n);
+        let key_idx = [r.schema().index_of("amount").unwrap()];
+        let runs: Vec<Relation> = even_runs(n, 3)
+            .into_iter()
+            .map(|rows| r.take(&rows.collect::<Vec<_>>()))
+            .collect();
+        // every run is one chunk, so opening the runs read all there is:
+        // only the merge itself can notice the cancel
+        let (files, readers, chunks) = open_runs(&runs, "amount");
+        let guard = QueryGuard::with_limits(None, 0);
+        guard.cancel();
+        let active = guard.activate();
+        let out = merge_runs(r.schema(), readers, chunks, &key_idx, &[true], n);
+        drop(active);
+        assert!(matches!(out, Err(RelationError::Cancelled)), "got {out:?}");
+        // a deadline that has passed stops it the same way
+        let (_more, readers, chunks) = open_runs(&runs, "amount");
+        let guard = QueryGuard::with_limits(Some(std::time::Duration::from_nanos(1)), 0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let active = guard.activate();
+        let out = merge_runs(r.schema(), readers, chunks, &key_idx, &[true], n);
+        drop(active);
+        assert!(
+            matches!(out, Err(RelationError::DeadlineExceeded)),
+            "got {out:?}"
+        );
+        // unguarded, the same runs merge in full
+        let (_again, readers, chunks) = open_runs(&runs, "amount");
+        let merged = merge_runs(r.schema(), readers, chunks, &key_idx, &[true], n).unwrap();
+        assert_eq!(merged.len(), n);
+        drop(files);
+        drop((_more, _again));
+        assert_eq!(live_spill_files(), baseline);
+    }
+
+    /// The spill benchmark's shape: 200 000 × 3 rows ordered by a float
+    /// with ties and a unique id, under the 256 KiB budget that cuts it
+    /// into 32 runs. Fast only in release (CI runs it there).
+    #[test]
+    #[ignore]
+    fn external_sort_benchmark_shape() {
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let n = 200_000usize;
+        let r = RelationBuilder::new()
+            .column(
+                "id",
+                (0..n).map(|i| ((i * 7919) % n) as i64).collect::<Vec<_>>(),
+            )
+            .column(
+                "duration",
+                (0..n)
+                    .map(|i| ((i * 104_729) % 3600) as f64)
+                    .collect::<Vec<_>>(),
+            )
+            .column("d2", (0..n).map(|i| i as f64 * 0.25).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        let guard = QueryGuard::with_limits(None, 262_144);
+        let active = guard.activate();
+        let ext =
+            order_by_external(&r, &["duration", "id"], &[true, true], &WorkerPool::new(2)).unwrap();
+        drop(active);
+        assert_eq!(guard.spill_partitions(), 32, "one partition per run");
+        let ser = order_by(&r, &["duration", "id"], &[true, true]).unwrap();
+        assert_eq!(ext, ser.materialize());
+        assert_eq!(live_spill_files(), baseline);
+    }
+
+    // -----------------------------------------------------------------
+    // Grace partitioning on the join digest
+    // -----------------------------------------------------------------
+
+    /// Every partition holds within 10% of the mean.
+    fn assert_even(buckets: &[Vec<usize>], what: &str) {
+        let total: usize = buckets.iter().map(Vec::len).sum();
+        let mean = total as f64 / buckets.len() as f64;
+        for (p, b) in buckets.iter().enumerate() {
+            let dev = (b.len() as f64 - mean).abs() / mean;
+            assert!(
+                dev <= 0.10,
+                "{what}: partition {p} holds {} of mean {mean}",
+                b.len()
+            );
+        }
+    }
+
+    #[test]
+    fn grace_partitions_spread_evenly_on_fresh_bits_at_every_depth() {
+        let ints = |n: i64| {
+            RelationBuilder::new()
+                .column("k", (0..n).collect::<Vec<_>>())
+                .build()
+                .unwrap()
+        };
+        let r = ints(100_000);
+        for parts in [3, 4, 32] {
+            assert_even(&grace_buckets(&r, &["k"], parts, 0).unwrap(), "depth 0");
+        }
+        // each level splits the previous level's partition evenly again
+        let mut part = r;
+        for depth in 0..=MAX_GRACE_DEPTH {
+            let buckets = grace_buckets(&part, &["k"], 4, depth).unwrap();
+            assert_even(&buckets, &format!("depth {depth}"));
+            part = part.take(&buckets[0]);
+        }
+        // the levels read neither the table's index bits (the low 27 at
+        // any partition size) nor its 7 tag bits
+        let untouched = ((1u64 << 27) - 1) | (0x7f << 57);
+        let mut h = 0x0123_4567_89ab_cdefu64;
+        for _ in 0..1000 {
+            h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+            for depth in 0..=MAX_GRACE_DEPTH {
+                assert_eq!(
+                    grace_bucket(h, 32, depth),
+                    grace_bucket(h ^ untouched, 32, depth)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grace_partitions_meet_across_encodings_but_not_types() {
+        let _serial = spill_test_guard();
+        let words: Vec<String> = (0..600).map(|i| format!("w{i}")).collect();
+        let plain = RelationBuilder::new()
+            .column("s", words.clone())
+            .build()
+            .unwrap();
+        let dict_col = Column::from(words.iter().rev().cloned().collect::<Vec<_>>())
+            .encode_as(Encoding::Dict)
+            .unwrap();
+        let dict = RelationBuilder::new()
+            .column("s2", dict_col)
+            .build()
+            .unwrap();
+        for depth in 0..=MAX_GRACE_DEPTH {
+            let (p, d) = (
+                grace_buckets(&plain, &["s"], 8, depth).unwrap(),
+                grace_buckets(&dict, &["s2"], 8, depth).unwrap(),
+            );
+            for (pp, dp) in p.iter().zip(&d) {
+                // the dictionary holds the words reversed
+                let mut mirrored: Vec<usize> = dp.iter().map(|&i| words.len() - 1 - i).collect();
+                mirrored.sort_unstable();
+                assert_eq!(pp, &mirrored, "depth {depth}");
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let baseline = live_spill_files();
+        let grace = grace_join_on(&plain, &dict, &[("s", "s2")], &pool).unwrap();
+        assert_eq!(grace.len(), words.len());
+        assert!(grace.rows().all(|row| row[0] == row[1]));
+        // Int 5 never meets Float 5.0, whichever partitions they share
+        let ints = RelationBuilder::new()
+            .column("k", (0..500i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        let floats = RelationBuilder::new()
+            .column("f", (0..500).map(f64::from).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        assert_eq!(
+            grace_join_on(&ints, &floats, &[("k", "f")], &pool)
+                .unwrap()
+                .len(),
+            0
+        );
+        // NULL keys drop out before any partition
+        let nullable = RelationBuilder::new()
+            .column(
+                "k",
+                nullable_ints((0..500).map(|i| (i % 4 != 0).then_some(i))),
+            )
+            .build()
+            .unwrap();
+        let buckets = grace_buckets(&nullable, &["k"], 8, 0).unwrap();
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 375);
+        let other = crate::algebra::rename(&nullable, &[("k", "k2")]).unwrap();
+        assert_eq!(
+            grace_join_on(&nullable, &other, &[("k", "k2")], &pool)
+                .unwrap()
+                .len(),
+            375
+        );
+        assert_eq!(live_spill_files(), baseline);
+    }
+
+    #[test]
+    fn skewed_grace_join_recurses_to_max_depth_and_stays_exact() {
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let pool = WorkerPool::new(2);
+        let keyed = |name: &str, keys: Vec<i64>| {
+            let n = keys.len() as i64;
+            RelationBuilder::new()
+                .column(name, keys)
+                .column(format!("{name}_row"), (0..n).collect::<Vec<_>>())
+                .build()
+                .unwrap()
+        };
+        // one key only: no level can split it, so every level recurses
+        let a = keyed("k", vec![7; 300]);
+        let b = keyed("k2", vec![7; 200]);
+        let guard = QueryGuard::with_limits(None, 1024);
+        let active = guard.activate();
+        let grace = grace_join_on(&a, &b, &[("k", "k2")], &pool).unwrap();
+        drop(active);
+        // one non-empty file per side per level, depths 0..=MAX_GRACE_DEPTH
+        assert_eq!(guard.spill_partitions(), 2 * u64::from(MAX_GRACE_DEPTH + 1));
+        let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        assert_eq!(grace.len(), 60_000);
+        assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
+        // a hot key among many cold ones
+        let a = keyed(
+            "k",
+            (0..3000)
+                .map(|i| if i % 2 == 0 { 7 } else { i % 211 })
+                .collect(),
+        );
+        let b = keyed(
+            "k2",
+            (0..800)
+                .map(|i| if i % 4 == 0 { 7 } else { i % 97 })
+                .collect(),
+        );
+        let guard = QueryGuard::with_limits(None, 2048);
+        let active = guard.activate();
+        let grace = grace_join_on(&a, &b, &[("k", "k2")], &pool).unwrap();
+        drop(active);
+        let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
         assert_eq!(live_spill_files(), baseline);
     }
 }

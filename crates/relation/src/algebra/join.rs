@@ -19,6 +19,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A join's build-side hash table: key digest → build positions, ascending.
+/// The table indexes by the digest's low bits and tags its slots with the
+/// top 7; the grace join partitions on the bits between them.
 pub(super) type JoinTable = HashMap<u64, Vec<usize>, BuildHasherDefault<PassThrough>>;
 
 /// The [`JoinTable`] hasher: its keys are already mixed digests, so the
@@ -130,7 +132,9 @@ pub(super) struct JoinSide<'a> {
     sel: Option<&'a SelVec>,
     /// Per key column: when dictionary encoded, the dictionary plus a
     /// code → value-hash LUT computed once per join (one string hash per
-    /// *distinct* value); per-row hashing becomes a code lookup.
+    /// *distinct* value); per-row hashing becomes a code lookup. A table
+    /// larger than the rows to hash (a filtered or spilled slice keeps its
+    /// whole shared table) gets no LUT: its rows hash their strings.
     dict_luts: Vec<Option<(&'a Dict, Vec<u64>)>>,
 }
 
@@ -144,10 +148,12 @@ impl<'a> JoinSide<'a> {
         let dict_luts = accs
             .iter()
             .map(|a| match a {
-                ColumnAccessor::Str(s) => s.dict().map(|d| {
-                    let lut = d.values().iter().map(|v| str_value_hash(v)).collect();
-                    (d, lut)
-                }),
+                ColumnAccessor::Str(s) => {
+                    s.dict().filter(|d| d.values().len() <= r.len()).map(|d| {
+                        let lut = d.values().iter().map(|v| str_value_hash(v)).collect();
+                        (d, lut)
+                    })
+                }
                 _ => None,
             })
             .collect();
@@ -161,7 +167,7 @@ impl<'a> JoinSide<'a> {
 
     /// Base row behind visible position `pos`.
     #[inline]
-    fn base(&self, pos: usize) -> usize {
+    pub(super) fn base(&self, pos: usize) -> usize {
         match self.sel {
             Some(s) => s.get(pos),
             None => pos,
@@ -169,7 +175,7 @@ impl<'a> JoinSide<'a> {
     }
 
     #[inline]
-    fn key_has_null(&self, base: usize) -> bool {
+    pub(super) fn key_has_null(&self, base: usize) -> bool {
         self.cols.iter().any(|c| c.is_null(base))
     }
 
@@ -179,7 +185,7 @@ impl<'a> JoinSide<'a> {
     /// sides of a join hash through this, so a dict-encoded build side and
     /// a plain probe side still land in the same bucket.
     #[inline]
-    fn hash_key(&self, base: usize) -> u64 {
+    pub(super) fn hash_key(&self, base: usize) -> u64 {
         let mut h = 0u64;
         for (a, lut) in self.accs.iter().zip(&self.dict_luts) {
             let cell = match lut {

@@ -13,10 +13,13 @@
 //! column := tag:u8  has_nulls:u8  payload  [null-bitmap]
 //! ```
 //!
-//! Payloads are little-endian fixed-width vectors for `Int`/`Float`
-//! (8 bytes), `Date` (4 bytes) and `Bool` (1 byte); strings are
-//! length-prefixed (`u32` + UTF-8 bytes). The null bitmap, when present,
-//! is `ceil(rows/8)` packed bytes. Column order and attribute names come
+//! Plain payloads (tags 0–4) are little-endian fixed-width vectors for
+//! `Int`/`Float` (8 bytes), `Date` (4 bytes) and `Bool` (1 byte); strings
+//! are length-prefixed (`u32` + UTF-8 bytes). Encoded columns keep their
+//! physical form (tags 5–8): RLE ints and floats as run/dense segments, a
+//! dictionary as its value table then its codes, bit-packed ints as frame
+//! minimum, width and words. The null bitmap, when present, is
+//! `ceil(rows/8)` packed bytes. Column order and attribute names come
 //! from the schema the reader supplies — the file stores only typed data,
 //! which keeps partitions of one relation byte-compatible with each other.
 //!

@@ -8,6 +8,9 @@
 //!   variant (plain slice, RLE, bit-packed, dictionary codes) and null
 //!   bitmap are resolved **once**, so a comparison is a null test plus one
 //!   typed compare instead of a `ColumnData` re-dispatch per call.
+//!   [`RowOrder::cmp_across`] compares a row of one relation with a row of
+//!   another under the same keys (the external sort's disk merge, one
+//!   `RowOrder` per run chunk), with [`Column::cmp_rows_cross`]'s order.
 //! - [`key_sort`] sorts rows ascending by an order schema and reports, from
 //!   the same pass, whether the rows were already in order and whether the
 //!   schema is a key (duplicates are adjacent once sorted). A single
@@ -23,7 +26,7 @@
 use crate::access::{ColumnAccessor, FloatsRef, IntsRef};
 use crate::bitmap::Bitmap;
 use crate::column::Column;
-use crate::encoding::{Rle, RleValue, Seg};
+use crate::encoding::{Dict, Rle, RleValue, Seg};
 use std::cmp::Ordering;
 
 /// The values of one sort key, physical variant resolved once.
@@ -33,8 +36,8 @@ enum KeyVals<'a> {
     Float(FloatsRef<'a>),
     Str(&'a [String]),
     /// Dictionary codes: the value table is sorted, so code order is value
-    /// order.
-    Codes(&'a [u32]),
+    /// order within one table (and across columns that share it).
+    Codes(&'a [u32], &'a Dict),
     Bool(&'a [bool]),
     Date(&'a [i32]),
 }
@@ -44,27 +47,77 @@ struct SortKey<'a> {
     vals: KeyVals<'a>,
     nulls: Option<&'a Bitmap>,
     ascending: bool,
+    /// The column itself, for cross-relation pairs of unlike types.
+    col: &'a Column,
+}
+
+/// Null-first order of two cells' null flags; `None` when both are set
+/// values and the values decide.
+#[inline]
+fn cmp_nulls(a: bool, b: bool) -> Option<Ordering> {
+    match (a, b) {
+        (false, false) => None,
+        (true, true) => Some(Ordering::Equal),
+        (true, false) => Some(Ordering::Less),
+        (false, true) => Some(Ordering::Greater),
+    }
 }
 
 impl SortKey<'_> {
+    #[inline]
+    fn is_null(&self, i: usize) -> bool {
+        self.nulls.is_some_and(|n| n.get(i))
+    }
+
     /// Null-first ascending comparison of two rows of this key.
     #[inline]
     fn cmp(&self, a: usize, b: usize) -> Ordering {
         if let Some(nulls) = self.nulls {
-            match (nulls.get(a), nulls.get(b)) {
-                (true, true) => return Ordering::Equal,
-                (true, false) => return Ordering::Less,
-                (false, true) => return Ordering::Greater,
-                (false, false) => {}
+            if let Some(ord) = cmp_nulls(nulls.get(a), nulls.get(b)) {
+                return ord;
             }
         }
         match self.vals {
             KeyVals::Int(v) => v.get(a).cmp(&v.get(b)),
             KeyVals::Float(v) => v.get(a).total_cmp(&v.get(b)),
             KeyVals::Str(v) => v[a].cmp(&v[b]),
-            KeyVals::Codes(v) => v[a].cmp(&v[b]),
+            KeyVals::Codes(v, _) => v[a].cmp(&v[b]),
             KeyVals::Bool(v) => v[a].cmp(&v[b]),
             KeyVals::Date(v) => v[a].cmp(&v[b]),
+        }
+    }
+
+    /// The string at row `i` of a string key.
+    #[inline]
+    fn str_at(&self, i: usize) -> Option<&str> {
+        match self.vals {
+            KeyVals::Str(v) => Some(&v[i]),
+            KeyVals::Codes(v, d) => Some(d.value(v[i])),
+            _ => None,
+        }
+    }
+
+    /// Null-first ascending comparison of row `a` of this key with row `b`
+    /// of `other`, exactly as [`Column::cmp_rows_cross`] orders them: codes
+    /// compare only between columns sharing one dictionary table, other
+    /// strings by value, unlike types through the boxed order.
+    #[inline]
+    fn cmp_across(&self, a: usize, other: &SortKey, b: usize) -> Ordering {
+        if let Some(ord) = cmp_nulls(self.is_null(a), other.is_null(b)) {
+            return ord;
+        }
+        match (self.vals, other.vals) {
+            (KeyVals::Int(x), KeyVals::Int(y)) => x.get(a).cmp(&y.get(b)),
+            (KeyVals::Float(x), KeyVals::Float(y)) => x.get(a).total_cmp(&y.get(b)),
+            (KeyVals::Codes(x, dx), KeyVals::Codes(y, dy)) if dx.shares_table(dy) => {
+                x[a].cmp(&y[b])
+            }
+            (KeyVals::Bool(x), KeyVals::Bool(y)) => x[a].cmp(&y[b]),
+            (KeyVals::Date(x), KeyVals::Date(y)) => x[a].cmp(&y[b]),
+            _ => match (self.str_at(a), other.str_at(b)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                _ => self.col.get(a).total_cmp(&other.col.get(b)),
+            },
         }
     }
 }
@@ -88,7 +141,7 @@ impl<'a> RowOrder<'a> {
                     ColumnAccessor::Int(v) => KeyVals::Int(v),
                     ColumnAccessor::Float(v) => KeyVals::Float(v),
                     ColumnAccessor::Str(s) => match s.dict() {
-                        Some(d) => KeyVals::Codes(d.codes()),
+                        Some(d) => KeyVals::Codes(d.codes(), d),
                         None => {
                             KeyVals::Str(s.as_slice().expect("non-dictionary strings are plain"))
                         }
@@ -98,6 +151,7 @@ impl<'a> RowOrder<'a> {
                 },
                 nulls: c.nulls(),
                 ascending: ascending.get(k).copied().unwrap_or(true),
+                col: c,
             })
             .collect();
         RowOrder { keys }
@@ -113,6 +167,23 @@ impl<'a> RowOrder<'a> {
     pub fn cmp(&self, a: usize, b: usize) -> Ordering {
         for key in &self.keys {
             let ord = key.cmp(a, b);
+            if ord != Ordering::Equal {
+                return if key.ascending { ord } else { ord.reverse() };
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Compare row `a` under these keys with row `b` under `other`'s keys
+    /// (`Equal` on a full tie). The two orders have the same number of
+    /// keys; directions are `self`'s. Per key this is
+    /// [`Column::cmp_rows_cross`] with the physical variants already
+    /// resolved.
+    #[inline]
+    pub fn cmp_across(&self, a: usize, other: &RowOrder, b: usize) -> Ordering {
+        debug_assert_eq!(self.keys.len(), other.keys.len());
+        for (key, theirs) in self.keys.iter().zip(&other.keys) {
+            let ord = key.cmp_across(a, theirs, b);
             if ord != Ordering::Equal {
                 return if key.ascending { ord } else { ord.reverse() };
             }
@@ -465,5 +536,57 @@ mod tests {
         let mut perm = vec![0usize, 1, 2];
         perm.sort_by(|&a, &b| desc.cmp_indexed(a, b));
         assert_eq!(perm, vec![0, 2, 1]); // nulls last under a descending key
+    }
+
+    #[test]
+    fn cmp_across_matches_cmp_rows_cross() {
+        let words = Column::from(vec!["b", "a", "c", "a"]);
+        let other_words = Column::from(vec!["a", "d", "b", "b"]);
+        let dict = words.encode_as(Encoding::Dict).unwrap();
+        let cols = [
+            Column::from_values(&[Value::Int(5), Value::Null, Value::Int(-2), Value::Int(5)])
+                .unwrap(),
+            Column::from(vec![2.5f64, f64::NAN, -0.0, 0.0]),
+            Column::from(vec![f64::NEG_INFINITY, -f64::NAN, f64::INFINITY, -0.0]),
+            Column::from(vec![5i64, 7, 1, -3])
+                .encode_as(Encoding::Packed)
+                .unwrap(),
+            Column::from(vec![4i64, 4, 4, 9])
+                .encode_as(Encoding::Rle)
+                .unwrap(),
+            // a reordered take keeps the shared table; a second encode
+            // builds its own, whose codes do not compare with the first's
+            dict.take(&[3, 2, 1, 0]),
+            dict,
+            other_words.encode_as(Encoding::Dict).unwrap(),
+            words,
+            Column::from_values(&[
+                Value::Str("a".into()),
+                Value::Null,
+                Value::Null,
+                Value::Str("z".into()),
+            ])
+            .unwrap(),
+            Column::from(vec![true, false, true, false]),
+        ];
+        for a in &cols {
+            for b in &cols {
+                for asc in [true, false] {
+                    let (x, y) = (RowOrder::new(&[a], &[asc]), RowOrder::new(&[b], &[asc]));
+                    for i in 0..4 {
+                        for j in 0..4 {
+                            let want = a.cmp_rows_cross(i, b, j);
+                            let want = if asc { want } else { want.reverse() };
+                            assert_eq!(x.cmp_across(i, &y, j), want, "{a:?}[{i}] vs {b:?}[{j}]");
+                        }
+                    }
+                }
+            }
+        }
+        // composite keys: the first unequal key decides, in its direction
+        let (p, q) = (Column::from(vec![1i64, 1]), Column::from(vec![2.0f64, 3.0]));
+        let order = RowOrder::new(&[&p, &q], &[true, false]);
+        assert_eq!(order.cmp_across(0, &order, 1), Ordering::Greater);
+        assert_eq!(order.cmp_across(1, &order, 1), Ordering::Equal);
     }
 }
