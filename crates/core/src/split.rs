@@ -11,11 +11,10 @@
 
 use crate::context::{RmaContext, SortPolicy};
 use crate::error::RmaError;
-use rma_relation::algebra::is_key_hash;
 use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{
-    invert_permutation, is_identity_permutation, key_sort, Column, ColumnAccessor, ColumnData,
-    FloatsRef, IntsRef, StorageError,
+    invert_permutation, is_identity_permutation, is_key, key_sort, Column, ColumnAccessor,
+    ColumnData, FloatsRef, IntsRef, StorageError,
 };
 use std::borrow::Cow;
 
@@ -50,7 +49,8 @@ pub struct Split<'a> {
 }
 
 /// How the split orders tuples. Every mode that sorts reads the key verdict
-/// off its own sort; only [`SortMode::Skip`] checks the key by hashing.
+/// off its own sort; only [`SortMode::Skip`] checks the key without one
+/// ([`rma_storage::is_key`], the same verdict).
 #[derive(Debug, Clone)]
 pub enum SortMode {
     /// Materialise the sort by the order schema.
@@ -104,9 +104,9 @@ pub fn split<'a>(
         }
     }
     // a split that sorts takes the key verdict from that sort, so only a
-    // split that never sorts pays the hash check
+    // split that never sorts pays the key check
     let sorted = if matches!(mode, SortMode::Skip) {
-        require_key(ctx, order, rows, || is_key_hash(&keys))?;
+        require_key(ctx, order, rows, || is_key(&keys))?;
         None
     } else {
         key_sorted(ctx, &keys, order, rows)?

@@ -517,3 +517,55 @@ fn order_handling_shows_apart_from_the_kernel() {
         "{text}"
     );
 }
+
+#[test]
+fn the_key_verdict_is_the_sorts_under_every_policy_and_check() {
+    let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+    let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
+    // equality is `Column::cmp_rows`' (`total_cmp`): signed zeros and NaN
+    // payloads are distinct keys, equal bits are one
+    let cases = [
+        ([0.0, -0.0, 1.0], true),
+        ([nan_a, nan_b, 1.0], true),
+        ([0.0, 0.0, 1.0], false),
+        ([nan_a, nan_a, 1.0], false),
+    ];
+    for (keys, key) in cases {
+        // a square, non-singular application part, so INV runs too
+        let r = RelationBuilder::new()
+            .column("f", keys.to_vec())
+            .column("a", vec![2.0f64, 0.0, 0.0])
+            .column("b", vec![0.0f64, 3.0, 0.0])
+            .column("c", vec![0.0f64, 0.0, 4.0])
+            .build()
+            .unwrap();
+        let what = format!("{keys:?}");
+        let col = r.column("f").unwrap();
+        assert_eq!(key_sort(&[col]).unique, key, "{what}: the sort");
+        assert_eq!(
+            r.attrs_form_key(&["f"]).unwrap(),
+            key,
+            "{what}: attrs_form_key"
+        );
+        let asserted = Frame::scan(r.clone())
+            .assert_key(&["f"])
+            .collect(&RmaContext::default());
+        assert_eq!(asserted.is_ok(), key, "{what}: AssertKey");
+        for policy in [SortPolicy::Optimized, SortPolicy::Always] {
+            let ctx = ctx_with(1, Backend::Auto, policy);
+            for (op, out) in [("QQR", ctx.qqr(&r, &["f"])), ("INV", ctx.inv(&r, &["f"]))] {
+                match out {
+                    Ok(_) => assert!(key, "{what}: {op} under {policy:?} accepted a non-key"),
+                    Err(RmaError::OrderSchemaNotKey(_)) => {
+                        assert!(!key, "{what}: {op} under {policy:?} rejected a key")
+                    }
+                    Err(e) => panic!("{what}: {op} under {policy:?}: {e}"),
+                }
+            }
+        }
+        for mode in [SortMode::Full, SortMode::Skip] {
+            let verdict = split(&RmaContext::default(), &r, &["f"], mode.clone()).is_ok();
+            assert_eq!(verdict, key, "{what}: split under {mode:?}");
+        }
+    }
+}

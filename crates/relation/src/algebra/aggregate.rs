@@ -1,18 +1,10 @@
 //! Grouped aggregation ϑ.
 
-use super::{row_key, KeyPart};
 use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
-use rma_storage::encoding::RleValue;
-use rma_storage::{Column, ColumnAccessor, DataType, IntsRef, Rle, Seg, Value};
-use std::collections::HashMap;
+use rma_storage::{Column, ColumnAccessor, DataType, DirectKey, KeyCols, KeyIds, Value};
 use std::ops::Range;
-
-/// A group key is direct-addressed when the product of its columns' value
-/// spans is at most this many slots, or twice the morsel's rows when that
-/// is larger.
-const DIRECT_MIN_SLOTS: usize = 1 << 16;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,105 +97,67 @@ pub(super) struct Partial {
     pub(super) accs: Vec<Vec<Acc>>,
 }
 
-/// The direct-addressed image of a group key: null-free `Int` columns in
-/// any encoding whose value spans multiply to a small slot count, so a row's
-/// group is `slots[Σ (v − base)·stride]` — no key allocation, no hashing.
-pub(super) struct DirectKey<'a> {
-    /// Per key column: values, frame base and slot stride.
-    parts: Vec<(IntsRef<'a>, i64, usize)>,
-    slots: usize,
+/// How rows find their group, decided once per aggregate so that every
+/// morsel and the parallel barrier number groups alike: the
+/// direct-addressed [`DirectKey`] image when the key has one, the row
+/// digest otherwise.
+pub(super) enum GroupKey<'a> {
+    Direct(DirectKey<'a>),
+    Hashed(KeyCols<'a>),
 }
 
-impl<'a> DirectKey<'a> {
-    /// The image of `group_cols` over `range`, for tables filled from
-    /// morsels of `morsel_rows` rows; `None` when a column is not a
-    /// null-free `Int` or the slot count exceeds the bound.
-    pub(super) fn new(
-        group_cols: &[&'a Column],
-        range: Range<usize>,
-        morsel_rows: usize,
-    ) -> Option<Self> {
-        let bound = (2 * morsel_rows)
-            .max(DIRECT_MIN_SLOTS)
-            .min(u32::MAX as usize);
-        let ints = group_cols
-            .iter()
-            .map(|c| match c.accessor() {
-                ColumnAccessor::Int(v) if !c.has_nulls() => Some(v),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let mut parts = Vec::with_capacity(ints.len());
-        let mut slots = 1usize;
-        for v in ints {
-            let (base, span) = int_span(v, range.clone())?;
-            parts.push((v, base, slots));
-            slots = slots.checked_mul(span).filter(|&s| s <= bound)?;
+impl<'a> GroupKey<'a> {
+    /// The key of `group_cols` over `rows` rows, for tables filled from
+    /// morsels of `morsel_rows` rows.
+    pub(super) fn new(group_cols: &[&'a Column], rows: usize, morsel_rows: usize) -> Self {
+        match DirectKey::new(group_cols, morsel_rows) {
+            Some(direct) => GroupKey::Direct(direct),
+            None => GroupKey::Hashed(KeyCols::new(group_cols, rows)),
         }
-        Some(DirectKey { parts, slots })
     }
 
-    #[inline]
-    fn slot(&self, i: usize) -> usize {
-        self.parts
-            .iter()
-            .map(|(v, base, stride)| (v.get(i) - base) as usize * stride)
-            .sum()
+    /// Has the key no columns, making the whole input one group?
+    fn is_global(&self) -> bool {
+        matches!(self, GroupKey::Direct(key) if key.width() == 0)
     }
 }
 
-/// Frame base and value span of `v` over `range`: a packed column's frame
-/// comes for free, plain and RLE columns take one min/max pass. `None` for
-/// an empty range or a span beyond `usize`.
-fn int_span(v: IntsRef, range: Range<usize>) -> Option<(i64, usize)> {
-    let (min, max) = match v {
-        IntsRef::Packed(p) => return Some((p.min(), 1usize.checked_shl(p.width())?)),
-        IntsRef::Slice(s) => {
-            let s = &s[range];
-            (*s.iter().min()?, *s.iter().max()?)
-        }
-        IntsRef::Rle(r) => {
-            let mut min_max: Option<(i64, i64)> = None;
-            for_runs_in(r, range, |x, _| {
-                let (lo, hi) = min_max.unwrap_or((x, x));
-                min_max = Some((lo.min(x), hi.max(x)));
-            });
-            min_max?
-        }
-    };
-    let span = usize::try_from(max.abs_diff(min)).ok()?.checked_add(1)?;
-    Some((min, span))
-}
-
-/// Group ids in first-seen order, keyed by a row's [`DirectKey`] slot when
-/// the key has one and by its boxed [`row_key`] otherwise. Accumulation
-/// looks up every input row; the parallel barrier looks up each partial
-/// group's representative row, so both number groups the same way.
+/// Group ids in first-seen order, by a row's [`DirectKey`] slot or by its
+/// digest, each digest match confirmed by `rows_eq` against the group's
+/// first row. Accumulation looks up every input row; the parallel barrier
+/// looks up each partial group's representative row, so both number
+/// groups the same way.
 pub(super) enum GroupIds<'a> {
-    Direct(&'a DirectKey<'a>, Vec<u32>),
-    Hashed(&'a [&'a Column], HashMap<Vec<KeyPart>, usize>),
+    /// The image, each slot's group id (`u32::MAX` for none yet) and the
+    /// number of groups seen.
+    Direct(&'a DirectKey<'a>, Vec<u32>, u32),
+    Hashed(&'a KeyCols<'a>, KeyIds),
 }
 
 impl<'a> GroupIds<'a> {
-    pub(super) fn new(group_cols: &'a [&'a Column], direct: Option<&'a DirectKey<'a>>) -> Self {
-        match direct {
-            Some(key) => GroupIds::Direct(key, vec![u32::MAX; key.slots]),
-            None => GroupIds::Hashed(group_cols, HashMap::new()),
+    pub(super) fn new(key: &'a GroupKey<'a>) -> Self {
+        match key {
+            GroupKey::Direct(key) => GroupIds::Direct(key, vec![u32::MAX; key.slots()], 0),
+            GroupKey::Hashed(key) => GroupIds::Hashed(key, KeyIds::default()),
         }
     }
 
-    /// The group id of row `i`; a row of an unseen key gets `next`.
+    /// The group id of row `i`; a row of an unseen key gets the number of
+    /// groups seen so far.
     #[inline]
-    pub(super) fn id(&mut self, i: usize, next: usize) -> usize {
+    pub(super) fn id(&mut self, i: usize) -> usize {
         match self {
-            GroupIds::Direct(key, slot_gid) => {
+            GroupIds::Direct(key, slot_gid, groups) => {
                 let gid = &mut slot_gid[key.slot(i)];
                 if *gid == u32::MAX {
-                    *gid = next as u32;
+                    *gid = *groups;
+                    *groups += 1;
                 }
                 *gid as usize
             }
-            GroupIds::Hashed(cols, ids) => *ids.entry(row_key(cols, i)).or_insert(next),
+            GroupIds::Hashed(key, ids) => {
+                ids.id(key.digest(i), i, |rep| key.rows_eq(rep, key, i)).0
+            }
         }
     }
 }
@@ -231,13 +185,11 @@ pub(super) fn validate_aggs(r: &Relation, aggs: &[AggSpec]) -> Result<(), Relati
 }
 
 /// Accumulate rows `range` of the input into per-group partial states,
-/// keyed through `direct` when the group key has a direct-addressed image.
-/// Without group columns, `seed_global` opens the single group even over
-/// an empty range (global aggregation semantics: one output row even for
-/// empty input).
+/// keyed through `key`. Without key columns, `seed_global` opens the
+/// single group even over an empty range (global aggregation semantics:
+/// one output row even for empty input).
 pub(super) fn accumulate(
-    group_cols: &[&Column],
-    direct: Option<&DirectKey>,
+    key: &GroupKey,
     agg_cols: &[Option<&Column>],
     aggs: &[AggSpec],
     range: Range<usize>,
@@ -248,7 +200,7 @@ pub(super) fn accumulate(
     // folds its own input column, and an RLE input folds run-at-a-time —
     // one multiply per run for SUM, one comparison per run for MIN/MAX —
     // without decoding.
-    if group_cols.is_empty() {
+    if key.is_global() {
         // a parallel partial materialises the single group only if this
         // worker saw any rows, mirroring the per-row path exactly
         if range.is_empty() && !seed_global {
@@ -261,9 +213,9 @@ pub(super) fn accumulate(
         }
         return out;
     }
-    let mut ids = GroupIds::new(group_cols, direct);
+    let mut ids = GroupIds::new(key);
     for i in range {
-        let gid = ids.id(i, out.rep.len());
+        let gid = ids.id(i);
         if gid == out.rep.len() {
             out.rep.push(i);
             out.accs.push(vec![Acc::default(); aggs.len()]);
@@ -359,15 +311,8 @@ pub fn aggregate(
     validate_aggs(r, aggs)?;
     let group_cols = r.columns_of(group_by)?;
     let agg_cols = resolve_agg_cols(r, aggs)?;
-    let direct = DirectKey::new(&group_cols, 0..r.len(), r.len());
-    let partial = accumulate(
-        &group_cols,
-        direct.as_ref(),
-        &agg_cols,
-        aggs,
-        0..r.len(),
-        group_by.is_empty(),
-    );
+    let key = GroupKey::new(&group_cols, r.len(), r.len());
+    let partial = accumulate(&key, &agg_cols, aggs, 0..r.len(), group_by.is_empty());
     finalize(r, group_by, aggs, &partial.rep, &partial.accs)
 }
 
@@ -378,37 +323,6 @@ fn add_sum(acc: &mut Acc, col: &Column, i: usize) {
         ColumnAccessor::Int(v) => acc.isum += i128::from(v.get(i)),
         ColumnAccessor::Float(v) => acc.sum += v.get(i),
         _ => unreachable!("checked numeric"),
-    }
-}
-
-/// Visit the values of `r` restricted to `range` with their multiplicity:
-/// a run overlapping the range is reported once with its overlap length.
-fn for_runs_in<T: RleValue>(
-    r: &Rle<T>,
-    range: std::ops::Range<usize>,
-    mut f: impl FnMut(T, usize),
-) {
-    let mut pos = 0usize;
-    for seg in r.segs() {
-        let seg_len = match seg {
-            Seg::Run { len, .. } => *len,
-            Seg::Dense(v) => v.len(),
-        };
-        let (s, e) = (pos.max(range.start), (pos + seg_len).min(range.end));
-        if e > s {
-            match seg {
-                Seg::Run { value, .. } => f(*value, e - s),
-                Seg::Dense(v) => {
-                    for i in s..e {
-                        f(v[i - pos], 1);
-                    }
-                }
-            }
-        }
-        pos += seg_len;
-        if pos >= range.end {
-            break;
-        }
     }
 }
 
@@ -430,7 +344,7 @@ fn accumulate_global(
             ColumnAccessor::Int(v) if v.rle().is_some() => {
                 let r = v.rle().expect("probed");
                 acc.count_nonnull += range.len() as u64;
-                for_runs_in(r, range, |x, mult| {
+                r.for_runs_in(range, |x, mult| {
                     if needs_sum {
                         acc.isum += i128::from(x) * mult as i128;
                     }
@@ -443,7 +357,7 @@ fn accumulate_global(
             ColumnAccessor::Float(v) if v.rle().is_some() => {
                 let r = v.rle().expect("probed");
                 acc.count_nonnull += range.len() as u64;
-                for_runs_in(r, range, |x, mult| {
+                r.for_runs_in(range, |x, mult| {
                     if needs_sum {
                         acc.sum += x * mult as f64;
                     }
@@ -533,6 +447,7 @@ fn finish(acc: &Acc, spec: &AggSpec, dt: DataType) -> Result<Value, RelationErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::bits_text;
     use crate::relation::RelationBuilder;
 
     fn trips() -> Relation {
@@ -772,7 +687,8 @@ mod tests {
         let aggs = parity_aggs();
         let group_cols = r.columns_of(keys).unwrap();
         let agg_cols = resolve_agg_cols(r, &aggs).unwrap();
-        let p = accumulate(&group_cols, None, &agg_cols, &aggs, 0..r.len(), false);
+        let key = GroupKey::Hashed(KeyCols::new(&group_cols, r.len()));
+        let p = accumulate(&key, &agg_cols, &aggs, 0..r.len(), false);
         finalize(r, keys, &aggs, &p.rep, &p.accs).unwrap()
     }
 
@@ -832,26 +748,34 @@ mod tests {
     /// serial and pooled aggregates at 1, 2 and 4 threads equal the hash
     /// path row for row (first-seen order included) and the reference.
     fn assert_parity(r: &Relation, keys: &[&str], direct: bool) {
+        assert_parity_to(r, keys, direct, naive(r, keys));
+    }
+
+    /// [`assert_parity`] against the given expected rows.
+    fn assert_parity_to(r: &Relation, keys: &[&str], direct: bool, expected: Vec<Vec<Value>>) {
         use crate::algebra::aggregate_parallel;
         use crate::par::WorkerPool;
         let group_cols = r.columns_of(keys).unwrap();
         assert_eq!(
-            DirectKey::new(&group_cols, 0..r.len(), r.len()).is_some(),
+            matches!(
+                GroupKey::new(&group_cols, r.len(), r.len()),
+                GroupKey::Direct(_)
+            ),
             direct,
             "direct-addressed image for {keys:?}"
         );
-        let hash = hashed(r, keys);
-        let reference = naive(r, keys);
+        let hash = bits_text(hashed(r, keys).rows());
         assert_eq!(
-            hash.rows().collect::<Vec<_>>(),
-            reference,
+            hash,
+            bits_text(expected.into_iter()),
             "hash path vs reference"
         );
-        assert_eq!(aggregate(r, keys, &parity_aggs()).unwrap(), hash, "serial");
+        let serial = aggregate(r, keys, &parity_aggs()).unwrap();
+        assert_eq!(bits_text(serial.rows()), hash, "serial");
         for threads in [1, 2, 4] {
             let pool = WorkerPool::new(threads);
             let par = aggregate_parallel(r, keys, &parity_aggs(), &pool).unwrap();
-            assert_eq!(par, hash, "{keys:?} at {threads} threads");
+            assert_eq!(bits_text(par.rows()), hash, "{keys:?} at {threads} threads");
         }
     }
 
@@ -925,12 +849,60 @@ mod tests {
                 Column::from((0..N).map(|i| format!("k{}", i % 8)).collect::<Vec<_>>()),
             ),
             ("i", int_col(|i| i % 3, rma_storage::Encoding::Plain)),
+            (
+                "dict",
+                Column::from(
+                    (0..N)
+                        .map(|i| format!("d{}", i * 7 % 13))
+                        .collect::<Vec<_>>(),
+                )
+                .encode_as(rma_storage::Encoding::Dict)
+                .unwrap(),
+            ),
         ]);
         assert_parity(&r, &["nullable"], false);
         assert_parity(&r, &["f"], false);
         assert_parity(&r, &["str"], false);
+        assert_parity(&r, &["dict"], false);
         // one non-Int column sends the whole key to the hash path
         assert_parity(&r, &["i", "str"], false);
         assert_parity(&r, &["i", "nullable"], false);
+        assert_parity(&r, &["dict", "i"], false);
+    }
+
+    #[test]
+    fn float_group_keys_collapse_signed_zeros_and_nan_payloads() {
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
+        let cycle = [0.0, -0.0, nan_a, nan_b, 1.5];
+        let r = keyed(vec![(
+            "f",
+            Column::from((0..N).map(|i| cycle[i % 5]).collect::<Vec<_>>()),
+        )]);
+        // three groups, each keyed by its first row's value: {0.0, -0.0}
+        // as 0.0, both NaNs as nan_a, and 1.5
+        let group = |i: usize| [0, 0, 1, 1, 2][i % 5];
+        let mut expected: Vec<Vec<Value>> = [0.0, nan_a, 1.5]
+            .iter()
+            .map(|&k| vec![Value::Float(k)])
+            .collect();
+        for (g, row) in expected.iter_mut().enumerate() {
+            let xs: Vec<i64> = (0..N)
+                .filter(|&i| group(i) == g)
+                .map(|i| match r.cell(i, "x").unwrap() {
+                    Value::Int(x) => x,
+                    v => unreachable!("x is a null-free Int, got {v:?}"),
+                })
+                .collect();
+            let (n, s) = (xs.len() as i64, xs.iter().sum::<i64>());
+            row.extend([
+                Value::Int(n),
+                Value::Int(s),
+                Value::Int(*xs.iter().min().unwrap()),
+                Value::Int(*xs.iter().max().unwrap()),
+                Value::Float(s as f64 / n as f64),
+            ]);
+        }
+        assert_parity_to(&r, &["f"], false, expected);
     }
 }

@@ -11,12 +11,12 @@
 //!   semantics), then each partition pair is joined independently with the
 //!   ordinary pool-parallel hash join, so every spilled partition re-enters
 //!   the worker pool as its own morsel source. Rows are partitioned by the
-//!   join's own key digest ([`JoinSide::hash_key`]), on bits the in-partition
-//!   hash table never reads ([`grace_bucket`]). A partition whose build side
-//!   still exceeds the budget is recursively repartitioned (fresh digest
-//!   bits per level) up to [`MAX_GRACE_DEPTH`]; past that depth it is
-//!   joined in memory regardless — the budget becomes best-effort rather
-//!   than looping forever on pathological key skew.
+//!   join's own key digest ([`rma_storage::KeyCols::digest`]), on bits the
+//!   in-partition hash table never reads ([`grace_bucket`]). A partition
+//!   whose build side still exceeds the budget is recursively repartitioned
+//!   (fresh digest bits per level) up to [`MAX_GRACE_DEPTH`]; past that
+//!   depth it is joined in memory regardless — the budget becomes
+//!   best-effort rather than looping forever on pathological key skew.
 //! - **External sort**: the input is cut into budget-sized consecutive
 //!   ranges; workers sort each range and spill it as a sorted run; the
 //!   runs are streamed back chunk-at-a-time and merged through a loser tree
@@ -26,10 +26,11 @@
 //!   sort's global-row-index tie-break exactly. It gathers its output in
 //!   blocks of `(run, row)` picks, one typed pass per column, and polls the
 //!   query guard once per block.
-//! - **Spilling aggregate**: rows are hash-partitioned on the group key
-//!   (null keys *are* group keys here, unlike joins), each partition is
-//!   aggregated independently — group keys never span partitions — and
-//!   the partial results are concatenated.
+//! - **Spilling aggregate**: rows are partitioned on the same digest and
+//!   bit field as the grace join's first level (null keys *are* group keys
+//!   here, unlike joins: a NULL cell hashes as a tagged constant), each
+//!   partition is aggregated independently — group keys never span
+//!   partitions — and the partial results are concatenated.
 //!
 //! Results are value-identical to the in-memory operators; the **row
 //! order** of the grace join and the spilling aggregate is partition-major
@@ -37,7 +38,6 @@
 
 use super::join::JoinSide;
 use super::sort::sort_keys;
-use super::{hash_row, row_key};
 use crate::error::RelationError;
 use crate::par::{current_guard, guard_checkpoint, WorkerPool};
 use crate::relation::Relation;
@@ -48,7 +48,6 @@ use rma_storage::{
     Bitmap, Column, ColumnAccessor as A, ColumnData, FloatsRef, IntsRef, RowOrder, StrsRef,
 };
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
 
 /// Maximum grace-join repartition depth: partitioning runs at depths
 /// `0..=MAX_GRACE_DEPTH`, each on ten fresh bits of the join digest, and
@@ -123,36 +122,25 @@ fn grace_buckets(
     let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
     for pos in 0..r.len() {
         let base = side.base(pos);
-        if !side.key_has_null(base) {
-            idx[grace_bucket(side.hash_key(base), parts, depth)].push(pos);
+        if !side.key.has_null(base) {
+            idx[grace_bucket(side.key.digest(base), parts, depth)].push(pos);
         }
     }
     Ok(idx)
 }
 
 /// Visible positions of `r` per aggregate partition, by the group key
-/// `keys`. Null-containing keys are groups too, hashed through their boxed
-/// key.
+/// `keys`: the grace join's first-level field of the key digest. Keys with
+/// NULLs are groups too.
 fn group_buckets(
     r: &Relation,
     keys: &[&str],
     parts: usize,
 ) -> Result<Vec<Vec<usize>>, RelationError> {
-    let cols: Vec<&Column> = keys
-        .iter()
-        .map(|n| r.base_column(n))
-        .collect::<Result<_, _>>()?;
+    let side = JoinSide::new(r, keys)?;
     let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
     for pos in 0..r.len() {
-        let base = r.base_index(pos);
-        let h = if cols.iter().any(|c| c.is_null(base)) {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            row_key(&cols, base).hash(&mut hasher);
-            hasher.finish()
-        } else {
-            hash_row(&cols, base)
-        };
-        idx[(h % parts as u64) as usize].push(pos);
+        idx[grace_bucket(side.key.digest(side.base(pos)), parts, 0)].push(pos);
     }
     Ok(idx)
 }
@@ -743,7 +731,7 @@ pub fn aggregate_external(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{aggregate, join_on, natural_join, order_by, AggFunc, AggSpec};
+    use crate::algebra::{aggregate, bits_text, join_on, natural_join, order_by, AggFunc, AggSpec};
     use crate::par::QueryGuard;
     use crate::relation::RelationBuilder;
     use crate::spill::{live_spill_files, spill_test_guard};
@@ -831,24 +819,83 @@ mod tests {
         assert_eq!(live_spill_files(), baseline);
     }
 
+    /// Rows as text, floats by their bits, sorted: a bag in which signed
+    /// zeros and NaN payloads stay visible.
+    fn bag_bits(r: &Relation) -> Vec<String> {
+        let mut rows = bits_text(r.rows());
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn spilling_aggregate_matches_in_memory_on_every_key_kind() {
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let n = 5000usize;
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
+        let floats = [0.0, -0.0, nan_a, nan_b, 1.5, -2.25];
+        let words: Vec<String> = (0..n).map(|i| format!("w{}", i * 7 % 41)).collect();
+        let r = RelationBuilder::new()
+            .column(
+                "nullable",
+                nullable_ints((0..n as i64).map(|i| (i % 7 != 0).then_some(i % 23))),
+            )
+            .column(
+                "dict",
+                Column::from(words).encode_as(Encoding::Dict).unwrap(),
+            )
+            .column("f", (0..n).map(|i| floats[i % 6]).collect::<Vec<_>>())
+            .column("x", (0..n as i64).map(|i| i % 11 - 5).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        let aggs = [
+            AggSpec::count_star("n"),
+            AggSpec::sum("x", "s"),
+            AggSpec::new(AggFunc::Min, Some("x"), "lo"),
+            AggSpec::new(AggFunc::Max, Some("x"), "hi"),
+        ];
+        for keys in [
+            &["nullable"][..],
+            &["dict"],
+            &["f"],
+            &["f", "nullable"],
+            &["dict", "f"],
+        ] {
+            let mem = aggregate(&r, keys, &aggs).unwrap();
+            for threads in [1, 2, 4] {
+                let pool = WorkerPool::new(threads);
+                let ext = aggregate_external(&r, keys, &aggs, &pool).unwrap();
+                assert_eq!(
+                    bag_bits(&ext),
+                    bag_bits(&mem),
+                    "{keys:?} at {threads} threads"
+                );
+            }
+        }
+        // NULL is one group; 0.0/-0.0 and the NaNs are one group each
+        assert_eq!(aggregate(&r, &["nullable"], &aggs).unwrap().len(), 24);
+        assert_eq!(aggregate(&r, &["f"], &aggs).unwrap().len(), 4);
+        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+    }
+
+    #[test]
+    fn group_partitions_spread_evenly() {
+        let r = RelationBuilder::new()
+            .column("k", (0..100_000i64).collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        for parts in [3, 4, 8, 32] {
+            assert_even(
+                &group_buckets(&r, &["k"], parts).unwrap(),
+                &format!("{parts} parts"),
+            );
+        }
+    }
+
     // -----------------------------------------------------------------
     // External sort: exact row order against the serial sort
     // -----------------------------------------------------------------
-
-    /// Cells as text, floats by their bits: NaN payloads and signed zeros
-    /// must land exactly where the serial sort puts them.
-    fn cells(r: &Relation) -> Vec<Vec<String>> {
-        r.rows()
-            .map(|row| {
-                row.iter()
-                    .map(|v| match v {
-                        Value::Float(x) => format!("f{:016x}", x.to_bits()),
-                        v => format!("{v:?}"),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 
     /// `n` rows cut into `runs` near-equal consecutive ranges.
     fn even_runs(n: usize, runs: usize) -> Vec<std::ops::Range<usize>> {
@@ -865,8 +912,8 @@ mod tests {
         let ser = order_by(r, attrs, asc).unwrap();
         assert_eq!(ext.schema(), ser.schema());
         assert_eq!(
-            cells(&ext),
-            cells(&ser),
+            bits_text(ext.rows()),
+            bits_text(ser.rows()),
             "{attrs:?} {asc:?} over {} runs",
             ranges.len()
         );
@@ -963,8 +1010,8 @@ mod tests {
         let merged = merge_runs(whole.schema(), readers, chunks, &key_idx, &[true], n).unwrap();
         drop(files);
         assert_eq!(
-            cells(&merged),
-            cells(&order_by(&whole, &["s"], &[true]).unwrap())
+            bits_text(merged.rows()),
+            bits_text(order_by(&whole, &["s"], &[true]).unwrap().rows())
         );
     }
 

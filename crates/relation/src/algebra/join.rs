@@ -3,66 +3,21 @@
 //! Late materialization: both join inputs may be selection-vector views.
 //! The build and probe sides read key cells straight through their
 //! selection vectors ([`JoinSide`]) — neither side is compacted — and the
-//! hash table keys on one multiply–xorshift digest of the typed key cells
-//! ([`JoinSide::hash_key`]) instead of boxing a `Value` key per row; the
+//! hash table keys on the one row digest of `rma_storage::key`
+//! ([`KeyCols::digest`]) instead of boxing a `Value` key per row; the
 //! table passes that digest through ([`JoinTable`]) rather than hashing it
 //! again. The single gather happens in [`assemble_join`], which composes
 //! the match indices with each side's selection vector and materialises
 //! only the surviving rows.
 
-use super::{float_key_bits, rows_eq};
 use crate::error::RelationError;
 use crate::expr::Expr;
 use crate::relation::Relation;
-use rma_storage::{ColumnAccessor, Dict, SelVec};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use rma_storage::{DigestMap, KeyCols, SelVec};
 
 /// A join's build-side hash table: key digest → build positions, ascending.
-/// The table indexes by the digest's low bits and tags its slots with the
-/// top 7; the grace join partitions on the bits between them.
-pub(super) type JoinTable = HashMap<u64, Vec<usize>, BuildHasherDefault<PassThrough>>;
-
-/// The [`JoinTable`] hasher: its keys are already mixed digests, so the
-/// digest itself is the hash. The digest is unkeyed, as the fixed-key
-/// SipHash it replaces was, so keys that collide still share a bucket
-/// whatever the table's hasher.
-#[derive(Default)]
-pub(super) struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = mix(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
-}
-
-/// Multiply–xorshift finaliser (splitmix64's): every input bit reaches the
-/// high and the low bits of the output, which both halves of the table
-/// lookup use.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One key cell's bits with its type tag folded in, so e.g. `Int 0` and
-/// `Bool false` land apart (equal tags and bits are still only a bucket
-/// match: [`rows_eq`] decides).
-#[inline]
-fn tagged(tag: u64, bits: u64) -> u64 {
-    bits ^ (tag + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
+/// The grace join partitions on digest bits the table never reads.
+pub(super) type JoinTable = DigestMap<Vec<usize>>;
 
 /// Inner equi-join `a ⋈_{a.x = b.y} b` via a hash table on the smaller
 /// side's key columns. The output schema is the concatenation of both full
@@ -121,21 +76,13 @@ pub fn cross_product(a: &Relation, b: &Relation) -> Result<Relation, RelationErr
     Relation::new(schema, columns)
 }
 
-/// One side of a hash join: the key's *base* columns plus the relation's
-/// selection vector. Positions (0..relation.len()) are resolved to base
-/// rows on the fly — probing and building run through the SelVec without
-/// compacting either input.
+/// One side of a hash join: the key's *base* columns, resolved once, plus
+/// the relation's selection vector. Positions (0..relation.len()) are
+/// resolved to base rows on the fly — probing and building run through the
+/// SelVec without compacting either input.
 pub(super) struct JoinSide<'a> {
-    cols: Vec<&'a rma_storage::Column>,
-    /// The key columns' accessors, resolved once per join.
-    accs: Vec<ColumnAccessor<'a>>,
+    pub(super) key: KeyCols<'a>,
     sel: Option<&'a SelVec>,
-    /// Per key column: when dictionary encoded, the dictionary plus a
-    /// code → value-hash LUT computed once per join (one string hash per
-    /// *distinct* value); per-row hashing becomes a code lookup. A table
-    /// larger than the rows to hash (a filtered or spilled slice keeps its
-    /// whole shared table) gets no LUT: its rows hash their strings.
-    dict_luts: Vec<Option<(&'a Dict, Vec<u64>)>>,
 }
 
 impl<'a> JoinSide<'a> {
@@ -144,24 +91,9 @@ impl<'a> JoinSide<'a> {
             .iter()
             .map(|n| r.base_column(n))
             .collect::<Result<_, _>>()?;
-        let accs: Vec<ColumnAccessor> = cols.iter().map(|c| c.accessor()).collect();
-        let dict_luts = accs
-            .iter()
-            .map(|a| match a {
-                ColumnAccessor::Str(s) => {
-                    s.dict().filter(|d| d.values().len() <= r.len()).map(|d| {
-                        let lut = d.values().iter().map(|v| str_value_hash(v)).collect();
-                        (d, lut)
-                    })
-                }
-                _ => None,
-            })
-            .collect();
         Ok(JoinSide {
-            cols,
-            accs,
+            key: KeyCols::new(&cols, r.len()),
             sel: r.sel(),
-            dict_luts,
         })
     }
 
@@ -173,68 +105,22 @@ impl<'a> JoinSide<'a> {
             None => pos,
         }
     }
-
-    #[inline]
-    pub(super) fn key_has_null(&self, base: usize) -> bool {
-        self.cols.iter().any(|c| c.is_null(base))
-    }
-
-    /// Composite key digest of base row `base`: per-column cell hashes
-    /// (dictionary columns via the code LUT) folded as
-    /// `h = mix(rotl(h) ^ cell)`, so `(a, b)` and `(b, a)` differ. Both
-    /// sides of a join hash through this, so a dict-encoded build side and
-    /// a plain probe side still land in the same bucket.
-    #[inline]
-    pub(super) fn hash_key(&self, base: usize) -> u64 {
-        let mut h = 0u64;
-        for (a, lut) in self.accs.iter().zip(&self.dict_luts) {
-            let cell = match lut {
-                Some((d, lut)) => lut[d.code(base) as usize],
-                None => cell_hash(a, base),
-            };
-            h = mix(h.rotate_left(23) ^ cell);
-        }
-        h
-    }
-}
-
-/// Hash one string the way [`cell_hash`] hashes a string cell, so
-/// dictionary LUT entries and plain-column hashes agree.
-fn str_value_hash(s: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    2u8.hash(&mut h);
-    s.hash(&mut h);
-    h.finish()
-}
-
-/// Cell hash of one non-null cell: its bits under a type tag (floats by
-/// [`float_key_bits`], so `-0.0` meets `0.0` and NaN meets NaN), strings by
-/// [`str_value_hash`]; reads through the encoding-aware accessors.
-#[inline]
-fn cell_hash(a: &ColumnAccessor, i: usize) -> u64 {
-    match a {
-        ColumnAccessor::Int(v) => tagged(0, v.get(i) as u64),
-        ColumnAccessor::Float(v) => tagged(1, float_key_bits(v.get(i))),
-        ColumnAccessor::Str(v) => str_value_hash(v.get(i)),
-        ColumnAccessor::Bool(v) => tagged(3, u64::from(v[i])),
-        ColumnAccessor::Date(v) => tagged(4, v[i] as u64),
-    }
 }
 
 /// Build-side hash table over visible positions `range` (positions within a
 /// morsel are ascending and morsels are disjoint ascending ranges, so
 /// per-partition tables merge in partition order). Buckets are keyed by the
 /// composite key digest; equal-digest rows of *different* keys are
-/// separated at probe time by [`rows_eq`].
+/// separated at probe time by [`KeyCols::rows_eq`].
 pub(super) fn build_side_range(side: &JoinSide, range: std::ops::Range<usize>) -> JoinTable {
     let mut table =
         JoinTable::with_capacity_and_hasher(range.end - range.start, Default::default());
     for pos in range {
         let base = side.base(pos);
-        if side.key_has_null(base) {
+        if side.key.has_null(base) {
             continue; // NULL keys never match
         }
-        table.entry(side.hash_key(base)).or_default().push(pos);
+        table.entry(side.key.digest(base)).or_default().push(pos);
     }
     table
 }
@@ -252,12 +138,12 @@ pub(super) fn probe_range(
     let mut right_idx = Vec::with_capacity(range.len());
     for pos in range {
         let pb = probe.base(pos);
-        if probe.key_has_null(pb) {
+        if probe.key.has_null(pb) {
             continue;
         }
-        if let Some(bucket) = table.get(&probe.hash_key(pb)) {
+        if let Some(bucket) = table.get(&probe.key.digest(pb)) {
             for &j in bucket {
-                if rows_eq(&probe.accs, pb, &build.accs, build.base(j)) {
+                if probe.key.rows_eq(pb, &build.key, build.base(j)) {
                     left_idx.push(pos);
                     right_idx.push(j);
                 }
@@ -540,7 +426,7 @@ mod tests {
 
     #[test]
     fn float_keys_join_by_normalised_bits() {
-        // -0.0 meets 0.0 and NaN meets NaN, exactly as KeyPart compares
+        // -0.0 meets 0.0 and NaN meets NaN, exactly as grouping compares
         let a = tiled(&rel(vec![("k", vec![-0.0f64, f64::NAN, 1.5, 2.0].into())]));
         let b = rel(vec![("k2", vec![0.0f64, -f64::NAN, 2.5].into())]);
         let j = all_paths(&a, &b, &[("k", "k2")]);
@@ -580,7 +466,7 @@ mod tests {
         ]);
         // the digest of (1, 2) is not the digest of (2, 1)
         let side = JoinSide::new(&a, &["p", "q"]).unwrap();
-        assert_ne!(side.hash_key(0), side.hash_key(1));
+        assert_ne!(side.key.digest(0), side.key.digest(1));
         let a = tiled(&a);
         let b = rel(vec![("p2", vec![2i64].into()), ("q2", vec![1i64].into())]);
         let j = all_paths(&a, &b, &[("p", "p2"), ("q", "q2")]);

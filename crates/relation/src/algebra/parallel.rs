@@ -14,7 +14,7 @@
 //! threads themselves: every job runs on the pool's parked workers.
 
 use super::aggregate::{
-    accumulate, finalize, resolve_agg_cols, validate_aggs, DirectKey, GroupIds, Partial,
+    accumulate, finalize, resolve_agg_cols, validate_aggs, GroupIds, GroupKey, Partial,
 };
 use super::join::{
     assemble_join, build_side_range, common_attributes, join_key_sides, probe_range, JoinTable,
@@ -79,26 +79,19 @@ pub fn aggregate_parallel(
     let group_cols = r.columns_of(group_by)?;
     let agg_cols = resolve_agg_cols(r, aggs)?;
     let ranges = partition_ranges(r.len(), morsel_count(threads, r.len()));
-    // one key image for every morsel, so the barrier merges by slot too
-    let direct = DirectKey::new(&group_cols, 0..r.len(), ranges[0].len());
+    // one group key for every morsel, so the barrier merges by it too
+    let key = GroupKey::new(&group_cols, r.len(), ranges[0].len());
     let partials = pool.for_each(&ranges, |_, range| {
-        accumulate(
-            &group_cols,
-            direct.as_ref(),
-            &agg_cols,
-            aggs,
-            range.clone(),
-            false,
-        )
+        accumulate(&key, &agg_cols, aggs, range.clone(), false)
     });
     crate::par::guard_checkpoint()?;
 
     // merge at the barrier, in morsel order
     let mut merged = Partial::default();
-    let mut ids = GroupIds::new(&group_cols, direct.as_ref());
+    let mut ids = GroupIds::new(&key);
     for partial in partials {
         for (rep, accs) in partial.rep.into_iter().zip(partial.accs) {
-            let gid = ids.id(rep, merged.rep.len());
+            let gid = ids.id(rep);
             if gid == merged.rep.len() {
                 merged.rep.push(rep);
                 merged.accs.push(accs);

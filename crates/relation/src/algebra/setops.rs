@@ -1,10 +1,8 @@
 //! Bag union, duplicate elimination, ordering, limit.
 
-use super::row_key;
 use crate::error::RelationError;
 use crate::relation::Relation;
-use rma_storage::Column;
-use std::collections::HashSet;
+use rma_storage::{Column, KeyCols, KeyIds};
 
 /// `UNION ALL`: bag union of two union-compatible relations. The output
 /// keeps the left schema's attribute names.
@@ -20,18 +18,17 @@ pub fn union_all(a: &Relation, b: &Relation) -> Result<Relation, RelationError> 
 }
 
 /// Duplicate elimination (SQL `DISTINCT`), keeping first occurrences in
-/// input order.
+/// input order. Rows are equal under grouping's key equality: NULL meets
+/// NULL, `-0.0` meets `0.0`, NaN meets NaN.
 pub fn distinct(r: &Relation) -> Result<Relation, RelationError> {
     let names: Vec<&str> = r.schema().names().collect();
     let cols = r.columns_of(&names)?;
-    let mut seen = HashSet::with_capacity(r.len());
-    let mut keep_idx = Vec::new();
+    let key = KeyCols::new(&cols, r.len());
+    let mut ids = KeyIds::default();
     for i in 0..r.len() {
-        if seen.insert(row_key(&cols, i)) {
-            keep_idx.push(i);
-        }
+        ids.id(key.digest(i), i, |rep| key.rows_eq(rep, &key, i));
     }
-    Ok(r.take(&keep_idx))
+    Ok(r.take(&ids.reps()))
 }
 
 /// `ORDER BY` over the given attributes; `ascending[k]` gives the direction
@@ -82,6 +79,7 @@ pub fn limit(r: &Relation, n: usize, offset: usize) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::bits_text;
     use crate::relation::RelationBuilder;
     use rma_storage::Value;
 
@@ -127,6 +125,111 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.cell(0, "x").unwrap(), Value::Int(3));
         assert_eq!(d.cell(1, "x").unwrap(), Value::Int(1));
+    }
+
+    // -----------------------------------------------------------------
+    // DISTINCT key semantics against a pairwise reference
+    // -----------------------------------------------------------------
+
+    /// Cell equality as grouping defines it, written without the engine:
+    /// NULL meets NULL, floats meet by value or when both are NaN (so
+    /// `-0.0` meets `0.0`), every other cell by value.
+    fn same_cell(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+            _ => a == b,
+        }
+    }
+
+    /// `distinct(r)` keeps exactly the first row of every class of
+    /// pairwise-equal rows, in input order.
+    fn assert_distinct(r: &Relation) -> Relation {
+        let rows: Vec<Vec<Value>> = r.rows().collect();
+        let first: Vec<usize> = (0..rows.len())
+            .filter(|&i| {
+                !(0..i).any(|j| rows[j].iter().zip(&rows[i]).all(|(a, b)| same_cell(a, b)))
+            })
+            .collect();
+        let d = distinct(r).unwrap();
+        assert_eq!(bits_text(d.rows()), bits_text(r.take(&first).rows()));
+        d
+    }
+
+    fn typed(dt: rma_storage::DataType, vals: &[Value]) -> Relation {
+        let schema = crate::schema::Schema::from_pairs(&[("k", dt)]).unwrap();
+        Relation::new(schema, vec![Column::from_values_typed(dt, vals).unwrap()]).unwrap()
+    }
+
+    #[test]
+    fn distinct_collapses_null_rows_to_one() {
+        let (n, i) = (Value::Null, Value::Int);
+        let vals = [n.clone(), i(1), n.clone(), i(2), i(1), n];
+        let d = assert_distinct(&typed(rma_storage::DataType::Int, &vals));
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.cell(0, "k").unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn distinct_collapses_signed_zeros_and_nan_payloads() {
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
+        let vals: Vec<Value> = [0.0, -0.0, nan_a, 1.5, nan_b, -0.0, 1.5]
+            .into_iter()
+            .map(Value::Float)
+            .collect();
+        let d = assert_distinct(&typed(rma_storage::DataType::Float, &vals));
+        // the first of each class is kept: 0.0, nan_a, 1.5
+        assert_eq!(
+            bits_text(d.rows()),
+            [0.0, nan_a, 1.5].map(|x| format!("f{:016x}", x.to_bits()))
+        );
+    }
+
+    #[test]
+    fn distinct_on_a_dictionary_column_equals_its_plain_twin() {
+        let words: Vec<&str> = (0..40)
+            .map(|i| ["pear", "fig", "kiwi"][i * 7 % 3])
+            .collect();
+        let plain = RelationBuilder::new()
+            .column("w", words.clone())
+            .column("x", (0..40).map(|i| i % 2).collect::<Vec<i64>>())
+            .build()
+            .unwrap();
+        let dict_col = Column::from(words)
+            .encode_as(rma_storage::Encoding::Dict)
+            .unwrap();
+        let dict = RelationBuilder::new()
+            .column("w", dict_col)
+            .column("x", (0..40).map(|i| i % 2).collect::<Vec<i64>>())
+            .build()
+            .unwrap();
+        let (dp, dd) = (assert_distinct(&plain), assert_distinct(&dict));
+        assert_eq!(bits_text(dp.rows()), bits_text(dd.rows()));
+        assert_eq!(dp.len(), 6);
+    }
+
+    #[test]
+    fn distinct_reads_through_a_selection_vector() {
+        let view = rel().take(&[3, 1, 0, 3, 2, 1, 2]);
+        let d = assert_distinct(&view);
+        assert_eq!(
+            bits_text(d.rows()),
+            bits_text(distinct(&view.materialize()).unwrap().rows())
+        );
+        assert_eq!(d.len(), 3);
+    }
+
+    #[test]
+    fn distinct_multi_column_keys_respect_column_order() {
+        let r = RelationBuilder::new()
+            .column("a", vec![1i64, 2, 1, 2, 1, 2])
+            .column("b", vec![2i64, 1, 2, 1, 1, 2])
+            .build()
+            .unwrap();
+        // (1, 2) and (2, 1) are different rows
+        assert_eq!(assert_distinct(&r).len(), 4);
+        let swapped = crate::algebra::project(&r, &["b", "a"]).unwrap();
+        assert_eq!(assert_distinct(&swapped).len(), 4);
     }
 
     #[test]

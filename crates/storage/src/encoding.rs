@@ -225,6 +225,23 @@ impl<T: RleValue> Rle<T> {
         }
     }
 
+    /// Visit the values of rows `range` with their multiplicity: a segment
+    /// overlapping the range is reported run-at-a-time, once with its
+    /// overlap length, or value-at-a-time with multiplicity 1.
+    pub fn for_runs_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(T, usize)) {
+        for (seg, &s0) in self.segs.iter().zip(&self.starts) {
+            if s0 >= range.end {
+                break;
+            }
+            let (lo, hi) = (s0.max(range.start), (s0 + seg.len()).min(range.end));
+            match seg {
+                Seg::Run { value, .. } if hi > lo => f(*value, hi - lo),
+                Seg::Dense(v) => (lo..hi).for_each(|i| f(v[i - s0], 1)),
+                Seg::Run { .. } => {}
+            }
+        }
+    }
+
     /// The subrange `start..end`, still run-length encoded (partitioned
     /// scans slice runs without decoding them).
     pub fn slice(&self, start: usize, end: usize) -> Rle<T> {

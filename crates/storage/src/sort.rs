@@ -21,7 +21,8 @@
 //!
 //! Both paths are stable and use the null-first total order of
 //! [`Column::cmp_rows`], so they produce exactly the permutation
-//! `sort_by(cmp_rows)` would.
+//! `sort_by(cmp_rows)` would. Key *equality*, and the key check without a
+//! sort, live in [`crate::key`].
 
 use crate::access::{ColumnAccessor, FloatsRef, IntsRef};
 use crate::bitmap::Bitmap;
@@ -269,12 +270,6 @@ pub fn sort_permutation(columns: &[&Column]) -> Vec<usize> {
     key_sort(columns).into_perm(n)
 }
 
-/// Check whether the given columns form a key (no duplicate row in the
-/// projection), via the sort.
-pub fn is_key(columns: &[&Column]) -> bool {
-    key_sort(columns).unique
-}
-
 const SIGN: u64 = 1 << 63;
 
 #[inline]
@@ -451,19 +446,6 @@ mod tests {
         assert_eq!(sort_permutation(&[&a]), vec![0, 1, 2]);
         let b = Column::from(vec![2i64, 1, 2, 1, 2]);
         assert_eq!(sort_permutation(&[&b]), vec![1, 3, 0, 2, 4]);
-    }
-
-    #[test]
-    fn key_detection() {
-        let unique = Column::from(vec![3i64, 1, 2]);
-        assert!(is_key(&[&unique]));
-        let dup = Column::from(vec![1i64, 2, 1]);
-        assert!(!is_key(&[&dup]));
-        // composite key: neither column alone is a key, together they are
-        let a = Column::from(vec![1i64, 1, 2]);
-        let b = Column::from(vec![1i64, 2, 1]);
-        assert!(!is_key(&[&a]));
-        assert!(is_key(&[&a, &b]));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rma_storage::{
     bat::float_ops, cmp_rows, encoding::rle_add_f64, invert_permutation, is_key, key_sort,
-    sort_permutation, Bitmap, Column, ColumnData, Dict, Encoding, Packed, Rle,
+    sort_permutation, Bitmap, Column, ColumnData, Dict, DirectKey, Encoding, Packed, Rle,
 };
 use std::cmp::Ordering;
 
@@ -28,6 +28,92 @@ fn assert_sorts_like_reference(what: &str, columns: &[&Column]) {
         "{what}: key verdict"
     );
     assert_eq!(sorted.into_perm(n), reference, "{what}: permutation");
+}
+
+/// Key schemas over one generated row set: every key type and encoding,
+/// nullable columns, multi-column keys, signed zeros, NaN payloads and
+/// dictionary strings. `spread` bounds the small values, so duplicates are
+/// common.
+fn key_cases(raw: &[(u64, usize)], spread: u64) -> Vec<(&'static str, Vec<Column>)> {
+    let narrow = |x: u64| (x % spread) as i64 - (spread / 2) as i64;
+    let ints: Vec<i64> = raw
+        .iter()
+        .map(|&(x, pick)| match pick {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -(x as i64 >> 20),
+            _ => narrow(x),
+        })
+        .collect();
+    let special = [
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MIN_POSITIVE,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        -1.5,
+    ];
+    let floats: Vec<f64> = raw
+        .iter()
+        .map(|&(x, pick)| {
+            if pick < 3 {
+                special[(x % 9) as usize]
+            } else {
+                narrow(x) as f64 / 4.0
+            }
+        })
+        .collect();
+    let small: Vec<i64> = raw.iter().map(|&(x, _)| narrow(x)).collect();
+    let runs: Vec<i64> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, _))| narrow(x / 7) + (i / 11) as i64 % 3)
+        .collect();
+    let words: Vec<String> = raw
+        .iter()
+        .map(|&(x, _)| format!("w{}", narrow(x)))
+        .collect();
+    let int_col = Column::from(ints);
+    let float_col = Column::from(floats.clone());
+    let small_col = Column::from(small.clone());
+    let runs_col = Column::from(runs);
+    let word_col = Column::from(words);
+    let date_col = Column::new(ColumnData::Date(
+        small.iter().map(|&v| v as i32 * 1000).collect(),
+    ));
+    let bool_col = Column::from(raw.iter().map(|&(x, _)| x % 3 == 0).collect::<Vec<bool>>());
+    let mask: Vec<bool> = raw.iter().map(|&(_, pick)| pick == 5).collect();
+    let nullable = Column::with_nulls(ColumnData::Int(small), Bitmap::from_bools(&mask)).unwrap();
+    let mut cases = vec![
+        ("int", vec![int_col]),
+        ("float", vec![float_col.clone()]),
+        ("date", vec![date_col]),
+        ("bool", vec![bool_col]),
+        ("plain strings", vec![word_col.clone()]),
+        ("nullable", vec![nullable.clone()]),
+        ("two columns", vec![small_col.clone(), float_col]),
+        ("two ints", vec![small_col.clone(), runs_col.clone()]),
+        ("string then nullable", vec![word_col.clone(), nullable]),
+    ];
+    let encoded = [
+        ("packed", small_col.encode_as(Encoding::Packed)),
+        ("rle int", runs_col.encode_as(Encoding::Rle)),
+        (
+            "rle float",
+            Column::from(floats.iter().map(|f| f.round()).collect::<Vec<f64>>())
+                .encode_as(Encoding::Rle),
+        ),
+        ("dictionary", word_col.encode_as(Encoding::Dict)),
+    ];
+    for (what, col) in encoded {
+        if let Some(col) = col {
+            cases.push((what, vec![col]));
+        }
+    }
+    cases
 }
 
 proptest! {
@@ -82,76 +168,36 @@ proptest! {
         raw in proptest::collection::vec((0u64..u64::MAX, 0usize..8), 0..96),
         spread in 1u64..40,
     ) {
-        let narrow = |x: u64| (x % spread) as i64 - (spread / 2) as i64;
-        let ints: Vec<i64> = raw
-            .iter()
-            .map(|&(x, pick)| match pick {
-                0 => i64::MIN,
-                1 => i64::MAX,
-                2 => -(x as i64 >> 20),
-                _ => narrow(x),
-            })
-            .collect();
-        let special = [
-            -0.0,
-            0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::MIN_POSITIVE,
-            -1.5,
-        ];
-        let floats: Vec<f64> = raw
-            .iter()
-            .map(|&(x, pick)| if pick < 3 { special[(x % 8) as usize] } else { narrow(x) as f64 / 4.0 })
-            .collect();
-        let small: Vec<i64> = raw.iter().map(|&(x, _)| narrow(x)).collect();
-        let runs: Vec<i64> = raw.iter().enumerate().map(|(i, &(x, _))| narrow(x / 7) + (i / 11) as i64 % 3).collect();
-        let words: Vec<String> = raw.iter().map(|&(x, _)| format!("w{}", narrow(x))).collect();
-        let int_col = Column::from(ints);
-        let float_col = Column::from(floats.clone());
-        let small_col = Column::from(small.clone());
-        let runs_col = Column::from(runs);
-        let word_col = Column::from(words);
-        let date_col = Column::new(ColumnData::Date(small.iter().map(|&v| v as i32 * 1000).collect()));
-        let bool_col = Column::from(raw.iter().map(|&(x, _)| x % 3 == 0).collect::<Vec<bool>>());
-        let mask: Vec<bool> = raw.iter().map(|&(_, pick)| pick == 5).collect();
-        let nullable = Column::with_nulls(ColumnData::Int(small), Bitmap::from_bools(&mask)).unwrap();
-        let mut cases: Vec<(&str, Vec<&Column>)> = vec![
-            ("int", vec![&int_col]),
-            ("float", vec![&float_col]),
-            ("date", vec![&date_col]),
-            ("bool", vec![&bool_col]),
-            ("plain strings", vec![&word_col]),
-            ("nullable", vec![&nullable]),
-            ("two columns", vec![&small_col, &float_col]),
-            ("string then nullable", vec![&word_col, &nullable]),
-        ];
-        let encoded = [
-            ("packed", small_col.encode_as(Encoding::Packed)),
-            ("rle int", runs_col.encode_as(Encoding::Rle)),
-            ("rle float", Column::from(floats.iter().map(|f| f.round()).collect::<Vec<f64>>()).encode_as(Encoding::Rle)),
-            ("dictionary", word_col.encode_as(Encoding::Dict)),
-        ];
-        for (what, col) in &encoded {
-            if let Some(col) = col {
-                cases.push((what, vec![col]));
-            }
-        }
-        for (what, columns) in &cases {
-            assert_sorts_like_reference(what, columns);
+        for (what, columns) in &key_cases(&raw, spread) {
+            let columns: Vec<&Column> = columns.iter().collect();
+            assert_sorts_like_reference(what, &columns);
         }
     }
 
-    // is_key agrees with a brute-force duplicate check
+    // the key check without a sort, on both of its paths, gives the sort's
+    // verdict, which is a brute-force duplicate check under `cmp_rows`
     #[test]
-    fn key_check_agrees_with_bruteforce(vals in proptest::collection::vec(0i64..12, 0..24)) {
-        let c = Column::from(vals.clone());
-        let mut dedup = vals.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        prop_assert_eq!(is_key(&[&c]), dedup.len() == vals.len());
+    fn key_check_agrees_with_bruteforce(
+        raw in proptest::collection::vec((0u64..u64::MAX, 0usize..8), 0..96),
+        spread in 1u64..40,
+    ) {
+        for (what, columns) in &key_cases(&raw, spread) {
+            let columns: Vec<&Column> = columns.iter().collect();
+            let n = columns[0].len();
+            let brute = (0..n).all(|i| (0..i).all(|j| cmp_rows(&columns, i, j) != Ordering::Equal));
+            prop_assert_eq!(key_sort(&columns).unique, brute, "{}: the sort", what);
+            prop_assert_eq!(is_key(&columns), brute, "{}: is_key", what);
+        }
+        // the direct-addressed image's slot bound, exactly at it and one over
+        let small: Vec<i64> = raw.iter().map(|&(x, _)| (x % spread) as i64).collect();
+        for (top, direct) in [(65_535, true), (65_536, false)] {
+            let vals = [vec![-100, top - 100], small.clone()].concat();
+            let distinct: std::collections::BTreeSet<i64> = vals.iter().copied().collect();
+            let col = Column::from(vals);
+            let n = col.len();
+            prop_assert_eq!(DirectKey::new(&[&col], n).is_some(), direct);
+            prop_assert_eq!(is_key(&[&col]), distinct.len() == n, "span edge {}", top);
+        }
     }
 
     // RLE round-trips arbitrary data with interleaved runs
