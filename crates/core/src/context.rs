@@ -74,18 +74,22 @@ pub struct RmaOptions {
     pub join_reorder: bool,
     /// Per-query memory budget in bytes for the resource governor
     /// (`0` = unlimited, the default). When set, plan execution mints a
-    /// `QueryGuard` and charges allocation-weight estimates at every
-    /// materialization point (hash-join builds, sort permutations,
-    /// aggregate states, the final `materialize()`); a breach aborts the
-    /// query with `RmaError::ResourceExhausted` within one morsel's work.
+    /// `QueryGuard` and charges allocation-weight estimates for each
+    /// operator's working set while the operator runs (hash-join builds,
+    /// sort permutations, aggregate states, top-k heaps); the result's
+    /// final `materialize()` is not charged. A breach aborts the query
+    /// with `RmaError::ResourceExhausted` within one morsel's work, and a
+    /// serving session also runs admission against it
+    /// (`serve::Session::execute`). Sessions inherit it unless
+    /// `serve::Session::set_mem_budget` overrides it.
     /// Distinct from [`RmaOptions::dense_memory_budget`], which only
     /// steers the BAT-vs-dense kernel choice and never fails a query.
     pub mem_budget: usize,
     /// Per-query deadline for the resource governor (`None` = no
     /// deadline). Measured from the start of each plan execution; a query
     /// that outlives it aborts with `RmaError::DeadlineExceeded` within
-    /// one morsel's work. Serving deployments usually set this per
-    /// session (`serve::Session::set_deadline`) instead.
+    /// one morsel's work. Sessions inherit it unless
+    /// `serve::Session::set_deadline` overrides it.
     pub deadline: Option<Duration>,
 }
 

@@ -1,10 +1,11 @@
 //! The serving layer's metrics registry: per-session counters plus
 //! pool-level gauges, snapshot-able as plain structs and dumpable as JSON.
 //!
-//! Every [`Session`](super::Session) (and every SQL engine opened through
-//! `Engine::session`) registers a [`SessionCounters`] cell with its
-//! server's [`MetricsRegistry`] and increments it on the query/write path
-//! — all atomics, no locks on the hot path. A [`MetricsSnapshot`]
+//! Every [`Session`](super::Session) — and with it every SQL engine,
+//! which runs its statements through one — registers a
+//! [`SessionCounters`] cell with its server's [`MetricsRegistry`] and
+//! increments it on the query/write path — all atomics, no locks on the
+//! hot path. A [`MetricsSnapshot`]
 //! combines the per-session counters, their totals, the worker pool's
 //! [`PoolStats`], and a pool-utilization estimate (busy worker time over
 //! `threads × uptime`); [`MetricsSnapshot::to_json`] renders it without
@@ -57,48 +58,48 @@ impl SessionCounters {
     }
 
     /// Count one issued query.
-    pub fn record_query(&self) {
+    pub(crate) fn record_query(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count rows returned to the client.
-    pub fn record_rows(&self, n: u64) {
+    pub(crate) fn record_rows(&self, n: u64) {
         self.rows.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count one first-committer-wins write conflict and the retry it
     /// forces.
-    pub fn record_conflict(&self) {
+    pub(crate) fn record_conflict(&self) {
         self.conflicts.fetch_add(1, Ordering::Relaxed);
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one query killed by [`Session::cancel`](super::Session::cancel)
     /// (governor action, not an engine fault).
-    pub fn record_cancelled(&self) {
+    pub(crate) fn record_cancelled(&self) {
         self.queries_cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one query killed by its deadline.
-    pub fn record_deadline_kill(&self) {
+    pub(crate) fn record_deadline_kill(&self) {
         self.deadline_kills.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one query rejected or aborted on its memory budget (at
     /// admission or mid-flight).
-    pub fn record_mem_rejection(&self) {
+    pub(crate) fn record_mem_rejection(&self) {
         self.mem_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one operator panic caught and converted to a typed error at
     /// the session boundary.
-    pub fn record_worker_panic(&self) {
+    pub(crate) fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Account one query's out-of-core activity: bytes written to spill
     /// files and spill partitions/runs created.
-    pub fn record_spill(&self, bytes: u64, partitions: u64) {
+    pub(crate) fn record_spill(&self, bytes: u64, partitions: u64) {
         self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.spill_partitions
             .fetch_add(partitions, Ordering::Relaxed);
@@ -107,7 +108,7 @@ impl SessionCounters {
     /// Account the decode sinks a query triggered: `Column::decoded()`
     /// calls on encoded columns a kernel could not process in encoded
     /// form, one count per decode.
-    pub fn record_decode_sinks(&self, n: u64) {
+    pub(crate) fn record_decode_sinks(&self, n: u64) {
         self.decode_sinks.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -296,7 +297,7 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     /// Open a new counter cell (called once per session).
-    pub fn register_session(&self) -> Arc<SessionCounters> {
+    pub(crate) fn register_session(&self) -> Arc<SessionCounters> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let counters = Arc::new(SessionCounters::new(id));
         self.sessions

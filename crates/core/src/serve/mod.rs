@@ -73,7 +73,7 @@ mod backoff_tests {
 
 /// Errors of the serving layer's write path. Read-path errors surface as
 /// plan errors from the query itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// `CREATE TABLE` of a name that already exists (use
     /// [`VersionedCatalog::create_or_replace`] to overwrite).
@@ -101,6 +101,10 @@ pub enum ServeError {
         /// Commit attempts made before giving up.
         retries: u32,
     },
+    /// The write's rows do not fit the table (e.g. an `INSERT` whose
+    /// schema differs from the table's). Maps onto `SqlError::Relation`
+    /// at the SQL boundary.
+    Relation(rma_relation::RelationError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -122,6 +126,7 @@ impl std::fmt::Display for ServeError {
                 "write contention on '{table}': gave up after {retries} \
                  optimistic commit attempts"
             ),
+            ServeError::Relation(e) => write!(f, "{e}"),
         }
     }
 }

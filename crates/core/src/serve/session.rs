@@ -6,7 +6,10 @@ use super::metrics::{MetricsRegistry, MetricsSnapshot, SessionCounters};
 use super::{Backoff, ServeError};
 use crate::context::{ExecStats, RmaContext};
 use crate::error::RmaError;
-use crate::plan::{stats, Frame, PlanError};
+use crate::plan::{
+    execute, execute_analyzed, optimize, stats, Frame, LogicalPlan, NodeActual,
+    PartitionedTableProvider, PlanError,
+};
 use rma_relation::{par::fault::FaultPlan, QueryGuard, Relation, SessionTicket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -55,10 +58,9 @@ impl Server {
         &self.ctx
     }
 
-    /// The server's metrics registry. Frontends that build their own
-    /// session objects (e.g. the SQL engine) register their counter cell
-    /// here; everything opened through [`Server::session`] registers
-    /// automatically.
+    /// The server's metrics registry: every [`Session`] opened on the
+    /// server — the SQL engine's included — registers its counter cell
+    /// here.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -84,8 +86,7 @@ impl Server {
     }
 
     /// The seat budget [`Server::session`] assigns: half the pool, at
-    /// least two seats on a multi-threaded pool. Frontends building their
-    /// own session objects (e.g. the SQL engine) use this to match.
+    /// least two seats on a multi-threaded pool.
     pub fn default_budget(&self) -> usize {
         default_budget(self.ctx.pool().threads())
     }
@@ -140,7 +141,8 @@ pub struct Session {
     ctx: RmaContext,
     ticket: SessionTicket,
     counters: Arc<SessionCounters>,
-    /// Per-query deadline in nanoseconds (0 = none).
+    /// Per-query deadline in nanoseconds (0 = inherit the context option,
+    /// which itself defaults to none).
     deadline_ns: AtomicU64,
     /// Per-query memory budget in bytes (0 = inherit the context option,
     /// which itself defaults to unlimited).
@@ -159,38 +161,81 @@ impl Session {
     /// Run a [`Frame`] query against a snapshot pinned at call time: the
     /// query sees every table as of one catalog version, unaffected by
     /// concurrent commits, and resolves named scans
-    /// ([`Frame::table`]) through the pin. The session's ticket is active
-    /// for the duration, so all morsel jobs the plan submits are seat-
-    /// budgeted and fairly scheduled.
+    /// ([`Frame::table`]) through the pin.
     pub fn query(&self, frame: Frame) -> Result<Relation, PlanError> {
         self.query_at(&self.pin(), frame)
     }
 
-    /// Run a query against an explicitly pinned snapshot (several queries
-    /// against one pin see the identical database state).
+    /// Optimize a [`Frame`] and run it against an explicitly pinned
+    /// snapshot (several queries against one pin see the identical
+    /// database state), under the session's governor ([`Session::execute`]).
+    pub fn query_at(&self, snap: &CatalogSnapshot, frame: Frame) -> Result<Relation, PlanError> {
+        let plan = optimize(frame.into_plan(), &self.ctx, snap);
+        self.execute(&plan, snap)
+    }
+
+    /// Execute an already-optimized plan under the session's governor,
+    /// resolving tables through `provider`, and materialize the result.
+    /// Every query of the session runs here — [`Session::query_at`] for a
+    /// [`Frame`], the SQL engine for its SELECT and CREATE TABLE AS:
     ///
-    /// The whole governor pipeline runs here:
-    ///
-    /// 1. **Admission**: with a memory budget set, the PR 4 cost model
-    ///    pre-estimates the result footprint and rejects hopeless queries
-    ///    before they touch the pool (`RmaError::ResourceExhausted`) —
-    ///    unless the plan contains a spillable operator
-    ///    ([`crate::plan::spillable`]), in which case it is admitted and
-    ///    runs out-of-core under the budget.
-    /// 2. **Execution under a guard**: a fresh [`QueryGuard`] (deadline +
-    ///    budget, plus any armed fault plan) governs every morsel claim
-    ///    and operator boundary; [`Session::cancel`] reaches it from any
-    ///    thread.
+    /// 1. **Admission**: with a memory budget, the cost model estimates
+    ///    the plan's result footprint and rejects hopeless plans before
+    ///    they touch the pool (`RmaError::ResourceExhausted`) — unless the
+    ///    plan contains a spillable operator ([`crate::plan::spillable`]),
+    ///    which is admitted and runs out-of-core under the budget.
+    /// 2. **Execution under a guard**: a fresh [`QueryGuard`] holds the
+    ///    session's limits (its own [`Session::set_deadline`] /
+    ///    [`Session::set_mem_budget`] values, else the context's
+    ///    `RmaOptions::{deadline, mem_budget}`) plus any armed fault plan,
+    ///    and governs every morsel claim and operator boundary;
+    ///    [`Session::cancel`] reaches it from any thread. The session's
+    ///    ticket is active for the duration, so every morsel job the plan
+    ///    submits is seat-budgeted and fairly scheduled.
     /// 3. **Panic containment**: an operator panic is caught *here* —
     ///    never inside the pool, whose own state stays clean — and
     ///    returned as `RmaError::WorkerPanicked`.
-    /// 4. **Accounting**: every governor action increments its
-    ///    [`SessionCounters`] counter.
-    pub fn query_at(&self, snap: &CatalogSnapshot, frame: Frame) -> Result<Relation, PlanError> {
+    /// 4. **Accounting**: the query, its result rows, its spill and
+    ///    decode-sink activity and every governor action increment the
+    ///    session's [`SessionCounters`].
+    pub fn execute(
+        &self,
+        plan: &LogicalPlan,
+        provider: &dyn PartitionedTableProvider,
+    ) -> Result<Relation, PlanError> {
+        let (out, _) = self.govern(plan, provider, || {
+            Ok((
+                execute(plan, &self.ctx, provider)?.materialize(),
+                Vec::new(),
+            ))
+        })?;
+        Ok(out)
+    }
+
+    /// [`Session::execute`] with per-node profiling: the result plus one
+    /// [`NodeActual`] per plan node (the EXPLAIN ANALYZE path).
+    pub fn execute_analyzed(
+        &self,
+        plan: &LogicalPlan,
+        provider: &dyn PartitionedTableProvider,
+    ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
+        self.govern(plan, provider, || {
+            execute_analyzed(plan, &self.ctx, provider)
+        })
+    }
+
+    /// The governor behind [`Session::execute`]: admission, guard,
+    /// ticket, panic containment and counting around one plan run.
+    fn govern(
+        &self,
+        plan: &LogicalPlan,
+        provider: &dyn PartitionedTableProvider,
+        run: impl FnOnce() -> Result<(Relation, Vec<NodeActual>), PlanError>,
+    ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
         self.counters.record_query();
-        let budget = self.effective_mem_budget();
+        let budget = self.mem_budget();
         if budget > 0 {
-            let est = stats::estimate(frame.logical_plan(), snap);
+            let est = stats::estimate(plan, provider);
             // result footprint ≈ rows × columns × 8-byte cells; columns
             // default to 1 when the estimator lost track of the schema
             let est_bytes = (est.rows.max(0.0) as u64)
@@ -200,7 +245,7 @@ impl Session {
             // aggregation) is admitted even over the estimate: the
             // out-of-core operators bound its resident working set, so
             // "too big for memory" now means "runs spilled", not "rejected"
-            if est_bytes > budget && !crate::plan::spillable(frame.logical_plan()) {
+            if est_bytes > budget && !crate::plan::spillable(plan) {
                 self.counters.record_mem_rejection();
                 return Err(PlanError::Rma(RmaError::ResourceExhausted {
                     needed: est_bytes,
@@ -208,8 +253,7 @@ impl Session {
                 }));
             }
         }
-        let deadline_ns = self.deadline_ns.load(Ordering::Relaxed);
-        let deadline = (deadline_ns > 0).then(|| Duration::from_nanos(deadline_ns));
+        let deadline = self.deadline();
         let guard = match self
             .fault
             .lock()
@@ -225,10 +269,10 @@ impl Session {
             let _seat = self.ticket.activate();
             let _gov = guard.activate();
             // AssertUnwindSafe: on Err every captured structure is either
-            // dropped (frame, guard) or internally synchronized and
-            // poison-free (catalog snapshot, pool, atomics), so nothing
-            // torn is ever observed afterwards
-            catch_unwind(AssertUnwindSafe(|| frame.collect_with(&self.ctx, snap)))
+            // dropped (guard) or internally synchronized and poison-free
+            // (table provider, pool, atomics), so nothing torn is ever
+            // observed afterwards
+            catch_unwind(AssertUnwindSafe(run))
         };
         *self.active.lock().expect("session guard slot poisoned") = None;
         let (spill_bytes, spill_parts) = (guard.spill_bytes(), guard.spill_partitions());
@@ -262,7 +306,7 @@ impl Session {
             _ => {}
         }
         let out = out?;
-        self.counters.record_rows(out.len() as u64);
+        self.counters.record_rows(out.0.len() as u64);
         Ok(out)
     }
 
@@ -282,7 +326,8 @@ impl Session {
     }
 
     /// Set (or clear) the per-query deadline applied to subsequent
-    /// queries. Measured from each query's start.
+    /// queries, measured from each query's start (`None` = inherit
+    /// `RmaOptions::deadline`, itself `None` = no deadline by default).
     pub fn set_deadline(&self, deadline: Option<Duration>) {
         self.deadline_ns.store(
             deadline.map_or(0, |d| (d.as_nanos() as u64).max(1)),
@@ -296,9 +341,18 @@ impl Session {
         self.mem_budget.store(bytes, Ordering::Relaxed);
     }
 
-    /// The budget queries of this session are held to: the session
-    /// override when set, else the context option.
-    fn effective_mem_budget(&self) -> u64 {
+    /// The deadline queries of this session are held to: the session
+    /// value when set, else the context option.
+    fn deadline(&self) -> Option<Duration> {
+        match self.deadline_ns.load(Ordering::Relaxed) {
+            0 => self.ctx.options.deadline,
+            ns => Some(Duration::from_nanos(ns)),
+        }
+    }
+
+    /// The budget queries of this session are held to: the session value
+    /// when set, else the context option.
+    fn mem_budget(&self) -> u64 {
         match self.mem_budget.load(Ordering::Relaxed) {
             0 => self.ctx.options.mem_budget as u64,
             b => b,
@@ -345,7 +399,7 @@ impl Session {
             let next = generation
                 .relation()
                 .appended(rows)
-                .map_err(|_| ServeError::NoSuchTable(table.to_string()))?;
+                .map_err(ServeError::Relation)?;
             match self.catalog.commit(table, generation.generation(), next) {
                 Ok(version) => return Ok(version),
                 Err(ServeError::WriteConflict { .. }) => {
@@ -625,6 +679,24 @@ mod tests {
         }
         // contention or not, the session keeps serving
         assert!(s.query(Frame::table("t")).is_ok());
+    }
+
+    #[test]
+    fn insert_reports_a_schema_mismatch_typed() {
+        let server = Server::default();
+        let s = server.session();
+        s.create_table("t", rel(vec![1])).unwrap();
+        let floats = RelationBuilder::new()
+            .column("y", vec![1.5f64])
+            .build()
+            .unwrap();
+        let err = s.insert("t", &floats).unwrap_err();
+        assert!(matches!(err, ServeError::Relation(_)), "got {err:?}");
+        assert_eq!(
+            s.insert("missing", &rel(vec![1])),
+            Err(ServeError::NoSuchTable("missing".to_string()))
+        );
+        assert_eq!(sum_of(&s, "t"), 1, "a rejected insert commits nothing");
     }
 
     #[test]

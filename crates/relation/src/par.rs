@@ -386,17 +386,11 @@ impl QueryGuard {
 
     /// A guard with an explicit fault-injection plan (tests; see [`fault`]).
     pub fn with_fault(deadline: Option<Duration>, mem_budget: u64, plan: fault::FaultPlan) -> Self {
-        QueryGuard(Arc::new(GuardInner {
-            cancelled: AtomicBool::new(false),
-            started: Instant::now(),
-            deadline_ns: AtomicU64::new(deadline.map_or(0, |d| (d.as_nanos() as u64).max(1))),
-            mem_budget: AtomicU64::new(mem_budget),
-            mem_used: AtomicU64::new(0),
-            breach_needed: AtomicU64::new(0),
-            spill_bytes: AtomicU64::new(0),
-            spill_partitions: AtomicU64::new(0),
-            fault: Some(plan),
-        }))
+        let mut guard = QueryGuard::with_limits(deadline, mem_budget);
+        Arc::get_mut(&mut guard.0)
+            .expect("a fresh guard is unshared")
+            .fault = Some(plan);
+        guard
     }
 
     /// Request cancellation: the next morsel claim (or operator boundary)

@@ -1,17 +1,16 @@
-//! The SQL engine: parse → plan → optimize → execute.
+//! The SQL engine: parse → plan → optimize, then execute through a
+//! [`Session`], the serving layer's one governed front door.
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::executor::{execute, execute_analyzed};
 use crate::optimizer::optimize;
 use crate::parser::{parse, parse_script};
 use crate::plan::{explain_with_stats, plan_select, Plan};
 use rma_core::plan::explain_analyze;
-use rma_core::serve::{Backoff, Server, SessionCounters};
-use rma_core::{RmaContext, RmaError, RmaOptions, ServeError};
-use rma_relation::{Relation, Schema, SessionTicket};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rma_core::serve::{Server, Session};
+use rma_core::{RmaContext, RmaOptions};
+use rma_relation::{Relation, Schema};
 use std::sync::Arc;
 
 /// Result of executing one statement.
@@ -35,36 +34,25 @@ impl QueryResult {
     }
 }
 
-/// An embedded SQL engine over the RMA-extended dialect.
+/// An embedded SQL engine over the RMA-extended dialect: a parser and
+/// planner in front of one [`Session`].
 ///
-/// A private engine ([`Engine::new`]) owns its catalog; a *session* engine
-/// ([`Engine::session`]) attaches to a [`Server`]'s shared versioned
-/// catalog, executes on the server's worker pool under its own fair-
-/// scheduling ticket, and records statistics into its own forked context —
-/// many session engines on different threads serve one database
-/// concurrently.
+/// The engine parses, plans and optimizes each statement against its
+/// [`Catalog`] — a pinned view of the session's versioned store, re-pinned
+/// at every statement boundary — and hands the optimized plan to the
+/// session, which governs it exactly like a `Frame` query: admission,
+/// the session's limits, its fair-scheduling ticket, panic containment,
+/// and its metrics cell. A *session* engine ([`Engine::session`]) attaches
+/// to a [`Server`]'s shared catalog and pool, so many engines on different
+/// threads serve one database concurrently; a private engine
+/// ([`Engine::new`]) is a session of a server of its own. Governance
+/// (`cancel`, limits, fault injection, the write-retry cap) is reached
+/// through [`Engine::session_handle`].
 #[derive(Debug)]
 pub struct Engine {
     pub catalog: Catalog,
-    rma: RmaContext,
-    /// The fair-scheduling ticket this engine's queries run under (seat
-    /// budget + stride pass; unlimited for private engines).
-    ticket: SessionTicket,
-    /// Session-engine metrics cell, registered with the server's
-    /// [`MetricsRegistry`](rma_core::MetricsRegistry); `None` for private
-    /// engines.
-    counters: Option<Arc<SessionCounters>>,
-    /// Disable the optimizer to measure its effect (ablation benches).
-    pub optimize: bool,
-    /// Cap on optimistic-commit attempts per `INSERT` before the engine
-    /// gives up with [`RmaError::WriteContention`] (default 16; `0`
-    /// behaves as 1 — at least one attempt, never infinite).
-    pub write_retry_limit: u32,
+    session: Arc<Session>,
 }
-
-/// Default `INSERT` commit-attempt cap (matches the serve layer's
-/// `Session` default).
-const DEFAULT_WRITE_RETRIES: u32 = 16;
 
 impl Default for Engine {
     fn default() -> Self {
@@ -77,16 +65,10 @@ impl Engine {
         Engine::with_options(RmaOptions::default())
     }
 
-    /// Engine with explicit RMA options (backend, sort policy, threads, …).
+    /// Engine with explicit RMA options (backend, sort policy, threads, …):
+    /// a session with no seat limit on a private server.
     pub fn with_options(options: RmaOptions) -> Self {
-        Engine {
-            catalog: Catalog::new(),
-            rma: RmaContext::new(options),
-            ticket: SessionTicket::new(0),
-            counters: None,
-            optimize: true,
-            write_retry_limit: DEFAULT_WRITE_RETRIES,
-        }
+        Engine::session_with_budget(&Server::new(RmaContext::new(options)), 0)
     }
 
     /// A session engine on a [`Server`]: shares the server's versioned
@@ -103,66 +85,15 @@ impl Engine {
     pub fn session_with_budget(server: &Server, seats: usize) -> Self {
         Engine {
             catalog: Catalog::attached(Arc::clone(server.catalog())),
-            rma: server.context().fork(),
-            ticket: SessionTicket::new(seats),
-            counters: Some(server.metrics().register_session()),
-            optimize: true,
-            write_retry_limit: DEFAULT_WRITE_RETRIES,
+            session: Arc::new(server.session_with_budget(seats)),
         }
     }
 
-    /// The engine's metrics counter cell — `Some` for session engines
-    /// (registered with the server's metrics registry), `None` for private
-    /// engines.
-    pub fn counters(&self) -> Option<&Arc<SessionCounters>> {
-        self.counters.as_ref()
-    }
-
-    fn count_query(&self) {
-        if let Some(c) = &self.counters {
-            c.record_query();
-        }
-    }
-
-    fn count_rows(&self, n: usize) {
-        if let Some(c) = &self.counters {
-            c.record_rows(n as u64);
-        }
-    }
-
-    /// Run one plan execution with the resource-governor contract: an
-    /// operator panic is caught *here* — the worker pool and shared
-    /// catalog stay clean — and surfaces as the typed
-    /// [`RmaError::WorkerPanicked`]; governance errors (cancellation,
-    /// deadline kills, budget breaches) are classified into the session's
-    /// metrics cell on the way out.
-    fn contain<T>(&self, body: impl FnOnce() -> Result<T, SqlError>) -> Result<T, SqlError> {
-        // AssertUnwindSafe: on unwind the body's borrows (catalog, context,
-        // ticket) are all internally synchronized or append-only; nothing
-        // half-mutated survives the catch
-        let out = match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(r) => r,
-            Err(payload) => {
-                if let Some(c) = &self.counters {
-                    c.record_worker_panic();
-                }
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                return Err(SqlError::Rma(RmaError::WorkerPanicked { message }));
-            }
-        };
-        if let (Some(c), Err(SqlError::Rma(e))) = (&self.counters, &out) {
-            match e {
-                RmaError::Cancelled => c.record_cancelled(),
-                RmaError::DeadlineExceeded => c.record_deadline_kill(),
-                RmaError::ResourceExhausted { .. } => c.record_mem_rejection(),
-                _ => {}
-            }
-        }
-        out
+    /// The session every statement runs through: clone the `Arc` to
+    /// [`cancel`](Session::cancel) from another thread, or set its
+    /// deadline, memory budget, write-retry cap or fault plan.
+    pub fn session_handle(&self) -> &Arc<Session> {
+        &self.session
     }
 
     /// Engine with an explicit worker-thread count for plan execution
@@ -175,9 +106,9 @@ impl Engine {
         })
     }
 
-    /// The RMA execution context (for reading kernel statistics).
+    /// The session's execution context (for reading kernel statistics).
     pub fn rma_context(&self) -> &RmaContext {
-        &self.rma
+        self.session.context()
     }
 
     /// Register a Rust-created relation as a table.
@@ -238,23 +169,29 @@ impl Engine {
             }
         };
         self.catalog.refresh();
-        let plan = self.build_plan(&sel)?;
-        let actuals = self.contain(|| {
-            let _seat = self.ticket.activate();
-            self.count_query();
-            let (_, actuals) = execute_analyzed(&plan, &self.catalog, &self.rma)?;
-            Ok(actuals)
-        })?;
-        Ok(explain_analyze(&plan, &self.catalog, &actuals))
+        self.analyze(&sel)
     }
 
     fn build_plan(&self, sel: &crate::ast::SelectStmt) -> Result<Plan, SqlError> {
-        let plan = plan_select(sel)?;
-        Ok(if self.optimize {
-            optimize(plan, &self.catalog, &self.rma)
-        } else {
-            plan
-        })
+        Ok(optimize(
+            plan_select(sel)?,
+            &self.catalog,
+            self.rma_context(),
+        ))
+    }
+
+    /// Plan, optimize and run a SELECT through the session.
+    fn select(&self, sel: &crate::ast::SelectStmt) -> Result<Relation, SqlError> {
+        let plan = self.build_plan(sel)?;
+        Ok(self.session.execute(&plan, &self.catalog)?)
+    }
+
+    /// Run a SELECT profiled through the session and render the plan with
+    /// its actuals.
+    fn analyze(&self, sel: &crate::ast::SelectStmt) -> Result<String, SqlError> {
+        let plan = self.build_plan(sel)?;
+        let (_, actuals) = self.session.execute_analyzed(&plan, &self.catalog)?;
+        Ok(explain_analyze(&plan, &self.catalog, &actuals))
     }
 
     fn run_statement(&mut self, stmt: Statement) -> Result<QueryResult, SqlError> {
@@ -264,49 +201,11 @@ impl Engine {
         // is frozen — one statement, one snapshot
         self.catalog.refresh();
         match stmt {
-            Statement::Select(sel) => {
-                let plan = self.build_plan(&sel)?;
-                let rel = self.contain(|| {
-                    // the session ticket is active for the whole execution,
-                    // so every morsel job the plan submits is seat-budgeted
-                    // and fairly interleaved with other sessions' jobs
-                    let _seat = self.ticket.activate();
-                    self.count_query();
-                    // the query result is a pipeline sink: compact any
-                    // selection-vector view before handing it to the caller
-                    Ok(execute(&plan, &self.catalog, &self.rma)?.materialize())
-                })?;
-                self.count_rows(rel.len());
-                Ok(QueryResult::Relation(rel))
-            }
-            Statement::ExplainAnalyze(sel) => {
-                let plan = self.build_plan(&sel)?;
-                let lines: Vec<String> = self.contain(|| {
-                    let _seat = self.ticket.activate();
-                    self.count_query();
-                    let (_, actuals) = execute_analyzed(&plan, &self.catalog, &self.rma)?;
-                    Ok(explain_analyze(&plan, &self.catalog, &actuals)
-                        .lines()
-                        .map(str::to_string)
-                        .collect())
-                })?;
-                let rel = rma_relation::RelationBuilder::new()
-                    .column("plan", lines)
-                    .build()
-                    .map_err(SqlError::Relation)?;
-                Ok(QueryResult::Relation(rel))
-            }
+            Statement::Select(sel) => Ok(QueryResult::Relation(self.select(&sel)?)),
+            Statement::ExplainAnalyze(sel) => plan_relation(&self.analyze(&sel)?),
             Statement::Explain(sel) => {
                 let plan = self.build_plan(&sel)?;
-                let lines: Vec<String> = explain_with_stats(&plan, &self.catalog)
-                    .lines()
-                    .map(str::to_string)
-                    .collect();
-                let rel = rma_relation::RelationBuilder::new()
-                    .column("plan", lines)
-                    .build()
-                    .map_err(SqlError::Relation)?;
-                Ok(QueryResult::Relation(rel))
+                plan_relation(&explain_with_stats(&plan, &self.catalog))
             }
             Statement::CreateTable {
                 name,
@@ -333,11 +232,7 @@ impl Engine {
                 query,
                 or_replace,
             } => {
-                let plan = self.build_plan(&query)?;
-                let rel = self.contain(|| {
-                    let _seat = self.ticket.activate();
-                    Ok(execute(&plan, &self.catalog, &self.rma)?.materialize())
-                })?;
+                let rel = self.select(&query)?;
                 let n = rel.len();
                 if or_replace {
                     self.catalog.put(&name, rel);
@@ -347,53 +242,17 @@ impl Engine {
                 Ok(QueryResult::Done { rows_affected: n })
             }
             Statement::Insert { table, rows } => {
-                // MVCC-lite append: prepare the successor generation from a
-                // pinned snapshot and install it first-committer-wins; on
-                // conflict re-pin and re-prepare after a decorrelated-
-                // jitter backoff. Readers are never blocked — they keep
-                // executing against their own pins. Attempts are bounded
-                // (write_retry_limit, default 16): a pathologically
-                // contended table surfaces `RmaError::WriteContention`
-                // instead of looping forever.
-                let shared = Arc::clone(self.catalog.shared());
-                let n = rows.len();
-                let limit = self.write_retry_limit.max(1);
-                let mut backoff = Backoff::default();
-                let mut committed = false;
-                for attempt in 1..=limit {
-                    let snap = shared.snapshot();
-                    let Some(generation) = snap.get(&table) else {
-                        return Err(SqlError::UnknownTable(table));
-                    };
-                    let base = generation.relation();
-                    let incoming = Relation::from_rows(base.schema().clone(), &rows)
-                        .map_err(SqlError::Relation)?;
-                    let next = base.appended(&incoming).map_err(SqlError::Relation)?;
-                    match shared.commit(&table, generation.generation(), next) {
-                        Ok(_) => {
-                            committed = true;
-                            break;
-                        }
-                        Err(ServeError::WriteConflict { .. }) => {
-                            if let Some(c) = &self.counters {
-                                c.record_conflict();
-                            }
-                            if attempt < limit {
-                                backoff.sleep();
-                            }
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                if !committed {
-                    return Err(ServeError::Contention {
-                        table,
-                        retries: limit,
-                    }
-                    .into());
-                }
+                // typed against the statement's pin; the session's
+                // optimistic commit loop appends them
+                let Some(base) = self.catalog.get(&table) else {
+                    return Err(SqlError::UnknownTable(table));
+                };
+                let incoming = Relation::from_rows(base.schema().clone(), &rows)?;
+                self.session.insert(&table, &incoming)?;
                 self.catalog.refresh();
-                Ok(QueryResult::Done { rows_affected: n })
+                Ok(QueryResult::Done {
+                    rows_affected: rows.len(),
+                })
             }
             Statement::DropTable { name, if_exists } => {
                 if self.catalog.remove(&name).is_none() && !if_exists {
@@ -405,10 +264,28 @@ impl Engine {
     }
 }
 
+/// An EXPLAIN text as a one-column `plan` relation, one row per line.
+fn plan_relation(text: &str) -> Result<QueryResult, SqlError> {
+    let lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let rel = rma_relation::RelationBuilder::new()
+        .column("plan", lines)
+        .build()?;
+    Ok(QueryResult::Relation(rel))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rma_core::{RmaError, ServeError};
     use rma_storage::Value;
+
+    /// EXPLAIN text of a SELECT's plan as lowered, without the optimizer.
+    fn explain_unoptimized(e: &Engine, sql: &str) -> String {
+        let Statement::Select(sel) = parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}")
+        };
+        explain_with_stats(&plan_select(&sel).unwrap(), &e.catalog)
+    }
 
     fn engine_with_rating() -> Engine {
         let mut e = Engine::new();
@@ -578,10 +455,7 @@ mod tests {
         let filt = plan.find("Select").unwrap();
         assert!(filt > join, "expected pushdown:\n{plan}");
         // and without the optimizer the filter stays on top
-        e.optimize = false;
-        let plan = e
-            .explain("SELECT * FROM rating JOIN f ON u = t WHERE d = 'Lee'")
-            .unwrap();
+        let plan = explain_unoptimized(&e, "SELECT * FROM rating JOIN f ON u = t WHERE d = 'Lee'");
         assert!(plan.starts_with("Select"));
     }
 
@@ -694,8 +568,8 @@ mod tests {
         let server = Server::new(rma_core::RmaContext::default());
         let mut a = Engine::session(&server);
         let mut b = Engine::session(&server);
-        assert!(a.counters().is_some());
-        assert!(Engine::new().counters().is_none());
+        // a private engine is a session too, with no seat limit
+        assert_eq!(Engine::new().session_handle().ticket().seats(), 0);
         a.execute("CREATE TABLE t (x INT)").unwrap();
         a.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
         a.query("SELECT * FROM t").unwrap();
@@ -706,9 +580,15 @@ mod tests {
         assert_eq!(snap.rows, 3 + 2 + 3);
         assert_eq!(snap.sessions.len(), 2);
         assert_eq!(snap.sessions[0].queries, 2);
+        assert_eq!(snap.sessions[0].id, a.session_handle().counters().id());
         assert_eq!(snap.sessions[1].rows, 3);
         let json = snap.to_json();
         assert!(json.contains("\"queries\":3"), "{json}");
+        // a CREATE TABLE AS is one governed query, and its rows count
+        a.execute("CREATE TABLE u AS SELECT * FROM t WHERE x > 1")
+            .unwrap();
+        let snap = server.metrics_snapshot();
+        assert_eq!((snap.queries, snap.rows), (4, 3 + 2 + 3 + 2));
     }
 
     #[test]
@@ -781,13 +661,9 @@ mod tests {
         assert!(!plan.contains("OrderBy"), "sort not fused:\n{plan}");
         assert!(!plan.contains("Limit"), "limit not fused:\n{plan}");
         // without the optimizer the Sort+Limit pair survives
-        e.optimize = false;
-        let plan = e
-            .explain("SELECT u, Heat FROM rating ORDER BY Heat DESC LIMIT 2")
-            .unwrap();
+        let plan = explain_unoptimized(&e, "SELECT u, Heat FROM rating ORDER BY Heat DESC LIMIT 2");
         assert!(plan.contains("OrderBy") && plan.contains("Limit"));
         // and the fused plan returns the right rows
-        e.optimize = true;
         let r = e
             .query("SELECT u, Heat FROM rating ORDER BY Heat DESC LIMIT 2")
             .unwrap();

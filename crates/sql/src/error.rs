@@ -53,6 +53,18 @@ impl From<RelationError> for SqlError {
     }
 }
 
+impl From<rma_core::PlanError> for SqlError {
+    fn from(e: rma_core::PlanError) -> Self {
+        use rma_core::PlanError;
+        match e {
+            PlanError::UnknownTable(t) => SqlError::UnknownTable(t),
+            PlanError::Plan(m) => SqlError::Plan(m),
+            PlanError::Relation(e) => SqlError::Relation(e),
+            PlanError::Rma(e) => SqlError::Rma(e),
+        }
+    }
+}
+
 impl From<RmaError> for SqlError {
     fn from(e: RmaError) -> Self {
         SqlError::Rma(e)
@@ -66,8 +78,8 @@ impl From<rma_core::ServeError> for SqlError {
             ServeError::TableExists(t) => SqlError::TableExists(t),
             ServeError::NoSuchTable(t) => SqlError::UnknownTable(t),
             // an unresolved write conflict surfaces as a plan-level error;
-            // the engine's INSERT loop retries conflicts internally, so
-            // this only escapes on logic errors
+            // `Session::insert` retries conflicts internally, so this only
+            // escapes on logic errors
             e @ ServeError::WriteConflict { .. } => SqlError::Plan(e.to_string()),
             // the bounded retry loop gave up — surface the typed
             // governance error so callers can back off and retry the
@@ -75,6 +87,7 @@ impl From<rma_core::ServeError> for SqlError {
             ServeError::Contention { retries, .. } => {
                 SqlError::Rma(RmaError::WriteContention { retries })
             }
+            ServeError::Relation(e) => SqlError::Relation(e),
         }
     }
 }

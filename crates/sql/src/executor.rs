@@ -1,34 +1,15 @@
 //! Plan execution: a thin adapter over the shared plan interpreter
-//! (`rma_core::plan::execute`), mapping plan errors into SQL errors.
+//! (`rma_core::plan::execute`), mapping plan errors into SQL errors. The
+//! engine runs its statements through `rma_core::serve::Session` instead;
+//! this entry point executes a plan under the context alone.
 
 use crate::catalog::Catalog;
 use crate::error::SqlError;
 use crate::plan::Plan;
-use rma_core::plan::{NodeActual, PlanError};
 use rma_core::RmaContext;
 use rma_relation::Relation;
 
-fn lift(e: PlanError) -> SqlError {
-    match e {
-        PlanError::UnknownTable(t) => SqlError::UnknownTable(t),
-        PlanError::Plan(m) => SqlError::Plan(m),
-        PlanError::Relation(e) => SqlError::Relation(e),
-        PlanError::Rma(e) => SqlError::Rma(e),
-    }
-}
-
 /// Execute a logical plan against a catalog.
 pub fn execute(plan: &Plan, catalog: &Catalog, rma: &RmaContext) -> Result<Relation, SqlError> {
-    rma_core::plan::execute(plan, rma, catalog).map_err(lift)
-}
-
-/// Execute with per-node profiling (the `EXPLAIN ANALYZE` path): returns
-/// the result plus one [`NodeActual`] per plan node in explain print
-/// order.
-pub fn execute_analyzed(
-    plan: &Plan,
-    catalog: &Catalog,
-    rma: &RmaContext,
-) -> Result<(Relation, Vec<NodeActual>), SqlError> {
-    rma_core::plan::execute_analyzed(plan, rma, catalog).map_err(lift)
+    Ok(rma_core::plan::execute(plan, rma, catalog)?)
 }

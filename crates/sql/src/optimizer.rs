@@ -168,7 +168,23 @@ mod tests {
 
 #[cfg(test)]
 mod cross_algebra_tests {
+    use crate::ast::Statement;
     use crate::engine::Engine;
+    use crate::executor::execute;
+    use crate::parser::parse;
+    use crate::plan::plan_select;
+    use rma_relation::Relation;
+
+    /// A SELECT's plan as lowered, executed without the optimizer.
+    pub(super) fn unoptimized(e: &Engine, sql: &str) -> Relation {
+        let Statement::Select(sel) = parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}")
+        };
+        let plan = plan_select(&sel).unwrap();
+        execute(&plan, &e.catalog, e.rma_context())
+            .unwrap()
+            .materialize()
+    }
 
     fn engine() -> Engine {
         let mut e = Engine::new();
@@ -195,11 +211,9 @@ mod cross_algebra_tests {
 
     #[test]
     fn rewrite_preserves_results() {
-        let mut with = engine();
-        let mut without = engine();
-        without.optimize = false;
-        let a = with.query(DOUBLE_TRA).unwrap();
-        let b = without.query(DOUBLE_TRA).unwrap();
+        let mut e = engine();
+        let a = e.query(DOUBLE_TRA).unwrap();
+        let b = unoptimized(&e, DOUBLE_TRA);
         assert_eq!(a.schema(), b.schema());
         assert!(a.bag_equals(&b));
     }
@@ -257,15 +271,7 @@ mod cross_algebra_column_order {
             .unwrap();
         let q = "SELECT * FROM TRA(TRA(r2 BY T) BY C)";
         let optimized = e.query(q).unwrap();
-        let mut plain = Engine::new();
-        plain.optimize = false;
-        plain
-            .execute("CREATE TABLE r2 (T VARCHAR, W DOUBLE, H DOUBLE)")
-            .unwrap();
-        plain
-            .execute("INSERT INTO r2 VALUES ('a', 3.0, 1.0), ('b', 5.0, 8.0)")
-            .unwrap();
-        let unoptimized = plain.query(q).unwrap();
+        let unoptimized = super::cross_algebra_tests::unoptimized(&e, q);
         assert_eq!(optimized.schema(), unoptimized.schema());
         assert!(optimized.bag_equals(&unoptimized));
         let names: Vec<&str> = optimized.schema().names().collect();

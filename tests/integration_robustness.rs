@@ -3,9 +3,13 @@
 //! resource governor end to end: cancellation, deadlines, memory budgets,
 //! and contention all surface as members of the typed error matrix.
 
-use rma::core::{QueryGuard, RmaContext, RmaError, RmaOptions};
-use rma::relation::RelationBuilder;
-use rma::{Frame, PlanError, Relation, Server, Value};
+use rma::core::serve::SessionMetrics;
+use rma::core::{QueryGuard, RmaContext, RmaError, RmaOptions, Session};
+use rma::relation::par::fault::{FaultKind, FaultPlan};
+use rma::relation::{AggSpec, RelationBuilder};
+use rma::sql::SqlError;
+use rma::{Engine, Frame, PlanError, Relation, Server, Value};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -286,4 +290,276 @@ fn duplicate_origin_names_rejected() {
         .unwrap();
     // tra creates a C column; a key value "C" would collide in the schema
     assert!(ctx.tra(&r, &["k"]).is_err());
+}
+
+/// The two front doors onto one server: a `Frame` through
+/// `Session::query`, and SQL through `Engine::session` + `execute`.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    Frame,
+    Sql,
+}
+
+/// One statement spelt for both doors, the limits it runs under, and the
+/// verdict both doors must reach.
+struct DoorCase {
+    name: &'static str,
+    /// The server context's options (its `mem_budget` and `deadline`).
+    options: RmaOptions,
+    /// Session-level settings applied before the statement.
+    session: fn(&Session),
+    /// A one-shot fault armed for the statement.
+    fault: Option<FaultKind>,
+    /// Press `cancel()` from another thread while the statement runs.
+    cancel: bool,
+    sql: &'static str,
+    frame: fn() -> Frame,
+    /// The result's row count, or the governor error (compared by
+    /// variant).
+    expect: Result<usize, RmaError>,
+    /// The statement must spill.
+    spills: bool,
+}
+
+/// What one door made of a case: the verdict, the session's metrics, and
+/// the spill growth of the session's `ExecStats`.
+struct DoorOutcome {
+    verdict: Result<usize, RmaError>,
+    metrics: SessionMetrics,
+    stats_spill: (u64, u64),
+}
+
+fn through_door(case: &DoorCase, door: Door) -> DoorOutcome {
+    let server = Server::new(RmaContext::new(case.options.clone()));
+    let (mut engine, session) = match door {
+        Door::Frame => (None, Arc::new(server.session())),
+        Door::Sql => {
+            let e = Engine::session(&server);
+            let s = Arc::clone(e.session_handle());
+            (Some(e), s)
+        }
+    };
+    session.create_table("t", ints(1000)).unwrap();
+    session.create_table("big", ints(100_000)).unwrap();
+    session
+        .create_table(
+            "o",
+            RelationBuilder::new()
+                .column("cust", (0..4000).map(|i| i % 97).collect::<Vec<i64>>())
+                .column("amount", (0..4000).map(f64::from).collect::<Vec<f64>>())
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    session
+        .create_table(
+            "c",
+            RelationBuilder::new()
+                .column("cid", (0..97).collect::<Vec<i64>>())
+                .column("tier", (0..97).map(|i| i % 3).collect::<Vec<i64>>())
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    (case.session)(&session);
+    let mut run = || -> Result<usize, RmaError> {
+        match &mut engine {
+            None => match session.query((case.frame)()) {
+                Ok(r) => Ok(r.len()),
+                Err(PlanError::Rma(e)) => Err(e),
+                Err(other) => panic!("{}: untyped Frame error {other:?}", case.name),
+            },
+            Some(e) => match e.query(case.sql) {
+                Ok(r) => Ok(r.len()),
+                Err(SqlError::Rma(e)) => Err(e),
+                Err(other) => panic!("{}: untyped SQL error {other:?}", case.name),
+            },
+        }
+    };
+    if let Some(kind) = case.fault {
+        session.inject_fault(FaultPlan::new(kind, 0));
+    }
+    let stats0 = session.stats();
+    let verdict = if case.cancel {
+        std::thread::scope(|scope| {
+            let query = scope.spawn(&mut run);
+            // press cancel until it lands on the running guard
+            while !query.is_finished() && !session.cancel() {
+                std::thread::yield_now();
+            }
+            query.join().expect("query thread panicked")
+        })
+    } else {
+        run()
+    };
+    let stats1 = session.stats();
+    if case.fault.is_some() {
+        // the fault was one-shot and nothing is poisoned
+        assert_eq!(run(), Ok(1), "{}: {door:?} stopped serving", case.name);
+    }
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.sessions.len(), 1, "{}: {door:?}", case.name);
+    DoorOutcome {
+        verdict,
+        metrics: snap.sessions[0],
+        stats_spill: (
+            stats1.spill_bytes - stats0.spill_bytes,
+            stats1.spill_partitions - stats0.spill_partitions,
+        ),
+    }
+}
+
+/// The counter the governor moves for a given error.
+fn governor_counter(e: &RmaError, m: &SessionMetrics) -> u64 {
+    match e {
+        RmaError::ResourceExhausted { .. } => m.mem_rejections,
+        RmaError::DeadlineExceeded => m.deadline_kills,
+        RmaError::Cancelled => m.queries_cancelled,
+        RmaError::WorkerPanicked { .. } => m.worker_panics,
+        other => panic!("not a governor error: {other:?}"),
+    }
+}
+
+#[test]
+fn both_front_doors_reach_the_same_verdict_and_counters() {
+    // two pool threads, so the fault cases' morsel claims (and their
+    // fault polls) run whatever machine hosts the test
+    let opts = |mem_budget: usize, deadline: Option<Duration>| RmaOptions {
+        threads: 2,
+        mem_budget,
+        deadline,
+        ..RmaOptions::default()
+    };
+    let keep = |_: &Session| {};
+    let sum_big = || Frame::table("big").aggregate(&[], vec![AggSpec::sum("x", "s")]);
+    let cases = [
+        DoorCase {
+            name: "context budget rejects a non-spillable scan",
+            options: opts(64, None),
+            session: keep,
+            fault: None,
+            cancel: false,
+            sql: "SELECT x FROM t",
+            frame: || Frame::table("t").project(&["x"]),
+            expect: Err(RmaError::ResourceExhausted {
+                needed: 0,
+                budget: 64,
+            }),
+            spills: false,
+        },
+        DoorCase {
+            name: "context deadline kills",
+            options: opts(0, Some(Duration::from_nanos(1))),
+            session: keep,
+            fault: None,
+            cancel: false,
+            sql: "SELECT SUM(x) AS s FROM t",
+            frame: || Frame::table("t").aggregate(&[], vec![AggSpec::sum("x", "s")]),
+            expect: Err(RmaError::DeadlineExceeded),
+            spills: false,
+        },
+        DoorCase {
+            name: "session limits override the context's",
+            options: opts(64, Some(Duration::from_nanos(1))),
+            session: |s| {
+                s.set_mem_budget(1 << 30);
+                s.set_deadline(Some(Duration::from_secs(3600)));
+            },
+            fault: None,
+            cancel: false,
+            sql: "SELECT x FROM t",
+            frame: || Frame::table("t").project(&["x"]),
+            expect: Ok(1000),
+            spills: false,
+        },
+        DoorCase {
+            name: "session deadline over an unlimited context",
+            options: opts(0, None),
+            session: |s| s.set_deadline(Some(Duration::from_nanos(1))),
+            fault: None,
+            cancel: false,
+            sql: "SELECT SUM(x) AS s FROM t",
+            frame: || Frame::table("t").aggregate(&[], vec![AggSpec::sum("x", "s")]),
+            expect: Err(RmaError::DeadlineExceeded),
+            spills: false,
+        },
+        DoorCase {
+            name: "cancel from another thread",
+            options: opts(0, None),
+            session: keep,
+            fault: Some(FaultKind::Delay(Duration::from_millis(200))),
+            cancel: true,
+            sql: "SELECT SUM(x) AS s FROM big",
+            frame: sum_big,
+            expect: Err(RmaError::Cancelled),
+            spills: false,
+        },
+        DoorCase {
+            name: "injected panic",
+            options: opts(0, None),
+            session: keep,
+            fault: Some(FaultKind::Panic),
+            cancel: false,
+            sql: "SELECT SUM(x) AS s FROM big",
+            frame: sum_big,
+            expect: Err(RmaError::WorkerPanicked {
+                message: String::new(),
+            }),
+            spills: false,
+        },
+        DoorCase {
+            name: "a join spills under the context budget",
+            options: opts(2048, None),
+            session: keep,
+            fault: None,
+            cancel: false,
+            sql: "SELECT * FROM o JOIN c ON cust = cid",
+            frame: || Frame::table("o").join(Frame::table("c"), &[("cust", "cid")]),
+            expect: Ok(4000),
+            spills: true,
+        },
+    ];
+    for case in &cases {
+        let [frame, sql] = [Door::Frame, Door::Sql].map(|door| {
+            let out = through_door(case, door);
+            let name = case.name;
+            match (&out.verdict, &case.expect) {
+                (Ok(rows), Ok(want)) => assert_eq!(rows, want, "{name}: {door:?}"),
+                (Err(e), Err(want)) => {
+                    assert_eq!(
+                        std::mem::discriminant(e),
+                        std::mem::discriminant(want),
+                        "{name}: {door:?} gave {e:?}"
+                    );
+                    assert_eq!(governor_counter(e, &out.metrics), 1, "{name}: {door:?}");
+                }
+                (got, _) => panic!("{name}: {door:?} gave {got:?}"),
+            }
+            // spill accounting: the session's metrics equal its ExecStats
+            let m = &out.metrics;
+            assert_eq!(
+                (m.spill_bytes, m.spill_partitions),
+                out.stats_spill,
+                "{name}: {door:?}"
+            );
+            assert_eq!(
+                m.spill_bytes > 0 && m.spill_partitions > 0,
+                case.spills,
+                "{name}: {door:?} spilled {m:?}"
+            );
+            out
+        });
+        // decode sinks come from a process-global counter that concurrent
+        // tests bump; every other counter must agree between the doors
+        let strip = |m: SessionMetrics| SessionMetrics {
+            decode_sinks: 0,
+            ..m
+        };
+        assert_eq!(
+            strip(frame.metrics),
+            strip(sql.metrics),
+            "{}: the doors disagree",
+            case.name
+        );
+    }
 }

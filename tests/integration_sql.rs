@@ -1,6 +1,7 @@
 //! SQL end-to-end integration: DDL + DML + mixed relational/matrix queries
 //! against generated datasets.
 
+use rma::sql::ast::Statement;
 use rma::sql::Engine;
 use rma::Value;
 
@@ -82,7 +83,13 @@ fn optimizer_toggle_preserves_results() {
     let q = "SELECT name, duration FROM trips JOIN stations ON start_station = code \
              WHERE duration > 300 AND lat > 45.5 ORDER BY duration DESC LIMIT 20";
     let with = e.query(q).unwrap();
-    e.optimize = false;
-    let without = e.query(q).unwrap();
+    // the same plan as lowered, executed without the optimizer
+    let Statement::Select(sel) = rma::sql::parse(q).unwrap() else {
+        panic!("not a SELECT")
+    };
+    let plan = rma::sql::plan_select(&sel).unwrap();
+    let without = rma::sql::executor::execute(&plan, &e.catalog, e.rma_context())
+        .unwrap()
+        .materialize();
     assert!(with.bag_equals(&without));
 }
