@@ -16,8 +16,8 @@ use std::time::Duration;
 pub enum Backend {
     /// The paper's policy: element-wise operations stay on BATs, complex
     /// operations are delegated to the dense (MKL-role) kernel unless the
-    /// matrix would exceed the memory budget, in which case the no-copy BAT
-    /// kernel is used where available.
+    /// dense copy would exceed [`RmaOptions::mem_budget`], in which case
+    /// the no-copy BAT kernel is used where available.
     #[default]
     Auto,
     /// Force the no-copy column-at-a-time kernels (RMA+BAT). Operations
@@ -47,13 +47,6 @@ pub struct RmaOptions {
     pub backend: Backend,
     /// Order-schema sorting policy (§8.1).
     pub sort_policy: SortPolicy,
-    /// Verify that order schemas form keys (the paper requires it; turning
-    /// it off removes the O(n) hash check from micro-benchmarks).
-    pub validate_keys: bool,
-    /// Auto-policy memory budget for the dense copy, in bytes. When the
-    /// estimated dense working set exceeds it, the BAT kernel is used
-    /// (mirroring the paper's switch to BATs when MKL would not fit).
-    pub dense_memory_budget: usize,
     /// Worker threads for *plan execution*. Sizes the context's session
     /// [`WorkerPool`] (created at context construction; contexts at the
     /// default count share one process-wide pool). With `threads > 1` the
@@ -67,11 +60,6 @@ pub struct RmaOptions {
     /// `RMA_THREADS` knob ([`rma_linalg::available_threads`]). Defaults to
     /// [`default_threads`].
     pub threads: usize,
-    /// Enable the cost-based join-order enumerator
-    /// (`rma_core::plan::optimize`). Off, inner-join trees execute in the
-    /// order the frontend wrote them — the ablation baseline of the
-    /// `joinorder` bench target.
-    pub join_reorder: bool,
     /// Per-query memory budget in bytes for the resource governor
     /// (`0` = unlimited, the default). When set, plan execution mints a
     /// `QueryGuard` and charges allocation-weight estimates for each
@@ -81,9 +69,10 @@ pub struct RmaOptions {
     /// with `RmaError::ResourceExhausted` within one morsel's work, and a
     /// serving session also runs admission against it
     /// (`serve::Session::execute`). Sessions inherit it unless
-    /// `serve::Session::set_mem_budget` overrides it.
-    /// Distinct from [`RmaOptions::dense_memory_budget`], which only
-    /// steers the BAT-vs-dense kernel choice and never fails a query.
+    /// `serve::Session::set_mem_budget` overrides it. The same budget
+    /// steers [`Backend::Auto`]'s kernel choice
+    /// ([`RmaContext::choose_kernel`]): a complex operation whose dense
+    /// copy would not fit it runs on the no-copy BAT kernel instead.
     pub mem_budget: usize,
     /// Per-query deadline for the resource governor (`None` = no
     /// deadline). Measured from the start of each plan execution; a query
@@ -98,10 +87,7 @@ impl Default for RmaOptions {
         RmaOptions {
             backend: Backend::Auto,
             sort_policy: SortPolicy::Optimized,
-            validate_keys: true,
-            dense_memory_budget: 8 << 30, // 8 GiB
             threads: default_threads(),
-            join_reorder: true,
             mem_budget: 0,
             deadline: None,
         }
@@ -391,8 +377,12 @@ impl RmaContext {
 
     /// Decide the kernel for an operation on an `m × n` application part
     /// (plus the second operand's application dimensions for binary ops)
-    /// under the configured policy. Public so the plan-level optimizer can
-    /// make the same choice ahead of execution.
+    /// under the configured policy. A pure function of the operation, the
+    /// shapes and [`RmaOptions::mem_budget`] (`0` = unlimited): under
+    /// [`Backend::Auto`] a complex operation goes dense exactly when
+    /// `2 · cells · 8` bytes — every operand copied in and the result out —
+    /// fits the budget. Public so the plan-level optimizer makes the same
+    /// choice ahead of execution that execution makes at run time.
     pub fn choose_kernel(
         &self,
         op: RmaOp,
@@ -409,13 +399,15 @@ impl RmaContext {
                     Backend::Bat
                 } else {
                     // complex op: use dense unless copying every operand in
-                    // and the result out would not fit the budget
+                    // and the result out would not fit the memory budget
+                    // (0 = unlimited)
                     let mut cells = m * n;
                     if let Some((m2, n2)) = second {
                         cells += m2 * n2;
                     }
                     let est = 2 * cells * std::mem::size_of::<f64>();
-                    if est <= self.options.dense_memory_budget {
+                    let budget = self.options.mem_budget;
+                    if budget == 0 || est <= budget {
                         Backend::Dense
                     } else {
                         Backend::Bat
@@ -449,30 +441,58 @@ mod tests {
 
     #[test]
     fn auto_policy_respects_memory_budget() {
-        let ctx = RmaContext::new(RmaOptions {
-            dense_memory_budget: 1 << 20, // 1 MiB
-            ..RmaOptions::default()
-        });
-        // 1M × 10 doubles ≈ 80 MB > 1 MiB → BAT
+        let budget = |b: usize| {
+            RmaContext::new(RmaOptions {
+                mem_budget: b,
+                ..RmaOptions::default()
+            })
+        };
+        // unary qqr on 100 × 10: the dense copy is 2 · 1000 · 8 = 16 000 B
+        let fits = budget(16_000);
         assert_eq!(
-            ctx.choose_kernel(RmaOp::Qqr, 1_000_000, 10, None),
+            fits.choose_kernel(RmaOp::Qqr, 100, 10, None),
+            Backend::Dense
+        );
+        let over = budget(15_999);
+        assert_eq!(over.choose_kernel(RmaOp::Qqr, 100, 10, None), Backend::Bat);
+        // 1M × 10 doubles ≈ 160 MB > 1 MiB → BAT
+        assert_eq!(
+            budget(1 << 20).choose_kernel(RmaOp::Qqr, 1_000_000, 10, None),
             Backend::Bat
         );
-        assert_eq!(ctx.choose_kernel(RmaOp::Qqr, 100, 10, None), Backend::Dense);
+        // 0 = unlimited: every complex op is dense, every linear op BAT
+        let unlimited = budget(0);
+        for op in crate::shape::ALL_OPS {
+            let linear = matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu);
+            assert_eq!(
+                unlimited.choose_kernel(op, 1_000_000, 1_000, Some((1_000_000, 1_000))),
+                if linear { Backend::Bat } else { Backend::Dense },
+                "{op:?}"
+            );
+        }
     }
 
     #[test]
     fn binary_budget_counts_both_operands() {
-        // 60 KiB budget: one 32×100 operand copies in 2·32·100·8 ≈ 50 KiB,
-        // but mmu's second operand of the same size pushes past the budget.
-        let ctx = RmaContext::new(RmaOptions {
-            dense_memory_budget: 60 << 10,
-            ..RmaOptions::default()
-        });
-        assert_eq!(ctx.choose_kernel(RmaOp::Mmu, 32, 100, None), Backend::Dense);
+        // mmu of 32 × 100 by 100 × 32: 2 · (3200 + 3200) · 8 = 102 400 B
+        // copied; one operand alone is half of that
+        let ctx = |b: usize| {
+            RmaContext::new(RmaOptions {
+                mem_budget: b,
+                ..RmaOptions::default()
+            })
+        };
         assert_eq!(
-            ctx.choose_kernel(RmaOp::Mmu, 32, 100, Some((100, 32))),
+            ctx(102_400).choose_kernel(RmaOp::Mmu, 32, 100, Some((100, 32))),
+            Backend::Dense
+        );
+        assert_eq!(
+            ctx(102_399).choose_kernel(RmaOp::Mmu, 32, 100, Some((100, 32))),
             Backend::Bat
+        );
+        assert_eq!(
+            ctx(102_399).choose_kernel(RmaOp::Mmu, 32, 100, None),
+            Backend::Dense
         );
     }
 

@@ -53,7 +53,7 @@ impl RmaContext {
         if matches!(mode, SortMode::Full) {
             stats.sorts += 1;
         }
-        let s = split(self, r, order, mode)?;
+        let s = split(r, order, mode)?;
         stats.sort += t_sort.elapsed();
         let out = eval_unary(self, op, &s.app, &mut stats)?;
 
@@ -156,8 +156,8 @@ impl RmaContext {
         let (rs, ss) = if aligned {
             if optimized && r_sorted && s_sorted {
                 // both physically sorted: ranks align positionally for free
-                let rs = split(self, r, r_order, SortMode::Skip)?;
-                let ss = split(self, s, s_order, SortMode::Skip)?;
+                let rs = split(r, r_order, SortMode::Skip)?;
+                let ss = split(s, s_order, SortMode::Skip)?;
                 (rs, ss)
             } else if optimized {
                 // relative sorting: r stays in physical order and is sorted
@@ -169,15 +169,15 @@ impl RmaContext {
                     stats.sorts += 1;
                     SortMode::Rank
                 };
-                let mut rs = split(self, r, r_order, r_mode)?;
+                let mut rs = split(r, r_order, r_mode)?;
                 stats.sorts += 1;
                 let other = rs.perm.take();
-                let ss = split(self, s, s_order, SortMode::AlignTo { other })?;
+                let ss = split(s, s_order, SortMode::AlignTo { other })?;
                 (rs, ss)
             } else {
                 stats.sorts += 2;
-                let rs = split(self, r, r_order, SortMode::Full)?;
-                let ss = split(self, s, s_order, SortMode::Full)?;
+                let rs = split(r, r_order, SortMode::Full)?;
+                let ss = split(s, s_order, SortMode::Full)?;
                 (rs, ss)
             }
         } else {
@@ -200,8 +200,8 @@ impl RmaContext {
             if matches!(s_mode, SortMode::Full) {
                 stats.sorts += 1;
             }
-            let rs = split(self, r, r_order, r_mode)?;
-            let ss = split(self, s, s_order, s_mode)?;
+            let rs = split(r, r_order, r_mode)?;
+            let ss = split(s, s_order, s_mode)?;
             (rs, ss)
         };
         stats.sort += t_sort.elapsed();

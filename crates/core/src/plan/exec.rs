@@ -50,9 +50,8 @@ use std::time::Instant;
 /// Runs under the calling thread's active
 /// [`QueryGuard`](rma_relation::QueryGuard) when one is installed (the
 /// serving layer's per-query governor); otherwise, when
-/// [`RmaOptions::mem_budget`] or [`RmaOptions::deadline`] is set (or the
-/// `RMA_FAULT` fault-injection knob is armed), a guard is minted here for
-/// the duration of the plan. Governance trips surface as
+/// [`RmaOptions::mem_budget`] or [`RmaOptions::deadline`] is set, a guard
+/// is minted here for the duration of the plan. Governance trips surface as
 /// `PlanError::Rma(RmaError::Cancelled | DeadlineExceeded |
 /// ResourceExhausted)`.
 pub fn execute(
@@ -117,7 +116,7 @@ fn governor_scope(ctx: &RmaContext) -> Option<rel::ActiveGuard> {
         return None; // the serving layer already minted this query's guard
     }
     let o = &ctx.options;
-    if o.mem_budget == 0 && o.deadline.is_none() && std::env::var_os("RMA_FAULT").is_none() {
+    if o.mem_budget == 0 && o.deadline.is_none() {
         return None;
     }
     let guard = rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64);

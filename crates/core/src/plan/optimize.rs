@@ -18,8 +18,7 @@
 //!    [`super::stats`]; equi-join connectivity is respected so no cross
 //!    product is introduced that the query did not ask for. The original
 //!    output column order is restored with an identity projection, so the
-//!    rewrite is invisible to everything downstream. Gated on
-//!    [`RmaOptions::join_reorder`](crate::RmaOptions::join_reorder).
+//!    rewrite is invisible to everything downstream.
 //! 5. **Projection pushdown** — column requirements propagate through
 //!    equi-joins, cross products and projections to scans, which prune
 //!    unused columns at the source; a projection drops the items nobody
@@ -84,13 +83,9 @@ use std::collections::BTreeSet;
 /// rewrites).
 pub fn optimize(plan: LogicalPlan, ctx: &RmaContext, provider: &dyn TableProvider) -> LogicalPlan {
     let plan = eliminate_double_transpose(plan, provider);
-    let plan = push_selections(plan, ctx, provider);
+    let plan = push_selections(plan, provider);
     let plan = merge_selections(plan);
-    let plan = if ctx.options.join_reorder {
-        reorder_joins(plan, provider)
-    } else {
-        plan
-    };
+    let plan = reorder_joins(plan, provider);
     let plan = prune_projections(plan, None, provider);
     let plan = fuse_top_k(plan);
     let plan = if ctx.options.sort_policy == SortPolicy::Optimized {
@@ -292,17 +287,13 @@ fn eliminate_double_transpose(plan: LogicalPlan, provider: &dyn TableProvider) -
 // Pass 2: selection pushdown
 // ---------------------------------------------------------------------
 
-fn push_selections(
-    plan: LogicalPlan,
-    ctx: &RmaContext,
-    provider: &dyn TableProvider,
-) -> LogicalPlan {
+fn push_selections(plan: LogicalPlan, provider: &dyn TableProvider) -> LogicalPlan {
     match plan {
         LogicalPlan::Select { input, predicate } => {
-            let input = push_selections(*input, ctx, provider);
-            push_one_selection(predicate, input, ctx, provider)
+            let input = push_selections(*input, provider);
+            push_one_selection(predicate, input, provider)
         }
-        other => other.map_children(&mut |p| push_selections(p, ctx, provider)),
+        other => other.map_children(&mut |p| push_selections(p, provider)),
     }
 }
 
@@ -310,13 +301,12 @@ fn push_selections(
 fn push_one_selection(
     predicate: Expr,
     input: LogicalPlan,
-    ctx: &RmaContext,
     provider: &dyn TableProvider,
 ) -> LogicalPlan {
     match input {
         // σ over × / ⋈: conjuncts referencing one side only move there
         LogicalPlan::Cross { left, right } => {
-            push_into_join(predicate, *left, *right, ctx, provider, |l, r| {
+            push_into_join(predicate, *left, *right, provider, |l, r| {
                 LogicalPlan::Cross {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -324,7 +314,7 @@ fn push_one_selection(
             })
         }
         LogicalPlan::JoinOn { left, right, on } => {
-            push_into_join(predicate, *left, *right, ctx, provider, move |l, r| {
+            push_into_join(predicate, *left, *right, provider, move |l, r| {
                 LogicalPlan::JoinOn {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -333,7 +323,7 @@ fn push_one_selection(
             })
         }
         LogicalPlan::NaturalJoin { left, right } => {
-            push_into_join(predicate, *left, *right, ctx, provider, |l, r| {
+            push_into_join(predicate, *left, *right, provider, |l, r| {
                 LogicalPlan::NaturalJoin {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -354,7 +344,7 @@ fn push_one_selection(
                 })
                 .collect();
             if refs_subset(&predicate, &identity) {
-                let pushed = push_one_selection(predicate, *inner, ctx, provider);
+                let pushed = push_one_selection(predicate, *inner, provider);
                 LogicalPlan::Project {
                     input: Box::new(pushed),
                     items,
@@ -398,15 +388,11 @@ fn push_one_selection(
                         projection: None,
                     },
                 );
-                let inner = if ctx.options.validate_keys {
-                    LogicalPlan::AssertKey {
-                        attrs: order,
-                        input: Box::new(inner),
-                    }
-                } else {
-                    inner
+                let inner = LogicalPlan::AssertKey {
+                    attrs: order,
+                    input: Box::new(inner),
                 };
-                *args[0].input = push_one_selection(p, inner, ctx, provider);
+                *args[0].input = push_one_selection(p, inner, provider);
             }
             let node = LogicalPlan::Rma { op, args, backend };
             match combine(keep) {
@@ -428,7 +414,6 @@ fn push_into_join(
     predicate: Expr,
     left: LogicalPlan,
     right: LogicalPlan,
-    ctx: &RmaContext,
     provider: &dyn TableProvider,
     rebuild: impl FnOnce(LogicalPlan, LogicalPlan) -> LogicalPlan,
 ) -> LogicalPlan {
@@ -452,8 +437,8 @@ fn push_into_join(
         }
         keep.push(c);
     }
-    let left = wrap_selection(left, to_left, ctx, provider);
-    let right = wrap_selection(right, to_right, ctx, provider);
+    let left = wrap_selection(left, to_left, provider);
+    let right = wrap_selection(right, to_right, provider);
     let joined = rebuild(left, right);
     match combine(keep) {
         Some(p) => LogicalPlan::Select {
@@ -467,12 +452,11 @@ fn push_into_join(
 fn wrap_selection(
     plan: LogicalPlan,
     preds: Vec<Expr>,
-    ctx: &RmaContext,
     provider: &dyn TableProvider,
 ) -> LogicalPlan {
     match combine(preds) {
         // keep pushing further down the side
-        Some(p) => push_one_selection(p, plan, ctx, provider),
+        Some(p) => push_one_selection(p, plan, provider),
         None => plan,
     }
 }

@@ -92,8 +92,7 @@ pub enum ServeError {
         found: u64,
     },
     /// The optimistic commit loop lost the first-committer-wins race more
-    /// times than the session's retry cap allows
-    /// ([`Session::set_write_retry_limit`], default 16) and gave up.
+    /// times than the retry cap allows (16 attempts) and gave up.
     /// Maps onto `RmaError::WriteContention` at the SQL boundary.
     Contention {
         /// The table the writes targeted.

@@ -12,7 +12,7 @@ use crate::plan::{
 };
 use rma_relation::{par::fault::FaultPlan, QueryGuard, Relation, SessionTicket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -99,7 +99,7 @@ impl Server {
     /// Open a session whose morsel jobs may occupy at most `seats` pool
     /// workers at once (`0` = no limit). Every session gets a fresh
     /// [`SessionTicket`] — the fair scheduler interleaves jobs across
-    /// tickets by stride, so sessions share the pool proportionally
+    /// tickets by stride, so sessions share the pool evenly
     /// regardless of submission order.
     pub fn session_with_budget(&self, seats: usize) -> Session {
         Session {
@@ -109,7 +109,6 @@ impl Server {
             counters: self.metrics.register_session(),
             deadline_ns: AtomicU64::new(0),
             mem_budget: AtomicU64::new(0),
-            write_retry_limit: AtomicU32::new(DEFAULT_WRITE_RETRIES),
             active: Mutex::new(None),
             fault: Mutex::new(None),
         }
@@ -124,9 +123,9 @@ impl From<RmaContext> for Server {
     }
 }
 
-/// Default cap on optimistic-commit attempts before
-/// [`ServeError::Contention`] (see [`Session::set_write_retry_limit`]).
-pub(crate) const DEFAULT_WRITE_RETRIES: u32 = 16;
+/// Cap on the optimistic-commit attempts of [`Session::insert`] before
+/// [`ServeError::Contention`].
+pub(crate) const WRITE_RETRIES: u32 = 16;
 
 /// One client's handle onto a [`Server`]: issues queries against pinned
 /// catalog snapshots and writes through the first-committer-wins protocol.
@@ -147,8 +146,6 @@ pub struct Session {
     /// Per-query memory budget in bytes (0 = inherit the context option,
     /// which itself defaults to unlimited).
     mem_budget: AtomicU64,
-    /// Optimistic-commit attempts before [`ServeError::Contention`].
-    write_retry_limit: AtomicU32,
     /// The guard of the query currently executing on this session, so
     /// [`Session::cancel`] can reach it from another thread.
     active: Mutex<Option<QueryGuard>>,
@@ -359,12 +356,6 @@ impl Session {
         }
     }
 
-    /// Cap the optimistic-commit attempts of [`Session::insert`] (default
-    /// 16). `0` behaves as 1: always at least one attempt, never infinite.
-    pub fn set_write_retry_limit(&self, attempts: u32) {
-        self.write_retry_limit.store(attempts, Ordering::Relaxed);
-    }
-
     /// Arm a one-shot fault plan for the next query on this session
     /// (deterministic robustness testing; see
     /// [`rma_relation::par::fault`]).
@@ -383,15 +374,13 @@ impl Session {
     /// [`ServeError::WriteConflict`] the loop re-pins and re-prepares
     /// after a decorrelated-jitter [`Backoff`] sleep, so concurrent
     /// appenders all land (in some serial order) without ever blocking
-    /// readers. Attempts are capped by
-    /// [`Session::set_write_retry_limit`] (default 16); exhausting the
-    /// cap returns [`ServeError::Contention`] rather than looping
-    /// unboundedly under pathological write pressure. Returns the
-    /// catalog version that installed the rows.
+    /// readers. Attempts are capped at 16; exhausting the cap returns
+    /// [`ServeError::Contention`] rather than looping unboundedly under
+    /// pathological write pressure. Returns the catalog version that
+    /// installed the rows.
     pub fn insert(&self, table: &str, rows: &Relation) -> Result<u64, ServeError> {
-        let limit = self.write_retry_limit.load(Ordering::Relaxed).max(1);
         let mut backoff = Backoff::default();
-        for attempt in 1..=limit {
+        for attempt in 1..=WRITE_RETRIES {
             let snap = self.pin();
             let Some(generation) = snap.get(table) else {
                 return Err(ServeError::NoSuchTable(table.to_string()));
@@ -404,7 +393,7 @@ impl Session {
                 Ok(version) => return Ok(version),
                 Err(ServeError::WriteConflict { .. }) => {
                     self.counters.record_conflict();
-                    if attempt < limit {
+                    if attempt < WRITE_RETRIES {
                         backoff.sleep();
                     }
                 }
@@ -413,7 +402,7 @@ impl Session {
         }
         Err(ServeError::Contention {
             table: table.to_string(),
-            retries: limit,
+            retries: WRITE_RETRIES,
         })
     }
 
@@ -644,7 +633,6 @@ mod tests {
         let server = Server::default();
         let s = server.session();
         s.create_table("t", rel(vec![0])).unwrap();
-        s.set_write_retry_limit(3);
         // make every commit lose the race: move the generation between the
         // session's pin and its commit by racing a tight writer loop
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -656,8 +644,8 @@ mod tests {
                     let _ = racer.insert("t", &rel(vec![7]));
                 }
             });
-            // with a 3-attempt cap and a saturating racer, some insert
-            // eventually exhausts its budget
+            // with a saturating racer, some insert may exhaust the
+            // 16-attempt cap
             let mut last = None;
             for _ in 0..200 {
                 if let Err(e) = s.insert("t", &rel(vec![1])) {
@@ -673,7 +661,7 @@ mod tests {
                 e,
                 ServeError::Contention {
                     table: "t".to_string(),
-                    retries: 3
+                    retries: WRITE_RETRIES
                 }
             );
         }

@@ -74,12 +74,7 @@ pub enum SortMode {
 }
 
 /// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
-pub fn split<'a>(
-    ctx: &RmaContext,
-    r: &'a Relation,
-    order: &[&str],
-    mode: SortMode,
-) -> Result<Split<'a>, RmaError> {
+pub fn split<'a>(r: &'a Relation, order: &[&str], mode: SortMode) -> Result<Split<'a>, RmaError> {
     // resolve schemas
     let order_schema = r.schema().subset(order)?;
     let app_schema = r.schema().complement(order);
@@ -106,10 +101,10 @@ pub fn split<'a>(
     // a split that sorts takes the key verdict from that sort, so only a
     // split that never sorts pays the key check
     let sorted = if matches!(mode, SortMode::Skip) {
-        require_key(ctx, order, rows, || is_key(&keys))?;
+        require_key(order, rows, || is_key(&keys))?;
         None
     } else {
-        key_sorted(ctx, &keys, order, rows)?
+        key_sorted(&keys, order, rows)?
     };
     let span = trace::clock();
     // the order the parts are read in: Full gathers both by its sort;
@@ -163,17 +158,8 @@ pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
 
 /// `OrderSchemaNotKey` unless the order schema is a key: `unique` decides
 /// for a non-empty schema, the empty schema is a key only of relations with
-/// at most one row. Nothing is checked when the context does not validate
-/// keys.
-fn require_key(
-    ctx: &RmaContext,
-    order: &[&str],
-    rows: usize,
-    unique: impl FnOnce() -> bool,
-) -> Result<(), RmaError> {
-    if !ctx.options.validate_keys {
-        return Ok(());
-    }
+/// at most one row.
+fn require_key(order: &[&str], rows: usize, unique: impl FnOnce() -> bool) -> Result<(), RmaError> {
     let key = if order.is_empty() {
         rows <= 1
     } else {
@@ -192,7 +178,6 @@ fn require_key(
 /// `rma_storage::sort`, recorded as an `rma.sort` span — and take the key
 /// verdict from the same call. `None` = already in order.
 fn key_sorted(
-    ctx: &RmaContext,
     keys: &[&Column],
     order: &[&str],
     rows: usize,
@@ -200,7 +185,7 @@ fn key_sorted(
     let span = trace::clock();
     let sorted = key_sort(keys);
     trace::record("rma.sort", "rma", 0, span, rows as u64, rows as u64, 1);
-    require_key(ctx, order, rows, || sorted.unique)?;
+    require_key(order, rows, || sorted.unique)?;
     Ok(sorted.perm)
 }
 
@@ -328,9 +313,8 @@ mod tests {
 
     #[test]
     fn full_sort_gathers_in_key_order() {
-        let ctx = RmaContext::default();
         let r = weather();
-        let s = split(&ctx, &r, &["T"], SortMode::Full).unwrap();
+        let s = split(&r, &["T"], SortMode::Full).unwrap();
         assert_eq!(s.app_names, vec!["H", "W"]);
         assert_eq!(s.app[0], vec![1.0, 1.0, 6.0, 8.0]); // H sorted by T
         assert_eq!(s.app[1], vec![3.0, 4.0, 7.0, 5.0]); // W sorted by T
@@ -341,9 +325,8 @@ mod tests {
 
     #[test]
     fn skip_keeps_physical_order() {
-        let ctx = RmaContext::default();
         let r = weather();
-        let s = split(&ctx, &r, &["T"], SortMode::Skip).unwrap();
+        let s = split(&r, &["T"], SortMode::Skip).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(s.perm.is_none());
         assert!(matches!(s.app[0], Cow::Borrowed(_)));
@@ -351,9 +334,8 @@ mod tests {
 
     #[test]
     fn rank_keeps_physical_order_and_records_the_sort() {
-        let ctx = RmaContext::default();
         let r = weather();
-        let s = split(&ctx, &r, &["T"], SortMode::Rank).unwrap();
+        let s = split(&r, &["T"], SortMode::Rank).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(matches!(s.app[0], Cow::Borrowed(_)));
         assert_eq!(s.order_cols[0].get(1), Value::from("8am"));
@@ -366,15 +348,14 @@ mod tests {
     fn align_to_matches_other_relation() {
         // s has the same keys in a different physical order; aligning s to
         // r's physical order must pair equal keys.
-        let ctx = RmaContext::default();
         let r = weather();
         let s_rel = RelationBuilder::new()
             .column("T2", vec!["6am", "5am", "8am", "7am"])
             .column("X", vec![60.0f64, 50.0, 80.0, 70.0])
             .build()
             .unwrap();
-        let other = split(&ctx, &r, &["T"], SortMode::Rank).unwrap().perm;
-        let s = split(&ctx, &s_rel, &["T2"], SortMode::AlignTo { other }).unwrap();
+        let other = split(&r, &["T"], SortMode::Rank).unwrap().perm;
+        let s = split(&s_rel, &["T2"], SortMode::AlignTo { other }).unwrap();
         // s stays in physical order, lent; operation order is read through
         // the alignment — r physical order: 5am, 8am, 7am, 6am → X: 50, 80,
         // 70, 60
@@ -422,70 +403,52 @@ mod tests {
 
     #[test]
     fn key_violation_detected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 1])
             .column("x", vec![1.0f64, 2.0])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::OrderSchemaNotKey(_))
         ));
     }
 
     #[test]
-    fn key_validation_can_be_disabled() {
-        let ctx = RmaContext::new(crate::context::RmaOptions {
-            validate_keys: false,
-            ..Default::default()
-        });
-        let r = RelationBuilder::new()
-            .column("k", vec![1i64, 1])
-            .column("x", vec![1.0f64, 2.0])
-            .build()
-            .unwrap();
-        assert!(split(&ctx, &r, &["k"], SortMode::Skip).is_ok());
-    }
-
-    #[test]
     fn non_numeric_application_rejected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 2])
             .column("s", vec!["a", "b"])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::NonNumericApplication { .. })
         ));
     }
 
     #[test]
     fn empty_application_rejected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 2])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::EmptyApplication)
         ));
     }
 
     #[test]
     fn int_application_widens() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![2i64, 1])
             .column("x", vec![20i64, 10])
             .build()
             .unwrap();
-        let s = split(&ctx, &r, &["k"], SortMode::Full).unwrap();
+        let s = split(&r, &["k"], SortMode::Full).unwrap();
         assert_eq!(s.app[0], vec![10.0, 20.0]);
-        let s = split(&ctx, &r, &["k"], SortMode::Skip).unwrap();
+        let s = split(&r, &["k"], SortMode::Skip).unwrap();
         assert_eq!(s.app[0], vec![20.0, 10.0]);
         assert!(matches!(s.app[0], Cow::Owned(_)));
     }

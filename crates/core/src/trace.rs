@@ -16,7 +16,8 @@
 //! costs one relaxed atomic load ([`rma_relation::trace::enabled`]); with
 //! a session active, spans are `Copy` structs appended to per-worker
 //! buffers — no per-span allocation, no serialization until export. The
-//! `profile` bench target gates the traced/untraced ratio at ≤ 5%.
+//! benchmark's traced run reports the traced/untraced ratio as
+//! `trace.overhead_frac`.
 //!
 //! ```
 //! use rma_core::{trace::TraceSession, RmaContext};

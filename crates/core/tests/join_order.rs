@@ -5,7 +5,7 @@
 //! backends at 1 and 4 worker threads.
 
 use proptest::prelude::*;
-use rma_core::plan::Frame;
+use rma_core::plan::{self, Frame, NoTables, PlanError};
 use rma_core::{Backend, RmaContext, RmaOptions};
 use rma_relation::{AggFunc, AggSpec, Expr, Relation, RelationBuilder};
 
@@ -180,36 +180,22 @@ fn two_way_join_builds_on_the_smaller_side() {
     assert_eq!(names[..3], ["ak", "ap", "aw"], "written order restored");
 }
 
-#[test]
-fn reorder_disabled_keeps_written_order() {
-    let f = fact(1000, [400, 50, 10]);
-    let da = dim("da", "a", 400, 1);
-    let db = dim("db", "b", 50, 50);
-    let frame = Frame::scan(f)
-        .join(Frame::scan(da), &[("fa", "ak")])
-        .join(Frame::scan(db), &[("fb", "bk")])
-        .select(Expr::col("bp").eq(Expr::lit(3i64)));
-    let ctx = RmaContext::new(RmaOptions {
-        join_reorder: false,
-        ..RmaOptions::default()
-    });
-    let plan = frame.explain(&ctx);
-    let da_pos = plan.find("Values da").expect("da leaf");
-    let db_pos = plan.find("Values db").expect("db leaf");
-    assert!(da_pos < db_pos, "written order must survive:\n{plan}");
-}
-
 // ---------------------------------------------------------------------
 // Parity: reordered == written-order results, any backend, any threads
 // ---------------------------------------------------------------------
 
-fn ctx(backend: Backend, threads: usize, join_reorder: bool) -> RmaContext {
+fn ctx(backend: Backend, threads: usize) -> RmaContext {
     RmaContext::new(RmaOptions {
         backend,
         threads,
-        join_reorder,
         ..RmaOptions::default()
     })
+}
+
+/// Execute the frame's plan as written — before the optimizer runs — the
+/// written-order reference the reordered plans must reproduce.
+fn collect_unoptimized(frame: &Frame, ctx: &RmaContext) -> Result<Relation, PlanError> {
+    Ok(plan::execute(frame.logical_plan(), ctx, &NoTables)?.materialize())
 }
 
 /// A random star query over the generated tables: joins in a deliberately
@@ -261,9 +247,9 @@ proptest! {
         for backend in [Backend::Auto, Backend::Bat, Backend::Dense] {
             // within one backend the kernel numerics are fixed, so the
             // reordered plan must reproduce the written order's bag exactly
-            let baseline = frame.collect(&ctx(backend, 1, false));
+            let baseline = collect_unoptimized(&frame, &ctx(backend, 1));
             for threads in [1usize, 4] {
-                let reordered = frame.collect(&ctx(backend, threads, true));
+                let reordered = frame.collect(&ctx(backend, threads));
                 match (&baseline, &reordered) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(a.schema(), b.schema(),

@@ -166,9 +166,7 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
             .column("y", vec![1.0f64; n + 1])
             .build()
             .unwrap();
-        let ranks = split(&RmaContext::default(), &clean, &["k2"], SortMode::Rank)
-            .unwrap()
-            .perm;
+        let ranks = split(&clean, &["k2"], SortMode::Rank).unwrap().perm;
         for dup_at in [0, n / 2, n - 1] {
             let dup = with_duplicate(n, dup_at, 5 + dup_at as u64);
             let not_key = |r: Result<_, RmaError>| {
@@ -177,18 +175,17 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
                     "n={n} dup_at={dup_at}"
                 )
             };
+            for mode in [
+                SortMode::Full,
+                SortMode::Skip,
+                SortMode::Rank,
+                SortMode::AlignTo {
+                    other: ranks.clone(),
+                },
+            ] {
+                not_key(split(&dup, &["k"], mode).map(|_| ()));
+            }
             for threads in [1, 2] {
-                let ctx = ctx_with(threads, Backend::Auto, SortPolicy::Optimized);
-                for mode in [
-                    SortMode::Full,
-                    SortMode::Skip,
-                    SortMode::Rank,
-                    SortMode::AlignTo {
-                        other: ranks.clone(),
-                    },
-                ] {
-                    not_key(split(&ctx, &dup, &["k"], mode).map(|_| ()));
-                }
                 // and through the operations, under both policies; every
                 // split of an aligned op sorts (`Rank`/`AlignTo`, or `Full`
                 // under `Always`), so on either side the verdict is the sort's
@@ -199,12 +196,6 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
                     not_key(ctx.cpd(&clean, &["k2"], &dup, &["k"]).map(|_| ()));
                     not_key(ctx.qqr(&dup, &["k"]).map(|_| ()));
                     not_key(ctx.tra(&dup, &["k"]).map(|_| ()));
-                    // `validate_keys: false` skips the check
-                    let lax = RmaContext::new(RmaOptions {
-                        validate_keys: false,
-                        ..ctx.options.clone()
-                    });
-                    assert_eq!(lax.add(&clean, &["k2"], &dup, &["k"]).unwrap().len(), n + 1);
                 }
             }
         }
@@ -400,7 +391,6 @@ fn relative_sorting_add_equals_gather_then_add_bit_for_bit() {
 #[test]
 fn a_skip_split_lends_its_float_columns() {
     let r = elementwise_side("k", ["a", "b", "c", "d"], 500, 0, 3);
-    let ctx = RmaContext::default();
     let stored = |name: &str| match r.column(name).unwrap().accessor() {
         ColumnAccessor::Float(FloatsRef::Slice(v)) => v,
         other => panic!("{name} is not a plain float column: {other:?}"),
@@ -409,7 +399,7 @@ fn a_skip_split_lends_its_float_columns() {
         Cow::Borrowed(lent) => std::ptr::eq(*lent, stored("a")),
         Cow::Owned(_) => false,
     };
-    let skip = split(&ctx, &r, &["k"], SortMode::Skip).unwrap();
+    let skip = split(&r, &["k"], SortMode::Skip).unwrap();
     assert!(lends_a(&skip.app[0]), "the plain float column is lent");
     // widened, decoded: owned, never through the decode sink
     for (app, name) in skip.app.iter().zip(&skip.app_names).skip(1) {
@@ -418,12 +408,12 @@ fn a_skip_split_lends_its_float_columns() {
     }
     // the relation an aligned operation keeps in place and the aligned side
     // itself both lend; a full sort gathers
-    let rank = split(&ctx, &r, &["k"], SortMode::Rank).unwrap();
+    let rank = split(&r, &["k"], SortMode::Rank).unwrap();
     assert!(lends_a(&rank.app[0]));
     let other = Some(shuffled(500, 9));
-    let aligned = split(&ctx, &r, &["k"], SortMode::AlignTo { other }).unwrap();
+    let aligned = split(&r, &["k"], SortMode::AlignTo { other }).unwrap();
     assert!(lends_a(&aligned.app[0]) && aligned.align.is_some());
-    let full = split(&ctx, &r, &["k"], SortMode::Full).unwrap();
+    let full = split(&r, &["k"], SortMode::Full).unwrap();
     assert!(!lends_a(&full.app[0]));
 }
 
@@ -564,7 +554,7 @@ fn the_key_verdict_is_the_sorts_under_every_policy_and_check() {
             }
         }
         for mode in [SortMode::Full, SortMode::Skip] {
-            let verdict = split(&RmaContext::default(), &r, &["f"], mode.clone()).is_ok();
+            let verdict = split(&r, &["f"], mode.clone()).is_ok();
             assert_eq!(verdict, key, "{what}: split under {mode:?}");
         }
     }

@@ -2,7 +2,7 @@
 //! optimizer's rewrites, and lazy/eager agreement on concrete pipelines.
 
 use rma_core::plan::Frame;
-use rma_core::{RmaContext, RmaOptions, SortPolicy};
+use rma_core::{RmaContext, RmaOp, RmaOptions, SortPolicy};
 use rma_relation::{Expr, Relation, RelationBuilder};
 
 /// Unsorted four-row weather relation (the paper's Figure 2).
@@ -225,15 +225,49 @@ fn plan_level_backend_choice_is_annotated_and_honoured() {
     frame.collect(&ctx).unwrap();
     assert_eq!(ctx.stats().last_kernel, Some(rma_core::KernelUsed::Dense));
 
-    // a tiny budget flips the plan-level choice to the BAT kernel
-    let tight = RmaContext::new(RmaOptions {
-        dense_memory_budget: 16, // bytes
-        ..RmaOptions::default()
-    });
-    let explained = Frame::scan(square()).inv(&["k"]).explain(&tight);
-    assert!(explained.contains("backend=Bat"), "{explained}");
-    Frame::scan(square()).inv(&["k"]).collect(&tight).unwrap();
-    assert_eq!(tight.stats().last_kernel, Some(rma_core::KernelUsed::Bat));
+    // the one memory budget steers the choice: a complex op goes dense
+    // exactly when its dense copy, 2 · cells · 8 bytes, fits — 4 × 4 inv
+    // copies 256 B, 4 × 4 by 4 × 4 mmu copies both operands, 512 B. The
+    // plan-time choice (EXPLAIN), the plan's run and the eager call, which
+    // decides at run time, agree.
+    let m = square();
+    for (op, copy) in [(RmaOp::Inv, 256), (RmaOp::Mmu, 512)] {
+        let frame = match op {
+            RmaOp::Inv => Frame::scan(m.clone()).inv(&["k"]),
+            _ => Frame::scan(m.clone()).mmu(&["k"], Frame::scan(m.clone()), &["k"]),
+        };
+        for (budget, backend, kernel) in [
+            (copy, "Dense", rma_core::KernelUsed::Dense),
+            (copy - 1, "Bat", rma_core::KernelUsed::Bat),
+        ] {
+            let ctx = RmaContext::new(RmaOptions {
+                mem_budget: budget,
+                ..RmaOptions::default()
+            });
+            let explained = frame.explain(&ctx);
+            assert!(
+                explained.contains(&format!("backend={backend}")),
+                "{op:?} under {budget} B:\n{explained}"
+            );
+            frame.collect(&ctx).unwrap();
+            assert_eq!(
+                ctx.stats().last_kernel,
+                Some(kernel),
+                "{op:?} under {budget} B"
+            );
+            ctx.reset_stats();
+            match op {
+                RmaOp::Inv => ctx.inv(&m, &["k"]),
+                _ => ctx.mmu(&m, &["k"], &m, &["k"]),
+            }
+            .unwrap();
+            assert_eq!(
+                ctx.stats().last_kernel,
+                Some(kernel),
+                "eager {op:?} under {budget} B"
+            );
+        }
+    }
 }
 
 #[test]

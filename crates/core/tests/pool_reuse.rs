@@ -1,8 +1,8 @@
 //! The worker pool is a session-lifetime substrate: consecutive `execute`
 //! calls on one context must run on the same parked workers, never on
-//! freshly spawned threads. This is the test the ISSUE's acceptance
-//! criterion names — it is what proves no per-operator `thread::scope`
-//! spawns remain in `plan::par` / `algebra::parallel` / `algebra::sort`.
+//! freshly spawned threads. It proves that no per-operator
+//! `thread::scope` spawns remain in `plan::par` / `algebra::parallel` /
+//! `algebra::sort`.
 //!
 //! Kept in its own integration-test binary: `rma_relation::threads_spawned`
 //! is a process-wide counter, and a dedicated process keeps concurrent

@@ -8,6 +8,7 @@
 //! one lock: an orphan check must never see a concurrent test's files.
 
 use proptest::prelude::*;
+use rma_core::plan::{self, NoTables};
 use rma_core::serve::Server;
 use rma_core::{Backend, Frame, PlanError, RmaContext, RmaError, RmaOptions, Session};
 use rma_relation::par::fault::{FaultKind, FaultPlan};
@@ -370,10 +371,7 @@ fn formerly_rejected_join_now_runs_spilled_under_the_same_budget() {
 #[test]
 fn operator_charges_are_scoped_not_cumulative() {
     let _serial = lock();
-    let ctx = RmaContext::new(RmaOptions {
-        join_reorder: false, // keep customers on the build side
-        ..Default::default()
-    });
+    let ctx = RmaContext::default();
     let frame = Frame::scan(orders(2000, 97))
         .join(Frame::scan(customers(97)), &[("cust", "cid")])
         .aggregate(&["cust"], vec![AggSpec::sum("amount", "total")]);
@@ -381,7 +379,10 @@ fn operator_charges_are_scoped_not_cumulative() {
     // also kept the 48 B × 97 join build charged, tripping this budget
     let guard = QueryGuard::with_limits(None, 66_000);
     let scope = guard.activate();
-    let r = frame.collect(&ctx).unwrap();
+    // the plan as written, unoptimized: customers stay on the build side
+    let r = plan::execute(frame.logical_plan(), &ctx, &NoTables)
+        .unwrap()
+        .materialize();
     drop(scope);
     assert_eq!(r.len(), 97);
     assert_eq!(

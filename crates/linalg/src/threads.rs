@@ -46,9 +46,11 @@ pub fn available_threads() -> usize {
 pub trait Parallelism: Send + Sync {
     /// Total workers `run` invokes the job with (including the caller).
     fn threads(&self) -> usize;
-    /// Run `f(worker)` once per worker in `0..threads()`, concurrently, and
-    /// return only when every worker has finished. The closure does its own
-    /// work distribution (the kernels claim chunks from an atomic counter).
+    /// Run `f(worker)` concurrently on any subset of the workers in
+    /// `0..threads()` — the caller always runs it as worker `0`, others may
+    /// or may not join — and return only when every runner has finished.
+    /// The closure must therefore distribute work by claiming (the kernels
+    /// claim chunks from an atomic counter), never by worker index.
     fn run(&self, f: &(dyn Fn(usize) + Sync));
 }
 

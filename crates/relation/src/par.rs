@@ -23,42 +23,37 @@
 //!
 //! ## The scheduler: concurrent jobs, seats, and fair passes
 //!
-//! The pool runs **many jobs at once** (PR 6 — the concurrent serving
-//! layer): each job is an entry in a shared queue, and idle workers pick
-//! the runnable entry with the lowest *(pass, sequence)* pair. Two job
-//! modes exist:
+//! The pool runs **many jobs at once**: each job is an entry in a shared
+//! queue, and idle workers pick the runnable entry with the lowest
+//! *(pass, sequence)* pair. There is one job mode: any *subset* of workers
+//! may serve a job, capped by a **seat budget** (total concurrent runners,
+//! submitter included). A job submitted while a [`SessionTicket`] is
+//! [activated](SessionTicket::activate) on the submitting thread takes the
+//! ticket's seat budget; a job submitted without one (the dense kernels'
+//! loops reached outside a query, ad-hoc `for_each` calls) has no seat
+//! limit. The closure must therefore distribute work by claiming (which
+//! every caller in this workspace does); a seat budget of 1 runs inline
+//! on the submitter. A job *closes* as soon as any runner returns — at
+//! that point the shared claim counter is exhausted and late joiners
+//! would find nothing.
 //!
-//! - **Full jobs** (plain [`WorkerPool::broadcast`] with no active
-//!   ticket): every worker must run the closure exactly once before the
-//!   submitter returns — the historical contract, still required by
-//!   callers that hand worker `w` a fixed share of the work.
-//! - **Scheduled jobs** (submitted while a [`SessionTicket`] is
-//!   [activated](SessionTicket::activate) on the submitting thread): any
-//!   *subset* of workers may serve the job, capped by the ticket's **seat
-//!   budget** (total concurrent runners, submitter included). The closure
-//!   must therefore distribute work by claiming (which every operator in
-//!   this workspace already does); a seat budget of 1 runs inline on the
-//!   submitter. A scheduled job *closes* as soon as any runner returns —
-//!   at that point the shared claim counter is exhausted and late joiners
-//!   would find nothing.
-//!
-//! Fairness is stride scheduling: every ticket carries a virtual-time
-//! `pass` that advances by its stride on each submission (clamped up to
-//! the pool's completed-pass floor, so an idle session cannot hoard
-//! credit), and workers serve the lowest pass first. Active sessions
-//! therefore interleave their morsel jobs round-robin instead of queueing
-//! behind whoever submitted first, and a session's seat budget bounds how
-//! many workers a single heavy query can occupy — the rest keep serving
-//! other sessions concurrently.
+//! Fairness is stride scheduling with equal weights: every ticket carries
+//! a virtual-time `pass` that advances by one fixed stride on each
+//! submission (clamped up to the pool's completed-pass floor, so an idle
+//! session cannot hoard credit), and workers serve the lowest pass first.
+//! A job without a ticket queues at the floor. Active sessions therefore
+//! interleave their morsel jobs round-robin instead of queueing behind
+//! whoever submitted first, and a session's seat budget bounds how many
+//! workers a single heavy query can occupy — the rest keep serving other
+//! sessions concurrently.
 //!
 //! **Job contract** (what an operator must guarantee to enlist):
 //!
 //! - the job closure is `Fn(usize) + Sync`: it is called concurrently
 //!   with distinct worker indices in `0..threads()`;
-//! - a scheduled job may be run by any subset of workers (including the
-//!   submitter alone), so work distribution must be claim-based — never
-//!   "worker `w` owns share `w`" (full jobs may still assume every index
-//!   runs);
+//! - a job may be run by any subset of workers (including the submitter
+//!   alone), so work distribution must be claim-based — never "worker `w`
+//!   owns share `w`";
 //! - all sharing goes through `&`-captured state (atomics, `Mutex`, or
 //!   disjoint writes); the pool adds no synchronisation of its own beyond
 //!   the completion barrier;
@@ -147,9 +142,8 @@ pub fn threads_spawned() -> usize {
     THREADS_SPAWNED.load(Ordering::SeqCst)
 }
 
-/// Stride unit of the fair scheduler: a ticket of weight `w` advances its
-/// pass by `STRIDE_UNIT / w` per job, so heavier-weighted sessions get
-/// proportionally more turns.
+/// Stride of the fair scheduler: every ticket advances its pass by this
+/// much per job, so all sessions weigh the same and take turns.
 const STRIDE_UNIT: u64 = 1 << 16;
 
 /// A session's admission-control handle onto a [`WorkerPool`]: a **seat
@@ -179,8 +173,6 @@ pub struct SessionTicket(Arc<TicketInner>);
 struct TicketInner {
     /// Max concurrent runners per job (incl. the submitter); 0 = no limit.
     seats: usize,
-    /// Pass increment per submitted job (inverse of the session's weight).
-    stride: u64,
     /// The session's stride-scheduling virtual time.
     pass: AtomicU64,
     /// Total time this session's queued jobs waited for a worker pickup
@@ -191,21 +183,12 @@ struct TicketInner {
 }
 
 impl SessionTicket {
-    /// A ticket with the given seat budget and weight 1. `seats == 0`
-    /// means no limit; `seats == 1` runs every job inline on the
-    /// submitting thread (a pure-serial session that still gets fair
-    /// accounting).
+    /// A ticket with the given seat budget. `seats == 0` means no limit;
+    /// `seats == 1` runs every job inline on the submitting thread (a
+    /// pure-serial session that still gets fair accounting).
     pub fn new(seats: usize) -> Self {
-        SessionTicket::with_weight(seats, 1)
-    }
-
-    /// A ticket with an explicit scheduling weight: a weight-2 session's
-    /// jobs advance its pass half as fast, so workers serve it twice as
-    /// often as a weight-1 session under contention.
-    pub fn with_weight(seats: usize, weight: u32) -> Self {
         SessionTicket(Arc::new(TicketInner {
             seats,
-            stride: (STRIDE_UNIT / u64::from(weight.max(1))).max(1),
             pass: AtomicU64::new(0),
             queue_wait_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
@@ -231,7 +214,8 @@ impl SessionTicket {
     }
 
     /// The session's current stride-scheduling pass (monotone; advances by
-    /// the stride per submitted job). Exposed for tests and introspection.
+    /// one fixed stride per submitted job). Exposed for tests and
+    /// introspection.
     pub fn pass(&self) -> u64 {
         self.0.pass.load(Ordering::Relaxed)
     }
@@ -368,8 +352,7 @@ impl QueryGuard {
     }
 
     /// A guard with an optional deadline (measured from now) and a memory
-    /// budget in bytes (`0` = unlimited). Picks up a fault plan from the
-    /// `RMA_FAULT` environment knob when one is set ([`fault::from_env`]).
+    /// budget in bytes (`0` = unlimited).
     pub fn with_limits(deadline: Option<Duration>, mem_budget: u64) -> Self {
         QueryGuard(Arc::new(GuardInner {
             cancelled: AtomicBool::new(false),
@@ -380,7 +363,7 @@ impl QueryGuard {
             breach_needed: AtomicU64::new(0),
             spill_bytes: AtomicU64::new(0),
             spill_partitions: AtomicU64::new(0),
-            fault: fault::from_env(),
+            fault: None,
         }))
     }
 
@@ -513,9 +496,9 @@ impl QueryGuard {
     }
 
     /// The per-spill-write poll: `true` when an armed spill-I/O fault
-    /// ([`fault::FaultKind::SpillIo`], `RMA_FAULT=io@N`) fires at this
-    /// write. Spill writes keep their own counter, separate from morsel
-    /// polls, so `io@N` deterministically targets the `N`-th spill write
+    /// ([`fault::FaultKind::SpillIo`]) fires at this write. Spill writes
+    /// keep their own counter, separate from morsel polls, so a plan armed
+    /// at `N` deterministically targets the `N`-th spill write
     /// regardless of how many morsels ran first.
     pub fn fault_spill_write(&self) -> bool {
         match &self.0.fault {
@@ -588,12 +571,11 @@ pub fn guard_checkpoint() -> Result<(), GuardError> {
 /// and the injection point is deterministic for a fixed plan and thread
 /// count (the counter is a shared atomic: exactly one poll matches).
 ///
-/// The `RMA_FAULT` environment knob arms every guard minted while it is
-/// set — `RMA_FAULT=panic@5`, `RMA_FAULT=delay_ms:20@3`,
-/// `RMA_FAULT=breach@0`, or `RMA_FAULT=io@2` — for ad-hoc experiments
-/// outside tests. The `io` kind counts **spill writes** instead of morsel
-/// polls: it fails the `N`-th write the spill manager attempts, which
-/// exercises the out-of-core error path.
+/// Plans are armed through [`QueryGuard::with_fault`] (or a serving
+/// session's `inject_fault`). The
+/// [`SpillIo`](fault::FaultKind::SpillIo) kind counts **spill writes**
+/// instead of morsel polls: it fails the `N`-th write the spill manager
+/// attempts, which exercises the out-of-core error path.
 pub mod fault {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
@@ -660,31 +642,6 @@ pub mod fault {
             self.spill_polls.fetch_add(1, Ordering::Relaxed) == self.at
         }
     }
-
-    /// Parse the `RMA_FAULT` environment knob into a plan, if set
-    /// (see [`parse`] for the grammar).
-    pub fn from_env() -> Option<FaultPlan> {
-        parse(&std::env::var("RMA_FAULT").ok()?)
-    }
-
-    /// Parse a fault spec: `panic@N`, `delay_ms:M@N`, `breach@N`, or
-    /// `io@N` (N = 0-based poll index; for `io` the index counts spill
-    /// writes). Malformed specs yield `None` rather than panicking — a
-    /// typo in the knob must not take a server down.
-    pub fn parse(spec: &str) -> Option<FaultPlan> {
-        let (kind, at) = spec.split_once('@')?;
-        let at: u64 = at.trim().parse().ok()?;
-        let kind = match kind.trim() {
-            "panic" => FaultKind::Panic,
-            "breach" => FaultKind::BudgetBreach,
-            "io" => FaultKind::SpillIo,
-            other => {
-                let ms: u64 = other.strip_prefix("delay_ms:")?.parse().ok()?;
-                FaultKind::Delay(Duration::from_millis(ms))
-            }
-        };
-        Some(FaultPlan::new(kind, at))
-    }
 }
 
 /// A queued job's closure, type-erased. The pointee lives on the
@@ -699,25 +656,9 @@ struct JobSlot(*const (dyn Fn(usize) + Sync));
 // finished and no new runner can join.
 unsafe impl Send for JobSlot {}
 
-/// How a queued job admits workers.
-enum JobMode {
-    /// Every worker must run the closure exactly once (legacy broadcast).
-    Full {
-        /// Per-worker "has run" flags, index 0 = the submitter.
-        joined: Vec<bool>,
-    },
-    /// Claim-based job: any subset of workers may serve it, up to the seat
-    /// budget; closes when the first runner returns.
-    Scheduled {
-        /// Seats left for pool workers (the submitter's seat is implicit).
-        seats: usize,
-        /// Set when a runner returned: the claim counter is exhausted, no
-        /// new worker should join.
-        closed: bool,
-    },
-}
-
-/// One entry of the job queue.
+/// One entry of the job queue: a claim-based job any subset of workers
+/// may serve, up to the seat budget; it closes when the first runner
+/// returns.
 struct JobEntry {
     id: u64,
     raw: JobSlot,
@@ -728,46 +669,21 @@ struct JobEntry {
     running: usize,
     /// A runner caught a panic in this job.
     panicked: bool,
-    mode: JobMode,
+    /// Seats left for pool workers (the submitter's seat is implicit).
+    seats: usize,
+    /// Set when a runner returned: the claim counter is exhausted, no new
+    /// worker should join.
+    closed: bool,
     /// When the entry was queued — worker pickups subtract this to charge
     /// queue-wait time to the submitting ticket and the pool.
     submitted_at: Instant,
-    /// The submitting session's ticket (None for full jobs), so runners
+    /// The submitting session's ticket (`None` without one), so runners
     /// can attribute wait and run time to the right session.
     ticket: Option<SessionTicket>,
     /// The query guard active on the submitting thread, re-installed on
     /// every worker running this job so `current_guard()` (and therefore
     /// [`guard_checkpoint`] and memory charges) work inside job closures.
     guard: Option<QueryGuard>,
-}
-
-impl JobEntry {
-    /// May `worker` start running this entry now?
-    fn admits(&self, worker: usize) -> bool {
-        match &self.mode {
-            JobMode::Full { joined } => !joined[worker],
-            JobMode::Scheduled { seats, closed } => !closed && *seats > 0,
-        }
-    }
-
-    /// Register `worker` as a runner (caller checked [`JobEntry::admits`]).
-    fn join(&mut self, worker: usize) {
-        match &mut self.mode {
-            JobMode::Full { joined } => joined[worker] = true,
-            JobMode::Scheduled { seats, .. } => *seats -= 1,
-        }
-        self.running += 1;
-    }
-
-    /// Is the entry complete (submitter may remove it)? The submitter has
-    /// already returned from its own run when it evaluates this.
-    fn complete(&self) -> bool {
-        self.running == 0
-            && match &self.mode {
-                JobMode::Full { joined } => joined.iter().all(|&j| j),
-                JobMode::Scheduled { .. } => true,
-            }
-    }
 }
 
 /// Shared state between the pool handle and its workers.
@@ -953,11 +869,10 @@ impl WorkerPool {
     }
 
     /// Run `f(worker)` concurrently on the pool and return when the job is
-    /// done. With no ticket active on the calling thread this is a **full**
-    /// job: every worker runs `f` exactly once (the legacy contract; see
-    /// the module docs). With an active [`SessionTicket`] the job is
-    /// **scheduled**: served by up to `seats` workers picked fairly across
-    /// sessions, so the closure must be claim-based.
+    /// done. The job is served by any subset of workers — up to the active
+    /// [`SessionTicket`]'s seat budget, or every worker without a ticket —
+    /// picked fairly across sessions, so the closure must be claim-based
+    /// (see the module docs).
     ///
     /// Nested submission — `broadcast` called from inside a running job
     /// (e.g. a kernel that parallelises through a pool reached from an
@@ -998,29 +913,15 @@ impl WorkerPool {
             st.next_id += 1;
             let seq = st.next_seq;
             st.next_seq += 1;
-            let (pass, mode) = match &ticket {
-                None => {
-                    // full job: schedule at the floor (FIFO among peers)
-                    let mut joined = vec![false; self.threads()];
-                    joined[0] = true; // the submitter is worker 0
-                    (st.pass_floor, JobMode::Full { joined })
-                }
-                Some(t) => {
-                    let pass = t.0.pass.load(Ordering::Relaxed).max(st.pass_floor);
-                    t.0.pass.store(pass + t.0.stride, Ordering::Relaxed);
-                    let seats = if t.seats() == 0 {
-                        self.handles.len()
-                    } else {
-                        (t.seats() - 1).min(self.handles.len())
-                    };
-                    (
-                        pass,
-                        JobMode::Scheduled {
-                            seats,
-                            closed: false,
-                        },
-                    )
-                }
+            // without a ticket: queue at the floor (FIFO among peers)
+            let pass = ticket.as_ref().map_or(st.pass_floor, |t| {
+                let pass = t.0.pass.load(Ordering::Relaxed).max(st.pass_floor);
+                t.0.pass.store(pass + STRIDE_UNIT, Ordering::Relaxed);
+                pass
+            });
+            let seats = match seat_limit {
+                0 => self.handles.len(),
+                n => (n - 1).min(self.handles.len()),
             };
             st.jobs.push(JobEntry {
                 id,
@@ -1029,7 +930,8 @@ impl WorkerPool {
                 seq,
                 running: 1, // the submitter, below
                 panicked: false,
-                mode,
+                seats,
+                closed: false,
                 submitted_at: Instant::now(),
                 ticket: ticket.clone(),
                 guard,
@@ -1051,10 +953,8 @@ impl WorkerPool {
             .position(|e| e.id == id)
             .expect("submitted job entry vanished");
         st.jobs[idx].running -= 1;
-        if let JobMode::Scheduled { closed, .. } = &mut st.jobs[idx].mode {
-            *closed = true;
-        }
-        while !st.jobs.iter().find(|e| e.id == id).expect("job").complete() {
+        st.jobs[idx].closed = true;
+        while st.jobs.iter().find(|e| e.id == id).expect("job").running > 0 {
             st = self
                 .shared
                 .done
@@ -1157,14 +1057,13 @@ fn charge_run(shared: &PoolShared, ticket: Option<&SessionTicket>, ran: Duration
     }
 }
 
-/// Pick the queue entry worker `id` should serve next: the admitting entry
-/// with the lowest (pass, seq). Returns the closure pointer, entry id,
-/// submission time, and submitting ticket after registering the worker as
-/// a runner.
+/// Pick the queue entry a worker should serve next: the open entry with a
+/// free seat and the lowest (pass, seq). Returns the closure pointer,
+/// entry id, submission time, and submitting ticket after registering the
+/// worker as a runner.
 #[allow(clippy::type_complexity)]
 fn pick_job(
     st: &mut PoolState,
-    id: usize,
 ) -> Option<(
     *const (dyn Fn(usize) + Sync),
     u64,
@@ -1175,9 +1074,10 @@ fn pick_job(
     let best = st
         .jobs
         .iter_mut()
-        .filter(|e| e.admits(id))
+        .filter(|e| !e.closed && e.seats > 0)
         .min_by_key(|e| (e.pass, e.seq))?;
-    best.join(id);
+    best.seats -= 1;
+    best.running += 1;
     Some((
         best.raw.0,
         best.id,
@@ -1195,7 +1095,7 @@ fn worker_loop(shared: &PoolShared, id: usize) {
                 if st.shutdown {
                     return;
                 }
-                if let Some(picked) = pick_job(&mut st, id) {
+                if let Some(picked) = pick_job(&mut st) {
                     break picked;
                 }
                 st = shared.work.wait(st).expect("worker pool state poisoned");
@@ -1233,9 +1133,7 @@ fn worker_loop(shared: &PoolShared, id: usize) {
             entry.panicked = true;
         }
         entry.running -= 1;
-        if let JobMode::Scheduled { closed, .. } = &mut entry.mode {
-            *closed = true;
-        }
+        entry.closed = true;
         if entry.running == 0 {
             shared.done.notify_all();
         }
@@ -1335,17 +1233,6 @@ mod tests {
             pool.threads()
         );
         assert!(pool.jobs_run() >= 50);
-    }
-
-    #[test]
-    fn pool_broadcast_runs_every_worker() {
-        // no active ticket → full job: every worker runs exactly once
-        let pool = WorkerPool::new(4);
-        let hits = Mutex::new(vec![0usize; pool.threads()]);
-        pool.broadcast(&|w| {
-            hits.lock().unwrap()[w] += 1;
-        });
-        assert_eq!(*hits.lock().unwrap(), vec![1; 4]);
     }
 
     #[test]
@@ -1713,20 +1600,6 @@ mod tests {
             guard_checkpoint(),
             Err(GuardError::ResourceExhausted { .. })
         ));
-    }
-
-    #[test]
-    fn fault_spec_parser() {
-        assert!(matches!(
-            fault::parse("panic@5"),
-            Some(p) if format!("{p:?}").contains("Panic")
-        ));
-        assert!(fault::parse("breach@0").is_some());
-        assert!(fault::parse("delay_ms:20@3").is_some());
-        assert!(fault::parse("panic").is_none(), "missing @N");
-        assert!(fault::parse("delay_ms:x@3").is_none(), "bad millis");
-        assert!(fault::parse("frobnicate@1").is_none(), "unknown kind");
-        assert!(fault::parse("panic@banana").is_none(), "bad index");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!
 //! Every chunk write polls the active [`QueryGuard`](crate::par::QueryGuard)
 //! (so cancellation and deadlines stop a spilling query within one chunk's
-//! work), runs the spill-I/O fault hook (`RMA_FAULT=io@N`), and records the
+//! work), runs the spill-I/O fault hook (`FaultKind::SpillIo`), and records the
 //! bytes written through [`QueryGuard::record_spill`](crate::par::QueryGuard::record_spill).
 //! Spilled bytes are *disk* footprint: they are never charged against the
 //! memory budget — that is the whole point of spilling.
@@ -120,7 +120,8 @@ impl SpillFile {
 
     /// Append one chunk (a view is materialized first). Polls the active
     /// guard — a cancelled or expired query stops here, and the armed
-    /// spill-I/O fault (`RMA_FAULT=io@N`) fails the matching write with
+    /// spill-I/O fault ([`FaultKind::SpillIo`](crate::par::fault::FaultKind::SpillIo))
+    /// fails the matching write with
     /// [`RelationError::SpillIo`]. Records bytes (and, on the first chunk,
     /// one partition) on the guard's spill counters.
     pub fn append(&mut self, chunk: &Relation) -> Result<(), RelationError> {

@@ -150,47 +150,16 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
             }
             '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => return Err(SqlError::Lex("unterminated string".to_string())),
-                        Some(b'\'') => {
-                            // doubled quote escapes a quote
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token::Str(s));
+                let (text, next) = quoted(input, i, '\'')
+                    .ok_or_else(|| SqlError::Lex("unterminated string".to_string()))?;
+                tokens.push(Token::Str(text));
+                i = next;
             }
             '"' => {
-                // quoted identifier
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => return Err(SqlError::Lex("unterminated identifier".to_string())),
-                        Some(b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token::Ident(s));
+                let (text, next) = quoted(input, i, '"')
+                    .ok_or_else(|| SqlError::Lex("unterminated identifier".to_string()))?;
+                tokens.push(Token::Ident(text));
+                i = next;
             }
             '0'..='9' => {
                 let start = i;
@@ -241,14 +210,35 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
                 tokens.push(Token::Ident(input[start..i].to_string()));
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().expect("i is a char boundary");
                 return Err(SqlError::Lex(format!(
                     "unexpected character `{other}` at {i}"
-                )))
+                )));
             }
         }
     }
     Ok(tokens)
+}
+
+/// The text of the `quote`-delimited token opening at byte `open`, with a
+/// doubled quote standing for one, and the byte index just past the
+/// closing quote; `None` when the token is unterminated. The quotes are
+/// ASCII, so the text is sliced on character boundaries and non-ASCII
+/// text passes through unchanged.
+fn quoted(input: &str, open: usize, quote: char) -> Option<(String, usize)> {
+    let mut text = String::new();
+    let mut i = open + 1;
+    loop {
+        let end = i + input[i..].find(quote)?;
+        text.push_str(&input[i..end]);
+        if input[end + 1..].starts_with(quote) {
+            text.push(quote);
+            i = end + 2;
+        } else {
+            return Some((text, end + 1));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,5 +306,18 @@ mod tests {
     fn bad_chars_rejected() {
         assert!(tokenize("SELECT #").is_err());
         assert!(tokenize("a ! b").is_err());
+    }
+
+    #[test]
+    fn non_ascii_text_survives_quotes_and_errors() {
+        let t = tokenize("'Montréal' 'Zürich''s' \"città\" \"a\"\"b\"").unwrap();
+        assert_eq!(t[0], Token::Str("Montréal".into()));
+        assert_eq!(t[1], Token::Str("Zürich's".into()));
+        assert_eq!(t[2], Token::Ident("città".into()));
+        assert_eq!(t[3], Token::Ident("a\"b".into()));
+        assert!(tokenize("'naïve").is_err());
+        assert!(tokenize("\"naïve").is_err());
+        let err = tokenize("SELECT é").unwrap_err().to_string();
+        assert!(err.contains("unexpected character `é` at 7"), "{err}");
     }
 }

@@ -56,6 +56,27 @@ fn covariance_query_via_sql() {
 }
 
 #[test]
+fn non_ascii_literals_and_identifiers_match_stored_text() {
+    let mut e = Engine::new();
+    let s = rma::RelationBuilder::new()
+        .column("città", vec!["Montréal", "Zürich", "Montreal"])
+        .column("n", vec![1i64, 2, 3])
+        .build()
+        .unwrap();
+    e.register("s", s).unwrap();
+    let r = e
+        .query("SELECT n FROM s WHERE \"città\" = 'Montréal'")
+        .unwrap();
+    assert_eq!(r.len(), 1);
+    assert_eq!(r.cell(0, "n").unwrap(), Value::Int(1));
+    let err = e.query("SELECT n FROM s WHERE n ≥ 2").unwrap_err();
+    assert!(
+        err.to_string().contains("unexpected character `≥`"),
+        "{err}"
+    );
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     let mut e = Engine::new();
     e.execute("CREATE TABLE t (k INT, x DOUBLE)").unwrap();
