@@ -350,9 +350,7 @@ fn execute_inner(
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
             morsels = par_morsels(threads, l.len().max(r.len()));
-            // hash build over the right side: bucket + match-list entry
-            // per row, ~48 bytes each
-            let est = 48 * r.len() as u64;
+            let est = rel::join_build_bytes(r.len());
             if should_spill(est) {
                 Ok(rel::grace_natural_join(&l, &r, pool)?)
             } else {
@@ -364,7 +362,7 @@ fn execute_inner(
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
             morsels = par_morsels(threads, l.len().max(r.len()));
-            let est = 48 * r.len() as u64;
+            let est = rel::join_build_bytes(r.len());
             let pairs: Vec<(&str, &str)> =
                 on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
             if should_spill(est) {

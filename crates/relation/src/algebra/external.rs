@@ -36,7 +36,7 @@
 //! order** of the grace join and the spilling aggregate is partition-major
 //! rather than probe-major, which SQL semantics leave unspecified.
 
-use super::join::JoinSide;
+use super::join::{JoinSide, TABLE_INDEX_BITS};
 use super::sort::sort_keys;
 use crate::error::RelationError;
 use crate::par::{current_guard, guard_checkpoint, WorkerPool};
@@ -58,13 +58,13 @@ pub const MAX_GRACE_DEPTH: u32 = 2;
 /// Digest bits one grace level partitions on.
 const PART_BITS: u32 = 10;
 
-/// The digest bit just above the first grace level's field: the join
-/// table tags its slots with the 7 bits from here up.
+/// The digest bit just above the first grace level's field: the
+/// group-by's `DigestMap` tags its slots with the 7 bits from here up.
 const PART_TOP: u32 = 57;
 
 // the deepest level's field must stay clear of the low bits a join table
-// indexes by (2^27 slots and beyond are not a partition's size)
-const _: () = assert!(PART_TOP - PART_BITS * (MAX_GRACE_DEPTH + 1) >= 27);
+// indexes by, or every row of a partition would share a bucket field
+const _: () = assert!(PART_TOP - PART_BITS * (MAX_GRACE_DEPTH + 1) >= TABLE_INDEX_BITS);
 
 /// Grace fanout bounds: at least a real split, at most a file-descriptor
 /// count that stays polite at two levels of recursion.
@@ -100,7 +100,7 @@ fn rel_bytes_est(r: &Relation) -> u64 {
 
 /// Grace partition of a join-key digest at recursion `depth`: the
 /// [`PART_BITS`]-bit field just below the previous level's (the first sits
-/// just below the join table's 7 tag bits), scaled onto `0..parts`. The
+/// just below a group-by map's 7 tag bits), scaled onto `0..parts`. The
 /// table indexes by the low bits, so rows that share a partition still
 /// spread over its buckets.
 fn grace_bucket(digest: u64, parts: usize, depth: u32) -> usize {
@@ -1273,9 +1273,9 @@ mod tests {
             assert_even(&buckets, &format!("depth {depth}"));
             part = part.take(&buckets[0]);
         }
-        // the levels read neither the table's index bits (the low 27 at
-        // any partition size) nor its 7 tag bits
-        let untouched = ((1u64 << 27) - 1) | (0x7f << 57);
+        // the levels read neither a join table's index bits (the low 27 at
+        // any partition size) nor a group-by map's 7 tag bits
+        let untouched = ((1u64 << TABLE_INDEX_BITS) - 1) | (0x7f << 57);
         let mut h = 0x0123_4567_89ab_cdefu64;
         for _ in 0..1000 {
             h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);

@@ -2,45 +2,208 @@
 //!
 //! Late materialization: both join inputs may be selection-vector views.
 //! The build and probe sides read key cells straight through their
-//! selection vectors ([`JoinSide`]) — neither side is compacted — and the
-//! hash table keys on the one row digest of `rma_storage::key`
-//! ([`KeyCols::digest`]) instead of boxing a `Value` key per row; the
-//! table passes that digest through ([`JoinTable`]) rather than hashing it
-//! again. The single gather happens in [`assemble_join`], which composes
-//! the match indices with each side's selection vector and materialises
-//! only the surviving rows.
+//! selection vectors ([`JoinSide`]) — neither side is compacted. Every
+//! equi-join — serial, pooled and each grace partition's — builds one
+//! [`JoinTable`] over its right input: positional `u32` chains with no
+//! allocation per key, addressed either by the low bits of the row digest
+//! of `rma_storage::key` ([`KeyCols::digest`]) or, for a small integer key,
+//! by its [`DirectKey`] slot. The single gather happens in
+//! [`assemble_join`], which composes the match indices with each side's
+//! selection vector and materialises only the surviving rows.
 
 use crate::error::RelationError;
 use crate::expr::Expr;
+use crate::par::{guard_checkpoint, morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
-use rma_storage::{DigestMap, KeyCols, SelVec};
+use crate::trace;
+use rma_storage::{Column, ColumnAccessor, DirectKey, IntsRef, KeyCols, SelVec};
 
-/// A join's build-side hash table: key digest → build positions, ascending.
-/// The grace join partitions on digest bits the table never reads.
-pub(super) type JoinTable = DigestMap<Vec<usize>>;
+/// A digest-indexed [`JoinTable`] reads at most this many low digest bits
+/// (2²⁷ buckets); the grace join partitions on bits above them.
+pub(super) const TABLE_INDEX_BITS: u32 = 27;
 
-/// Inner equi-join `a ⋈_{a.x = b.y} b` via a hash table on the smaller
-/// side's key columns. The output schema is the concatenation of both full
-/// schemas; attribute name collisions are an error (rename first).
+/// Bytes an equi-join's build over `build_rows` rows is charged: the
+/// planner's spill decision and its working-set charge. It bounds both
+/// [`JoinTable`] shapes — a digest table's `u32` bucket heads (at most 4
+/// per row after rounding up), `u32` links and `u64` digests take ≤ 28 B
+/// a row, a direct table at its slot cap 36 B a row.
+pub fn join_build_bytes(build_rows: usize) -> u64 {
+    48 * build_rows as u64
+}
+
+/// An equi-join's build table over the build side's visible positions.
+/// `head` holds, per bucket or slot, the first position of its chain and
+/// `next`, per position, the one after it; both are 1-based, so 0 ends a
+/// chain. Positions go in in descending order, so every chain lists them
+/// ascending and matches come out in build order.
+pub(super) struct JoinTable<'a> {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    index: TableIndex<'a>,
+}
+
+/// How a [`JoinTable`] addresses its chains.
+enum TableIndex<'a> {
+    /// By a [`KeyCols::digest`]'s low bits under `mask`; each position
+    /// keeps its digest so the probe confirms equality only on a full
+    /// digest match.
+    Digest { mask: u64, digest: Vec<u64> },
+    /// By the [`DirectKey`] slot: one chain per key value, no equality
+    /// check at all.
+    Direct(DirectKey<'a>),
+}
+
+/// Buckets of a digest-indexed [`JoinTable`] over `rows` rows: a power of
+/// two, two to four per row, at most 2^[`TABLE_INDEX_BITS`].
+fn buckets(rows: usize) -> usize {
+    (2 * rows).next_power_of_two().min(1 << TABLE_INDEX_BITS)
+}
+
+impl<'a> JoinTable<'a> {
+    /// The table over all of `side`'s visible positions: direct when its key
+    /// has a [`DirectKey`] image of at most 8 slots per row, otherwise
+    /// digest-indexed over [`buckets`]`(rows)` chains. Rows with a NULL key
+    /// cell are left out — they never match. A side of `u32::MAX` rows or
+    /// more is refused.
+    pub(super) fn build(side: &JoinSide<'a>) -> Result<Self, RelationError> {
+        let rows = side.rows;
+        if rows >= u32::MAX as usize {
+            return Err(RelationError::JoinBuildTooLarge { rows });
+        }
+        let mut next = vec![0u32; rows];
+        let direct = DirectKey::new(&side.cols, 4 * rows).filter(|d| d.slots() <= 8 * rows);
+        if let Some(direct) = direct {
+            let mut head = vec![0u32; direct.slots()];
+            for pos in (0..rows).rev() {
+                let first = &mut head[direct.slot(side.base(pos))];
+                next[pos] = std::mem::replace(first, pos as u32 + 1);
+            }
+            return Ok(JoinTable {
+                head,
+                next,
+                index: TableIndex::Direct(direct),
+            });
+        }
+        let mut head = vec![0u32; buckets(rows)];
+        let mask = head.len() as u64 - 1;
+        let mut digest = vec![0u64; rows];
+        for pos in (0..rows).rev() {
+            let base = side.base(pos);
+            if side.key.has_null(base) {
+                continue;
+            }
+            let d = side.key.digest(base);
+            digest[pos] = d;
+            let first = &mut head[(d & mask) as usize];
+            next[pos] = std::mem::replace(first, pos as u32 + 1);
+        }
+        Ok(JoinTable {
+            head,
+            next,
+            index: TableIndex::Digest { mask, digest },
+        })
+    }
+
+    /// Probe visible positions `range` of `probe` against this table over
+    /// `build`, emitting matching (probe, build) position pairs in probe
+    /// order, each probe row's matches in ascending build order.
+    pub(super) fn probe(
+        &self,
+        build: &JoinSide,
+        probe: &JoinSide,
+        range: std::ops::Range<usize>,
+    ) -> (Vec<usize>, Vec<usize>) {
+        // one match per probe row (a foreign key) is the common case
+        let mut left_idx = Vec::with_capacity(range.len());
+        let mut right_idx = Vec::with_capacity(range.len());
+        match &self.index {
+            TableIndex::Direct(direct) => {
+                // a non-Int probe column meets no Int key
+                let Some(ints) = probe.ints() else {
+                    return (left_idx, right_idx);
+                };
+                for pos in range {
+                    let pb = probe.base(pos);
+                    if probe.key.has_null(pb) {
+                        continue;
+                    }
+                    let Some(slot) = direct.probe_slot(&ints, pb) else {
+                        continue;
+                    };
+                    let mut e = self.head[slot];
+                    while e != 0 {
+                        let j = e as usize - 1;
+                        left_idx.push(pos);
+                        right_idx.push(j);
+                        e = self.next[j];
+                    }
+                }
+            }
+            TableIndex::Digest { mask, digest } => {
+                for pos in range {
+                    let pb = probe.base(pos);
+                    if probe.key.has_null(pb) {
+                        continue;
+                    }
+                    let d = probe.key.digest(pb);
+                    let mut e = self.head[(d & mask) as usize];
+                    while e != 0 {
+                        let j = e as usize - 1;
+                        if digest[j] == d && probe.key.rows_eq(pb, &build.key, build.base(j)) {
+                            left_idx.push(pos);
+                            right_idx.push(j);
+                        }
+                        e = self.next[j];
+                    }
+                }
+            }
+        }
+        (left_idx, right_idx)
+    }
+}
+
+/// Inner equi-join `a ⋈_{a.x = b.y} b` via a hash table on the right
+/// input's key columns (the optimizer puts the smaller side there). The
+/// output schema is the concatenation of both full schemas; attribute name
+/// collisions are an error (rename first).
 pub fn join_on(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Result<Relation, RelationError> {
+    equi_join(a, b, on, None)
+}
+
+/// [`join_on`], probing on `pool`'s workers when one is given.
+pub(super) fn equi_join(
+    a: &Relation,
+    b: &Relation,
+    on: &[(&str, &str)],
+    pool: Option<&WorkerPool>,
+) -> Result<Relation, RelationError> {
     if on.is_empty() {
         return Err(RelationError::Expression(
             "equi-join requires at least one key pair".to_string(),
         ));
     }
-    let (left_idx, right_idx) = hash_join_indices(a, b, on)?;
+    let (left_idx, right_idx) = join_indices(a, b, on, pool)?;
     assemble_join(a, b, left_idx, right_idx, &[])
 }
 
 /// Natural join: equi-join on all common attribute names, keeping a single
 /// copy of each join attribute (the paper's `u ⋈ r` on `User`).
 pub fn natural_join(a: &Relation, b: &Relation) -> Result<Relation, RelationError> {
+    natural_equi_join(a, b, None)
+}
+
+/// [`natural_join`], probing on `pool`'s workers when one is given.
+pub(super) fn natural_equi_join(
+    a: &Relation,
+    b: &Relation,
+    pool: Option<&WorkerPool>,
+) -> Result<Relation, RelationError> {
     let common = common_attributes(a, b);
     if common.is_empty() {
         return cross_product(a, b);
     }
     let pairs: Vec<(&str, &str)> = common.iter().map(|&n| (n, n)).collect();
-    let (left_idx, right_idx) = hash_join_indices(a, b, &pairs)?;
+    let (left_idx, right_idx) = join_indices(a, b, &pairs, pool)?;
     assemble_join(a, b, left_idx, right_idx, &common)
 }
 
@@ -77,23 +240,27 @@ pub fn cross_product(a: &Relation, b: &Relation) -> Result<Relation, RelationErr
 }
 
 /// One side of a hash join: the key's *base* columns, resolved once, plus
-/// the relation's selection vector. Positions (0..relation.len()) are
-/// resolved to base rows on the fly — probing and building run through the
-/// SelVec without compacting either input.
+/// the relation's selection vector and visible row count. Positions
+/// (0..rows) are resolved to base rows on the fly — probing and building
+/// run through the SelVec without compacting either input.
 pub(super) struct JoinSide<'a> {
     pub(super) key: KeyCols<'a>,
+    cols: Vec<&'a Column>,
     sel: Option<&'a SelVec>,
+    rows: usize,
 }
 
 impl<'a> JoinSide<'a> {
     pub(super) fn new(r: &'a Relation, keys: &[&str]) -> Result<Self, RelationError> {
-        let cols: Vec<&rma_storage::Column> = keys
+        let cols: Vec<&Column> = keys
             .iter()
             .map(|n| r.base_column(n))
             .collect::<Result<_, _>>()?;
         Ok(JoinSide {
             key: KeyCols::new(&cols, r.len()),
+            cols,
             sel: r.sel(),
+            rows: r.len(),
         })
     }
 
@@ -105,56 +272,21 @@ impl<'a> JoinSide<'a> {
             None => pos,
         }
     }
-}
 
-/// Build-side hash table over visible positions `range` (positions within a
-/// morsel are ascending and morsels are disjoint ascending ranges, so
-/// per-partition tables merge in partition order). Buckets are keyed by the
-/// composite key digest; equal-digest rows of *different* keys are
-/// separated at probe time by [`KeyCols::rows_eq`].
-pub(super) fn build_side_range(side: &JoinSide, range: std::ops::Range<usize>) -> JoinTable {
-    let mut table =
-        JoinTable::with_capacity_and_hasher(range.end - range.start, Default::default());
-    for pos in range {
-        let base = side.base(pos);
-        if side.key.has_null(base) {
-            continue; // NULL keys never match
-        }
-        table.entry(side.key.digest(base)).or_default().push(pos);
+    /// The key columns' integers, when every one of them is an `Int`.
+    fn ints(&self) -> Option<Vec<IntsRef<'a>>> {
+        self.cols
+            .iter()
+            .map(|c| match c.accessor() {
+                ColumnAccessor::Int(v) => Some(v),
+                _ => None,
+            })
+            .collect()
     }
-    table
-}
-
-/// Probe visible positions `range` of the probe side against a build
-/// table, emitting matching (probe, build) position pairs in probe order.
-pub(super) fn probe_range(
-    table: &JoinTable,
-    build: &JoinSide,
-    probe: &JoinSide,
-    range: std::ops::Range<usize>,
-) -> (Vec<usize>, Vec<usize>) {
-    // one match per probe row (a foreign key) is the common case
-    let mut left_idx = Vec::with_capacity(range.len());
-    let mut right_idx = Vec::with_capacity(range.len());
-    for pos in range {
-        let pb = probe.base(pos);
-        if probe.key.has_null(pb) {
-            continue;
-        }
-        if let Some(bucket) = table.get(&probe.key.digest(pb)) {
-            for &j in bucket {
-                if probe.key.rows_eq(pb, &build.key, build.base(j)) {
-                    left_idx.push(pos);
-                    right_idx.push(j);
-                }
-            }
-        }
-    }
-    (left_idx, right_idx)
 }
 
 /// Resolve the key sides of a join.
-pub(super) fn join_key_sides<'a>(
+fn join_key_sides<'a>(
     a: &'a Relation,
     b: &'a Relation,
     on: &[(&str, &str)],
@@ -175,22 +307,54 @@ pub(super) fn common_attributes<'a>(a: &'a Relation, b: &Relation) -> Vec<&'a st
         .collect()
 }
 
-/// Compute matching row-index pairs with a hash table built on the right
-/// input (build side), probed by the left.
-fn hash_join_indices(
+/// Matching (probe, build) position pairs of `a ⋈_on b`, in probe order:
+/// one [`JoinTable`] over `b`, probed by `a` — in morsels on the workers of
+/// a `pool` of more than one thread when `a` has enough rows, concatenated
+/// in morsel order.
+fn join_indices(
     a: &Relation,
     b: &Relation,
     on: &[(&str, &str)],
+    pool: Option<&WorkerPool>,
 ) -> Result<(Vec<usize>, Vec<usize>), RelationError> {
     let (probe, build) = join_key_sides(a, b, on)?;
-    let table = build_side_range(&build, 0..b.len());
-    Ok(probe_range(&table, &build, &probe, 0..a.len()))
+    let span = trace::clock();
+    let table = JoinTable::build(&build)?;
+    trace::record("join.build", "join", 0, span, b.len() as u64, 0, 1);
+    let pool = match pool {
+        Some(pool) if pool.threads() > 1 && a.len() >= MIN_PARALLEL_ROWS => pool,
+        _ => return Ok(table.probe(&build, &probe, 0..a.len())),
+    };
+    let ranges = partition_ranges(a.len(), morsel_count(pool.threads(), a.len()));
+    let pairs = pool.for_each(&ranges, |lane, range| {
+        let span = trace::clock();
+        let out = table.probe(&build, &probe, range.clone());
+        trace::record(
+            "join.probe",
+            "join",
+            lane,
+            span,
+            range.len() as u64,
+            out.0.len() as u64,
+            1,
+        );
+        out
+    });
+    guard_checkpoint()?;
+    let matches = pairs.iter().map(|(l, _)| l.len()).sum();
+    let mut left_idx = Vec::with_capacity(matches);
+    let mut right_idx = Vec::with_capacity(matches);
+    for (l, r) in pairs {
+        left_idx.extend_from_slice(&l);
+        right_idx.extend_from_slice(&r);
+    }
+    Ok((left_idx, right_idx))
 }
 
 /// Gather both sides through the match indices — the join's one
 /// materialization point; `drop_right` lists right attributes omitted from
 /// the output (used by natural join).
-pub(super) fn assemble_join(
+fn assemble_join(
     a: &Relation,
     b: &Relation,
     left_idx: Vec<usize>,
@@ -419,8 +583,10 @@ mod tests {
         let ints = tiled(&rel(vec![("k", vec![5i64, 0, 1].into())]));
         let floats = rel(vec![("f", vec![5.0f64, 0.0, 1.0].into())]);
         assert_eq!(all_paths(&ints, &floats, &[("k", "f")]).len(), 0);
+        // an Int build with a direct image, probed by floats
         let floats = tiled(&floats);
         let ints = rel(vec![("k", vec![5i64, 0, 1].into())]);
+        assert!(is_direct(&ints, &["k"]));
         assert_eq!(all_paths(&floats, &ints, &[("f", "k")]).len(), 0);
     }
 
@@ -502,5 +668,330 @@ mod tests {
         assert!(j
             .rows()
             .all(|row| row[0] == Value::Int(1) && row[2] == Value::Int(1)));
+    }
+
+    // -----------------------------------------------------------------
+    // The join table against a nested-loop reference
+    // -----------------------------------------------------------------
+
+    /// Are two cells equal join keys? NULL never matches, cells match only
+    /// within one type, floats by `==` (so `-0.0` meets `0.0`) except that
+    /// NaN meets NaN.
+    fn ref_key_eq(x: &Value, y: &Value) -> bool {
+        match (x, y) {
+            (Value::Null, _) | (_, Value::Null) => false,
+            (Value::Float(a), Value::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
+            _ => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+        }
+    }
+
+    /// `a ⋈_on b` by definition: every row pair, in probe then build
+    /// order, whose key cells all match.
+    fn reference(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Vec<String> {
+        let idx = |r: &Relation, n: &str| r.schema().index_of(n).unwrap();
+        let keys: Vec<(usize, usize)> = on.iter().map(|(l, r)| (idx(a, l), idx(b, r))).collect();
+        let build: Vec<Vec<Value>> = b.rows().collect();
+        let mut out = Vec::new();
+        for x in a.rows() {
+            for y in &build {
+                if keys.iter().all(|&(i, j)| ref_key_eq(&x[i], &y[j])) {
+                    out.push(format!("{:?}", [x.clone(), y.clone()].concat()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every path's `a ⋈_on b` equals the reference: serial and pooled as
+    /// lists, grace as a bag. Returns the match count.
+    fn matches_reference(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> usize {
+        let want = reference(a, b, on);
+        assert_eq!(rows_text(&all_paths(a, b, on)), want);
+        want.len()
+    }
+
+    /// Does the build table over `b`'s `keys` index by direct slots?
+    fn is_direct(b: &Relation, keys: &[&str]) -> bool {
+        let side = JoinSide::new(b, keys).unwrap();
+        let table = JoinTable::build(&side).unwrap();
+        matches!(table.index, TableIndex::Direct(_))
+    }
+
+    fn ints(v: &[i64]) -> rma_storage::Column {
+        v.to_vec().into()
+    }
+
+    #[test]
+    fn direct_probe_outside_an_offset_domain_matches_nothing() {
+        // build keys in -40..=-33 with duplicates and gaps; probes below,
+        // above, inside, in the gaps and at the i64 extremes
+        let b = rel(vec![
+            ("k2", ints(&[-40, -37, -40, -33, -35, -37, -40])),
+            ("v", ints(&[0, 1, 2, 3, 4, 5, 6])),
+        ]);
+        assert!(is_direct(&b, &["k2"]));
+        let mut probe: Vec<i64> = (-60..=0).collect();
+        probe.extend([i64::MIN, i64::MAX, -33, -40]);
+        let a = tiled(&rel(vec![("k", ints(&probe))]));
+        let n = matches_reference(&a, &b, &[("k", "k2")]);
+        assert_eq!(n, a.len() / probe.len() * (7 + 1 + 3));
+    }
+
+    #[test]
+    fn duplicate_build_keys_match_in_build_order_on_both_tables() {
+        let keys = [3i64, 1, 3, 2, 3, 1];
+        let b = rel(vec![("k2", ints(&keys)), ("v", ints(&[0, 1, 2, 3, 4, 5]))]);
+        assert!(is_direct(&b, &["k2"]));
+        let a = tiled(&rel(vec![("k", ints(&[1, 3, 4, 2]))]));
+        matches_reference(&a, &b, &[("k", "k2")]);
+        // the same keys as strings take the digest table
+        let names = |v: &[i64]| -> rma_storage::Column {
+            v.iter().map(|k| format!("s{k}")).collect::<Vec<_>>().into()
+        };
+        let b = rel(vec![("k2", names(&keys)), ("v", ints(&[0, 1, 2, 3, 4, 5]))]);
+        assert!(!is_direct(&b, &["k2"]));
+        let a = tiled(&rel(vec![("k", names(&[1, 3, 4, 2]))]));
+        matches_reference(&a, &b, &[("k", "k2")]);
+    }
+
+    #[test]
+    fn two_column_direct_key_checks_each_column_range() {
+        // p ∈ 0..=3 (stride 1), q ∈ 10..=12 (stride 4): a probe (4, 10)
+        // sums to the slot of (0, 11) but is outside p's range
+        let (mut p2, mut q2) = (Vec::new(), Vec::new());
+        for p in 0..4 {
+            for q in 10..13 {
+                if (p + q) % 4 != 0 {
+                    p2.push(p);
+                    q2.push(q);
+                }
+            }
+        }
+        let b = rel(vec![("p2", ints(&p2)), ("q2", ints(&q2))]);
+        assert!(is_direct(&b, &["p2", "q2"]));
+        let (mut p, mut q) = (Vec::new(), Vec::new());
+        for x in -2..7 {
+            for y in 8..15 {
+                p.push(x);
+                q.push(y);
+            }
+        }
+        let a = tiled(&rel(vec![("p", ints(&p)), ("q", ints(&q))]));
+        let n = matches_reference(&a, &b, &[("p", "p2"), ("q", "q2")]);
+        assert_eq!(n, a.len() / p.len() * p2.len());
+    }
+
+    #[test]
+    fn every_encoding_pair_matches_the_reference() {
+        use rma_storage::Encoding;
+        let build: Vec<i64> = [3, 3, 3, 3, 5, 5, 5, 5, 7, 9, 9, 9, 9, 12].to_vec();
+        let probe: Vec<i64> = [2, 3, 3, 3, 3, 4, 5, 5, 5, 5, 9, 12, 12, 12, 12, 13].repeat(80);
+        for be in [Encoding::Plain, Encoding::Packed, Encoding::Rle] {
+            for pe in [Encoding::Plain, Encoding::Packed, Encoding::Rle] {
+                let b = rel(vec![("k2", ints(&build).encode_as(be).unwrap())]);
+                let a = rel(vec![("k", ints(&probe).encode_as(pe).unwrap())]);
+                assert!(is_direct(&b, &["k2"]), "{be:?} build");
+                let n = matches_reference(&a, &b, &[("k", "k2")]);
+                assert_eq!(n, 80 * (4 * 4 + 4 * 4 + 4 + 4), "{be:?} ⋈ {pe:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn selection_views_on_both_sides_match_the_reference() {
+        let base_b = rel(vec![
+            (
+                "k2",
+                ints(&(0..3000).map(|i| (i * 7) % 600).collect::<Vec<_>>()),
+            ),
+            ("v", ints(&(0..3000).collect::<Vec<_>>())),
+        ]);
+        let base_a = rel(vec![(
+            "k",
+            ints(&(0..4000).map(|i| (i * 13) % 700 - 50).collect::<Vec<_>>()),
+        )]);
+        // a filtered build view, and a reordering take with repeats
+        let keep: Vec<bool> = (0..3000).map(|i| i % 5 == 1).collect();
+        let b = base_b.filter(&keep);
+        assert!(b.sel().is_some() && is_direct(&b, &["k2"]));
+        let pick: Vec<usize> = (0..1500).map(|i| (i * 37) % 4000).collect();
+        let a = base_a.take(&pick);
+        assert!(a.sel().is_some());
+        matches_reference(&a, &b, &[("k", "k2")]);
+        // the digest table through the same views
+        let b = b.take(&(0..b.len()).rev().collect::<Vec<_>>());
+        let floats = |r: &Relation, from: &str, to: &str| {
+            crate::algebra::project_exprs(r, &[(Expr::col(from).mul(Expr::lit(0.5)), to)]).unwrap()
+        };
+        let (fa, fb) = (floats(&a, "k", "k"), floats(&b, "k2", "k2"));
+        assert!(!is_direct(&fb, &["k2"]));
+        matches_reference(
+            &fa.slice(3..fa.len()),
+            &fb.slice(1..fb.len()),
+            &[("k", "k2")],
+        );
+    }
+
+    #[test]
+    fn nullable_build_key_takes_the_digest_table() {
+        let vals: Vec<Value> = (0..40)
+            .map(|i| {
+                if i % 4 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 9)
+                }
+            })
+            .collect();
+        let col = rma_storage::Column::from_values_typed(rma_storage::DataType::Int, &vals);
+        let b = rel(vec![("k2", col.unwrap())]);
+        assert!(!is_direct(&b, &["k2"]));
+        let a = tiled(&rel(vec![("k", ints(&(-2..12).collect::<Vec<_>>()))]));
+        matches_reference(&a, &b, &[("k", "k2")]);
+    }
+
+    #[test]
+    fn direct_slot_cap_is_eight_per_build_row() {
+        // ten rows: 80 slots is direct, 81 is not
+        let keys = |top: i64| (0..9).map(|i| i * 3).chain([top]).collect::<Vec<i64>>();
+        let at = rel(vec![("k2", ints(&keys(79)))]);
+        let over = rel(vec![("k2", ints(&keys(80)))]);
+        assert!(is_direct(&at, &["k2"]));
+        assert!(!is_direct(&over, &["k2"]));
+        let a = tiled(&rel(vec![("k", ints(&(-1..82).collect::<Vec<_>>()))]));
+        assert_eq!(
+            matches_reference(&a, &at, &[("k", "k2")]),
+            a.len() / 83 * 10
+        );
+        assert_eq!(
+            matches_reference(&a, &over, &[("k", "k2")]),
+            a.len() / 83 * 10
+        );
+        // where the cap meets DirectKey's own 2¹⁶-slot floor
+        let big = |top: i64| {
+            rel(vec![(
+                "k2",
+                ints(&(0..8191).chain([top]).collect::<Vec<_>>()),
+            )])
+        };
+        assert!(is_direct(&big(65_535), &["k2"]));
+        assert!(!is_direct(&big(65_536), &["k2"]));
+    }
+
+    #[test]
+    fn keys_sharing_the_table_index_bits_share_one_chain() {
+        // the digest is unkeyed: integers far apart (so no direct image)
+        // whose digests agree on the 64-bucket table's low 6 bits
+        let rows = 24;
+        let mask = buckets(rows) as u64 - 1;
+        assert_eq!(mask, 63);
+        let candidates: Vec<i64> = (0..4000).map(|i| i * 1_000_003).collect();
+        let cand_col = ints(&candidates);
+        let digests = KeyCols::new(&[&cand_col], candidates.len());
+        let target = digests.digest(0) & mask;
+        let colliding: Vec<i64> = (0..candidates.len())
+            .filter(|&i| digests.digest(i) & mask == target)
+            .map(|i| candidates[i])
+            .take(rows)
+            .collect();
+        assert_eq!(colliding.len(), rows);
+        let b = rel(vec![("k2", ints(&colliding))]);
+        let side = JoinSide::new(&b, &["k2"]).unwrap();
+        let table = JoinTable::build(&side).unwrap();
+        assert!(matches!(table.index, TableIndex::Digest { .. }));
+        assert_eq!(table.head.iter().filter(|&&h| h != 0).count(), 1);
+        // probes: every colliding key, and other keys in the same bucket
+        let probe: Vec<i64> = colliding
+            .iter()
+            .copied()
+            .chain(
+                candidates
+                    .iter()
+                    .copied()
+                    .filter(|k| !colliding.contains(k))
+                    .take(40),
+            )
+            .collect();
+        let a = tiled(&rel(vec![("k", ints(&probe))]));
+        assert_eq!(
+            matches_reference(&a, &b, &[("k", "k2")]),
+            a.len() / probe.len() * rows
+        );
+    }
+
+    /// A [`JoinTable`]'s heap bytes.
+    fn table_bytes(t: &JoinTable) -> u64 {
+        let digests = match &t.index {
+            TableIndex::Digest { digest, .. } => digest.capacity(),
+            TableIndex::Direct(_) => 0,
+        };
+        (4 * (t.head.capacity() + t.next.capacity()) + 8 * digests) as u64
+    }
+
+    #[test]
+    fn both_table_shapes_fit_the_planner_charge() {
+        // direct at its cap: 4·slots + 4·rows = 36 B a row
+        let at_cap = rel(vec![(
+            "k",
+            ints(&(0..1000).map(|i| i * 8).chain([7999]).collect::<Vec<_>>()),
+        )]);
+        let spread = |n: i64| {
+            rel(vec![(
+                "k",
+                ints(&(0..n).map(|i| i * 1_000_003).collect::<Vec<_>>()),
+            )])
+        };
+        let shapes = [
+            at_cap,
+            spread(1),
+            spread(3),
+            spread(1024),
+            spread(1025),
+            spread(5000),
+        ];
+        for r in &shapes {
+            let side = JoinSide::new(r, &["k"]).unwrap();
+            let table = JoinTable::build(&side).unwrap();
+            assert!(
+                table_bytes(&table) <= join_build_bytes(r.len()),
+                "{} rows: {} B",
+                r.len(),
+                table_bytes(&table)
+            );
+        }
+        assert!(is_direct(&shapes[0], &["k"]) && !is_direct(&shapes[5], &["k"]));
+    }
+
+    #[test]
+    fn bucket_count_stays_below_the_grace_bits() {
+        assert_eq!(buckets(0), 1);
+        assert_eq!(buckets(3), 8);
+        assert_eq!(buckets(1 << 26), 1 << TABLE_INDEX_BITS);
+        assert_eq!(buckets((1 << 26) + 1), 1 << TABLE_INDEX_BITS);
+        assert_eq!(buckets(u32::MAX as usize - 1), 1 << TABLE_INDEX_BITS);
+    }
+
+    #[test]
+    fn build_side_past_u32_positions_is_a_typed_error() {
+        use rma_storage::{ColumnData, Rle, Seg};
+        // one run of u32::MAX rows: four billion positions in a few bytes
+        let rows = u32::MAX as usize;
+        let run = Rle::from_segs(
+            vec![Seg::Run {
+                value: 7,
+                len: rows,
+            }],
+            rows,
+        );
+        let b = rel(vec![(
+            "k2",
+            rma_storage::Column::new(ColumnData::RleInt(run)),
+        )]);
+        let a = rel(vec![("k", ints(&[7]))]);
+        let want = RelationError::JoinBuildTooLarge { rows };
+        assert_eq!(join_on(&a, &b, &[("k", "k2")]).unwrap_err(), want);
+        let pool = crate::par::WorkerPool::new(2);
+        let pooled = crate::algebra::join_on_parallel(&a, &b, &[("k", "k2")], &pool);
+        assert_eq!(pooled.unwrap_err(), want);
     }
 }

@@ -20,7 +20,7 @@ pub use aggregate::{aggregate, AggFunc, AggSpec};
 pub use external::{
     aggregate_external, grace_join_on, grace_natural_join, order_by_external, MAX_GRACE_DEPTH,
 };
-pub use join::{cross_product, join_on, natural_join, theta_join};
+pub use join::{cross_product, join_build_bytes, join_on, natural_join, theta_join};
 pub use parallel::{aggregate_parallel, join_on_parallel, natural_join_parallel, select_parallel};
 pub use project::{project, project_exprs, rename};
 pub use select::select;

@@ -1,5 +1,9 @@
 //! Partition-parallel relational operators: σ, ϑ, and hash joins over
 //! row-range morsels, executed on a shared [`WorkerPool`] (`crate::par`).
+//! The joins share their serial twins' code in `join.rs`: one build table
+//! over the right side, built on the calling thread — positional `u32`
+//! chains take a few tight passes — then morsels of the left side probed
+//! against it on the workers.
 //!
 //! Every operator here is *exactly* result-equivalent to its serial
 //! counterpart, including row order: morsels are contiguous row ranges and
@@ -16,15 +20,11 @@
 use super::aggregate::{
     accumulate, finalize, resolve_agg_cols, validate_aggs, GroupIds, GroupKey, Partial,
 };
-use super::join::{
-    assemble_join, build_side_range, common_attributes, join_key_sides, probe_range, JoinTable,
-};
 use super::AggSpec;
 use crate::error::RelationError;
 use crate::expr::Expr;
 use crate::par::{morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
-use crate::trace;
 
 /// Parallel σ: evaluate the predicate over row-range morsels on worker
 /// threads, then combine the per-morsel keep masks into one lazy selection
@@ -110,25 +110,15 @@ pub fn aggregate_parallel(
     finalize(r, group_by, aggs, &merged.rep, &merged.accs)
 }
 
-/// Parallel hash equi-join: partitioned build (per-morsel hash tables over
-/// the right side, merged in morsel order so match lists stay ascending)
-/// followed by a partitioned probe of the left side.
+/// Parallel hash equi-join: [`super::join_on`]'s one build table over the
+/// right side, probed by morsels of the left side on the pool.
 pub fn join_on_parallel(
     a: &Relation,
     b: &Relation,
     on: &[(&str, &str)],
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    if on.is_empty() {
-        return Err(RelationError::Expression(
-            "equi-join requires at least one key pair".to_string(),
-        ));
-    }
-    if pool.threads() <= 1 || (a.len() < MIN_PARALLEL_ROWS && b.len() < MIN_PARALLEL_ROWS) {
-        return super::join_on(a, b, on);
-    }
-    let (left_idx, right_idx) = parallel_join_indices(a, b, on, pool)?;
-    assemble_join(a, b, left_idx, right_idx, &[])
+    super::join::equi_join(a, b, on, Some(pool))
 }
 
 /// Parallel natural join: the equi-join machinery over all common attribute
@@ -138,90 +128,7 @@ pub fn natural_join_parallel(
     b: &Relation,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    if pool.threads() <= 1 || (a.len() < MIN_PARALLEL_ROWS && b.len() < MIN_PARALLEL_ROWS) {
-        return super::natural_join(a, b);
-    }
-    let common = common_attributes(a, b);
-    if common.is_empty() {
-        return super::cross_product(a, b);
-    }
-    let pairs: Vec<(&str, &str)> = common.iter().map(|&n| (n, n)).collect();
-    let (left_idx, right_idx) = parallel_join_indices(a, b, &pairs, pool)?;
-    assemble_join(a, b, left_idx, right_idx, &common)
-}
-
-fn parallel_join_indices(
-    a: &Relation,
-    b: &Relation,
-    on: &[(&str, &str)],
-    pool: &WorkerPool,
-) -> Result<(Vec<usize>, Vec<usize>), RelationError> {
-    let threads = pool.threads();
-    let (probe, build) = join_key_sides(a, b, on)?;
-
-    // build: per-morsel tables over the right side, merged in morsel order.
-    // Positions within a morsel are ascending and morsels are disjoint
-    // ascending ranges, so each bucket's merged match list is exactly the
-    // serial one.
-    let build_ranges = partition_ranges(b.len(), morsel_count(threads, b.len()));
-    let n_build = build_ranges.len() as u64;
-    let build_span = trace::clock();
-    let tables = pool.for_each(&build_ranges, |lane, range| {
-        let span = trace::clock();
-        let t = build_side_range(&build, range.clone());
-        trace::record(
-            "join.build",
-            "join",
-            lane,
-            span,
-            (range.end - range.start) as u64,
-            t.len() as u64,
-            1,
-        );
-        t
-    });
-    crate::par::guard_checkpoint()?;
-    let mut table = JoinTable::with_capacity_and_hasher(b.len(), Default::default());
-    for part in tables {
-        for (key, mut rows) in part {
-            table.entry(key).or_default().append(&mut rows);
-        }
-    }
-    trace::record(
-        "join.build_merge",
-        "join",
-        0,
-        build_span,
-        b.len() as u64,
-        table.len() as u64,
-        n_build,
-    );
-
-    // probe: morsels of the left side, results concatenated in morsel order
-    let probe_ranges = partition_ranges(a.len(), morsel_count(threads, a.len()));
-    let pairs = pool.for_each(&probe_ranges, |lane, range| {
-        let span = trace::clock();
-        let out = probe_range(&table, &build, &probe, range.clone());
-        trace::record(
-            "join.probe",
-            "join",
-            lane,
-            span,
-            (range.end - range.start) as u64,
-            out.0.len() as u64,
-            1,
-        );
-        out
-    });
-    crate::par::guard_checkpoint()?;
-    let matches = pairs.iter().map(|(l, _)| l.len()).sum();
-    let mut left_idx = Vec::with_capacity(matches);
-    let mut right_idx = Vec::with_capacity(matches);
-    for (l, r) in pairs {
-        left_idx.extend_from_slice(&l);
-        right_idx.extend_from_slice(&r);
-    }
-    Ok((left_idx, right_idx))
+    super::join::natural_equi_join(a, b, Some(pool))
 }
 
 #[cfg(test)]

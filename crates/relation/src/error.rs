@@ -43,6 +43,12 @@ pub enum RelationError {
     /// An integer aggregate's result does not fit `i64` (the payload names
     /// the aggregate's output attribute).
     IntegerOverflow(String),
+    /// A hash join's build side has more rows than its table can address
+    /// (`u32::MAX` or more).
+    JoinBuildTooLarge {
+        /// The build side's row count.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -73,6 +79,11 @@ impl fmt::Display for RelationError {
                 "memory budget exhausted: needed {needed} bytes, budget {budget}"
             ),
             RelationError::SpillIo(msg) => write!(f, "spill I/O error: {msg}"),
+            RelationError::JoinBuildTooLarge { rows } => write!(
+                f,
+                "join build side of {rows} rows exceeds the hash table's {} rows",
+                u32::MAX - 1
+            ),
         }
     }
 }

@@ -17,9 +17,10 @@ pub mod trace;
 
 pub use algebra::{
     aggregate, aggregate_external, aggregate_parallel, cross_product, distinct, grace_join_on,
-    grace_natural_join, join_on, join_on_parallel, limit, natural_join, natural_join_parallel,
-    order_by, order_by_external, order_by_parallel, project, project_exprs, rename, select,
-    select_parallel, theta_join, top_k, top_k_parallel, union_all, AggFunc, AggSpec,
+    grace_natural_join, join_build_bytes, join_on, join_on_parallel, limit, natural_join,
+    natural_join_parallel, order_by, order_by_external, order_by_parallel, project, project_exprs,
+    rename, select, select_parallel, theta_join, top_k, top_k_parallel, union_all, AggFunc,
+    AggSpec,
 };
 pub use error::RelationError;
 pub use expr::{BinOp, Expr, ScalarFunc};

@@ -10,7 +10,8 @@
 //! - [`DigestMap`] passes those digests through as their own hash;
 //!   [`KeyIds`] numbers distinct keys in first-seen order on top of it.
 //! - [`DirectKey`] is the direct-addressed image of a small null-free
-//!   integer key: a row's slot, with no hashing at all.
+//!   integer key: a row's slot, with no hashing at all, and the
+//!   range-checked slot another relation's row would take in it.
 //! - [`is_key`] gives the verdict of [`KeySort::unique`](crate::KeySort)
 //!   — equality under [`Column::cmp_rows`] — without sorting.
 
@@ -264,8 +265,8 @@ impl KeyIds {
 /// slot is `Σ (v − base)·stride` — no key allocation, no hashing. Equal
 /// slots are equal keys.
 pub struct DirectKey<'a> {
-    /// Per key column: values, frame base and slot stride.
-    parts: Vec<(IntsRef<'a>, i64, usize)>,
+    /// Per key column: values, frame base, value span and slot stride.
+    parts: Vec<(IntsRef<'a>, i64, usize, usize)>,
     slots: usize,
 }
 
@@ -286,7 +287,7 @@ impl<'a> DirectKey<'a> {
         let mut slots = 1usize;
         for v in ints {
             let (base, span) = int_span(v)?;
-            parts.push((v, base, slots));
+            parts.push((v, base, span, slots));
             slots = slots.checked_mul(span).filter(|&s| s <= bound)?;
         }
         Some(DirectKey { parts, slots })
@@ -307,8 +308,25 @@ impl<'a> DirectKey<'a> {
     pub fn slot(&self, i: usize) -> usize {
         self.parts
             .iter()
-            .map(|(v, base, stride)| (v.get(i) - base) as usize * stride)
+            .map(|(v, base, _, stride)| (v.get(i) - base) as usize * stride)
             .sum()
+    }
+
+    /// The slot row `i` of `probe` — other `Int` columns, one per key
+    /// column — would hold, or `None` when a value lies outside this key's
+    /// domain, where no row of it can match.
+    #[inline]
+    pub fn probe_slot(&self, probe: &[IntsRef], i: usize) -> Option<usize> {
+        debug_assert_eq!(probe.len(), self.parts.len());
+        let mut slot = 0;
+        for ((_, base, span, stride), v) in self.parts.iter().zip(probe) {
+            let off = usize::try_from(v.get(i).checked_sub(*base)?).ok()?;
+            if off >= *span {
+                return None;
+            }
+            slot += off * stride;
+        }
+        Some(slot)
     }
 }
 
@@ -477,5 +495,38 @@ mod tests {
             .unwrap();
         let d = DirectKey::new(&[&packed], 3).unwrap();
         assert_eq!([0, 1, 2].map(|i| d.slot(i)), [5, 0, 3]);
+    }
+
+    #[test]
+    fn probe_slots_are_range_checked_per_column() {
+        // domain p ∈ -5..=4 (stride 1) × q ∈ 10..=12 (stride 10)
+        let p = Column::from(vec![-5i64, 4, 0]);
+        let q = Column::from(vec![10i64, 12, 11]);
+        let d = DirectKey::new(&[&p, &q], 3).unwrap();
+        assert_eq!(d.slots(), 30);
+        let probe = |ps: Vec<i64>, qs: Vec<i64>| {
+            let (pc, qc) = (Column::from(ps), Column::from(qs));
+            let ints = [&pc, &qc].map(|c| match c.accessor() {
+                ColumnAccessor::Int(v) => v,
+                _ => unreachable!(),
+            });
+            (0..pc.len())
+                .map(|i| d.probe_slot(&ints, i))
+                .collect::<Vec<_>>()
+        };
+        // inside the domain a probe's slot is the build's slot
+        assert_eq!(
+            probe(vec![-5, 4, 0], vec![10, 12, 11]),
+            [0, 1, 2].map(|i| Some(d.slot(i)))
+        );
+        // one column out of range is no slot, even where the sum of the
+        // offsets would land on one
+        assert_eq!(
+            probe(
+                vec![-6, 5, 5, 0, i64::MIN, i64::MAX, 0],
+                vec![10, 10, 11, 13, 10, 10, i64::MIN]
+            ),
+            [None; 7]
+        );
     }
 }

@@ -4,18 +4,22 @@
 # ROADMAP's "Rules of the road" asks for before a performance change is
 # proposed.
 #
-#   tools/ab_pairs.sh [-n PAIRS] [-r REV] [-s SEED] WORKLOAD
+#   tools/ab_pairs.sh [-n PAIRS] [-r REV] [-s SEED] [-t METRICS] WORKLOAD
 #
-#   -n PAIRS  runs per side, alternating parent/change (default 10)
-#   -r REV    the parent revision (default HEAD)
-#   -s SEED   the workload seed (default 1)
+#   -n PAIRS    runs per side, alternating parent/change (default 10)
+#   -r REV      the parent revision (default HEAD)
+#   -s SEED     the workload seed (default 1)
+#   -t METRICS  comma-separated per-layer metrics, e.g.
+#               relation.join_s,relation.pool_jobs: run with --trace 1
+#               and print each side's median of each of them as well
 #
 # REV is exported with `git archive`, and the working tree's tracked and
 # unignored files are copied, into sibling temp dirs, so both sides build and
 # run alike: a run writes its spill files under the directory it starts in,
 # and the same binary's spill_sort_join peak RSS differs by up to 2% between
 # directories. Both sides build benchmark/ into their own target dir. Every run is BENCHMARK.json's command with
-# `--seconds <run_seconds> --trace 0`. Each workload a run covers prints a
+# `--seconds <run_seconds> --trace 0` (`--trace 1` under -t, whose traced
+# epochs also count in the end-to-end figures). Each workload a run covers prints a
 # `== NAME (sizes)` header and, last, its one-line JSON result; every such
 # result is kept, so `all` gets one summary per workload. For each workload
 # and end-to-end metric the summary prints each side's median and IQR, and
@@ -28,19 +32,22 @@ set -euo pipefail
 pairs=10
 rev=HEAD
 seed=1
-while getopts "n:r:s:" opt; do
+layers=
+while getopts "n:r:s:t:" opt; do
     case "$opt" in
         n) pairs=$OPTARG ;;
         r) rev=$OPTARG ;;
         s) seed=$OPTARG ;;
-        *) sed -n '7,11p' "$0"; exit 2 ;;
+        t) layers=$OPTARG ;;
+        *) sed -n '7,14p' "$0"; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
 if [ $# -ne 1 ]; then
-    sed -n '7,11p' "$0"
+    sed -n '7,14p' "$0"
     exit 2
 fi
+trace=$([ -n "$layers" ] && echo 1 || echo 0)
 workload=$1
 
 root=$(git rev-parse --show-toplevel)
@@ -66,25 +73,36 @@ done
 for i in $(seq 1 "$pairs"); do
     for side in parent change; do
         (cd "${dir[$side]}" && CARGO_TARGET_DIR="${target[$side]}" \
-            "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
+            "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace") \
             > "$tmp/$side-$i.out"
         echo "pair $i/$pairs $side done" >&2
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp" "$pairs" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$tmp" "$pairs" "$layers" <<'EOF'
 import json, statistics, sys
 
 spec, tmp, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+layers = [m for m in sys.argv[4].split(",") if m]
 
 def results(path):
-    """The JSON result line of every workload in one run's stdout, by name."""
-    out, name = {}, None
+    """The JSON result line of every workload in one run's stdout, by name,
+    plus the `name value unit` lines printed above it (a traced run's
+    result line holds only the per-layer metrics)."""
+    out, name, printed = {}, None, {}
     for line in open(path):
+        fields = line.split()
         if line.startswith("== "):
-            name = line[3:].split(" (")[0].strip()
+            name, printed = line[3:].split(" (")[0].strip(), {}
         elif line.startswith('{"correct"') and name is not None:
             out[name] = json.loads(line)
+            for metric, value in printed.items():
+                out[name]["metrics"].setdefault(metric, {"value": value})
+        elif len(fields) == 3:
+            try:
+                printed[fields[0]] = float(fields[1])
+            except ValueError:
+                pass
     return out
 
 runs = {side: [results(f"{tmp}/{side}-{i}.out") for i in range(1, pairs + 1)]
@@ -120,5 +138,15 @@ for wl in names:
         moved = abs(quartiles(vals["change"])[1] - parent_q[1])
         resolved = "beyond" if moved > parent_q[2] - parent_q[0] else "within"
         print(f"{'':<14} change won {won}/{pairs} pairs; median moved {moved:.4g}, {resolved} the parent's IQR")
+    for name in layers:
+        vals = {s: [r["metrics"].get(name, {}).get("value") for r in wruns[s]] for s in wruns}
+        if any(v is None for vs in vals.values() for v in vs):
+            print(f"{name}: not printed by every run")
+            continue
+        med = {s: statistics.median(vs) for s, vs in vals.items()}
+        ratio = f"{med['change'] / med['parent']:.3f}" if med["parent"] else "n/a"
+        print(f"{name}: median parent {med['parent']:.6g}, change {med['change']:.6g}, ratio {ratio}")
+        for side in ("parent", "change"):
+            print(f"{'':<14} {side:<7} runs: " + " ".join(f"{v:.4g}" for v in vals[side]))
     print()
 EOF
