@@ -22,6 +22,10 @@ use rma_storage::{Column, ColumnAccessor, DirectKey, IntsRef, KeyCols, SelVec};
 /// (2²⁷ buckets); the grace join partitions on bits above them.
 pub(super) const TABLE_INDEX_BITS: u32 = 27;
 
+/// A [`JoinTable`] is direct when its key's [`DirectKey`] image over the
+/// build rows needs at most this many slots per row.
+const DIRECT_SLOTS_PER_ROW: usize = 8;
+
 /// Bytes an equi-join's build over `build_rows` rows is charged: the
 /// planner's spill decision and its working-set charge. It bounds both
 /// [`JoinTable`] shapes — a digest table's `u32` bucket heads (at most 4
@@ -61,8 +65,9 @@ fn buckets(rows: usize) -> usize {
 
 impl<'a> JoinTable<'a> {
     /// The table over all of `side`'s visible positions: direct when its key
-    /// has a [`DirectKey`] image of at most 8 slots per row, otherwise
-    /// digest-indexed over [`buckets`]`(rows)` chains. Rows with a NULL key
+    /// has a [`DirectKey`] image over them of at most
+    /// [`DIRECT_SLOTS_PER_ROW`] slots per row, otherwise digest-indexed over
+    /// [`buckets`]`(rows)` chains. Rows with a NULL key
     /// cell are left out — they never match. A side of `u32::MAX` rows or
     /// more is refused.
     pub(super) fn build(side: &JoinSide<'a>) -> Result<Self, RelationError> {
@@ -71,8 +76,7 @@ impl<'a> JoinTable<'a> {
             return Err(RelationError::JoinBuildTooLarge { rows });
         }
         let mut next = vec![0u32; rows];
-        let direct = DirectKey::new(&side.cols, 4 * rows).filter(|d| d.slots() <= 8 * rows);
-        if let Some(direct) = direct {
+        if let Some(direct) = DirectKey::within(&side.cols, side.sel, DIRECT_SLOTS_PER_ROW * rows) {
             let mut head = vec![0u32; direct.slots()];
             for pos in (0..rows).rev() {
                 let first = &mut head[direct.slot(side.base(pos))];
@@ -853,6 +857,7 @@ mod tests {
     #[test]
     fn direct_slot_cap_is_eight_per_build_row() {
         // ten rows: 80 slots is direct, 81 is not
+        assert_eq!(DIRECT_SLOTS_PER_ROW, 8);
         let keys = |top: i64| (0..9).map(|i| i * 3).chain([top]).collect::<Vec<i64>>();
         let at = rel(vec![("k2", ints(&keys(79)))]);
         let over = rel(vec![("k2", ints(&keys(80)))]);
@@ -867,15 +872,39 @@ mod tests {
             matches_reference(&a, &over, &[("k", "k2")]),
             a.len() / 83 * 10
         );
-        // where the cap meets DirectKey's own 2¹⁶-slot floor
-        let big = |top: i64| {
-            rel(vec![(
-                "k2",
-                ints(&(0..8191).chain([top]).collect::<Vec<_>>()),
-            )])
-        };
-        assert!(is_direct(&big(65_535), &["k2"]));
-        assert!(!is_direct(&big(65_536), &["k2"]));
+    }
+
+    #[test]
+    fn a_view_spans_only_its_visible_keys() {
+        // a 100 000-row base spanning 0..10⁸, whose first 100 rows hold
+        // 500..600: a view of those rows is direct over its own 100 slots,
+        // a view that also shows one far row is digest-indexed
+        let base = rel(vec![(
+            "k2",
+            ints(
+                &(0..100_000)
+                    .map(|i| if i < 100 { 500 + i } else { i * 1000 })
+                    .collect::<Vec<_>>(),
+            ),
+        )]);
+        let near = base.slice(0..100);
+        let side = JoinSide::new(&near, &["k2"]).unwrap();
+        let table = JoinTable::build(&side).unwrap();
+        assert!(matches!(table.index, TableIndex::Direct(_)));
+        assert_eq!(table.head.len(), 100);
+        let far = base.take(&(0..100).chain([99_999]).collect::<Vec<_>>());
+        assert!(far.sel().is_some() && !is_direct(&far, &["k2"]));
+        let mut probe: Vec<i64> = (450..650).collect();
+        probe.push(99_999_000);
+        let a = tiled(&rel(vec![("k", ints(&probe))]));
+        assert_eq!(
+            matches_reference(&a, &near, &[("k", "k2")]),
+            a.len() / probe.len() * 100
+        );
+        assert_eq!(
+            matches_reference(&a, &far, &[("k", "k2")]),
+            a.len() / probe.len() * 101
+        );
     }
 
     #[test]
@@ -931,9 +960,10 @@ mod tests {
     #[test]
     fn both_table_shapes_fit_the_planner_charge() {
         // direct at its cap: 4·slots + 4·rows = 36 B a row
+        let top = (DIRECT_SLOTS_PER_ROW * 1001 - 1) as i64;
         let at_cap = rel(vec![(
             "k",
-            ints(&(0..1000).map(|i| i * 8).chain([7999]).collect::<Vec<_>>()),
+            ints(&(0..1000).map(|i| i * 8).chain([top]).collect::<Vec<_>>()),
         )]);
         let spread = |n: i64| {
             rel(vec![(

@@ -19,6 +19,7 @@ use crate::access::{ColumnAccessor, IntsRef};
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::encoding::Dict;
+use crate::selvec::SelVec;
 use crate::sort::RowOrder;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -276,6 +277,15 @@ impl<'a> DirectKey<'a> {
     /// count exceeds `max(2 × morsel_rows, 2¹⁶)`.
     pub fn new(cols: &[&'a Column], morsel_rows: usize) -> Option<Self> {
         let bound = (2 * morsel_rows).max(1 << 16).min(u32::MAX as usize);
+        Self::within(cols, None, bound)
+    }
+
+    /// The image of `cols` over the base rows `rows` selects (every row
+    /// when `None`), whose values alone set each column's base and span;
+    /// `None` when a column is not a null-free `Int` or the slot count
+    /// exceeds `max_slots`. The min/max pass over a column stops as soon
+    /// as its span passes what the bound leaves.
+    pub fn within(cols: &[&'a Column], rows: Option<&SelVec>, max_slots: usize) -> Option<Self> {
         let ints = cols
             .iter()
             .map(|c| match c.accessor() {
@@ -286,9 +296,9 @@ impl<'a> DirectKey<'a> {
         let mut parts = Vec::with_capacity(ints.len());
         let mut slots = 1usize;
         for v in ints {
-            let (base, span) = int_span(v)?;
+            let (base, span) = int_span(v, rows, max_slots / slots)?;
             parts.push((v, base, span, slots));
-            slots = slots.checked_mul(span).filter(|&s| s <= bound)?;
+            slots *= span;
         }
         Some(DirectKey { parts, slots })
     }
@@ -330,22 +340,38 @@ impl<'a> DirectKey<'a> {
     }
 }
 
-/// Frame base and value span of `v`: a packed column's frame comes for
-/// free, plain and RLE columns take one min/max pass. `None` for an empty
-/// column or a span beyond `usize`.
-fn int_span(v: IntsRef) -> Option<(i64, usize)> {
-    let (min, max) = match v {
-        IntsRef::Packed(p) => return Some((p.min(), 1usize.checked_shl(p.width())?)),
-        IntsRef::Slice(s) => (*s.iter().min()?, *s.iter().max()?),
-        IntsRef::Rle(r) => {
-            let mut min_max: Option<(i64, i64)> = None;
-            r.for_runs_in(0..r.len(), |x, _| {
-                let (lo, hi) = min_max.unwrap_or((x, x));
-                min_max = Some((lo.min(x), hi.max(x)));
-            });
-            min_max?
-        }
+/// Frame base and value span of `v` over the base rows `rows` selects
+/// (every row when `None`); `None` when there are none or the span exceeds
+/// `limit`. A whole packed column's frame comes for free; otherwise one
+/// min/max pass, which stops at the first stretch of rows that takes the
+/// span past `limit`.
+fn int_span(v: IntsRef, rows: Option<&SelVec>, limit: usize) -> Option<(i64, usize)> {
+    let mut seen: Option<(i64, i64)> = None;
+    // widen the running (min, max) by lo..=hi; false once the span passes limit
+    let mut widen = |lo: i64, hi: i64| {
+        let (min, max) = seen.map_or((lo, hi), |(min, max)| (min.min(lo), max.max(hi)));
+        seen = Some((min, max));
+        max.abs_diff(min) < limit as u64
     };
+    let within = match (v, rows) {
+        (IntsRef::Packed(p), None) => {
+            let span = 1usize.checked_shl(p.width())?;
+            return (span <= limit).then_some((p.min(), span));
+        }
+        (IntsRef::Slice(s), None) => s
+            .chunks(1024)
+            .all(|c| widen(*c.iter().min().unwrap(), *c.iter().max().unwrap())),
+        (IntsRef::Rle(r), None) => {
+            let mut within = true;
+            r.for_runs_in(0..r.len(), |x, _| within = within && widen(x, x));
+            within
+        }
+        (v, Some(sel)) => sel.iter().all(|i| {
+            let x = v.get(i);
+            widen(x, x)
+        }),
+    };
+    let (min, max) = seen.filter(|_| within)?;
     let span = usize::try_from(max.abs_diff(min)).ok()?.checked_add(1)?;
     Some((min, span))
 }
@@ -495,6 +521,27 @@ mod tests {
             .unwrap();
         let d = DirectKey::new(&[&packed], 3).unwrap();
         assert_eq!([0, 1, 2].map(|i| d.slot(i)), [5, 0, 3]);
+    }
+
+    #[test]
+    fn a_selection_spans_only_its_rows() {
+        let c = Column::from(vec![0i64, 1_000_000, 7, 9, 8]);
+        let sel = SelVec::from_indices(vec![4, 2, 3]);
+        for enc in [Encoding::Plain, Encoding::Packed, Encoding::Rle] {
+            let c = c.encode_as(enc).unwrap();
+            let d = DirectKey::within(&[&c], Some(&sel), 3).unwrap();
+            assert_eq!(d.slots(), 3, "{enc:?}");
+            assert_eq!([4, 2, 3].map(|i| d.slot(i)), [1, 0, 2], "{enc:?}");
+            assert!(DirectKey::within(&[&c], Some(&sel), 2).is_none());
+        }
+        let all = DirectKey::within(&[&c], None, 1_000_001).map(|d| d.slots());
+        assert_eq!(all, Some(1_000_001));
+        assert!(DirectKey::within(&[&c], None, 1_000_000).is_none());
+        // two columns share one bound: spans 3 × 2 need 6 slots
+        let q = Column::from(vec![5i64, 5, 4, 4, 5]);
+        let d = DirectKey::within(&[&c, &q], Some(&sel), 6).unwrap();
+        assert_eq!([4, 2, 3].map(|i| d.slot(i)), [4, 0, 2]);
+        assert!(DirectKey::within(&[&c, &q], Some(&sel), 5).is_none());
     }
 
     #[test]

@@ -11,22 +11,28 @@
 #   -s SEED     the workload seed (default 1)
 #   -t METRICS  comma-separated per-layer metrics, e.g.
 #               relation.join_s,relation.pool_jobs: run with --trace 1
-#               and print each side's median of each of them as well
+#               and print each side's median of each of them instead of
+#               the end-to-end summary
 #
 # REV is exported with `git archive`, and the working tree's tracked and
 # unignored files are copied, into sibling temp dirs, so both sides build and
 # run alike: a run writes its spill files under the directory it starts in,
 # and the same binary's spill_sort_join peak RSS differs by up to 2% between
-# directories. Both sides build benchmark/ into their own target dir. Every run is BENCHMARK.json's command with
-# `--seconds <run_seconds> --trace 0` (`--trace 1` under -t, whose traced
-# epochs also count in the end-to-end figures). Each workload a run covers prints a
-# `== NAME (sizes)` header and, last, its one-line JSON result; every such
-# result is kept, so `all` gets one summary per workload. For each workload
-# and end-to-end metric the summary prints each side's median and IQR, and
-# IQR ÷ the parent's median against the metric's bound: the benchmark gate
-# refuses a change when either side's ratio exceeds the bound. It also prints
-# how many pairs the change won and whether the median moved by more than the
-# parent's IQR, which is what a claimed gain has to show.
+# directories. Both sides build benchmark/ into their own target dir. Every
+# run is BENCHMARK.json's command with `--seconds <run_seconds> --trace 0`.
+# Each workload a run covers prints a `== NAME (sizes)` header and, last, its
+# one-line JSON result; every such result is kept, so `all` gets one summary
+# per workload. For each workload and end-to-end metric the summary prints
+# each side's median and IQR, and IQR ÷ the parent's median against the
+# metric's bound: the benchmark gate refuses a change when either side's
+# ratio exceeds the bound. It also prints how many pairs the change won and
+# whether the median moved by more than the parent's IQR, which is what a
+# claimed gain has to show.
+#
+# Under -t every run is `--trace 1` instead, and the summary is the named
+# per-layer metrics only, read from the `NAME VALUE UNIT` lines a traced run
+# prints: tracing slows the runs, so their end-to-end figures are not
+# comparable with untraced ones and are not reported.
 set -euo pipefail
 
 pairs=10
@@ -39,12 +45,12 @@ while getopts "n:r:s:t:" opt; do
         r) rev=$OPTARG ;;
         s) seed=$OPTARG ;;
         t) layers=$OPTARG ;;
-        *) sed -n '7,14p' "$0"; exit 2 ;;
+        *) sed -n '7,15p' "$0"; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
 if [ $# -ne 1 ]; then
-    sed -n '7,14p' "$0"
+    sed -n '7,15p' "$0"
     exit 2
 fi
 trace=$([ -n "$layers" ] && echo 1 || echo 0)
@@ -87,8 +93,8 @@ layers = [m for m in sys.argv[4].split(",") if m]
 
 def results(path):
     """The JSON result line of every workload in one run's stdout, by name,
-    plus the `name value unit` lines printed above it (a traced run's
-    result line holds only the per-layer metrics)."""
+    with the `NAME VALUE UNIT` lines printed above it for the metrics
+    named by -t, as `layers[NAME]`."""
     out, name, printed = {}, None, {}
     for line in open(path):
         fields = line.split()
@@ -96,13 +102,9 @@ def results(path):
             name, printed = line[3:].split(" (")[0].strip(), {}
         elif line.startswith('{"correct"') and name is not None:
             out[name] = json.loads(line)
-            for metric, value in printed.items():
-                out[name]["metrics"].setdefault(metric, {"value": value})
-        elif len(fields) == 3:
-            try:
-                printed[fields[0]] = float(fields[1])
-            except ValueError:
-                pass
+            out[name]["layers"] = printed
+        elif len(fields) == 3 and fields[0] in layers:
+            printed[fields[0]] = float(fields[1])
     return out
 
 runs = {side: [results(f"{tmp}/{side}-{i}.out") for i in range(1, pairs + 1)]
@@ -122,8 +124,10 @@ for wl in names:
         if bad:
             print(f"WARNING: {wl}: {side} runs {bad} were incorrect or had failures")
     print(f"{wl}: {pairs} alternating pairs (parent, change)")
-    print(f"{'metric':<14} {'side':<7} {'median':>14} {'IQR':>12} {'IQR/parent':>11} {'bound':>6}")
-    for m in json.load(open(spec))["end_to_end"]:
+    end_to_end = [] if layers else json.load(open(spec))["end_to_end"]
+    if end_to_end:
+        print(f"{'metric':<14} {'side':<7} {'median':>14} {'IQR':>12} {'IQR/parent':>11} {'bound':>6}")
+    for m in end_to_end:
         name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
         vals = {s: [r["metrics"][name]["value"] for r in wruns[s]] for s in wruns}
         parent_q = quartiles(vals["parent"])
@@ -139,7 +143,7 @@ for wl in names:
         resolved = "beyond" if moved > parent_q[2] - parent_q[0] else "within"
         print(f"{'':<14} change won {won}/{pairs} pairs; median moved {moved:.4g}, {resolved} the parent's IQR")
     for name in layers:
-        vals = {s: [r["metrics"].get(name, {}).get("value") for r in wruns[s]] for s in wruns}
+        vals = {s: [r["layers"].get(name) for r in wruns[s]] for s in wruns}
         if any(v is None for vs in vals.values() for v in vs):
             print(f"{name}: not printed by every run")
             continue
