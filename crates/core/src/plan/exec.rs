@@ -409,12 +409,15 @@ fn execute_inner(
             let r = execute_inner(input, ctx, provider, analyze)?;
             morsels = sort_morsels(threads, r.len());
             // bounded heaps: n candidates per worker, 8-byte indices —
-            // already sublinear in the input, so top-k never spills
-            let _working = ChargeScope::new(8 * (*n as u64) * threads as u64)?;
+            // already sublinear in the input, so top-k never spills. A LIMIT
+            // past the input keeps every row; clamped, the charge cannot
+            // overflow
+            let n = (*n).min(r.len());
+            let _working = ChargeScope::new(8 * (n as u64) * threads as u64)?;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
             // per-worker bounded heaps merged at the barrier
-            Ok(rel::top_k_parallel(&r, &attrs, &dirs, *n, pool)?)
+            Ok(rel::top_k_parallel(&r, &attrs, &dirs, n, pool)?)
         }
         LogicalPlan::Rma { op, args, backend } => {
             let expected = if op.is_binary() { 2 } else { 1 };

@@ -1,43 +1,50 @@
 //! Out-of-core operators: grace hash join, external merge sort, and the
 //! partition-wise spilling aggregate.
 //!
-//! These are the spill-path twins of the in-memory parallel operators,
-//! taken when the planner's headroom probe
+//! Each is its in-memory operator with its partitions or runs written to
+//! [`SpillFile`]s, taken when the planner's headroom probe
 //! ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says the operator's
-//! working set will not fit the memory budget:
+//! working set will not fit the memory budget. Two phases are shared:
 //!
-//! - **Grace hash join**: both inputs are hash-partitioned on the join key
-//!   into [`SpillFile`]s (null-key rows are dropped up front — inner-join
-//!   semantics), then each partition pair is joined independently with the
-//!   ordinary pool-parallel hash join, so every spilled partition re-enters
-//!   the worker pool as its own morsel source. Rows are partitioned by the
-//!   join's own key digest ([`rma_storage::KeyCols::digest`]), on bits the
-//!   in-partition hash table never reads ([`grace_bucket`]). A partition
-//!   whose build side still exceeds the budget is recursively repartitioned
-//!   (fresh digest bits per level) up to [`MAX_GRACE_DEPTH`]; past that
-//!   depth it is joined in memory regardless — the budget becomes
+//! - **One partition pass** ([`partition`]): a chunk source's visible rows
+//!   go to `parts` spill files by a [`PART_BITS`]-bit field of the key's
+//!   own digest ([`rma_storage::KeyCols::digest`]), on bits the
+//!   in-partition hash table never reads ([`grace_bucket`]). A relation is
+//!   a one-chunk source, a spilled partition streams many. Its one
+//!   parameter is the null-key rule: a join drops rows with a null key
+//!   (they never join), a group-by keeps them (a NULL cell hashes as a
+//!   tagged constant, and null keys are groups).
+//! - **One sort run phase** ([`super::sort::sort_runs`]) and **one k-way
+//!   merge** ([`super::sort::LoserTree`]), shared with the pooled
+//!   in-memory sort.
+//!
+//! The operators:
+//!
+//! - **Grace hash join**: both inputs are partitioned, then each partition
+//!   pair is joined with the ordinary pool-parallel hash join, so every
+//!   spilled partition re-enters the worker pool as its own morsel source.
+//!   A partition whose build side still exceeds the budget is partitioned
+//!   again (fresh digest bits per level) up to [`MAX_GRACE_DEPTH`]; past
+//!   that depth it is joined in memory regardless — the budget becomes
 //!   best-effort rather than looping forever on pathological key skew.
 //! - **External sort**: the input is cut into budget-sized consecutive
-//!   ranges; workers sort each range and spill it as a sorted run; the
-//!   runs are streamed back chunk-at-a-time and merged through a loser tree
-//!   (⌈log₂ k⌉ comparisons per output row over k runs), comparing rows by a
+//!   ranges whose sorted runs are spilled; the runs are streamed back
+//!   chunk-at-a-time and merged through the loser tree, comparing rows by a
 //!   [`RowOrder`] resolved once per run chunk. The merge breaks key ties by
 //!   run index, which (runs being consecutive ranges) reproduces the serial
 //!   sort's global-row-index tie-break exactly. It gathers its output in
 //!   blocks of `(run, row)` picks, one typed pass per column, and polls the
 //!   query guard once per block.
-//! - **Spilling aggregate**: rows are partitioned on the same digest and
-//!   bit field as the grace join's first level (null keys *are* group keys
-//!   here, unlike joins: a NULL cell hashes as a tagged constant), each
-//!   partition is aggregated independently — group keys never span
-//!   partitions — and the partial results are concatenated.
+//! - **Spilling aggregate**: rows are partitioned like the grace join's
+//!   first level, each partition is aggregated independently — group keys
+//!   never span partitions — and the partial results are concatenated.
 //!
 //! Results are value-identical to the in-memory operators; the **row
 //! order** of the grace join and the spilling aggregate is partition-major
 //! rather than probe-major, which SQL semantics leave unspecified.
 
 use super::join::{JoinSide, TABLE_INDEX_BITS};
-use super::sort::sort_keys;
+use super::sort::{sort_keys, sort_runs, LoserTree};
 use crate::error::RelationError;
 use crate::par::{current_guard, guard_checkpoint, WorkerPool};
 use crate::relation::Relation;
@@ -47,7 +54,7 @@ use crate::trace;
 use rma_storage::{
     Bitmap, Column, ColumnAccessor as A, ColumnData, FloatsRef, IntsRef, RowOrder, StrsRef,
 };
-use std::cmp::Ordering;
+use std::borrow::Borrow;
 
 /// Maximum grace-join repartition depth: partitioning runs at depths
 /// `0..=MAX_GRACE_DEPTH`, each on ten fresh bits of the join digest, and
@@ -109,97 +116,70 @@ fn grace_bucket(digest: u64, parts: usize, depth: u32) -> usize {
     ((field * parts as u64) >> PART_BITS) as usize
 }
 
-/// Visible positions of `r` per grace partition at `depth`, by the join
-/// key `keys`; rows with a null in any key column are dropped (they never
-/// join).
-fn grace_buckets(
+/// Visible positions of `r` per partition at `depth`, by the key `keys`;
+/// rows with a null in any key column are dropped when `drop_null_keys`.
+fn buckets(
     r: &Relation,
     keys: &[&str],
     parts: usize,
     depth: u32,
+    drop_null_keys: bool,
 ) -> Result<Vec<Vec<usize>>, RelationError> {
     let side = JoinSide::new(r, keys)?;
     let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
     for pos in 0..r.len() {
         let base = side.base(pos);
-        if !side.key.has_null(base) {
+        if !(drop_null_keys && side.key.has_null(base)) {
             idx[grace_bucket(side.key.digest(base), parts, depth)].push(pos);
         }
     }
     Ok(idx)
 }
 
-/// Visible positions of `r` per aggregate partition, by the group key
-/// `keys`: the grace join's first-level field of the key digest. Keys with
-/// NULLs are groups too.
-fn group_buckets(
-    r: &Relation,
-    keys: &[&str],
-    parts: usize,
-) -> Result<Vec<Vec<usize>>, RelationError> {
-    let side = JoinSide::new(r, keys)?;
-    let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for pos in 0..r.len() {
-        idx[grace_bucket(side.key.digest(side.base(pos)), parts, 0)].push(pos);
-    }
-    Ok(idx)
-}
-
-fn create_files(parts: usize) -> Result<Vec<SpillFile>, RelationError> {
-    (0..parts).map(|_| SpillFile::create()).collect()
-}
-
-/// Append each partition's rows of `r` to its file, chunk-wise, so no
-/// partition is ever materialized whole.
-fn spill_buckets(
-    r: &Relation,
-    idx: &[Vec<usize>],
-    files: &mut [SpillFile],
-) -> Result<(), RelationError> {
-    for (p, rows) in idx.iter().enumerate() {
-        for chunk in rows.chunks(SPILL_CHUNK_ROWS) {
-            files[p].append(&r.take(chunk))?;
-        }
+/// Append the visible positions `rows` of `r` to `f` chunk-wise, so no
+/// partition or run is ever materialized whole.
+fn spill_rows(r: &Relation, rows: &[usize], f: &mut SpillFile) -> Result<(), RelationError> {
+    for chunk in rows.chunks(SPILL_CHUNK_ROWS) {
+        f.append(&r.take(chunk))?;
     }
     Ok(())
 }
 
-fn finish_files(mut files: Vec<SpillFile>) -> Result<Vec<SpillFile>, RelationError> {
+/// The one partition pass: each chunk of `src` has its visible rows
+/// written into `parts` spill files by [`buckets`] at `depth`. A relation
+/// is a one-chunk source (`[Ok(r)]`), a spilled partition a many-chunk
+/// one ([`chunks_of`]).
+fn partition<R: Borrow<Relation>>(
+    src: impl IntoIterator<Item = Result<R, RelationError>>,
+    keys: &[&str],
+    parts: usize,
+    depth: u32,
+    drop_null_keys: bool,
+) -> Result<Vec<SpillFile>, RelationError> {
+    let mut files: Vec<SpillFile> = (0..parts)
+        .map(|_| SpillFile::create())
+        .collect::<Result<_, _>>()?;
+    for chunk in src {
+        let chunk = chunk?;
+        let chunk = chunk.borrow();
+        let idx = buckets(chunk, keys, parts, depth, drop_null_keys)?;
+        for (f, rows) in files.iter_mut().zip(&idx) {
+            spill_rows(chunk, rows, f)?;
+        }
+    }
     for f in &mut files {
         f.finish()?;
     }
     Ok(files)
 }
 
-fn partition_side(
-    r: &Relation,
-    keys: &[&str],
-    parts: usize,
-) -> Result<Vec<SpillFile>, RelationError> {
-    let mut files = create_files(parts)?;
-    spill_buckets(r, &grace_buckets(r, keys, parts, 0)?, &mut files)?;
-    finish_files(files)
-}
-
-/// Stream a spilled partition back and re-partition it on fresh digest
-/// bits (grace recursion for skewed partitions).
-fn repartition(
+/// A spilled partition's chunks, streamed back.
+fn chunks_of(
     f: &SpillFile,
     schema: &Schema,
-    keys: &[&str],
-    parts: usize,
-    depth: u32,
-) -> Result<Vec<SpillFile>, RelationError> {
-    let mut files = create_files(parts)?;
+) -> Result<impl Iterator<Item = Result<Relation, RelationError>>, RelationError> {
     let mut rd = f.reader(schema)?;
-    while let Some(chunk) = rd.next_chunk()? {
-        spill_buckets(
-            &chunk,
-            &grace_buckets(&chunk, keys, parts, depth)?,
-            &mut files,
-        )?;
-    }
-    finish_files(files)
+    Ok(std::iter::from_fn(move || rd.next_chunk().transpose()))
 }
 
 /// Grace hash equi-join (spill path of [`super::join_on`] /
@@ -242,12 +222,20 @@ fn grace_join(
     natural: bool,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    let left_keys: Vec<&str> = on.iter().map(|(l, _)| *l).collect();
-    let right_keys: Vec<&str> = on.iter().map(|(_, r)| *r).collect();
+    let grace = Grace {
+        schemas: (a.schema(), b.schema()),
+        keys: (
+            on.iter().map(|(l, _)| *l).collect(),
+            on.iter().map(|(_, r)| *r).collect(),
+        ),
+        on,
+        natural,
+        pool,
+    };
     let parts = fanout(rel_bytes_est(b));
     let span = trace::clock();
-    let a_files = partition_side(a, &left_keys, parts)?;
-    let b_files = partition_side(b, &right_keys, parts)?;
+    let a_files = partition([Ok(a)], &grace.keys.0, parts, 0, true)?;
+    let b_files = partition([Ok(b)], &grace.keys.1, parts, 0, true)?;
     trace::record(
         "join.partition",
         "join",
@@ -257,77 +245,72 @@ fn grace_join(
         0,
         parts as u64,
     );
-    let mut results = Vec::with_capacity(parts);
-    for (af, bf) in a_files.iter().zip(&b_files) {
-        results.push(join_partition(
-            af,
-            a.schema(),
-            bf,
-            b.schema(),
-            on,
-            natural,
-            1,
-            pool,
-        )?);
-    }
-    guard_checkpoint()?;
-    Relation::concat(&results)
+    grace.join_pairs(&a_files, &b_files, 1)
 }
 
-/// Join one spilled partition pair: recurse when the build side still
-/// exceeds the budget (up to [`MAX_GRACE_DEPTH`]), otherwise read both
-/// sides back and run the pool-parallel in-memory join.
-#[allow(clippy::too_many_arguments)]
-fn join_partition(
-    af: &SpillFile,
-    a_schema: &Schema,
-    bf: &SpillFile,
-    b_schema: &Schema,
-    on: &[(&str, &str)],
+/// One grace join's inputs, the same at every partition level.
+struct Grace<'a> {
+    schemas: (&'a Schema, &'a Schema),
+    keys: (Vec<&'a str>, Vec<&'a str>),
+    on: &'a [(&'a str, &'a str)],
     natural: bool,
-    depth: u32,
-    pool: &WorkerPool,
-) -> Result<Relation, RelationError> {
-    let over_budget = current_guard().is_some_and(|g| !g.fits(bf.bytes()));
-    if depth <= MAX_GRACE_DEPTH && over_budget && bf.rows() > 1 {
-        let parts = fanout(bf.bytes());
-        let left_keys: Vec<&str> = on.iter().map(|(l, _)| *l).collect();
-        let right_keys: Vec<&str> = on.iter().map(|(_, r)| *r).collect();
-        let a_sub = repartition(af, a_schema, &left_keys, parts, depth)?;
-        let b_sub = repartition(bf, b_schema, &right_keys, parts, depth)?;
-        let mut results = Vec::with_capacity(parts);
-        for (asf, bsf) in a_sub.iter().zip(&b_sub) {
-            results.push(join_partition(
-                asf,
-                a_schema,
-                bsf,
-                b_schema,
-                on,
-                natural,
-                depth + 1,
-                pool,
-            )?);
-        }
-        return Relation::concat(&results);
+    pool: &'a WorkerPool,
+}
+
+impl Grace<'_> {
+    /// Join each partition pair and concatenate the results,
+    /// partition-major.
+    fn join_pairs(
+        &self,
+        a: &[SpillFile],
+        b: &[SpillFile],
+        depth: u32,
+    ) -> Result<Relation, RelationError> {
+        let results = a
+            .iter()
+            .zip(b)
+            .map(|(af, bf)| self.join_pair(af, bf, depth))
+            .collect::<Result<Vec<_>, _>>()?;
+        guard_checkpoint()?;
+        Relation::concat(&results)
     }
-    let a_rel = af.read_all(a_schema)?;
-    let b_rel = bf.read_all(b_schema)?;
-    let span = trace::clock();
-    let joined = if natural {
-        super::parallel::natural_join_parallel(&a_rel, &b_rel, pool)?
-    } else {
-        super::parallel::join_on_parallel(&a_rel, &b_rel, on, pool)?
-    };
-    trace::record(
-        "join.grace_part",
-        "join",
-        0,
-        span,
-        (a_rel.len() + b_rel.len()) as u64,
-        joined.len() as u64,
-        1,
-    );
-    Ok(joined)
+
+    /// Join one partition pair: partition it again while the build side
+    /// still exceeds the budget (up to [`MAX_GRACE_DEPTH`]), otherwise read
+    /// both sides back and run the pool-parallel in-memory join.
+    fn join_pair(
+        &self,
+        af: &SpillFile,
+        bf: &SpillFile,
+        depth: u32,
+    ) -> Result<Relation, RelationError> {
+        let over_budget = current_guard().is_some_and(|g| !g.fits(bf.bytes()));
+        if depth <= MAX_GRACE_DEPTH && over_budget && bf.rows() > 1 {
+            let parts = fanout(bf.bytes());
+            let (a_schema, b_schema) = self.schemas;
+            let a = partition(chunks_of(af, a_schema)?, &self.keys.0, parts, depth, true)?;
+            let b = partition(chunks_of(bf, b_schema)?, &self.keys.1, parts, depth, true)?;
+            return self.join_pairs(&a, &b, depth + 1);
+        }
+        let a_rel = af.read_all(self.schemas.0)?;
+        let b_rel = bf.read_all(self.schemas.1)?;
+        let span = trace::clock();
+        let joined = if self.natural {
+            super::parallel::natural_join_parallel(&a_rel, &b_rel, self.pool)?
+        } else {
+            super::parallel::join_on_parallel(&a_rel, &b_rel, self.on, self.pool)?
+        };
+        trace::record(
+            "join.grace_part",
+            "join",
+            0,
+            span,
+            (a_rel.len() + b_rel.len()) as u64,
+            joined.len() as u64,
+            1,
+        );
+        Ok(joined)
+    }
 }
 
 /// External merge sort (spill path of [`super::order_by_parallel`]):
@@ -362,7 +345,8 @@ pub fn order_by_external(
 }
 
 /// The external sort over given runs: the consecutive row `ranges` of `r`
-/// are sorted and spilled by the workers, then merged from disk.
+/// are sorted and spilled by the workers ([`sort_runs`]), then merged from
+/// disk.
 fn sort_in_runs(
     r: &Relation,
     attrs: &[&str],
@@ -371,43 +355,18 @@ fn sort_in_runs(
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     let keys = sort_keys(r, attrs, ascending)?;
-    let key_idx: Vec<usize> = attrs
-        .iter()
-        .map(|n| {
-            r.schema()
-                .index_of(n)
-                .ok_or_else(|| RelationError::UnknownAttribute(n.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    // run phase: workers sort consecutive ranges and spill them
-    let runs: Vec<Result<SpillFile, RelationError>> = pool.for_each(ranges, |lane, range| {
-        let span = trace::clock();
-        let mut idx: Vec<usize> = (range.start..range.end).collect();
-        idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
-        let out = (|| {
-            let mut f = SpillFile::create()?;
-            for chunk in idx.chunks(SPILL_CHUNK_ROWS) {
-                f.append(&r.take(chunk))?;
-            }
-            f.finish()?;
-            Ok(f)
-        })();
-        trace::record(
-            "sort.spill_run",
-            "sort",
-            lane,
-            span,
-            idx.len() as u64,
-            idx.len() as u64,
-            1,
-        );
-        out
+    let key_idx: Option<Vec<usize>> = attrs.iter().map(|n| r.schema().index_of(n)).collect();
+    let key_idx = key_idx.expect("sort_keys resolved every key");
+    let runs = sort_runs(&keys, ranges, pool, "sort.spill_run", |idx| {
+        let mut f = SpillFile::create()?;
+        spill_rows(r, &idx, &mut f)?;
+        f.finish()?;
+        Ok(f)
     });
     guard_checkpoint()?;
-    let mut files = Vec::with_capacity(runs.len());
-    for f in runs {
-        files.push(f?);
-    }
+    let files = runs
+        .into_iter()
+        .collect::<Result<Vec<_>, RelationError>>()?;
     let span = trace::clock();
     let merged = merge_spilled(r.schema(), &files, &key_idx, ascending, r.len())?;
     trace::record(
@@ -447,10 +406,10 @@ fn merge_spilled(
     merge_runs(schema, readers, chunks, key_idx, ascending, total_rows)
 }
 
-/// The merge proper, over runs whose first chunks are loaded. A loser tree
-/// over the runs yields the next row in ⌈log₂ k⌉ comparisons. Between two
-/// chunk loads the runs' key columns stay put, so the runs' [`RowOrder`]s
-/// are resolved once per load, not per comparison. Picks are gathered into
+/// The merge proper, over runs whose first chunks are loaded. The
+/// [`LoserTree`] over the runs yields the next row in ⌈log₂ k⌉
+/// comparisons. Between two chunk loads the runs' key columns stay put, so
+/// the runs' [`RowOrder`]s are resolved once per load, not per comparison. Picks are gathered into
 /// the output before any run loads its next chunk, at every
 /// [`MERGE_BLOCK_ROWS`], and at the end; the guard is polled at each such
 /// flush.
@@ -478,16 +437,11 @@ fn merge_runs(
                 })
             })
             .collect();
-        // does run `x`'s current row come before run `y`'s? Exhausted runs
-        // come last; full key ties go to the lower run index
-        let before = |pos: &[usize], x: usize, y: usize| match (&orders[x], &orders[y]) {
-            (Some(ox), Some(oy)) => match ox.cmp_across(pos[x], oy, pos[y]) {
-                Ordering::Equal => x < y,
-                ord => ord == Ordering::Less,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => x < y,
+        let before = |pos: &[usize], x: usize, y: usize| {
+            let head = |run: usize| orders[run].as_ref().map(|o| (o, pos[run]));
+            LoserTree::before(x, head(x), y, head(y), |(ox, px), (oy, py)| {
+                ox.cmp_across(px, oy, py)
+            })
         };
         match reloaded.take() {
             Some(run) => tree.replay(run, |x, y| before(&pos, x, y)),
@@ -522,62 +476,6 @@ fn merge_runs(
         reloaded = Some(run);
     }
     out.finish(schema)
-}
-
-/// A tournament tree of losers over `k` runs: `nodes[0]` holds the current
-/// winner, `nodes[1..k]` the loser of each match, with run `i` as leaf
-/// `k + i` of the implicit heap. After the winner's run advances, one
-/// replay up its leaf's path restores the tree in ⌈log₂ k⌉ comparisons.
-#[derive(Default)]
-struct LoserTree {
-    nodes: Vec<usize>,
-}
-
-impl LoserTree {
-    const EMPTY: usize = usize::MAX;
-
-    /// Play every run in: a run meeting an empty node waits there for its
-    /// sibling subtree's winner; the last match at node 1 crowns the root.
-    fn build(&mut self, k: usize, mut before: impl FnMut(usize, usize) -> bool) {
-        self.nodes = vec![Self::EMPTY; k.max(1)];
-        for run in 0..k {
-            let mut winner = run;
-            let mut node = (k + run) / 2;
-            while node > 0 {
-                let other = self.nodes[node];
-                if other == Self::EMPTY {
-                    self.nodes[node] = winner;
-                    break;
-                }
-                if before(other, winner) {
-                    self.nodes[node] = winner;
-                    winner = other;
-                }
-                node /= 2;
-            }
-            if node == 0 {
-                self.nodes[0] = winner;
-            }
-        }
-    }
-
-    /// Re-play `run`'s path after its current row changed.
-    fn replay(&mut self, run: usize, mut before: impl FnMut(usize, usize) -> bool) {
-        let k = self.nodes.len();
-        let mut winner = run;
-        let mut node = (k + run) / 2;
-        while node > 0 {
-            if before(self.nodes[node], winner) {
-                std::mem::swap(&mut self.nodes[node], &mut winner);
-            }
-            node /= 2;
-        }
-        self.nodes[0] = winner;
-    }
-
-    fn winner(&self) -> Option<usize> {
-        self.nodes.first().copied().filter(|&w| w != Self::EMPTY)
-    }
 }
 
 /// The merge's output columns, filled block by block from `(run, row)`
@@ -714,9 +612,7 @@ pub fn aggregate_external(
         return super::parallel::aggregate_parallel(r, group_by, aggs, pool);
     }
     let parts = fanout(32 * r.len() as u64);
-    let mut files = create_files(parts)?;
-    spill_buckets(r, &group_buckets(r, group_by, parts)?, &mut files)?;
-    let files = finish_files(files)?;
+    let files = partition([Ok(r)], group_by, parts, 0, false)?;
     let mut results = Vec::with_capacity(parts);
     for f in &files {
         let part = f.read_all(r.schema())?;
@@ -736,6 +632,7 @@ mod tests {
     use crate::relation::RelationBuilder;
     use crate::spill::{live_spill_files, spill_test_guard};
     use rma_storage::{DataType, Encoding, Value};
+    use std::cmp::Ordering;
 
     fn orders(n: usize) -> Relation {
         RelationBuilder::new()
@@ -887,7 +784,7 @@ mod tests {
             .unwrap();
         for parts in [3, 4, 8, 32] {
             assert_even(
-                &group_buckets(&r, &["k"], parts).unwrap(),
+                &buckets(&r, &["k"], parts, 0, false).unwrap(),
                 &format!("{parts} parts"),
             );
         }
@@ -1064,6 +961,114 @@ mod tests {
         for asc in [true, false] {
             assert_exact(&r, &["x"], &[asc], &even_runs(n, 4));
         }
+    }
+
+    /// The reference order of two cells, written apart from the engine:
+    /// NULL below every value, floats by `total_cmp`, strings by value.
+    fn reference_cmp(a: &Value, b: &Value) -> Ordering {
+        match (a, b) {
+            (Value::Null, Value::Null) => Ordering::Equal,
+            (Value::Null, _) => Ordering::Less,
+            (_, Value::Null) => Ordering::Greater,
+            (Value::Int(x), Value::Int(y)) => x.cmp(y),
+            (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
+            (Value::Str(x), Value::Str(y)) => x.cmp(y),
+            _ => unreachable!("one key column holds one type"),
+        }
+    }
+
+    #[test]
+    fn every_sort_path_matches_an_independent_reference() {
+        let _serial = spill_test_guard();
+        let baseline = live_spill_files();
+        let n = 3000usize;
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.5,
+            -1.25,
+        ];
+        let words = ["pear", "fig", "apple", "Fig", "", "kiwi"];
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|i| {
+                let null = |m: usize| i % m == 0;
+                vec![
+                    if null(7) {
+                        Value::Null
+                    } else {
+                        Value::Int((i * 31 % 17) as i64 - 8)
+                    },
+                    if null(5) {
+                        Value::Null
+                    } else {
+                        Value::Float(floats[i * 7 % 8])
+                    },
+                    if null(9) {
+                        Value::Null
+                    } else {
+                        Value::Str(words[i * 5 % 6].to_string())
+                    },
+                    Value::Int(i as i64),
+                ]
+            })
+            .collect();
+        let typed = [DataType::Int, DataType::Float, DataType::Str, DataType::Int];
+        let names = ["i", "f", "s", "id"];
+        let mut b = RelationBuilder::new();
+        for (c, (name, dt)) in names.iter().zip(typed).enumerate() {
+            let vals: Vec<Value> = rows.iter().map(|row| row[c].clone()).collect();
+            b = b.column(*name, Column::from_values_typed(dt, &vals).unwrap());
+        }
+        let r = b.build().unwrap();
+        // a SelVec view: two rows of every three, last first
+        let picks: Vec<usize> = (0..n).rev().filter(|i| i % 3 != 1).collect();
+        let inputs = [
+            (r.clone(), rows.clone()),
+            (
+                r.take(&picks),
+                picks.iter().map(|&i| rows[i].clone()).collect(),
+            ),
+        ];
+        for (keys, asc) in [
+            (vec![1], vec![true]),
+            (vec![1], vec![false]),
+            (vec![0, 1], vec![true, false]),
+            (vec![2, 0], vec![false, true]),
+            (vec![2, 1, 0], vec![true, true, false]),
+        ] {
+            let attrs: Vec<&str> = keys.iter().map(|&k| names[k]).collect();
+            for (input, input_rows) in &inputs {
+                // a stable sort: full key ties keep the input order
+                let mut expected = input_rows.clone();
+                expected.sort_by(|x, y| {
+                    keys.iter()
+                        .zip(&asc)
+                        .fold(Ordering::Equal, |ord, (&k, &up)| {
+                            let o = reference_cmp(&x[k], &y[k]);
+                            ord.then(if up { o } else { o.reverse() })
+                        })
+                });
+                let expected = bits_text(expected.into_iter());
+                let what = format!("{attrs:?} {asc:?} over {} rows", input.len());
+                let check = |out: Relation, path: &str| {
+                    assert_eq!(bits_text(out.rows()), expected, "{path}: {what}");
+                };
+                check(order_by(input, &attrs, &asc).unwrap(), "serial");
+                for threads in [2, 3, 5] {
+                    let pool = WorkerPool::new(threads);
+                    let out = crate::algebra::order_by_parallel(input, &attrs, &asc, &pool);
+                    check(out.unwrap(), &format!("pooled at {threads}"));
+                }
+                // no budget: the external sort spills runs of its minimum size
+                let out = order_by_external(input, &attrs, &asc, &WorkerPool::new(2));
+                check(out.unwrap(), "external");
+            }
+        }
+        assert_eq!(live_spill_files(), baseline);
     }
 
     #[test]
@@ -1264,12 +1269,12 @@ mod tests {
         };
         let r = ints(100_000);
         for parts in [3, 4, 32] {
-            assert_even(&grace_buckets(&r, &["k"], parts, 0).unwrap(), "depth 0");
+            assert_even(&buckets(&r, &["k"], parts, 0, true).unwrap(), "depth 0");
         }
         // each level splits the previous level's partition evenly again
         let mut part = r;
         for depth in 0..=MAX_GRACE_DEPTH {
-            let buckets = grace_buckets(&part, &["k"], 4, depth).unwrap();
+            let buckets = buckets(&part, &["k"], 4, depth, true).unwrap();
             assert_even(&buckets, &format!("depth {depth}"));
             part = part.take(&buckets[0]);
         }
@@ -1305,8 +1310,8 @@ mod tests {
             .unwrap();
         for depth in 0..=MAX_GRACE_DEPTH {
             let (p, d) = (
-                grace_buckets(&plain, &["s"], 8, depth).unwrap(),
-                grace_buckets(&dict, &["s2"], 8, depth).unwrap(),
+                buckets(&plain, &["s"], 8, depth, true).unwrap(),
+                buckets(&dict, &["s2"], 8, depth, true).unwrap(),
             );
             for (pp, dp) in p.iter().zip(&d) {
                 // the dictionary holds the words reversed
@@ -1343,7 +1348,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let buckets = grace_buckets(&nullable, &["k"], 8, 0).unwrap();
+        let buckets = buckets(&nullable, &["k"], 8, 0, true).unwrap();
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 375);
         let other = crate::algebra::rename(&nullable, &[("k", "k2")]).unwrap();
         assert_eq!(

@@ -28,7 +28,7 @@ const DIRECT_SLOTS_PER_ROW: usize = 8;
 
 /// Bytes an equi-join's build over `build_rows` rows is charged: the
 /// planner's spill decision and its working-set charge. It bounds both
-/// [`JoinTable`] shapes — a digest table's `u32` bucket heads (at most 4
+/// `JoinTable` shapes — a digest table's `u32` bucket heads (at most 4
 /// per row after rounding up), `u32` links and `u64` digests take ≤ 28 B
 /// a row, a direct table at its slot cap 36 B a row.
 pub fn join_build_bytes(build_rows: usize) -> u64 {

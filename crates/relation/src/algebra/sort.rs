@@ -1,22 +1,27 @@
-//! Pool-parallel ordering: parallel sort and top-k merge.
+//! Pool-parallel ordering: the run phase, the k-way merge, and top-k.
 //!
 //! `ORDER BY` is the one blocking operator every ordered query funnels
-//! through, so it gets its own parallel strategy on the shared
-//! [`WorkerPool`]:
+//! through. In memory and on disk it is one algorithm in two phases:
 //!
-//! - **Parallel sort** ([`order_by_parallel`]): the visible rows are split
-//!   into one contiguous range per worker; each worker sorts its range's
-//!   row indices locally (no data movement), and the sorted runs are
-//!   k-way-merged into one permutation. The result is `r.take(&perm)` — an
-//!   *index-SelVec view* over the shared base columns, so the sort itself
-//!   copies nothing and the sink pays the usual single gather (the PR 3
-//!   view/sink contract).
+//! - **Run phase** ([`sort_runs`]): the visible rows are cut into
+//!   consecutive ranges; pool workers sort each range's row indices (no
+//!   data movement) and hand each sorted run to a sink. The pooled
+//!   [`order_by_parallel`] keeps its runs in memory, one per worker; the
+//!   external sort ([`super::order_by_external`]) writes budget-sized
+//!   runs to spill files.
+//! - **Merge phase** ([`LoserTree`]): the runs are k-way-merged through a
+//!   tournament tree of losers, ⌈log₂ k⌉ comparisons per output row over
+//!   k runs of any width. In memory the merged permutation becomes
+//!   `r.take(&perm)` — an *index-SelVec view* over the shared base
+//!   columns, so the sort itself copies nothing and the sink pays the
+//!   usual single gather (the SelVec view/sink contract). On disk the same
+//!   tree merges the runs' chunks as they stream back.
 //! - **Parallel top-k** ([`top_k_parallel`]): each worker runs a bounded
 //!   max-heap of the k best rows over its range; the per-worker candidate
 //!   sets are merged at the barrier (at most `k·workers` rows) and cut to
 //!   the global k.
 //!
-//! Both are *exactly* result-equivalent to their serial counterparts in
+//! All are *exactly* result-equivalent to their serial counterparts in
 //! `setops` — including row order — because every comparison falls back to
 //! the global row index on ties, which is precisely the serial stable-sort
 //! order. With a single-worker pool or small inputs they delegate to the
@@ -50,11 +55,35 @@ pub(super) fn sort_keys<'a>(
     Ok(RowOrder::new(&r.columns_of(attrs)?, ascending))
 }
 
-/// Parallel `ORDER BY`: per-worker local sorts of contiguous index ranges,
-/// then a k-way merge of the sorted runs. The result is a view (index
-/// selection vector over the shared base columns) in the same row order the
-/// serial [`order_by`] produces. Delegates to the serial operator for
-/// single-worker pools and small inputs.
+/// The run phase of every sort: pool workers sort each of the consecutive
+/// row `ranges` under `keys` and hand the sorted indices to `sink` (which
+/// keeps the run in memory or writes it out). One `span` per run covers
+/// its sort and its sink; the sinks' results come back in range order.
+pub(super) fn sort_runs<T: Send>(
+    keys: &RowOrder<'_>,
+    ranges: &[Range<usize>],
+    pool: &WorkerPool,
+    span: &'static str,
+    sink: impl Fn(Vec<usize>) -> T + Sync,
+) -> Vec<T> {
+    pool.for_each(ranges, |lane, range| {
+        let started = trace::clock();
+        let mut idx: Vec<usize> = range.clone().collect();
+        // unstable sort under a strict total order (index tie-break) equals
+        // the serial stable sort's output
+        idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
+        let rows = idx.len() as u64;
+        let out = sink(idx);
+        trace::record(span, "sort", lane, started, rows, rows, 1);
+        out
+    })
+}
+
+/// Parallel `ORDER BY`: one sorted run per worker, merged through the
+/// sorts' loser tree. The result is a view (index selection vector over the
+/// shared base columns) in the same row order the serial [`order_by`]
+/// produces. Delegates to the serial operator for single-worker pools and
+/// small inputs.
 pub fn order_by_parallel(
     r: &Relation,
     attrs: &[&str],
@@ -66,27 +95,26 @@ pub fn order_by_parallel(
     }
     let keys = sort_keys(r, attrs, ascending)?;
     let ranges = partition_ranges(r.len(), pool.threads());
-    let runs: Vec<Vec<usize>> = pool.for_each(&ranges, |lane, range| {
-        let span = trace::clock();
-        let mut idx: Vec<usize> = (range.start..range.end).collect();
-        // unstable sort under a strict total order (index tie-break) equals
-        // the serial stable sort's output
-        idx.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
-        trace::record(
-            "sort.run",
-            "sort",
-            lane,
-            span,
-            idx.len() as u64,
-            idx.len() as u64,
-            1,
-        );
-        idx
-    });
+    let runs = sort_runs(&keys, &ranges, pool, "sort.run", |idx| idx);
     // a tripped guard truncates the run set; surface it as a typed error
     crate::par::guard_checkpoint()?;
     let span = trace::clock();
-    let perm = merge_runs(&runs, &keys);
+    let mut perm = Vec::with_capacity(r.len());
+    let mut pos = vec![0usize; runs.len()];
+    let before = |pos: &[usize], x: usize, y: usize| {
+        let head = |run: usize| runs[run].get(pos[run]).copied();
+        LoserTree::before(x, head(x), y, head(y), |a, b| keys.cmp_indexed(a, b))
+    };
+    let mut tree = LoserTree::default();
+    tree.build(runs.len(), |x, y| before(&pos, x, y));
+    while let Some(run) = tree.winner() {
+        let Some(&row) = runs[run].get(pos[run]) else {
+            break;
+        };
+        perm.push(row);
+        pos[run] += 1;
+        tree.replay(run, |x, y| before(&pos, x, y));
+    }
     trace::record(
         "sort.merge",
         "sort",
@@ -110,6 +138,8 @@ pub fn top_k_parallel(
     n: usize,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
+    // a LIMIT past the input keeps every row; clamped, `n * 4` cannot overflow
+    let n = n.min(r.len());
     // With k within a factor of the input size the bounded heaps approach a
     // full sort per worker while still paying the merge — serial wins.
     if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n == 0 || n * 4 >= r.len() {
@@ -117,9 +147,6 @@ pub fn top_k_parallel(
     }
     let keys = sort_keys(r, attrs, ascending)?;
     let ranges = partition_ranges(r.len(), pool.threads());
-    if ranges.len() <= 1 {
-        return top_k(r, attrs, ascending, n);
-    }
     let locals: Vec<Vec<usize>> = pool.for_each(&ranges, |lane, range| {
         let span = trace::clock();
         let heap = bounded_top_k(range.clone(), n, &keys);
@@ -152,76 +179,79 @@ pub fn top_k_parallel(
     Ok(r.take(&cand))
 }
 
-/// K-way merge of sorted index runs into one permutation, via a binary
-/// min-heap of run heads. Runs are few (one per worker), so the heap is
-/// tiny; the comparator's index tie-break keeps the merge deterministic.
-fn merge_runs(runs: &[Vec<usize>], keys: &RowOrder<'_>) -> Vec<usize> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // heap entries: (row, run); `pos[run]` is the next unconsumed position
-    let mut heap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
-    let mut pos: Vec<usize> = vec![1; runs.len()];
-    for (run, idxs) in runs.iter().enumerate() {
-        if let Some(&row) = idxs.first() {
-            heap_push(&mut heap, (row, run), keys);
-        }
-    }
-    while let Some((row, run)) = heap_pop(&mut heap, keys) {
-        out.push(row);
-        if let Some(&next) = runs[run].get(pos[run]) {
-            pos[run] += 1;
-            heap_push(&mut heap, (next, run), keys);
-        }
-    }
-    out
+/// A tournament tree of losers over `k` sorted runs, the one k-way merge
+/// of every sort: `nodes[0]` holds the current winner, `nodes[1..k]` the
+/// loser of each match, with run `i` as leaf `k + i` of the implicit heap
+/// (any `k`, not only powers of two). After the winner's run advances, one
+/// replay up its leaf's path restores the tree in ⌈log₂ k⌉ comparisons.
+/// The caller's `before(x, y)` orders runs by their current heads
+/// ([`LoserTree::before`]).
+#[derive(Default)]
+pub(super) struct LoserTree {
+    nodes: Vec<usize>,
 }
 
-/// Min-heap ordering for merge entries: by row under `keys` (strict, so the
-/// run index never matters).
-#[inline]
-fn entry_lt(a: (usize, usize), b: (usize, usize), keys: &RowOrder<'_>) -> bool {
-    keys.cmp_indexed(a.0, b.0) == Ordering::Less
-}
+impl LoserTree {
+    const EMPTY: usize = usize::MAX;
 
-fn heap_push(heap: &mut Vec<(usize, usize)>, entry: (usize, usize), keys: &RowOrder<'_>) {
-    heap.push(entry);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if entry_lt(heap[i], heap[parent], keys) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
+    /// The merge order of runs `x` and `y` by their heads `hx` and `hy`
+    /// (`None` once a run is exhausted): exhausted runs last, then `cmp`
+    /// of the heads, then the lower run index.
+    pub(super) fn before<H>(
+        x: usize,
+        hx: Option<H>,
+        y: usize,
+        hy: Option<H>,
+        cmp: impl FnOnce(H, H) -> Ordering,
+    ) -> bool {
+        match (hx, hy) {
+            (Some(a), Some(b)) => cmp(a, b).then(x.cmp(&y)) == Ordering::Less,
+            (hx, hy) => (hx.is_none(), x) < (hy.is_none(), y),
         }
     }
-}
 
-fn heap_pop(heap: &mut Vec<(usize, usize)>, keys: &RowOrder<'_>) -> Option<(usize, usize)> {
-    if heap.is_empty() {
-        return None;
+    /// Play every run in: a run meeting an empty node waits there for its
+    /// sibling subtree's winner; the last match at node 1 crowns the root.
+    pub(super) fn build(&mut self, k: usize, mut before: impl FnMut(usize, usize) -> bool) {
+        self.nodes = vec![Self::EMPTY; k.max(1)];
+        for run in 0..k {
+            let mut winner = run;
+            let mut node = (k + run) / 2;
+            while node > 0 {
+                let other = self.nodes[node];
+                if other == Self::EMPTY {
+                    self.nodes[node] = winner;
+                    break;
+                }
+                if before(other, winner) {
+                    self.nodes[node] = winner;
+                    winner = other;
+                }
+                node /= 2;
+            }
+            if node == 0 {
+                self.nodes[0] = winner;
+            }
+        }
     }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let len = heap.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < len && entry_lt(heap[l], heap[smallest], keys) {
-            smallest = l;
+
+    /// Re-play `run`'s path after its current row changed.
+    pub(super) fn replay(&mut self, run: usize, mut before: impl FnMut(usize, usize) -> bool) {
+        let k = self.nodes.len();
+        let mut winner = run;
+        let mut node = (k + run) / 2;
+        while node > 0 {
+            if before(self.nodes[node], winner) {
+                std::mem::swap(&mut self.nodes[node], &mut winner);
+            }
+            node /= 2;
         }
-        if r < len && entry_lt(heap[r], heap[smallest], keys) {
-            smallest = r;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
+        self.nodes[0] = winner;
     }
-    top
+
+    pub(super) fn winner(&self) -> Option<usize> {
+        self.nodes.first().copied().filter(|&w| w != Self::EMPTY)
+    }
 }
 
 /// Bounded max-heap of the k best rows in `range`: `heap[0]` is the worst
@@ -308,7 +338,9 @@ mod tests {
     #[test]
     fn parallel_sort_matches_serial() {
         let r = sample(3001);
-        for threads in [2, 4, 8] {
+        // 3 and 5 give the merge's loser tree a width that is not a power
+        // of two
+        for threads in [2, 3, 4, 5, 8] {
             let pool = WorkerPool::new(threads);
             for (attrs, dirs) in [
                 (vec!["s"], vec![true]),
@@ -351,14 +383,16 @@ mod tests {
             .column("id", (0..n as i64).collect::<Vec<_>>())
             .build()
             .unwrap();
-        let pool = WorkerPool::new(4);
-        let par = order_by_parallel(&r, &["c"], &[true], &pool).unwrap();
-        // all-equal keys: output must be the original row order
-        let ids = match &*par.column("id").unwrap().decoded() {
-            ColumnData::Int(v) => v.clone(),
-            _ => unreachable!(),
-        };
-        assert_eq!(ids, (0..n as i64).collect::<Vec<_>>());
+        for threads in [3, 4, 5] {
+            let pool = WorkerPool::new(threads);
+            let par = order_by_parallel(&r, &["c"], &[true], &pool).unwrap();
+            // all-equal keys: output must be the original row order
+            let ids = match &*par.column("id").unwrap().decoded() {
+                ColumnData::Int(v) => v.clone(),
+                _ => unreachable!(),
+            };
+            assert_eq!(ids, (0..n as i64).collect::<Vec<_>>(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -165,3 +165,25 @@ fn empty_results_keep_schema() {
     assert_eq!(r.cell(0, "n").unwrap(), Value::Int(0));
     assert_eq!(r.cell(0, "m").unwrap(), Value::Null);
 }
+
+#[test]
+fn limit_past_the_table_keeps_every_row_in_order() {
+    // enough rows for the pooled top-k, whose charge and serial cutoff
+    // both multiply the LIMIT
+    let n = 1500i64;
+    let rows: Vec<String> = (0..n).map(|i| format!("({})", (i * 7919) % n)).collect();
+    for threads in [1, 2] {
+        for budget in [0, 1 << 20] {
+            let mut e = Engine::with_threads(threads);
+            e.execute("CREATE TABLE t (x INT)").unwrap();
+            e.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+                .unwrap();
+            e.session_handle().set_mem_budget(budget);
+            let r = e
+                .query("SELECT x FROM t ORDER BY x LIMIT 9223372036854775807")
+                .unwrap_or_else(|err| panic!("{threads} threads, budget {budget}: {err:?}"));
+            let xs: Vec<Value> = (0..r.len()).map(|i| r.cell(i, "x").unwrap()).collect();
+            assert_eq!(xs, (0..n).map(Value::Int).collect::<Vec<_>>());
+        }
+    }
+}
