@@ -22,7 +22,13 @@
 //! fusion so every plan node is individually attributable (and the tree is
 //! identical at any thread count); span recording
 //! ([`rma_relation::trace`]) is active in both modes whenever a collector
-//! is installed.
+//! is installed on the executing thread.
+//!
+//! Attribution: every plan runs under its own
+//! [`QueryGuard`](rma_relation::QueryGuard), which the pool carries to
+//! every worker; plan-level [`crate::context::ExecStats`] and per-node
+//! [`NodeActual`]s are differences of that guard's counters, never of a
+//! process-wide total another query can bump.
 //!
 //! Out-of-core: when a memory budget is set and an operator's estimated
 //! working set does not fit the guard's remaining headroom, the
@@ -49,9 +55,12 @@ use std::time::Instant;
 ///
 /// Runs under the calling thread's active
 /// [`QueryGuard`](rma_relation::QueryGuard) when one is installed (the
-/// serving layer's per-query governor); otherwise, when
-/// [`RmaOptions::mem_budget`] or [`RmaOptions::deadline`] is set, a guard
-/// is minted here for the duration of the plan. Governance trips surface as
+/// serving layer's per-query governor); otherwise a guard is minted here
+/// for the duration of the plan, with [`RmaOptions::mem_budget`] and
+/// [`RmaOptions::deadline`] as its limits (unlimited when unset). Every
+/// plan thus has its own guard, and the spill bytes, partitions and decode
+/// sinks it adds during the run are recorded into the context's
+/// [`crate::context::ExecStats`]. Governance trips surface as
 /// `PlanError::Rma(RmaError::Cancelled | DeadlineExceeded |
 /// ResourceExhausted)`.
 pub fn execute(
@@ -59,74 +68,53 @@ pub fn execute(
     ctx: &RmaContext,
     provider: &dyn PartitionedTableProvider,
 ) -> Result<Relation, PlanError> {
-    let _scope = governor_scope(ctx);
-    let spill0 = spill_snapshot();
-    let sinks0 = rma_storage::decode_sink_events();
-    let result = execute_inner(plan, ctx, provider, None)?;
-    record_spill_delta(ctx, spill0);
-    record_sink_delta(ctx, sinks0);
-    Ok(result)
+    run_governed(ctx, || execute_inner(plan, ctx, provider, None))
 }
 
-/// The active guard's spill counters right now (`None` = ungoverned, so
-/// nothing can spill).
-fn spill_snapshot() -> Option<(u64, u64)> {
-    rel::current_guard().map(|g| (g.spill_bytes(), g.spill_partitions()))
-}
-
-/// Record how much the plan spilled since `before` into the context's
-/// [`crate::context::ExecStats`] — the counters the serving layer's
-/// per-session stats and metrics read.
-fn record_spill_delta(ctx: &RmaContext, before: Option<(u64, u64)>) {
-    let (Some(g), Some((b0, p0))) = (rel::current_guard(), before) else {
-        return;
-    };
-    let bytes = g.spill_bytes().saturating_sub(b0);
-    let partitions = g.spill_partitions().saturating_sub(p0);
-    if bytes > 0 || partitions > 0 {
-        ctx.record(&crate::context::ExecStats {
-            spill_bytes: bytes,
-            spill_partitions: partitions,
-            ..Default::default()
-        });
-    }
-}
-
-/// Record how many decode sinks (`Column::decoded()` calls on encoded
-/// columns, one per decode) fired since `before` into the
-/// context's [`crate::context::ExecStats`]. The underlying counter is
-/// process-global and monotonic, so concurrent plans may attribute each
-/// other's sinks — fine for the "is this workload staying compressed?"
-/// signal the serving metrics expose.
-fn record_sink_delta(ctx: &RmaContext, before: u64) {
-    let sinks = rma_storage::decode_sink_events().saturating_sub(before);
-    if sinks > 0 {
-        ctx.record(&crate::context::ExecStats {
-            decode_sinks: sinks,
-            ..Default::default()
-        });
-    }
-}
-
-/// Mint + activate a per-plan [`rel::QueryGuard`] from the context options
-/// when no guard is already governing this thread. Returns the RAII
-/// activation (`None` = already governed, or nothing to govern).
-fn governor_scope(ctx: &RmaContext) -> Option<rel::ActiveGuard> {
-    if rel::current_guard().is_some() {
-        return None; // the serving layer already minted this query's guard
-    }
+/// Run `body` under the plan's guard — the thread's active one, or one
+/// minted and activated from the context's limits — and record the guard's
+/// counter growth into the context's stats.
+fn run_governed<T>(
+    ctx: &RmaContext,
+    body: impl FnOnce() -> Result<T, PlanError>,
+) -> Result<T, PlanError> {
     let o = &ctx.options;
-    if o.mem_budget == 0 && o.deadline.is_none() {
-        return None;
-    }
-    let guard = rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64);
-    let scope = guard.activate();
-    Some(scope)
+    let minted = rel::current_guard()
+        .is_none()
+        .then(|| rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64));
+    let _active = minted.as_ref().map(rel::QueryGuard::activate);
+    let before = counts();
+    let out = body()?;
+    let [spill_bytes, spill_partitions, decode_sinks] = since(before);
+    ctx.record(&crate::context::ExecStats {
+        spill_bytes,
+        spill_partitions,
+        decode_sinks,
+        ..Default::default()
+    });
+    Ok(out)
 }
 
-/// An operator's working memory, charged against the thread's active
-/// guard for exactly the operator's lifetime: charged on construction,
-/// released on drop (success *and* error paths). The weights are
+/// The guard of the plan running on this thread.
+fn plan_guard() -> rel::QueryGuard {
+    rel::current_guard().expect("a plan runs under its guard")
+}
+
+/// The plan guard's counters: spill bytes, spill partitions, decode sinks.
+fn counts() -> [u64; 3] {
+    let g = plan_guard();
+    [g.spill_bytes(), g.spill_partitions(), g.decode_sinks()]
+}
+
+/// How much each of [`counts`] grew since `before`.
+fn since(before: [u64; 3]) -> [u64; 3] {
+    let now = counts();
+    std::array::from_fn(|i| now[i] - before[i])
+}
+
+/// An operator's working memory, charged against the plan's guard for
+/// exactly the operator's lifetime: charged on construction, released on
+/// drop (success *and* error paths). The weights are
 /// documented estimates, not measurements — their job is to stop (or
 /// spill) a hopeless operator *before* the allocation, not to meter it
 /// exactly. Scoping is what makes the budget govern *peak* operator
@@ -134,47 +122,30 @@ fn governor_scope(ctx: &RmaContext) -> Option<rel::ActiveGuard> {
 /// where the old cumulative accounting double-charged every nested
 /// materialization point (a hash build deep in the plan stayed charged
 /// long after the join freed it).
-struct ChargeScope(u64);
+struct ChargeScope(rel::QueryGuard, u64);
 
 impl ChargeScope {
-    /// Charge `bytes` (no-op scope when ungoverned); fails with the
-    /// guard's typed trip when the charge breaches the budget.
+    /// Charge `bytes`; fails with the guard's typed trip when the charge
+    /// breaches the budget.
     fn new(bytes: u64) -> Result<ChargeScope, PlanError> {
-        match rel::current_guard() {
-            Some(g) => {
-                g.try_charge(bytes).map_err(RmaError::from)?;
-                Ok(ChargeScope(bytes))
-            }
-            None => Ok(ChargeScope(0)),
-        }
+        let g = plan_guard();
+        g.try_charge(bytes).map_err(RmaError::from)?;
+        Ok(ChargeScope(g, bytes))
     }
 }
 
 impl Drop for ChargeScope {
     fn drop(&mut self) {
-        if self.0 > 0 {
-            if let Some(g) = rel::current_guard() {
-                g.release(self.0);
-            }
-        }
+        self.0.release(self.1);
     }
 }
 
 /// Should an operator with an estimated working set of `est_bytes` take
-/// its spilling implementation? True only when a guard with a finite
-/// budget is active and the estimate does not fit the remaining headroom
-/// — a pure probe, it never trips the guard itself.
+/// its spilling implementation? True only when the guard has a finite
+/// budget and the estimate does not fit the remaining headroom — a pure
+/// probe, it never trips the guard itself.
 fn should_spill(est_bytes: u64) -> bool {
-    match rel::current_guard() {
-        Some(g) => !g.fits(est_bytes),
-        None => false,
-    }
-}
-
-/// Operator-boundary guard check, mapped into the plan error taxonomy.
-fn checkpoint() -> Result<(), PlanError> {
-    rel::guard_checkpoint().map_err(RmaError::from)?;
-    Ok(())
+    !plan_guard().fits(est_bytes)
 }
 
 /// What one plan node actually did during an analyzed execution.
@@ -214,14 +185,11 @@ pub fn execute_analyzed(
     ctx: &RmaContext,
     provider: &dyn PartitionedTableProvider,
 ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
-    let _scope = governor_scope(ctx);
-    let spill0 = spill_snapshot();
-    let sinks0 = rma_storage::decode_sink_events();
-    let actuals = RefCell::new(Vec::new());
-    let out = execute_inner(plan, ctx, provider, Some(&actuals))?;
-    record_spill_delta(ctx, spill0);
-    record_sink_delta(ctx, sinks0);
-    Ok((out, actuals.into_inner()))
+    run_governed(ctx, || {
+        let actuals = RefCell::new(Vec::new());
+        let out = execute_inner(plan, ctx, provider, Some(&actuals))?;
+        Ok((out, actuals.into_inner()))
+    })
 }
 
 /// The morsel count a claim-based parallel operator dispatches over `len`
@@ -276,7 +244,7 @@ fn execute_inner(
     let pool = ctx.pool();
     // operator-boundary governance: a cancelled/expired/over-budget query
     // stops before the next node even when every operator ran serially
-    checkpoint()?;
+    plan_guard().check().map_err(RmaError::from)?;
     // fusion collapses Scan→Select→Project chains into one job, which is
     // faster but unattributable per node — analyzed runs keep nodes apart
     if analyze.is_none() && pool.threads() > 1 {
@@ -290,8 +258,7 @@ fn execute_inner(
         v.len() - 1
     });
     let started = analyze.map(|_| Instant::now());
-    let spill0 = analyze.and_then(|_| spill_snapshot());
-    let sinks0 = analyze.map(|_| rma_storage::decode_sink_events());
+    let counts0 = analyze.map(|_| counts());
     let span = trace::clock();
     let threads = pool.threads();
     let mut morsels: u64 = 1;
@@ -335,9 +302,7 @@ fn execute_inner(
                 let _working = ChargeScope::new(256)?;
                 Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
             } else {
-                // aggregate states: worst case every row is its own
-                // group (key + accumulator slots), ~32 bytes each
-                let est = 32 * r.len() as u64;
+                let est = rel::aggregate_state_bytes(r.len());
                 if should_spill(est) {
                     Ok(rel::aggregate_external(&r, &gb, aggs, pool)?)
                 } else {
@@ -473,14 +438,8 @@ fn execute_inner(
         result.len() as u64,
         morsels,
     );
-    if let (Some(id), Some(t0), Some(sink)) = (my_id, started, analyze) {
-        let (spill_bytes, spill_partitions) = match (spill0, spill_snapshot()) {
-            (Some((b0, p0)), Some((b1, p1))) => (b1.saturating_sub(b0), p1.saturating_sub(p0)),
-            _ => (0, 0),
-        };
-        let decode_sinks = sinks0
-            .map(|s0| rma_storage::decode_sink_events().saturating_sub(s0))
-            .unwrap_or(0);
+    if let (Some(id), Some(t0), Some(sink), Some(c0)) = (my_id, started, analyze, counts0) {
+        let [spill_bytes, spill_partitions, decode_sinks] = since(c0);
         sink.borrow_mut()[id] = NodeActual {
             rows: result.len() as u64,
             nanos: t0.elapsed().as_nanos() as u64,

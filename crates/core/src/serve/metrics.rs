@@ -11,7 +11,7 @@
 //! `threads × uptime`); [`MetricsSnapshot::to_json`] renders it without
 //! any serialization dependency, for CI artifacts and ad-hoc dashboards.
 
-use rma_relation::PoolStats;
+use rma_relation::{PoolStats, QueryGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -31,6 +31,7 @@ pub struct SessionCounters {
     worker_panics: AtomicU64,
     spill_bytes: AtomicU64,
     spill_partitions: AtomicU64,
+    spill_files_left: AtomicU64,
     decode_sinks: AtomicU64,
 }
 
@@ -48,6 +49,7 @@ impl SessionCounters {
             worker_panics: AtomicU64::new(0),
             spill_bytes: AtomicU64::new(0),
             spill_partitions: AtomicU64::new(0),
+            spill_files_left: AtomicU64::new(0),
             decode_sinks: AtomicU64::new(0),
         }
     }
@@ -97,19 +99,15 @@ impl SessionCounters {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Account one query's out-of-core activity: bytes written to spill
-    /// files and spill partitions/runs created.
-    pub(crate) fn record_spill(&self, bytes: u64, partitions: u64) {
-        self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.spill_partitions
-            .fetch_add(partitions, Ordering::Relaxed);
-    }
-
-    /// Account the decode sinks a query triggered: `Column::decoded()`
-    /// calls on encoded columns a kernel could not process in encoded
-    /// form, one count per decode.
-    pub(crate) fn record_decode_sinks(&self, n: u64) {
-        self.decode_sinks.fetch_add(n, Ordering::Relaxed);
+    /// Account one finished query's own counters, read off its guard:
+    /// bytes written to spill files, spill partitions/runs created, spill
+    /// files still on disk, and decode sinks.
+    pub(crate) fn record_guard(&self, g: &QueryGuard) {
+        let add = |cell: &AtomicU64, n| cell.fetch_add(n, Ordering::Relaxed);
+        add(&self.spill_bytes, g.spill_bytes());
+        add(&self.spill_partitions, g.spill_partitions());
+        add(&self.spill_files_left, g.live_spill_files());
+        add(&self.decode_sinks, g.decode_sinks());
     }
 
     pub(crate) fn snapshot(&self) -> SessionMetrics {
@@ -125,6 +123,7 @@ impl SessionCounters {
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
             spill_partitions: self.spill_partitions.load(Ordering::Relaxed),
+            spill_files_left: self.spill_files_left.load(Ordering::Relaxed),
             decode_sinks: self.decode_sinks.load(Ordering::Relaxed),
         }
     }
@@ -155,6 +154,9 @@ pub struct SessionMetrics {
     pub spill_bytes: u64,
     /// Spill partitions/runs the session's queries created.
     pub spill_partitions: u64,
+    /// Spill files the session's queries left on disk when they returned
+    /// (0 = no orphans).
+    pub spill_files_left: u64,
     /// Decode sinks (`Column::decoded()` calls on encoded columns, one per
     /// decode) the session's queries triggered.
     pub decode_sinks: u64,
@@ -186,6 +188,8 @@ pub struct MetricsSnapshot {
     pub spill_bytes: u64,
     /// Total spill partitions/runs created across sessions.
     pub spill_partitions: u64,
+    /// Total spill files left on disk by queries across sessions.
+    pub spill_files_left: u64,
     /// Total decode sinks (`Column::decoded()` calls on encoded columns,
     /// one per decode) across sessions (0 = every query ran fully on
     /// encoded storage).
@@ -216,7 +220,8 @@ impl MetricsSnapshot {
             "{{\"uptime_ms\":{},\"queries\":{},\"rows\":{},\"conflicts\":{},\"retries\":{},\
              \"queries_cancelled\":{},\"deadline_kills\":{},\"mem_rejections\":{},\
              \"worker_panics\":{},\"spill_bytes\":{},\"spill_partitions\":{},\
-             \"decode_sinks\":{},\"storage_encoded_bytes\":{},\"storage_plain_bytes\":{},",
+             \"spill_files_left\":{},\"decode_sinks\":{},\"storage_encoded_bytes\":{},\
+             \"storage_plain_bytes\":{},",
             self.uptime.as_millis(),
             self.queries,
             self.rows,
@@ -228,6 +233,7 @@ impl MetricsSnapshot {
             self.worker_panics,
             self.spill_bytes,
             self.spill_partitions,
+            self.spill_files_left,
             self.decode_sinks,
             self.storage_encoded_bytes,
             self.storage_plain_bytes
@@ -256,7 +262,7 @@ impl MetricsSnapshot {
                 "{{\"id\":{},\"queries\":{},\"rows\":{},\"conflicts\":{},\"retries\":{},\
                  \"queries_cancelled\":{},\"deadline_kills\":{},\"mem_rejections\":{},\
                  \"worker_panics\":{},\"spill_bytes\":{},\"spill_partitions\":{},\
-                 \"decode_sinks\":{}}}",
+                 \"spill_files_left\":{},\"decode_sinks\":{}}}",
                 s.id,
                 s.queries,
                 s.rows,
@@ -268,6 +274,7 @@ impl MetricsSnapshot {
                 s.worker_panics,
                 s.spill_bytes,
                 s.spill_partitions,
+                s.spill_files_left,
                 s.decode_sinks
             );
         }
@@ -335,6 +342,7 @@ impl MetricsRegistry {
             worker_panics: sessions.iter().map(|s| s.worker_panics).sum(),
             spill_bytes: sessions.iter().map(|s| s.spill_bytes).sum(),
             spill_partitions: sessions.iter().map(|s| s.spill_partitions).sum(),
+            spill_files_left: sessions.iter().map(|s| s.spill_files_left).sum(),
             decode_sinks: sessions.iter().map(|s| s.decode_sinks).sum(),
             // storage footprint is a catalog property, filled in by
             // `Server::metrics_snapshot` (the registry has no catalog)
@@ -410,8 +418,16 @@ mod tests {
         a.record_deadline_kill();
         b.record_mem_rejection();
         b.record_worker_panic();
-        b.record_spill(4096, 8);
-        b.record_spill(1024, 2);
+        let spilled = QueryGuard::new();
+        spilled.record_spill(4096, 8);
+        b.record_guard(&spilled);
+        let leaked = QueryGuard::new();
+        leaked.record_spill(1024, 2);
+        let active = leaked.activate();
+        let file = rma_relation::SpillFile::create().unwrap();
+        drop(active);
+        b.record_guard(&leaked);
+        drop(file);
         let snap = reg.snapshot(PoolStats {
             jobs_panicked: 3,
             ..PoolStats::default()
@@ -423,6 +439,7 @@ mod tests {
         assert_eq!(snap.sessions[0].deadline_kills, 2);
         assert_eq!(snap.sessions[1].worker_panics, 1);
         assert_eq!(snap.spill_bytes, 5120);
+        assert_eq!(snap.spill_files_left, 1);
         assert_eq!(snap.spill_partitions, 10);
         assert_eq!(snap.sessions[1].spill_bytes, 5120);
         let json = snap.to_json();

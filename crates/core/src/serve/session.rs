@@ -261,7 +261,6 @@ impl Session {
             None => QueryGuard::with_limits(deadline, budget),
         };
         *self.active.lock().expect("session guard slot poisoned") = Some(guard.clone());
-        let sinks0 = rma_storage::decode_sink_events();
         let result = {
             let _seat = self.ticket.activate();
             let _gov = guard.activate();
@@ -272,16 +271,7 @@ impl Session {
             catch_unwind(AssertUnwindSafe(run))
         };
         *self.active.lock().expect("session guard slot poisoned") = None;
-        let (spill_bytes, spill_parts) = (guard.spill_bytes(), guard.spill_partitions());
-        if spill_bytes > 0 || spill_parts > 0 {
-            self.counters.record_spill(spill_bytes, spill_parts);
-        }
-        // process-global monotonic counter: concurrent sessions may
-        // attribute each other's sinks, fine for the aggregate signal
-        let sinks = rma_storage::decode_sink_events().saturating_sub(sinks0);
-        if sinks > 0 {
-            self.counters.record_decode_sinks(sinks);
-        }
+        self.counters.record_guard(&guard);
         let out = match result {
             Ok(r) => r,
             Err(payload) => {

@@ -4,20 +4,23 @@
 //! pool and the parallel operators — which cannot depend on this crate —
 //! can record); this module is the user-facing API:
 //!
-//! - [`TraceSession`] installs a span collector for a profiled region
-//!   (typically one query), and [`TraceSession::finish`] returns the
-//!   recorded [`Span`]s, start-ordered.
+//! - [`TraceSession`] installs a span collector on the calling thread for a
+//!   profiled region (typically one query); the worker pool carries it to
+//!   every worker that runs a job the thread submits, so the session sees
+//!   exactly its own query's spans even beside other traced sessions.
+//!   [`TraceSession::finish`] returns the recorded [`Span`]s, start-ordered.
 //! - [`chrome_trace_json`] renders spans in the Chrome trace-event format,
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)
 //!   — one timeline lane per worker, with rows/morsels attached as event
 //!   arguments.
 //!
 //! Overhead contract: with no session active every instrumentation point
-//! costs one relaxed atomic load ([`rma_relation::trace::enabled`]); with
-//! a session active, spans are `Copy` structs appended to per-worker
-//! buffers — no per-span allocation, no serialization until export. The
-//! benchmark's traced run reports the traced/untraced ratio as
-//! `trace.overhead_frac`.
+//! costs one thread-local read ([`rma_relation::trace::clock`] returns
+//! `None`); with a session active, spans are `Copy` structs appended to
+//! per-worker buffers — no per-span allocation, no serialization until
+//! export. No benchmark metric measures an active session's overhead: the
+//! benchmark's `trace.overhead_frac` times its own hand-placed spans
+//! around engine calls, not a `TraceSession`.
 //!
 //! ```
 //! use rma_core::{trace::TraceSession, RmaContext};
@@ -44,37 +47,30 @@ use rma_relation::trace as sink;
 pub use rma_relation::trace::Span;
 use std::sync::Arc;
 
-/// A profiling session: installing one starts span collection
-/// process-wide; [`finish`](TraceSession::finish) (or drop) stops it.
-///
-/// Sessions nest last-wins: starting a second session while one is active
-/// redirects recording to the newer one, and the older session's `finish`
-/// returns what it captured before being superseded.
+/// A profiling session: starting one collects the spans of everything the
+/// calling thread runs (and the pool jobs it submits) until
+/// [`finish`](TraceSession::finish) or drop. Sessions on other threads are
+/// independent; a session started inside another on the same thread
+/// collects until it ends, then the outer one resumes. Not `Send`: it
+/// stops collection on the thread that started it.
 #[derive(Debug)]
 pub struct TraceSession {
     collector: Arc<sink::TraceCollector>,
+    scope: sink::TraceScope,
 }
 
 impl TraceSession {
-    /// Install a fresh collector and start recording spans.
+    /// Install a fresh collector on this thread and start recording spans.
     pub fn start() -> Self {
         let collector = Arc::new(sink::TraceCollector::new());
-        sink::install(Arc::clone(&collector));
-        TraceSession { collector }
+        let scope = sink::collect_into(Some(Arc::clone(&collector)));
+        TraceSession { collector, scope }
     }
 
     /// Stop recording and return every captured span, start-ordered.
     pub fn finish(self) -> Vec<Span> {
-        sink::uninstall(&self.collector);
+        drop(self.scope);
         self.collector.drain()
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        // finish() already uninstalled (identity-checked, so this is a
-        // no-op after it); this covers early drops and unwinding
-        sink::uninstall(&self.collector);
     }
 }
 
@@ -113,13 +109,6 @@ mod tests {
     use crate::RmaContext;
     use rma_relation::{Expr, RelationBuilder};
 
-    /// The collector slot is process-global (last session wins), so tests
-    /// that start sessions must not interleave.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn big(n: i64) -> rma_relation::Relation {
         RelationBuilder::new()
             .column("x", (0..n).collect::<Vec<_>>())
@@ -130,7 +119,6 @@ mod tests {
 
     #[test]
     fn a_traced_query_yields_exec_and_pool_spans() {
-        let _serial = serial();
         let ctx = RmaContext::default();
         let session = TraceSession::start();
         let out = Frame::scan(big(5000))
@@ -187,7 +175,6 @@ mod tests {
 
     #[test]
     fn empty_session_exports_an_empty_trace() {
-        let _serial = serial();
         let session = TraceSession::start();
         let spans = session.finish();
         let json = chrome_trace_json(&spans);

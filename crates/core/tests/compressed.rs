@@ -5,8 +5,8 @@
 //! Auto/Bat/Dense backends and worker-thread counts {1, 2, 4}. On top of
 //! the parity property, the encoded fast paths are pinned down exactly:
 //! a dictionary-predicate filter and an RLE aggregate must finish with
-//! **zero** `Column::decoded()` sinks, observable through
-//! [`rma_storage::decode_sink_events`], and the serving layer must report
+//! **zero** `Column::decoded()` sinks, counted on the query's own
+//! [`QueryGuard`](rma_relation::QueryGuard), and the serving layer must report
 //! per-column encodings in `EXPLAIN` and the storage footprint in its
 //! metrics JSON.
 //!
@@ -14,23 +14,12 @@
 //! association, making parallel/serial and encoded/plain aggregates
 //! bitwise-comparable.
 
-use std::sync::Mutex;
-
 use proptest::prelude::*;
 use rma_core::plan::Frame;
 use rma_core::serve::Server;
 use rma_core::{Backend, RmaContext, RmaOptions};
-use rma_relation::{AggFunc, AggSpec, Expr, Relation, RelationBuilder};
-use rma_storage::{decode_sink_events, Bitmap, Column, ColumnData, Encoding};
-
-/// `decode_sink_events()` is a process-global counter; every test in this
-/// binary serializes on this lock so one test's sinks never bleed into
-/// another's before/after delta.
-static SINK_COUNTER: Mutex<()> = Mutex::new(());
-
-fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
-    SINK_COUNTER.lock().unwrap_or_else(|e| e.into_inner())
-}
+use rma_relation::{AggFunc, AggSpec, Expr, QueryGuard, Relation, RelationBuilder};
+use rma_storage::{Bitmap, Column, ColumnData, Encoding};
 
 const REGIONS: [&str; 4] = ["west", "east", "north", "south"];
 
@@ -153,7 +142,6 @@ proptest! {
         (rows, kind, nulls) in (500usize..1500, 0usize..5, 0usize..3),
         seed in 0u64..u64::MAX,
     ) {
-        let _g = sink_lock();
         let mut rng = TestRng::from_seed_u64(seed);
         let plain = gen_rel(rows, [0, 3, 7][nulls], &mut rng);
         let encoded = plain.encoded();
@@ -195,7 +183,6 @@ proptest! {
 /// still agrees with the plain scan.
 #[test]
 fn dict_predicate_filter_runs_without_decode_sinks() {
-    let _g = sink_lock();
     let mut rng = TestRng::from_seed_u64(7);
     let plain = gen_rel(4096, 0, &mut rng);
     let encoded = plain.encoded();
@@ -205,11 +192,13 @@ fn dict_predicate_filter_runs_without_decode_sinks() {
             .aggregate(&[], vec![AggSpec::count_star("n")])
     };
     let c = ctx(Backend::Auto, 1);
-    let before = decode_sink_events();
+    let guard = QueryGuard::new();
+    let active = guard.activate();
     let got = frame(Frame::scan(encoded)).collect(&c).expect("encoded");
+    drop(active);
     assert_eq!(
-        decode_sink_events(),
-        before,
+        guard.decode_sinks(),
+        0,
         "dict filter + count must not force a decode"
     );
     let want = frame(Frame::scan(plain)).collect(&c).expect("plain");
@@ -220,20 +209,17 @@ fn dict_predicate_filter_runs_without_decode_sinks() {
 /// value×run-length arithmetic on the runs — zero forced decodes.
 #[test]
 fn rle_aggregate_runs_without_decode_sinks() {
-    let _g = sink_lock();
     let mut rng = TestRng::from_seed_u64(11);
     let plain = gen_rel(4096, 0, &mut rng);
     let encoded = plain.encoded();
     assert_eq!(encoded.columns()[3].encoding(), Encoding::Rle);
     let frame = |src: Frame| src.aggregate(&[], vec![AggSpec::sum("amount", "sa")]);
     let c = ctx(Backend::Auto, 1);
-    let before = decode_sink_events();
+    let guard = QueryGuard::new();
+    let active = guard.activate();
     let got = frame(Frame::scan(encoded)).collect(&c).expect("encoded");
-    assert_eq!(
-        decode_sink_events(),
-        before,
-        "RLE sum must not force a decode"
-    );
+    drop(active);
+    assert_eq!(guard.decode_sinks(), 0, "RLE sum must not force a decode");
     let want = frame(Frame::scan(plain)).collect(&c).expect("plain");
     assert_eq!(sorted_rows(&got), sorted_rows(&want));
 }
@@ -244,7 +230,6 @@ fn rle_aggregate_runs_without_decode_sinks() {
 /// the encoded/plain storage bytes of every installed generation.
 #[test]
 fn catalog_tables_report_encodings_in_explain_and_metrics() {
-    let _g = sink_lock();
     let mut rng = TestRng::from_seed_u64(3);
     let server = Server::default();
     let session = server.session();
@@ -296,7 +281,6 @@ fn catalog_tables_report_encodings_in_explain_and_metrics() {
 /// accessors — stays at zero.
 #[test]
 fn decode_sinks_attribute_to_sessions_and_explain() {
-    let _g = sink_lock();
     let mut rng = TestRng::from_seed_u64(5);
     // serial on purpose: the guaranteed-sink half of this test evaluates an
     // expression through `Column::decoded()` on the serial interpreter

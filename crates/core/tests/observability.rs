@@ -1,11 +1,13 @@
-//! Observability integration tests (PR 7): per-session [`ExecStats`]
-//! attribution under concurrent sessions, and `EXPLAIN ANALYZE` output
-//! stability across worker-thread counts.
+//! Observability integration tests: per-session [`ExecStats`],
+//! decode-sink, spill and trace-span attribution under concurrent
+//! sessions, and `EXPLAIN ANALYZE` output stability across worker-thread
+//! counts.
 
 use rma_core::plan::Frame;
-use rma_core::serve::Server;
-use rma_core::{RmaContext, RmaOptions};
-use rma_relation::{Expr, Relation, RelationBuilder};
+use rma_core::serve::{Server, Session, SessionMetrics};
+use rma_core::{RmaContext, RmaOptions, Span, TraceSession};
+use rma_relation::{AggSpec, Expr, Relation, RelationBuilder};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn matrix_table() -> Relation {
     RelationBuilder::new()
@@ -125,4 +127,195 @@ fn explain_analyze_is_stable_across_thread_counts() {
     assert_eq!(serial.matches("JoinOn").count(), 2, "{serial}");
     // the scan of `a` feeds 3000 rows into the filter, which keeps x<5
     assert!(serial.contains("actual=3000"), "{serial}");
+}
+
+/// An encodable table (the catalog encodes it at ingest): `region` becomes
+/// a dictionary, `amount` runs of equal floats; `cust` is a join key into
+/// [`customers`], `k` a unique key.
+fn encodable(n: i64) -> Relation {
+    RelationBuilder::new()
+        .column("k", (0..n).collect::<Vec<i64>>())
+        .column(
+            "region",
+            (0..n)
+                .map(|i| ["west", "east", "north", "south"][(i / 256 % 4) as usize])
+                .collect::<Vec<&str>>(),
+        )
+        .column(
+            "amount",
+            (0..n).map(|i| (i / 64 % 7) as f64).collect::<Vec<f64>>(),
+        )
+        .column("cust", (0..n).map(|i| i % 97).collect::<Vec<i64>>())
+        .build()
+        .unwrap()
+}
+
+fn customers() -> Relation {
+    RelationBuilder::new()
+        .column("cid", (0..97i64).collect::<Vec<i64>>())
+        .column(
+            "tier",
+            (0..97).map(|i| format!("t{}", i % 3)).collect::<Vec<_>>(),
+        )
+        .build()
+        .unwrap()
+}
+
+/// A two-thread server holding [`encodable`] as `t` and [`customers`] as
+/// `c`.
+fn loaded_server() -> Server {
+    let server = Server::new(RmaContext::new(RmaOptions {
+        threads: 2,
+        ..Default::default()
+    }));
+    let admin = server.session();
+    admin.create_table("t", encodable(20_000)).unwrap();
+    admin.create_table("c", customers()).unwrap();
+    server
+}
+
+/// Session A's workload: a join spilled under a 4 KiB budget, then a
+/// projection that must decode the RLE `amount` column.
+fn decode_and_spill(s: &Session) {
+    s.set_mem_budget(4 * 1024);
+    let joined = s
+        .query(Frame::table("t").join(Frame::table("c"), &[("cust", "cid")]))
+        .unwrap();
+    assert_eq!(joined.len(), 20_000);
+    s.set_mem_budget(0);
+    let negated = s
+        .query(Frame::table("t").project_exprs(vec![(
+            Expr::Neg(Box::new(Expr::col("amount"))),
+            "neg".to_string(),
+        )]))
+        .unwrap();
+    assert_eq!(negated.len(), 20_000);
+}
+
+/// Session B's workload: a dictionary-predicate count, which runs on the
+/// codes and never decodes or spills.
+fn dict_count(s: &Session) {
+    let n = s
+        .query(
+            Frame::table("t")
+                .select(Expr::col("region").eq(Expr::lit("west")))
+                .aggregate(&[], vec![AggSpec::count_star("n")]),
+        )
+        .unwrap();
+    assert_eq!(n.len(), 1);
+}
+
+fn metrics_of(server: &Server, s: &Session) -> SessionMetrics {
+    server
+        .metrics_snapshot()
+        .sessions
+        .into_iter()
+        .find(|m| m.id == s.counters().id())
+        .expect("session is registered")
+}
+
+/// What a session's queries cost: decode sinks, spill bytes, spill
+/// partitions and spill files left behind.
+fn costs(m: &SessionMetrics) -> [u64; 4] {
+    [
+        m.decode_sinks,
+        m.spill_bytes,
+        m.spill_partitions,
+        m.spill_files_left,
+    ]
+}
+
+/// Two sessions on one server, on two threads: a session's decode sinks,
+/// spill bytes and leftover spill files are its own queries' and nobody
+/// else's — exactly what the same workload costs alone — and the server's
+/// totals are their sum.
+#[test]
+fn decode_sinks_and_spills_attribute_to_their_own_session_under_concurrency() {
+    const ROUNDS: usize = 4;
+    let solo = loaded_server();
+    let s = solo.session();
+    for _ in 0..ROUNDS {
+        decode_and_spill(&s);
+    }
+    let a_solo = costs(&metrics_of(&solo, &s));
+    assert!(a_solo[0] > 0, "the projection must decode: {a_solo:?}");
+    assert!(
+        a_solo[1] > 0 && a_solo[2] > 0,
+        "the join must spill: {a_solo:?}"
+    );
+    assert_eq!(a_solo[3], 0, "no spill file may outlive its query");
+
+    let server = loaded_server();
+    let (a, b) = (server.session(), server.session());
+    let a_done = AtomicBool::new(false);
+    let b_queries = std::thread::scope(|scope| {
+        let (a, b, a_done) = (&a, &b, &a_done);
+        scope.spawn(move || {
+            for _ in 0..ROUNDS {
+                decode_and_spill(a);
+            }
+            a_done.store(true, Ordering::SeqCst);
+        });
+        // B keeps querying until A is done, so the two overlap throughout
+        let runner = scope.spawn(move || {
+            let mut queries = 0;
+            while queries < 20 || !a_done.load(Ordering::SeqCst) {
+                dict_count(b);
+                queries += 1;
+            }
+            queries
+        });
+        runner.join().unwrap()
+    });
+    let (am, bm) = (metrics_of(&server, &a), metrics_of(&server, &b));
+    assert_eq!(costs(&am), a_solo, "session A beside session B");
+    assert_eq!(costs(&bm), [0; 4], "session B ran {b_queries} queries");
+    let total = server.metrics_snapshot();
+    assert_eq!(total.decode_sinks, am.decode_sinks + bm.decode_sinks);
+    assert_eq!(total.spill_bytes, am.spill_bytes + bm.spill_bytes);
+    assert_eq!(total.spill_files_left, 0);
+}
+
+/// A query's spans, comparable across runs: name, rows and morsels, and
+/// for pool jobs only the submitter's span (one per job; how many workers
+/// joined a job varies from run to run).
+fn signature(spans: &[Span]) -> Vec<(&'static str, u64, u64, u64)> {
+    let mut sig: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name != "pool.job" || s.worker == 0)
+        .map(|s| (s.name, s.rows_in, s.rows_out, s.morsels))
+        .collect();
+    sig.sort_unstable();
+    sig
+}
+
+/// Two concurrent `TraceSession`s, one per thread, each see exactly their
+/// own query's spans: the same spans the query records when traced alone.
+#[test]
+fn concurrent_trace_sessions_each_see_exactly_their_own_spans() {
+    let server = loaded_server();
+    let join_sort = Frame::table("t")
+        .join(Frame::table("c"), &[("cust", "cid")])
+        .order_by(&["k"], &[true]);
+    let filter_group = Frame::table("t")
+        .select(Expr::col("region").eq(Expr::lit("east")))
+        .aggregate(&["cust"], vec![AggSpec::count_star("n")]);
+    let traced = |s: &Session, q: &Frame| {
+        let session = TraceSession::start();
+        s.query(q.clone()).unwrap();
+        signature(&session.finish())
+    };
+    let (a, b) = (server.session(), server.session());
+    let (a_solo, b_solo) = (traced(&a, &join_sort), traced(&b, &filter_group));
+    assert!(a_solo.iter().any(|s| s.0 == "join.build"), "{a_solo:?}");
+    assert!(b_solo.iter().all(|s| s.0 != "join.build"), "{b_solo:?}");
+    std::thread::scope(|scope| {
+        for (s, q, solo) in [(&a, &join_sort, &a_solo), (&b, &filter_group, &b_solo)] {
+            scope.spawn(move || {
+                for round in 0..20 {
+                    assert_eq!(&traced(s, q), solo, "round {round}");
+                }
+            });
+        }
+    });
 }

@@ -480,17 +480,20 @@ fn order_handling_shows_apart_from_the_kernel() {
         floats(&untraced, "x"),
         "tracing changed the result"
     );
-    // the collector is process-global: sibling tests' spans land in it too,
-    // so pick this query's out by its (unique) row count
+    // the session holds this query's spans only
     let named = |name: &str, rows: usize| {
-        spans
-            .iter()
-            .filter(|s| s.name == name && s.cat == "rma" && s.rows_in == rows as u64)
-            .count()
+        let matching: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+        assert!(
+            matching
+                .iter()
+                .all(|s| s.cat == "rma" && s.rows_in == rows as u64),
+            "{name}: {matching:?}"
+        );
+        matching.len()
     };
-    assert!(named("rma.sort", n) >= 2, "one rma.sort per sorted side");
-    assert!(named("rma.align", n) >= 1, "the aligned side's gather");
-    assert!(named("rma.merge", 2 * n) >= 1);
+    assert_eq!(named("rma.sort", n), 2, "one rma.sort per sorted side");
+    assert_eq!(named("rma.align", n), 1, "the aligned side's gather");
+    assert_eq!(named("rma.merge", 2 * n), 1);
 
     let text = frame.explain_analyze(&ctx).unwrap();
     let rma_line = text

@@ -3,38 +3,28 @@
 //! (admission, cancellation, deadlines — all mid-spill), and the scoped
 //! memory-accounting contract.
 //!
-//! Spill tests share the process-global live-spill-file counter
-//! ([`rma_relation::live_spill_files`]), so every test here serializes on
-//! one lock: an orphan check must never see a concurrent test's files.
+//! Orphan checks read the spill files a query left behind from its own
+//! guard (through the session metrics' `spill_files_left`), never the
+//! process total, so the tests run concurrently.
 
 use proptest::prelude::*;
 use rma_core::plan::{self, NoTables};
-use rma_core::serve::Server;
+use rma_core::serve::{Server, SessionMetrics};
 use rma_core::{Backend, Frame, PlanError, RmaContext, RmaError, RmaOptions, Session};
 use rma_relation::par::fault::{FaultKind, FaultPlan};
-use rma_relation::{live_spill_files, AggSpec, QueryGuard, Relation, RelationBuilder};
+use rma_relation::{AggSpec, QueryGuard, Relation, RelationBuilder};
 use rma_storage::{Bitmap, Column, ColumnData};
-use std::sync::Mutex;
 use std::time::Duration;
 
-static SPILL_LOCK: Mutex<()> = Mutex::new(());
-
-/// Spill disk and rejection totals for one session, read back through the
-/// public metrics registry (the same numbers `/metrics` JSON reports).
-fn session_spill(server: &Server, s: &Session) -> (u64, u64, u64) {
-    let snap = server.metrics_snapshot();
-    let m = snap
+/// One session's counters, read back through the public metrics registry
+/// (the same numbers `/metrics` JSON reports).
+fn session_metrics(server: &Server, s: &Session) -> SessionMetrics {
+    server
+        .metrics_snapshot()
         .sessions
-        .iter()
+        .into_iter()
         .find(|m| m.id == s.counters().id())
-        .expect("session is registered");
-    (m.spill_bytes, m.spill_partitions, m.mem_rejections)
-}
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    // a poisoned lock only means another spill test failed; the counter
-    // checks below are still meaningful
-    SPILL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        .expect("session is registered")
 }
 
 /// `n` orders: `cust` cycles a small domain (few-distinct join/group
@@ -121,7 +111,6 @@ proptest! {
         backend_idx in 0..3usize,
         null_idx in 0..2usize,
     ) {
-        let _serial = lock();
         let with_nulls = null_idx == 1;
         let threads = [1usize, 2, 4][threads_idx];
         let backend = [Backend::Auto, Backend::Bat, Backend::Dense][backend_idx];
@@ -160,11 +149,11 @@ proptest! {
                 prop_assert_eq!(sorted_rows(&baseline), sorted_rows(&spilled));
             }
         }
-        let (bytes, parts, _) = session_spill(&server, &spill);
-        prop_assert!(bytes > 0, "forced-spill session never spilled");
-        prop_assert!(parts > 0);
-        prop_assert_eq!(session_spill(&server, &mem).0, 0);
-        prop_assert_eq!(live_spill_files(), 0, "spill temp files leaked");
+        let (spilled, unspilled) = (session_metrics(&server, &spill), session_metrics(&server, &mem));
+        prop_assert!(spilled.spill_bytes > 0, "forced-spill session never spilled");
+        prop_assert!(spilled.spill_partitions > 0);
+        prop_assert_eq!(spilled.spill_files_left, 0, "spill temp files leaked");
+        prop_assert_eq!(unspilled.spill_bytes, 0);
     }
 }
 
@@ -174,7 +163,6 @@ proptest! {
 /// unlimited budget.
 #[test]
 fn over_budget_three_way_join_and_sort_spill_and_annotate() {
-    let _serial = lock();
     // 4 KiB: below every join build (48 B × ≥97 rows) and the sort
     // permutation (8 B × 6000 rows), so both operators must go out of core
     let ctx = RmaContext::new(RmaOptions {
@@ -214,7 +202,16 @@ fn over_budget_three_way_join_and_sort_spill_and_annotate() {
         !clean.contains("spilled="),
         "unbudgeted EXPLAIN ANALYZE must not carry spill annotations:\n{clean}"
     );
-    assert_eq!(live_spill_files(), 0);
+    // the same budget on a guard of the test's own: its files are all gone
+    let guard = QueryGuard::with_limits(None, TINY_BUDGET);
+    let active = guard.activate();
+    assert_eq!(
+        rows_in_order(&frame.collect(&unlimited).unwrap()),
+        rows_in_order(&expect)
+    );
+    drop(active);
+    assert!(guard.spill_bytes() > 0);
+    assert_eq!(guard.live_spill_files(), 0, "spill temp files leaked");
 }
 
 /// Spill-I/O fault injection: a failed spill write surfaces as the typed
@@ -222,7 +219,6 @@ fn over_budget_three_way_join_and_sort_spill_and_annotate() {
 /// the session keeps serving (the retry spills successfully).
 #[test]
 fn spill_io_fault_is_typed_cleans_up_and_session_survives() {
-    let _serial = lock();
     let server = Server::default();
     let s = server.session();
     s.create_table("o", orders(8000, 97)).unwrap();
@@ -238,13 +234,18 @@ fn spill_io_fault_is_typed_cleans_up_and_session_survives() {
         matches!(err, PlanError::Rma(RmaError::SpillIo(_))),
         "got {err:?}"
     );
-    assert_eq!(live_spill_files(), 0, "error path leaked spill temp files");
+    assert_eq!(
+        session_metrics(&server, &s).spill_files_left,
+        0,
+        "error path leaked spill temp files"
+    );
 
     // the fault plan was one-shot: the same query now runs spilled
     let r = s.query(q).unwrap();
     assert_eq!(r.len(), 8000);
-    assert!(session_spill(&server, &s).0 > 0);
-    assert_eq!(live_spill_files(), 0);
+    let m = session_metrics(&server, &s);
+    assert!(m.spill_bytes > 0);
+    assert_eq!(m.spill_files_left, 0);
 }
 
 /// Budgets that cut the 400 000-row external sort of [`sort_shapes`]'s
@@ -268,7 +269,6 @@ fn sort_shapes() -> (Relation, Frame) {
 /// runs must surface the typed error and release all spill disk.
 #[test]
 fn deadline_kill_mid_spill_releases_disk() {
-    let _serial = lock();
     let (table, sort) = sort_shapes();
     for (budget, shape) in SORT_SHAPES {
         let server = Server::default();
@@ -282,7 +282,7 @@ fn deadline_kill_mid_spill_releases_disk() {
             "{shape}: got {err:?}"
         );
         assert_eq!(
-            live_spill_files(),
+            session_metrics(&server, &s).spill_files_left,
             0,
             "{shape}: deadline kill left spill files behind"
         );
@@ -299,7 +299,6 @@ fn deadline_kill_mid_spill_releases_disk() {
 /// stop the query with the typed error and release all spill disk.
 #[test]
 fn cancel_mid_spill_releases_disk() {
-    let _serial = lock();
     let (table, sort) = sort_shapes();
     for (budget, shape) in SORT_SHAPES {
         let server = Server::default();
@@ -324,7 +323,7 @@ fn cancel_mid_spill_releases_disk() {
             Err(other) => panic!("{shape}: expected Cancelled or a clean result, got {other:?}"),
         }
         assert_eq!(
-            live_spill_files(),
+            session_metrics(&server, &s).spill_files_left,
             0,
             "{shape}: cancellation left spill files behind"
         );
@@ -337,7 +336,6 @@ fn cancel_mid_spill_releases_disk() {
 /// the estimate-based rejection.
 #[test]
 fn formerly_rejected_join_now_runs_spilled_under_the_same_budget() {
-    let _serial = lock();
     let server = Server::default();
     let s = server.session();
     s.create_table("o", orders(4000, 97)).unwrap();
@@ -347,17 +345,18 @@ fn formerly_rejected_join_now_runs_spilled_under_the_same_budget() {
         .query(Frame::table("o").join(Frame::table("c"), &[("cust", "cid")]))
         .unwrap();
     assert_eq!(r.len(), 4000);
-    let (spill_bytes, _, rejections) = session_spill(&server, &s);
-    assert_eq!(rejections, 0, "spillable plan must be admitted");
-    assert!(spill_bytes > 0, "it must actually have spilled");
+    let m = session_metrics(&server, &s);
+    assert_eq!(m.mem_rejections, 0, "spillable plan must be admitted");
+    assert!(m.spill_bytes > 0, "it must actually have spilled");
     // a bare scan has no spill path: the estimate stays binding
     let err = s.query(Frame::table("o")).unwrap_err();
     assert!(
         matches!(err, PlanError::Rma(RmaError::ResourceExhausted { .. })),
         "got {err:?}"
     );
-    assert_eq!(session_spill(&server, &s).2, 1);
-    assert_eq!(live_spill_files(), 0);
+    let m = session_metrics(&server, &s);
+    assert_eq!(m.mem_rejections, 1);
+    assert_eq!(m.spill_files_left, 0);
 }
 
 /// The scoped-accounting regression pair for the old double-charge bug
@@ -370,7 +369,6 @@ fn formerly_rejected_join_now_runs_spilled_under_the_same_budget() {
 ///    still trips with the exact documented estimate, pinning it.
 #[test]
 fn operator_charges_are_scoped_not_cumulative() {
-    let _serial = lock();
     let ctx = RmaContext::default();
     let frame = Frame::scan(orders(2000, 97))
         .join(Frame::scan(customers(97)), &[("cust", "cid")])

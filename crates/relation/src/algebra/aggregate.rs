@@ -300,6 +300,13 @@ pub(super) fn resolve_agg_cols<'a>(
         .collect()
 }
 
+/// Bytes a keyed aggregation over `rows` input rows is charged (spill
+/// decision, working-set charge, spill fan-out): at worst every row is its
+/// own group, key plus accumulator slots, about 32 B a group.
+pub fn aggregate_state_bytes(rows: usize) -> u64 {
+    32 * rows as u64
+}
+
 /// ϑ: group `r` by `group_by` and compute the aggregates. With an empty
 /// `group_by` the whole relation is one group (one output row, even when the
 /// input is empty — SQL semantics).

@@ -611,7 +611,7 @@ pub fn aggregate_external(
     if group_by.is_empty() {
         return super::parallel::aggregate_parallel(r, group_by, aggs, pool);
     }
-    let parts = fanout(32 * r.len() as u64);
+    let parts = fanout(super::aggregate_state_bytes(r.len()));
     let files = partition([Ok(r)], group_by, parts, 0, false)?;
     let mut results = Vec::with_capacity(parts);
     for f in &files {
@@ -630,7 +630,6 @@ mod tests {
     use crate::algebra::{aggregate, bits_text, join_on, natural_join, order_by, AggFunc, AggSpec};
     use crate::par::QueryGuard;
     use crate::relation::RelationBuilder;
-    use crate::spill::{live_spill_files, spill_test_guard};
     use rma_storage::{DataType, Encoding, Value};
     use std::cmp::Ordering;
 
@@ -668,8 +667,8 @@ mod tests {
 
     #[test]
     fn grace_join_matches_in_memory() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let pool = WorkerPool::new(2);
         let o = orders(5000);
         let c = customers();
@@ -684,26 +683,26 @@ mod tests {
         let nat_grace = grace_natural_join(&o, &c, &pool).unwrap();
         let nat_mem = natural_join(&o, &c).unwrap();
         assert_eq!(sorted_rows(&nat_grace), sorted_rows(&nat_mem));
-        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+        assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
     }
 
     #[test]
     fn external_sort_matches_serial_exactly() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let pool = WorkerPool::new(2);
         let r = orders(7000);
         let ext = order_by_external(&r, &["cust", "amount"], &[true, false], &pool).unwrap();
         let ser = order_by(&r, &["cust", "amount"], &[true, false]).unwrap();
         // identical row order, not just identical multiset
         assert_eq!(ext.materialize(), ser.materialize());
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     #[test]
     fn spilling_aggregate_matches_in_memory() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let pool = WorkerPool::new(2);
         let r = orders(6000);
         let aggs = [
@@ -713,7 +712,7 @@ mod tests {
         let ext = aggregate_external(&r, &["cust"], &aggs, &pool).unwrap();
         let mem = aggregate(&r, &["cust"], &aggs).unwrap();
         assert_eq!(sorted_rows(&ext), sorted_rows(&mem));
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     /// Rows as text, floats by their bits, sorted: a bag in which signed
@@ -726,8 +725,8 @@ mod tests {
 
     #[test]
     fn spilling_aggregate_matches_in_memory_on_every_key_kind() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let n = 5000usize;
         let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
         let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
@@ -773,7 +772,7 @@ mod tests {
         // NULL is one group; 0.0/-0.0 and the NaNs are one group each
         assert_eq!(aggregate(&r, &["nullable"], &aggs).unwrap().len(), 24);
         assert_eq!(aggregate(&r, &["f"], &aggs).unwrap().len(), 4);
-        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+        assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
     }
 
     #[test]
@@ -804,7 +803,8 @@ mod tests {
     /// The external sort of `r` over the given runs equals the serial sort
     /// row for row, and leaves no spill file behind.
     fn assert_exact(r: &Relation, attrs: &[&str], asc: &[bool], ranges: &[std::ops::Range<usize>]) {
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let ext = sort_in_runs(r, attrs, asc, ranges, &WorkerPool::new(2)).unwrap();
         let ser = order_by(r, attrs, asc).unwrap();
         assert_eq!(ext.schema(), ser.schema());
@@ -814,7 +814,7 @@ mod tests {
             "{attrs:?} {asc:?} over {} runs",
             ranges.len()
         );
-        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+        assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
     }
 
     fn nullable_ints(vals: impl Iterator<Item = Option<i64>>) -> Column {
@@ -824,7 +824,6 @@ mod tests {
 
     #[test]
     fn external_sort_nullable_keys_both_directions() {
-        let _serial = spill_test_guard();
         let n = 3000usize;
         let floats: Vec<Value> = (0..n)
             .map(|i| match i % 7 {
@@ -851,7 +850,6 @@ mod tests {
 
     #[test]
     fn external_sort_dictionary_keys_compare_by_value_across_runs() {
-        let _serial = spill_test_guard();
         let words = ["pear", "fig", "apple", "kiwi", "date", "lime", "plum"];
         let n = 2500usize;
         let dict = Column::from(
@@ -914,7 +912,6 @@ mod tests {
 
     #[test]
     fn external_sort_rle_and_packed_int_keys() {
-        let _serial = spill_test_guard();
         let n = 4000usize;
         let rle = Column::from((0..n as i64).map(|i| 9 - i / 250).collect::<Vec<_>>())
             .encode_as(Encoding::Rle)
@@ -936,7 +933,6 @@ mod tests {
 
     #[test]
     fn external_sort_special_floats() {
-        let _serial = spill_test_guard();
         let specials = [
             f64::NAN,
             -f64::NAN,
@@ -979,8 +975,8 @@ mod tests {
 
     #[test]
     fn every_sort_path_matches_an_independent_reference() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let n = 3000usize;
         let floats = [
             f64::NAN,
@@ -1068,12 +1064,11 @@ mod tests {
                 check(out.unwrap(), "external");
             }
         }
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     #[test]
     fn external_sort_run_counts_and_full_ties() {
-        let _serial = spill_test_guard();
         let n = 3300usize;
         let r = RelationBuilder::new()
             .column(
@@ -1101,19 +1096,19 @@ mod tests {
         assert_eq!(ties.materialize(), r.materialize());
         // order_by_external's own run sizing: 32 runs of 1025 rows
         let r = orders(32 * 1024);
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let ext = order_by_external(&r, &["amount", "cust"], &[false, true], &WorkerPool::new(2))
             .unwrap();
         assert_eq!(
             ext,
             order_by(&r, &["amount", "cust"], &[false, true]).unwrap()
         );
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     #[test]
     fn external_sort_reloads_chunks_mid_merge() {
-        let _serial = spill_test_guard();
         let n = 2 * SPILL_CHUNK_ROWS + 3000;
         let r = orders(n);
         // two runs of more than one chunk each, then uneven runs whose
@@ -1129,7 +1124,6 @@ mod tests {
 
     #[test]
     fn external_sort_empty_and_single_row_inputs() {
-        let _serial = spill_test_guard();
         let r = orders(10);
         let pool = WorkerPool::new(2);
         for rows in [&[][..], &[4][..]] {
@@ -1169,8 +1163,8 @@ mod tests {
 
     #[test]
     fn disk_merge_polls_the_guard_once_its_runs_are_open() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let n = 4 * MERGE_BLOCK_ROWS;
         let r = orders(n);
         let key_idx = [r.schema().index_of("amount").unwrap()];
@@ -1180,7 +1174,7 @@ mod tests {
             .collect();
         // every run is one chunk, so opening the runs read all there is:
         // only the merge itself can notice the cancel
-        let (files, readers, chunks) = open_runs(&runs, "amount");
+        let (runs_open, readers, chunks) = open_runs(&runs, "amount");
         let guard = QueryGuard::with_limits(None, 0);
         guard.cancel();
         let active = guard.activate();
@@ -1202,9 +1196,8 @@ mod tests {
         let (_again, readers, chunks) = open_runs(&runs, "amount");
         let merged = merge_runs(r.schema(), readers, chunks, &key_idx, &[true], n).unwrap();
         assert_eq!(merged.len(), n);
-        drop(files);
-        drop((_more, _again));
-        assert_eq!(live_spill_files(), baseline);
+        drop((runs_open, _more, _again));
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     /// The spill benchmark's shape: 200 000 × 3 rows ordered by a float
@@ -1213,8 +1206,8 @@ mod tests {
     #[test]
     #[ignore]
     fn external_sort_benchmark_shape() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let n = 200_000usize;
         let r = RelationBuilder::new()
             .column(
@@ -1236,9 +1229,10 @@ mod tests {
             order_by_external(&r, &["duration", "id"], &[true, true], &WorkerPool::new(2)).unwrap();
         drop(active);
         assert_eq!(guard.spill_partitions(), 32, "one partition per run");
+        assert_eq!(guard.live_spill_files(), 0);
         let ser = order_by(&r, &["duration", "id"], &[true, true]).unwrap();
         assert_eq!(ext, ser.materialize());
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     // -----------------------------------------------------------------
@@ -1295,7 +1289,6 @@ mod tests {
 
     #[test]
     fn grace_partitions_meet_across_encodings_but_not_types() {
-        let _serial = spill_test_guard();
         let words: Vec<String> = (0..600).map(|i| format!("w{i}")).collect();
         let plain = RelationBuilder::new()
             .column("s", words.clone())
@@ -1321,7 +1314,8 @@ mod tests {
             }
         }
         let pool = WorkerPool::new(2);
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let grace = grace_join_on(&plain, &dict, &[("s", "s2")], &pool).unwrap();
         assert_eq!(grace.len(), words.len());
         assert!(grace.rows().all(|row| row[0] == row[1]));
@@ -1357,13 +1351,13 @@ mod tests {
                 .len(),
             375
         );
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(files.live_spill_files(), 0);
     }
 
     #[test]
     fn skewed_grace_join_recurses_to_max_depth_and_stays_exact() {
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let pool = WorkerPool::new(2);
         let keyed = |name: &str, keys: Vec<i64>| {
             let n = keys.len() as i64;
@@ -1382,6 +1376,7 @@ mod tests {
         drop(active);
         // one non-empty file per side per level, depths 0..=MAX_GRACE_DEPTH
         assert_eq!(guard.spill_partitions(), 2 * u64::from(MAX_GRACE_DEPTH + 1));
+        assert_eq!(guard.live_spill_files(), 0);
         let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
         assert_eq!(grace.len(), 60_000);
         assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
@@ -1404,6 +1399,7 @@ mod tests {
         drop(active);
         let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
         assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
-        assert_eq!(live_spill_files(), baseline);
+        assert_eq!(guard.live_spill_files(), 0);
+        assert_eq!(files.live_spill_files(), 0);
     }
 }

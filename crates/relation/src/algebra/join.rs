@@ -561,8 +561,7 @@ mod tests {
     /// grace one (partition-major) as a bag. Returns the serial result.
     fn all_paths(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Relation {
         use crate::algebra::{grace_join_on, join_on_parallel};
-        use crate::par::WorkerPool;
-        use crate::spill::{live_spill_files, spill_test_guard};
+        use crate::par::{QueryGuard, WorkerPool};
         let serial = join_on(a, b, on).unwrap();
         for threads in [2, 4] {
             let pool = WorkerPool::new(threads);
@@ -574,11 +573,11 @@ mod tests {
                 "pooled join at {threads} threads"
             );
         }
-        let _serial = spill_test_guard();
-        let baseline = live_spill_files();
+        let files = QueryGuard::new();
+        let _files = files.activate();
         let grace = grace_join_on(a, b, on, &WorkerPool::new(2)).unwrap();
         assert_eq!(sorted_rows(&grace), sorted_rows(&serial), "grace join");
-        assert_eq!(live_spill_files(), baseline, "no orphan spill files");
+        assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
         serial
     }
 

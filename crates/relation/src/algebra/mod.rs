@@ -16,7 +16,7 @@ mod select;
 mod setops;
 mod sort;
 
-pub use aggregate::{aggregate, AggFunc, AggSpec};
+pub use aggregate::{aggregate, aggregate_state_bytes, AggFunc, AggSpec};
 pub use external::{
     aggregate_external, grace_join_on, grace_natural_join, order_by_external, MAX_GRACE_DEPTH,
 };

@@ -72,11 +72,13 @@
 //! ## Resource governance
 //!
 //! A [`QueryGuard`] is a per-query bundle of a cancel flag, an optional
-//! deadline, and a memory budget — all atomics, shared by `Arc`. Like a
-//! [`SessionTicket`] it is installed thread-locally
+//! deadline, a memory budget and the query's own counters (spill bytes,
+//! partitions and files, decode sinks) — all atomics, shared by `Arc`.
+//! Like a [`SessionTicket`] it is installed thread-locally
 //! ([`QueryGuard::activate`]) on the submitting thread, and the pool
-//! re-installs it on every worker that runs one of the query's jobs, so
-//! [`current_guard`] works anywhere inside a job closure. The morsel-claim
+//! re-installs it, with the thread's trace collector, on every worker that
+//! runs one of the query's jobs, so [`current_guard`] works anywhere inside
+//! a job closure and no query counts on another's guard. The morsel-claim
 //! loop of [`WorkerPool::for_each`] polls the active guard before each
 //! claim: once the guard trips (cancelled, past deadline, or budget
 //! breached) workers stop claiming within one morsel's work, and the
@@ -307,6 +309,10 @@ struct GuardInner {
     spill_bytes: AtomicU64,
     /// Spill partitions / sorted runs written by out-of-core operators.
     spill_partitions: AtomicU64,
+    /// Spill files created under this guard and not yet removed.
+    spill_files: AtomicU64,
+    /// Decode sinks on threads running under this guard.
+    decode_sinks: Arc<AtomicU64>,
     /// Optional deterministic fault plan ([`fault`]).
     fault: Option<fault::FaultPlan>,
 }
@@ -363,6 +369,8 @@ impl QueryGuard {
             breach_needed: AtomicU64::new(0),
             spill_bytes: AtomicU64::new(0),
             spill_partitions: AtomicU64::new(0),
+            spill_files: AtomicU64::new(0),
+            decode_sinks: Arc::new(AtomicU64::new(0)),
             fault: None,
         }))
     }
@@ -485,6 +493,21 @@ impl QueryGuard {
             .fetch_add(partitions, Ordering::Relaxed);
     }
 
+    /// Spill files created under this guard that are still on disk.
+    pub fn live_spill_files(&self) -> u64 {
+        self.0.spill_files.load(Ordering::SeqCst)
+    }
+
+    /// The count behind [`QueryGuard::live_spill_files`].
+    pub(crate) fn spill_files(&self) -> &AtomicU64 {
+        &self.0.spill_files
+    }
+
+    /// Decode sinks (`Column::decoded()` calls) under this guard.
+    pub fn decode_sinks(&self) -> u64 {
+        self.0.decode_sinks.load(Ordering::Relaxed)
+    }
+
     /// The per-morsel poll: run the fault plan (may panic, sleep, or force
     /// a spurious breach), then [`QueryGuard::check`]. Called by the
     /// [`WorkerPool::for_each`] claim loop before every claim.
@@ -515,11 +538,14 @@ impl QueryGuard {
     }
 
     /// Mark the current thread as executing under this guard until the
-    /// returned RAII guard drops. Nested activations stack (innermost
-    /// wins), mirroring [`SessionTicket::activate`].
+    /// returned RAII guard drops (the thread's decode sinks count into it).
+    /// Nested activations stack (innermost wins), mirroring
+    /// [`SessionTicket::activate`].
     pub fn activate(&self) -> ActiveGuard {
-        let prev = ACTIVE_GUARD.with(|c| c.replace(Some(self.clone())));
-        ActiveGuard { prev }
+        ActiveGuard {
+            prev: ACTIVE_GUARD.replace(Some(self.clone())),
+            prev_sinks: rma_storage::swap_sink_counter(Some(Arc::clone(&self.0.decode_sinks))),
+        }
     }
 }
 
@@ -529,15 +555,17 @@ thread_local! {
 }
 
 /// RAII guard of [`QueryGuard::activate`]: restores the previously active
-/// query guard (if any) when dropped.
+/// query guard (if any) and its sink counter when dropped.
 #[must_use = "the query guard is only active while this value lives"]
 pub struct ActiveGuard {
     prev: Option<QueryGuard>,
+    prev_sinks: Option<Arc<AtomicU64>>,
 }
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        ACTIVE_GUARD.with(|c| c.replace(self.prev.take()));
+        ACTIVE_GUARD.set(self.prev.take());
+        rma_storage::swap_sink_counter(self.prev_sinks.take());
     }
 }
 
@@ -677,13 +705,17 @@ struct JobEntry {
     /// When the entry was queued — worker pickups subtract this to charge
     /// queue-wait time to the submitting ticket and the pool.
     submitted_at: Instant,
-    /// The submitting session's ticket (`None` without one), so runners
-    /// can attribute wait and run time to the right session.
+    scope: JobScope,
+}
+
+/// What a job carries from its submitting thread to its workers: the
+/// session ticket (wait and run time), the query guard (polls, charges and
+/// per-query counters) and the trace collector (spans).
+#[derive(Clone)]
+struct JobScope {
     ticket: Option<SessionTicket>,
-    /// The query guard active on the submitting thread, re-installed on
-    /// every worker running this job so `current_guard()` (and therefore
-    /// [`guard_checkpoint`] and memory charges) work inside job closures.
     guard: Option<QueryGuard>,
+    trace: Option<Arc<trace::TraceCollector>>,
 }
 
 /// Shared state between the pool handle and its workers.
@@ -881,15 +913,15 @@ impl WorkerPool {
     /// current thread, which is correct for claim-loop jobs (one worker
     /// claims everything).
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        let ticket = current_ticket();
-        let guard = current_guard();
-        let seat_limit = ticket.as_ref().map_or(0, |t| t.seats());
+        let scope = JobScope {
+            ticket: current_ticket(),
+            guard: current_guard(),
+            trace: trace::current(),
+        };
+        let ticket = scope.ticket.as_ref();
+        let seat_limit = ticket.map_or(0, |t| t.seats());
         if self.handles.is_empty() || IN_POOL_JOB.get() || seat_limit == 1 {
-            let t0 = Instant::now();
-            let span = trace::clock();
-            let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
-            trace::record("pool.job", "pool", 0, span, 0, 0, 0);
-            charge_run(&self.shared, ticket.as_ref(), t0.elapsed());
+            let caller = run_job(&self.shared, ticket, 0, || f(0));
             self.jobs_run.fetch_add(1, Ordering::SeqCst);
             if let Err(payload) = caller {
                 self.jobs_panicked.fetch_add(1, Ordering::SeqCst);
@@ -914,7 +946,7 @@ impl WorkerPool {
             let seq = st.next_seq;
             st.next_seq += 1;
             // without a ticket: queue at the floor (FIFO among peers)
-            let pass = ticket.as_ref().map_or(st.pass_floor, |t| {
+            let pass = ticket.map_or(st.pass_floor, |t| {
                 let pass = t.0.pass.load(Ordering::Relaxed).max(st.pass_floor);
                 t.0.pass.store(pass + STRIDE_UNIT, Ordering::Relaxed);
                 pass
@@ -933,19 +965,14 @@ impl WorkerPool {
                 seats,
                 closed: false,
                 submitted_at: Instant::now(),
-                ticket: ticket.clone(),
-                guard,
+                scope: scope.clone(),
             });
             self.shared.work.notify_all();
         }
         // the submitter is worker 0; catch a panic so the completion wait
         // below still runs and the job pointer stays valid until every
         // runner has finished
-        let t0 = Instant::now();
-        let span = trace::clock();
-        let caller = catch_unwind(AssertUnwindSafe(|| run_marked_in_job(|| f(0))));
-        trace::record("pool.job", "pool", 0, span, 0, 0, 0);
-        charge_run(&self.shared, ticket.as_ref(), t0.elapsed());
+        let caller = run_job(&self.shared, ticket, 0, || run_marked_in_job(|| f(0)));
         let mut st = lock(&self.shared);
         let idx = st
             .jobs
@@ -1047,30 +1074,31 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Charge `ran` closure time to the pool's busy counter and — when the
-/// job ran under a session ticket — to that session.
-fn charge_run(shared: &PoolShared, ticket: Option<&SessionTicket>, ran: Duration) {
-    let ns = ran.as_nanos() as u64;
+/// Run worker `w`'s part of a job, catching a panic for the caller; record
+/// its `pool.job` span and charge its time to the pool and the ticket.
+fn run_job(
+    shared: &PoolShared,
+    ticket: Option<&SessionTicket>,
+    w: usize,
+    f: impl FnOnce(),
+) -> std::thread::Result<()> {
+    let t0 = Instant::now();
+    let span = trace::clock();
+    let out = catch_unwind(AssertUnwindSafe(f));
+    trace::record("pool.job", "pool", w, span, 0, 0, 0);
+    let ns = t0.elapsed().as_nanos() as u64;
     shared.busy_ns.fetch_add(ns, Ordering::Relaxed);
     if let Some(t) = ticket {
         t.0.run_ns.fetch_add(ns, Ordering::Relaxed);
     }
+    out
 }
 
 /// Pick the queue entry a worker should serve next: the open entry with a
 /// free seat and the lowest (pass, seq). Returns the closure pointer,
-/// entry id, submission time, and submitting ticket after registering the
-/// worker as a runner.
-#[allow(clippy::type_complexity)]
-fn pick_job(
-    st: &mut PoolState,
-) -> Option<(
-    *const (dyn Fn(usize) + Sync),
-    u64,
-    Instant,
-    Option<SessionTicket>,
-    Option<QueryGuard>,
-)> {
+/// entry id, submission time, and job scope after registering the worker
+/// as a runner.
+fn pick_job(st: &mut PoolState) -> Option<(JobSlot, u64, Instant, JobScope)> {
     let best = st
         .jobs
         .iter_mut()
@@ -1079,17 +1107,16 @@ fn pick_job(
     best.seats -= 1;
     best.running += 1;
     Some((
-        best.raw.0,
+        JobSlot(best.raw.0),
         best.id,
         best.submitted_at,
-        best.ticket.clone(),
-        best.guard.clone(),
+        best.scope.clone(),
     ))
 }
 
 fn worker_loop(shared: &PoolShared, id: usize) {
     loop {
-        let (raw, job_id, submitted_at, ticket, guard) = {
+        let (raw, job_id, submitted_at, scope) = {
             let mut st = lock(shared);
             loop {
                 if st.shutdown {
@@ -1104,25 +1131,23 @@ fn worker_loop(shared: &PoolShared, id: usize) {
         // queue wait: submission → this pickup, charged to pool + session
         let waited_ns = submitted_at.elapsed().as_nanos() as u64;
         shared.queue_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
-        if let Some(t) = &ticket {
+        if let Some(t) = &scope.ticket {
             t.0.queue_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
         }
         // SAFETY: this worker registered as a runner of a live entry under
         // the lock; the submitter keeps the pointee alive (and the entry
         // queued) until `running` returns to zero, which happens only after
         // the last use of `raw` below.
-        let f = unsafe { &*raw };
-        let t0 = Instant::now();
-        let span = trace::clock();
-        // install the submitting query's guard for the closure's duration
-        // (the RAII guard drops — restoring the TLS slot — even on unwind)
-        let ok = catch_unwind(AssertUnwindSafe(|| {
-            let _active = guard.as_ref().map(QueryGuard::activate);
+        let f = unsafe { &*raw.0 };
+        // the submitting query's guard and collector (not its ticket: a
+        // nested job runs inline)
+        let active = scope.guard.as_ref().map(QueryGuard::activate);
+        let traced = trace::collect_into(scope.trace.clone());
+        let ok = run_job(shared, scope.ticket.as_ref(), id, || {
             run_marked_in_job(|| f(id))
-        }))
+        })
         .is_ok();
-        trace::record("pool.job", "pool", id, span, 0, 0, 0);
-        charge_run(shared, ticket.as_ref(), t0.elapsed());
+        drop((traced, active));
         let mut st = lock(shared);
         let entry = st
             .jobs
@@ -1545,6 +1570,44 @@ mod tests {
             items.len(),
             "current_guard() must resolve inside job closures on all workers"
         );
+    }
+
+    /// Two queries submitting to one pool from two threads: each guard
+    /// counts exactly its own decode sinks, and each thread's trace
+    /// collector receives exactly its own spans, wherever the pool ran them.
+    #[test]
+    fn job_scope_carries_each_querys_counters_and_collector() {
+        use rma_storage::{Column, Encoding};
+        let pool = WorkerPool::new(4);
+        let col = Column::from(vec![1i64; 64])
+            .encode_as(Encoding::Rle)
+            .unwrap();
+        let run = |items: usize, name: &'static str| {
+            let guard = QueryGuard::new();
+            let collector = Arc::new(trace::TraceCollector::new());
+            {
+                let _g = guard.activate();
+                let _t = trace::collect_into(Some(Arc::clone(&collector)));
+                let items: Vec<usize> = (0..items).collect();
+                for _ in 0..20 {
+                    pool.for_each(&items, |_, _| {
+                        trace::record(name, "test", 0, trace::clock(), 0, 0, 0);
+                        col.decoded().len()
+                    });
+                }
+            }
+            let spans = collector.drain();
+            let own = spans.iter().filter(|s| s.name == name).count();
+            assert!(spans.iter().all(|s| s.name == name || s.name == "pool.job"));
+            (guard.decode_sinks(), own)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(300, "a.item"));
+            let b = s.spawn(|| run(500, "b.item"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, (20 * 300, 20 * 300));
+        assert_eq!(b, (20 * 500, 20 * 500));
     }
 
     #[test]

@@ -27,18 +27,20 @@
 //!
 //! Files live in the system temp directory and are **removed on `Drop`**,
 //! including every error path — a query that trips mid-spill releases its
-//! disk as the operator's `SpillFile`s unwind. [`live_spill_files`] counts
-//! files currently on disk so tests can assert no orphans remain.
+//! disk as the operator's `SpillFile`s unwind. A file registers with the
+//! [`QueryGuard`] active where it was created and releases itself on it:
+//! [`QueryGuard::live_spill_files`] counts one query's files,
+//! [`live_spill_files`] the process's.
 //!
-//! Every chunk write polls the active [`QueryGuard`](crate::par::QueryGuard)
-//! (so cancellation and deadlines stop a spilling query within one chunk's
-//! work), runs the spill-I/O fault hook (`FaultKind::SpillIo`), and records the
-//! bytes written through [`QueryGuard::record_spill`](crate::par::QueryGuard::record_spill).
+//! Every chunk write polls the file's guard (so cancellation and deadlines
+//! stop a spilling query within one chunk's work), runs the spill-I/O fault
+//! hook (`FaultKind::SpillIo`), and records the bytes written through
+//! [`QueryGuard::record_spill`].
 //! Spilled bytes are *disk* footprint: they are never charged against the
 //! memory budget — that is the whole point of spilling.
 
 use crate::error::RelationError;
-use crate::par::current_guard;
+use crate::par::{current_guard, QueryGuard};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use rma_storage::{Bitmap, Column, ColumnData, Dict, Packed, Rle, Seg};
@@ -52,9 +54,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// a fraction of any realistic budget.
 pub const SPILL_CHUNK_ROWS: usize = 16 * 1024;
 
-/// Live spill files on disk (created minus removed). The fault-injection
-/// and governor tests assert this returns to its baseline after every
-/// query — spilling must never leak temp files, even on error paths.
+/// Live spill files on disk, process-wide (created minus removed).
 static LIVE_FILES: AtomicUsize = AtomicUsize::new(0);
 
 /// Monotonic id so concurrent spill files never collide.
@@ -63,16 +63,6 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// Spill files currently on disk, process-wide.
 pub fn live_spill_files() -> usize {
     LIVE_FILES.load(Ordering::SeqCst)
-}
-
-/// Serialises the unit tests that create spill files: they assert
-/// [`live_spill_files`] against a baseline, and the counter is
-/// process-global, so a sibling test spilling concurrently breaks them.
-#[cfg(test)]
-pub(crate) fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // a poisoned lock only means another spill test failed
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn io_err(e: std::io::Error) -> RelationError {
@@ -85,6 +75,8 @@ fn io_err(e: std::io::Error) -> RelationError {
 #[derive(Debug)]
 pub struct SpillFile {
     path: PathBuf,
+    /// The query the file belongs to (the guard active at creation).
+    guard: Option<QueryGuard>,
     writer: Option<BufWriter<File>>,
     rows: usize,
     bytes: u64,
@@ -92,14 +84,19 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Create an empty spill file in the system temp directory.
+    /// Create an empty spill file in the temp directory, for the active guard.
     pub fn create() -> Result<Self, RelationError> {
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("rma-spill-{}-{id}.col", std::process::id()));
         let file = File::create(&path).map_err(io_err)?;
         LIVE_FILES.fetch_add(1, Ordering::SeqCst);
+        let guard = current_guard();
+        if let Some(g) = &guard {
+            g.spill_files().fetch_add(1, Ordering::SeqCst);
+        }
         Ok(SpillFile {
             path,
+            guard,
             writer: Some(BufWriter::new(file)),
             rows: 0,
             bytes: 0,
@@ -118,15 +115,14 @@ impl SpillFile {
         self.bytes
     }
 
-    /// Append one chunk (a view is materialized first). Polls the active
+    /// Append one chunk (a view is materialized first). Polls the file's
     /// guard — a cancelled or expired query stops here, and the armed
     /// spill-I/O fault ([`FaultKind::SpillIo`](crate::par::fault::FaultKind::SpillIo))
     /// fails the matching write with
     /// [`RelationError::SpillIo`]. Records bytes (and, on the first chunk,
     /// one partition) on the guard's spill counters.
     pub fn append(&mut self, chunk: &Relation) -> Result<(), RelationError> {
-        let guard = current_guard();
-        if let Some(g) = &guard {
+        if let Some(g) = &self.guard {
             g.check()?;
             if g.fault_spill_write() {
                 return Err(RelationError::SpillIo(
@@ -144,7 +140,7 @@ impl SpillFile {
         // flush per chunk so readers never see a short file — chunks are
         // large, so the buffered tail is noise
         w.flush().map_err(io_err)?;
-        if let Some(g) = &guard {
+        if let Some(g) = &self.guard {
             g.record_spill(buf.len() as u64, u64::from(self.chunks == 0));
         }
         self.bytes += buf.len() as u64;
@@ -195,6 +191,9 @@ impl Drop for SpillFile {
         self.writer = None; // close before unlink (Windows-style hygiene)
         let _ = std::fs::remove_file(&self.path);
         LIVE_FILES.fetch_sub(1, Ordering::SeqCst);
+        if let Some(g) = &self.guard {
+            g.spill_files().fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -608,9 +607,9 @@ mod tests {
 
     #[test]
     fn roundtrip_whole_and_chunked() {
-        let _serial = spill_test_guard();
         let r = mixed(1000);
-        let baseline = live_spill_files();
+        let guard = QueryGuard::new();
+        let _active = guard.activate();
         {
             let mut f = SpillFile::create().unwrap();
             f.append(&r.slice(0..400)).unwrap();
@@ -627,14 +626,14 @@ mod tests {
             let c2 = rd.next_chunk().unwrap().unwrap();
             assert_eq!(c2.len(), 600);
             assert!(rd.next_chunk().unwrap().is_none());
-            assert_eq!(live_spill_files(), baseline + 1);
+            assert_eq!(guard.live_spill_files(), 1);
+            assert_eq!(guard.spill_partitions(), 1);
         }
-        assert_eq!(live_spill_files(), baseline, "Drop must unlink the file");
+        assert_eq!(guard.live_spill_files(), 0, "Drop must unlink the file");
     }
 
     #[test]
     fn roundtrip_of_a_view_materializes() {
-        let _serial = spill_test_guard();
         let r = mixed(100);
         let view = r.take(&[5, 3, 99, 0]);
         let mut f = SpillFile::create().unwrap();
@@ -648,7 +647,6 @@ mod tests {
     /// same runs/codes/packing rather than plain vectors.
     #[test]
     fn roundtrip_preserves_encodings_without_sinking() {
-        let _serial = spill_test_guard();
         use rma_storage::Encoding;
         let n = 4096usize;
         let r = RelationBuilder::new()
@@ -675,7 +673,8 @@ mod tests {
             expect.iter().any(|e| *e != Encoding::Plain),
             "workload failed to encode: {expect:?}"
         );
-        let sinks0 = rma_storage::decode_sink_events();
+        let guard = QueryGuard::new();
+        let _active = guard.activate();
         let mut f = SpillFile::create().unwrap();
         // a compact chunk spills every physical form as-is; a sliced view
         // exercises the run/code slicing path on the way in
@@ -688,8 +687,8 @@ mod tests {
             chunks.push(c);
         }
         assert_eq!(
-            rma_storage::decode_sink_events(),
-            sinks0,
+            guard.decode_sinks(),
+            0,
             "spilling encoded chunks must not force a decode"
         );
         assert_eq!(chunks.len(), 2);
@@ -701,7 +700,6 @@ mod tests {
 
     #[test]
     fn empty_file_reads_empty_relation() {
-        let _serial = spill_test_guard();
         let r = mixed(4);
         let f = SpillFile::create().unwrap();
         let back = f.read_all(r.schema()).unwrap();

@@ -1,19 +1,22 @@
-//! Low-level span recording for the profiler: a process-global, opt-in
+//! Low-level span recording for the profiler: a per-thread, opt-in
 //! collector that operators and the worker pool write completed spans into.
 //!
-//! The design keeps the *disabled* hot path to a single relaxed atomic
-//! load ([`enabled`]) and the *enabled* hot path allocation-free in the
-//! steady state: a [`Span`] is `Copy` (operator names are `&'static str`),
-//! and each recording thread appends to one of a fixed set of mutex-guarded
-//! buffers selected by worker index, so concurrent workers rarely contend.
+//! A collector is installed on one thread ([`collect_into`]) and the worker
+//! pool carries it to every worker running a job that thread submits, so
+//! spans land in the collector of the query that caused them. With no
+//! collector the hot path is one thread-local read ([`clock`]); with one it
+//! is allocation-free in the steady state: a [`Span`] is `Copy`, and each
+//! recording thread appends to one of a fixed set of mutex-guarded buffers
+//! selected by worker index, so concurrent workers rarely contend.
 //!
 //! Higher layers (`rma_core::trace`) own the user-facing API: they install
 //! a [`TraceCollector`] for the duration of a profiled query, drain it, and
 //! export the spans (e.g. as a Chrome-trace JSON for Perfetto). This module
 //! deliberately knows nothing about queries or plans — only spans.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One completed, timed unit of work: an operator's morsel batch, a sort
@@ -44,7 +47,7 @@ pub struct Span {
 /// buffers by index, so any pool size up to this records contention-free.
 const BUFFERS: usize = 32;
 
-/// A sink for spans recorded while it is [installed](install). One
+/// A sink for spans recorded while it is [installed](collect_into). One
 /// collector corresponds to one profiled region (typically one query).
 #[derive(Debug)]
 pub struct TraceCollector {
@@ -88,55 +91,56 @@ impl TraceCollector {
     }
 }
 
-/// Fast-path flag mirroring "a collector is installed". Checked before
-/// taking the `RwLock`, so untraced execution pays one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn slot() -> &'static RwLock<Option<Arc<TraceCollector>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<TraceCollector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
+thread_local! {
+    /// The collector spans recorded on this thread go to, if any.
+    static COLLECTOR: RefCell<Option<Arc<TraceCollector>>> = const { RefCell::new(None) };
 }
 
-/// Is a collector installed? One relaxed atomic load — operators call this
-/// (via [`clock`]) on every batch, traced or not.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// The collector installed on this thread, if any.
+pub fn current() -> Option<Arc<TraceCollector>> {
+    COLLECTOR.with_borrow(Clone::clone)
 }
 
-/// Install `collector` as the process-global span sink (replacing any
-/// previous one). Spans recorded from any thread land in it until
-/// [`uninstall`].
-pub fn install(collector: Arc<TraceCollector>) {
-    *slot().write().expect("trace slot poisoned") = Some(collector);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Remove the installed collector if it is `collector` (identity compare),
-/// re-disabling the fast path. A different installed collector — another
-/// profiled query started meanwhile — is left in place.
-pub fn uninstall(collector: &Arc<TraceCollector>) {
-    let mut slot = slot().write().expect("trace slot poisoned");
-    if slot.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, collector)) {
-        *slot = None;
-        ENABLED.store(false, Ordering::SeqCst);
+/// Record this thread's spans into `collector` (`None`: record nothing)
+/// until the returned scope drops, which restores the previous collector.
+/// Scopes nest, innermost wins.
+pub fn collect_into(collector: Option<Arc<TraceCollector>>) -> TraceScope {
+    TraceScope {
+        prev: COLLECTOR.replace(collector),
+        _thread: PhantomData,
     }
 }
 
-/// Start a span clock iff tracing is enabled. Returns `None` (one relaxed
-/// load, no syscall) when disabled — thread the result into [`record`],
-/// which is then a no-op.
+/// RAII scope of [`collect_into`]. Not `Send`: it restores the slot of the
+/// thread that opened it.
+#[must_use = "spans are only collected while the scope lives"]
+#[derive(Debug)]
+pub struct TraceScope {
+    prev: Option<Arc<TraceCollector>>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for TraceScope {
+    fn drop(&mut self) {
+        COLLECTOR.set(self.prev.take());
+    }
+}
+
+/// Start a span clock iff a collector is installed on this thread. Returns
+/// `None` (one thread-local read, no syscall) when none is — thread the
+/// result into [`record`], which is then a no-op.
 #[inline]
 pub fn clock() -> Option<Instant> {
-    if enabled() {
+    if COLLECTOR.with_borrow(Option::is_some) {
         Some(Instant::now())
     } else {
         None
     }
 }
 
-/// Record a span started at `started` (from [`clock`]). No-op when
-/// `started` is `None` or the collector was uninstalled meanwhile.
+/// Record a span started at `started` (from [`clock`]) into this thread's
+/// collector. No-op when `started` is `None` or the collector's scope
+/// ended meanwhile.
 pub fn record(
     name: &'static str,
     cat: &'static str,
@@ -148,44 +152,35 @@ pub fn record(
 ) {
     let Some(started) = started else { return };
     let end = Instant::now();
-    let guard = slot().read().expect("trace slot poisoned");
-    let Some(collector) = guard.as_ref() else {
-        return;
-    };
-    let start_ns = started
-        .saturating_duration_since(collector.epoch)
-        .as_nanos() as u64;
-    let dur_ns = end.saturating_duration_since(started).as_nanos() as u64;
-    collector.push(
-        worker,
-        Span {
-            name,
-            cat,
+    COLLECTOR.with_borrow(|collector| {
+        let Some(collector) = collector else { return };
+        let start_ns = started
+            .saturating_duration_since(collector.epoch)
+            .as_nanos() as u64;
+        let dur_ns = end.saturating_duration_since(started).as_nanos() as u64;
+        collector.push(
             worker,
-            start_ns,
-            dur_ns,
-            rows_in,
-            rows_out,
-            morsels,
-        },
-    );
+            Span {
+                name,
+                cat,
+                worker,
+                start_ns,
+                dur_ns,
+                rows_in,
+                rows_out,
+                morsels,
+            },
+        );
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The collector slot is process-global, so tests that install and
-    /// uninstall must not interleave.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disabled_recording_is_a_no_op() {
-        let _s = serial();
-        assert!(!enabled());
+        assert!(current().is_none());
         assert!(clock().is_none());
         record("x", "test", 0, None, 1, 1, 1);
         // nothing to assert beyond "did not panic / did not need a sink"
@@ -193,15 +188,14 @@ mod tests {
 
     #[test]
     fn spans_round_trip_through_the_collector() {
-        let _s = serial();
         let c = Arc::new(TraceCollector::new());
-        install(Arc::clone(&c));
+        let scope = collect_into(Some(Arc::clone(&c)));
         let t = clock();
         assert!(t.is_some());
         record("op.a", "test", 0, t, 10, 5, 2);
         record("op.b", "test", 3, clock(), 7, 7, 1);
-        uninstall(&c);
-        assert!(!enabled());
+        drop(scope);
+        assert!(clock().is_none());
         let spans = c.drain();
         assert_eq!(spans.len(), 2);
         let a = spans.iter().find(|s| s.name == "op.a").unwrap();
@@ -212,18 +206,24 @@ mod tests {
     }
 
     #[test]
-    fn uninstall_ignores_a_superseded_collector() {
-        let _s = serial();
-        let first = Arc::new(TraceCollector::new());
-        let second = Arc::new(TraceCollector::new());
-        install(Arc::clone(&first));
-        install(Arc::clone(&second));
-        uninstall(&first); // stale handle: must not evict `second`
-        assert!(enabled());
-        record("still.on", "test", 1, clock(), 0, 0, 0);
-        uninstall(&second);
-        assert!(!enabled());
-        assert_eq!(second.drain().len(), 1);
-        assert!(first.drain().is_empty());
+    fn scopes_nest_and_stay_on_their_thread() {
+        let outer = Arc::new(TraceCollector::new());
+        let inner = Arc::new(TraceCollector::new());
+        let _outer = collect_into(Some(Arc::clone(&outer)));
+        {
+            let _inner = collect_into(Some(Arc::clone(&inner)));
+            record("inner", "test", 0, clock(), 0, 0, 0);
+        }
+        record("outer", "test", 0, clock(), 0, 0, 0);
+        // another thread has no collector of its own
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(clock().is_none());
+                record("elsewhere", "test", 1, Some(Instant::now()), 0, 0, 0);
+            });
+        });
+        let names = |c: &TraceCollector| c.drain().iter().map(|s| s.name).collect::<Vec<_>>();
+        assert_eq!(names(&inner), ["inner"]);
+        assert_eq!(names(&outer), ["outer"]);
     }
 }

@@ -15,7 +15,7 @@
 //! - A kernel that genuinely needs the contiguous plain vector calls
 //!   `Column::decoded()` — the explicit decode. On an encoded column that
 //!   is a *sink*: every call decompresses into an owned vector and
-//!   increments the global `decode_sink_events` counter.
+//!   counts in the query's and the process's sink counters.
 
 use crate::column::{Column, ColumnData};
 use crate::encoding::{Dict, Packed, Rle};
@@ -216,12 +216,14 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::{decode_sink_events, sink_test_guard, Encoding};
+    use crate::encoding::{swap_sink_counter, Encoding};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
 
     #[test]
     fn accessors_read_all_encodings_without_sinking() {
-        let _serial = sink_test_guard();
-        let before = decode_sink_events();
+        let sinks = Arc::new(AtomicU64::new(0));
+        let prev = swap_sink_counter(Some(Arc::clone(&sinks)));
         let ints = Column::from((0..100i64).map(|i| i % 4).collect::<Vec<_>>());
         let packed = ints.encode_as(Encoding::Packed).unwrap();
         let rle = Column::from(vec![7i64; 100])
@@ -252,7 +254,8 @@ mod tests {
             }
             _ => panic!("expected str accessor"),
         }
-        assert_eq!(decode_sink_events(), before, "accessors must not decode");
+        swap_sink_counter(prev);
+        assert_eq!(sinks.load(Relaxed), 0, "accessors must not decode");
     }
 
     #[test]

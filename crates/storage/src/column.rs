@@ -313,7 +313,7 @@ impl Column {
     /// decode of the accessor contract. A plain column is borrowed for
     /// free. An encoded column is decompressed into an owned vector on
     /// every call, and each call counts one decode *sink* (see
-    /// [`decode_sink_events`](crate::encoding::decode_sink_events)).
+    /// [`swap_sink_counter`](crate::encoding::swap_sink_counter)).
     /// Kernels that can stay encoded should use [`Column::accessor`]
     /// instead.
     pub fn decoded(&self) -> Cow<'_, ColumnData> {
@@ -933,18 +933,16 @@ mod tests {
 
     #[test]
     fn decoded_borrows_plain_and_owns_one_sink_per_encoded_call() {
-        use crate::encoding::{decode_sink_events, sink_test_guard};
-        let _serial = sink_test_guard();
+        use crate::encoding::swap_sink_counter;
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        use std::sync::Arc;
+        let sinks = Arc::new(AtomicU64::new(0));
+        let prev = swap_sink_counter(Some(Arc::clone(&sinks)));
         let ints = Column::from((0..64).map(|i| i / 16).collect::<Vec<i64>>());
         let floats = Column::from((0..64).map(|i| (i / 16) as f64).collect::<Vec<_>>());
         let words = Column::from((0..64).map(|i| format!("w{}", i / 16)).collect::<Vec<_>>());
-        let before = decode_sink_events();
         assert!(matches!(floats.decoded(), Cow::Borrowed(d) if d == floats.raw()));
-        assert_eq!(
-            decode_sink_events(),
-            before,
-            "plain storage is a free borrow"
-        );
+        assert_eq!(sinks.load(Relaxed), 0, "plain storage is a free borrow");
         let cases = [
             (&ints, Encoding::Rle),
             (&floats, Encoding::Rle),
@@ -954,12 +952,25 @@ mod tests {
         for (plain, enc) in cases {
             let col = plain.encode_as(enc).expect("encodable");
             for _ in 0..2 {
-                let before = decode_sink_events();
+                let before = sinks.load(Relaxed);
                 let got = col.decoded();
                 assert!(matches!(got, Cow::Owned(_)), "{enc:?}");
                 assert_eq!(&*got, plain.raw());
-                assert_eq!(decode_sink_events() - before, 1, "one sink per call");
+                assert_eq!(sinks.load(Relaxed) - before, 1, "one sink per call");
             }
         }
+        // the thread's counter sees only this thread's sinks; the process
+        // total sees them too
+        assert_eq!(sinks.load(Relaxed), 8);
+        assert!(crate::encoding::decode_sink_events() >= 8);
+        let inner = Arc::new(AtomicU64::new(0));
+        let outer = swap_sink_counter(Some(Arc::clone(&inner)));
+        let _ = words.encode_as(Encoding::Dict).unwrap().decoded();
+        assert_eq!(inner.load(Relaxed), 1);
+        swap_sink_counter(outer);
+        let _ = words.encode_as(Encoding::Dict).unwrap().decoded();
+        assert_eq!(sinks.load(Relaxed), 9, "the restored counter counts again");
+        assert_eq!(inner.load(Relaxed), 1);
+        swap_sink_counter(prev);
     }
 }

@@ -15,37 +15,40 @@
 //! Encoded payloads hold no plain copy of themselves. A caller that needs
 //! the plain form (a *sink* — see ARCHITECTURE.md "Storage encodings")
 //! asks `Column::decoded()`, which decompresses into an owned vector on
-//! every call and counts each call in the global [`decode_sink_events`]
-//! counter. Kernels that stay on the encoded form never decode, which is
-//! what the zero-sink acceptance tests assert.
+//! every call and counts each call in [`decode_sink_events`] and the
+//! thread's query counter ([`swap_sink_counter`]). Kernels that stay on
+//! the encoded form never decode, which is what the zero-sink acceptance
+//! tests assert.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Process-wide count of decode sinks: how many times `Column::decoded()`
 /// decompressed an encoded column into its plain form. Every call counts;
-/// nothing is cached. Observable through `EXPLAIN ANALYZE` and the
-/// serve-layer metrics JSON; regressions to eager decompression show up
-/// here.
+/// nothing is cached.
 static DECODE_SINKS: AtomicU64 = AtomicU64::new(0);
 
-/// Current value of the global decode-sink counter.
+thread_local! {
+    /// The sink counter of the query running on this thread, if any.
+    static QUERY_SINKS: RefCell<Option<Arc<AtomicU64>>> = const { RefCell::new(None) };
+}
+
+/// Current value of the process-wide decode-sink counter.
 pub fn decode_sink_events() -> u64 {
     DECODE_SINKS.load(Ordering::Relaxed)
 }
 
 pub(crate) fn count_decode_sink() {
     DECODE_SINKS.fetch_add(1, Ordering::Relaxed);
+    QUERY_SINKS.with_borrow(|c| c.as_ref().map(|c| c.fetch_add(1, Ordering::Relaxed)));
 }
 
-/// Serialises the unit tests that assert [`decode_sink_events`] deltas: the
-/// counter is process-global, so a sibling test decoding concurrently
-/// breaks them.
-#[cfg(test)]
-pub(crate) fn sink_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // a poisoned lock only means another sink test failed
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// Count this thread's decode sinks into `counter` too (`None`: only the
+/// process total) and return the previous counter, which the caller
+/// restores when its query ends (the query guard's activation does).
+pub fn swap_sink_counter(counter: Option<Arc<AtomicU64>>) -> Option<Arc<AtomicU64>> {
+    QUERY_SINKS.replace(counter)
 }
 
 /// Which physical encoding a column's storage uses.

@@ -32,7 +32,7 @@ pub use access::{ColumnAccessor, FloatsRef, IntsRef, StrsRef};
 pub use bat::{cmp_rows, invert_permutation, is_identity_permutation, Bat};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData};
-pub use encoding::{decode_sink_events, Dict, Encoding, Packed, Rle, Seg};
+pub use encoding::{decode_sink_events, swap_sink_counter, Dict, Encoding, Packed, Rle, Seg};
 pub use error::StorageError;
 pub use key::{is_key, DigestMap, DirectKey, KeyCols, KeyIds};
 pub use selvec::SelVec;

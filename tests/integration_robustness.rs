@@ -549,15 +549,9 @@ fn both_front_doors_reach_the_same_verdict_and_counters() {
             );
             out
         });
-        // decode sinks come from a process-global counter that concurrent
-        // tests bump; every other counter must agree between the doors
-        let strip = |m: SessionMetrics| SessionMetrics {
-            decode_sinks: 0,
-            ..m
-        };
+        // every counter, decode sinks included, is the session's own
         assert_eq!(
-            strip(frame.metrics),
-            strip(sql.metrics),
+            frame.metrics, sql.metrics,
             "{}: the doors disagree",
             case.name
         );
