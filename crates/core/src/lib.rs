@@ -42,7 +42,7 @@ pub use context::{
     default_threads, Backend, ExecStats, KernelUsed, RmaContext, RmaOptions, SortPolicy,
 };
 pub use error::RmaError;
-pub use plan::{Frame, LogicalPlan, PartitionedTableProvider, PlanError, TableProvider};
+pub use plan::{Frame, LogicalPlan, PlanError, TableProvider};
 pub use rma_relation::{GuardError, PoolStats, QueryGuard};
 pub use serve::{
     CatalogSnapshot, MetricsRegistry, MetricsSnapshot, ServeError, Server, Session,

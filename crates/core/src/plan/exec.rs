@@ -3,26 +3,25 @@
 //! remain the execution layer; this module only adds plan-level concerns —
 //! table resolution, scan-time projection, sortedness hints, per-node
 //! backend overrides, and the routing into the morsel-driven parallel
-//! engine.
+//! operators.
 //!
-//! Parallel routing: with `ctx.options.threads > 1`, `Scan→Select→Project`
-//! chains run as fused partition-parallel pipelines ([`super::par`]), and
-//! selections, hash joins, aggregation, sort, and top-k run
-//! partition-parallel operator-at-a-time — all on the context's session
-//! [`WorkerPool`](rma_relation::WorkerPool) (`ctx.pool()`), never on
-//! per-operator thread spawns. Every other operator — and everything at
-//! `threads == 1` — takes the serial interpreter below, which is the
-//! fallback rule for operators without a parallel implementation.
+//! Parallel routing: every plan node runs operator-at-a-time through one
+//! match arm, at every thread count. Selections, hash joins, aggregation,
+//! sort and top-k are the `*_parallel` operators, which run on the
+//! context's session [`WorkerPool`](rma_relation::WorkerPool)
+//! (`ctx.pool()`) — never on per-operator thread spawns — and fall back to
+//! their serial bodies on a one-worker pool or a small input. Projections
+//! of column references stay zero-copy; every other operator is serial.
 //!
 //! Profiling: [`execute_analyzed`] runs the same interpreter with a
 //! per-node actuals recorder — output rows, inclusive wall time, and the
-//! morsel count the operator dispatched — in the exact pre-order the
-//! EXPLAIN tree prints nodes, which is what `EXPLAIN ANALYZE` joins back
-//! onto the cost-annotated rendering. Analyzed runs disable pipeline
-//! fusion so every plan node is individually attributable (and the tree is
-//! identical at any thread count); span recording
-//! ([`rma_relation::trace`]) is active in both modes whenever a collector
-//! is installed on the executing thread.
+//! morsels the node's subtree dispatched to the pool — in the exact
+//! pre-order the EXPLAIN tree prints nodes, which is what `EXPLAIN
+//! ANALYZE` joins back onto the cost-annotated rendering. The recorder
+//! changes no routing decision: an analyzed run executes the same
+//! operators as [`execute`], and each node's `exec.*` span
+//! ([`rma_relation::trace`], recorded whenever a collector is installed on
+//! the executing thread) carries the same rows and morsels.
 //!
 //! Attribution: every plan runs under its own
 //! [`QueryGuard`](rma_relation::QueryGuard), which the pool carries to
@@ -43,11 +42,11 @@
 //! ([`rma_relation::QueryGuard::spill_bytes`]) and surface in
 //! [`crate::context::ExecStats`] and per-node in [`NodeActual`].
 
-use super::{par, LogicalPlan, PartitionedTableProvider, PlanError};
+use super::{LogicalPlan, PlanError, TableProvider};
 use crate::context::{RmaContext, RmaOptions};
 use crate::error::RmaError;
 use rma_relation::trace;
-use rma_relation::{self as rel, morsel_count, par::MIN_PARALLEL_ROWS, Relation};
+use rma_relation::{self as rel, Relation};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -66,7 +65,7 @@ use std::time::Instant;
 pub fn execute(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
 ) -> Result<Relation, PlanError> {
     run_governed(ctx, || execute_inner(plan, ctx, provider, None))
 }
@@ -85,7 +84,7 @@ fn run_governed<T>(
     let _active = minted.as_ref().map(rel::QueryGuard::activate);
     let before = counts();
     let out = body()?;
-    let [spill_bytes, spill_partitions, decode_sinks] = since(before);
+    let [spill_bytes, spill_partitions, decode_sinks, _] = since(before);
     ctx.record(&crate::context::ExecStats {
         spill_bytes,
         spill_partitions,
@@ -100,14 +99,20 @@ fn plan_guard() -> rel::QueryGuard {
     rel::current_guard().expect("a plan runs under its guard")
 }
 
-/// The plan guard's counters: spill bytes, spill partitions, decode sinks.
-fn counts() -> [u64; 3] {
+/// The plan guard's counters: spill bytes, spill partitions, decode sinks,
+/// pool morsels.
+fn counts() -> [u64; 4] {
     let g = plan_guard();
-    [g.spill_bytes(), g.spill_partitions(), g.decode_sinks()]
+    [
+        g.spill_bytes(),
+        g.spill_partitions(),
+        g.decode_sinks(),
+        g.morsels(),
+    ]
 }
 
 /// How much each of [`counts`] grew since `before`.
-fn since(before: [u64; 3]) -> [u64; 3] {
+fn since(before: [u64; 4]) -> [u64; 4] {
     let now = counts();
     std::array::from_fn(|i| now[i] - before[i])
 }
@@ -155,8 +160,11 @@ pub struct NodeActual {
     pub rows: u64,
     /// Inclusive wall time (the node and its subtree), in nanoseconds.
     pub nanos: u64,
-    /// Morsels the operator dispatched (1 for serial operators and inputs
-    /// below the parallel threshold).
+    /// Morsels this node's subtree dispatched to the worker pool
+    /// (inclusive, like `nanos`): the items of every
+    /// [`WorkerPool::for_each`](rma_relation::WorkerPool::for_each) job the
+    /// query's guard counted while the node ran. 0 when everything ran
+    /// serially.
     pub morsels: u64,
     /// Bytes this node's subtree wrote to spill files (inclusive, like
     /// `nanos`); 0 for fully in-memory execution.
@@ -178,37 +186,17 @@ pub struct NodeActual {
 /// Execute a plan while recording per-node actuals, returned **in the
 /// pre-order [`super::explain`] prints the tree** (node before children;
 /// join children left then right; RMA arguments in declaration order).
-/// Pipeline fusion is disabled so every node is timed individually — the
-/// result relation is still exactly [`execute`]'s.
+/// It runs the same operators as [`execute`] and returns the same relation.
 pub fn execute_analyzed(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
 ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
     run_governed(ctx, || {
         let actuals = RefCell::new(Vec::new());
         let out = execute_inner(plan, ctx, provider, Some(&actuals))?;
         Ok((out, actuals.into_inner()))
     })
-}
-
-/// The morsel count a claim-based parallel operator dispatches over `len`
-/// input rows — 1 whenever the operator would take the serial path.
-fn par_morsels(threads: usize, len: usize) -> u64 {
-    if threads > 1 && len >= MIN_PARALLEL_ROWS {
-        morsel_count(threads, len) as u64
-    } else {
-        1
-    }
-}
-
-/// The run ("range-per-worker") count the parallel sort/top-k dispatches.
-fn sort_morsels(threads: usize, len: usize) -> u64 {
-    if threads > 1 && len >= MIN_PARALLEL_ROWS {
-        threads as u64
-    } else {
-        1
-    }
 }
 
 /// Static span label for a plan node (trace spans carry `&'static str`).
@@ -238,30 +226,21 @@ fn node_label(plan: &LogicalPlan) -> &'static str {
 fn execute_inner(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
     analyze: Option<&RefCell<Vec<NodeActual>>>,
 ) -> Result<Relation, PlanError> {
     let pool = ctx.pool();
     // operator-boundary governance: a cancelled/expired/over-budget query
     // stops before the next node even when every operator ran serially
     plan_guard().check().map_err(RmaError::from)?;
-    // fusion collapses Scan→Select→Project chains into one job, which is
-    // faster but unattributable per node — analyzed runs keep nodes apart
-    if analyze.is_none() && pool.threads() > 1 {
-        if let Some(result) = par::try_pipeline(plan, ctx, provider) {
-            return result;
-        }
-    }
     let my_id = analyze.map(|a| {
         let mut v = a.borrow_mut();
         v.push(NodeActual::default());
         v.len() - 1
     });
     let started = analyze.map(|_| Instant::now());
-    let counts0 = analyze.map(|_| counts());
+    let counts0 = counts();
     let span = trace::clock();
-    let threads = pool.threads();
-    let mut morsels: u64 = 1;
     // an RMA node's (order handling, kernel) split, from its ExecStats delta
     let mut rma_nanos = (0u64, 0u64);
     let result = match plan {
@@ -276,7 +255,6 @@ fn execute_inner(
         }
         LogicalPlan::Select { input, predicate } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, r.len());
             // select_parallel (like the other *_parallel operators) runs
             // the serial operator itself on a single-worker pool
             Ok(rel::select_parallel(&r, predicate, pool)?)
@@ -293,7 +271,6 @@ fn execute_inner(
             aggs,
         } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, r.len());
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
             if gb.is_empty() {
                 // ungrouped: a handful of accumulators, not a table —
@@ -314,7 +291,6 @@ fn execute_inner(
         LogicalPlan::NaturalJoin { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, l.len().max(r.len()));
             let est = rel::join_build_bytes(r.len());
             if should_spill(est) {
                 Ok(rel::grace_natural_join(&l, &r, pool)?)
@@ -326,7 +302,6 @@ fn execute_inner(
         LogicalPlan::JoinOn { left, right, on } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, l.len().max(r.len()));
             let est = rel::join_build_bytes(r.len());
             let pairs: Vec<(&str, &str)> =
                 on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
@@ -353,7 +328,6 @@ fn execute_inner(
         }
         LogicalPlan::OrderBy { input, keys } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = sort_morsels(threads, r.len());
             // sort runs + merged permutation: one index per row, 8 bytes
             let est = 8 * r.len() as u64;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
@@ -372,13 +346,12 @@ fn execute_inner(
         }
         LogicalPlan::TopK { input, keys, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = sort_morsels(threads, r.len());
             // bounded heaps: n candidates per worker, 8-byte indices —
             // already sublinear in the input, so top-k never spills. A LIMIT
             // past the input keeps every row; clamped, the charge cannot
             // overflow
             let n = (*n).min(r.len());
-            let _working = ChargeScope::new(8 * (n as u64) * threads as u64)?;
+            let _working = ChargeScope::new(8 * (n as u64) * pool.threads() as u64)?;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
             // per-worker bounded heaps merged at the barrier
@@ -429,6 +402,7 @@ fn execute_inner(
             Ok(r)
         }
     }?;
+    let [spill_bytes, spill_partitions, decode_sinks, morsels] = since(counts0);
     trace::record(
         node_label(plan),
         "exec",
@@ -438,8 +412,7 @@ fn execute_inner(
         result.len() as u64,
         morsels,
     );
-    if let (Some(id), Some(t0), Some(sink), Some(c0)) = (my_id, started, analyze, counts0) {
-        let [spill_bytes, spill_partitions, decode_sinks] = since(c0);
+    if let (Some(id), Some(t0), Some(sink)) = (my_id, started, analyze) {
         sink.borrow_mut()[id] = NodeActual {
             rows: result.len() as u64,
             nanos: t0.elapsed().as_nanos() as u64,

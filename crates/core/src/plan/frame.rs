@@ -29,7 +29,7 @@
 
 use super::{
     execute, execute_analyzed, explain_analyze, explain_with_stats, optimize, LogicalPlan,
-    NoTables, PartitionedTableProvider, PlanError, RmaArg,
+    NoTables, PlanError, RmaArg, TableProvider,
 };
 use crate::context::RmaContext;
 use crate::shape::RmaOp;
@@ -56,7 +56,7 @@ impl Frame {
     }
 
     /// Lazily scan a named table, resolved through the
-    /// [`PartitionedTableProvider`] passed to [`Frame::collect_with`].
+    /// [`TableProvider`] passed to [`Frame::collect_with`].
     pub fn table(name: impl Into<String>) -> Frame {
         Frame {
             plan: LogicalPlan::Scan {
@@ -239,7 +239,7 @@ impl Frame {
     pub fn collect_with(
         &self,
         ctx: &RmaContext,
-        provider: &dyn PartitionedTableProvider,
+        provider: &dyn TableProvider,
     ) -> Result<Relation, PlanError> {
         let plan = optimize(self.plan.clone(), ctx, provider);
         Ok(execute(&plan, ctx, provider)?.materialize())
@@ -252,21 +252,18 @@ impl Frame {
     }
 
     /// [`Frame::explain`] with named tables resolved through a provider.
-    pub fn explain_with(
-        &self,
-        ctx: &RmaContext,
-        provider: &dyn PartitionedTableProvider,
-    ) -> String {
+    pub fn explain_with(&self, ctx: &RmaContext, provider: &dyn TableProvider) -> String {
         explain_with_stats(&optimize(self.plan.clone(), ctx, provider), provider)
     }
 
     /// `EXPLAIN ANALYZE`: optimize the plan, **execute it** with per-node
     /// profiling, and render the cost-annotated tree with measured
-    /// actuals — output rows, inclusive wall time, morsel count, and the
-    /// estimate-vs-actual q-error — appended to every line
-    /// ([`super::explain_analyze`]). Analyzed runs execute
-    /// operator-at-a-time (pipeline fusion off), so the printed tree and
-    /// its actual row counts are identical at any thread count.
+    /// actuals — output rows, inclusive wall time, the morsels the node's
+    /// subtree dispatched to the worker pool, and the estimate-vs-actual
+    /// q-error — appended to every line ([`super::explain_analyze`]). The
+    /// profiled run executes the same operators as
+    /// [`Frame::collect`], so the printed tree and its actual row counts
+    /// are identical at any thread count.
     pub fn explain_analyze(&self, ctx: &RmaContext) -> Result<String, PlanError> {
         self.explain_analyze_with(ctx, &NoTables)
     }
@@ -276,7 +273,7 @@ impl Frame {
     pub fn explain_analyze_with(
         &self,
         ctx: &RmaContext,
-        provider: &dyn PartitionedTableProvider,
+        provider: &dyn TableProvider,
     ) -> Result<String, PlanError> {
         let plan = optimize(self.plan.clone(), ctx, provider);
         let (_, actuals) = execute_analyzed(&plan, ctx, provider)?;

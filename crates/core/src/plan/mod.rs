@@ -23,7 +23,6 @@
 mod exec;
 mod frame;
 pub mod optimize;
-mod par;
 pub mod stats;
 
 pub use exec::{execute, execute_analyzed, NodeActual};
@@ -35,7 +34,6 @@ use crate::error::RmaError;
 use crate::shape::RmaOp;
 use rma_relation::{AggSpec, Expr, Relation, RelationError};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A source of named tables for [`LogicalPlan::Scan`] nodes. The SQL
@@ -44,31 +42,6 @@ use std::sync::Arc;
 pub trait TableProvider {
     /// Resolve a table by name, or `None` when unknown.
     fn table(&self, name: &str) -> Option<&Relation>;
-
-    /// Table statistics for cost-based optimization. The default reads the
-    /// lazily computed, relation-cached statistics
-    /// ([`Relation::statistics`]); providers with their own statistics
-    /// store (histograms, remote catalogs) can override.
-    fn statistics(&self, name: &str) -> Option<&rma_relation::Statistics> {
-        self.table(name).map(|r| r.statistics())
-    }
-}
-
-/// A [`TableProvider`] whose tables can be scanned as row-range partitions
-/// — the scan side of the morsel-driven parallel engine. The default
-/// implementation splits a table into up to `target` near-equal contiguous
-/// row ranges with the in-memory row-range partitioner
-/// ([`rma_relation::partition_ranges`]); providers backed by sharded or
-/// chunked storage can override it to expose natural shard boundaries.
-/// Returning `None` (or a single range) makes the executor fall back to a
-/// serial scan of that table.
-pub trait PartitionedTableProvider: TableProvider {
-    /// Row ranges to scan `table` in, targeting (up to) `target` morsels;
-    /// `None` or a single range falls back to a serial scan.
-    fn scan_partitions(&self, table: &str, target: usize) -> Option<Vec<Range<usize>>> {
-        self.table(table)
-            .map(|r| rma_relation::partition_ranges(r.len(), target))
-    }
 }
 
 /// The empty provider: every `Scan` fails to resolve.
@@ -80,8 +53,6 @@ impl TableProvider for NoTables {
         None
     }
 }
-
-impl PartitionedTableProvider for NoTables {}
 
 /// One argument of a relational matrix operation in a plan: the input plan,
 /// its order schema, and an optimizer-set flag recording that the input is

@@ -38,7 +38,7 @@
 
 use super::{LogicalPlan, TableProvider};
 use crate::shape::Dim;
-use rma_relation::{BinOp, Expr};
+use rma_relation::{BinOp, Expr, Relation};
 use rma_storage::ColumnStats;
 use std::collections::{BTreeMap, HashMap};
 
@@ -153,10 +153,12 @@ fn compute_estimate(
         LogicalPlan::Values { rel, projection } => {
             leaf_est(rel.statistics(), projection.as_deref())
         }
-        LogicalPlan::Scan { table, projection } => match provider.statistics(table) {
-            Some(stats) => leaf_est(stats, projection.as_deref()),
-            None => PlanEst::opaque(UNKNOWN_ROWS, UNKNOWN_ROWS),
-        },
+        LogicalPlan::Scan { table, projection } => {
+            match provider.table(table).map(Relation::statistics) {
+                Some(stats) => leaf_est(stats, projection.as_deref()),
+                None => PlanEst::opaque(UNKNOWN_ROWS, UNKNOWN_ROWS),
+            }
+        }
         LogicalPlan::Select { input, predicate } => {
             let input = estimate_memo(input, provider, memo);
             let sel = selectivity(predicate, &input).clamp(0.0, 1.0);

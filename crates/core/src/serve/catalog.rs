@@ -2,7 +2,7 @@
 //! first-committer-wins commit protocol.
 
 use super::ServeError;
-use crate::plan::{PartitionedTableProvider, TableProvider};
+use crate::plan::TableProvider;
 use rma_relation::Relation;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -242,8 +242,6 @@ impl TableProvider for CatalogSnapshot {
         self.get(name).map(|g| &*g.rel)
     }
 }
-
-impl PartitionedTableProvider for CatalogSnapshot {}
 
 #[cfg(test)]
 mod tests {

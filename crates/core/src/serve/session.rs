@@ -7,8 +7,8 @@ use super::{Backoff, ServeError};
 use crate::context::{ExecStats, RmaContext};
 use crate::error::RmaError;
 use crate::plan::{
-    execute, execute_analyzed, optimize, stats, Frame, LogicalPlan, NodeActual,
-    PartitionedTableProvider, PlanError,
+    execute, execute_analyzed, optimize, stats, Frame, LogicalPlan, NodeActual, PlanError,
+    TableProvider,
 };
 use rma_relation::{par::fault::FaultPlan, QueryGuard, Relation, SessionTicket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -198,7 +198,7 @@ impl Session {
     pub fn execute(
         &self,
         plan: &LogicalPlan,
-        provider: &dyn PartitionedTableProvider,
+        provider: &dyn TableProvider,
     ) -> Result<Relation, PlanError> {
         let (out, _) = self.govern(plan, provider, || {
             Ok((
@@ -214,7 +214,7 @@ impl Session {
     pub fn execute_analyzed(
         &self,
         plan: &LogicalPlan,
-        provider: &dyn PartitionedTableProvider,
+        provider: &dyn TableProvider,
     ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
         self.govern(plan, provider, || {
             execute_analyzed(plan, &self.ctx, provider)
@@ -226,7 +226,7 @@ impl Session {
     fn govern(
         &self,
         plan: &LogicalPlan,
-        provider: &dyn PartitionedTableProvider,
+        provider: &dyn TableProvider,
         run: impl FnOnce() -> Result<(Relation, Vec<NodeActual>), PlanError>,
     ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
         self.counters.record_query();

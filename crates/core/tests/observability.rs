@@ -1,12 +1,13 @@
 //! Observability integration tests: per-session [`ExecStats`],
 //! decode-sink, spill and trace-span attribution under concurrent
-//! sessions, and `EXPLAIN ANALYZE` output stability across worker-thread
-//! counts.
+//! sessions, `EXPLAIN ANALYZE` output stability across worker-thread
+//! counts, and `EXPLAIN ANALYZE` reporting the operators a plain run
+//! executes.
 
-use rma_core::plan::Frame;
+use rma_core::plan::{execute, optimize, Frame};
 use rma_core::serve::{Server, Session, SessionMetrics};
-use rma_core::{RmaContext, RmaOptions, Span, TraceSession};
-use rma_relation::{AggSpec, Expr, Relation, RelationBuilder};
+use rma_core::{RmaContext, RmaOptions, Span, TableProvider, TraceSession};
+use rma_relation::{par::MIN_PARALLEL_ROWS, AggSpec, Expr, Relation, RelationBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 fn matrix_table() -> Relation {
@@ -104,9 +105,8 @@ fn normalize(text: &str) -> String {
 }
 
 /// EXPLAIN ANALYZE renders the identical tree — same nodes, same actual
-/// rows, same q-errors — at 1 and 4 worker threads: analyzed runs execute
-/// operator-at-a-time (pipeline fusion off) precisely so profiles are
-/// comparable across configurations.
+/// rows, same q-errors — at 1 and 4 worker threads: every run executes
+/// operator-at-a-time, so profiles are comparable across configurations.
 #[test]
 fn explain_analyze_is_stable_across_thread_counts() {
     let serial = analyzed(1);
@@ -318,4 +318,154 @@ fn concurrent_trace_sessions_each_see_exactly_their_own_spans() {
             });
         }
     });
+}
+
+/// One named table, `t`: `n` rows of a key, a small-domain filter column
+/// and a payload.
+struct OneTable(Relation);
+
+impl TableProvider for OneTable {
+    fn table(&self, name: &str) -> Option<&Relation> {
+        (name == "t").then_some(&self.0)
+    }
+}
+
+fn one_table(n: i64) -> OneTable {
+    OneTable(
+        RelationBuilder::new()
+            .name("t")
+            .column("k", (0..n).collect::<Vec<_>>())
+            .column("x", (0..n).map(|i| i % 9).collect::<Vec<_>>())
+            .column("y", (0..n).map(|i| i as f64 * 0.5).collect::<Vec<_>>())
+            .build()
+            .unwrap(),
+    )
+}
+
+fn ctx_with(threads: usize) -> RmaContext {
+    RmaContext::new(RmaOptions {
+        threads,
+        ..RmaOptions::default()
+    })
+}
+
+/// An EXPLAIN ANALYZE rendering's nodes as (`exec.*` span name, actual
+/// rows, morsels), sorted: `JoinOn … actual=7 … morsels=2` becomes
+/// `("exec.join_on", 7, 2)`.
+fn analyzed_nodes(text: &str) -> Vec<(String, u64, u64)> {
+    let field = |line: &str, key: &str| -> u64 {
+        let tok = line.split(' ').find_map(|t| t.strip_prefix(key));
+        tok.expect(key).parse().unwrap()
+    };
+    let mut nodes: Vec<_> = text
+        .lines()
+        .map(|line| {
+            let kind = line.trim_start().split(' ').next().unwrap();
+            let mut name = String::from("exec.");
+            for (i, c) in kind.chars().enumerate() {
+                if c.is_uppercase() && i > 0 {
+                    name.push('_');
+                }
+                name.push(c.to_ascii_lowercase());
+            }
+            (name, field(line, "actual="), field(line, "morsels="))
+        })
+        .collect();
+    nodes.sort_unstable();
+    nodes
+}
+
+/// A run's `exec.*` spans as (name, rows out, morsels), sorted.
+fn exec_spans(spans: &[Span]) -> Vec<(String, u64, u64)> {
+    let mut nodes: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name.starts_with("exec."))
+        .map(|s| (s.name.to_string(), s.rows_out, s.morsels))
+        .collect();
+    nodes.sort_unstable();
+    nodes
+}
+
+/// A plain `execute` of a `Scan → Select → Project` plan records one
+/// `exec.*` span per node that EXPLAIN ANALYZE prints, with the same rows
+/// and morsels, at every thread count: the analyzed run is the same
+/// execution, not a second path.
+#[test]
+fn what_ran_is_what_explain_analyze_shows() {
+    let tables = one_table(4 * MIN_PARALLEL_ROWS as i64);
+    let frame = Frame::table("t")
+        .select(Expr::col("x").lt(Expr::lit(5i64)))
+        .project(&["k", "y"]);
+    for threads in [1, 2, 4] {
+        let ctx = ctx_with(threads);
+        let text = frame.explain_analyze_with(&ctx, &tables).unwrap();
+        let analyzed = analyzed_nodes(&text);
+        let names: Vec<&str> = analyzed.iter().map(|n| n.0.as_str()).collect();
+        assert_eq!(
+            names,
+            ["exec.project", "exec.scan", "exec.select"],
+            "{text}"
+        );
+
+        let plan = optimize(frame.clone().into_plan(), &ctx, &tables);
+        let session = TraceSession::start();
+        let out = execute(&plan, &ctx, &tables).unwrap();
+        let spans = session.finish();
+        assert_eq!(exec_spans(&spans), analyzed, "threads {threads}:\n{text}");
+        assert_eq!(out.len() as u64, analyzed[0].1);
+        // at more than one thread the filter ran on the pool
+        let select_morsels = analyzed[2].2;
+        assert_eq!(select_morsels > 0, threads > 1, "{text}");
+    }
+}
+
+/// A projection of column references over a scan shares the table's
+/// columns at every thread count: the result is neither a copy nor an
+/// index view.
+#[test]
+fn column_projection_over_a_scan_stays_zero_copy() {
+    let tables = one_table(4 * MIN_PARALLEL_ROWS as i64);
+    let plan = Frame::table("t").project(&["y", "k"]).into_plan();
+    for threads in [1, 2, 4] {
+        let out = execute(&plan, &ctx_with(threads), &tables).unwrap();
+        assert!(!out.is_view(), "threads {threads}: an index view");
+        assert_eq!(out.len(), tables.0.len());
+        for name in ["y", "k"] {
+            let col = out.base_column(name).unwrap();
+            assert!(
+                col.shares_data_with(tables.0.base_column(name).unwrap()),
+                "threads {threads}: `{name}` was copied"
+            );
+        }
+    }
+}
+
+/// `morsels=` counts what the pool ran. A top-k whose limit is a large
+/// share of its input runs the serial heap and dispatches nothing; a
+/// filter over the same rows dispatches its morsels.
+#[test]
+fn explain_analyze_morsels_are_observed() {
+    let ctx = ctx_with(2);
+    let r = one_table(2000).0;
+    let top = Frame::scan(r.clone())
+        .order_by(&["x"], &[true])
+        .limit(600)
+        .explain_analyze(&ctx)
+        .unwrap();
+    assert!(top.contains("TopK"), "{top}");
+    assert!(!top.contains("morsels=2"), "{top}");
+    assert!(
+        top.lines().all(|l| l.contains("morsels=0")),
+        "nothing ran on the pool:\n{top}"
+    );
+    let filtered = Frame::scan(r)
+        .select(Expr::col("x").lt(Expr::lit(5i64)))
+        .explain_analyze(&ctx)
+        .unwrap();
+    let select = filtered.lines().find(|l| l.contains("Select")).unwrap();
+    let expected = rma_relation::morsel_count(2, 2000);
+    assert!(
+        select.contains(&format!("morsels={expected} ")),
+        "{filtered}"
+    );
 }

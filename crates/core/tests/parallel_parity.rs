@@ -52,8 +52,8 @@ fn gen_side(rng: &mut TestRng) -> Relation {
         .expect("valid relation")
 }
 
-/// Build one of the plan shapes the parallel engine handles: the fused
-/// scan→select→project pipeline, parallel aggregation, partitioned hash
+/// Build one of the plan shapes the parallel operators handle: a
+/// scan→select→project chain, parallel aggregation, partitioned hash
 /// joins, an RMA operation over parallel-produced input, and the top-k
 /// rewrite.
 fn build_frame(kind: usize, r: &Relation, s: &Relation) -> Frame {

@@ -341,8 +341,6 @@ fn named_table_scans_resolve_through_a_provider() {
             (name == "w").then_some(&self.0)
         }
     }
-    // default row-range partitioning is enough for any in-memory provider
-    impl rma_core::PartitionedTableProvider for OneTable {}
     let provider = OneTable(weather());
     let ctx = RmaContext::default();
     let out = Frame::table("w")

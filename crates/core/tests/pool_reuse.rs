@@ -1,8 +1,7 @@
 //! The worker pool is a session-lifetime substrate: consecutive `execute`
 //! calls on one context must run on the same parked workers, never on
 //! freshly spawned threads. It proves that no per-operator
-//! `thread::scope` spawns remain in `plan::par` / `algebra::parallel` /
-//! `algebra::sort`.
+//! `thread::scope` spawns remain in `algebra::parallel` / `algebra::sort`.
 //!
 //! Kept in its own integration-test binary: `rma_relation::threads_spawned`
 //! is a process-wide counter, and a dedicated process keeps concurrent
@@ -37,7 +36,7 @@ fn pool_threads_are_reused_across_execute_calls() {
             .unwrap()
     };
 
-    // every pooled operator kind: fused pipeline, aggregation, hash join,
+    // every pooled operator kind: selection, aggregation, hash join,
     // full sort, and the Limit-into-Sort top-k rewrite
     let frames = [
         Frame::scan(table.clone())

@@ -5,7 +5,7 @@
 //! the unoptimized plans return.
 
 use rma_core::plan::{execute, Frame};
-use rma_core::{PartitionedTableProvider, RmaContext, TableProvider};
+use rma_core::{RmaContext, TableProvider};
 use rma_relation::{AggSpec, Expr, Relation, RelationBuilder};
 
 /// Named tables for `Frame::table` scans.
@@ -16,8 +16,6 @@ impl TableProvider for Tables {
         self.0.iter().find(|(n, _)| *n == name).map(|(_, r)| r)
     }
 }
-
-impl PartitionedTableProvider for Tables {}
 
 /// A small trips/stations schema shaped like `rma_data::trips`, plus two
 /// side tables for the natural-join and cross-product cases.

@@ -313,6 +313,9 @@ struct GuardInner {
     spill_files: AtomicU64,
     /// Decode sinks on threads running under this guard.
     decode_sinks: Arc<AtomicU64>,
+    /// Items of every [`WorkerPool::for_each`] job submitted under this
+    /// guard.
+    morsels: AtomicU64,
     /// Optional deterministic fault plan ([`fault`]).
     fault: Option<fault::FaultPlan>,
 }
@@ -371,6 +374,7 @@ impl QueryGuard {
             spill_partitions: AtomicU64::new(0),
             spill_files: AtomicU64::new(0),
             decode_sinks: Arc::new(AtomicU64::new(0)),
+            morsels: AtomicU64::new(0),
             fault: None,
         }))
     }
@@ -506,6 +510,13 @@ impl QueryGuard {
     /// Decode sinks (`Column::decoded()` calls) under this guard.
     pub fn decode_sinks(&self) -> u64 {
         self.0.decode_sinks.load(Ordering::Relaxed)
+    }
+
+    /// Morsels dispatched under this guard: the item count of every
+    /// [`WorkerPool::for_each`] job submitted while it was active, whether
+    /// the job ran on the workers or inline.
+    pub fn morsels(&self) -> u64 {
+        self.0.morsels.load(Ordering::Relaxed)
     }
 
     /// The per-morsel poll: run the fault plan (may panic, sleep, or force
@@ -1015,7 +1026,8 @@ impl WorkerPool {
     /// therefore stops within one item's work. A tripped guard can leave
     /// the returned vector **short**; callers running governed must call
     /// [`guard_checkpoint`] afterwards to turn the truncation into a typed
-    /// error (operators in this crate all do).
+    /// error (operators in this crate all do). Every item counts toward
+    /// the guard's [`QueryGuard::morsels`].
     pub fn for_each<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -1023,6 +1035,9 @@ impl WorkerPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let guard = current_guard();
+        if let Some(g) = &guard {
+            g.0.morsels.fetch_add(items.len() as u64, Ordering::Relaxed);
+        }
         let tripped = |g: &Option<QueryGuard>| g.as_ref().is_some_and(|g| g.poll_morsel().is_err());
         if self.handles.is_empty() || items.len() <= 1 {
             let mut out = Vec::with_capacity(items.len());

@@ -380,16 +380,8 @@ impl Relation {
 
     /// Concatenate partition results back into one relation. All parts
     /// must share the first part's schema exactly; the first part's
-    /// name is kept (parallel operators split a named relation and
-    /// reassemble it).
-    ///
-    /// When every part is a view over the **same** `Arc`-shared base
-    /// columns — the shape morsel-parallel filters produce — the
-    /// concatenation is pure selection-vector surgery: the result is one
-    /// view over the shared base, late materialization survives the
-    /// reassembly, and encoded base columns stay encoded instead of
-    /// being force-decoded into plain vectors. Parts over distinct bases
-    /// are gathered directly into a compact output — the gather and the
+    /// name is kept. A single part is returned as it is; several are
+    /// gathered directly into a compact output — the gather and the
     /// concatenation are one pass.
     pub fn concat(parts: &[Relation]) -> Result<Relation, RelationError> {
         let Some((first, rest)) = parts.split_first() else {
@@ -402,17 +394,10 @@ impl Relation {
                 return Err(RelationError::NotUnionCompatible);
             }
         }
-        let total: usize = parts.iter().map(Relation::len).sum();
-        if !first.columns.is_empty() && rest.iter().all(|p| p.shares_columns_with(first)) {
-            let mut idx = Vec::with_capacity(total);
-            for part in parts {
-                match &part.sel {
-                    None => idx.extend(0..part.len()),
-                    Some(s) => idx.extend(s.iter()),
-                }
-            }
-            return Ok(first.view(SelVec::from_indices(idx)));
+        if rest.is_empty() {
+            return Ok(first.clone());
         }
+        let total: usize = parts.iter().map(Relation::len).sum();
         let mut columns: Vec<Column> = Vec::with_capacity(first.schema.len());
         for j in 0..first.schema.len() {
             let dt = first.schema.attributes()[j].dtype();
@@ -817,24 +802,6 @@ mod tests {
         assert_eq!(v.columns()[0].get(1), Value::from("8am"));
         assert_eq!(v.column("T").unwrap().get(0), Value::from("6am"));
         assert_eq!(v.column_shared("H").unwrap().get(1), Value::Float(8.0));
-    }
-
-    #[test]
-    fn concat_of_same_base_views_is_selvec_surgery() {
-        let r = weather();
-        let a = r.filter(&[true, false, true, false]);
-        let b = r.slice(3..4);
-        let c = Relation::concat(&[a, b]).unwrap();
-        // morsel reassembly: one view over the shared base, no gather
-        assert!(c.is_view());
-        assert!(c.shares_columns_with(&r));
-        assert_eq!(c.len(), 3);
-        let ts: Vec<Value> = c.column("T").unwrap().iter_values().collect();
-        assert_eq!(
-            ts,
-            vec![Value::from("5am"), Value::from("7am"), Value::from("6am")]
-        );
-        assert_eq!(c.name(), Some("r"));
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub use rma_storage as storage;
 
 // The most-used items at the top level.
 pub use rma_core::{
-    CatalogSnapshot, Frame, LogicalPlan, PartitionedTableProvider, PlanError, RmaContext, RmaError,
-    RmaOp, RmaOptions, ServeError, Server, Session, TableProvider, VersionedCatalog,
+    CatalogSnapshot, Frame, LogicalPlan, PlanError, RmaContext, RmaError, RmaOp, RmaOptions,
+    ServeError, Server, Session, TableProvider, VersionedCatalog,
 };
 pub use rma_relation::{Expr, Relation, RelationBuilder, Schema};
 pub use rma_sql::Engine;

@@ -11,7 +11,7 @@
 //! sessions serve one database concurrently.
 
 use crate::error::SqlError;
-use rma_core::plan::{PartitionedTableProvider, TableProvider};
+use rma_core::plan::TableProvider;
 use rma_core::serve::{CatalogSnapshot, VersionedCatalog};
 use rma_relation::Relation;
 use std::sync::Arc;
@@ -110,10 +110,6 @@ impl TableProvider for Catalog {
         self.get(name)
     }
 }
-
-/// Catalog tables are in-memory relations, so the default row-range
-/// partitioner serves as the parallel scan source.
-impl PartitionedTableProvider for Catalog {}
 
 #[cfg(test)]
 mod tests {
