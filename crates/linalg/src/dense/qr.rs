@@ -10,14 +10,28 @@
 //! columns are factorised in panels of `NB` = 8, and the panel's reflectors
 //! `H = I − 2·v·vᵀ` (unit-norm `v`) reach the rest of the matrix as one
 //! compact-WY block `H₁⋯H_NB = I − V·T·Vᵀ` with `T` upper triangular
-//! (Schreiber & Van Loan, 1989). The reflectors are stored in the factorised
-//! matrix, which then becomes `Q`: besides `R`, the only large allocation is
-//! one `m × NB` panel.
+//! (Schreiber & Van Loan, 1989), built from one row-blocked Gram pass `VᵀV`.
+//! The reflectors are stored in the factorised matrix, which then becomes
+//! `Q`. A block reads `V` there in place, split like LAPACK's `dlarfb`: the
+//! panel's top `NB × NB` lower triangle, which shares its rows with `R`, is
+//! copied out, and the rows below it are read straight from the matrix. So
+//! besides `R` the factorisation allocates nothing of `m` rows; forming `Q`
+//! copies one panel's `V` at a time, because it overwrites the columns that
+//! hold it.
+//!
+//! The two leaf kernels of a block — the `NB` dots `Vᵀ·a` and `a −= V·y`
+//! over one row block — have a portable scalar body and an AVX2+FMA body.
+//! Each block operation picks one at run time from what the CPU reports;
+//! no option picks it. FMA rounds once where the scalar body rounds twice,
+//! so results differ in the last bits from CPU to CPU, and every check on
+//! them is a tolerance.
 
 use super::gemm::dot;
 use super::matrix::Matrix;
 use crate::error::LinalgError;
 use crate::PIVOT_EPS;
+#[cfg(target_arch = "x86_64")]
+use fma::Fma;
 
 /// Panel width: reflectors per compact-WY block, and the register tile of
 /// the block kernels.
@@ -26,6 +40,9 @@ const NB: usize = 8;
 /// Row-block height of the block kernels: one block of `V` (16 KiB) stays in
 /// L1 while the columns it updates stream past.
 const RB: usize = 256;
+
+/// The reflectors past a narrow last panel, one row block long.
+static ZEROS: [f64; RB] = [0.0; RB];
 
 /// The thin QR factorisation of a matrix.
 #[derive(Debug, Clone)]
@@ -42,7 +59,7 @@ pub fn qr(a: &Matrix) -> Result<Qr, LinalgError> {
 }
 
 /// Factorise `work` in place: `work` becomes `Q`, so the factorisation
-/// allocates only `R` and one `m × NB` panel.
+/// allocates only `R` and, while forming `Q`, one `m × NB` panel.
 pub fn qr_in_place(work: Matrix) -> Result<Qr, LinalgError> {
     let h = Householder::factor(work)?;
     let r = h.r();
@@ -63,7 +80,7 @@ pub fn least_squares(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
             context: "least squares rhs rows",
         });
     }
-    let mut h = Householder::factor(a.clone())?;
+    let h = Householder::factor(a.clone())?;
     let scale = h.diag.iter().fold(0.0f64, |s, d| s.max(d.abs()));
     if h.diag.iter().any(|d| d.abs() <= PIVOT_EPS * scale) {
         return Err(LinalgError::Singular);
@@ -96,9 +113,6 @@ struct Householder {
     diag: Vec<f64>,
     /// Each panel's `NB × NB` upper-triangular `T`, column-major.
     t: Vec<f64>,
-    /// One panel's `V`, `(m − k0) × NB` column-major with zeros above each
-    /// reflector's first row (and zero columns past a narrow last panel).
-    panel: Vec<f64>,
 }
 
 impl Householder {
@@ -116,17 +130,15 @@ impl Householder {
             a,
             diag: vec![0.0; n],
             t: vec![0.0; n.div_ceil(NB) * NB * NB],
-            panel: vec![0.0; m * NB],
         };
         for k0 in (0..n).step_by(NB) {
             h.factor_panel(k0);
-            let v = load_panel(&h.a, k0, &mut h.panel);
+            let end = (k0 + NB).min(n);
+            let (panel, trailing) = h.a.as_mut_slice().split_at_mut(end * m);
             let t = &mut h.t[k0 * NB..(k0 + NB) * NB];
-            build_t(v, m - k0, t);
-            let block = Block { v, m, k0, t };
+            let block = Block::factorised(&panel[k0 * m + k0..], m, k0, end - k0, t);
             // A₂ ← (I − V·Tᵀ·Vᵀ)·A₂ for the columns right of the panel
-            let trailing = (k0 + NB).min(n) * m;
-            block.apply(true, &mut h.a.as_mut_slice()[trailing..]);
+            block.apply(true, trailing);
         }
         Ok(h)
     }
@@ -183,9 +195,15 @@ impl Householder {
     /// the last (`dorgqr`), then negate the columns whose `R` row was negated.
     fn into_q(mut self) -> Matrix {
         let (m, n) = (self.a.rows(), self.a.cols());
+        let mut panel = Vec::with_capacity(NB * m);
         for k0 in (0..n).step_by(NB).rev() {
             let end = (k0 + NB).min(n);
-            let block = Block::load(&self.a, k0, &mut self.panel, &self.t);
+            // the panel's own columns are overwritten below while their V is
+            // still read, so V is read from a copy
+            panel.clear();
+            panel.extend_from_slice(&self.a.as_slice()[k0 * m..end * m]);
+            let t = &self.t[k0 * NB..(k0 + NB) * NB];
+            let block = Block::new(&panel[k0..], m, k0, end - k0, t);
             // the columns right of the panel are zero in the panel's rows
             // until this block reaches them
             let (own, trailing) = self.a.as_mut_slice()[k0 * m..].split_at_mut((end - k0) * m);
@@ -214,76 +232,78 @@ impl Householder {
     /// `b ← Qᵀ·b` over the full `m × m` orthogonal `Q = H₁⋯Hₙ`; the first
     /// `n` rows of the result are the thin `Qᵀ·b` (before the sign
     /// convention).
-    fn apply_qt(&mut self, b: &mut Matrix) {
-        for k0 in (0..self.a.cols()).step_by(NB) {
-            Block::load(&self.a, k0, &mut self.panel, &self.t).apply(true, b.as_mut_slice());
-        }
-    }
-}
-
-/// Copy the reflectors of the panel at `k0` into `panel` as an
-/// `(m − k0) × NB` column-major `V`: zeros above each reflector's first row,
-/// and zero columns past a narrow last panel.
-fn load_panel<'p>(a: &Matrix, k0: usize, panel: &'p mut [f64]) -> &'p [f64] {
-    let (m, n) = (a.rows(), a.cols());
-    let mp = m - k0;
-    let v = &mut panel[..NB * mp];
-    for (c, dst) in v.chunks_exact_mut(mp).enumerate() {
-        let k = k0 + c;
-        if k < n {
-            dst[..c].fill(0.0);
-            dst[c..].copy_from_slice(&a.col(k)[k..]);
-        } else {
-            dst.fill(0.0);
-        }
-    }
-    v
-}
-
-/// The `dlarft` recurrence `T[..c, c] = −τ_c·T[..c, ..c]·(V[:, ..c]ᵀ·v_c)`
-/// over an `mp × NB` panel `v`, given the `τ`s on `t`'s diagonal.
-fn build_t(v: &[f64], mp: usize, t: &mut [f64]) {
-    for c in 1..NB {
-        let tau = t[c * (NB + 1)];
-        if tau == 0.0 {
-            continue;
-        }
-        let vc = &v[c * mp + c..(c + 1) * mp];
-        let z: [f64; NB] = std::array::from_fn(|l| {
-            if l < c {
-                dot(&v[l * mp + c..(l + 1) * mp], vc)
-            } else {
-                0.0
-            }
-        });
-        for i in 0..c {
-            let s: f64 = (i..c).map(|l| t[l * NB + i] * z[l]).sum();
-            t[c * NB + i] = -tau * s;
+    fn apply_qt(&self, b: &mut Matrix) {
+        let (m, n) = (self.a.rows(), self.a.cols());
+        for k0 in (0..n).step_by(NB) {
+            let v = &self.a.as_slice()[k0 * m + k0..];
+            let t = &self.t[k0 * NB..(k0 + NB) * NB];
+            let block = Block::new(v, m, k0, (k0 + NB).min(n) - k0, t);
+            block.apply(true, b.as_mut_slice());
         }
     }
 }
 
 /// One panel of reflectors as the block `I − V·T·Vᵀ`, acting on rows
-/// `k0..m` of whole `m`-row columns.
+/// `k0..m` of whole `m`-row columns. `V` is `(m − k0) × NB`: zero above
+/// each reflector's first row, and zero columns past a narrow last panel.
 struct Block<'a> {
-    /// `(m − k0) × NB` column-major.
+    /// `V`'s rows from `NB` on, read in place: `V[r][c] = v[c·m + r]`, rows
+    /// relative to `k0`.
     v: &'a [f64],
+    /// The reflectors in the panel; `V`'s columns from `width` on are zero.
+    width: usize,
     m: usize,
     k0: usize,
+    /// `V`'s first `NB` rows by column: the reflectors' top lower triangle,
+    /// zero where the matrix holds `R`.
+    top: [[f64; NB]; NB],
     /// `NB × NB` upper triangular, column-major.
     t: &'a [f64],
 }
 
 impl<'a> Block<'a> {
-    /// The block of the panel at `k0` of `a`, its `V` loaded into `panel`
-    /// and its `T` taken from the factorisation's `t`.
-    fn load(a: &Matrix, k0: usize, panel: &'a mut [f64], t: &'a [f64]) -> Self {
+    /// The block of the `width` reflectors stored in `v` (see [`Block::v`];
+    /// the top triangle is copied from there), with its `T`.
+    fn new(v: &'a [f64], m: usize, k0: usize, width: usize, t: &'a [f64]) -> Self {
+        let mp = m - k0;
+        let top = std::array::from_fn(|c| {
+            std::array::from_fn(|r| {
+                if c < width && c <= r && r < mp {
+                    v[c * m + r]
+                } else {
+                    0.0
+                }
+            })
+        });
         Block {
-            v: load_panel(a, k0, panel),
-            m: a.rows(),
+            v,
+            width,
+            m,
             k0,
-            t: &t[k0 * NB..(k0 + NB) * NB],
+            top,
+            t,
         }
+    }
+
+    /// The block of a panel just factorised, with the `τ`s on `t`'s
+    /// diagonal: fills in the rest of `T` by the `dlarft` recurrence
+    /// `T[..c, c] = −τ_c·T[..c, ..c]·(V[:, ..c]ᵀ·v_c)`, the dots read from
+    /// one Gram pass `VᵀV`.
+    fn factorised(v: &'a [f64], m: usize, k0: usize, width: usize, t: &'a mut [f64]) -> Self {
+        let mut block = Block::new(v, m, k0, width, &[]);
+        let g = block.gram();
+        for c in 1..NB {
+            let tau = t[c * (NB + 1)];
+            if tau == 0.0 {
+                continue;
+            }
+            for i in 0..c {
+                let s: f64 = (i..c).map(|l| t[l * NB + i] * g[c][l]).sum();
+                t[c * NB + i] = -tau * s;
+            }
+        }
+        block.t = t;
+        block
     }
 
     /// `T·w`, or `Tᵀ·w` when `trans`.
@@ -302,41 +322,121 @@ impl<'a> Block<'a> {
         })
     }
 
-    /// `V`'s rows `r0..r1` (relative to `k0`), one slice per reflector.
-    fn rows(&self, r0: usize, r1: usize) -> [&[f64]; NB] {
+    /// The row blocks of `V` (relative to `k0`): the top triangle's rows,
+    /// then up to `RB` rows at a time.
+    fn row_blocks(&self) -> impl Iterator<Item = (usize, usize)> {
         let mp = self.m - self.k0;
-        std::array::from_fn(|c| &self.v[c * mp + r0..c * mp + r1])
+        std::iter::once((0, NB.min(mp)))
+            .chain((NB..mp).step_by(RB).map(move |r0| (r0, (r0 + RB).min(mp))))
+    }
+
+    /// `V`'s rows `r0..r1` (relative to `k0`, inside one row block), one
+    /// slice per reflector.
+    fn rows(&self, r0: usize, r1: usize) -> [&[f64]; NB] {
+        debug_assert!(r1 <= NB || r0 >= NB);
+        std::array::from_fn(|c| {
+            if r1 <= NB {
+                &self.top[c][r0..r1]
+            } else if c < self.width {
+                &self.v[c * self.m + r0..c * self.m + r1]
+            } else {
+                &ZEROS[..r1 - r0]
+            }
+        })
+    }
+
+    /// `VᵀV` by columns.
+    fn gram(&self) -> [[f64; NB]; NB] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(fma) = Fma::detect() {
+            return self.gram_with(fma);
+        }
+        self.gram_with(Scalar)
+    }
+
+    fn gram_with(&self, leaf: impl Leaf) -> [[f64; NB]; NB] {
+        let mut g = [[0.0; NB]; NB];
+        for (r0, r1) in self.row_blocks() {
+            let v = self.rows(r0, r1);
+            for (gc, vc) in g.iter_mut().zip(v) {
+                for (x, y) in gc.iter_mut().zip(leaf.dots(&v, vc)) {
+                    *x += y;
+                }
+            }
+        }
+        g
     }
 
     /// `cols ← (I − V·T·Vᵀ)·cols`, or with `Tᵀ` (the block's transpose)
     /// when `trans`, for every column of `cols`.
     fn apply(&self, trans: bool, cols: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(fma) = Fma::detect() {
+            return self.apply_with(fma, trans, cols);
+        }
+        self.apply_with(Scalar, trans, cols)
+    }
+
+    fn apply_with(&self, leaf: impl Leaf, trans: bool, cols: &mut [f64]) {
         let (m, k0) = (self.m, self.k0);
         let mut w = vec![[0.0; NB]; cols.len() / m];
-        for r0 in (0..m - k0).step_by(RB) {
-            let r1 = (r0 + RB).min(m - k0);
+        for (r0, r1) in self.row_blocks() {
             let v = self.rows(r0, r1);
             for (wj, col) in w.iter_mut().zip(cols.chunks_exact(m)) {
-                let d = dots(&v, &col[k0 + r0..k0 + r1]);
+                let d = leaf.dots(&v, &col[k0 + r0..k0 + r1]);
                 for (x, y) in wj.iter_mut().zip(d) {
                     *x += y;
                 }
             }
         }
         let ys: Vec<[f64; NB]> = w.iter().map(|wj| self.t_times(trans, wj)).collect();
-        self.update(&ys, cols);
+        self.update_with(leaf, &ys, cols);
     }
 
     /// Column `j` of `cols` `−= V·ys[j]`, in row blocks.
     fn update(&self, ys: &[[f64; NB]], cols: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(fma) = Fma::detect() {
+            return self.update_with(fma, ys, cols);
+        }
+        self.update_with(Scalar, ys, cols)
+    }
+
+    fn update_with(&self, leaf: impl Leaf, ys: &[[f64; NB]], cols: &mut [f64]) {
         let (m, k0) = (self.m, self.k0);
-        for r0 in (0..m - k0).step_by(RB) {
-            let r1 = (r0 + RB).min(m - k0);
+        for (r0, r1) in self.row_blocks() {
             let v = self.rows(r0, r1);
             for (y, col) in ys.iter().zip(cols.chunks_exact_mut(m)) {
-                sub_v_times(&v, y, &mut col[k0 + r0..k0 + r1]);
+                leaf.sub_v_times(&v, y, &mut col[k0 + r0..k0 + r1]);
             }
         }
+    }
+}
+
+/// The leaf kernels of the block operations over one row block. A block
+/// operation picks its implementation once and runs every row block
+/// through it.
+trait Leaf: Copy {
+    /// The `NB` dots `vᵀ·a`.
+    fn dots(self, v: &[&[f64]; NB], a: &[f64]) -> [f64; NB];
+    /// `a −= V·y`.
+    fn sub_v_times(self, v: &[&[f64]; NB], y: &[f64; NB], a: &mut [f64]);
+}
+
+/// The portable bodies: the only path on CPUs without AVX2 and FMA, and
+/// the tests' reference.
+#[derive(Clone, Copy)]
+struct Scalar;
+
+impl Leaf for Scalar {
+    #[inline(always)]
+    fn dots(self, v: &[&[f64]; NB], a: &[f64]) -> [f64; NB] {
+        dots(v, a)
+    }
+
+    #[inline(always)]
+    fn sub_v_times(self, v: &[&[f64]; NB], y: &[f64; NB], a: &mut [f64]) {
+        sub_v_times(v, y, a)
     }
 }
 
@@ -372,6 +472,92 @@ fn sub_v_times(v: &[&[f64]; NB], y: &[f64; NB], a: &mut [f64]) {
             s += v[c][i] * y[c];
         }
         *x -= s;
+    }
+}
+
+/// The AVX2+FMA bodies: four rows per instruction, one fused multiply-add
+/// per reflector and row quad.
+#[cfg(target_arch = "x86_64")]
+mod fma {
+    use super::{Leaf, NB};
+    use std::arch::x86_64::*;
+
+    /// Proof that this CPU runs AVX2 and FMA: made only by
+    /// [`Fma::detect`].
+    #[derive(Clone, Copy)]
+    pub(super) struct Fma(());
+
+    impl Fma {
+        pub(super) fn detect() -> Option<Fma> {
+            (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")).then_some(Fma(()))
+        }
+    }
+
+    impl Leaf for Fma {
+        #[inline]
+        fn dots(self, v: &[&[f64]; NB], a: &[f64]) -> [f64; NB] {
+            // SAFETY: an `Fma` exists only once `Fma::detect` has found AVX2
+            // and FMA on this CPU.
+            unsafe { dots(v, a) }
+        }
+
+        #[inline]
+        fn sub_v_times(self, v: &[&[f64]; NB], y: &[f64; NB], a: &mut [f64]) {
+            // SAFETY: an `Fma` exists only once `Fma::detect` has found AVX2
+            // and FMA on this CPU.
+            unsafe { sub_v_times(v, y, a) }
+        }
+    }
+
+    /// [`super::dots`] with one 4-lane accumulator per reflector; the last
+    /// `len % 4` rows go through the scalar body.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dots(v: &[&[f64]; NB], a: &[f64]) -> [f64; NB] {
+        let len = a.len();
+        let quads = len - len % 4;
+        let v = v.map(|c| &c[..len]);
+        let mut acc = [_mm256_setzero_pd(); NB];
+        // every load reads i..i + 4 ≤ quads ≤ len, and each v[c] is cut to len
+        for i in (0..quads).step_by(4) {
+            let x = _mm256_loadu_pd(a.as_ptr().add(i));
+            for c in 0..NB {
+                acc[c] = _mm256_fmadd_pd(_mm256_loadu_pd(v[c].as_ptr().add(i)), x, acc[c]);
+            }
+        }
+        let mut out = super::dots(&v.map(|c| &c[quads..]), &a[quads..]);
+        for (o, q) in out.iter_mut().zip(acc) {
+            let mut lanes = [0.0; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), q);
+            *o += (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        }
+        out
+    }
+
+    /// [`super::sub_v_times`] four rows at a time; the last `len % 4` rows
+    /// go through the scalar body.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sub_v_times(v: &[&[f64]; NB], y: &[f64; NB], a: &mut [f64]) {
+        let len = a.len();
+        let quads = len - len % 4;
+        let v = v.map(|c| &c[..len]);
+        let y4 = y.map(|yc| _mm256_set1_pd(yc));
+        // every load and store touches i..i + 4 ≤ quads ≤ len, and each v[c]
+        // is cut to len
+        for i in (0..quads).step_by(4) {
+            let p = a.as_mut_ptr().add(i);
+            let mut x = _mm256_loadu_pd(p);
+            for c in 0..NB {
+                x = _mm256_fnmadd_pd(_mm256_loadu_pd(v[c].as_ptr().add(i)), y4[c], x);
+            }
+            _mm256_storeu_pd(p, x);
+        }
+        super::sub_v_times(&v.map(|c| &c[quads..]), y, &mut a[quads..]);
     }
 }
 
@@ -446,6 +632,128 @@ mod tests {
         let x = least_squares(&a, &b).unwrap();
         assert!((x.get(0, 0) - 1.02).abs() < 0.1); // intercept ≈ 1
         assert!((x.get(1, 0) - 1.98).abs() < 0.1); // slope ≈ 2
+    }
+
+    /// The AVX2+FMA leaf kernels, where this CPU has them.
+    #[cfg(target_arch = "x86_64")]
+    fn simd_leaf() -> Option<Fma> {
+        Fma::detect()
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn simd_leaf() -> Option<Scalar> {
+        None
+    }
+
+    /// `NB` reflector columns and a target column of `len` rows, and a `y`,
+    /// uniform in `[-1, 1)` from a fixed-seed xorshift generator.
+    fn leaf_inputs(len: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>, [f64; NB]) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0
+        };
+        let v = (0..NB)
+            .map(|_| (0..len).map(|_| next()).collect())
+            .collect();
+        let a = (0..len).map(|_| next()).collect();
+        (v, a, std::array::from_fn(|_| next()))
+    }
+
+    fn views(v: &[Vec<f64>]) -> [&[f64]; NB] {
+        std::array::from_fn(|c| v[c].as_slice())
+    }
+
+    /// Both leaf kernels on both paths: `(dots, a − V·y)`.
+    fn both_paths(
+        simd: impl Leaf,
+        v: &[&[f64]; NB],
+        a: &[f64],
+        y: &[f64; NB],
+    ) -> [([f64; NB], Vec<f64>); 2] {
+        let (mut scalar, mut fast) = (a.to_vec(), a.to_vec());
+        Scalar.sub_v_times(v, y, &mut scalar);
+        simd.sub_v_times(v, y, &mut fast);
+        [(Scalar.dots(v, a), scalar), (simd.dots(v, a), fast)]
+    }
+
+    #[test]
+    fn simd_leaf_kernels_match_scalar_on_every_length() {
+        let Some(simd) = simd_leaf() else {
+            eprintln!("skipped: no AVX2+FMA on this CPU, only the scalar leaf kernels run");
+            return;
+        };
+        // every residue mod 4, whole and partial row blocks
+        for len in 0..=2 * RB + 3 {
+            let (v, a, y) = leaf_inputs(len, len as u64);
+            let v = views(&v);
+            let [(dots, sub), (simd_dots, simd_sub)] = both_paths(simd, &v, &a, &y);
+            for c in 0..NB {
+                let scale: f64 = v[c].iter().zip(&a).map(|(x, z)| (x * z).abs()).sum();
+                let diff = (dots[c] - simd_dots[c]).abs();
+                assert!(
+                    diff <= 1e-13 * scale,
+                    "dots, {len} rows, reflector {c}: {diff}"
+                );
+            }
+            for i in 0..len {
+                let scale = a[i].abs() + (0..NB).map(|c| (v[c][i] * y[c]).abs()).sum::<f64>();
+                let diff = (sub[i] - simd_sub[i]).abs();
+                assert!(
+                    diff <= 1e-13 * scale,
+                    "a − V·y, {len} rows, row {i}: {diff}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn simd_leaf_kernels_propagate_nan_and_inf_like_scalar() {
+        let Some(simd) = simd_leaf() else {
+            eprintln!("skipped: no AVX2+FMA on this CPU, only the scalar leaf kernels run");
+            return;
+        };
+        let class = |x: f64| match x {
+            x if x.is_nan() => "NaN",
+            f64::INFINITY => "+Inf",
+            f64::NEG_INFINITY => "-Inf",
+            _ => "finite",
+        };
+        // the special value in a SIMD quad and in the scalar tail
+        for len in [7, RB + 7] {
+            for at in [0, len - 1] {
+                for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    for target in ["a", "v", "y", "a and v"] {
+                        let (mut v, mut a, mut y) = leaf_inputs(len, at as u64);
+                        if target.contains('a') {
+                            a[at] = special;
+                        }
+                        if target.contains('v') {
+                            v[3][at] = -special;
+                        }
+                        if target == "y" {
+                            y[5] = special;
+                        }
+                        let v = views(&v);
+                        let [(dots, sub), (simd_dots, simd_sub)] = both_paths(simd, &v, &a, &y);
+                        let case = format!("{special} in {target}, {len} rows, row {at}");
+                        assert_eq!(dots.map(class), simd_dots.map(class), "dots, {case}");
+                        let sub: Vec<_> = sub.into_iter().map(class).collect();
+                        let simd_sub: Vec<_> = simd_sub.into_iter().map(class).collect();
+                        assert_eq!(sub, simd_sub, "a − V·y, {case}");
+                        assert_ne!(sub[at], "finite", "a − V·y, {case}");
+                    }
+                }
+            }
+        }
+        // dense QR of a matrix with a NaN cell returns NaN, not a finite Q
+        let (mut cols, a, _) = leaf_inputs(RB + 7, 1);
+        cols.push(a);
+        let mut a = Matrix::from_columns(&cols).unwrap();
+        a.set(RB, NB, f64::NAN);
+        assert!(qr(&a).unwrap().q.as_slice().iter().any(|x| x.is_nan()));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! The delegation policy (which kernel runs which operation at which size)
 //! lives in `rma-core`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![allow(clippy::needless_range_loop)] // index-explicit loops mirror the textbook algorithms
 #![allow(clippy::type_complexity)] // (Vec<Vec<f64>>, Vec<Vec<f64>>) factor pairs
 

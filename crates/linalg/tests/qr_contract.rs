@@ -1,8 +1,8 @@
 //! The contract of the blocked Householder QR: `Q·R = A`, `QᵀQ = I`, `R`
 //! upper triangular with a non-negative diagonal, on shapes that straddle
 //! the panel width, with random, rank-deficient and zero-column inputs; `R`
-//! agrees with the independent Gram-Schmidt kernel; and one run at the
-//! benchmark's 50 000 × 40 shape.
+//! agrees with the independent Gram-Schmidt kernel; least squares meets the
+//! normal equations; and one run at the benchmark's 50 000 × 40 shape.
 
 use rma_linalg::bat;
 use rma_linalg::dense::{self, Matrix, Qr};
@@ -27,11 +27,19 @@ fn uniform_columns(m: usize, n: usize, seed: u64, lo: f64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Every `(m, n)` of the grid: square, one extra row, 3× tall, and 1000 rows.
+/// Row counts around the block kernels' row block (256 rows) and SIMD width
+/// (4 rows): one under, one over, and a `4k + 3`.
+const KERNEL_ROWS: [usize; 3] = [255, 257, 267];
+
+/// Every `(m, n)` of the grid: square, one extra row, 3× tall, 1000 rows, and
+/// each of `KERNEL_ROWS`.
 fn shapes() -> impl Iterator<Item = (usize, usize)> {
-    WIDTHS
-        .into_iter()
-        .flat_map(|n| [n, n + 1, 3 * n, 1000].map(|m| (m, n)))
+    WIDTHS.into_iter().flat_map(|n| {
+        [n, n + 1, 3 * n, 1000]
+            .into_iter()
+            .chain(KERNEL_ROWS)
+            .map(move |m| (m, n))
+    })
 }
 
 fn max_abs_diff_from_identity(qtq: &Matrix) -> f64 {
@@ -110,6 +118,21 @@ fn zero_columns_meet_the_contract() {
         let qr = assert_contract(&cols, 1e-12);
         assert_eq!(qr.r.get(0, 0), 0.0);
     }
+}
+
+#[test]
+fn least_squares_meets_the_normal_equations() {
+    // 17 columns: two full panels and a one-reflector panel, each applied
+    // to the right-hand side with its reflectors read in place
+    let (m, n) = (1000, 17);
+    let a = Matrix::from_columns(&uniform_columns(m, n, 300, -0.5)).unwrap();
+    let b = Matrix::from_columns(&uniform_columns(m, 1, 301, -0.5)).unwrap();
+    let x = dense::least_squares(&a, &b).unwrap();
+    let ax = dense::matmul(&a, &x).unwrap();
+    let residual = ax.zip_with(&b, |p, q| p - q).unwrap();
+    let normal = dense::crossprod(&a, &residual).unwrap().frobenius_norm();
+    let bound = 1e-12 * a.frobenius_norm() * b.frobenius_norm();
+    assert!(normal <= bound, "|At(Ax - b)| = {normal} > {bound}");
 }
 
 /// The benchmark's `qqr_tall` shape and its result checks. Slow without

@@ -5,6 +5,8 @@
 //! (σ, π, ρ, ⋈, ×, ϑ, ∪, distinct, order, limit). The relational matrix
 //! algebra in `rma-core` builds directly on this crate.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod algebra;
 pub mod error;
 pub mod expr;

@@ -943,15 +943,18 @@ impl WorkerPool {
         let id;
         {
             let mut st = lock(&self.shared);
-            // SAFETY (lifetime erasure): this call blocks below until the
-            // entry is complete (no runner left, none can join) and removes
-            // it before returning — the pointee outlives every dereference.
-            let raw = JobSlot(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync + '_),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(f)
-            });
+            let raw = JobSlot(
+                // SAFETY: lifetime erasure. This call blocks below until the
+                // entry is complete (no runner left, none can join) and
+                // removes it before returning — the pointee outlives every
+                // dereference.
+                unsafe {
+                    std::mem::transmute::<
+                        *const (dyn Fn(usize) + Sync + '_),
+                        *const (dyn Fn(usize) + Sync + 'static),
+                    >(f)
+                },
+            );
             id = st.next_id;
             st.next_id += 1;
             let seq = st.next_seq;
