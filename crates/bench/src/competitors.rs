@@ -23,7 +23,7 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the simulated engines
 
 use rma_linalg::dense::{self, Matrix};
-use rma_relation::{AggSpec, Expr, Relation};
+use rma_relation::{AggSpec, Expr, Relation, WorkerPool};
 use rma_storage::Value;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -79,18 +79,20 @@ impl RelEngine {
     /// Equi-join dispatching on the flavor.
     pub fn join(&self, a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Relation {
         match self.flavor {
-            RelFlavor::Native => rma_relation::join_on(a, b, on).expect("join"),
+            RelFlavor::Native => {
+                rma_relation::join_on(a, b, on, &WorkerPool::new(1)).expect("join")
+            }
             RelFlavor::Single => stringified_merge_join(a, b, on),
             RelFlavor::RowAtATime => row_at_a_time_join(a, b, on),
         }
     }
 
     /// Grouped aggregation; single-threaded flavors reuse the native
-    /// operator (it is single-threaded too), row-at-a-time pays boxing.
+    /// operator on a one-worker pool, row-at-a-time pays boxing.
     pub fn aggregate(&self, r: &Relation, gb: &[&str], aggs: &[AggSpec]) -> Relation {
         match self.flavor {
             RelFlavor::RowAtATime => row_at_a_time_aggregate(r, gb, aggs),
-            _ => rma_relation::aggregate(r, gb, aggs).expect("aggregate"),
+            _ => rma_relation::aggregate(r, gb, aggs, &WorkerPool::new(1)).expect("aggregate"),
         }
     }
 
@@ -106,7 +108,7 @@ impl RelEngine {
                     .collect();
                 r.filter(&keep)
             }
-            _ => rma_relation::select(r, pred).expect("select"),
+            _ => rma_relation::select(r, pred, &WorkerPool::new(1)).expect("select"),
         }
     }
 }
@@ -214,6 +216,7 @@ fn row_at_a_time_aggregate(r: &Relation, gb: &[&str], aggs: &[AggSpec]) -> Relat
         groups.entry(key).or_default().push(i);
     }
     // per-group boxed evaluation
+    let pool = WorkerPool::new(1);
     let mut reps: Vec<usize> = Vec::with_capacity(groups.len());
     let mut parts: Vec<Relation> = Vec::new();
     let mut order: Vec<&Vec<usize>> = groups.values().collect();
@@ -221,13 +224,13 @@ fn row_at_a_time_aggregate(r: &Relation, gb: &[&str], aggs: &[AggSpec]) -> Relat
     for rows in order {
         reps.push(rows[0]);
         let sub = r.take(rows);
-        parts.push(rma_relation::aggregate(&sub, &[], aggs).expect("agg"));
+        parts.push(rma_relation::aggregate(&sub, &[], aggs, &pool).expect("agg"));
     }
     // group-by columns from representatives, one aggregate row per group
     let mut agg_rel = parts
         .first()
         .cloned()
-        .unwrap_or_else(|| rma_relation::aggregate(&r.take(&[]), &[], aggs).expect("agg"));
+        .unwrap_or_else(|| rma_relation::aggregate(&r.take(&[]), &[], aggs, &pool).expect("agg"));
     for p in parts.iter().skip(1) {
         agg_rel = rma_relation::union_all(&agg_rel, p).expect("union");
     }

@@ -662,8 +662,8 @@ pub fn run_scidb_comparison(
     let t = Instant::now();
     let ctx = RmaContext::default();
     let sum = ctx.add(year1, &["k0"], year2, &["k"]).expect("add");
-    let selected = rma_relation::select(&sum, &Expr::col(dest_refs[0]).gt(Expr::lit(threshold)))
-        .expect("select");
+    let above = Expr::col(dest_refs[0]).gt(Expr::lit(threshold));
+    let selected = rma_relation::select(&sum, &above, ctx.pool()).expect("select");
     let rma_time = t.elapsed();
     let rma_count = selected.len();
 

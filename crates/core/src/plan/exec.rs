@@ -1,24 +1,24 @@
 //! Logical-plan interpreter: walks an (optimized) [`LogicalPlan`] and calls
 //! the eager relational-algebra functions and RMA kernels. The eager APIs
 //! remain the execution layer; this module only adds plan-level concerns —
-//! table resolution, scan-time projection, sortedness hints, per-node
-//! backend overrides, and the routing into the morsel-driven parallel
-//! operators.
+//! table resolution, scan-time projection, sortedness hints and per-node
+//! backend overrides.
 //!
-//! Parallel routing: every plan node runs operator-at-a-time through one
-//! match arm, at every thread count. Selections, hash joins, aggregation,
-//! sort and top-k are the `*_parallel` operators, which run on the
-//! context's session [`WorkerPool`](rma_relation::WorkerPool)
-//! (`ctx.pool()`) — never on per-operator thread spawns — and fall back to
-//! their serial bodies on a one-worker pool or a small input. Projections
-//! of column references stay zero-copy; every other operator is serial.
+//! Every plan node runs operator-at-a-time through one match arm, at every
+//! thread count. Each relational operator is one call into
+//! [`rma_relation`] with the context's session
+//! [`WorkerPool`](rma_relation::WorkerPool) (`ctx.pool()`), and the operator
+//! itself picks its path — serial, pooled or spilled — and charges its
+//! working set on the plan's guard (see `rma_relation::algebra`).
+//! Projections of column references stay zero-copy.
 //!
 //! Profiling: [`execute_analyzed`] runs the same interpreter with a
-//! per-node actuals recorder — output rows, inclusive wall time, and the
-//! morsels the node's subtree dispatched to the pool — in the exact
-//! pre-order the EXPLAIN tree prints nodes, which is what `EXPLAIN
-//! ANALYZE` joins back onto the cost-annotated rendering. The recorder
-//! changes no routing decision: an analyzed run executes the same
+//! per-node actuals recorder — output rows, inclusive wall time, the
+//! morsels the node's subtree dispatched to the pool and, for the
+//! relational operators, the path the operator's own call took — in the
+//! exact pre-order the EXPLAIN tree prints nodes, which is what
+//! `EXPLAIN ANALYZE` joins back onto the cost-annotated rendering. The
+//! recorder changes no routing decision: an analyzed run executes the same
 //! operators as [`execute`], and each node's `exec.*` span
 //! ([`rma_relation::trace`], recorded whenever a collector is installed on
 //! the executing thread) carries the same rows and morsels.
@@ -27,20 +27,8 @@
 //! [`QueryGuard`](rma_relation::QueryGuard), which the pool carries to
 //! every worker; plan-level [`crate::context::ExecStats`] and per-node
 //! [`NodeActual`]s are differences of that guard's counters, never of a
-//! process-wide total another query can bump.
-//!
-//! Out-of-core: when a memory budget is set and an operator's estimated
-//! working set does not fit the guard's remaining headroom, the
-//! interpreter routes joins to the spilling grace hash join, sorts to the
-//! external merge sort, and keyed aggregations to the partition-wise
-//! spilling aggregate (`rma_relation::algebra`'s `grace_*` /
-//! `*_external` operators) instead of failing the query. In-memory
-//! operators charge their working set as a *scope* — charged on entry,
-//! released when the operator completes — so the budget governs peak
-//! operator memory, not the lifetime sum of every materialization the
-//! plan ever performed. Spilled bytes are accounted separately
-//! ([`rma_relation::QueryGuard::spill_bytes`]) and surface in
-//! [`crate::context::ExecStats`] and per-node in [`NodeActual`].
+//! process-wide total another query can bump. Spilled bytes surface in
+//! both.
 
 use super::{LogicalPlan, PlanError, TableProvider};
 use crate::context::{RmaContext, RmaOptions};
@@ -117,40 +105,23 @@ fn since(before: [u64; 4]) -> [u64; 4] {
     std::array::from_fn(|i| now[i] - before[i])
 }
 
-/// An operator's working memory, charged against the plan's guard for
-/// exactly the operator's lifetime: charged on construction, released on
-/// drop (success *and* error paths). The weights are
-/// documented estimates, not measurements — their job is to stop (or
-/// spill) a hopeless operator *before* the allocation, not to meter it
-/// exactly. Scoping is what makes the budget govern *peak* operator
-/// memory: a pipeline of modest operators runs under a modest budget,
-/// where the old cumulative accounting double-charged every nested
-/// materialization point (a hash build deep in the plan stayed charged
-/// long after the join freed it).
-struct ChargeScope(rel::QueryGuard, u64);
-
-impl ChargeScope {
-    /// Charge `bytes`; fails with the guard's typed trip when the charge
-    /// breaches the budget.
-    fn new(bytes: u64) -> Result<ChargeScope, PlanError> {
-        let g = plan_guard();
-        g.try_charge(bytes).map_err(RmaError::from)?;
-        Ok(ChargeScope(g, bytes))
-    }
-}
-
-impl Drop for ChargeScope {
-    fn drop(&mut self) {
-        self.0.release(self.1);
-    }
-}
-
-/// Should an operator with an estimated working set of `est_bytes` take
-/// its spilling implementation? True only when the guard has a finite
-/// budget and the estimate does not fit the remaining headroom — a pure
-/// probe, it never trips the guard itself.
-fn should_spill(est_bytes: u64) -> bool {
-    !plan_guard().fits(est_bytes)
+/// Run one relational operator and note in `strategy` the path it took,
+/// observed on the plan guard's counters across the call: `spilled` when
+/// it wrote spill partitions, `pooled` when it dispatched morsels, `serial`
+/// otherwise.
+fn observed(
+    strategy: &mut Option<&'static str>,
+    op: impl FnOnce() -> Result<Relation, rel::RelationError>,
+) -> Result<Relation, PlanError> {
+    let before = counts();
+    let out = op()?;
+    let [_, spill_partitions, _, morsels] = since(before);
+    *strategy = Some(match (spill_partitions, morsels) {
+        (1.., _) => "spilled",
+        (0, 1..) => "pooled",
+        (0, 0) => "serial",
+    });
+    Ok(out)
 }
 
 /// What one plan node actually did during an analyzed execution.
@@ -181,6 +152,10 @@ pub struct NodeActual {
     /// `Rma` nodes only: this node's own kernel time including the
     /// BAT↔dense copies, in nanoseconds.
     pub kernel_nanos: u64,
+    /// Select, aggregate, join, sort and top-k nodes only: the path the
+    /// operator's own call took (`serial`, `pooled` or `spilled`), its
+    /// subtree excluded.
+    pub strategy: Option<&'static str>,
 }
 
 /// Execute a plan while recording per-node actuals, returned **in the
@@ -243,6 +218,7 @@ fn execute_inner(
     let span = trace::clock();
     // an RMA node's (order handling, kernel) split, from its ExecStats delta
     let mut rma_nanos = (0u64, 0u64);
+    let mut strategy = None;
     let result = match plan {
         LogicalPlan::Values { rel, projection } => {
             scan_projected(rel.as_ref(), projection.as_deref())
@@ -255,9 +231,7 @@ fn execute_inner(
         }
         LogicalPlan::Select { input, predicate } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            // select_parallel (like the other *_parallel operators) runs
-            // the serial operator itself on a single-worker pool
-            Ok(rel::select_parallel(&r, predicate, pool)?)
+            observed(&mut strategy, || rel::select(&r, predicate, pool))
         }
         LogicalPlan::Project { input, items } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -272,45 +246,19 @@ fn execute_inner(
         } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            if gb.is_empty() {
-                // ungrouped: a handful of accumulators, not a table —
-                // charging 32 bytes per input row here rejected queries
-                // whose working set is actually constant
-                let _working = ChargeScope::new(256)?;
-                Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
-            } else {
-                let est = rel::aggregate_state_bytes(r.len());
-                if should_spill(est) {
-                    Ok(rel::aggregate_external(&r, &gb, aggs, pool)?)
-                } else {
-                    let _working = ChargeScope::new(est)?;
-                    Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
-                }
-            }
+            observed(&mut strategy, || rel::aggregate(&r, &gb, aggs, pool))
         }
         LogicalPlan::NaturalJoin { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            let est = rel::join_build_bytes(r.len());
-            if should_spill(est) {
-                Ok(rel::grace_natural_join(&l, &r, pool)?)
-            } else {
-                let _build = ChargeScope::new(est)?;
-                Ok(rel::natural_join_parallel(&l, &r, pool)?)
-            }
+            observed(&mut strategy, || rel::natural_join(&l, &r, pool))
         }
         LogicalPlan::JoinOn { left, right, on } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            let est = rel::join_build_bytes(r.len());
             let pairs: Vec<(&str, &str)> =
                 on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-            if should_spill(est) {
-                Ok(rel::grace_join_on(&l, &r, &pairs, pool)?)
-            } else {
-                let _build = ChargeScope::new(est)?;
-                Ok(rel::join_on_parallel(&l, &r, &pairs, pool)?)
-            }
+            observed(&mut strategy, || rel::join_on(&l, &r, &pairs, pool))
         }
         LogicalPlan::Cross { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
@@ -328,17 +276,9 @@ fn execute_inner(
         }
         LogicalPlan::OrderBy { input, keys } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            // sort runs + merged permutation: one index per row, 8 bytes
-            let est = 8 * r.len() as u64;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
-            if should_spill(est) {
-                Ok(rel::order_by_external(&r, &attrs, &dirs, pool)?)
-            } else {
-                let _working = ChargeScope::new(est)?;
-                // per-worker local sorts + k-way merge; result is a view
-                Ok(rel::order_by_parallel(&r, &attrs, &dirs, pool)?)
-            }
+            observed(&mut strategy, || rel::order_by(&r, &attrs, &dirs, pool))
         }
         LogicalPlan::Limit { input, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -346,16 +286,9 @@ fn execute_inner(
         }
         LogicalPlan::TopK { input, keys, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            // bounded heaps: n candidates per worker, 8-byte indices —
-            // already sublinear in the input, so top-k never spills. A LIMIT
-            // past the input keeps every row; clamped, the charge cannot
-            // overflow
-            let n = (*n).min(r.len());
-            let _working = ChargeScope::new(8 * (n as u64) * pool.threads() as u64)?;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
-            // per-worker bounded heaps merged at the barrier
-            Ok(rel::top_k_parallel(&r, &attrs, &dirs, n, pool)?)
+            observed(&mut strategy, || rel::top_k(&r, &attrs, &dirs, *n, pool))
         }
         LogicalPlan::Rma { op, args, backend } => {
             let expected = if op.is_binary() { 2 } else { 1 };
@@ -422,6 +355,7 @@ fn execute_inner(
             decode_sinks,
             order_nanos: rma_nanos.0,
             kernel_nanos: rma_nanos.1,
+            strategy,
         };
     }
     Ok(result)

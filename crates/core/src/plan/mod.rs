@@ -399,7 +399,8 @@ pub fn explain_with_stats(plan: &LogicalPlan, provider: &dyn TableProvider) -> S
 /// measured actuals of an [`execute_analyzed`] run: every line carries
 /// `rows≈`/`cost≈` plus `actual=N time=T morsels=M q_err=Q`, where the
 /// q-error is `max(est/actual, actual/est)` (clamped to ≥ 1-row sides) —
-/// the standard one-glance measure of estimator drift. `Rma` lines add
+/// the standard one-glance measure of estimator drift. The six relational
+/// operators' lines add `strategy=` ([`NodeActual::strategy`]). `Rma` lines add
 /// `order=T kernel=T`: the node's own order-schema handling apart from its
 /// kernel. `actuals` must come
 /// from an analyzed execution of **this** plan (same pre-order).
@@ -588,12 +589,14 @@ fn walk_explain(
         if let Some((acts, cursor)) = actuals {
             let act = acts.get(*cursor).copied().unwrap_or_default();
             *cursor += 1;
+            let strategy = act.strategy.map(|s| format!(" strategy={s}"));
             let _ = write!(
                 out,
-                " actual={} time={} morsels={} q_err={:.2}",
+                " actual={} time={} morsels={}{} q_err={:.2}",
                 act.rows,
                 fmt_nanos(act.nanos),
                 act.morsels,
+                strategy.unwrap_or_default(),
                 q_error(est.rows, act.rows as f64)
             );
             if act.spill_bytes > 0 || act.spill_partitions > 0 {

@@ -14,7 +14,7 @@ use rma_core::plan::Frame;
 use rma_core::{Backend, RmaContext, RmaOptions};
 use rma_relation::{
     aggregate, distinct, join_on, order_by, project, select, AggFunc, AggSpec, Expr, Relation,
-    RelationBuilder,
+    RelationBuilder, WorkerPool,
 };
 use rma_storage::{Column, DataType, Value};
 
@@ -195,20 +195,21 @@ proptest! {
         let dim = gen_dim_nulls(&mut rng);
         let view = r.filter(&gen_mask(rows, &mut rng));
         let mat = view.materialize();
+        let pool = WorkerPool::new(1);
 
         let pred = Expr::col("x").lt_eq(Expr::lit(4.0)).or(
             Expr::IsNull(Box::new(Expr::col("tag"))),
         );
-        let lazy_sel = select(&view, &pred).expect("σ");
-        let mat_sel = select(&mat, &pred).expect("σ").materialize();
+        let lazy_sel = select(&view, &pred, &pool).expect("σ");
+        let mat_sel = select(&mat, &pred, &pool).expect("σ").materialize();
         prop_assert_eq!(&lazy_sel, &mat_sel);
 
         let lazy_proj = project(&lazy_sel, &["g", "x", "k"]).expect("π");
         let mat_proj = project(&mat_sel, &["g", "x", "k"]).expect("π").materialize();
         prop_assert_eq!(&lazy_proj, &mat_proj);
 
-        let lazy_join = join_on(&lazy_sel, &dim, &[("g", "g2")]).expect("⋈");
-        let mat_join = join_on(&mat_sel, &dim, &[("g", "g2")]).expect("⋈");
+        let lazy_join = join_on(&lazy_sel, &dim, &[("g", "g2")], &pool).expect("⋈");
+        let mat_join = join_on(&mat_sel, &dim, &[("g", "g2")], &pool).expect("⋈");
         prop_assert_eq!(&lazy_join, &mat_join);
 
         let aggs = [
@@ -216,12 +217,12 @@ proptest! {
             AggSpec::sum("x", "sx"),
             AggSpec::avg("x", "ax"),
         ];
-        let lazy_agg = aggregate(&lazy_proj, &["g"], &aggs).expect("ϑ");
-        let mat_agg = aggregate(&mat_proj, &["g"], &aggs).expect("ϑ");
+        let lazy_agg = aggregate(&lazy_proj, &["g"], &aggs, &pool).expect("ϑ");
+        let mat_agg = aggregate(&mat_proj, &["g"], &aggs, &pool).expect("ϑ");
         prop_assert_eq!(&lazy_agg, &mat_agg);
 
-        let lazy_sorted = order_by(&lazy_proj, &["x", "k"], &[false, true]).expect("sort");
-        let mat_sorted = order_by(&mat_proj, &["x", "k"], &[false, true])
+        let lazy_sorted = order_by(&lazy_proj, &["x", "k"], &[false, true], &pool).expect("sort");
+        let mat_sorted = order_by(&mat_proj, &["x", "k"], &[false, true], &pool)
             .expect("sort")
             .materialize();
         prop_assert_eq!(&lazy_sorted, &mat_sorted);

@@ -82,8 +82,9 @@ fn analyzed(threads: usize) -> String {
 }
 
 /// Strip the run-dependent fields — wall time always varies, and morsel
-/// counts legitimately differ with the worker-thread count — leaving the
-/// tree shape, estimates, actual row counts, and q-errors.
+/// counts and operator strategies legitimately differ with the
+/// worker-thread count — leaving the tree shape, estimates, actual row
+/// counts, and q-errors.
 fn normalize(text: &str) -> String {
     text.lines()
         .map(|line| {
@@ -93,6 +94,8 @@ fn normalize(text: &str) -> String {
                         "time=*"
                     } else if tok.starts_with("morsels=") {
                         "morsels=*"
+                    } else if tok.starts_with("strategy=") {
+                        "strategy=*"
                     } else {
                         tok
                     }
@@ -468,4 +471,94 @@ fn explain_analyze_morsels_are_observed() {
         select.contains(&format!("morsels={expected} ")),
         "{filtered}"
     );
+}
+
+/// The six relational operators over a 4 096-row relation, each as its own
+/// plan, named by the EXPLAIN ANALYZE node that runs it. Their inputs are
+/// scans, so each node's inclusive `morsels=` and `spilled=` are its own.
+fn six_operators() -> Vec<(&'static str, Frame)> {
+    let n = 4 * MIN_PARALLEL_ROWS as i64;
+    let r = RelationBuilder::new()
+        .name("r")
+        .column("k", (0..n).collect::<Vec<i64>>())
+        .column("g", (0..n).map(|i| i % 7).collect::<Vec<i64>>())
+        .column("x", (0..n).map(|i| (i % 13) as f64).collect::<Vec<f64>>())
+        .build()
+        .unwrap();
+    // 64 build rows: 3 KiB at the join's 48 B a row
+    let side = |key: &str| {
+        RelationBuilder::new()
+            .column(key, (0..64).map(|i| i % 7).collect::<Vec<i64>>())
+            .column("w", (0..64).map(|i| i as f64).collect::<Vec<f64>>())
+            .build()
+            .unwrap()
+    };
+    let scan = || Frame::scan(r.clone());
+    vec![
+        ("Select", scan().select(Expr::col("x").lt(Expr::lit(5.0)))),
+        (
+            "Aggregate",
+            scan().aggregate(&["g"], vec![AggSpec::count_star("n")]),
+        ),
+        (
+            "JoinOn",
+            scan().join(Frame::scan(side("g2")), &[("g", "g2")]),
+        ),
+        ("NaturalJoin", scan().natural_join(Frame::scan(side("g")))),
+        ("OrderBy", scan().order_by(&["x", "k"], &[true, false])),
+        (
+            "TopK",
+            scan().order_by(&["x", "k"], &[true, false]).limit(10),
+        ),
+    ]
+}
+
+/// EXPLAIN ANALYZE's `strategy=` names the path each relational operator
+/// took: serial on one thread, pooled on more, and spilled for the joins,
+/// the sort and the keyed aggregate under a budget below their working
+/// sets (σ and top-k never spill). It agrees with what the node itself
+/// shows ran: `spilled=` when it spilled, `morsels=` above 0 when pooled.
+#[test]
+fn explain_analyze_strategy_is_the_path_that_ran() {
+    for threads in [1, 2, 4] {
+        // 2 KiB: below the 3 KiB join build, the sort's 32 KiB permutation
+        // and the aggregate's 128 KiB of groups; above top-k's 320 B heaps
+        for budget in [0, 2048] {
+            let ctx = RmaContext::new(RmaOptions {
+                threads,
+                mem_budget: budget,
+                ..RmaOptions::default()
+            });
+            for (node, frame) in six_operators() {
+                let text = frame.explain_analyze(&ctx).unwrap();
+                let line = text
+                    .lines()
+                    .find(|l| l.trim_start().starts_with(node))
+                    .unwrap_or_else(|| panic!("no {node} node:\n{text}"));
+                let field = |key: &str| {
+                    let tok = line.split(' ').find_map(|t| t.strip_prefix(key));
+                    tok.unwrap_or_else(|| panic!("no {key} on {line}"))
+                };
+                let ran = if line.contains(" spilled=") {
+                    "spilled"
+                } else if field("morsels=") != "0" {
+                    "pooled"
+                } else {
+                    "serial"
+                };
+                let expected = match (budget, node, threads) {
+                    (2048, "Aggregate" | "JoinOn" | "NaturalJoin" | "OrderBy", _) => "spilled",
+                    (_, _, 1) => "serial",
+                    _ => "pooled",
+                };
+                let context = format!("threads={threads} budget={budget}:\n{text}");
+                assert_eq!(field("strategy="), expected, "{context}");
+                assert_eq!(ran, expected, "{context}");
+                // the inputs below ran no relational operator of their own
+                let mut rest = text.lines().filter(|l| *l != line);
+                assert!(rest.clone().count() > 0, "{context}");
+                assert!(rest.all(|l| !l.contains("strategy=")), "{context}");
+            }
+        }
+    }
 }

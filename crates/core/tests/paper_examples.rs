@@ -24,7 +24,7 @@ fn f(v: Value) -> f64 {
 #[test]
 fn figure3_inversion_pipeline() {
     let ctx = RmaContext::default();
-    let r_prime = select(&weather(), &Expr::col("T").gt(Expr::lit("6am"))).unwrap();
+    let r_prime = select(&weather(), &Expr::col("T").gt(Expr::lit("6am")), ctx.pool()).unwrap();
     assert_eq!(r_prime.len(), 2);
     let v = ctx.inv(&r_prime, &["T"]).unwrap();
     // schema preserved: (T, H, W)
@@ -164,7 +164,7 @@ fn figure10_double_transpose() {
 #[test]
 fn det_of_figure3_matrix() {
     let ctx = RmaContext::default();
-    let r_prime = select(&weather(), &Expr::col("T").gt(Expr::lit("6am"))).unwrap();
+    let r_prime = select(&weather(), &Expr::col("T").gt(Expr::lit("6am")), ctx.pool()).unwrap();
     let d = ctx.det(&r_prime, &["T"]).unwrap();
     let names: Vec<_> = d.schema().names().collect();
     assert_eq!(names, vec!["C", "det"]);
@@ -202,7 +202,7 @@ fn cardinality_restrictions() {
 #[test]
 fn op_named_columns() {
     let ctx = RmaContext::default();
-    let sq = select(&weather(), &Expr::col("T").gt(Expr::lit("6am"))).unwrap();
+    let sq = select(&weather(), &Expr::col("T").gt(Expr::lit("6am")), ctx.pool()).unwrap();
     let e = ctx.evl(&sq, &["T"]).unwrap();
     let names: Vec<_> = e.schema().names().collect();
     assert_eq!(names, vec!["T", "evl"]);
@@ -371,7 +371,7 @@ fn cpd_context() {
 fn closure_composability() {
     let ctx = RmaContext::default();
     let t = ctx.tra(&weather(), &["T"]).unwrap();
-    let filtered = select(&t, &Expr::col("C").eq(Expr::lit("H"))).unwrap();
+    let filtered = select(&t, &Expr::col("C").eq(Expr::lit("H")), ctx.pool()).unwrap();
     assert_eq!(filtered.len(), 1);
     let projected = rma_relation::project(&filtered, &["C", "5am"]).unwrap();
     assert_eq!(projected.schema().len(), 2);

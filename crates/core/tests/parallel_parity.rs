@@ -1,6 +1,7 @@
 //! Property test: parallel/serial parity. For randomly generated relations
-//! and plan shapes, executing at `threads ∈ {2, 4}` produces *exactly* the
-//! relation the serial interpreter (`threads = 1`) produces — same rows,
+//! and plan shapes, executing at every pool width of the parity harness
+//! (`parity::POOL_WIDTHS`) produces *exactly* the relation the serial
+//! interpreter (`threads = 1`) produces — same rows,
 //! same order — across the Auto/Bat/Dense backends. Morsels are contiguous
 //! row ranges reassembled in range order, so even row order must survive.
 //!
@@ -8,9 +9,12 @@
 //! exact under any association, so the parallel aggregation's partial-sum
 //! merge is bitwise-identical to the serial left-to-right accumulation.
 
+mod parity;
+
+use parity::at_every_width;
 use proptest::prelude::*;
 use rma_core::plan::Frame;
-use rma_core::{Backend, RmaContext, RmaOptions};
+use rma_core::Backend;
 use rma_relation::{AggFunc, AggSpec, Expr, Relation, RelationBuilder};
 
 /// A relation with a distinct shuffled int key `k` (usable as an RMA order
@@ -93,14 +97,6 @@ fn backends() -> [Backend; 3] {
     [Backend::Auto, Backend::Bat, Backend::Dense]
 }
 
-fn ctx(backend: Backend, threads: usize) -> RmaContext {
-    RmaContext::new(RmaOptions {
-        backend,
-        threads,
-        ..RmaOptions::default()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -114,9 +110,9 @@ proptest! {
         let s = gen_side(&mut rng);
         let frame = build_frame(kind, &r, &s);
         for backend in backends() {
-            let serial = frame.collect(&ctx(backend, 1));
-            for threads in [2usize, 4] {
-                let parallel = frame.collect(&ctx(backend, threads));
+            let mut runs = at_every_width(&frame, backend).into_iter();
+            let (_, serial) = runs.next().expect("the serial width");
+            for (threads, parallel) in runs {
                 match (&serial, &parallel) {
                     (Ok(a), Ok(b)) => prop_assert_eq!(
                         a, b,
@@ -144,11 +140,10 @@ fn parallel_pipeline_deterministic_cases() {
     let s = gen_side(&mut rng);
     for kind in 0..6 {
         let frame = build_frame(kind, &r, &s);
-        let serial = frame.collect(&ctx(Backend::Auto, 1)).expect("serial");
-        for threads in [2, 4, 8] {
-            let parallel = frame
-                .collect(&ctx(Backend::Auto, threads))
-                .expect("parallel");
+        let mut runs = at_every_width(&frame, Backend::Auto).into_iter();
+        let serial = runs.next().expect("the serial width").1.expect("serial");
+        for (threads, parallel) in runs {
+            let parallel = parallel.expect("parallel");
             assert_eq!(serial, parallel, "kind={kind} threads={threads}");
         }
     }
@@ -166,8 +161,10 @@ fn parallel_execution_of_empty_relation() {
     let frame = Frame::scan(empty)
         .select(Expr::col("x").gt(Expr::lit(0.0)))
         .aggregate(&["g"], vec![AggSpec::count_star("n")]);
-    let a = frame.collect(&ctx(Backend::Auto, 1)).unwrap();
-    let b = frame.collect(&ctx(Backend::Auto, 4)).unwrap();
-    assert_eq!(a, b);
+    let mut runs = at_every_width(&frame, Backend::Auto).into_iter();
+    let a = runs.next().expect("the serial width").1.unwrap();
+    for (_, b) in runs {
+        assert_eq!(a, b.unwrap());
+    }
     assert!(a.is_empty());
 }

@@ -141,7 +141,8 @@ fn selection_pushdown_below_mmu() {
     let lazy = frame.collect(&ctx).unwrap();
     let eager_ctx = RmaContext::default();
     let product = eager_ctx.mmu(&r, &["k"], &s, &["j"]).unwrap();
-    let eager = rma_relation::select(&product, &Expr::col("k").lt(Expr::lit(3i64))).unwrap();
+    let k_below_3 = Expr::col("k").lt(Expr::lit(3i64));
+    let eager = rma_relation::select(&product, &k_below_3, eager_ctx.pool()).unwrap();
     assert_eq!(lazy.schema(), eager.schema());
     assert!(lazy.bag_equals(&eager));
 }
@@ -282,7 +283,8 @@ fn lazy_pipeline_matches_eager_composition() {
         .unwrap();
 
     let eager_ctx = RmaContext::default();
-    let filtered = rma_relation::select(&r, &Expr::col("T").gt(Expr::lit("5am"))).unwrap();
+    let after_5am = Expr::col("T").gt(Expr::lit("5am"));
+    let filtered = rma_relation::select(&r, &after_5am, eager_ctx.pool()).unwrap();
     let eager = eager_ctx.qqr(&filtered, &["T"]).unwrap();
     assert_eq!(lazy.schema(), eager.schema());
     assert!(lazy.bag_equals(&eager));

@@ -1,8 +1,8 @@
 //! Property test: pooled execution parity. Every operator that enlists the
 //! worker pool — parallel sort, top-k (the Limit-into-Sort rewrite), hash
 //! joins, and aggregation — produces *exactly* the serial interpreter's
-//! relation (same rows, same order) at `threads ∈ {1, 2, 4}` across the
-//! Auto/Bat/Dense backends, including null-heavy and pre-sorted inputs.
+//! relation (same rows, same order) at every pool width of the parity
+//! harness (`parity::POOL_WIDTHS`) across the Auto/Bat/Dense backends, including null-heavy and pre-sorted inputs.
 //!
 //! The pool makes this non-trivial in a new way: morsel jobs now run on
 //! long-lived parked workers instead of fresh scoped threads, and sort adds
@@ -12,9 +12,12 @@
 //! Float columns hold small integer values so parallel partial-sum merges
 //! are exact (same contract as the earlier parity suites).
 
+mod parity;
+
+use parity::at_every_width;
 use proptest::prelude::*;
 use rma_core::plan::Frame;
-use rma_core::{Backend, RmaContext, RmaOptions};
+use rma_core::Backend;
 use rma_relation::{AggFunc, AggSpec, Expr, Relation, RelationBuilder};
 use rma_storage::{Column, DataType, Value};
 
@@ -140,14 +143,6 @@ fn build_frame(kind: usize, r: &Relation, side: &Relation) -> Frame {
     }
 }
 
-fn ctx(backend: Backend, threads: usize) -> RmaContext {
-    RmaContext::new(RmaOptions {
-        backend,
-        threads,
-        ..RmaOptions::default()
-    })
-}
-
 fn backends() -> [Backend; 3] {
     [Backend::Auto, Backend::Bat, Backend::Dense]
 }
@@ -165,11 +160,10 @@ proptest! {
         let side = gen_side(&mut rng);
         let frame = build_frame(kind, &r, &side);
         for backend in backends() {
-            let serial = frame.collect(&ctx(backend, 1)).expect("serial execution");
-            for threads in [2usize, 4] {
-                let pooled = frame
-                    .collect(&ctx(backend, threads))
-                    .expect("pooled execution");
+            let mut runs = at_every_width(&frame, backend).into_iter();
+            let serial = runs.next().expect("the serial width").1.expect("serial execution");
+            for (threads, pooled) in runs {
+                let pooled = pooled.expect("pooled execution");
                 prop_assert_eq!(
                     &serial, &pooled,
                     "mismatch kind={} shape={:?} backend={:?} threads={}",
@@ -190,9 +184,10 @@ fn pooled_sort_deterministic_cases() {
         let side = gen_side(&mut rng);
         for kind in 0..7 {
             let frame = build_frame(kind, &r, &side);
-            let serial = frame.collect(&ctx(Backend::Auto, 1)).expect("serial");
-            for threads in [2, 4, 8] {
-                let pooled = frame.collect(&ctx(Backend::Auto, threads)).expect("pooled");
+            let mut runs = at_every_width(&frame, Backend::Auto).into_iter();
+            let serial = runs.next().expect("the serial width").1.expect("serial");
+            for (threads, pooled) in runs {
+                let pooled = pooled.expect("pooled");
                 assert_eq!(
                     serial, pooled,
                     "kind={kind} shape={shape:?} threads={threads}"
@@ -212,8 +207,10 @@ fn pooled_sort_tiny_inputs() {
         let frame = Frame::scan(r)
             .order_by(&["s", "x"], &[true, false])
             .limit(3);
-        let serial = frame.collect(&ctx(Backend::Auto, 1)).expect("serial");
-        let pooled = frame.collect(&ctx(Backend::Auto, 4)).expect("pooled");
-        assert_eq!(serial, pooled, "rows={rows}");
+        let mut runs = at_every_width(&frame, Backend::Auto).into_iter();
+        let serial = runs.next().expect("the serial width").1.expect("serial");
+        for (_, pooled) in runs {
+            assert_eq!(serial, pooled.expect("pooled"), "rows={rows}");
+        }
     }
 }

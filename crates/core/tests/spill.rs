@@ -12,7 +12,7 @@ use rma_core::plan::{self, NoTables};
 use rma_core::serve::{Server, SessionMetrics};
 use rma_core::{Backend, Frame, PlanError, RmaContext, RmaError, RmaOptions, Session};
 use rma_relation::par::fault::{FaultKind, FaultPlan};
-use rma_relation::{AggSpec, QueryGuard, Relation, RelationBuilder};
+use rma_relation::{AggSpec, Expr, QueryGuard, Relation, RelationBuilder};
 use rma_storage::{Bitmap, Column, ColumnData};
 use std::time::Duration;
 
@@ -405,6 +405,35 @@ fn operator_charges_are_scoped_not_cumulative() {
         PlanError::Rma(RmaError::ResourceExhausted { needed, budget }) => {
             assert_eq!(budget, 1024);
             assert_eq!(needed, 8 * 512, "the documented top-k heap estimate moved");
+        }
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
+}
+
+/// A cross product charges its gather indices, 16 B an output row, before
+/// it allocates them: `cross(a, b)` of two 2 000-row tables under a 1 MiB
+/// budget fails typed instead of materialising four million rows.
+#[test]
+fn cross_product_indices_are_charged() {
+    let table = |name: &str| {
+        RelationBuilder::new()
+            .column(name, (0..2000i64).collect::<Vec<i64>>())
+            .build()
+            .unwrap()
+    };
+    let ctx = RmaContext::new(RmaOptions {
+        mem_budget: 1 << 20,
+        ..Default::default()
+    });
+    let err = Frame::scan(table("x"))
+        .cross(Frame::scan(table("y")))
+        .select(Expr::col("x").add(Expr::col("y")).lt(Expr::lit(0i64)))
+        .collect(&ctx)
+        .unwrap_err();
+    match err {
+        PlanError::Rma(RmaError::ResourceExhausted { needed, budget }) => {
+            assert_eq!(budget, 1 << 20);
+            assert_eq!(needed, 16 * 2000 * 2000, "the cross-product charge moved");
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }

@@ -1,6 +1,7 @@
 //! Grouped aggregation ϑ.
 
 use crate::error::RelationError;
+use crate::par::{guard_checkpoint, morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
 use rma_storage::{Column, ColumnAccessor, DataType, DirectKey, KeyCols, KeyIds, Value};
@@ -58,7 +59,7 @@ impl AggSpec {
 /// the barrier ([`Acc::merge`]). `Int` inputs sum exactly into `isum`,
 /// `Float` inputs into `sum`; only one of the two is ever non-zero.
 #[derive(Debug, Clone, Default)]
-pub(super) struct Acc {
+struct Acc {
     count: u64,
     count_nonnull: u64,
     sum: f64,
@@ -69,7 +70,7 @@ pub(super) struct Acc {
 
 impl Acc {
     /// Fold another partial accumulator for the same group into this one.
-    pub(super) fn merge(&mut self, other: &Acc) {
+    fn merge(&mut self, other: &Acc) {
         self.count += other.count;
         self.count_nonnull += other.count_nonnull;
         self.sum += other.sum;
@@ -92,16 +93,16 @@ impl Acc {
 /// partials in range order reproduces the serial first-seen group order
 /// exactly.
 #[derive(Debug, Default)]
-pub(super) struct Partial {
-    pub(super) rep: Vec<usize>,
-    pub(super) accs: Vec<Vec<Acc>>,
+struct Partial {
+    rep: Vec<usize>,
+    accs: Vec<Vec<Acc>>,
 }
 
 /// How rows find their group, decided once per aggregate so that every
 /// morsel and the parallel barrier number groups alike: the
 /// direct-addressed [`DirectKey`] image when the key has one, the row
 /// digest otherwise.
-pub(super) enum GroupKey<'a> {
+enum GroupKey<'a> {
     Direct(DirectKey<'a>),
     Hashed(KeyCols<'a>),
 }
@@ -109,7 +110,7 @@ pub(super) enum GroupKey<'a> {
 impl<'a> GroupKey<'a> {
     /// The key of `group_cols` over `rows` rows, for tables filled from
     /// morsels of `morsel_rows` rows.
-    pub(super) fn new(group_cols: &[&'a Column], rows: usize, morsel_rows: usize) -> Self {
+    fn new(group_cols: &[&'a Column], rows: usize, morsel_rows: usize) -> Self {
         match DirectKey::new(group_cols, morsel_rows) {
             Some(direct) => GroupKey::Direct(direct),
             None => GroupKey::Hashed(KeyCols::new(group_cols, rows)),
@@ -127,7 +128,7 @@ impl<'a> GroupKey<'a> {
 /// first row. Accumulation looks up every input row; the parallel barrier
 /// looks up each partial group's representative row, so both number
 /// groups the same way.
-pub(super) enum GroupIds<'a> {
+enum GroupIds<'a> {
     /// The image, each slot's group id (`u32::MAX` for none yet) and the
     /// number of groups seen.
     Direct(&'a DirectKey<'a>, Vec<u32>, u32),
@@ -135,7 +136,7 @@ pub(super) enum GroupIds<'a> {
 }
 
 impl<'a> GroupIds<'a> {
-    pub(super) fn new(key: &'a GroupKey<'a>) -> Self {
+    fn new(key: &'a GroupKey<'a>) -> Self {
         match key {
             GroupKey::Direct(key) => GroupIds::Direct(key, vec![u32::MAX; key.slots()], 0),
             GroupKey::Hashed(key) => GroupIds::Hashed(key, KeyIds::default()),
@@ -145,7 +146,7 @@ impl<'a> GroupIds<'a> {
     /// The group id of row `i`; a row of an unseen key gets the number of
     /// groups seen so far.
     #[inline]
-    pub(super) fn id(&mut self, i: usize) -> usize {
+    fn id(&mut self, i: usize) -> usize {
         match self {
             GroupIds::Direct(key, slot_gid, groups) => {
                 let gid = &mut slot_gid[key.slot(i)];
@@ -164,7 +165,7 @@ impl<'a> GroupIds<'a> {
 
 /// Check aggregate specs against the input schema (shared by the serial and
 /// parallel paths).
-pub(super) fn validate_aggs(r: &Relation, aggs: &[AggSpec]) -> Result<(), RelationError> {
+fn validate_aggs(r: &Relation, aggs: &[AggSpec]) -> Result<(), RelationError> {
     for spec in aggs {
         if let Some(input) = &spec.input {
             let dt = r.schema().attribute(input)?.dtype();
@@ -185,15 +186,13 @@ pub(super) fn validate_aggs(r: &Relation, aggs: &[AggSpec]) -> Result<(), Relati
 }
 
 /// Accumulate rows `range` of the input into per-group partial states,
-/// keyed through `key`. Without key columns, `seed_global` opens the
-/// single group even over an empty range (global aggregation semantics:
-/// one output row even for empty input).
-pub(super) fn accumulate(
+/// keyed through `key`. Without key columns an empty range opens no group;
+/// [`aggregate_parallel`] seeds the one global group at the end.
+fn accumulate(
     key: &GroupKey,
     agg_cols: &[Option<&Column>],
     aggs: &[AggSpec],
     range: Range<usize>,
-    seed_global: bool,
 ) -> Partial {
     let mut out = Partial::default();
     // Global (ungrouped) aggregation is column-at-a-time: each aggregate
@@ -201,9 +200,7 @@ pub(super) fn accumulate(
     // one multiply per run for SUM, one comparison per run for MIN/MAX —
     // without decoding.
     if key.is_global() {
-        // a parallel partial materialises the single group only if this
-        // worker saw any rows, mirroring the per-row path exactly
-        if range.is_empty() && !seed_global {
+        if range.is_empty() {
             return out;
         }
         out.rep.push(range.start);
@@ -257,7 +254,7 @@ fn update(accs: &mut [Acc], agg_cols: &[Option<&Column>], aggs: &[AggSpec], i: u
 
 /// Build the output relation from finished group states. `rep` holds one
 /// representative row index (into `r`) per group.
-pub(super) fn finalize(
+fn finalize(
     r: &Relation,
     group_by: &[&str],
     aggs: &[AggSpec],
@@ -291,7 +288,7 @@ pub(super) fn finalize(
 }
 
 /// Resolve the aggregate input columns of `r` (None for `COUNT(*)`).
-pub(super) fn resolve_agg_cols<'a>(
+fn resolve_agg_cols<'a>(
     r: &'a Relation,
     aggs: &[AggSpec],
 ) -> Result<Vec<Option<&'a Column>>, RelationError> {
@@ -303,24 +300,84 @@ pub(super) fn resolve_agg_cols<'a>(
 /// Bytes a keyed aggregation over `rows` input rows is charged (spill
 /// decision, working-set charge, spill fan-out): at worst every row is its
 /// own group, key plus accumulator slots, about 32 B a group.
-pub fn aggregate_state_bytes(rows: usize) -> u64 {
+pub(crate) fn aggregate_state_bytes(rows: usize) -> u64 {
     32 * rows as u64
 }
 
 /// ϑ: group `r` by `group_by` and compute the aggregates. With an empty
 /// `group_by` the whole relation is one group (one output row, even when the
 /// input is empty — SQL semantics).
+///
+/// Keyed, it spills (hash partitions on the group key, each aggregated on
+/// its own; groups partition-major) when the guard has no headroom for
+/// 32 B a row, and otherwise charges them and keeps first-seen group
+/// order; ungrouped, it charges a few accumulators and never spills.
 pub fn aggregate(
     r: &Relation,
     group_by: &[&str],
     aggs: &[AggSpec],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    let state = match group_by {
+        [] => 256,
+        _ => aggregate_state_bytes(r.len()),
+    };
+    if !group_by.is_empty() && super::should_spill(state) {
+        return super::aggregate_external(r, group_by, aggs, pool);
+    }
+    let _state = super::ChargeScope::new(state)?;
+    aggregate_parallel(r, group_by, aggs, pool)
+}
+
+/// In-memory [`aggregate`], charging nothing: one pass over every row on a
+/// one-worker pool or a small input; otherwise per-group partial states
+/// per morsel, merged in morsel order at the barrier, which reproduces the
+/// serial first-seen group order (float sums in another association).
+pub fn aggregate_parallel(
+    r: &Relation,
+    group_by: &[&str],
+    aggs: &[AggSpec],
+    pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     validate_aggs(r, aggs)?;
     let group_cols = r.columns_of(group_by)?;
     let agg_cols = resolve_agg_cols(r, aggs)?;
-    let key = GroupKey::new(&group_cols, r.len(), r.len());
-    let partial = accumulate(&key, &agg_cols, aggs, 0..r.len(), group_by.is_empty());
-    finalize(r, group_by, aggs, &partial.rep, &partial.accs)
+    let threads = pool.threads();
+    let mut merged = if threads <= 1 || r.len() < MIN_PARALLEL_ROWS {
+        let key = GroupKey::new(&group_cols, r.len(), r.len());
+        accumulate(&key, &agg_cols, aggs, 0..r.len())
+    } else {
+        let ranges = partition_ranges(r.len(), morsel_count(threads, r.len()));
+        // one group key for every morsel, so the barrier merges by it too
+        let key = GroupKey::new(&group_cols, r.len(), ranges[0].len());
+        let partials = pool.for_each(&ranges, |_, range| {
+            accumulate(&key, &agg_cols, aggs, range.clone())
+        });
+        guard_checkpoint()?;
+        // merge at the barrier, in morsel order
+        let mut merged = Partial::default();
+        let mut ids = GroupIds::new(&key);
+        for partial in partials {
+            for (rep, accs) in partial.rep.into_iter().zip(partial.accs) {
+                let gid = ids.id(rep);
+                if gid == merged.rep.len() {
+                    merged.rep.push(rep);
+                    merged.accs.push(accs);
+                } else {
+                    for (into, acc) in merged.accs[gid].iter_mut().zip(&accs) {
+                        into.merge(acc);
+                    }
+                }
+            }
+        }
+        merged
+    };
+    if group_by.is_empty() && merged.rep.is_empty() {
+        // global aggregation: one group even over empty input
+        merged.rep.push(0);
+        merged.accs.push(vec![Acc::default(); aggs.len()]);
+    }
+    finalize(r, group_by, aggs, &merged.rep, &merged.accs)
 }
 
 /// Add row `i` of a numeric column to the accumulator's sum: `Int`
@@ -454,7 +511,7 @@ fn finish(acc: &Acc, spec: &AggSpec, dt: DataType) -> Result<Value, RelationErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::bits_text;
+    use crate::algebra::{bits_text, one_worker, pools, sample};
     use crate::relation::RelationBuilder;
 
     fn trips() -> Relation {
@@ -471,6 +528,7 @@ mod tests {
             &trips(),
             &["station"],
             &[AggSpec::avg("dur", "avg_dur"), AggSpec::count_star("n")],
+            &one_worker(),
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -482,7 +540,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_single_row() {
-        let out = aggregate(&trips(), &[], &[AggSpec::count_star("M")]).unwrap();
+        let out = aggregate(&trips(), &[], &[AggSpec::count_star("M")], &one_worker()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.cell(0, "M").unwrap(), Value::Int(5));
     }
@@ -494,6 +552,7 @@ mod tests {
             &empty,
             &[],
             &[AggSpec::count_star("M"), AggSpec::sum("dur", "s")],
+            &one_worker(),
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -504,7 +563,13 @@ mod tests {
     #[test]
     fn grouped_on_empty_relation_is_empty() {
         let empty = trips().take(&[]);
-        let out = aggregate(&empty, &["station"], &[AggSpec::count_star("n")]).unwrap();
+        let out = aggregate(
+            &empty,
+            &["station"],
+            &[AggSpec::count_star("n")],
+            &one_worker(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 0);
     }
 
@@ -517,6 +582,7 @@ mod tests {
                 AggSpec::new(AggFunc::Min, Some("station"), "lo"),
                 AggSpec::new(AggFunc::Max, Some("station"), "hi"),
             ],
+            &one_worker(),
         )
         .unwrap();
         assert_eq!(out.cell(0, "lo").unwrap(), Value::from("a"));
@@ -538,6 +604,7 @@ mod tests {
                 AggSpec::count_star("cs"),
                 AggSpec::avg("x", "a"),
             ],
+            &one_worker(),
         )
         .unwrap();
         assert_eq!(out.cell(0, "c").unwrap(), Value::Int(2));
@@ -551,13 +618,19 @@ mod tests {
             .column("x", vec![1i64, 2, 3])
             .build()
             .unwrap();
-        let out = aggregate(&r, &[], &[AggSpec::sum("x", "s")]).unwrap();
+        let out = aggregate(&r, &[], &[AggSpec::sum("x", "s")], &one_worker()).unwrap();
         assert_eq!(out.cell(0, "s").unwrap(), Value::Int(6));
     }
 
     #[test]
     fn avg_over_strings_rejected() {
-        assert!(aggregate(&trips(), &[], &[AggSpec::avg("station", "a")]).is_err());
+        assert!(aggregate(
+            &trips(),
+            &[],
+            &[AggSpec::avg("station", "a")],
+            &one_worker()
+        )
+        .is_err());
     }
 
     #[test]
@@ -567,7 +640,7 @@ mod tests {
             .column("x", vec![1i64, 2])
             .build()
             .unwrap();
-        let out = aggregate(&r, &[], &[AggSpec::sum("x", "s")]).unwrap();
+        let out = aggregate(&r, &[], &[AggSpec::sum("x", "s")], &one_worker()).unwrap();
         assert_eq!(out.schema().attribute("s").unwrap().dtype(), DataType::Int);
     }
 
@@ -589,7 +662,12 @@ mod tests {
     }
 
     fn sum_x(r: &Relation, group_by: &[&str]) -> Result<Vec<Value>, RelationError> {
-        sums(aggregate(r, group_by, &[AggSpec::sum("x", "s")]))
+        sums(aggregate(
+            r,
+            group_by,
+            &[AggSpec::sum("x", "s")],
+            &one_worker(),
+        ))
     }
 
     #[test]
@@ -604,7 +682,7 @@ mod tests {
         let r = ints(vec![7; 4], vec![big, big, big, 1], Rle);
         assert_eq!(sum_x(&r, &[]).unwrap(), vec![Value::Int(3 * big + 1)]);
         // AVG reads the same exact sum
-        let out = aggregate(&r, &[], &[AggSpec::avg("x", "a")]).unwrap();
+        let out = aggregate(&r, &[], &[AggSpec::avg("x", "a")], &one_worker()).unwrap();
         assert_eq!(
             out.cell(0, "a").unwrap(),
             Value::Float((3 * big + 1) as f64 / 4.0)
@@ -627,8 +705,6 @@ mod tests {
 
     #[test]
     fn parallel_int_sum_merges_exactly() {
-        use crate::algebra::aggregate_parallel;
-        use crate::par::WorkerPool;
         use rma_storage::Encoding::Plain;
         // 3000 × (2^51 + 1): every partial sum past 2^53 drops low bits in
         // f64, so neither the per-group nor the global total would be exact
@@ -636,17 +712,15 @@ mod tests {
         let r = ints((0..n).map(|i| i % 2).collect(), vec![v; n as usize], Plain);
         let half = Value::Int(v * (n / 2));
         let sum = [AggSpec::sum("x", "s")];
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let grouped = sums(aggregate_parallel(&r, &["g"], &sum, &pool));
+        for pool in pools() {
+            let grouped = sums(aggregate(&r, &["g"], &sum, &pool));
             assert_eq!(grouped.unwrap(), vec![half.clone(), half.clone()]);
-            let global = sums(aggregate_parallel(&r, &[], &sum, &pool));
+            let global = sums(aggregate(&r, &[], &sum, &pool));
             assert_eq!(global.unwrap(), vec![Value::Int(v * n)]);
         }
         let r = ints(vec![0; 3000], vec![1 << 53; 3000], Plain);
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let out = aggregate_parallel(&r, &["g"], &sum, &pool);
+        for pool in pools() {
+            let out = aggregate(&r, &["g"], &sum, &pool);
             assert_eq!(out, Err(RelationError::IntegerOverflow("s".to_string())));
         }
     }
@@ -695,7 +769,7 @@ mod tests {
         let group_cols = r.columns_of(keys).unwrap();
         let agg_cols = resolve_agg_cols(r, &aggs).unwrap();
         let key = GroupKey::Hashed(KeyCols::new(&group_cols, r.len()));
-        let p = accumulate(&key, &agg_cols, &aggs, 0..r.len(), false);
+        let p = accumulate(&key, &agg_cols, &aggs, 0..r.len());
         finalize(r, keys, &aggs, &p.rep, &p.accs).unwrap()
     }
 
@@ -752,7 +826,7 @@ mod tests {
     }
 
     /// Check one key set: it takes the direct path iff `direct`, and the
-    /// serial and pooled aggregates at 1, 2 and 4 threads equal the hash
+    /// aggregate at every pool width of the parity harness equals the hash
     /// path row for row (first-seen order included) and the reference.
     fn assert_parity(r: &Relation, keys: &[&str], direct: bool) {
         assert_parity_to(r, keys, direct, naive(r, keys));
@@ -760,8 +834,6 @@ mod tests {
 
     /// [`assert_parity`] against the given expected rows.
     fn assert_parity_to(r: &Relation, keys: &[&str], direct: bool, expected: Vec<Vec<Value>>) {
-        use crate::algebra::aggregate_parallel;
-        use crate::par::WorkerPool;
         let group_cols = r.columns_of(keys).unwrap();
         assert_eq!(
             matches!(
@@ -777,11 +849,11 @@ mod tests {
             bits_text(expected.into_iter()),
             "hash path vs reference"
         );
-        let serial = aggregate(r, keys, &parity_aggs()).unwrap();
+        let serial = aggregate(r, keys, &parity_aggs(), &one_worker()).unwrap();
         assert_eq!(bits_text(serial.rows()), hash, "serial");
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let par = aggregate_parallel(r, keys, &parity_aggs(), &pool).unwrap();
+        for pool in pools() {
+            let threads = pool.threads();
+            let par = aggregate(r, keys, &parity_aggs(), &pool).unwrap();
             assert_eq!(bits_text(par.rows()), hash, "{keys:?} at {threads} threads");
         }
     }
@@ -911,5 +983,45 @@ mod tests {
             ]);
         }
         assert_parity_to(&r, &["f"], false, expected);
+    }
+
+    #[test]
+    fn parallel_aggregate_matches_serial() {
+        let r = sample(2113);
+        let aggs = [
+            AggSpec::count_star("n"),
+            AggSpec::sum("x", "s"),
+            AggSpec::avg("x", "a"),
+            AggSpec::new(AggFunc::Min, Some("x"), "lo"),
+            AggSpec::new(AggFunc::Max, Some("tag"), "hi"),
+        ];
+        let ser = aggregate(&r, &["k"], &aggs, &one_worker()).unwrap();
+        for pool in pools() {
+            let threads = pool.threads();
+            let par = aggregate(&r, &["k"], &aggs, &pool).unwrap();
+            // x is integer-valued, so partial-sum merge order is exact
+            assert_eq!(par, ser, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_global_aggregate_and_empty_input() {
+        let r = sample(2400);
+        let aggs = [AggSpec::count_star("n"), AggSpec::sum("x", "s")];
+        let empty = r.take(&[]);
+        for pool in pools() {
+            assert_eq!(
+                aggregate(&r, &[], &aggs, &pool).unwrap(),
+                aggregate(&r, &[], &aggs, &one_worker()).unwrap()
+            );
+            assert_eq!(
+                aggregate(&empty, &[], &aggs, &pool).unwrap(),
+                aggregate(&empty, &[], &aggs, &one_worker()).unwrap()
+            );
+            assert_eq!(
+                aggregate(&empty, &["k"], &aggs, &pool).unwrap(),
+                aggregate(&empty, &["k"], &aggs, &one_worker()).unwrap()
+            );
+        }
     }
 }

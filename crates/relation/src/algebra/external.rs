@@ -2,8 +2,8 @@
 //! partition-wise spilling aggregate.
 //!
 //! Each is its in-memory operator with its partitions or runs written to
-//! [`SpillFile`]s, taken when the planner's headroom probe
-//! ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says the operator's
+//! [`SpillFile`]s, taken by the operator's entry point when the headroom
+//! probe ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says its
 //! working set will not fit the memory budget. Two phases are shared:
 //!
 //! - **One partition pass** ([`partition`]): a chunk source's visible rows
@@ -182,8 +182,8 @@ fn chunks_of(
     Ok(std::iter::from_fn(move || rd.next_chunk().transpose()))
 }
 
-/// Grace hash equi-join (spill path of [`super::join_on`] /
-/// [`super::parallel::join_on_parallel`]). Result rows are partition-major.
+/// Grace hash equi-join (spill path of [`super::join_on`]), charging
+/// nothing. Result rows are partition-major.
 pub fn grace_join_on(
     a: &Relation,
     b: &Relation,
@@ -198,8 +198,8 @@ pub fn grace_join_on(
     grace_join(a, b, on, false, pool)
 }
 
-/// Grace natural join (spill path of [`super::natural_join`] /
-/// [`super::parallel::natural_join_parallel`]). Falls back to the cross
+/// Grace natural join (spill path of [`super::natural_join`]), charging
+/// nothing but a cross product's indices. Falls back to the cross
 /// product when no attributes are shared, exactly like the in-memory
 /// operator (a cross product has no key to partition on).
 pub fn grace_natural_join(
@@ -296,9 +296,9 @@ impl Grace<'_> {
         let b_rel = bf.read_all(self.schemas.1)?;
         let span = trace::clock();
         let joined = if self.natural {
-            super::parallel::natural_join_parallel(&a_rel, &b_rel, self.pool)?
+            super::natural_join_parallel(&a_rel, &b_rel, self.pool)?
         } else {
-            super::parallel::join_on_parallel(&a_rel, &b_rel, self.on, self.pool)?
+            super::join_on_parallel(&a_rel, &b_rel, self.on, self.pool)?
         };
         trace::record(
             "join.grace_part",
@@ -313,10 +313,10 @@ impl Grace<'_> {
     }
 }
 
-/// External merge sort (spill path of [`super::order_by_parallel`]):
-/// budget-sized sorted runs spilled by the workers, then a streaming k-way
-/// merge from disk. Row order is identical to the serial
-/// [`super::order_by`] (and therefore to [`super::order_by_parallel`]).
+/// External merge sort (spill path of [`super::order_by`]), charging
+/// nothing: budget-sized sorted runs spilled by the workers, then a
+/// streaming k-way merge from disk. Row order is identical to the
+/// in-memory sort's.
 pub fn order_by_external(
     r: &Relation,
     attrs: &[&str],
@@ -324,7 +324,7 @@ pub fn order_by_external(
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     if attrs.is_empty() || r.len() <= 1 {
-        return super::setops::order_by(r, attrs, ascending);
+        return super::order_by_parallel(r, attrs, ascending, pool);
     }
     // run size: aim a materialized run at half the budget's headroom,
     // bounded below (file overhead) and so the run count stays a sane
@@ -596,8 +596,8 @@ impl MergeOutput {
     }
 }
 
-/// Partition-wise spilling aggregate (spill path of
-/// [`super::parallel::aggregate_parallel`] for keyed aggregation): rows
+/// Partition-wise spilling aggregate (spill path of [`super::aggregate`]
+/// for keyed aggregation), charging nothing: rows
 /// are hash-partitioned on the group key — a group never spans partitions
 /// — so each partition aggregates independently and the results
 /// concatenate. Ungrouped aggregation never needs this (its state is one
@@ -609,16 +609,14 @@ pub fn aggregate_external(
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     if group_by.is_empty() {
-        return super::parallel::aggregate_parallel(r, group_by, aggs, pool);
+        return super::aggregate_parallel(r, group_by, aggs, pool);
     }
-    let parts = fanout(super::aggregate_state_bytes(r.len()));
+    let parts = fanout(super::aggregate::aggregate_state_bytes(r.len()));
     let files = partition([Ok(r)], group_by, parts, 0, false)?;
     let mut results = Vec::with_capacity(parts);
     for f in &files {
         let part = f.read_all(r.schema())?;
-        results.push(super::parallel::aggregate_parallel(
-            &part, group_by, aggs, pool,
-        )?);
+        results.push(super::aggregate_parallel(&part, group_by, aggs, pool)?);
     }
     guard_checkpoint()?;
     Relation::concat(&results)
@@ -627,7 +625,9 @@ pub fn aggregate_external(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{aggregate, bits_text, join_on, natural_join, order_by, AggFunc, AggSpec};
+    use crate::algebra::{
+        aggregate, bits_text, join_on, natural_join, one_worker, order_by, AggFunc, AggSpec,
+    };
     use crate::par::QueryGuard;
     use crate::relation::RelationBuilder;
     use rma_storage::{DataType, Encoding, Value};
@@ -674,14 +674,14 @@ mod tests {
         let c = customers();
         let grace = grace_join_on(&o, &c, &[("cust", "cust")], &pool);
         // schema collision on `cust` fails identically on both paths
-        assert!(grace.is_err() == join_on(&o, &c, &[("cust", "cust")]).is_err());
+        assert!(grace.is_err() == join_on(&o, &c, &[("cust", "cust")], &one_worker()).is_err());
         let c2 = crate::algebra::rename(&c, &[("cust", "cust2")]).unwrap();
         let grace = grace_join_on(&o, &c2, &[("cust", "cust2")], &pool).unwrap();
-        let mem = join_on(&o, &c2, &[("cust", "cust2")]).unwrap();
+        let mem = join_on(&o, &c2, &[("cust", "cust2")], &one_worker()).unwrap();
         assert_eq!(grace.len(), mem.len());
         assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
         let nat_grace = grace_natural_join(&o, &c, &pool).unwrap();
-        let nat_mem = natural_join(&o, &c).unwrap();
+        let nat_mem = natural_join(&o, &c, &one_worker()).unwrap();
         assert_eq!(sorted_rows(&nat_grace), sorted_rows(&nat_mem));
         assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
     }
@@ -693,7 +693,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let r = orders(7000);
         let ext = order_by_external(&r, &["cust", "amount"], &[true, false], &pool).unwrap();
-        let ser = order_by(&r, &["cust", "amount"], &[true, false]).unwrap();
+        let ser = order_by(&r, &["cust", "amount"], &[true, false], &one_worker()).unwrap();
         // identical row order, not just identical multiset
         assert_eq!(ext.materialize(), ser.materialize());
         assert_eq!(files.live_spill_files(), 0);
@@ -710,7 +710,7 @@ mod tests {
             AggSpec::new(AggFunc::CountStar, None, "n"),
         ];
         let ext = aggregate_external(&r, &["cust"], &aggs, &pool).unwrap();
-        let mem = aggregate(&r, &["cust"], &aggs).unwrap();
+        let mem = aggregate(&r, &["cust"], &aggs, &one_worker()).unwrap();
         assert_eq!(sorted_rows(&ext), sorted_rows(&mem));
         assert_eq!(files.live_spill_files(), 0);
     }
@@ -758,7 +758,7 @@ mod tests {
             &["f", "nullable"],
             &["dict", "f"],
         ] {
-            let mem = aggregate(&r, keys, &aggs).unwrap();
+            let mem = aggregate(&r, keys, &aggs, &one_worker()).unwrap();
             for threads in [1, 2, 4] {
                 let pool = WorkerPool::new(threads);
                 let ext = aggregate_external(&r, keys, &aggs, &pool).unwrap();
@@ -770,8 +770,16 @@ mod tests {
             }
         }
         // NULL is one group; 0.0/-0.0 and the NaNs are one group each
-        assert_eq!(aggregate(&r, &["nullable"], &aggs).unwrap().len(), 24);
-        assert_eq!(aggregate(&r, &["f"], &aggs).unwrap().len(), 4);
+        assert_eq!(
+            aggregate(&r, &["nullable"], &aggs, &one_worker())
+                .unwrap()
+                .len(),
+            24
+        );
+        assert_eq!(
+            aggregate(&r, &["f"], &aggs, &one_worker()).unwrap().len(),
+            4
+        );
         assert_eq!(files.live_spill_files(), 0, "no orphan spill files");
     }
 
@@ -806,7 +814,7 @@ mod tests {
         let files = QueryGuard::new();
         let _files = files.activate();
         let ext = sort_in_runs(r, attrs, asc, ranges, &WorkerPool::new(2)).unwrap();
-        let ser = order_by(r, attrs, asc).unwrap();
+        let ser = order_by(r, attrs, asc, &one_worker()).unwrap();
         assert_eq!(ext.schema(), ser.schema());
         assert_eq!(
             bits_text(ext.rows()),
@@ -906,7 +914,11 @@ mod tests {
         drop(files);
         assert_eq!(
             bits_text(merged.rows()),
-            bits_text(order_by(&whole, &["s"], &[true]).unwrap().rows())
+            bits_text(
+                order_by(&whole, &["s"], &[true], &one_worker())
+                    .unwrap()
+                    .rows()
+            )
         );
     }
 
@@ -1053,7 +1065,10 @@ mod tests {
                 let check = |out: Relation, path: &str| {
                     assert_eq!(bits_text(out.rows()), expected, "{path}: {what}");
                 };
-                check(order_by(input, &attrs, &asc).unwrap(), "serial");
+                check(
+                    order_by(input, &attrs, &asc, &one_worker()).unwrap(),
+                    "serial",
+                );
                 for threads in [2, 3, 5] {
                     let pool = WorkerPool::new(threads);
                     let out = crate::algebra::order_by_parallel(input, &attrs, &asc, &pool);
@@ -1102,7 +1117,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             ext,
-            order_by(&r, &["amount", "cust"], &[false, true]).unwrap()
+            order_by(&r, &["amount", "cust"], &[false, true], &one_worker()).unwrap()
         );
         assert_eq!(files.live_spill_files(), 0);
     }
@@ -1129,7 +1144,10 @@ mod tests {
         for rows in [&[][..], &[4][..]] {
             let part = r.take(rows);
             let ext = order_by_external(&part, &["amount"], &[true], &pool).unwrap();
-            assert_eq!(ext, order_by(&part, &["amount"], &[true]).unwrap());
+            assert_eq!(
+                ext,
+                order_by(&part, &["amount"], &[true], &one_worker()).unwrap()
+            );
             assert_exact(&part, &["amount"], &[true], &even_runs(rows.len(), 1));
         }
         assert_exact(&r.take(&[]), &["amount"], &[true], &[]);
@@ -1145,7 +1163,8 @@ mod tests {
             .iter()
             .map(|run| {
                 let mut f = SpillFile::create().unwrap();
-                f.append(&order_by(run, &[key], &[true]).unwrap()).unwrap();
+                f.append(&order_by(run, &[key], &[true], &one_worker()).unwrap())
+                    .unwrap();
                 f.finish().unwrap();
                 f
             })
@@ -1230,7 +1249,7 @@ mod tests {
         drop(active);
         assert_eq!(guard.spill_partitions(), 32, "one partition per run");
         assert_eq!(guard.live_spill_files(), 0);
-        let ser = order_by(&r, &["duration", "id"], &[true, true]).unwrap();
+        let ser = order_by(&r, &["duration", "id"], &[true, true], &one_worker()).unwrap();
         assert_eq!(ext, ser.materialize());
         assert_eq!(files.live_spill_files(), 0);
     }
@@ -1377,7 +1396,7 @@ mod tests {
         // one non-empty file per side per level, depths 0..=MAX_GRACE_DEPTH
         assert_eq!(guard.spill_partitions(), 2 * u64::from(MAX_GRACE_DEPTH + 1));
         assert_eq!(guard.live_spill_files(), 0);
-        let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        let mem = join_on(&a, &b, &[("k", "k2")], &one_worker()).unwrap();
         assert_eq!(grace.len(), 60_000);
         assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
         // a hot key among many cold ones
@@ -1397,7 +1416,7 @@ mod tests {
         let active = guard.activate();
         let grace = grace_join_on(&a, &b, &[("k", "k2")], &pool).unwrap();
         drop(active);
-        let mem = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        let mem = join_on(&a, &b, &[("k", "k2")], &one_worker()).unwrap();
         assert_eq!(sorted_rows(&grace), sorted_rows(&mem));
         assert_eq!(guard.live_spill_files(), 0);
         assert_eq!(files.live_spill_files(), 0);

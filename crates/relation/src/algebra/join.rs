@@ -1,4 +1,4 @@
-//! Joins: hash equi-join, natural join, theta join, cross product.
+//! Joins: hash equi-join, natural join, cross product.
 //!
 //! Late materialization: both join inputs may be selection-vector views.
 //! The build and probe sides read key cells straight through their
@@ -12,7 +12,6 @@
 //! selection vector and materialises only the surviving rows.
 
 use crate::error::RelationError;
-use crate::expr::Expr;
 use crate::par::{guard_checkpoint, morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::trace;
@@ -26,12 +25,12 @@ pub(super) const TABLE_INDEX_BITS: u32 = 27;
 /// build rows needs at most this many slots per row.
 const DIRECT_SLOTS_PER_ROW: usize = 8;
 
-/// Bytes an equi-join's build over `build_rows` rows is charged: the
-/// planner's spill decision and its working-set charge. It bounds both
+/// Bytes an equi-join's build over `build_rows` rows is charged: its spill
+/// decision and its working-set charge. It bounds both
 /// `JoinTable` shapes — a digest table's `u32` bucket heads (at most 4
 /// per row after rounding up), `u32` links and `u64` digests take ≤ 28 B
 /// a row, a direct table at its slot cap 36 B a row.
-pub fn join_build_bytes(build_rows: usize) -> u64 {
+pub(crate) fn join_build_bytes(build_rows: usize) -> u64 {
     48 * build_rows as u64
 }
 
@@ -169,17 +168,29 @@ impl<'a> JoinTable<'a> {
 /// Inner equi-join `a ⋈_{a.x = b.y} b` via a hash table on the right
 /// input's key columns (the optimizer puts the smaller side there). The
 /// output schema is the concatenation of both full schemas; attribute name
-/// collisions are an error (rename first).
-pub fn join_on(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Result<Relation, RelationError> {
-    equi_join(a, b, on, None)
-}
-
-/// [`join_on`], probing on `pool`'s workers when one is given.
-pub(super) fn equi_join(
+/// collisions are an error (rename first). A grace hash join (rows
+/// partition-major) when the guard has no headroom for 48 B a build row;
+/// otherwise those are charged while `a` probes, serially or in morsels.
+pub fn join_on(
     a: &Relation,
     b: &Relation,
     on: &[(&str, &str)],
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    let build = join_build_bytes(b.len());
+    if super::should_spill(build) {
+        return super::grace_join_on(a, b, on, pool);
+    }
+    let _build = super::ChargeScope::new(build)?;
+    join_on_parallel(a, b, on, pool)
+}
+
+/// In-memory [`join_on`], charging nothing.
+pub fn join_on_parallel(
+    a: &Relation,
+    b: &Relation,
+    on: &[(&str, &str)],
+    pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     if on.is_empty() {
         return Err(RelationError::Expression(
@@ -191,16 +202,26 @@ pub(super) fn equi_join(
 }
 
 /// Natural join: equi-join on all common attribute names, keeping a single
-/// copy of each join attribute (the paper's `u ⋈ r` on `User`).
-pub fn natural_join(a: &Relation, b: &Relation) -> Result<Relation, RelationError> {
-    natural_equi_join(a, b, None)
-}
-
-/// [`natural_join`], probing on `pool`'s workers when one is given.
-pub(super) fn natural_equi_join(
+/// copy of each join attribute (the paper's `u ⋈ r` on `User`); the cross
+/// product when no name is shared. Its path is picked like [`join_on`]'s.
+pub fn natural_join(
     a: &Relation,
     b: &Relation,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    let build = join_build_bytes(b.len());
+    if super::should_spill(build) {
+        return super::grace_natural_join(a, b, pool);
+    }
+    let _build = super::ChargeScope::new(build)?;
+    natural_join_parallel(a, b, pool)
+}
+
+/// In-memory [`natural_join`], charging nothing but a cross product.
+pub fn natural_join_parallel(
+    a: &Relation,
+    b: &Relation,
+    pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
     let common = common_attributes(a, b);
     if common.is_empty() {
@@ -211,20 +232,20 @@ pub(super) fn natural_equi_join(
     assemble_join(a, b, left_idx, right_idx, &common)
 }
 
-/// General theta join: nested-loop join with an arbitrary predicate over the
-/// concatenated schema. Quadratic — used only when no equi-key exists.
-pub fn theta_join(a: &Relation, b: &Relation, predicate: &Expr) -> Result<Relation, RelationError> {
-    let product = cross_product(a, b)?;
-    super::select(&product, predicate)
-}
-
-/// Cross product ×. Collisions between attribute names are an error.
+/// Cross product ×. Collisions between attribute names are an error. Its
+/// gather indices (16 B per output row) are charged while it runs.
 pub fn cross_product(a: &Relation, b: &Relation) -> Result<Relation, RelationError> {
     let schema = a.schema().concat(b.schema())?;
     let (n, m) = (a.len(), b.len());
+    let index_bytes = 2 * std::mem::size_of::<usize>();
+    let rows = n
+        .checked_mul(m)
+        .filter(|rows| rows.checked_mul(index_bytes).is_some())
+        .ok_or(RelationError::CrossProductTooLarge { left: n, right: m })?;
+    let _indices = super::ChargeScope::new((rows * index_bytes) as u64)?;
     // left index: 0,0,...,0,1,1,... ; right index: 0,1,...,m-1,0,1,...
-    let mut left_idx = Vec::with_capacity(n * m);
-    let mut right_idx = Vec::with_capacity(n * m);
+    let mut left_idx = Vec::with_capacity(rows);
+    let mut right_idx = Vec::with_capacity(rows);
     for i in 0..n {
         for j in 0..m {
             left_idx.push(i);
@@ -319,16 +340,15 @@ fn join_indices(
     a: &Relation,
     b: &Relation,
     on: &[(&str, &str)],
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
 ) -> Result<(Vec<usize>, Vec<usize>), RelationError> {
     let (probe, build) = join_key_sides(a, b, on)?;
     let span = trace::clock();
     let table = JoinTable::build(&build)?;
     trace::record("join.build", "join", 0, span, b.len() as u64, 0, 1);
-    let pool = match pool {
-        Some(pool) if pool.threads() > 1 && a.len() >= MIN_PARALLEL_ROWS => pool,
-        _ => return Ok(table.probe(&build, &probe, 0..a.len())),
-    };
+    if pool.threads() <= 1 || a.len() < MIN_PARALLEL_ROWS {
+        return Ok(table.probe(&build, &probe, 0..a.len()));
+    }
     let ranges = partition_ranges(a.len(), morsel_count(pool.threads(), a.len()));
     let pairs = pool.for_each(&ranges, |lane, range| {
         let span = trace::clock();
@@ -387,6 +407,8 @@ fn assemble_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::{one_worker, pools, sample};
+    use crate::expr::Expr;
     use crate::relation::RelationBuilder;
     use rma_storage::Value;
 
@@ -409,7 +431,7 @@ mod tests {
 
     #[test]
     fn natural_join_on_user() {
-        let j = natural_join(&users(), &ratings()).unwrap();
+        let j = natural_join(&users(), &ratings(), &one_worker()).unwrap();
         assert_eq!(j.len(), 3);
         let names: Vec<_> = j.schema().names().collect();
         assert_eq!(names, vec!["User", "State", "Balto", "Heat"]);
@@ -425,7 +447,7 @@ mod tests {
             .column("y", vec![10i64])
             .build()
             .unwrap();
-        let j = natural_join(&a, &b).unwrap();
+        let j = natural_join(&a, &b, &one_worker()).unwrap();
         assert_eq!(j.len(), 2);
     }
 
@@ -442,7 +464,7 @@ mod tests {
             .build()
             .unwrap();
         // the paper's w8 = σ_{D='Lee'}(w7 ⋈_{C=T} f)
-        let j = join_on(&w7, &films, &[("C", "Title")]).unwrap();
+        let j = join_on(&w7, &films, &[("C", "Title")], &one_worker()).unwrap();
         assert_eq!(j.len(), 2);
         assert!(j.schema().contains("C"));
         assert!(j.schema().contains("Title"));
@@ -458,7 +480,7 @@ mod tests {
             .column("k2", vec![1i64, 1, 1])
             .build()
             .unwrap();
-        let j = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        let j = join_on(&a, &b, &[("k", "k2")], &one_worker()).unwrap();
         assert_eq!(j.len(), 6);
     }
 
@@ -469,11 +491,11 @@ mod tests {
             &[vec![Value::Null], vec![Value::Int(1)]],
         )
         .unwrap();
-        let j = join_on(&a, &a.clone(), &[("k", "k")]);
+        let j = join_on(&a, &a.clone(), &[("k", "k")], &one_worker());
         // schema collision: k appears twice → rename first
         assert!(j.is_err());
         let b = rename_k(&a);
-        let j = join_on(&a, &b, &[("k", "k2")]).unwrap();
+        let j = join_on(&a, &b, &[("k", "k2")], &one_worker()).unwrap();
         assert_eq!(j.len(), 1); // only the 1=1 match; NULL=NULL is not true
     }
 
@@ -499,30 +521,16 @@ mod tests {
     }
 
     #[test]
-    fn theta_join_inequality() {
-        let a = RelationBuilder::new()
-            .column("x", vec![1i64, 5])
-            .build()
-            .unwrap();
-        let b = RelationBuilder::new()
-            .column("y", vec![3i64, 4])
-            .build()
-            .unwrap();
-        let j = theta_join(&a, &b, &Expr::col("x").lt(Expr::col("y"))).unwrap();
-        assert_eq!(j.len(), 2); // (1,3), (1,4)
-    }
-
-    #[test]
     fn empty_inputs() {
         let a = users().take(&[]);
-        let j = natural_join(&a, &ratings()).unwrap();
+        let j = natural_join(&a, &ratings(), &one_worker()).unwrap();
         assert_eq!(j.len(), 0);
         assert_eq!(j.schema().len(), 4);
     }
 
     #[test]
     fn join_requires_key_pairs() {
-        assert!(join_on(&users(), &ratings(), &[]).is_err());
+        assert!(join_on(&users(), &ratings(), &[], &one_worker()).is_err());
     }
 
     // -----------------------------------------------------------------
@@ -556,16 +564,16 @@ mod tests {
         rows
     }
 
-    /// Join `a ⋈ b` on the serial, pooled (2 and 4 threads) and grace
-    /// paths; the pooled ones must equal the serial one row for row, the
-    /// grace one (partition-major) as a bag. Returns the serial result.
+    /// Join `a ⋈ b` at every pool width and on the grace path; the pooled
+    /// ones must equal the serial one row for row, the grace one
+    /// (partition-major) as a bag. Returns the serial result.
     fn all_paths(a: &Relation, b: &Relation, on: &[(&str, &str)]) -> Relation {
-        use crate::algebra::{grace_join_on, join_on_parallel};
-        use crate::par::{QueryGuard, WorkerPool};
-        let serial = join_on(a, b, on).unwrap();
-        for threads in [2, 4] {
-            let pool = WorkerPool::new(threads);
-            let par = join_on_parallel(a, b, on, &pool).unwrap();
+        use crate::algebra::grace_join_on;
+        use crate::par::QueryGuard;
+        let serial = join_on(a, b, on, &one_worker()).unwrap();
+        for pool in pools() {
+            let threads = pool.threads();
+            let par = join_on(a, b, on, &pool).unwrap();
             assert_eq!(par.schema(), serial.schema());
             assert_eq!(
                 rows_text(&par),
@@ -1018,9 +1026,96 @@ mod tests {
         )]);
         let a = rel(vec![("k", ints(&[7]))]);
         let want = RelationError::JoinBuildTooLarge { rows };
-        assert_eq!(join_on(&a, &b, &[("k", "k2")]).unwrap_err(), want);
-        let pool = crate::par::WorkerPool::new(2);
-        let pooled = crate::algebra::join_on_parallel(&a, &b, &[("k", "k2")], &pool);
+        assert_eq!(
+            join_on(&a, &b, &[("k", "k2")], &one_worker()).unwrap_err(),
+            want
+        );
+        let pooled = join_on(&a, &b, &[("k", "k2")], &WorkerPool::new(2));
         assert_eq!(pooled.unwrap_err(), want);
+    }
+
+    #[test]
+    fn parallel_join_matches_serial() {
+        let a = sample(611);
+        let b = {
+            let key: Vec<i64> = (0..300i64).map(|i| i % 19).collect();
+            let y: Vec<f64> = (0..300).map(|i| i as f64).collect();
+            RelationBuilder::new()
+                .column("j", key)
+                .column("y", y)
+                .build()
+                .unwrap()
+        };
+        let ser = join_on(&a, &b, &[("k", "j")], &one_worker()).unwrap();
+        for pool in pools() {
+            let threads = pool.threads();
+            let par = join_on(&a, &b, &[("k", "j")], &pool).unwrap();
+            assert_eq!(par, ser, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_natural_join_matches_serial() {
+        let a = sample(2201);
+        let b = {
+            let k: Vec<i64> = (0..17).collect();
+            let w: Vec<f64> = (0..17).map(|i| (i * i) as f64).collect();
+            RelationBuilder::new()
+                .column("k", k)
+                .column("w", w)
+                .build()
+                .unwrap()
+        };
+        let ser = natural_join(&a, &b, &one_worker()).unwrap();
+        // no common attributes → cross product, same as serial
+        let c = RelationBuilder::new()
+            .column("z", vec![1i64, 2])
+            .build()
+            .unwrap();
+        for pool in pools() {
+            let par = natural_join(&a, &b, &pool).unwrap();
+            assert_eq!(par, ser);
+            assert_eq!(
+                natural_join(&b, &c, &pool).unwrap(),
+                natural_join(&b, &c, &one_worker()).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_join_empty_on_rejected() {
+        let r = sample(10);
+        for pool in pools() {
+            assert!(join_on(&r, &r, &[], &pool).is_err());
+        }
+    }
+
+    #[test]
+    fn cross_product_past_the_address_space_is_a_typed_error() {
+        use rma_storage::{ColumnData, Rle, Seg};
+        // one run of 2^33 rows each: the product's 2^66 rows overflow
+        // `usize`, and neither input allocates its rows
+        let rows = 1usize << 33;
+        let run = |name: &str| {
+            let rle = Rle::from_segs(
+                vec![Seg::Run {
+                    value: 7,
+                    len: rows,
+                }],
+                rows,
+            );
+            rel(vec![(
+                name,
+                rma_storage::Column::new(ColumnData::RleInt(rle)),
+            )])
+        };
+        let (a, b) = (run("x"), run("y"));
+        let want = RelationError::CrossProductTooLarge {
+            left: rows,
+            right: rows,
+        };
+        assert_eq!(cross_product(&a, &b).unwrap_err(), want);
+        // a natural join without common attributes is the same product
+        assert_eq!(natural_join(&a, &b, &one_worker()).unwrap_err(), want);
     }
 }

@@ -1,4 +1,4 @@
-//! Bag union, duplicate elimination, ordering, limit.
+//! Bag union, duplicate elimination, limit.
 
 use crate::error::RelationError;
 use crate::relation::Relation;
@@ -31,43 +31,6 @@ pub fn distinct(r: &Relation) -> Result<Relation, RelationError> {
     Ok(r.take(&ids.reps()))
 }
 
-/// `ORDER BY` over the given attributes; `ascending[k]` gives the direction
-/// of the k-th attribute (must match `attrs` length; all-ascending if empty).
-pub fn order_by(
-    r: &Relation,
-    attrs: &[&str],
-    ascending: &[bool],
-) -> Result<Relation, RelationError> {
-    let keys = super::sort::sort_keys(r, attrs, ascending)?;
-    let mut perm: Vec<usize> = (0..r.len()).collect();
-    perm.sort_by(|&x, &y| keys.cmp(x, y));
-    Ok(r.take(&perm))
-}
-
-/// Top-k: the first `n` rows of `ORDER BY attrs` without materialising the
-/// full sort. A bounded binary max-heap of row indices (the same
-/// `bounded_top_k` helper each parallel worker runs — see
-/// `algebra::sort`) keeps the current k best rows; each remaining row
-/// either displaces the heap root or is dropped, so the cost is
-/// O(|r| log n) instead of O(|r| log |r|).
-///
-/// Ties are broken by row index, which makes the result identical to
-/// `limit(order_by(r, ...), n, 0)` (the stable serial sort).
-pub fn top_k(
-    r: &Relation,
-    attrs: &[&str],
-    ascending: &[bool],
-    n: usize,
-) -> Result<Relation, RelationError> {
-    let keys = super::sort::sort_keys(r, attrs, ascending)?;
-    if n == 0 {
-        return Ok(r.take(&[]));
-    }
-    let mut best = super::sort::bounded_top_k(0..r.len(), n, &keys);
-    best.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
-    Ok(r.take(&best))
-}
-
 /// `LIMIT n` (with optional `OFFSET`).
 pub fn limit(r: &Relation, n: usize, offset: usize) -> Relation {
     let end = (offset + n).min(r.len());
@@ -79,7 +42,7 @@ pub fn limit(r: &Relation, n: usize, offset: usize) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::bits_text;
+    use crate::algebra::{bits_text, one_worker, order_by, top_k};
     use crate::relation::RelationBuilder;
     use rma_storage::Value;
 
@@ -234,7 +197,7 @@ mod tests {
 
     #[test]
     fn order_by_desc() {
-        let o = order_by(&rel(), &["x"], &[false]).unwrap();
+        let o = order_by(&rel(), &["x"], &[false], &one_worker()).unwrap();
         let xs: Vec<Value> = o.column("x").unwrap().iter_values().collect();
         assert_eq!(
             xs,
@@ -249,14 +212,14 @@ mod tests {
             .column("b", vec![10i64, 20, 5])
             .build()
             .unwrap();
-        let o = order_by(&r, &["a", "b"], &[true, false]).unwrap();
+        let o = order_by(&r, &["a", "b"], &[true, false], &one_worker()).unwrap();
         assert_eq!(o.cell(0, "b").unwrap(), Value::Int(20));
         assert_eq!(o.cell(1, "b").unwrap(), Value::Int(10));
     }
 
     #[test]
     fn order_by_direction_arity_checked() {
-        assert!(order_by(&rel(), &["x"], &[true, false]).is_err());
+        assert!(order_by(&rel(), &["x"], &[true, false], &one_worker()).is_err());
     }
 
     #[test]
@@ -268,8 +231,8 @@ mod tests {
             .unwrap();
         for n in 0..=9 {
             for dirs in [vec![true], vec![false]] {
-                let tk = top_k(&r, &["a"], &dirs, n).unwrap();
-                let full = limit(&order_by(&r, &["a"], &dirs).unwrap(), n, 0);
+                let tk = top_k(&r, &["a"], &dirs, n, &one_worker()).unwrap();
+                let full = limit(&order_by(&r, &["a"], &dirs, &one_worker()).unwrap(), n, 0);
                 assert_eq!(tk, full, "n={n} dirs={dirs:?}");
             }
         }
@@ -282,14 +245,14 @@ mod tests {
             .column("i", vec![0i64, 1, 2, 3])
             .build()
             .unwrap();
-        let tk = top_k(&r, &["a"], &[], 2).unwrap();
+        let tk = top_k(&r, &["a"], &[], 2, &one_worker()).unwrap();
         assert_eq!(tk.cell(0, "i").unwrap(), Value::Int(0));
         assert_eq!(tk.cell(1, "i").unwrap(), Value::Int(1));
     }
 
     #[test]
     fn top_k_checks_direction_arity() {
-        assert!(top_k(&rel(), &["x"], &[true, false], 1).is_err());
+        assert!(top_k(&rel(), &["x"], &[true, false], 1, &one_worker()).is_err());
     }
 
     #[test]

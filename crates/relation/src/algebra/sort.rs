@@ -1,14 +1,15 @@
-//! Pool-parallel ordering: the run phase, the k-way merge, and top-k.
+//! Ordering: `ORDER BY`, top-k, the sorts' run phase and their k-way
+//! merge.
 //!
 //! `ORDER BY` is the one blocking operator every ordered query funnels
 //! through. In memory and on disk it is one algorithm in two phases:
 //!
 //! - **Run phase** ([`sort_runs`]): the visible rows are cut into
 //!   consecutive ranges; pool workers sort each range's row indices (no
-//!   data movement) and hand each sorted run to a sink. The pooled
-//!   [`order_by_parallel`] keeps its runs in memory, one per worker; the
-//!   external sort ([`super::order_by_external`]) writes budget-sized
-//!   runs to spill files.
+//!   data movement) and hand each sorted run to a sink. The pooled sort
+//!   keeps its runs in memory, one per worker; the external sort
+//!   ([`super::order_by_external`]) writes budget-sized runs to spill
+//!   files.
 //! - **Merge phase** ([`LoserTree`]): the runs are k-way-merged through a
 //!   tournament tree of losers, ⌈log₂ k⌉ comparisons per output row over
 //!   k runs of any width. In memory the merged permutation becomes
@@ -16,20 +17,15 @@
 //!   columns, so the sort itself copies nothing and the sink pays the
 //!   usual single gather (the SelVec view/sink contract). On disk the same
 //!   tree merges the runs' chunks as they stream back.
-//! - **Parallel top-k** ([`top_k_parallel`]): each worker runs a bounded
-//!   max-heap of the k best rows over its range; the per-worker candidate
-//!   sets are merged at the barrier (at most `k·workers` rows) and cut to
-//!   the global k.
+//! - **Top-k** ([`top_k`]): a bounded max-heap of the k best rows, one per
+//!   worker over its range when pooled; the candidate sets are merged at
+//!   the barrier (at most `k·workers` rows) and cut to the global k.
 //!
-//! All are *exactly* result-equivalent to their serial counterparts in
-//! `setops` — including row order — because every comparison falls back to
-//! the global row index on ties, which is precisely the serial stable-sort
-//! order. With a single-worker pool or small inputs they delegate to the
-//! serial operators.
+//! Every path gives the serial stable sort's row order, because every
+//! comparison falls back to the global row index on ties.
 
-use super::setops::{order_by, top_k};
 use crate::error::RelationError;
-use crate::par::{partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
+use crate::par::{guard_checkpoint, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::trace;
 use rma_storage::RowOrder;
@@ -79,25 +75,46 @@ pub(super) fn sort_runs<T: Send>(
     })
 }
 
-/// Parallel `ORDER BY`: one sorted run per worker, merged through the
-/// sorts' loser tree. The result is a view (index selection vector over the
-/// shared base columns) in the same row order the serial [`order_by`]
-/// produces. Delegates to the serial operator for single-worker pools and
-/// small inputs.
+/// Bytes a sort is charged per row, or a top-k per candidate: one index.
+const SORT_INDEX_BYTES: u64 = 8;
+
+/// `ORDER BY` over the given attributes; `ascending[k]` gives the direction
+/// of the k-th attribute (must match `attrs` length; all-ascending if
+/// empty). Stable; the result is an index view over the base columns. An
+/// external merge sort when the guard has no headroom for 8 B a row;
+/// otherwise those are charged, and the pooled sort merges one run per
+/// worker.
+pub fn order_by(
+    r: &Relation,
+    attrs: &[&str],
+    ascending: &[bool],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    let perm = SORT_INDEX_BYTES * r.len() as u64;
+    if super::should_spill(perm) {
+        return super::order_by_external(r, attrs, ascending, pool);
+    }
+    let _perm = super::ChargeScope::new(perm)?;
+    order_by_parallel(r, attrs, ascending, pool)
+}
+
+/// In-memory [`order_by`], charging nothing.
 pub fn order_by_parallel(
     r: &Relation,
     attrs: &[&str],
     ascending: &[bool],
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || attrs.is_empty() {
-        return order_by(r, attrs, ascending);
-    }
     let keys = sort_keys(r, attrs, ascending)?;
+    if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || attrs.is_empty() {
+        let mut perm: Vec<usize> = (0..r.len()).collect();
+        perm.sort_by(|&x, &y| keys.cmp(x, y));
+        return Ok(r.take(&perm));
+    }
     let ranges = partition_ranges(r.len(), pool.threads());
     let runs = sort_runs(&keys, &ranges, pool, "sort.run", |idx| idx);
     // a tripped guard truncates the run set; surface it as a typed error
-    crate::par::guard_checkpoint()?;
+    guard_checkpoint()?;
     let span = trace::clock();
     let mut perm = Vec::with_capacity(r.len());
     let mut pos = vec![0usize; runs.len()];
@@ -127,10 +144,26 @@ pub fn order_by_parallel(
     Ok(r.take(&perm))
 }
 
-/// Parallel top-k (the Limit-into-Sort rewrite's execution): per-worker
-/// bounded heaps over contiguous ranges, candidate sets merged at the
-/// barrier and cut to `n`. Result-identical to the serial [`top_k`]
-/// (which is itself identical to `limit(order_by(..), n, 0)`).
+/// Top-k (the Limit-into-Sort rewrite's execution): the first `n` rows of
+/// `ORDER BY attrs`, identical to `limit(order_by(r, ..), n, 0)`, from a
+/// bounded max-heap of row indices in O(|r| log n). It never spills; its
+/// heaps (8 B × `n` per worker) are charged. Pooled, each worker keeps one
+/// heap over its range and the candidates merge at the barrier.
+pub fn top_k(
+    r: &Relation,
+    attrs: &[&str],
+    ascending: &[bool],
+    n: usize,
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    // a LIMIT past the input keeps every row; clamped, the charge cannot
+    // overflow
+    let n = n.min(r.len());
+    let _heaps = super::ChargeScope::new(SORT_INDEX_BYTES * n as u64 * pool.threads() as u64)?;
+    top_k_parallel(r, attrs, ascending, n, pool)
+}
+
+/// In-memory [`top_k`], charging nothing.
 pub fn top_k_parallel(
     r: &Relation,
     attrs: &[&str],
@@ -138,14 +171,19 @@ pub fn top_k_parallel(
     n: usize,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    // a LIMIT past the input keeps every row; clamped, `n * 4` cannot overflow
+    // clamped, `n * 4` cannot overflow
     let n = n.min(r.len());
+    let keys = sort_keys(r, attrs, ascending)?;
+    if n == 0 {
+        return Ok(r.take(&[]));
+    }
     // With k within a factor of the input size the bounded heaps approach a
     // full sort per worker while still paying the merge — serial wins.
-    if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n == 0 || n * 4 >= r.len() {
-        return top_k(r, attrs, ascending, n);
+    if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n * 4 >= r.len() {
+        let mut best = bounded_top_k(0..r.len(), n, &keys);
+        best.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
+        return Ok(r.take(&best));
     }
-    let keys = sort_keys(r, attrs, ascending)?;
     let ranges = partition_ranges(r.len(), pool.threads());
     let locals: Vec<Vec<usize>> = pool.for_each(&ranges, |lane, range| {
         let span = trace::clock();
@@ -161,7 +199,7 @@ pub fn top_k_parallel(
         );
         heap
     });
-    crate::par::guard_checkpoint()?;
+    guard_checkpoint()?;
     let span = trace::clock();
     let mut cand: Vec<usize> = locals.concat();
     let merged_in = cand.len() as u64;
@@ -258,8 +296,8 @@ impl LoserTree {
 /// of the current k best; every other row either displaces it or is
 /// dropped. O(range · log k). The returned candidates are unsorted —
 /// callers sort (serial top-k) or merge-then-sort (parallel barrier) once.
-/// Shared by the serial [`top_k`] and each parallel worker, so the two
-/// paths cannot drift apart.
+/// Shared by the serial branch of [`top_k_parallel`] and each of its
+/// workers, so the two paths cannot drift apart.
 pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &RowOrder<'_>) -> Vec<usize> {
     let mut heap: Vec<usize> = Vec::with_capacity(k.min(range.len()));
     for i in range {
@@ -302,7 +340,7 @@ pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &RowOrder<'_>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::limit;
+    use crate::algebra::{limit, one_worker, pools};
     use crate::expr::Expr;
     use crate::relation::RelationBuilder;
     use rma_storage::{Bitmap, Column, ColumnData, DataType};
@@ -338,10 +376,8 @@ mod tests {
     #[test]
     fn parallel_sort_matches_serial() {
         let r = sample(3001);
-        // 3 and 5 give the merge's loser tree a width that is not a power
-        // of two
-        for threads in [2, 3, 4, 5, 8] {
-            let pool = WorkerPool::new(threads);
+        for pool in pools() {
+            let threads = pool.threads();
             for (attrs, dirs) in [
                 (vec!["s"], vec![true]),
                 (vec!["s"], vec![false]),
@@ -349,8 +385,8 @@ mod tests {
                 (vec!["v", "s"], vec![true, true]), // null-heavy leading key
                 (vec!["m", "s", "id"], vec![false, true, false]),
             ] {
-                let par = order_by_parallel(&r, &attrs, &dirs, &pool).unwrap();
-                let ser = order_by(&r, &attrs, &dirs).unwrap();
+                let par = order_by(&r, &attrs, &dirs, &pool).unwrap();
+                let ser = order_by(&r, &attrs, &dirs, &one_worker()).unwrap();
                 assert_eq!(par, ser, "threads={threads} attrs={attrs:?}");
                 assert!(par.is_view(), "parallel sort must produce a view");
             }
@@ -367,11 +403,12 @@ mod tests {
             .column("b", reversed)
             .build()
             .unwrap();
-        let pool = WorkerPool::new(4);
-        for attrs in [["a"], ["b"]] {
-            let par = order_by_parallel(&r, &attrs, &[true], &pool).unwrap();
-            let ser = order_by(&r, &attrs, &[true]).unwrap();
-            assert_eq!(par, ser, "presorted by {attrs:?}");
+        for pool in pools() {
+            for attrs in [["a"], ["b"]] {
+                let par = order_by(&r, &attrs, &[true], &pool).unwrap();
+                let ser = order_by(&r, &attrs, &[true], &one_worker()).unwrap();
+                assert_eq!(par, ser, "presorted by {attrs:?}");
+            }
         }
     }
 
@@ -383,9 +420,9 @@ mod tests {
             .column("id", (0..n as i64).collect::<Vec<_>>())
             .build()
             .unwrap();
-        for threads in [3, 4, 5] {
-            let pool = WorkerPool::new(threads);
-            let par = order_by_parallel(&r, &["c"], &[true], &pool).unwrap();
+        for pool in pools() {
+            let threads = pool.threads();
+            let par = order_by(&r, &["c"], &[true], &pool).unwrap();
             // all-equal keys: output must be the original row order
             let ids = match &*par.column("id").unwrap().decoded() {
                 ColumnData::Int(v) => v.clone(),
@@ -398,38 +435,46 @@ mod tests {
     #[test]
     fn parallel_sort_small_input_and_bad_args_delegate() {
         let r = sample(64); // below MIN_PARALLEL_ROWS
-        let pool = WorkerPool::new(4);
-        assert_eq!(
-            order_by_parallel(&r, &["s"], &[true], &pool).unwrap(),
-            order_by(&r, &["s"], &[true]).unwrap()
-        );
-        assert!(order_by_parallel(&r, &["s"], &[true, false], &pool).is_err());
-        assert!(top_k_parallel(&r, &["s"], &[true, false], 3, &pool).is_err());
+        for pool in pools() {
+            assert_eq!(
+                order_by(&r, &["s"], &[true], &pool).unwrap(),
+                order_by(&r, &["s"], &[true], &one_worker()).unwrap()
+            );
+            assert!(order_by(&r, &["s"], &[true, false], &pool).is_err());
+            assert!(top_k(&r, &["s"], &[true, false], 3, &pool).is_err());
+        }
     }
 
     #[test]
     fn parallel_sort_over_a_view() {
         let r = sample(4000);
-        let filtered = crate::algebra::select(&r, &Expr::col("s").lt(Expr::lit(50i64))).unwrap();
+        let filtered =
+            crate::algebra::select(&r, &Expr::col("s").lt(Expr::lit(50i64)), &one_worker())
+                .unwrap();
         assert!(filtered.is_view());
-        let pool = WorkerPool::new(4);
-        let par = order_by_parallel(&filtered, &["m", "s"], &[true, true], &pool).unwrap();
-        let ser = order_by(&filtered, &["m", "s"], &[true, true]).unwrap();
-        assert_eq!(par, ser);
+        for pool in pools() {
+            let par = order_by(&filtered, &["m", "s"], &[true, true], &pool).unwrap();
+            let ser = order_by(&filtered, &["m", "s"], &[true, true], &one_worker()).unwrap();
+            assert_eq!(par, ser);
+        }
     }
 
     #[test]
     fn parallel_top_k_matches_serial() {
         let r = sample(2777);
-        for threads in [2, 4] {
-            let pool = WorkerPool::new(threads);
+        for pool in pools() {
+            let threads = pool.threads();
             for n in [1usize, 7, 100, 650] {
                 for dirs in [vec![true, false], vec![false, true]] {
-                    let par = top_k_parallel(&r, &["s", "m"], &dirs, n, &pool).unwrap();
-                    let ser = top_k(&r, &["s", "m"], &dirs, n).unwrap();
+                    let par = top_k(&r, &["s", "m"], &dirs, n, &pool).unwrap();
+                    let ser = top_k(&r, &["s", "m"], &dirs, n, &one_worker()).unwrap();
                     assert_eq!(par, ser, "threads={threads} n={n} dirs={dirs:?}");
                     // and both equal the full-sort definition
-                    let full = limit(&order_by(&r, &["s", "m"], &dirs).unwrap(), n, 0);
+                    let full = limit(
+                        &order_by(&r, &["s", "m"], &dirs, &one_worker()).unwrap(),
+                        n,
+                        0,
+                    );
                     assert_eq!(par, full, "n={n}");
                 }
             }
@@ -439,23 +484,25 @@ mod tests {
     #[test]
     fn parallel_top_k_edge_sizes() {
         let r = sample(1500);
-        let pool = WorkerPool::new(4);
-        // n = 0, n >= len, and n just under the serial-delegation cutoff
-        for n in [0usize, 1500, 2000, 370] {
-            assert_eq!(
-                top_k_parallel(&r, &["s"], &[true], n, &pool).unwrap(),
-                top_k(&r, &["s"], &[true], n).unwrap(),
-                "n={n}"
-            );
+        for pool in pools() {
+            // n = 0, n >= len, and n just under the serial-delegation cutoff
+            for n in [0usize, 1500, 2000, 370] {
+                assert_eq!(
+                    top_k(&r, &["s"], &[true], n, &pool).unwrap(),
+                    top_k(&r, &["s"], &[true], n, &one_worker()).unwrap(),
+                    "n={n}"
+                );
+            }
         }
     }
 
     #[test]
     fn parallel_top_k_null_keys() {
         let r = sample(2048);
-        let pool = WorkerPool::new(4);
-        let par = top_k_parallel(&r, &["v"], &[true], 50, &pool).unwrap();
-        let ser = top_k(&r, &["v"], &[true], 50).unwrap();
-        assert_eq!(par, ser);
+        for pool in pools() {
+            let par = top_k(&r, &["v"], &[true], 50, &pool).unwrap();
+            let ser = top_k(&r, &["v"], &[true], 50, &one_worker()).unwrap();
+            assert_eq!(par, ser);
+        }
     }
 }

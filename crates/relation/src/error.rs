@@ -49,6 +49,8 @@ pub enum RelationError {
         /// The build side's row count.
         rows: usize,
     },
+    /// A cross product of `left × right` rows its indices cannot address.
+    CrossProductTooLarge { left: usize, right: usize },
 }
 
 impl fmt::Display for RelationError {
@@ -83,6 +85,10 @@ impl fmt::Display for RelationError {
                 f,
                 "join build side of {rows} rows exceeds the hash table's {} rows",
                 u32::MAX - 1
+            ),
+            RelationError::CrossProductTooLarge { left, right } => write!(
+                f,
+                "cross product of {left} × {right} rows exceeds the address space"
             ),
         }
     }

@@ -99,10 +99,10 @@ use std::time::{Duration, Instant};
 /// selective filter hitting one range) rebalances onto idle workers.
 const MORSELS_PER_THREAD: usize = 4;
 
-/// Inputs below this many rows run the serial operator even when threads
-/// are available: handing a job to parked workers costs microseconds, which
-/// dwarfs the operator itself on small relations (the relational analogue
-/// of the dense kernels' element thresholds).
+/// Inputs below this many rows run an operator's serial branch even when
+/// threads are available: handing a job to parked workers costs
+/// microseconds, which dwarfs the operator itself on small relations (the
+/// relational analogue of the dense kernels' element thresholds).
 pub const MIN_PARALLEL_ROWS: usize = 1024;
 
 /// Split `0..len` into at most `parts` contiguous, non-empty ranges of

@@ -4,8 +4,13 @@
 use proptest::prelude::*;
 use rma_relation::{
     aggregate, cross_product, distinct, join_on, order_by, project, rename, select, union_all,
-    AggSpec, Expr, Relation, RelationBuilder,
+    AggSpec, Expr, Relation, RelationBuilder, WorkerPool,
 };
+
+/// A one-worker pool: the operators' serial path, spawning no thread.
+fn one() -> WorkerPool {
+    WorkerPool::new(1)
+}
 
 /// Random small relation (k: Int possibly duplicated, s: Str, x: Float).
 fn arb_rel(max_rows: usize) -> impl Strategy<Value = Relation> {
@@ -29,8 +34,8 @@ proptest! {
     #[test]
     fn selection_distributes_over_union(a in arb_rel(12), b in arb_rel(12)) {
         let p = Expr::col("x").gt(Expr::lit(0.0));
-        let lhs = select(&union_all(&a, &b).unwrap(), &p).unwrap();
-        let rhs = union_all(&select(&a, &p).unwrap(), &select(&b, &p).unwrap()).unwrap();
+        let lhs = select(&union_all(&a, &b).unwrap(), &p, &one()).unwrap();
+        let rhs = union_all(&select(&a, &p, &one()).unwrap(), &select(&b, &p, &one()).unwrap()).unwrap();
         prop_assert!(lhs.bag_equals(&rhs));
     }
 
@@ -39,9 +44,9 @@ proptest! {
     fn selections_commute(r in arb_rel(16)) {
         let p = Expr::col("x").gt(Expr::lit(-10.0));
         let q = Expr::col("k").lt(Expr::lit(5i64));
-        let pq = select(&select(&r, &q).unwrap(), &p).unwrap();
-        let qp = select(&select(&r, &p).unwrap(), &q).unwrap();
-        let conj = select(&r, &p.clone().and(q.clone())).unwrap();
+        let pq = select(&select(&r, &q, &one()).unwrap(), &p, &one()).unwrap();
+        let qp = select(&select(&r, &p, &one()).unwrap(), &q, &one()).unwrap();
+        let conj = select(&r, &p.clone().and(q.clone()), &one()).unwrap();
         prop_assert!(pq.bag_equals(&qp));
         prop_assert!(pq.bag_equals(&conj));
     }
@@ -58,8 +63,8 @@ proptest! {
     #[test]
     fn join_commutes(a in arb_rel(10), b in arb_rel(10)) {
         let b = rename(&b, &[("k", "k2"), ("s", "s2"), ("x", "x2")]).unwrap();
-        let ab = join_on(&a, &b, &[("k", "k2")]).unwrap();
-        let ba = join_on(&b, &a, &[("k2", "k")]).unwrap();
+        let ab = join_on(&a, &b, &[("k", "k2")], &one()).unwrap();
+        let ba = join_on(&b, &a, &[("k2", "k")], &one()).unwrap();
         prop_assert_eq!(ab.len(), ba.len());
         // reorder columns and compare as bags
         let cols: Vec<&str> = ab.schema().names().collect();
@@ -87,7 +92,7 @@ proptest! {
     // order_by is a permutation: same bag, sorted key column
     #[test]
     fn order_by_permutes(r in arb_rel(20)) {
-        let o = order_by(&r, &["x"], &[true]).unwrap();
+        let o = order_by(&r, &["x"], &[true], &one()).unwrap();
         prop_assert!(o.bag_equals(&r));
         let xs = o.column("x").unwrap().to_f64_vec().unwrap();
         prop_assert!(xs.windows(2).all(|w| w[0] <= w[1]));
@@ -96,11 +101,11 @@ proptest! {
     // COUNT(*) equals the relation size; SUM splits over a partition
     #[test]
     fn aggregates_consistent(r in arb_rel(20)) {
-        let g = aggregate(&r, &[], &[AggSpec::count_star("n"), AggSpec::sum("x", "s")]).unwrap();
+        let g = aggregate(&r, &[], &[AggSpec::count_star("n"), AggSpec::sum("x", "s")], &one()).unwrap();
         let n = g.cell(0, "n").unwrap();
         prop_assert_eq!(n, rma_storage::Value::Int(r.len() as i64));
         // group-by k, then total of group sums == global sum
-        let per_k = aggregate(&r, &["k"], &[AggSpec::sum("x", "s")]).unwrap();
+        let per_k = aggregate(&r, &["k"], &[AggSpec::sum("x", "s")], &one()).unwrap();
         let total: f64 = per_k
             .column("s")
             .unwrap()
@@ -117,7 +122,7 @@ proptest! {
         // build a key table of all distinct k values
         let keys = distinct(&project(&a, &["k"]).unwrap()).unwrap();
         let keys = rename(&keys, &[("k", "k2")]).unwrap();
-        let j = join_on(&a, &keys, &[("k", "k2")]).unwrap();
+        let j = join_on(&a, &keys, &[("k", "k2")], &one()).unwrap();
         prop_assert_eq!(j.len(), a.len());
     }
 }

@@ -37,12 +37,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let ctx = RmaContext::default();
+    // the relational operators run on the context's session pool
+    let pool = ctx.pool();
 
     // w1 = π_{U,B,H,N}(σ_{S='CA'}(u ⋈ r))
     let w1 = project(
         &select(
-            &natural_join(&users, &ratings)?,
+            &natural_join(&users, &ratings, pool)?,
             &Expr::col("State").eq(Expr::lit("CA")),
+            pool,
         )?,
         &["User", "Balto", "Heat", "Net"],
     )?;
@@ -57,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             AggSpec::avg("Heat", "Heat"),
             AggSpec::avg("Net", "Net"),
         ],
+        pool,
     )?;
 
     // w3 = π_{U,B,H,N}(sub_{U;V}(w1, ρ_V(π_U(w1)) × w2))
@@ -73,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w5 = ctx.mmu(&w4, &["C"], &w3, &["User"])?;
 
     // w6, w7: unbiased covariance — divide by (COUNT(*) − 1)
-    let m = aggregate(&w1, &[], &[AggSpec::count_star("M")])?;
+    let m = aggregate(&w1, &[], &[AggSpec::count_star("M")], pool)?;
     let w6 = cross_product(&w5, &m)?;
     let w7 = project_exprs(
         &w6,
@@ -98,8 +102,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // w8 = π_{T,B,H,N}(σ_{D='Lee'}(w7 ⋈_{C=T} f))
     let w8 = project(
         &select(
-            &join_on(&w7, &films, &[("C", "Title")])?,
+            &join_on(&w7, &films, &[("C", "Title")], pool)?,
             &Expr::col("Director").eq(Expr::lit("Lee")),
+            pool,
         )?,
         &["Title", "Balto", "Heat", "Net"],
     )?;
@@ -110,12 +115,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // prints 1.56 in the Balto row, which is cov(Heat, Heat) for its
     // Figure 5 instance — the w3/w8 tables there swap the B and H columns;
     // we verify the mathematically consistent values.)
-    let balto_row = select(&w8, &Expr::col("Title").eq(Expr::lit("Balto")))?;
+    let balto_row = select(&w8, &Expr::col("Title").eq(Expr::lit("Balto")), pool)?;
     let bb = balto_row.cell(0, "Balto")?.as_f64().unwrap();
     let bh = balto_row.cell(0, "Heat")?.as_f64().unwrap();
     assert!((bb - 0.5).abs() < 1e-9, "cov(Balto,Balto) = {bb}");
     assert!((bh - -1.25).abs() < 1e-9, "cov(Balto,Heat) = {bh}");
-    let heat_row = select(&w8, &Expr::col("Title").eq(Expr::lit("Heat")))?;
+    let heat_row = select(&w8, &Expr::col("Title").eq(Expr::lit("Heat")), pool)?;
     let hh = heat_row.cell(0, "Heat")?.as_f64().unwrap();
     assert!((hh - 3.125).abs() < 1e-9, "cov(Heat,Heat) = {hh}");
     println!("cov(Balto,Balto) = {bb}, cov(Balto,Heat) = {bh}, cov(Heat,Heat) = {hh}");

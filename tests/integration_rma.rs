@@ -19,7 +19,7 @@ fn weather() -> rma::Relation {
 fn every_unary_operation_end_to_end() {
     let ctx = RmaContext::default();
     let r = weather();
-    let square = select(&r, &Expr::col("T").gt(Expr::lit("6am"))).unwrap();
+    let square = select(&r, &Expr::col("T").gt(Expr::lit("6am")), ctx.pool()).unwrap();
 
     // rectangular ops
     for result in [
@@ -95,7 +95,7 @@ fn mixed_pipeline_matches_direct_computation() {
     // σ → inv → π → rnk: relational and matrix operators interleaved
     let ctx = RmaContext::default();
     let r = weather();
-    let sub = select(&r, &Expr::col("H").gt(Expr::lit(0.5))).unwrap();
+    let sub = select(&r, &Expr::col("H").gt(Expr::lit(0.5)), ctx.pool()).unwrap();
     let q = ctx.qqr(&sub, &["T"]).unwrap();
     let hw = project(&q, &["T", "H", "W"]).unwrap();
     let rank = ctx.rnk(&hw, &["T"]).unwrap();
