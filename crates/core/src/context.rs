@@ -49,13 +49,13 @@ pub struct RmaOptions {
     pub sort_policy: SortPolicy,
     /// Worker threads for *plan execution*. Sizes the context's session
     /// [`WorkerPool`] (created at context construction; contexts at the
-    /// default count share one process-wide pool). With `threads > 1` the
-    /// plan interpreter routes operators with a parallel implementation
-    /// (partitioned scan pipelines, hash joins, aggregation, sort/top-k)
-    /// through the morsel-driven engine on that pool; `1` forces the serial
-    /// plan interpreter. The dense kernels in `rma-linalg` run on the same
-    /// substrate: constructing any context installs the process-wide
-    /// default-sized pool as their executor
+    /// default count share one process-wide pool). The plan interpreter is
+    /// the same at every count: each relational operator with a pooled body
+    /// (selection, hash joins, aggregation, sort/top-k) runs its morsels on
+    /// that pool when it has more than one worker and enough input rows, so
+    /// `1` runs every operator serially. The dense kernels in `rma-linalg`
+    /// run on the same substrate: constructing any context installs the
+    /// process-wide default-sized pool as their executor
     /// ([`rma_linalg::install_parallelism`]), still budgeted by the shared
     /// `RMA_THREADS` knob ([`rma_linalg::available_threads`]). Defaults to
     /// [`default_threads`].
@@ -375,14 +375,17 @@ impl RmaContext {
         self.stats.accumulate(s);
     }
 
-    /// Decide the kernel for an operation on an `m × n` application part
-    /// (plus the second operand's application dimensions for binary ops)
-    /// under the configured policy. A pure function of the operation, the
-    /// shapes and [`RmaOptions::mem_budget`] (`0` = unlimited): under
-    /// [`Backend::Auto`] a complex operation goes dense exactly when
-    /// `2 · cells · 8` bytes — every operand copied in and the result out —
-    /// fits the budget. Public so the plan-level optimizer makes the same
-    /// choice ahead of execution that execution makes at run time.
+    /// Decide the kernel family that runs an operation on an `m × n`
+    /// application part (plus the second operand's application dimensions
+    /// for binary ops) under the configured policy. A pure function of the
+    /// operation, the shapes and [`RmaOptions::mem_budget`] (`0` =
+    /// unlimited): under [`Backend::Auto`] a complex operation goes dense
+    /// exactly when `2 · cells · 8` bytes — every operand copied in and the
+    /// result out — fits the budget. The eigen and singular-value
+    /// operations (`evc`, `evl`, `dsv`, `usv`, `vsv`) have no BAT kernel
+    /// and run dense under every policy. Public so the plan-level optimizer
+    /// makes the same choice ahead of execution that execution makes at
+    /// run time.
     pub fn choose_kernel(
         &self,
         op: RmaOp,
@@ -390,7 +393,12 @@ impl RmaContext {
         n: usize,
         second: Option<(usize, usize)>,
     ) -> Backend {
+        let no_bat_kernel = matches!(
+            op,
+            RmaOp::Evc | RmaOp::Evl | RmaOp::Dsv | RmaOp::Usv | RmaOp::Vsv
+        );
         match self.options.backend {
+            _ if no_bat_kernel => Backend::Dense,
             Backend::Bat => Backend::Bat,
             Backend::Dense => Backend::Dense,
             Backend::Auto => {
@@ -501,6 +509,11 @@ mod tests {
         assert_eq!(
             RmaContext::with_backend(Backend::Bat).choose_kernel(RmaOp::Qqr, 10, 10, None),
             Backend::Bat
+        );
+        // no BAT kernel: forced Bat names the dense family that runs
+        assert_eq!(
+            RmaContext::with_backend(Backend::Bat).choose_kernel(RmaOp::Vsv, 10, 10, None),
+            Backend::Dense
         );
         assert_eq!(
             RmaContext::with_backend(Backend::Dense).choose_kernel(

@@ -34,14 +34,6 @@ impl KernelOut {
     }
 }
 
-/// Does the BAT kernel family implement this operation?
-pub fn bat_supports(op: RmaOp) -> bool {
-    !matches!(
-        op,
-        RmaOp::Dsv | RmaOp::Usv | RmaOp::Vsv | RmaOp::Evl | RmaOp::Evc
-    )
-}
-
 /// Execute a unary base operation on an application part.
 pub fn eval_unary<C: AsRef<[f64]>>(
     ctx: &RmaContext,
@@ -51,15 +43,13 @@ pub fn eval_unary<C: AsRef<[f64]>>(
 ) -> Result<KernelOut, RmaError> {
     let m = app.first().map_or(0, |c| c.as_ref().len());
     let n = app.len();
-    let mut backend = ctx.choose_kernel(op, m, n, None);
-    let mut kernel_used = match backend {
+    let backend = ctx.choose_kernel(op, m, n, None);
+    let kernel_used = match backend {
         Backend::Bat => KernelUsed::Bat,
+        // forced Bat on an operation with no BAT kernel
+        _ if ctx.options.backend == Backend::Bat => KernelUsed::DenseFallback,
         _ => KernelUsed::Dense,
     };
-    if backend == Backend::Bat && !bat_supports(op) {
-        backend = Backend::Dense;
-        kernel_used = KernelUsed::DenseFallback;
-    }
     let out = match backend {
         Backend::Bat => {
             let t = Instant::now();

@@ -48,7 +48,7 @@ pub use serve::{
     CatalogSnapshot, MetricsRegistry, MetricsSnapshot, ServeError, Server, Session,
     SessionCounters, VersionedCatalog,
 };
-pub use shape::{Dim, RmaOp, ShapeType, ALL_OPS};
+pub use shape::{ArgSize, Dim, RmaOp, ShapeType, ALL_OPS};
 pub use trace::{chrome_trace_json, Span, TraceSession};
 
 // Free-function API re-exports.

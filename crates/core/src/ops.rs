@@ -10,7 +10,7 @@
 use crate::context::RmaContext;
 use crate::error::RmaError;
 use crate::kernels::{eval_binary, eval_unary, KernelOut};
-use crate::shape::RmaOp;
+use crate::shape::{Dim, RmaOp};
 use crate::split::{
     build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode, Split,
 };
@@ -36,13 +36,7 @@ impl RmaContext {
         input_sorted: bool,
     ) -> Result<Relation, RmaError> {
         assert!(!op.is_binary(), "unary() called with binary op {op:?}");
-        // tra and usv use the column cast ▽U: |U| must be 1
-        if matches!(op, RmaOp::Tra | RmaOp::Usv) && order.len() != 1 {
-            return Err(RmaError::OrderSchemaCardinality {
-                op: op.name(),
-                found: order.len(),
-            });
-        }
+        check_column_cast(op, &[order])?;
         let mut stats = crate::context::ExecStats::default();
         let t_sort = Instant::now();
         let mode = if input_sorted {
@@ -59,33 +53,7 @@ impl RmaContext {
 
         let t_merge = Instant::now();
         let span = trace::clock();
-        let result = match op {
-            // (r1,c1): γ(µU(r) ‖ OP(µ_U̅(r)), U ◦ U̅)
-            RmaOp::Inv | RmaOp::Evc | RmaOp::Chf | RmaOp::Qqr => {
-                build_relation(order_context(&s), &s.app_names.clone(), out.into_cols())?
-            }
-            // (r1,r1): γ(µU(r) ‖ OP(µ_U̅(r)), U ◦ ▽U)
-            RmaOp::Usv => {
-                let names = column_cast(&s.order_cols[0])?;
-                build_relation(order_context(&s), &names, out.into_cols())?
-            }
-            // (r1,1): γ(µU(r) ‖ OP(µ_U̅(r)), U ◦ (op))
-            RmaOp::Evl | RmaOp::Vsv => {
-                build_relation(order_context(&s), &[op.name().to_string()], out.into_cols())?
-            }
-            // (c1,r1): γ(∆U̅ ‖ OP(µ_U̅(r)), (C) ◦ ▽U)
-            RmaOp::Tra => {
-                let names = column_cast(&s.order_cols[0])?;
-                build_relation(c_context(&s), &names, out.into_cols())?
-            }
-            // (c1,c1): γ(∆U̅ ‖ OP(µ_U̅(r)), (C) ◦ U̅)
-            RmaOp::Rqr | RmaOp::Dsv => {
-                build_relation(c_context(&s), &s.app_names.clone(), out.into_cols())?
-            }
-            // (1,1): γ(r ◦ OP(µ_U̅(r)), (C, op))
-            RmaOp::Det | RmaOp::Rnk => scalar_relation(op, r, out)?,
-            other => unreachable!("binary op {other:?} in unary dispatch"),
-        };
+        let result = morph(op, r, &[&s], out)?;
         record_merge(span, s.rows, &result);
         stats.sort += t_merge.elapsed();
         self.record(&stats);
@@ -119,12 +87,7 @@ impl RmaContext {
         s_sorted: bool,
     ) -> Result<Relation, RmaError> {
         assert!(op.is_binary(), "binary() called with unary op {op:?}");
-        if op == RmaOp::Opd && s_order.len() != 1 {
-            return Err(RmaError::OrderSchemaCardinality {
-                op: op.name(),
-                found: s_order.len(),
-            });
-        }
+        check_column_cast(op, &[r_order, s_order])?;
         let aligned = matches!(
             op,
             RmaOp::Add | RmaOp::Sub | RmaOp::Emu | RmaOp::Cpd | RmaOp::Sol
@@ -209,28 +172,7 @@ impl RmaContext {
         let out = eval_binary(self, op, &rs.app, &ss.app, ss.align.as_deref(), &mut stats)?;
 
         let span = trace::clock();
-        let result = match op {
-            // (r∗,c∗): γ(µU(r) ‖ µV(s) ‖ OP, U ◦ V ◦ U̅)
-            RmaOp::Add | RmaOp::Sub | RmaOp::Emu => {
-                let mut ctx_cols = order_context(&rs);
-                ctx_cols.extend(order_context(&ss));
-                build_relation(ctx_cols, &rs.app_names.clone(), out.into_cols())?
-            }
-            // (r1,c2): γ(µU(r) ‖ OP, U ◦ V̅)
-            RmaOp::Mmu => {
-                build_relation(order_context(&rs), &ss.app_names.clone(), out.into_cols())?
-            }
-            // (r1,r2): γ(µU(r) ‖ OP, U ◦ ▽V)
-            RmaOp::Opd => {
-                let names = column_cast(&ss.order_cols[0])?;
-                build_relation(order_context(&rs), &names, out.into_cols())?
-            }
-            // (c1,c2): γ(∆U̅ ‖ OP, (C) ◦ V̅)
-            RmaOp::Cpd | RmaOp::Sol => {
-                build_relation(c_context(&rs), &ss.app_names.clone(), out.into_cols())?
-            }
-            other => unreachable!("unary op {other:?} in binary dispatch"),
-        };
+        let result = morph(op, r, &[&rs, &ss], out)?;
         record_merge(span, rs.rows + ss.rows, &result);
         self.record(&stats);
         Ok(result)
@@ -374,22 +316,59 @@ fn record_merge(span: Option<Instant>, rows_in: usize, result: &Relation) {
     );
 }
 
-/// Row context of shape `r1`: the (ordered) order part with its attributes.
-fn order_context(s: &Split) -> Vec<(Attribute, Column)> {
-    s.order_attrs
-        .iter()
-        .cloned()
-        .zip(s.order_cols.iter().cloned())
-        .collect()
+/// The column cast ▽U names result columns after the values of a
+/// one-attribute order schema, so an `r1`/`r2` column dimension needs that
+/// argument's |U| = 1. Checked from the order schemas, before any sort.
+fn check_column_cast(op: RmaOp, orders: &[&[&str]]) -> Result<(), RmaError> {
+    let cast = match op.shape().cols {
+        Dim::R1 => orders.first(),
+        Dim::R2 => orders.get(1),
+        _ => None,
+    };
+    match cast {
+        Some(order) if order.len() != 1 => Err(RmaError::OrderSchemaCardinality {
+            op: op.name(),
+            found: order.len(),
+        }),
+        _ => Ok(()),
+    }
 }
 
-/// Row context of shape `c1`: a new attribute `C` holding the application
-/// schema names (the schema cast ∆U̅).
-fn c_context(s: &Split) -> Vec<(Attribute, Column)> {
-    vec![(
-        Attribute::new("C", DataType::Str),
-        schema_cast(&s.app_names),
-    )]
+/// Table 3: the relation constructor `γ(context ‖ OP, names)` over the
+/// sorted arguments, keyed on the operation's shape type. The row
+/// dimension picks the row context — `r1` the first order part `µU`, `r*`
+/// both order parts, `c1` the schema cast ∆U̅ as attribute `C`, `(1,1)` the
+/// scalar relation — and the column dimension the result's column names:
+/// `c1`/`c*` U̅, `c2` V̅, `r1`/`r2` that argument's column cast ▽U, `1` the
+/// operation's name.
+fn morph(op: RmaOp, r: &Relation, args: &[&Split], out: KernelOut) -> Result<Relation, RmaError> {
+    let shape = op.shape();
+    let order_context = |s: &Split| -> Vec<(Attribute, Column)> {
+        s.order_attrs
+            .iter()
+            .cloned()
+            .zip(s.order_cols.iter().cloned())
+            .collect()
+    };
+    let context = match shape.rows {
+        Dim::R1 => order_context(args[0]),
+        Dim::RStar => args.iter().flat_map(|s| order_context(s)).collect(),
+        Dim::C1 => vec![(
+            Attribute::new("C", DataType::Str),
+            schema_cast(&args[0].app_names),
+        )],
+        Dim::One => return scalar_relation(op, r, out),
+        Dim::R2 | Dim::C2 | Dim::CStar => unreachable!("no operation has {shape:?}"),
+    };
+    let names = match shape.cols {
+        Dim::C1 | Dim::CStar => args[0].app_names.clone(),
+        Dim::C2 => args[1].app_names.clone(),
+        Dim::R1 => column_cast(&args[0].order_cols[0])?,
+        Dim::R2 => column_cast(&args[1].order_cols[0])?,
+        Dim::One => vec![op.name().to_string()],
+        Dim::RStar => unreachable!("no operation has {shape:?}"),
+    };
+    build_relation(context, &names, out.into_cols())
 }
 
 /// Shape (1,1) result: one row with the relation name in `C` and the scalar

@@ -31,7 +31,7 @@
 //! both.
 
 use super::{LogicalPlan, PlanError, TableProvider};
-use crate::context::{RmaContext, RmaOptions};
+use crate::context::{Backend, RmaContext, RmaOptions};
 use crate::error::RmaError;
 use rma_relation::trace;
 use rma_relation::{self as rel, Relation};
@@ -300,14 +300,16 @@ fn execute_inner(
                 )));
             }
             // argument subtrees run under the caller's context; only this
-            // node's kernel dispatch honours the plan-level backend choice
+            // node's kernel dispatch honours the plan-level backend choice,
+            // and only under `Auto` — a forced backend stays forced, so a
+            // forced Bat without a BAT kernel still reports its fallback
             let inputs: Vec<Relation> = args
                 .iter()
                 .map(|a| execute_inner(&a.input, ctx, provider, analyze))
                 .collect::<Result<_, _>>()?;
             let before = analyze.map(|_| ctx.stats());
             let result = match backend {
-                Some(b) if *b != ctx.options.backend => {
+                Some(b) if ctx.options.backend == Backend::Auto => {
                     let sub = ctx.with_options_shared_pool(RmaOptions {
                         backend: *b,
                         ..ctx.options.clone()

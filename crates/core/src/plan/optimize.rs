@@ -30,11 +30,11 @@
 //!    same order schema sort once: when a node's input is provably sorted
 //!    by the node's order schema, the argument is flagged `sorted_input`
 //!    and execution skips the sort.
-//! 8. **Plan-level backend choice** — when argument sizes are statically
-//!    exact, the kernel decision ([`RmaContext::choose_kernel`]) is made at
-//!    plan time and recorded on the node (visible in EXPLAIN). Join
-//!    ordering runs first, so the kernel decision sees the reordered
-//!    (cheaper) argument shapes.
+//! 8. **Plan-level backend choice** — when the estimate fixes an RMA
+//!    node's argument sizes ([`stats::PlanEst::exact`]), the kernel
+//!    decision ([`RmaContext::choose_kernel`]) is made at plan time and
+//!    recorded on the node (visible in EXPLAIN). Join ordering runs first,
+//!    so the kernel decision sees the reordered (cheaper) argument shapes.
 //!
 //! ```
 //! use rma_core::plan::Frame;
@@ -1048,7 +1048,7 @@ fn narrow_scan(
 }
 
 // ---------------------------------------------------------------------
-// Pass 5: Limit-into-Sort fusion (top-k)
+// Pass 6: Limit-into-Sort fusion (top-k)
 // ---------------------------------------------------------------------
 
 /// `Limit n` directly over `OrderBy keys` becomes `TopK(keys, n)`: the
@@ -1074,7 +1074,7 @@ fn fuse_top_k(plan: LogicalPlan) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------
-// Pass 6: redundant-sort elimination
+// Pass 7: redundant-sort elimination
 // ---------------------------------------------------------------------
 
 /// Bottom-up sortedness inference: rewrite the plan, flagging RMA arguments
@@ -1212,171 +1212,36 @@ fn rma_output_sorted(op: RmaOp, args: &[RmaArg]) -> Option<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------
-// Pass 7: plan-level backend choice
+// Pass 8: plan-level backend choice
 // ---------------------------------------------------------------------
 
-/// Statically estimated size of a plan's output.
-#[derive(Debug, Clone, Copy)]
-struct DimsEst {
-    rows: usize,
-    cols: usize,
-    /// True when the estimate is exact (derived only from scans and
-    /// cardinality-preserving operators), so a plan-time kernel decision
-    /// is guaranteed to match the execution-time one.
-    exact: bool,
-}
-
+/// Record the kernel choice on every RMA node whose arguments' sizes the
+/// plan fixes ([`stats::PlanEst::exact`]): the choice is a pure function of
+/// those sizes and the context, so it is the one execution makes.
 fn choose_backends(
     plan: LogicalPlan,
     ctx: &RmaContext,
     provider: &dyn TableProvider,
 ) -> LogicalPlan {
     let plan = plan.map_children(&mut |p| choose_backends(p, ctx, provider));
-    let LogicalPlan::Rma { op, args, backend } = plan else {
-        return plan;
-    };
-    if backend.is_some() {
-        return LogicalPlan::Rma { op, args, backend };
-    }
-    let chosen = rma_app_dims(op, &args, provider).map(|(first, second)| {
-        ctx.choose_kernel(op, first.rows, first.cols, second.map(|d| (d.rows, d.cols)))
-    });
-    LogicalPlan::Rma {
+    let LogicalPlan::Rma {
         op,
         args,
-        backend: chosen,
-    }
-}
-
-/// Exact application-part dimensions of an RMA node's argument(s), or
-/// `None` when any argument's size is not statically exact.
-fn rma_app_dims(
-    op: RmaOp,
-    args: &[RmaArg],
-    provider: &dyn TableProvider,
-) -> Option<(DimsEst, Option<DimsEst>)> {
-    let first = app_dims(args.first()?, provider)?;
-    let second = if op.is_binary() {
-        Some(app_dims(args.get(1)?, provider)?)
-    } else {
-        None
+        backend: None,
+    } = plan
+    else {
+        return plan;
     };
-    Some((first, second))
-}
-
-/// Application dims of one argument: relation rows × (columns − order
-/// columns).
-fn app_dims(arg: &RmaArg, provider: &dyn TableProvider) -> Option<DimsEst> {
-    let d = estimate_dims(&arg.input, provider)?;
-    if !d.exact || d.cols <= arg.order.len() {
-        return None;
-    }
-    Some(DimsEst {
-        rows: d.rows,
-        cols: d.cols - arg.order.len(),
-        exact: true,
-    })
-}
-
-fn estimate_dims(plan: &LogicalPlan, provider: &dyn TableProvider) -> Option<DimsEst> {
-    match plan {
-        LogicalPlan::Values { rel, projection } => Some(DimsEst {
-            rows: rel.len(),
-            cols: projection.as_ref().map_or(rel.schema().len(), Vec::len),
-            exact: true,
-        }),
-        LogicalPlan::Scan { table, projection } => {
-            let r = provider.table(table)?;
-            Some(DimsEst {
-                rows: r.len(),
-                cols: projection.as_ref().map_or(r.schema().len(), Vec::len),
-                exact: true,
-            })
-        }
-        LogicalPlan::Select { input, .. } | LogicalPlan::Distinct { input } => {
-            let d = estimate_dims(input, provider)?;
-            Some(DimsEst { exact: false, ..d })
-        }
-        LogicalPlan::OrderBy { input, .. } | LogicalPlan::AssertKey { input, .. } => {
-            estimate_dims(input, provider)
-        }
-        LogicalPlan::Limit { input, n } | LogicalPlan::TopK { input, n, .. } => {
-            let d = estimate_dims(input, provider)?;
-            Some(DimsEst {
-                rows: d.rows.min(*n),
-                ..d
-            })
-        }
-        LogicalPlan::Project { input, items } => {
-            let d = estimate_dims(input, provider)?;
-            Some(DimsEst {
-                cols: items.len(),
-                ..d
-            })
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let d = estimate_dims(input, provider)?;
-            Some(DimsEst {
-                rows: d.rows,
-                cols: group_by.len() + aggs.len(),
-                exact: false,
-            })
-        }
-        LogicalPlan::Cross { left, right } => {
-            let l = estimate_dims(left, provider)?;
-            let r = estimate_dims(right, provider)?;
-            Some(DimsEst {
-                rows: l.rows.checked_mul(r.rows)?,
-                cols: l.cols + r.cols,
-                exact: l.exact && r.exact,
-            })
-        }
-        LogicalPlan::UnionAll { left, right } => {
-            let l = estimate_dims(left, provider)?;
-            let r = estimate_dims(right, provider)?;
-            Some(DimsEst {
-                rows: l.rows + r.rows,
-                cols: l.cols,
-                exact: l.exact && r.exact,
-            })
-        }
-        LogicalPlan::NaturalJoin { .. } | LogicalPlan::JoinOn { .. } => None,
-        LogicalPlan::Rma { op, args, .. } => {
-            let (first, second) = rma_app_dims(*op, args, provider)?;
-            let shape = op.shape();
-            let order0 = args.first()?.order.len();
-            let order1 = args.get(1).map_or(0, |a| a.order.len());
-            let rows = match shape.rows {
-                Dim::R1 | Dim::RStar => first.rows,
-                Dim::R2 => second?.rows,
-                Dim::C1 | Dim::CStar => first.cols,
-                Dim::C2 => second?.cols,
-                Dim::One => 1,
-            };
-            let context_cols = match shape.rows {
-                Dim::R1 => order0,
-                Dim::RStar => order0 + order1,
-                Dim::C1 | Dim::One => 1,
-                // no operation has r2/c2/c* row context
-                Dim::R2 | Dim::C2 | Dim::CStar => return None,
-            };
-            let base_cols = match shape.cols {
-                Dim::C1 | Dim::CStar => first.cols,
-                Dim::C2 => second?.cols,
-                Dim::R1 => first.rows,
-                Dim::R2 => second?.rows,
-                Dim::One => 1,
-                Dim::RStar => return None,
-            };
-            Some(DimsEst {
-                rows,
-                cols: context_cols + base_cols,
-                exact: first.exact && second.is_none_or(|s| s.exact),
-            })
-        }
-    }
+    // an argument's application part: rows × (columns − order columns)
+    let app = |a: &RmaArg| {
+        let (rows, cols) = stats::estimate(&a.input, provider).exact?;
+        (cols > a.order.len()).then(|| (rows, cols - a.order.len()))
+    };
+    let sizes: Option<Vec<(usize, usize)>> = args.iter().map(app).collect();
+    let backend = match sizes.as_deref() {
+        Some(&[(m, n)]) => Some(ctx.choose_kernel(op, m, n, None)),
+        Some(&[(m, n), second]) => Some(ctx.choose_kernel(op, m, n, Some(second))),
+        _ => None,
+    };
+    LogicalPlan::Rma { op, args, backend }
 }

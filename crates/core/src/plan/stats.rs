@@ -1,11 +1,14 @@
 //! Cardinality and cost estimation over [`LogicalPlan`]s.
 //!
 //! Every plan node gets a [`PlanEst`]: an estimated output row count, an
-//! accumulated cost (in "rows touched" units), and per-column value
+//! accumulated cost (in "rows touched" units), per-column value
 //! statistics (distinct count, numeric min/max, null fraction) propagated
 //! from the base-table statistics ([`rma_relation::Statistics`], computed
-//! lazily per table and cached on the relation). The estimates drive the
-//! cost-based join-order enumerator in [`super::optimize`](mod@super::optimize) and the
+//! lazily per table and cached on the relation), and the exact output size
+//! where the plan fixes it ([`PlanEst::exact`]). This is the plan's one
+//! bottom-up size walk: the estimates drive the cost-based join-order
+//! enumerator and the plan-time kernel choice in
+//! [`super::optimize`](mod@super::optimize), admission, and the
 //! `rows≈`/`cost≈` annotations of [`super::explain_with_stats`].
 //!
 //! The estimation rules are the classic textbook ones:
@@ -36,8 +39,8 @@
 //! assert!((est.rows - 1.0).abs() < 0.1);
 //! ```
 
-use super::{LogicalPlan, TableProvider};
-use crate::shape::Dim;
+use super::{LogicalPlan, RmaArg, TableProvider};
+use crate::shape::ArgSize;
 use rma_relation::{BinOp, Expr, Relation};
 use rma_storage::ColumnStats;
 use std::collections::{BTreeMap, HashMap};
@@ -91,8 +94,9 @@ impl ColEst {
     }
 }
 
-/// Estimated output of a plan node: row count, accumulated cost, and
-/// per-column statistics.
+/// Estimated output of a plan node: row count, accumulated cost,
+/// per-column statistics, and the exact output size where the plan fixes
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanEst {
     /// Estimated number of output rows.
@@ -104,6 +108,14 @@ pub struct PlanEst {
     pub cost: f64,
     /// Per-column estimates for output columns with known statistics.
     pub cols: BTreeMap<String, ColEst>,
+    /// The output's `(rows, columns)` when the plan fixes them: present at
+    /// `Values` and `Scan`, carried through the operators that keep or cap
+    /// the row count (`Project`, `OrderBy`, `AssertKey`, `Limit`/`TopK`,
+    /// `Cross`, `UnionAll`) and through RMA nodes whose arguments are
+    /// exact (Table 1); absent under `Select`, `Distinct`, `Aggregate` and
+    /// the joins. The plan-time kernel choice reads it, so that choice is
+    /// the one execution makes.
+    pub exact: Option<(usize, usize)>,
 }
 
 impl PlanEst {
@@ -112,6 +124,7 @@ impl PlanEst {
             rows,
             cost,
             cols: BTreeMap::new(),
+            exact: None,
         }
     }
 
@@ -123,7 +136,8 @@ impl PlanEst {
 /// Estimate a plan bottom-up. Never fails: unknown tables, opaque RMA
 /// schemas, and unsupported predicates fall back to documented defaults.
 pub fn estimate(plan: &LogicalPlan, provider: &dyn TableProvider) -> PlanEst {
-    estimate_memo(plan, provider, &mut HashMap::new())
+    // a one-off walk keeps no memo entry for its root
+    compute_estimate(plan, provider, &mut HashMap::new())
 }
 
 /// [`estimate`] with a node-identity memo, so callers that estimate many
@@ -150,15 +164,11 @@ fn compute_estimate(
     memo: &mut HashMap<usize, PlanEst>,
 ) -> PlanEst {
     match plan {
-        LogicalPlan::Values { rel, projection } => {
-            leaf_est(rel.statistics(), projection.as_deref())
-        }
-        LogicalPlan::Scan { table, projection } => {
-            match provider.table(table).map(Relation::statistics) {
-                Some(stats) => leaf_est(stats, projection.as_deref()),
-                None => PlanEst::opaque(UNKNOWN_ROWS, UNKNOWN_ROWS),
-            }
-        }
+        LogicalPlan::Values { rel, projection } => leaf_est(rel, projection.as_deref()),
+        LogicalPlan::Scan { table, projection } => match provider.table(table) {
+            Some(rel) => leaf_est(rel, projection.as_deref()),
+            None => PlanEst::opaque(UNKNOWN_ROWS, UNKNOWN_ROWS),
+        },
         LogicalPlan::Select { input, predicate } => {
             let input = estimate_memo(input, provider, memo);
             let sel = selectivity(predicate, &input).clamp(0.0, 1.0);
@@ -171,6 +181,7 @@ fn compute_estimate(
                     .iter()
                     .map(|(n, c)| (n.clone(), c.clamp_rows(rows)))
                     .collect(),
+                exact: None,
             }
         }
         LogicalPlan::Project { input, items } => {
@@ -192,6 +203,7 @@ fn compute_estimate(
                 rows: input.rows,
                 cost: input.cost + input.rows,
                 cols,
+                exact: input.exact.map(|(rows, _)| (rows, items.len())),
             }
         }
         LogicalPlan::Aggregate {
@@ -220,6 +232,7 @@ fn compute_estimate(
                 rows,
                 cost: input.cost + input.rows,
                 cols,
+                exact: None,
             }
         }
         LogicalPlan::NaturalJoin { left, right } => {
@@ -266,6 +279,10 @@ fn compute_estimate(
                 rows,
                 cost: l.cost + r.cost + rows,
                 cols,
+                exact: l
+                    .exact
+                    .zip(r.exact)
+                    .map(|((lr, cols), (rr, _))| (lr + rr, cols)),
             }
         }
         LogicalPlan::Distinct { input } => {
@@ -288,6 +305,7 @@ fn compute_estimate(
                     .iter()
                     .map(|(n, c)| (n.clone(), c.clamp_rows(rows)))
                     .collect(),
+                exact: None,
             }
         }
         LogicalPlan::OrderBy { input, .. } => {
@@ -309,6 +327,7 @@ fn compute_estimate(
                     .iter()
                     .map(|(na, c)| (na.clone(), c.clamp_rows(rows)))
                     .collect(),
+                exact: input.exact.map(|(rows, cols)| (rows.min(*n), cols)),
             }
         }
         LogicalPlan::TopK { input, n, .. } => {
@@ -323,6 +342,7 @@ fn compute_estimate(
                     .iter()
                     .map(|(na, c)| (na.clone(), c.clamp_rows(rows)))
                     .collect(),
+                exact: input.exact.map(|(rows, cols)| (rows.min(*n), cols)),
             }
         }
         LogicalPlan::AssertKey { input, .. } => {
@@ -337,24 +357,38 @@ fn compute_estimate(
                 .iter()
                 .map(|a| estimate_memo(&a.input, provider, memo))
                 .collect();
-            let first_rows = children.first().map_or(1.0, |c| c.rows);
-            let second_rows = children.get(1).map_or(first_rows, |c| c.rows);
-            // application width of an argument, when its column set is known
-            let width = |i: usize| -> f64 {
-                match (children.get(i), args.get(i)) {
-                    (Some(c), Some(a)) if !c.cols.is_empty() => {
-                        (c.cols.len() as f64 - a.order.len() as f64).max(1.0)
-                    }
-                    _ => 8.0, // opaque schema: assume a modest matrix width
+            // each argument's size: exact where the plan fixes it, else the
+            // row estimate and the known column set — or, for an opaque
+            // schema, a modest matrix width of 8
+            let estimated = |(c, a): (&PlanEst, &RmaArg)| {
+                let order = a.order.len() as f64;
+                let width = match c.exact {
+                    Some((_, cols)) => cols as f64,
+                    None if !c.cols.is_empty() => c.cols.len() as f64,
+                    None => order + 8.0,
+                };
+                ArgSize {
+                    rows: c.rows,
+                    app_cols: (width - order).max(1.0),
+                    order_cols: order,
                 }
             };
-            let rows = match op.shape().rows {
-                Dim::R1 | Dim::RStar => first_rows,
-                Dim::R2 => second_rows,
-                Dim::C1 | Dim::CStar => width(0),
-                Dim::C2 => width(1),
-                Dim::One => 1.0,
-            };
+            let sizes: Vec<ArgSize<f64>> = children.iter().zip(args).map(estimated).collect();
+            let rows = op.result_size(&sizes).map_or(1.0, |(rows, _)| rows);
+            let exact = children
+                .iter()
+                .zip(args)
+                .map(|(c, a)| {
+                    let (rows, cols) = c.exact?;
+                    let order_cols = a.order.len();
+                    (cols > order_cols).then(|| ArgSize {
+                        rows,
+                        app_cols: cols - order_cols,
+                        order_cols,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()
+                .and_then(|sizes| op.result_size(&sizes));
             let child_rows: f64 = children.iter().map(|c| c.rows).sum();
             let child_cost: f64 = children.iter().map(|c| c.cost).sum();
             // order-schema handling sorts each argument once
@@ -362,23 +396,30 @@ fn compute_estimate(
                 .iter()
                 .map(|c| c.rows * c.rows.max(2.0).log2())
                 .sum();
-            PlanEst::opaque(rows, child_cost + child_rows + sorts)
+            PlanEst {
+                exact,
+                ..PlanEst::opaque(rows, child_cost + child_rows + sorts)
+            }
         }
     }
 }
 
-/// Leaf estimate from table statistics, restricted to a scan projection.
-fn leaf_est(stats: &rma_relation::Statistics, projection: Option<&[String]>) -> PlanEst {
+/// Leaf estimate from a table's statistics, restricted to a scan
+/// projection. The leaf's size is exact.
+fn leaf_est(rel: &Relation, projection: Option<&[String]>) -> PlanEst {
+    let stats = rel.statistics();
     let rows = stats.row_count as f64;
     let cols = stats
         .iter()
         .filter(|(n, _)| projection.is_none_or(|p| p.iter().any(|c| c == n)))
         .map(|(n, s)| (n.to_string(), ColEst::from_stats(s)))
         .collect();
+    let width = projection.map_or(rel.schema().len(), <[String]>::len);
     PlanEst {
         rows,
         cost: rows,
         cols,
+        exact: Some((rel.len(), width)),
     }
 }
 
@@ -387,7 +428,11 @@ fn leaf_est(stats: &rma_relation::Statistics, projection: Option<&[String]>) -> 
 /// cost. An empty pair list is a cross product.
 pub(crate) fn join_estimate(l: &PlanEst, r: &PlanEst, on: &[(String, String)]) -> PlanEst {
     if on.is_empty() {
-        return cross_estimate(l, r);
+        // a join's row count is never exact, even without join pairs
+        return PlanEst {
+            exact: None,
+            ..cross_estimate(l, r)
+        };
     }
     let mut rows = l.rows * r.rows;
     for (lc, rc) in on {
@@ -415,20 +460,27 @@ pub(crate) fn join_estimate(l: &PlanEst, r: &PlanEst, on: &[(String, String)]) -
         rows,
         cost: l.cost + r.cost + l.rows + r.rows + rows,
         cols,
+        exact: None,
     }
 }
 
-/// Cross-product estimate: row product, column union.
+/// Cross-product estimate: row product, column union; exact when both
+/// sides are and the product fits a `usize`.
 pub(crate) fn cross_estimate(l: &PlanEst, r: &PlanEst) -> PlanEst {
     let rows = l.rows * r.rows;
     let mut cols: BTreeMap<String, ColEst> = BTreeMap::new();
     for (n, c) in l.cols.iter().chain(r.cols.iter()) {
         cols.entry(n.clone()).or_insert_with(|| c.clamp_rows(rows));
     }
+    let exact = l
+        .exact
+        .zip(r.exact)
+        .and_then(|((lr, lc), (rr, rc))| Some((lr.checked_mul(rr)?, lc + rc)));
     PlanEst {
         rows,
         cost: l.cost + r.cost + rows,
         cols,
+        exact,
     }
 }
 

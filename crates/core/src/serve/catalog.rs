@@ -194,8 +194,7 @@ impl VersionedCatalog {
 /// source a query executes against. Cloning shares the pin. Implements
 /// [`TableProvider`], so any [`Frame`](crate::Frame) /
 /// [`LogicalPlan`](crate::LogicalPlan) query (and the SQL layer on top)
-/// can resolve named scans through it; partitioned scans use the default
-/// row-range partitioner.
+/// can resolve named scans through it.
 #[derive(Debug, Clone)]
 pub struct CatalogSnapshot {
     root: Arc<Root>,

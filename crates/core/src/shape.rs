@@ -7,6 +7,7 @@
 //! first argument.
 
 use std::fmt;
+use std::ops::Add;
 
 /// One dimension of a shape type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +41,18 @@ impl fmt::Display for Dim {
         };
         f.write_str(s)
     }
+}
+
+/// The size of one argument of an operation: its rows, the columns of its
+/// application part and the columns of its order part.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArgSize<T> {
+    /// Rows of the argument relation.
+    pub rows: T,
+    /// Application columns (the complement of the order schema).
+    pub app_cols: T,
+    /// Order-schema columns.
+    pub order_cols: T,
 }
 
 /// The shape type `(rows, cols)` of an operation's result.
@@ -159,12 +172,34 @@ impl RmaOp {
         ShapeType { rows, cols }
     }
 
-    /// Does the operation require a square application part?
-    pub fn requires_square(self) -> bool {
-        matches!(
-            self,
-            RmaOp::Inv | RmaOp::Evc | RmaOp::Evl | RmaOp::Chf | RmaOp::Det
-        )
+    /// The size `(rows, columns)` of the result relation, from its
+    /// arguments' sizes: Table 1's base result plus the context columns of
+    /// Table 3 — the order part for `r1` rows, both order parts for `r*`,
+    /// the one column `C` for `c1` and `(1,1)`. `None` when `args` lacks an
+    /// argument the shape reads. Generic so the plan layer states exact
+    /// sizes (`usize`) and estimates (`f64`) through the same table.
+    pub fn result_size<T>(self, args: &[ArgSize<T>]) -> Option<(T, T)>
+    where
+        T: Copy + Add<Output = T> + From<u8>,
+    {
+        let arg = |i: usize| args.get(i).copied();
+        let dim = |d: Dim| {
+            Some(match d {
+                Dim::R1 | Dim::RStar => arg(0)?.rows,
+                Dim::R2 => arg(1)?.rows,
+                Dim::C1 | Dim::CStar => arg(0)?.app_cols,
+                Dim::C2 => arg(1)?.app_cols,
+                Dim::One => T::from(1),
+            })
+        };
+        let shape = self.shape();
+        let context = match shape.rows {
+            Dim::R1 => arg(0)?.order_cols,
+            Dim::RStar => arg(0)?.order_cols + arg(1)?.order_cols,
+            Dim::C1 | Dim::One => T::from(1),
+            Dim::R2 | Dim::C2 | Dim::CStar => unreachable!("no operation has {shape:?}"),
+        };
+        Some((dim(shape.rows)?, context + dim(shape.cols)?))
     }
 
     /// Does the result row order follow the (sorted) rows of the first
@@ -262,6 +297,40 @@ mod tests {
     }
 
     #[test]
+    fn result_sizes_follow_tables_1_and_3() {
+        // 5 rows, 3 application columns, 1 order column
+        let a = ArgSize {
+            rows: 5usize,
+            app_cols: 3,
+            order_cols: 1,
+        };
+        let b = ArgSize {
+            rows: 3usize,
+            app_cols: 2,
+            order_cols: 2,
+        };
+        assert_eq!(RmaOp::Qqr.result_size(&[a]), Some((5, 1 + 3)));
+        assert_eq!(RmaOp::Usv.result_size(&[a]), Some((5, 1 + 5)));
+        assert_eq!(RmaOp::Evl.result_size(&[a]), Some((5, 1 + 1)));
+        assert_eq!(RmaOp::Tra.result_size(&[a]), Some((3, 1 + 5)));
+        assert_eq!(RmaOp::Rqr.result_size(&[a]), Some((3, 1 + 3)));
+        assert_eq!(RmaOp::Det.result_size(&[a]), Some((1, 2)));
+        assert_eq!(RmaOp::Mmu.result_size(&[a, b]), Some((5, 1 + 2)));
+        assert_eq!(RmaOp::Opd.result_size(&[a, b]), Some((5, 1 + 3)));
+        assert_eq!(RmaOp::Cpd.result_size(&[a, b]), Some((3, 1 + 2)));
+        assert_eq!(RmaOp::Add.result_size(&[a, b]), Some((5, 1 + 2 + 3)));
+        // a binary shape needs its second argument
+        assert_eq!(RmaOp::Mmu.result_size(&[a]), None);
+        // estimates go through the same table
+        let f = ArgSize {
+            rows: 5.0f64,
+            app_cols: 3.0,
+            order_cols: 1.0,
+        };
+        assert_eq!(RmaOp::Tra.result_size(&[f]), Some((3.0, 6.0)));
+    }
+
+    #[test]
     fn binary_classification() {
         assert!(RmaOp::Mmu.is_binary());
         assert!(RmaOp::Sol.is_binary());
@@ -280,14 +349,6 @@ mod tests {
         for op in ALL_OPS {
             assert_eq!(RmaOp::parse(op.name()), Some(op));
         }
-    }
-
-    #[test]
-    fn square_requirements() {
-        assert!(RmaOp::Inv.requires_square());
-        assert!(RmaOp::Det.requires_square());
-        assert!(!RmaOp::Qqr.requires_square());
-        assert!(!RmaOp::Rnk.requires_square());
     }
 
     #[test]

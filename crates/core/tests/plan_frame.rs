@@ -374,3 +374,177 @@ fn double_transpose_eliminated_in_core_plans() {
     assert_eq!(out.schema(), t2.schema());
     assert!(out.bag_equals(&t2));
 }
+
+/// A 3 × 3 symmetric positive-definite matrix keyed by `key`: every one of
+/// the 19 operations accepts it (square, invertible, Cholesky-factorable).
+fn spd(key: &str) -> Relation {
+    RelationBuilder::new()
+        .name("p")
+        .column(key, vec![2i64, 0, 1])
+        .column("a", vec![0.0f64, 4.0, 1.0])
+        .column("b", vec![1.0f64, 1.0, 3.0])
+        .column("c", vec![2.0f64, 0.0, 1.0])
+        .build()
+        .unwrap()
+}
+
+/// `op` over [`spd`] arguments; the second argument's order schema is
+/// disjoint from the first's, as the element-wise operations require.
+fn spd_frame(op: RmaOp) -> Frame {
+    if op.is_binary() {
+        Frame::scan(spd("k")).rma_binary(op, &["k"], Frame::scan(spd("j")), &["j"])
+    } else {
+        Frame::scan(spd("k")).rma_unary(op, &["k"])
+    }
+}
+
+/// The `backend=` EXPLAIN prints on a plan's one RMA line.
+fn explained_backend(explained: &str) -> &str {
+    let line = explained.lines().find(|l| l.contains("Rma ")).unwrap();
+    let at = line.find("backend=").expect("no plan-time backend") + "backend=".len();
+    line[at..].split_whitespace().next().unwrap()
+}
+
+#[test]
+fn explained_backend_is_the_kernel_family_that_runs() {
+    use rma_core::{Backend, KernelUsed, ALL_OPS};
+    let no_bat_kernel = [RmaOp::Evc, RmaOp::Evl, RmaOp::Dsv, RmaOp::Usv, RmaOp::Vsv];
+    for op in ALL_OPS {
+        // the dense copy: every 3 × 3 operand in and the result out
+        let copy = 2 * 8 * 9 * if op.is_binary() { 2 } else { 1 };
+        let contexts = [
+            ("Auto unbudgeted", RmaOptions::default()),
+            (
+                "Auto one byte under the copy",
+                RmaOptions {
+                    mem_budget: copy - 1,
+                    ..RmaOptions::default()
+                },
+            ),
+            (
+                "Bat",
+                RmaOptions {
+                    backend: Backend::Bat,
+                    ..RmaOptions::default()
+                },
+            ),
+            (
+                "Dense",
+                RmaOptions {
+                    backend: Backend::Dense,
+                    ..RmaOptions::default()
+                },
+            ),
+        ];
+        for (label, options) in contexts {
+            let forced_bat = options.backend == Backend::Bat;
+            let ctx = RmaContext::new(options);
+            let frame = spd_frame(op);
+            let explained = frame.explain(&ctx);
+            frame
+                .collect(&ctx)
+                .unwrap_or_else(|e| panic!("{op:?} under {label}: {e}"));
+            let ran = ctx.stats().last_kernel.unwrap();
+            let family = match ran {
+                KernelUsed::Bat => "Bat",
+                KernelUsed::Dense | KernelUsed::DenseFallback => "Dense",
+            };
+            assert_eq!(
+                explained_backend(&explained),
+                family,
+                "{op:?} under {label} ran {ran:?}:\n{explained}"
+            );
+            if forced_bat && no_bat_kernel.contains(&op) {
+                assert_eq!(ran, KernelUsed::DenseFallback, "{op:?} under {label}");
+            }
+        }
+    }
+}
+
+/// Serves one table, `t`, to `Scan` nodes.
+struct OneTable(Relation);
+
+impl rma_core::TableProvider for OneTable {
+    fn table(&self, name: &str) -> Option<&Relation> {
+        (name == "t").then_some(&self.0)
+    }
+}
+
+/// Every subtree of a plan, root first.
+fn subtrees(plan: &rma_core::LogicalPlan) -> Vec<rma_core::LogicalPlan> {
+    let mut children = Vec::new();
+    plan.clone().map_children(&mut |c| {
+        children.push(c.clone());
+        c
+    });
+    let mut out = vec![plan.clone()];
+    for c in &children {
+        out.extend(subtrees(c));
+    }
+    out
+}
+
+#[test]
+fn exact_estimate_is_the_executed_size() {
+    use rma_core::plan::{execute, optimize, stats};
+    // x0 = 1 and a varying x1: XᵀX is invertible
+    let x = RelationBuilder::new()
+        .column("id", vec![3i64, 1, 4, 2, 5])
+        .column("x0", vec![1.0f64; 5])
+        .column("x1", vec![2.0f64, 7.0, 1.0, 8.0, 3.0])
+        .build()
+        .unwrap();
+    let y = RelationBuilder::new()
+        .column("id", vec![1i64, 2, 3, 4, 5])
+        .column("duration", vec![9.0f64, 4.0, 6.0, 1.0, 2.0])
+        .build()
+        .unwrap();
+    let provider = OneTable(spd("k"));
+    let cpd = |b: &Relation| Frame::scan(x.clone()).cpd(&["id"], Frame::scan(b.clone()), &["id"]);
+    let mut exact = vec![
+        // nested RMA
+        Frame::scan(spd("k")).tra(&["k"]).tra(&["C"]),
+        // trips_ols: MMU(INV(CPD(X, X)), CPD(X, y))
+        cpd(&x).inv(&["C"]).mmu(&["C"], cpd(&y), &["C"]),
+        // a Limit over a Cross, cutting it and not
+        Frame::scan(weather()).cross(Frame::scan(spd("k"))).limit(5),
+        Frame::scan(weather())
+            .cross(Frame::scan(spd("k")))
+            .limit(50),
+        // the scan, projection, sort, key check, top-k and union carry it
+        Frame::table("t")
+            .project(&["k", "a"])
+            .order_by(&["a"], &[false])
+            .assert_key(&["k"])
+            .limit(2),
+        Frame::table("t")
+            .union_all(Frame::scan(spd("k")))
+            .project(&["a", "b"]),
+    ];
+    exact.extend(rma_core::ALL_OPS.map(spd_frame));
+    let inexact = [
+        Frame::scan(spd("k")).select(Expr::col("a").gt(Expr::lit(0.5))),
+        Frame::scan(spd("k")).distinct(),
+        Frame::scan(spd("k")).aggregate(&[], vec![]),
+        Frame::scan(spd("k")).join(Frame::scan(spd("j")).project(&["j"]), &[("k", "j")]),
+        Frame::scan(spd("k")).natural_join(Frame::scan(spd("k"))),
+        // an RMA node over an inexact argument
+        Frame::scan(spd("k")).distinct().inv(&["k"]),
+    ];
+    let ctx = RmaContext::default();
+    for frame in exact.iter().chain(&inexact) {
+        let raw = frame.logical_plan().clone();
+        let optimized = optimize(raw.clone(), &ctx, &provider);
+        for plan in [raw, optimized] {
+            let root = stats::estimate(&plan, &provider).exact;
+            assert_eq!(root.is_some(), exact.contains(frame), "{plan:?}");
+            for node in subtrees(&plan) {
+                let Some(size) = stats::estimate(&node, &provider).exact else {
+                    continue;
+                };
+                let out = execute(&node, &ctx, &provider).unwrap();
+                assert_eq!(size, (out.len(), out.schema().len()), "{node:?}");
+            }
+        }
+    }
+}

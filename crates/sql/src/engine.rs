@@ -97,7 +97,7 @@ impl Engine {
     }
 
     /// Engine with an explicit worker-thread count for plan execution
-    /// (`1` forces the serial plan interpreter; other options default —
+    /// (`1` runs every relational operator serially; other options default —
     /// the dense kernels keep their process-wide `RMA_THREADS` budget).
     pub fn with_threads(threads: usize) -> Self {
         Engine::with_options(RmaOptions {

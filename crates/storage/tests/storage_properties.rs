@@ -1,10 +1,10 @@
-//! Property tests of the storage kernel: sort permutations, gather,
-//! encoding round-trips, and the float BAT kernels.
+//! Property tests of the storage kernel: sort permutations, gather and
+//! encoding round-trips.
 
 use proptest::prelude::*;
 use rma_storage::{
-    bat::float_ops, cmp_rows, encoding::rle_add_f64, invert_permutation, is_key, key_sort,
-    sort_permutation, Bitmap, Column, ColumnData, Dict, DirectKey, Encoding, Packed, Rle,
+    cmp_rows, encoding::rle_add_f64, invert_permutation, is_key, key_sort, sort_permutation,
+    Bitmap, Column, ColumnData, Dict, DirectKey, Encoding, Packed, Rle,
 };
 use std::cmp::Ordering;
 
@@ -257,31 +257,6 @@ proptest! {
         let plain = Column::from(vals);
         let enc = plain.encode_as(Encoding::Packed).unwrap();
         prop_assert_eq!(&enc, &plain);
-    }
-
-    // float kernels agree with scalar math
-    #[test]
-    fn float_kernels_agree(
-        a in proptest::collection::vec(-100.0f64..100.0, 1..64),
-        scale in 1.0f64..10.0,
-    ) {
-        let b: Vec<f64> = a.iter().map(|x| x * 0.5 + 1.0).collect();
-        let ca = Column::from(a.clone());
-        let cb = Column::from(b.clone());
-        let sum = float_ops::add(&ca, &cb).unwrap().to_f64_vec().unwrap();
-        for (i, s) in sum.iter().enumerate() {
-            prop_assert!((s - (a[i] + b[i])).abs() < 1e-12);
-        }
-        let scaled = float_ops::div_scalar(&ca, scale).unwrap().to_f64_vec().unwrap();
-        for (i, s) in scaled.iter().enumerate() {
-            prop_assert!((s - a[i] / scale).abs() < 1e-12);
-        }
-        let fused = float_ops::sub_scaled(&ca, &cb, scale).unwrap().to_f64_vec().unwrap();
-        for (i, s) in fused.iter().enumerate() {
-            prop_assert!((s - (a[i] - b[i] * scale)).abs() < 1e-9);
-        }
-        let total: f64 = a.iter().sum();
-        prop_assert!((float_ops::sum(&ca).unwrap() - total).abs() < 1e-9);
     }
 
     // take ∘ take composes
