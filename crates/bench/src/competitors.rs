@@ -17,11 +17,13 @@
 //!   becomes an *array join* on coordinates (Table 7's mechanism).
 //!
 //! The simulators reuse the same numeric kernels as RMA+ where the paper's
-//! competitor also used tuned kernels, so measured gaps come from the
+//! competitor also used tuned kernels, on the same worker pool as the RMA+
+//! contexts they are compared with, so measured gaps come from the
 //! architecture (copies, joins, row-at-a-time overhead), not from a
-//! strawman implementation.
+//! strawman implementation or a different thread count.
 #![allow(clippy::needless_range_loop)] // index loops mirror the simulated engines
 
+use rma_core::RmaContext;
 use rma_linalg::dense::{self, Matrix};
 use rma_relation::{AggSpec, Expr, Relation, WorkerPool};
 use rma_storage::Value;
@@ -247,11 +249,17 @@ fn row_at_a_time_aggregate(r: &Relation, gb: &[&str], aggs: &[AggSpec]) -> Relat
 /// Simulated matrix engine with explicit transfer phases.
 pub struct MatEngine {
     pub flavor: MatFlavor,
+    /// A default context: its pool is the one the RMA+ systems' contexts
+    /// run their dense kernels on.
+    ctx: RmaContext,
 }
 
 impl MatEngine {
     pub fn new(flavor: MatFlavor) -> Self {
-        MatEngine { flavor }
+        MatEngine {
+            flavor,
+            ctx: RmaContext::default(),
+        }
     }
 
     /// Transfer numeric columns of a relation into the foreign matrix
@@ -344,12 +352,13 @@ impl MatEngine {
     }
 
     /// Timed kernel calls. MADlib runs single-threaded boxed loops; R and
-    /// AIDA use tuned kernels (both call optimised BLAS in the paper).
+    /// AIDA use tuned kernels (both call optimised BLAS in the paper), on
+    /// the RMA+ contexts' pool.
     pub fn cpd(&self, a: &Matrix, b: &Matrix, times: &mut SimTimes) -> Matrix {
         let t = Instant::now();
         let out = match self.flavor {
             MatFlavor::MadlibRows => naive_crossprod(a, b),
-            _ => dense::crossprod(a, b).expect("cpd"),
+            _ => self.ctx.on_pool(|| dense::crossprod(a, b)).expect("cpd"),
         };
         times.matrix += t.elapsed();
         out
@@ -359,7 +368,7 @@ impl MatEngine {
         let t = Instant::now();
         let out = match self.flavor {
             MatFlavor::MadlibRows => naive_matmul(a, b),
-            _ => dense::matmul(a, b).expect("mmu"),
+            _ => self.ctx.on_pool(|| dense::matmul(a, b)).expect("mmu"),
         };
         times.matrix += t.elapsed();
         out
@@ -367,7 +376,7 @@ impl MatEngine {
 
     pub fn inv(&self, a: &Matrix, times: &mut SimTimes) -> Matrix {
         let t = Instant::now();
-        let out = dense::inverse(a).expect("inv");
+        let out = self.ctx.on_pool(|| dense::inverse(a)).expect("inv");
         times.matrix += t.elapsed();
         out
     }
@@ -542,6 +551,23 @@ mod tests {
             assert!((back[0][0] - 14.0).abs() < 1e-12);
             assert!(t.transform.as_nanos() > 0);
             assert!(t.matrix.as_nanos() > 0);
+        }
+    }
+
+    #[test]
+    fn tuned_kernels_run_on_the_rma_contexts_pool() {
+        // 300 × 300 takes the threaded product on a multi-worker pool
+        let cols: Vec<Vec<f64>> = (0..300)
+            .map(|j| (0..300).map(|i| ((i + j) % 7) as f64).collect())
+            .collect();
+        let m = Matrix::from_columns(&cols).unwrap();
+        let rma = RmaContext::default();
+        for flavor in [MatFlavor::RMatrix, MatFlavor::AidaNumpy] {
+            let before = rma.pool().jobs_run();
+            MatEngine::new(flavor).mmu(&m, &m, &mut SimTimes::default());
+            if rma.pool().threads() > 1 {
+                assert!(rma.pool().jobs_run() > before, "{flavor:?}");
+            }
         }
     }
 

@@ -54,11 +54,9 @@ pub struct RmaOptions {
     /// (selection, hash joins, aggregation, sort/top-k) runs its morsels on
     /// that pool when it has more than one worker and enough input rows, so
     /// `1` runs every operator serially. The dense kernels in `rma-linalg`
-    /// run on the same substrate: constructing any context installs the
-    /// process-wide default-sized pool as their executor
-    /// ([`rma_linalg::install_parallelism`]), still budgeted by the shared
-    /// `RMA_THREADS` knob ([`rma_linalg::available_threads`]). Defaults to
-    /// [`default_threads`].
+    /// run on the same pool ([`RmaContext::on_pool`]), so `1` runs them
+    /// serially too and a larger count parallelises them across exactly
+    /// this context's workers. Defaults to [`default_threads`].
     pub threads: usize,
     /// Per-query memory budget in bytes for the resource governor
     /// (`0` = unlimited, the default). When set, plan execution mints a
@@ -94,12 +92,27 @@ impl Default for RmaOptions {
     }
 }
 
-/// The default worker-thread count for plan execution: exactly the dense
-/// kernels' process-wide budget ([`rma_linalg::available_threads`] —
-/// `RMA_THREADS` env override, else hardware parallelism, capped), so one
-/// knob and one parsing rule configure both layers.
+/// Hard cap on the default worker count (an explicit `RMA_THREADS` may
+/// exceed it — an operator who sets the knob gets what they asked for).
+const DEFAULT_THREAD_CAP: usize = 16;
+
+/// The default worker-thread count, resolved once per process: the
+/// `RMA_THREADS` environment variable wins, otherwise the available
+/// hardware parallelism capped at 16. The one place the knob is read.
 pub fn default_threads() -> usize {
-    rma_linalg::available_threads()
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| {
+        if let Some(n) = std::env::var("RMA_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+        {
+            return n.max(1);
+        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(DEFAULT_THREAD_CAP)
+    })
 }
 
 /// Which kernel actually ran (recorded per operation for tests/benches).
@@ -241,20 +254,14 @@ impl AtomicStats {
 }
 
 /// The process-wide worker pool shared by every context running at the
-/// default thread count. Building it also installs it as the dense kernels'
-/// executor, so relational operators and matrix kernels run on one thread
-/// set. Never dropped: its workers are parked (not burning CPU) between
-/// jobs for the life of the process.
+/// default thread count. Never dropped: its workers are parked (not burning
+/// CPU) between jobs for the life of the process.
 fn global_pool() -> &'static Arc<WorkerPool> {
     static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let pool = Arc::new(WorkerPool::new(default_threads()));
-        let _ = rma_linalg::install_parallelism(Arc::new(PoolParallelism(Arc::clone(&pool))));
-        pool
-    })
+    POOL.get_or_init(|| Arc::new(WorkerPool::new(default_threads())))
 }
 
-/// Adapter: the session worker pool as the dense kernels' executor.
+/// Adapter: a context's worker pool as the dense kernels' executor.
 struct PoolParallelism(Arc<WorkerPool>);
 
 impl rma_linalg::Parallelism for PoolParallelism {
@@ -270,14 +277,10 @@ impl rma_linalg::Parallelism for PoolParallelism {
 /// The pool a context with `threads` workers executes on: the shared
 /// process-wide pool at the default count, a private pool otherwise (an
 /// explicit non-default `RmaOptions::threads` gets exactly what it asked
-/// for without resizing anyone else's pool). The global pool — and with it
-/// the dense kernels' pooled executor — is brought up either way, so the
-/// "kernels ride the pool" guarantee holds for every context, not just
-/// default-threaded ones.
+/// for without resizing anyone else's pool).
 fn pool_for(threads: usize) -> Arc<WorkerPool> {
-    let global = global_pool();
     if threads.max(1) == default_threads() {
-        Arc::clone(global)
+        Arc::clone(global_pool())
     } else {
         Arc::new(WorkerPool::new(threads))
     }
@@ -320,6 +323,15 @@ impl RmaContext {
     /// reuse them (see `rma_relation::par` for the job contract).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
+    }
+
+    /// Run `f` with this context's pool as the executor of every dense
+    /// kernel it calls on this thread ([`rma_linalg::with_parallelism`]):
+    /// a one-worker context runs them serially, a wider one across its own
+    /// workers.
+    pub fn on_pool<R>(&self, f: impl FnOnce() -> R) -> R {
+        let exec = Arc::new(PoolParallelism(Arc::clone(&self.pool)));
+        rma_linalg::with_parallelism(exec, f)
     }
 
     /// Snapshot the session pool's counters and gauges — total threads,
@@ -429,6 +441,13 @@ impl RmaContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn at_least_one_thread() {
+        assert!(default_threads() >= 1);
+        // cached: a second call agrees
+        assert_eq!(default_threads(), default_threads());
+    }
 
     #[test]
     fn auto_policy_matches_paper() {

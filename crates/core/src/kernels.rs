@@ -2,7 +2,9 @@
 //!
 //! The dense path times the BAT→contiguous copy, the kernel, and the copy
 //! back separately, so the Fig. 14 transformation-share experiment can read
-//! the exact split from [`ExecStats`].
+//! the exact split from [`ExecStats`]. The dense kernels run on the
+//! context's own worker pool ([`RmaContext::on_pool`]): serially at
+//! `threads: 1`, across that pool's workers above it.
 //!
 //! Application parts arrive as `&[C]` with `C: AsRef<[f64]>` — in practice
 //! the `Cow<[f64]>` columns a [`Split`](crate::split::Split) lends out of
@@ -62,7 +64,7 @@ pub fn eval_unary<C: AsRef<[f64]>>(
             let dense_in = Matrix::from_columns(app)?;
             stats.copy_in += t.elapsed();
             let t = Instant::now();
-            let out = dense_unary(op, dense_in)?;
+            let out = ctx.on_pool(|| dense_unary(op, dense_in))?;
             stats.compute += t.elapsed();
             let t = Instant::now();
             let out = match out {
@@ -114,7 +116,7 @@ pub fn eval_binary<A: AsRef<[f64]>, B: AsRef<[f64]>>(
             };
             stats.copy_in += t.elapsed();
             let t = Instant::now();
-            let out = dense_binary(op, &ma, &mb)?;
+            let out = ctx.on_pool(|| dense_binary(op, &ma, &mb))?;
             stats.compute += t.elapsed();
             let t = Instant::now();
             let out = KernelOut::Cols(out.into_columns());
@@ -187,9 +189,9 @@ fn dense_binary(op: RmaOp, a: &Matrix, b: &Matrix) -> Result<Matrix, RmaError> {
         RmaOp::Cpd => dense::crossprod(a, b)?,
         RmaOp::Opd => dense::outer(a, b)?,
         RmaOp::Sol => dense::solve(a, b)?,
-        RmaOp::Add => a.zip_with_parallel(b, |x, y| x + y)?,
-        RmaOp::Sub => a.zip_with_parallel(b, |x, y| x - y)?,
-        RmaOp::Emu => a.zip_with_parallel(b, |x, y| x * y)?,
+        RmaOp::Add => a.zip_with(b, |x, y| x + y)?,
+        RmaOp::Sub => a.zip_with(b, |x, y| x - y)?,
+        RmaOp::Emu => a.zip_with(b, |x, y| x * y)?,
         other => unreachable!("dense_binary called for unary op {other:?}"),
     };
     Ok(out)
@@ -391,6 +393,55 @@ mod tests {
         .into_cols();
         assert_eq!(bat, dense);
         assert_eq!(bat, vec![vec![19.0, 43.0], vec![22.0, 50.0]]);
+    }
+
+    /// A 300 × 300 application part: large enough that `mmu`'s dense
+    /// kernel takes its threaded path on a multi-worker executor.
+    fn wide() -> Vec<Vec<f64>> {
+        (0..300)
+            .map(|j| (0..300).map(|i| ((i * 7 + j * 3) % 11) as f64).collect())
+            .collect()
+    }
+
+    fn dense_ctx(threads: usize) -> RmaContext {
+        RmaContext::new(RmaOptions {
+            backend: Backend::Dense,
+            threads,
+            ..RmaOptions::default()
+        })
+    }
+
+    #[test]
+    fn a_one_worker_context_runs_its_dense_kernel_serially() {
+        let mut s = ExecStats::default();
+        let ctx = dense_ctx(1);
+        let session = crate::trace::TraceSession::start();
+        eval_binary(&ctx, RmaOp::Mmu, &wide(), &wide(), None, &mut s).unwrap();
+        let spans = session.finish();
+        assert_eq!(s.last_kernel, Some(KernelUsed::Dense));
+        assert!(
+            spans.iter().all(|sp| sp.name != "pool.job"),
+            "a threads: 1 kernel ran a pool job: {spans:?}"
+        );
+    }
+
+    #[test]
+    fn a_dense_kernel_runs_on_its_contexts_own_pool() {
+        let mut s = ExecStats::default();
+        let ctx = dense_ctx(3);
+        let before = ctx.pool().jobs_run();
+        let out = eval_binary(&ctx, RmaOp::Mmu, &wide(), &wide(), None, &mut s)
+            .unwrap()
+            .into_cols();
+        assert!(
+            ctx.pool().jobs_run() > before,
+            "the kernel ran on another pool"
+        );
+        // the pooled product is the serial one
+        let serial = eval_binary(&dense_ctx(1), RmaOp::Mmu, &wide(), &wide(), None, &mut s)
+            .unwrap()
+            .into_cols();
+        assert_eq!(out, serial);
     }
 
     #[test]

@@ -233,10 +233,12 @@ impl Session {
         let budget = self.mem_budget();
         if budget > 0 {
             let est = stats::estimate(plan, provider);
-            // result footprint ≈ rows × columns × 8-byte cells; columns
-            // default to 1 when the estimator lost track of the schema
+            // result footprint ≈ rows × columns × 8-byte cells; the width is
+            // the exact one where the plan fixes it (RMA nodes carry no
+            // column map), else the columns with statistics, at least 1
+            let width = est.exact.map_or(est.cols.len(), |(_, cols)| cols);
             let est_bytes = (est.rows.max(0.0) as u64)
-                .saturating_mul(est.cols.len().max(1) as u64)
+                .saturating_mul(width.max(1) as u64)
                 .saturating_mul(8);
             // a plan with a spillable operator (join / sort / keyed
             // aggregation) is admitted even over the estimate: the
@@ -576,6 +578,30 @@ mod tests {
         // budget 0 = unlimited restores service
         s.set_mem_budget(0);
         assert_eq!(s.query(Frame::table("t")).unwrap().len(), 1000);
+    }
+
+    #[test]
+    fn admission_counts_an_rma_results_full_width() {
+        // 5 000 × 41: a key and 40 application columns; qqr keeps the shape,
+        // so the result is 5 000 × 41 × 8 B = 1.64 MB, not 40 000 B
+        let mut b = RelationBuilder::new().column("k0", (0..5_000i64).collect::<Vec<_>>());
+        for c in 0..40 {
+            let col: Vec<f64> = (0..5_000).map(|i| ((i * 7 + c) % 13) as f64).collect();
+            b = b.column(format!("a{c}"), col);
+        }
+        let server = Server::default();
+        let s = server.session();
+        s.create_table("t", b.build().unwrap()).unwrap();
+        s.set_mem_budget(100_000);
+        let qqr = Frame::table("t").rma_unary(crate::shape::RmaOp::Qqr, &["k0"]);
+        let err = s.query(qqr).unwrap_err();
+        match err {
+            PlanError::Rma(RmaError::ResourceExhausted { needed, budget }) => {
+                assert_eq!((needed, budget), (5_000 * 41 * 8, 100_000));
+            }
+            other => panic!("expected ResourceExhausted, got {other:?}"),
+        }
+        assert_eq!(s.counters().snapshot().mem_rejections, 1);
     }
 
     #[test]

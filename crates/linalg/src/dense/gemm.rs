@@ -2,8 +2,8 @@
 //! products the RMA operations need (MMU, CPD, OPD).
 //!
 //! The kernel is a cache-blocked `C += A·B` over column-major storage with a
-//! column-parallel outer loop on the shared executor (the session worker
-//! pool once installed — see [`crate::threads`]), standing in for the
+//! column-parallel outer loop on the scoped executor (the executing query's
+//! worker pool — see [`crate::threads`]), standing in for the
 //! multi-threaded MKL of the paper.
 
 use super::matrix::Matrix;
@@ -30,7 +30,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Matrix::zeros(m, n);
-    let threads = available_threads();
+    let threads = crate::threads::threads();
     if m * n >= PAR_THRESHOLD && threads > 1 && n > 1 {
         matmul_parallel(a, b, &mut c, threads);
     } else {
@@ -42,14 +42,12 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     Ok(c)
 }
 
-pub use crate::threads::available_threads;
-
 fn matmul_parallel(a: &Matrix, b: &Matrix, c: &mut Matrix, threads: usize) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     // Split C into contiguous column chunks: in column-major layout a chunk
     // of columns is a contiguous mutable slice, so each worker owns disjoint
-    // memory and no synchronisation is needed. Workers come from the shared
-    // executor (the session worker pool once installed), not per-call spawns.
+    // memory and no synchronisation is needed. Workers come from the scoped
+    // executor (the query's worker pool), not per-call spawns.
     let chunk_cols = n.div_ceil(threads).max(1);
     let buf = c.as_mut_slice();
     crate::threads::par_chunks_mut(buf, chunk_cols * m, |chunk_id, _start, chunk| {
@@ -118,11 +116,11 @@ pub fn crossprod(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     }
     let (m, n, k) = (a.cols(), b.cols(), a.rows());
     let mut c = Matrix::zeros(m, n);
-    let threads = available_threads();
+    let threads = crate::threads::threads();
     if threads > 1 && n > 1 && m * n * k >= PAR_FLOPS {
         // split C into contiguous column chunks (disjoint in column-major
         // layout); each worker computes the dot products of its columns,
-        // claiming chunks on the shared executor
+        // claiming chunks on the scoped executor
         let chunk_cols = n.div_ceil(threads).max(1);
         let buf = c.as_mut_slice();
         crate::threads::par_chunks_mut(buf, chunk_cols * m, |chunk_id, _start, chunk| {
@@ -196,6 +194,9 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads::tests::Spawning;
+    use crate::threads::with_parallelism;
+    use std::sync::atomic::Ordering;
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -269,7 +270,8 @@ mod tests {
 
     #[test]
     fn matmul_parallel_path_matches_naive() {
-        // 300×300 crosses PAR_THRESHOLD, exercising the threaded kernel
+        // 300×300 crosses PAR_THRESHOLD and PAR_FLOPS, so under a
+        // multi-worker executor both products take their threaded kernels
         let n = 300;
         let a = Matrix::from_columns(
             &(0..n)
@@ -291,12 +293,19 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let exec = Spawning::new(3);
+        let (c, cp) = with_parallelism(exec.clone(), || {
+            (matmul(&a, &b).unwrap(), crossprod(&a, &b).unwrap())
+        });
+        assert_eq!(exec.jobs.load(Ordering::SeqCst), 2);
         // spot-check against the naive definition on a sample of cells
         for &(i, j) in &[(0, 0), (5, 250), (299, 299), (123, 45)] {
             let expected: f64 = (0..n).map(|l| a.get(i, l) * b.get(l, j)).sum();
             assert!((c.get(i, j) - expected).abs() < 1e-9);
         }
+        // the serial kernels agree bit for bit
+        assert_eq!(c, matmul(&a, &b).unwrap());
+        assert_eq!(cp, crossprod(&a, &b).unwrap());
     }
 
     #[test]

@@ -251,37 +251,6 @@ impl Matrix {
         })
     }
 
-    /// Element-wise combination, split across worker threads for large
-    /// matrices. Bitwise-identical to [`Matrix::zip_with`].
-    pub fn zip_with_parallel(
-        &self,
-        other: &Matrix,
-        f: impl Fn(f64, f64) -> f64 + Sync,
-    ) -> Result<Matrix, LinalgError> {
-        let threads = crate::threads::available_threads();
-        if threads <= 1 || self.data.len() < PAR_ELEMWISE_MIN {
-            return self.zip_with(other, f);
-        }
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "element-wise operation shapes",
-            });
-        }
-        let mut data = vec![0.0; self.data.len()];
-        elementwise_chunks(threads, &mut data, |start, dst| {
-            let a = &self.data[start..start + dst.len()];
-            let b = &other.data[start..start + dst.len()];
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = f(x, y);
-            }
-        });
-        Ok(Matrix {
-            data,
-            rows: self.rows,
-            cols: self.cols,
-        })
-    }
-
     /// Max absolute difference to another matrix (test helper).
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.rows, other.rows);
@@ -302,18 +271,6 @@ impl Matrix {
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
-}
-
-/// Element count below which element-wise operations stay serial (thread
-/// spawn overhead dominates for small matrices).
-const PAR_ELEMWISE_MIN: usize = 1 << 15;
-
-/// Split `out` into `threads` contiguous chunks and run `f(start, chunk)`
-/// for each on the shared executor's workers (the session worker pool once
-/// installed). Chunks are disjoint, so workers need no synchronisation.
-fn elementwise_chunks(threads: usize, out: &mut [f64], f: impl Fn(usize, &mut [f64]) + Sync) {
-    let chunk = out.len().div_ceil(threads).max(1);
-    crate::threads::par_chunks_mut(out, chunk, |_, start, dst| f(start, dst));
 }
 
 impl fmt::Display for Matrix {
@@ -405,27 +362,6 @@ mod tests {
         let s = m.zip_with(&m, |a, b| a + b).unwrap();
         assert_eq!(s.row(0), vec![2.0, -4.0]);
         assert!(m.zip_with(&Matrix::zeros(2, 2), |a, _| a).is_err());
-    }
-
-    #[test]
-    fn parallel_elementwise_matches_serial() {
-        // above PAR_ELEMWISE_MIN so the threaded path actually runs
-        let n = 260;
-        let m = Matrix::from_columns(
-            &(0..n)
-                .map(|j| {
-                    (0..n)
-                        .map(|i| ((i * 3 + j) % 29) as f64 - 14.0)
-                        .collect::<Vec<f64>>()
-                })
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        assert_eq!(
-            m.zip_with_parallel(&m, |a, b| a * b).unwrap(),
-            m.zip_with(&m, |a, b| a * b).unwrap()
-        );
-        assert!(m.zip_with_parallel(&Matrix::zeros(2, 2), |a, _| a).is_err());
     }
 
     #[test]

@@ -28,4 +28,4 @@ pub(crate) const PIVOT_EPS: f64 = 1e-12;
 
 pub use dense::Matrix;
 pub use error::LinalgError;
-pub use threads::{available_threads, install_parallelism, par_chunks_mut, Parallelism};
+pub use threads::{par_chunks_mut, with_parallelism, Parallelism};

@@ -1,48 +1,26 @@
-//! Worker-thread budget and pluggable parallel executor for the dense
-//! kernels.
+//! The executor the dense kernels run their data-parallel loops on.
 //!
-//! The *budget* ([`available_threads`]) is resolved once per process: the
-//! `RMA_THREADS` environment variable wins (the same knob the execution
-//! engine's `RmaOptions::threads` defaults from, so one setting steers both
-//! layers), otherwise the available hardware parallelism, capped to keep
-//! overhead bounded on very wide machines.
-//!
-//! The *executor* is pluggable so the kernels can share the execution
-//! engine's worker pool instead of spawning threads per call: `rma-core`
-//! installs an adapter over its session pool via [`install_parallelism`]
-//! when that pool comes up; until then (or when `rma-linalg` is used
-//! standalone) a scoped-spawn fallback provides the same data parallelism
-//! with per-call threads. Kernels never talk to either directly — they go
+//! `rma-linalg` owns no threads and reads no thread budget. A caller lends
+//! the kernels an executor for the length of one call with
+//! [`with_parallelism`]: `rma-core` lends the executing context's worker
+//! pool, so a query's kernels run on that query's pool and a one-worker
+//! context runs them serially. With no executor in scope (standalone use,
+//! or a thread the caller never lent one to) every kernel runs on the
+//! calling thread. Kernels never talk to the executor directly — they go
 //! through [`par_chunks_mut`], which splits an output buffer into disjoint
 //! chunks that workers claim from a shared counter.
+//!
+//! The scope is also the hook for anything else a caller wants a kernel to
+//! see for the length of one call (a per-query poll, a pooled trailing
+//! update): it is thread-local, nests, and is restored on unwind.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Hard cap on the default worker count (explicit `RMA_THREADS` may exceed
-/// it — an operator who sets the knob gets what they asked for).
-const DEFAULT_THREAD_CAP: usize = 16;
-
-/// Number of worker threads the dense kernels use.
-pub fn available_threads() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Some(n) = std::env::var("RMA_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(DEFAULT_THREAD_CAP)
-    })
-}
+use std::sync::Arc;
 
 /// A parallel executor the dense kernels can run their data-parallel loops
-/// on. Implemented by the execution engine's worker pool (installed through
-/// [`install_parallelism`]) and by the built-in scoped-spawn fallback.
+/// on. Implemented by the execution engine's worker pool (lent through
+/// [`with_parallelism`]) and by test fakes.
 pub trait Parallelism: Send + Sync {
     /// Total workers `run` invokes the job with (including the caller).
     fn threads(&self) -> usize;
@@ -54,55 +32,42 @@ pub trait Parallelism: Send + Sync {
     fn run(&self, f: &(dyn Fn(usize) + Sync));
 }
 
-/// Fallback executor: one `std::thread::scope` spawn per call, sized by
-/// [`available_threads`]. What every kernel used before the worker pool
-/// existed, and what standalone `rma-linalg` users still get.
-struct ScopedSpawn;
+thread_local! {
+    /// The executor lent to kernels called from this thread, if any.
+    static CURRENT: RefCell<Option<Arc<dyn Parallelism>>> = const { RefCell::new(None) };
+}
 
-impl Parallelism for ScopedSpawn {
-    fn threads(&self) -> usize {
-        available_threads()
-    }
-
-    fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        let n = self.threads();
-        if n <= 1 {
-            f(0);
-            return;
+/// Run `f` with `exec` as the executor of every dense kernel it calls on
+/// this thread. The previous executor (or none) is restored when `f`
+/// returns or unwinds, so scopes nest.
+pub fn with_parallelism<R>(exec: Arc<dyn Parallelism>, f: impl FnOnce() -> R) -> R {
+    /// Restores the outer scope's executor on drop.
+    struct Restore(Option<Arc<dyn Parallelism>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(self.0.take());
         }
-        std::thread::scope(|scope| {
-            for id in 1..n {
-                scope.spawn(move || f(id));
-            }
-            f(0);
-        });
     }
+    let _restore = Restore(CURRENT.replace(Some(exec)));
+    f()
 }
 
-static INSTALLED: OnceLock<Arc<dyn Parallelism>> = OnceLock::new();
-
-/// Install the process-wide executor the dense kernels run on (e.g. the
-/// execution engine's session worker pool). First install wins and is
-/// permanent; returns `false` if an executor was already installed.
-pub fn install_parallelism(exec: Arc<dyn Parallelism>) -> bool {
-    INSTALLED.set(exec).is_ok()
+/// The executor in scope on this thread, if any.
+fn current() -> Option<Arc<dyn Parallelism>> {
+    CURRENT.with_borrow(Option::clone)
 }
 
-/// The executor the kernels currently run on: the installed one, else the
-/// scoped-spawn fallback.
-pub(crate) fn parallelism() -> &'static dyn Parallelism {
-    static FALLBACK: ScopedSpawn = ScopedSpawn;
-    match INSTALLED.get() {
-        Some(exec) => exec.as_ref(),
-        None => &FALLBACK,
-    }
+/// Workers the kernels called from this thread may use: the scoped
+/// executor's count, `1` with none in scope.
+pub(crate) fn threads() -> usize {
+    CURRENT.with_borrow(|exec| exec.as_ref().map_or(1, |e| e.threads()))
 }
 
 /// Split `out` into contiguous chunks of `chunk` elements and run
 /// `f(chunk_index, start, chunk_slice)` for each, workers claiming chunks
-/// from a shared counter on the current executor. Chunks are disjoint, so
-/// workers need no synchronisation; with one worker (or one chunk) the
-/// chunks run sequentially on the caller's thread.
+/// from a shared counter on the scoped executor. Chunks are disjoint, so
+/// workers need no synchronisation; with no executor in scope, one worker
+/// or one chunk the chunks run sequentially on the caller's thread.
 pub fn par_chunks_mut<T, F>(out: &mut [T], chunk: usize, f: F)
 where
     T: Send,
@@ -114,13 +79,15 @@ where
     }
     let chunk = chunk.max(1);
     let nchunks = len.div_ceil(chunk);
-    let exec = parallelism();
-    if nchunks <= 1 || exec.threads() <= 1 {
-        for (i, dst) in out.chunks_mut(chunk).enumerate() {
-            f(i, i * chunk, dst);
+    let exec = match current() {
+        Some(exec) if nchunks > 1 && exec.threads() > 1 => exec,
+        _ => {
+            for (i, dst) in out.chunks_mut(chunk).enumerate() {
+                f(i, i * chunk, dst);
+            }
+            return;
         }
-        return;
-    }
+    };
     /// The buffer base pointer, shareable across the job's workers.
     struct BasePtr<T>(*mut T);
     // SAFETY: workers derive disjoint in-bounds chunks from the pointer (the
@@ -147,26 +114,67 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
-    #[test]
-    fn at_least_one_thread() {
-        assert!(available_threads() >= 1);
-        // cached: a second call agrees
-        assert_eq!(available_threads(), available_threads());
+    /// A fake executor: `threads` scoped spawns per job, counting jobs.
+    pub(crate) struct Spawning {
+        pub(crate) threads: usize,
+        pub(crate) jobs: AtomicU64,
+    }
+
+    impl Spawning {
+        pub(crate) fn new(threads: usize) -> Arc<Spawning> {
+            Arc::new(Spawning {
+                threads,
+                jobs: AtomicU64::new(0),
+            })
+        }
+    }
+
+    impl Parallelism for Spawning {
+        fn threads(&self) -> usize {
+            self.threads
+        }
+
+        fn run(&self, f: &(dyn Fn(usize) + Sync)) {
+            self.jobs.fetch_add(1, Ordering::SeqCst);
+            std::thread::scope(|scope| {
+                for id in 1..self.threads {
+                    scope.spawn(move || f(id));
+                }
+                f(0);
+            });
+        }
+    }
+
+    /// The thread that ran each of 16 chunks, each a millisecond long so
+    /// that any other worker of a parallel run gets to claim some.
+    fn chunk_threads() -> Vec<ThreadId> {
+        let mut ids = vec![None; 16];
+        par_chunks_mut(&mut ids, 1, |_, _, dst| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            dst[0] = Some(std::thread::current().id());
+        });
+        ids.into_iter().map(Option::unwrap).collect()
     }
 
     #[test]
     fn par_chunks_cover_the_buffer_exactly() {
-        let mut buf = vec![0usize; 10_007];
-        par_chunks_mut(&mut buf, 97, |i, start, dst| {
-            assert_eq!(start, i * 97);
-            for (k, x) in dst.iter_mut().enumerate() {
-                *x = start + k + 1;
-            }
-        });
-        assert!(buf.iter().enumerate().all(|(k, &x)| x == k + 1));
+        let fill = || {
+            let mut buf = vec![0usize; 10_007];
+            par_chunks_mut(&mut buf, 97, |i, start, dst| {
+                assert_eq!(start, i * 97);
+                for (k, x) in dst.iter_mut().enumerate() {
+                    *x = start + k + 1;
+                }
+            });
+            assert!(buf.iter().enumerate().all(|(k, &x)| x == k + 1));
+        };
+        fill();
+        with_parallelism(Spawning::new(3), fill);
         // empty buffer and oversized chunk are fine
         let mut empty: Vec<usize> = Vec::new();
         par_chunks_mut(&mut empty, 8, |_, _, _| unreachable!());
@@ -174,5 +182,50 @@ mod tests {
         par_chunks_mut(&mut one, 100, |i, start, dst| {
             assert_eq!((i, start, dst.len()), (0, 0, 3));
         });
+    }
+
+    #[test]
+    fn without_a_scope_every_chunk_runs_on_the_caller() {
+        let me = std::thread::current().id();
+        assert_eq!(threads(), 1);
+        assert!(chunk_threads().iter().all(|&id| id == me));
+    }
+
+    #[test]
+    fn a_scoped_executor_runs_the_chunks() {
+        let exec = Spawning::new(2);
+        let seen = with_parallelism(exec.clone(), || {
+            assert_eq!(threads(), 2);
+            chunk_threads()
+        });
+        assert_eq!(exec.jobs.load(Ordering::SeqCst), 1);
+        assert_eq!(seen.len(), 16);
+        // a one-worker executor is the serial case: no job at all
+        let serial = Spawning::new(1);
+        with_parallelism(serial.clone(), chunk_threads);
+        assert_eq!(serial.jobs.load(Ordering::SeqCst), 0);
+        assert_eq!(threads(), 1);
+    }
+
+    #[test]
+    fn a_nested_scope_restores_the_outer_one() {
+        let (outer, inner) = (Spawning::new(2), Spawning::new(3));
+        with_parallelism(outer.clone(), || {
+            with_parallelism(inner.clone(), || {
+                assert_eq!(threads(), 3);
+                chunk_threads();
+            });
+            assert_eq!(threads(), 2);
+            chunk_threads();
+            // an unwinding inner scope restores the outer one too
+            let unwound = std::panic::catch_unwind(|| {
+                with_parallelism(inner.clone(), || panic!("inner kernel failed"))
+            });
+            assert!(unwound.is_err());
+            assert_eq!(threads(), 2);
+        });
+        assert_eq!(threads(), 1);
+        assert_eq!(outer.jobs.load(Ordering::SeqCst), 1);
+        assert_eq!(inner.jobs.load(Ordering::SeqCst), 1);
     }
 }

@@ -97,8 +97,8 @@ impl Engine {
     }
 
     /// Engine with an explicit worker-thread count for plan execution
-    /// (`1` runs every relational operator serially; other options default —
-    /// the dense kernels keep their process-wide `RMA_THREADS` budget).
+    /// (`1` runs every relational operator and dense kernel serially; other
+    /// options default).
     pub fn with_threads(threads: usize) -> Self {
         Engine::with_options(RmaOptions {
             threads: threads.max(1),
