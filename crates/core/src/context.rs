@@ -130,7 +130,8 @@ pub enum KernelUsed {
 ///
 /// `copy_in`/`copy_out` cover the BAT↔dense transformations only — the
 /// quantity Fig. 14b reports as the transformation share; `compute` is the
-/// kernel time; `sort` is order-schema handling (split/sort/morph).
+/// kernel time; `sort` is order-schema handling (split/sort/morph), for
+/// unary and binary operations alike.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
     /// Time spent copying BATs into dense matrices.
@@ -139,12 +140,15 @@ pub struct ExecStats {
     pub copy_out: Duration,
     /// Kernel compute time.
     pub compute: Duration,
-    /// Order-schema handling time (split/sort/morph).
+    /// Order-schema handling time: splitting and sorting the arguments and
+    /// merging the morphed context into the result relation, for unary and
+    /// binary operations alike.
     pub sort: Duration,
     /// Number of relational matrix operations executed.
     pub ops_run: u32,
-    /// Number of argument sort computations performed (full sorts and
-    /// relative alignments). The lazy plan optimizer's redundant-sort
+    /// Number of argument sort computations performed: one per argument
+    /// whose sort mode sorts (full sorts, ranks and relative alignments —
+    /// `split::SortMode::sorts`). The lazy plan optimizer's redundant-sort
     /// elimination is observable here: consecutive operations over the same
     /// order schema sort once, not once per operation.
     pub sorts: u32,
@@ -344,17 +348,6 @@ impl RmaContext {
         self.pool.stats()
     }
 
-    /// A context with different options *sharing this context's pool* —
-    /// the plan interpreter's per-node backend overrides use this so an
-    /// override never spawns a second worker set.
-    pub(crate) fn with_options_shared_pool(&self, options: RmaOptions) -> RmaContext {
-        RmaContext {
-            options,
-            stats: AtomicStats::default(),
-            pool: Arc::clone(&self.pool),
-        }
-    }
-
     /// A context with the same options, **sharing this context's worker
     /// pool**, but with fresh zeroed statistics. This is how the serving
     /// layer gives each session (and, via another fork, each query) its own
@@ -362,7 +355,11 @@ impl RmaContext {
     /// forked context instead of polluting a context-global counter set,
     /// while still executing on the one shared pool.
     pub fn fork(&self) -> RmaContext {
-        self.with_options_shared_pool(self.options.clone())
+        RmaContext {
+            options: self.options.clone(),
+            stats: AtomicStats::default(),
+            pool: Arc::clone(&self.pool),
+        }
     }
 
     /// Context forcing a specific backend, other options default.
@@ -414,7 +411,7 @@ impl RmaContext {
             Backend::Bat => Backend::Bat,
             Backend::Dense => Backend::Dense,
             Backend::Auto => {
-                if matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu) {
+                if op.is_elementwise() {
                     // linear ops: transformation cost can never be amortised
                     Backend::Bat
                 } else {

@@ -36,96 +36,64 @@ impl KernelOut {
     }
 }
 
-/// Execute a unary base operation on an application part.
-pub fn eval_unary<C: AsRef<[f64]>>(
+/// Execute a base operation on the first argument's application part `a`
+/// and, for a binary operation, the second's `b` with its row alignment
+/// under relative sorting (§7.2): operation row `i` of `b` is its stored
+/// row `align[i]` (`None` = `b` is in operation order). The element-wise
+/// BAT kernels read `b` through the alignment in the pass that writes the
+/// result; every other consumer gathers `b` once — on the dense path that
+/// gather is the copy-in itself. The kernel family is chosen here, once
+/// per operation ([`RmaContext::choose_kernel`]).
+pub fn eval<C: AsRef<[f64]>>(
     ctx: &RmaContext,
     op: RmaOp,
-    app: &[C],
+    a: &[C],
+    b: Option<(&[C], Option<&[usize]>)>,
     stats: &mut ExecStats,
 ) -> Result<KernelOut, RmaError> {
-    let m = app.first().map_or(0, |c| c.as_ref().len());
-    let n = app.len();
-    let backend = ctx.choose_kernel(op, m, n, None);
+    let dims = |x: &[C]| (x.first().map_or(0, |c| c.as_ref().len()), x.len());
+    let (m, n) = dims(a);
+    let backend = ctx.choose_kernel(op, m, n, b.map(|(b, _)| dims(b)));
     let kernel_used = match backend {
         Backend::Bat => KernelUsed::Bat,
         // forced Bat on an operation with no BAT kernel
         _ if ctx.options.backend == Backend::Bat => KernelUsed::DenseFallback,
         _ => KernelUsed::Dense,
     };
-    let out = match backend {
-        Backend::Bat => {
-            let t = Instant::now();
-            let out = bat_unary(op, app)?;
-            stats.compute += t.elapsed();
-            out
-        }
-        _ => {
-            let t = Instant::now();
-            let dense_in = Matrix::from_columns(app)?;
-            stats.copy_in += t.elapsed();
-            let t = Instant::now();
-            let out = ctx.on_pool(|| dense_unary(op, dense_in))?;
-            stats.compute += t.elapsed();
-            let t = Instant::now();
-            let out = match out {
-                DenseOut::Matrix(mx) => KernelOut::Cols(mx.into_columns()),
-                DenseOut::Vector(v) => KernelOut::Cols(vec![v]),
-                DenseOut::Scalar(s) => KernelOut::Scalar(s),
-            };
-            stats.copy_out += t.elapsed();
-            out
-        }
+    let out = if backend == Backend::Bat {
+        let t = Instant::now();
+        let out = match b {
+            None => bat_unary(op, a)?,
+            Some((b, align)) => bat_binary(op, a, b, align)?,
+        };
+        stats.compute += t.elapsed();
+        out
+    } else {
+        let t = Instant::now();
+        let ma = Matrix::from_columns(a)?;
+        let mb = match b {
+            None => None,
+            Some((b, Some(rows))) => Some(Matrix::gather_columns(b, rows)?),
+            Some((b, None)) => Some(Matrix::from_columns(b)?),
+        };
+        stats.copy_in += t.elapsed();
+        let t = Instant::now();
+        let out = ctx.on_pool(|| match &mb {
+            None => dense_unary(op, ma),
+            Some(mb) => dense_binary(op, &ma, mb),
+        })?;
+        stats.compute += t.elapsed();
+        let t = Instant::now();
+        let out = match out {
+            DenseOut::Matrix(mx) => KernelOut::Cols(mx.into_columns()),
+            DenseOut::Vector(v) => KernelOut::Cols(vec![v]),
+            DenseOut::Scalar(s) => KernelOut::Scalar(s),
+        };
+        stats.copy_out += t.elapsed();
+        out
     };
     stats.ops_run += 1;
     stats.last_kernel = Some(kernel_used);
-    Ok(out)
-}
-
-/// Execute a binary base operation. `b_align` is the second argument's
-/// row alignment under relative sorting (§7.2): operation row `i` of `b`
-/// is its stored row `b_align[i]` (`None` = `b` is in operation order).
-/// The element-wise BAT kernels read `b` through it in the pass that
-/// writes the result; every other consumer gathers `b` once — on the dense
-/// path that gather is the copy-in itself.
-pub fn eval_binary<A: AsRef<[f64]>, B: AsRef<[f64]>>(
-    ctx: &RmaContext,
-    op: RmaOp,
-    a: &[A],
-    b: &[B],
-    b_align: Option<&[usize]>,
-    stats: &mut ExecStats,
-) -> Result<KernelOut, RmaError> {
-    let m = a.first().map_or(0, |c| c.as_ref().len());
-    let n = a.len();
-    let second = (b.first().map_or(0, |c| c.as_ref().len()), b.len());
-    let backend = ctx.choose_kernel(op, m, n, Some(second));
-    let out = match backend {
-        Backend::Bat => {
-            let t = Instant::now();
-            let out = bat_binary(op, a, b, b_align)?;
-            stats.compute += t.elapsed();
-            stats.last_kernel = Some(KernelUsed::Bat);
-            out
-        }
-        _ => {
-            let t = Instant::now();
-            let ma = Matrix::from_columns(a)?;
-            let mb = match b_align {
-                Some(rows) => Matrix::gather_columns(b, rows)?,
-                None => Matrix::from_columns(b)?,
-            };
-            stats.copy_in += t.elapsed();
-            let t = Instant::now();
-            let out = ctx.on_pool(|| dense_binary(op, &ma, &mb))?;
-            stats.compute += t.elapsed();
-            let t = Instant::now();
-            let out = KernelOut::Cols(out.into_columns());
-            stats.copy_out += t.elapsed();
-            stats.last_kernel = Some(KernelUsed::Dense);
-            out
-        }
-    };
-    stats.ops_run += 1;
     Ok(out)
 }
 
@@ -183,7 +151,7 @@ fn dense_unary(op: RmaOp, a: Matrix) -> Result<DenseOut, RmaError> {
     Ok(out)
 }
 
-fn dense_binary(op: RmaOp, a: &Matrix, b: &Matrix) -> Result<Matrix, RmaError> {
+fn dense_binary(op: RmaOp, a: &Matrix, b: &Matrix) -> Result<DenseOut, RmaError> {
     let out = match op {
         RmaOp::Mmu => dense::matmul(a, b)?,
         RmaOp::Cpd => dense::crossprod(a, b)?,
@@ -194,7 +162,7 @@ fn dense_binary(op: RmaOp, a: &Matrix, b: &Matrix) -> Result<Matrix, RmaError> {
         RmaOp::Emu => a.zip_with(b, |x, y| x * y)?,
         other => unreachable!("dense_binary called for unary op {other:?}"),
     };
-    Ok(out)
+    Ok(DenseOut::Matrix(out))
 }
 
 fn bat_binary<A: AsRef<[f64]>, B: AsRef<[f64]>>(
@@ -285,10 +253,10 @@ mod tests {
         let mut s = ExecStats::default();
         let bat_ctx = RmaContext::with_backend(Backend::Bat);
         let dense_ctx = RmaContext::with_backend(Backend::Dense);
-        let a = eval_unary(&bat_ctx, RmaOp::Inv, &square(), &mut s)
+        let a = eval(&bat_ctx, RmaOp::Inv, &square(), None, &mut s)
             .unwrap()
             .into_cols();
-        let b = eval_unary(&dense_ctx, RmaOp::Inv, &square(), &mut s)
+        let b = eval(&dense_ctx, RmaOp::Inv, &square(), None, &mut s)
             .unwrap()
             .into_cols();
         for (ca, cb) in a.iter().zip(&b) {
@@ -304,7 +272,7 @@ mod tests {
         let mut s = ExecStats::default();
         let ctx = RmaContext::with_backend(Backend::Bat);
         let app = vec![vec![2.0, 0.0, 0.0], vec![0.0, 5.0, 0.0]];
-        let out = eval_unary(&ctx, RmaOp::Vsv, &app, &mut s)
+        let out = eval(&ctx, RmaOp::Vsv, &app, None, &mut s)
             .unwrap()
             .into_cols();
         assert_eq!(s.last_kernel, Some(KernelUsed::DenseFallback));
@@ -318,7 +286,7 @@ mod tests {
     fn dense_path_records_copy_time() {
         let mut s = ExecStats::default();
         let ctx = RmaContext::with_backend(Backend::Dense);
-        eval_unary(&ctx, RmaOp::Qqr, &square(), &mut s).unwrap();
+        eval(&ctx, RmaOp::Qqr, &square(), None, &mut s).unwrap();
         assert!(s.copy_in.as_nanos() > 0);
         assert_eq!(s.ops_run, 1);
     }
@@ -327,7 +295,7 @@ mod tests {
     fn bat_path_records_no_copy_time() {
         let mut s = ExecStats::default();
         let ctx = RmaContext::with_backend(Backend::Bat);
-        eval_unary(&ctx, RmaOp::Inv, &square(), &mut s).unwrap();
+        eval(&ctx, RmaOp::Inv, &square(), None, &mut s).unwrap();
         assert!(s.copy_in.is_zero() && s.copy_out.is_zero());
         assert_eq!(s.last_kernel, Some(KernelUsed::Bat));
     }
@@ -337,8 +305,8 @@ mod tests {
         let mut s = ExecStats::default();
         let ctx = RmaContext::new(RmaOptions::default());
         let a = vec![vec![1.0, 2.0]];
-        let b = vec![vec![10.0, 20.0]];
-        let out = eval_binary(&ctx, RmaOp::Add, &a, &b, None, &mut s)
+        let b = [vec![10.0, 20.0]];
+        let out = eval(&ctx, RmaOp::Add, &a, Some((&b[..], None)), &mut s)
             .unwrap()
             .into_cols();
         assert_eq!(out[0], vec![11.0, 22.0]);
@@ -350,15 +318,15 @@ mod tests {
         // b's stored rows are reversed: row i pairs with b row 2 - i
         let mut s = ExecStats::default();
         let a = vec![vec![1.0, 2.0, 3.0], vec![0.5, 0.25, 2.0]];
-        let b = vec![vec![30.0, 20.0, 10.0], vec![4.0, 8.0, 16.0]];
-        let in_order = vec![vec![10.0, 20.0, 30.0], vec![16.0, 8.0, 4.0]];
+        let b = [vec![30.0, 20.0, 10.0], vec![4.0, 8.0, 16.0]];
+        let in_order = [vec![10.0, 20.0, 30.0], vec![16.0, 8.0, 4.0]];
         for op in [RmaOp::Add, RmaOp::Sub, RmaOp::Emu, RmaOp::Cpd] {
             for backend in [Backend::Bat, Backend::Dense] {
                 let ctx = RmaContext::with_backend(backend);
-                let got = eval_binary(&ctx, op, &a, &b, Some(&[2, 1, 0]), &mut s)
+                let got = eval(&ctx, op, &a, Some((&b[..], Some(&[2, 1, 0][..]))), &mut s)
                     .unwrap()
                     .into_cols();
-                let want = eval_binary(&ctx, op, &a, &in_order, None, &mut s)
+                let want = eval(&ctx, op, &a, Some((&in_order[..], None)), &mut s)
                     .unwrap()
                     .into_cols();
                 assert_eq!(got, want, "{op:?} {backend:?}");
@@ -370,23 +338,21 @@ mod tests {
     fn binary_backends_agree_on_mmu() {
         let mut s = ExecStats::default();
         let a = vec![vec![1.0, 3.0], vec![2.0, 4.0]]; // [[1,2],[3,4]]
-        let b = vec![vec![5.0, 7.0], vec![6.0, 8.0]]; // [[5,6],[7,8]]
-        let bat = eval_binary(
+        let b = [vec![5.0, 7.0], vec![6.0, 8.0]]; // [[5,6],[7,8]]
+        let bat = eval(
             &RmaContext::with_backend(Backend::Bat),
             RmaOp::Mmu,
             &a,
-            &b,
-            None,
+            Some((&b[..], None)),
             &mut s,
         )
         .unwrap()
         .into_cols();
-        let dense = eval_binary(
+        let dense = eval(
             &RmaContext::with_backend(Backend::Dense),
             RmaOp::Mmu,
             &a,
-            &b,
-            None,
+            Some((&b[..], None)),
             &mut s,
         )
         .unwrap()
@@ -416,7 +382,7 @@ mod tests {
         let mut s = ExecStats::default();
         let ctx = dense_ctx(1);
         let session = crate::trace::TraceSession::start();
-        eval_binary(&ctx, RmaOp::Mmu, &wide(), &wide(), None, &mut s).unwrap();
+        eval(&ctx, RmaOp::Mmu, &wide(), Some((&wide()[..], None)), &mut s).unwrap();
         let spans = session.finish();
         assert_eq!(s.last_kernel, Some(KernelUsed::Dense));
         assert!(
@@ -430,7 +396,7 @@ mod tests {
         let mut s = ExecStats::default();
         let ctx = dense_ctx(3);
         let before = ctx.pool().jobs_run();
-        let out = eval_binary(&ctx, RmaOp::Mmu, &wide(), &wide(), None, &mut s)
+        let out = eval(&ctx, RmaOp::Mmu, &wide(), Some((&wide()[..], None)), &mut s)
             .unwrap()
             .into_cols();
         assert!(
@@ -438,9 +404,15 @@ mod tests {
             "the kernel ran on another pool"
         );
         // the pooled product is the serial one
-        let serial = eval_binary(&dense_ctx(1), RmaOp::Mmu, &wide(), &wide(), None, &mut s)
-            .unwrap()
-            .into_cols();
+        let serial = eval(
+            &dense_ctx(1),
+            RmaOp::Mmu,
+            &wide(),
+            Some((&wide()[..], None)),
+            &mut s,
+        )
+        .unwrap()
+        .into_cols();
         assert_eq!(out, serial);
     }
 
@@ -450,7 +422,7 @@ mod tests {
         let ctx = RmaContext::with_backend(Backend::Dense);
         // 4×2 application part → U must be 4×4
         let app = vec![vec![1.0, 1.0, 6.0, 8.0], vec![3.0, 4.0, 7.0, 5.0]];
-        let u = eval_unary(&ctx, RmaOp::Usv, &app, &mut s)
+        let u = eval(&ctx, RmaOp::Usv, &app, None, &mut s)
             .unwrap()
             .into_cols();
         assert_eq!(u.len(), 4);
@@ -468,12 +440,12 @@ mod tests {
     fn scalar_ops() {
         let mut s = ExecStats::default();
         let ctx = RmaContext::default();
-        let out = eval_unary(&ctx, RmaOp::Det, &square(), &mut s).unwrap();
+        let out = eval(&ctx, RmaOp::Det, &square(), None, &mut s).unwrap();
         match out {
             KernelOut::Scalar(d) => assert!((d - -26.0).abs() < 1e-9),
             _ => panic!("det must be scalar"),
         }
-        let out = eval_unary(&ctx, RmaOp::Rnk, &square(), &mut s).unwrap();
+        let out = eval(&ctx, RmaOp::Rnk, &square(), None, &mut s).unwrap();
         match out {
             KernelOut::Scalar(r) => assert_eq!(r, 2.0),
             _ => panic!("rnk must be scalar"),

@@ -9,55 +9,39 @@
 
 use crate::context::RmaContext;
 use crate::error::RmaError;
-use crate::kernels::{eval_binary, eval_unary, KernelOut};
+use crate::kernels::{eval, KernelOut};
 use crate::shape::{Dim, RmaOp};
-use crate::split::{
-    build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode, Split,
-};
+use crate::split::{build_relation, column_cast, schema_cast, sort_modes, split, SortMode, Split};
 use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{Column, ColumnData, DataType};
 use std::time::Instant;
 
+/// One argument of a relational matrix operation: the relation, its order
+/// schema, and whether the plan proved it already physically ordered by
+/// that schema (so the sort may be skipped).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arg<'a> {
+    pub rel: &'a Relation,
+    pub order: &'a [&'a str],
+    pub sorted: bool,
+}
+
+impl<'a> Arg<'a> {
+    /// An argument with no sortedness hint.
+    pub(crate) fn new(rel: &'a Relation, order: &'a [&'a str]) -> Self {
+        Arg {
+            rel,
+            order,
+            sorted: false,
+        }
+    }
+}
+
 impl RmaContext {
     /// Dispatch a unary relational matrix operation `op_U(r)`.
     pub fn unary(&self, op: RmaOp, r: &Relation, order: &[&str]) -> Result<Relation, RmaError> {
-        self.unary_hinted(op, r, order, false)
-    }
-
-    /// Unary dispatch with a sortedness hint from the plan layer:
-    /// `input_sorted` asserts that `r` is already physically ordered by
-    /// `order`, so the sort can be skipped even when the operation's result
-    /// depends on row order.
-    pub(crate) fn unary_hinted(
-        &self,
-        op: RmaOp,
-        r: &Relation,
-        order: &[&str],
-        input_sorted: bool,
-    ) -> Result<Relation, RmaError> {
         assert!(!op.is_binary(), "unary() called with binary op {op:?}");
-        check_column_cast(op, &[order])?;
-        let mut stats = crate::context::ExecStats::default();
-        let t_sort = Instant::now();
-        let mode = if input_sorted {
-            SortMode::Skip
-        } else {
-            unary_sort_mode(self, op)
-        };
-        if matches!(mode, SortMode::Full) {
-            stats.sorts += 1;
-        }
-        let s = split(r, order, mode)?;
-        stats.sort += t_sort.elapsed();
-        let out = eval_unary(self, op, &s.app, &mut stats)?;
-
-        let t_merge = Instant::now();
-        let span = trace::clock();
-        let result = morph(op, r, &[&s], out)?;
-        record_merge(span, s.rows, &result);
-        stats.sort += t_merge.elapsed();
-        self.record(&stats);
-        Ok(result)
+        self.run(op, &[Arg::new(r, order)])
     }
 
     /// Dispatch a binary relational matrix operation `op_{U;V}(r, s)`.
@@ -69,111 +53,41 @@ impl RmaContext {
         s: &Relation,
         s_order: &[&str],
     ) -> Result<Relation, RmaError> {
-        self.binary_hinted(op, r, r_order, false, s, s_order, false)
+        assert!(op.is_binary(), "binary() called with unary op {op:?}");
+        self.run(op, &[Arg::new(r, r_order), Arg::new(s, s_order)])
     }
 
-    /// Binary dispatch with per-argument sortedness hints from the plan
-    /// layer (each flag asserts that the argument is already physically
-    /// ordered by its order schema).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn binary_hinted(
-        &self,
-        op: RmaOp,
-        r: &Relation,
-        r_order: &[&str],
-        r_sorted: bool,
-        s: &Relation,
-        s_order: &[&str],
-        s_sorted: bool,
-    ) -> Result<Relation, RmaError> {
-        assert!(op.is_binary(), "binary() called with unary op {op:?}");
-        check_column_cast(op, &[r_order, s_order])?;
-        let aligned = matches!(
-            op,
-            RmaOp::Add | RmaOp::Sub | RmaOp::Emu | RmaOp::Cpd | RmaOp::Sol
-        );
-        let elementwise = matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu);
-        // element-wise / row-aligned: both relations must have equally many
-        // tuples, paired by rank under their own order schemas
-        if aligned && r.len() != s.len() {
-            return Err(RmaError::TupleCountMismatch {
-                left: r.len(),
-                right: s.len(),
-            });
-        }
-        // schema errors are decided from the schemas, before any sort
-        if elementwise {
-            let (r_keys, s_keys) = (r.schema().subset(r_order)?, s.schema().subset(s_order)?);
-            if r.schema().complement(r_order).len() != s.schema().complement(s_order).len() {
-                return Err(RmaError::ApplicationNotUnionCompatible);
-            }
-            let overlap = s_keys.names().find(|n| r_keys.names().any(|m| m == *n));
-            if let Some(name) = overlap {
-                return Err(RmaError::OverlappingOrderSchemas(name.to_string()));
-            }
-        }
-
+    /// Algorithm 1 for either arity: check the schemas, split every
+    /// argument by the modes [`sort_modes`] picks, evaluate the base result
+    /// ([`eval`], which chooses the kernel) and morph the context into the
+    /// result. Split, sort and merge time is recorded as `ExecStats::sort`.
+    pub(crate) fn run(&self, op: RmaOp, args: &[Arg]) -> Result<Relation, RmaError> {
+        check_schemas(op, args)?;
         let mut stats = crate::context::ExecStats::default();
         let t_sort = Instant::now();
-        let optimized = self.options.sort_policy == crate::context::SortPolicy::Optimized;
-        let (rs, ss) = if aligned {
-            if optimized && r_sorted && s_sorted {
-                // both physically sorted: ranks align positionally for free
-                let rs = split(r, r_order, SortMode::Skip)?;
-                let ss = split(s, s_order, SortMode::Skip)?;
-                (rs, ss)
-            } else if optimized {
-                // relative sorting: r stays in physical order and is sorted
-                // only to rank its rows; s is read through one alignment to
-                // those ranks
-                let r_mode = if r_sorted {
-                    SortMode::Skip
-                } else {
-                    stats.sorts += 1;
-                    SortMode::Rank
-                };
-                let mut rs = split(r, r_order, r_mode)?;
-                stats.sorts += 1;
-                let other = rs.perm.take();
-                let ss = split(s, s_order, SortMode::AlignTo { other })?;
-                (rs, ss)
-            } else {
-                stats.sorts += 2;
-                let rs = split(r, r_order, SortMode::Full)?;
-                let ss = split(s, s_order, SortMode::Full)?;
-                (rs, ss)
-            }
-        } else {
-            // mmu/opd: r's rows are free (result rows permute with them),
-            // s must be in key order (it aligns with r's application
-            // columns / provides the sorted ▽V names)
-            let r_mode = if r_sorted || (optimized && !op.result_depends_on_row_order()) {
-                SortMode::Skip
-            } else {
-                SortMode::Full
+        let sorted: Vec<bool> = args.iter().map(|a| a.sorted).collect();
+        let modes = sort_modes(op, self.options.sort_policy, &sorted);
+        stats.sorts = modes.iter().filter(|m| m.sorts()).count() as u32;
+        let mut splits: Vec<Split> = Vec::with_capacity(args.len());
+        for (a, mode) in args.iter().zip(modes) {
+            // relative sorting: the second argument aligns to the first's
+            // ranks
+            let first = match (mode, splits.first_mut()) {
+                (SortMode::AlignTo, Some(first)) => first.perm.take(),
+                _ => None,
             };
-            let s_mode = if s_sorted {
-                SortMode::Skip
-            } else {
-                SortMode::Full
-            };
-            if matches!(r_mode, SortMode::Full) {
-                stats.sorts += 1;
-            }
-            if matches!(s_mode, SortMode::Full) {
-                stats.sorts += 1;
-            }
-            let rs = split(r, r_order, r_mode)?;
-            let ss = split(s, s_order, s_mode)?;
-            (rs, ss)
-        };
+            splits.push(split(a.rel, a.order, mode, first)?);
+        }
         stats.sort += t_sort.elapsed();
 
-        let out = eval_binary(self, op, &rs.app, &ss.app, ss.align.as_deref(), &mut stats)?;
+        let second = splits.get(1).map(|s| (&s.app[..], s.align.as_deref()));
+        let out = eval(self, op, &splits[0].app, second, &mut stats)?;
 
+        let t_merge = Instant::now();
         let span = trace::clock();
-        let result = morph(op, r, &[&rs, &ss], out)?;
-        record_merge(span, rs.rows + ss.rows, &result);
+        let result = morph(op, args[0].rel, &splits, out)?;
+        record_merge(span, splits.iter().map(|s| s.rows).sum(), &result);
+        stats.sort += t_merge.elapsed();
         self.record(&stats);
         Ok(result)
     }
@@ -316,22 +230,45 @@ fn record_merge(span: Option<Instant>, rows_in: usize, result: &Relation) {
     );
 }
 
-/// The column cast ▽U names result columns after the values of a
-/// one-attribute order schema, so an `r1`/`r2` column dimension needs that
-/// argument's |U| = 1. Checked from the order schemas, before any sort.
-fn check_column_cast(op: RmaOp, orders: &[&[&str]]) -> Result<(), RmaError> {
+/// The schema errors of Algorithm 1, decided from the schemas before any
+/// sort: row-aligned operations pair equally many tuples by rank; the
+/// element-wise ones need union-compatible application parts and disjoint
+/// order schemas; the column cast ▽U names result columns after the values
+/// of a one-attribute order schema, so an `r1`/`r2` column dimension needs
+/// that argument's |U| = 1.
+fn check_schemas(op: RmaOp, args: &[Arg]) -> Result<(), RmaError> {
     let cast = match op.shape().cols {
-        Dim::R1 => orders.first(),
-        Dim::R2 => orders.get(1),
+        Dim::R1 => args.first(),
+        Dim::R2 => args.get(1),
         _ => None,
     };
-    match cast {
-        Some(order) if order.len() != 1 => Err(RmaError::OrderSchemaCardinality {
+    if let Some(a) = cast.filter(|a| a.order.len() != 1) {
+        return Err(RmaError::OrderSchemaCardinality {
             op: op.name(),
-            found: order.len(),
-        }),
-        _ => Ok(()),
+            found: a.order.len(),
+        });
     }
+    if let [r, s] = args {
+        if op.is_row_aligned() && r.rel.len() != s.rel.len() {
+            return Err(RmaError::TupleCountMismatch {
+                left: r.rel.len(),
+                right: s.rel.len(),
+            });
+        }
+        if op.is_elementwise() {
+            let r_keys = r.rel.schema().subset(r.order)?;
+            let s_keys = s.rel.schema().subset(s.order)?;
+            let app_cols = |a: &Arg| a.rel.schema().complement(a.order).len();
+            if app_cols(r) != app_cols(s) {
+                return Err(RmaError::ApplicationNotUnionCompatible);
+            }
+            let overlap = s_keys.names().find(|n| r_keys.names().any(|m| m == *n));
+            if let Some(name) = overlap {
+                return Err(RmaError::OverlappingOrderSchemas(name.to_string()));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Table 3: the relation constructor `γ(context ‖ OP, names)` over the
@@ -341,7 +278,7 @@ fn check_column_cast(op: RmaOp, orders: &[&[&str]]) -> Result<(), RmaError> {
 /// scalar relation — and the column dimension the result's column names:
 /// `c1`/`c*` U̅, `c2` V̅, `r1`/`r2` that argument's column cast ▽U, `1` the
 /// operation's name.
-fn morph(op: RmaOp, r: &Relation, args: &[&Split], out: KernelOut) -> Result<Relation, RmaError> {
+fn morph(op: RmaOp, r: &Relation, args: &[Split], out: KernelOut) -> Result<Relation, RmaError> {
     let shape = op.shape();
     let order_context = |s: &Split| -> Vec<(Attribute, Column)> {
         s.order_attrs
@@ -351,8 +288,8 @@ fn morph(op: RmaOp, r: &Relation, args: &[&Split], out: KernelOut) -> Result<Rel
             .collect()
     };
     let context = match shape.rows {
-        Dim::R1 => order_context(args[0]),
-        Dim::RStar => args.iter().flat_map(|s| order_context(s)).collect(),
+        Dim::R1 => order_context(&args[0]),
+        Dim::RStar => args.iter().flat_map(order_context).collect(),
         Dim::C1 => vec![(
             Attribute::new("C", DataType::Str),
             schema_cast(&args[0].app_names),

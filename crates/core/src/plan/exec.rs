@@ -1,8 +1,11 @@
 //! Logical-plan interpreter: walks an (optimized) [`LogicalPlan`] and calls
 //! the eager relational-algebra functions and RMA kernels. The eager APIs
 //! remain the execution layer; this module only adds plan-level concerns —
-//! table resolution, scan-time projection, sortedness hints and per-node
-//! backend overrides.
+//! table resolution, scan-time projection and sortedness hints. An RMA
+//! node runs through the same dispatch as the eager call, which chooses
+//! its kernel at run time; the `backend` the optimizer records on the node
+//! is EXPLAIN's prediction of that choice, made by the same function from
+//! the same sizes, and execution does not read it.
 //!
 //! Every plan node runs operator-at-a-time through one match arm, at every
 //! thread count. Each relational operator is one call into
@@ -31,8 +34,9 @@
 //! both.
 
 use super::{LogicalPlan, PlanError, TableProvider};
-use crate::context::{Backend, RmaContext, RmaOptions};
+use crate::context::RmaContext;
 use crate::error::RmaError;
+use crate::ops::Arg;
 use rma_relation::trace;
 use rma_relation::{self as rel, Relation};
 use std::cell::RefCell;
@@ -43,10 +47,12 @@ use std::time::Instant;
 /// Runs under the calling thread's active
 /// [`QueryGuard`](rma_relation::QueryGuard) when one is installed (the
 /// serving layer's per-query governor); otherwise a guard is minted here
-/// for the duration of the plan, with [`RmaOptions::mem_budget`] and
-/// [`RmaOptions::deadline`] as its limits (unlimited when unset). Every
-/// plan thus has its own guard, and the spill bytes, partitions and decode
-/// sinks it adds during the run are recorded into the context's
+/// for the duration of the plan, with
+/// [`RmaOptions::mem_budget`](crate::context::RmaOptions::mem_budget) and
+/// [`RmaOptions::deadline`](crate::context::RmaOptions::deadline) as its
+/// limits (unlimited when unset). Every plan thus has its own guard, and
+/// the spill bytes, partitions and decode sinks it adds during the run —
+/// also a run that fails — are recorded into the context's
 /// [`crate::context::ExecStats`]. Governance trips surface as
 /// `PlanError::Rma(RmaError::Cancelled | DeadlineExceeded |
 /// ResourceExhausted)`.
@@ -60,7 +66,8 @@ pub fn execute(
 
 /// Run `body` under the plan's guard — the thread's active one, or one
 /// minted and activated from the context's limits — and record the guard's
-/// counter growth into the context's stats.
+/// counter growth into the context's stats, whether `body` succeeds or
+/// fails.
 fn run_governed<T>(
     ctx: &RmaContext,
     body: impl FnOnce() -> Result<T, PlanError>,
@@ -71,7 +78,9 @@ fn run_governed<T>(
         .then(|| rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64));
     let _active = minted.as_ref().map(rel::QueryGuard::activate);
     let before = counts();
-    let out = body()?;
+    // a failed plan's spills and decodes count too, as they do in the
+    // serving session's metrics
+    let out = body();
     let [spill_bytes, spill_partitions, decode_sinks, _] = since(before);
     ctx.record(&crate::context::ExecStats {
         spill_bytes,
@@ -79,7 +88,7 @@ fn run_governed<T>(
         decode_sinks,
         ..Default::default()
     });
-    Ok(out)
+    out
 }
 
 /// The guard of the plan running on this thread.
@@ -147,7 +156,8 @@ pub struct NodeActual {
     /// process in encoded form. 0 = fully compressed execution.
     pub decode_sinks: u64,
     /// `Rma` nodes only: this node's own order-schema handling (split,
-    /// sort, align, merge — `ExecStats::sort`), in nanoseconds.
+    /// sort, align and the merge into the result relation, for either
+    /// arity — `ExecStats::sort`), in nanoseconds.
     pub order_nanos: u64,
     /// `Rma` nodes only: this node's own kernel time including the
     /// BAT↔dense copies, in nanoseconds.
@@ -290,7 +300,7 @@ fn execute_inner(
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
             observed(&mut strategy, || rel::top_k(&r, &attrs, &dirs, *n, pool))
         }
-        LogicalPlan::Rma { op, args, backend } => {
+        LogicalPlan::Rma { op, args, .. } => {
             let expected = if op.is_binary() { 2 } else { 1 };
             if args.len() != expected {
                 return Err(PlanError::Plan(format!(
@@ -299,27 +309,12 @@ fn execute_inner(
                     args.len()
                 )));
             }
-            // argument subtrees run under the caller's context; only this
-            // node's kernel dispatch honours the plan-level backend choice,
-            // and only under `Auto` — a forced backend stays forced, so a
-            // forced Bat without a BAT kernel still reports its fallback
             let inputs: Vec<Relation> = args
                 .iter()
                 .map(|a| execute_inner(&a.input, ctx, provider, analyze))
                 .collect::<Result<_, _>>()?;
             let before = analyze.map(|_| ctx.stats());
-            let result = match backend {
-                Some(b) if ctx.options.backend == Backend::Auto => {
-                    let sub = ctx.with_options_shared_pool(RmaOptions {
-                        backend: *b,
-                        ..ctx.options.clone()
-                    });
-                    let result = dispatch_rma(&sub, *op, args, &inputs);
-                    ctx.record(&sub.stats());
-                    result
-                }
-                _ => dispatch_rma(ctx, *op, args, &inputs),
-            };
+            let result = dispatch_rma(ctx, *op, args, &inputs);
             if let Some(before) = before {
                 let after = ctx.stats();
                 let kernel = |s: &crate::context::ExecStats| s.compute + s.copy_in + s.copy_out;
@@ -363,27 +358,29 @@ fn execute_inner(
     Ok(result)
 }
 
+/// Run an RMA node on its evaluated arguments through the one dispatch,
+/// with the optimizer's sortedness hints.
 fn dispatch_rma(
     ctx: &RmaContext,
     op: crate::shape::RmaOp,
     args: &[super::RmaArg],
     inputs: &[Relation],
 ) -> Result<Relation, PlanError> {
-    let first_order: Vec<&str> = args[0].order.iter().map(String::as_str).collect();
-    if op.is_binary() {
-        let second_order: Vec<&str> = args[1].order.iter().map(String::as_str).collect();
-        Ok(ctx.binary_hinted(
-            op,
-            &inputs[0],
-            &first_order,
-            args[0].sorted_input,
-            &inputs[1],
-            &second_order,
-            args[1].sorted_input,
-        )?)
-    } else {
-        Ok(ctx.unary_hinted(op, &inputs[0], &first_order, args[0].sorted_input)?)
-    }
+    let orders: Vec<Vec<&str>> = args
+        .iter()
+        .map(|a| a.order.iter().map(String::as_str).collect())
+        .collect();
+    let args: Vec<Arg> = args
+        .iter()
+        .zip(inputs)
+        .zip(&orders)
+        .map(|((a, rel), order)| Arg {
+            rel,
+            order,
+            sorted: a.sorted_input,
+        })
+        .collect();
+    Ok(ctx.run(op, &args)?)
 }
 
 /// Materialise a scan: project straight off the borrowed relation so a

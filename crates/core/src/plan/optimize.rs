@@ -30,11 +30,13 @@
 //!    same order schema sort once: when a node's input is provably sorted
 //!    by the node's order schema, the argument is flagged `sorted_input`
 //!    and execution skips the sort.
-//! 8. **Plan-level backend choice** — when the estimate fixes an RMA
+//! 8. **Plan-level backend prediction** — when the estimate fixes an RMA
 //!    node's argument sizes ([`stats::PlanEst::exact`]), the kernel
-//!    decision ([`RmaContext::choose_kernel`]) is made at plan time and
-//!    recorded on the node (visible in EXPLAIN). Join ordering runs first,
-//!    so the kernel decision sees the reordered (cheaper) argument shapes.
+//!    decision execution will make ([`RmaContext::choose_kernel`], the
+//!    same pure function on the same sizes) is recorded on the node for
+//!    EXPLAIN's `backend=`. Execution does not read it: the kernel is
+//!    chosen once, at run time. Join ordering runs first, so the
+//!    prediction sees the reordered (cheaper) argument shapes.
 //!
 //! ```
 //! use rma_core::plan::Frame;
@@ -74,6 +76,7 @@
 use super::{stats, LogicalPlan, RmaArg, TableProvider};
 use crate::context::{RmaContext, SortPolicy};
 use crate::shape::{Dim, RmaOp};
+use crate::split::{sort_modes, SortMode};
 use rma_relation::{BinOp, Expr, Schema};
 use std::collections::BTreeSet;
 
@@ -1195,20 +1198,20 @@ fn mark_sorted_inputs(plan: LogicalPlan) -> (LogicalPlan, Option<Vec<String>>) {
 }
 
 /// Is the output of an RMA node sorted by its first argument's order
-/// schema? True exactly when the node's row context is the (sorted) order
-/// part of the first argument — i.e. the result's row dimension is `r1`
-/// (or `r*`) and the execution either materialises the sort or inherits a
-/// sorted input. Only called under the Optimized policy (the pass is
-/// gated in [`optimize`]), so element-wise ops — whose first argument
-/// stays physical under relative alignment — never guarantee order.
+/// schema? True exactly when the node's row context is the first
+/// argument's order part — the result's row dimension is `r1` (or `r*`) —
+/// and that argument was already sorted or the executor sorts it in full
+/// ([`sort_modes`], the executor's own policy). Only called under the
+/// Optimized policy (the pass is gated in [`optimize`]).
 fn rma_output_sorted(op: RmaOp, args: &[RmaArg]) -> Option<Vec<String>> {
-    if !matches!(op.shape().rows, Dim::R1 | Dim::RStar) {
+    let sorted: Vec<bool> = args.iter().map(|a| a.sorted_input).collect();
+    // a malformed plan fails at execution; it guarantees no order here
+    let arity = if op.is_binary() { 2 } else { 1 };
+    if sorted.len() != arity || !matches!(op.shape().rows, Dim::R1 | Dim::RStar) {
         return None;
     }
-    let first = args.first()?;
-    let elementwise = matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu);
-    let will_be_sorted = first.sorted_input || (!elementwise && op.result_depends_on_row_order());
-    will_be_sorted.then(|| first.order.clone())
+    let full = sort_modes(op, SortPolicy::Optimized, &sorted)[0] == SortMode::Full;
+    (sorted[0] || full).then(|| args[0].order.clone())
 }
 
 // ---------------------------------------------------------------------
@@ -1217,7 +1220,7 @@ fn rma_output_sorted(op: RmaOp, args: &[RmaArg]) -> Option<Vec<String>> {
 
 /// Record the kernel choice on every RMA node whose arguments' sizes the
 /// plan fixes ([`stats::PlanEst::exact`]): the choice is a pure function of
-/// those sizes and the context, so it is the one execution makes.
+/// those sizes and the context, so it predicts the one execution makes.
 fn choose_backends(
     plan: LogicalPlan,
     ctx: &RmaContext,
@@ -1244,4 +1247,100 @@ fn choose_backends(
         _ => None,
     };
     LogicalPlan::Rma { op, args, backend }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::RmaOptions;
+    use crate::plan::{execute, NoTables};
+    use crate::shape::ALL_OPS;
+    use rma_relation::{Relation, RelationBuilder};
+    use rma_storage::Value;
+    use std::sync::Arc;
+
+    /// A 3 × 3 symmetric positive definite matrix keyed 0, 1, 2 by `key`,
+    /// stored in key order when `sorted`, else shuffled.
+    fn spd(key: &str, sorted: bool) -> LogicalPlan {
+        let rows = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]];
+        let stored: [usize; 3] = if sorted { [0, 1, 2] } else { [2, 0, 1] };
+        let col = |j: usize| stored.map(|i| rows[i][j]).to_vec();
+        let rel = RelationBuilder::new()
+            .name("p")
+            .column(key, stored.map(|i| i as i64).to_vec())
+            .column("a", col(0))
+            .column("b", col(1))
+            .column("c", col(2))
+            .build()
+            .unwrap();
+        LogicalPlan::Values {
+            rel: Arc::new(rel),
+            projection: None,
+        }
+    }
+
+    fn key_values(r: &Relation, key: &str) -> Vec<Value> {
+        r.column(key).unwrap().iter_values().collect()
+    }
+
+    /// Every operation under both policies and every sortedness hint: the
+    /// sorts the executor counts are the modes of [`sort_modes`] that sort,
+    /// and wherever pass 7 calls a result sorted by the first order schema,
+    /// the executed result is.
+    #[test]
+    fn sort_modes_are_what_execution_and_pass_7_read() {
+        let mut claimed = 0;
+        for op in ALL_OPS {
+            let keys: &[&str] = if op.is_binary() { &["k", "j"] } else { &["k"] };
+            let hints: &[&[bool]] = if op.is_binary() {
+                &[
+                    &[false, false],
+                    &[false, true],
+                    &[true, false],
+                    &[true, true],
+                ]
+            } else {
+                &[&[false], &[true]]
+            };
+            for policy in [SortPolicy::Optimized, SortPolicy::Always] {
+                let ctx = RmaContext::new(RmaOptions {
+                    sort_policy: policy,
+                    ..RmaOptions::default()
+                });
+                for &sorted in hints {
+                    let args: Vec<RmaArg> = keys
+                        .iter()
+                        .zip(sorted)
+                        .map(|(&key, &sorted)| RmaArg {
+                            input: Box::new(spd(key, sorted)),
+                            order: vec![key.to_string()],
+                            sorted_input: sorted,
+                        })
+                        .collect();
+                    let claim = rma_output_sorted(op, &args);
+                    let plan = LogicalPlan::Rma {
+                        op,
+                        args,
+                        backend: None,
+                    };
+                    let out = execute(&plan, &ctx, &NoTables)
+                        .unwrap_or_else(|e| panic!("{op:?} {policy:?} {sorted:?}: {e}"));
+                    let modes = sort_modes(op, policy, sorted);
+                    let sorts = modes.iter().filter(|m| m.sorts()).count() as u32;
+                    let case = format!("{op:?} {policy:?} {sorted:?} {modes:?}");
+                    assert_eq!(ctx.stats().sorts, sorts, "{case}");
+                    ctx.reset_stats();
+                    if policy == SortPolicy::Optimized && claim.is_some() {
+                        assert_eq!(claim.as_deref(), Some(&["k".to_string()][..]), "{case}");
+                        let want: Vec<Value> = (0..3i64).map(Value::from).collect();
+                        assert_eq!(key_values(&out, "k"), want, "{case}");
+                        claimed += 1;
+                    }
+                }
+            }
+        }
+        // sorted inputs of every r1/r* op, and the unsorted inputs of the
+        // unary ops that sort in full (inv, evc, evl, vsv, usv, chf)
+        assert!(claimed > 6, "pass 7 claimed {claimed} sorted results");
+    }
 }

@@ -154,6 +154,21 @@ impl RmaOp {
         )
     }
 
+    /// Is this an element-wise operation (`add`, `sub`, `emu`): the
+    /// application parts pair cell by cell, so they must be union
+    /// compatible.
+    pub fn is_elementwise(self) -> bool {
+        matches!(self, RmaOp::Add | RmaOp::Sub | RmaOp::Emu)
+    }
+
+    /// Does this binary operation pair the two arguments' tuples by rank
+    /// under their own order schemas (the element-wise operations, `cpd`
+    /// and `sol`)? Both arguments then have equally many tuples, and
+    /// relative sorting aligns the second to the first.
+    pub fn is_row_aligned(self) -> bool {
+        self.is_elementwise() || matches!(self, RmaOp::Cpd | RmaOp::Sol)
+    }
+
     /// The shape type per Table 1.
     pub fn shape(self) -> ShapeType {
         use Dim::*;

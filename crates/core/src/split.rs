@@ -9,8 +9,9 @@
 //! reassembles row-context columns and base-result columns into the result
 //! relation.
 
-use crate::context::{RmaContext, SortPolicy};
+use crate::context::SortPolicy;
 use crate::error::RmaError;
+use crate::shape::RmaOp;
 use rma_relation::{trace, Attribute, Relation, Schema};
 use rma_storage::{
     invert_permutation, is_identity_permutation, is_key, key_sort, Column, ColumnAccessor,
@@ -50,31 +51,78 @@ pub struct Split<'a> {
 
 /// How the split orders tuples. Every mode that sorts reads the key verdict
 /// off its own sort; only [`SortMode::Skip`] checks the key without one
-/// ([`rma_storage::is_key`], the same verdict).
-#[derive(Debug, Clone)]
+/// ([`rma_storage::is_key`], the same verdict). [`sort_modes`] picks the
+/// modes of an operation's arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortMode {
     /// Materialise the sort by the order schema.
     Full,
     /// Keep physical order (valid when the operation's result does not
-    /// depend on row order).
+    /// depend on row order, or the input is already sorted).
     Skip,
     /// Keep physical order, but sort to rank the rows: [`Split::perm`] is
     /// what the other argument of a row-aligned operation aligns to.
     Rank,
-    /// Align to another relation's row order: operation row `i` of this
-    /// split pairs with physical row `i` of the other relation, by rank
+    /// Align to the first argument's row order: operation row `i` of this
+    /// split pairs with physical row `i` of the first argument, by rank
     /// under each side's own order schema (the paper's "relative sorting"
     /// for element-wise operations). This relation stays in physical order
     /// behind [`Split::align`].
-    AlignTo {
-        /// The other relation's sort permutation — its [`Split::perm`]
-        /// under [`SortMode::Rank`] (`None` = already in key order).
-        other: Option<Vec<usize>>,
-    },
+    AlignTo,
+}
+
+impl SortMode {
+    /// Does this mode sort its argument? What `ExecStats::sorts` counts.
+    pub fn sorts(self) -> bool {
+        self != SortMode::Skip
+    }
+}
+
+/// The sort policy (§7.2, §8.1), stated once: the [`SortMode`] of each
+/// argument of `op` under `policy`, given which arguments the plan proved
+/// already sorted by their order schema (`sorted`, one flag per argument).
+/// The executor splits by these modes and the optimizer's redundant-sort
+/// pass reads them to tell whether a result comes out sorted.
+///
+/// | arguments | `Optimized` | `Always` |
+/// |---|---|---|
+/// | unary; `mmu`/`opd` first | `Skip` if sorted or the result does not depend on row order, else `Full` | `Skip` if sorted, else `Full` |
+/// | `mmu`/`opd` second | `Skip` if sorted, else `Full` | the same |
+/// | row-aligned (`add`, `sub`, `emu`, `cpd`, `sol`) | both sorted: `Skip`, `Skip`; else first `Skip` if sorted or `Rank`, second `AlignTo` | `Full`, `Full` |
+pub fn sort_modes(op: RmaOp, policy: SortPolicy, sorted: &[bool]) -> Vec<SortMode> {
+    use SortMode::{AlignTo, Full, Rank, Skip};
+    let optimized = policy == SortPolicy::Optimized;
+    let aligned = op.is_row_aligned();
+    // the rows of a single argument, or of mmu/opd's first, are free when
+    // the result permutes with them (or ignores their order)
+    let free = |sorted: bool| {
+        if sorted || (optimized && !op.result_depends_on_row_order()) {
+            Skip
+        } else {
+            Full
+        }
+    };
+    match *sorted {
+        [r] => vec![free(r)],
+        [true, true] if aligned && optimized => vec![Skip, Skip],
+        [r, _] if aligned && optimized => vec![if r { Skip } else { Rank }, AlignTo],
+        [_, _] if aligned => vec![Full, Full],
+        // mmu/opd: s must be in key order (it aligns with r's application
+        // columns / provides the sorted column cast ▽V)
+        [r, s] => vec![free(r), if s { Skip } else { Full }],
+        _ => unreachable!("{} takes one or two arguments", op.name()),
+    }
 }
 
 /// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
-pub fn split<'a>(r: &'a Relation, order: &[&str], mode: SortMode) -> Result<Split<'a>, RmaError> {
+/// Under [`SortMode::AlignTo`], `first` is the first argument's
+/// [`Split::perm`] (`None` = already in key order); no other mode reads it.
+pub fn split<'a>(
+    r: &'a Relation,
+    order: &[&str],
+    mode: SortMode,
+    first: Option<Vec<usize>>,
+) -> Result<Split<'a>, RmaError> {
     // resolve schemas
     let order_schema = r.schema().subset(order)?;
     let app_schema = r.schema().complement(order);
@@ -90,17 +138,17 @@ pub fn split<'a>(r: &'a Relation, order: &[&str], mode: SortMode) -> Result<Spli
     }
     let rows = r.len();
     let keys = r.columns_of(order)?;
-    if let SortMode::AlignTo { other: Some(other) } = &mode {
-        if other.len() != rows {
+    if let (SortMode::AlignTo, Some(first)) = (mode, &first) {
+        if first.len() != rows {
             return Err(RmaError::TupleCountMismatch {
-                left: other.len(),
+                left: first.len(),
                 right: rows,
             });
         }
     }
     // a split that sorts takes the key verdict from that sort, so only a
     // split that never sorts pays the key check
-    let sorted = if matches!(mode, SortMode::Skip) {
+    let sorted = if mode == SortMode::Skip {
         require_key(order, rows, || is_key(&keys))?;
         None
     } else {
@@ -112,12 +160,11 @@ pub fn split<'a>(r: &'a Relation, order: &[&str], mode: SortMode) -> Result<Spli
     // alignment vector and gathers only the order part; Skip and Rank keep
     // physical order. Already-sorted data never builds a permutation, like
     // MonetDB's sortedness property.
-    let full = matches!(mode, SortMode::Full);
     let (perm, align) = match mode {
-        SortMode::AlignTo { other } => (None, compose_alignment(other, sorted)),
+        SortMode::AlignTo => (None, compose_alignment(first, sorted)),
         _ => (sorted, None),
     };
-    let app_rows = if full { perm.as_deref() } else { None };
+    let app_rows = perm.as_deref().filter(|_| mode == SortMode::Full);
     let order_rows = app_rows.or(align.as_deref());
     let order_cols: Vec<Column> = keys
         .iter()
@@ -140,20 +187,6 @@ pub fn split<'a>(r: &'a Relation, order: &[&str], mode: SortMode) -> Result<Spli
         rows,
         perm,
     })
-}
-
-/// Decide the sort mode for a unary operation under the context's policy.
-pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
-    match ctx.options.sort_policy {
-        SortPolicy::Always => SortMode::Full,
-        SortPolicy::Optimized => {
-            if op.result_depends_on_row_order() {
-                SortMode::Full
-            } else {
-                SortMode::Skip
-            }
-        }
-    }
 }
 
 /// `OrderSchemaNotKey` unless the order schema is a key: `unique` decides
@@ -314,7 +347,7 @@ mod tests {
     #[test]
     fn full_sort_gathers_in_key_order() {
         let r = weather();
-        let s = split(&r, &["T"], SortMode::Full).unwrap();
+        let s = split(&r, &["T"], SortMode::Full, None).unwrap();
         assert_eq!(s.app_names, vec!["H", "W"]);
         assert_eq!(s.app[0], vec![1.0, 1.0, 6.0, 8.0]); // H sorted by T
         assert_eq!(s.app[1], vec![3.0, 4.0, 7.0, 5.0]); // W sorted by T
@@ -326,7 +359,7 @@ mod tests {
     #[test]
     fn skip_keeps_physical_order() {
         let r = weather();
-        let s = split(&r, &["T"], SortMode::Skip).unwrap();
+        let s = split(&r, &["T"], SortMode::Skip, None).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(s.perm.is_none());
         assert!(matches!(s.app[0], Cow::Borrowed(_)));
@@ -335,7 +368,7 @@ mod tests {
     #[test]
     fn rank_keeps_physical_order_and_records_the_sort() {
         let r = weather();
-        let s = split(&r, &["T"], SortMode::Rank).unwrap();
+        let s = split(&r, &["T"], SortMode::Rank, None).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(matches!(s.app[0], Cow::Borrowed(_)));
         assert_eq!(s.order_cols[0].get(1), Value::from("8am"));
@@ -354,8 +387,8 @@ mod tests {
             .column("X", vec![60.0f64, 50.0, 80.0, 70.0])
             .build()
             .unwrap();
-        let other = split(&r, &["T"], SortMode::Rank).unwrap().perm;
-        let s = split(&s_rel, &["T2"], SortMode::AlignTo { other }).unwrap();
+        let first = split(&r, &["T"], SortMode::Rank, None).unwrap().perm;
+        let s = split(&s_rel, &["T2"], SortMode::AlignTo, first).unwrap();
         // s stays in physical order, lent; operation order is read through
         // the alignment — r physical order: 5am, 8am, 7am, 6am → X: 50, 80,
         // 70, 60
@@ -409,7 +442,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            split(&r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full, None),
             Err(RmaError::OrderSchemaNotKey(_))
         ));
     }
@@ -422,7 +455,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            split(&r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full, None),
             Err(RmaError::NonNumericApplication { .. })
         ));
     }
@@ -434,7 +467,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            split(&r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full, None),
             Err(RmaError::EmptyApplication)
         ));
     }
@@ -446,26 +479,69 @@ mod tests {
             .column("x", vec![20i64, 10])
             .build()
             .unwrap();
-        let s = split(&r, &["k"], SortMode::Full).unwrap();
+        let s = split(&r, &["k"], SortMode::Full, None).unwrap();
         assert_eq!(s.app[0], vec![10.0, 20.0]);
-        let s = split(&r, &["k"], SortMode::Skip).unwrap();
+        let s = split(&r, &["k"], SortMode::Skip, None).unwrap();
         assert_eq!(s.app[0], vec![20.0, 10.0]);
         assert!(matches!(s.app[0], Cow::Owned(_)));
     }
 
     #[test]
     fn unary_sort_modes_follow_policy() {
-        let ctx = RmaContext::default();
-        assert!(matches!(unary_sort_mode(&ctx, RmaOp::Qqr), SortMode::Skip));
-        assert!(matches!(unary_sort_mode(&ctx, RmaOp::Inv), SortMode::Full));
-        let always = RmaContext::new(crate::context::RmaOptions {
-            sort_policy: SortPolicy::Always,
-            ..Default::default()
-        });
-        assert!(matches!(
-            unary_sort_mode(&always, RmaOp::Qqr),
-            SortMode::Full
-        ));
+        use SortPolicy::{Always, Optimized};
+        let modes = |op, policy, sorted: &[bool]| sort_modes(op, policy, sorted);
+        assert_eq!(modes(RmaOp::Qqr, Optimized, &[false]), [SortMode::Skip]);
+        assert_eq!(modes(RmaOp::Inv, Optimized, &[false]), [SortMode::Full]);
+        assert_eq!(modes(RmaOp::Inv, Optimized, &[true]), [SortMode::Skip]);
+        assert_eq!(modes(RmaOp::Qqr, Always, &[false]), [SortMode::Full]);
+        assert_eq!(modes(RmaOp::Qqr, Always, &[true]), [SortMode::Skip]);
+    }
+
+    /// The policy table for every operation, hint and policy: the modes
+    /// the per-arity dispatchers this function replaced chose.
+    #[test]
+    fn sort_modes_table() {
+        use crate::shape::ALL_OPS;
+        use SortMode::{AlignTo, Full, Rank, Skip};
+        for op in ALL_OPS {
+            for policy in [SortPolicy::Optimized, SortPolicy::Always] {
+                let optimized = policy == SortPolicy::Optimized;
+                let hints: &[&[bool]] = if op.is_binary() {
+                    &[
+                        &[false, false],
+                        &[false, true],
+                        &[true, false],
+                        &[true, true],
+                    ]
+                } else {
+                    &[&[false], &[true]]
+                };
+                for &sorted in hints {
+                    let want = match (op, sorted) {
+                        (_, &[r]) => {
+                            vec![if r || (optimized && !op.result_depends_on_row_order()) {
+                                Skip
+                            } else {
+                                Full
+                            }]
+                        }
+                        (RmaOp::Mmu | RmaOp::Opd, &[r, s]) => vec![
+                            if r || optimized { Skip } else { Full },
+                            if s { Skip } else { Full },
+                        ],
+                        (_, _) if !optimized => vec![Full, Full],
+                        (_, &[true, true]) => vec![Skip, Skip],
+                        (_, &[r, _]) => vec![if r { Skip } else { Rank }, AlignTo],
+                        _ => unreachable!(),
+                    };
+                    assert_eq!(
+                        sort_modes(op, policy, sorted),
+                        want,
+                        "{op:?} {policy:?} {sorted:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

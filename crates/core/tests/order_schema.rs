@@ -166,7 +166,7 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
             .column("y", vec![1.0f64; n + 1])
             .build()
             .unwrap();
-        let ranks = split(&clean, &["k2"], SortMode::Rank).unwrap().perm;
+        let ranks = split(&clean, &["k2"], SortMode::Rank, None).unwrap().perm;
         for dup_at in [0, n / 2, n - 1] {
             let dup = with_duplicate(n, dup_at, 5 + dup_at as u64);
             let not_key = |r: Result<_, RmaError>| {
@@ -179,11 +179,9 @@ fn a_duplicate_key_is_rejected_under_every_sort_mode() {
                 SortMode::Full,
                 SortMode::Skip,
                 SortMode::Rank,
-                SortMode::AlignTo {
-                    other: ranks.clone(),
-                },
+                SortMode::AlignTo,
             ] {
-                not_key(split(&dup, &["k"], mode).map(|_| ()));
+                not_key(split(&dup, &["k"], mode, ranks.clone()).map(|_| ()));
             }
             for threads in [1, 2] {
                 // and through the operations, under both policies; every
@@ -399,7 +397,7 @@ fn a_skip_split_lends_its_float_columns() {
         Cow::Borrowed(lent) => std::ptr::eq(*lent, stored("a")),
         Cow::Owned(_) => false,
     };
-    let skip = split(&r, &["k"], SortMode::Skip).unwrap();
+    let skip = split(&r, &["k"], SortMode::Skip, None).unwrap();
     assert!(lends_a(&skip.app[0]), "the plain float column is lent");
     // widened, decoded: owned, never through the decode sink
     for (app, name) in skip.app.iter().zip(&skip.app_names).skip(1) {
@@ -408,12 +406,12 @@ fn a_skip_split_lends_its_float_columns() {
     }
     // the relation an aligned operation keeps in place and the aligned side
     // itself both lend; a full sort gathers
-    let rank = split(&r, &["k"], SortMode::Rank).unwrap();
+    let rank = split(&r, &["k"], SortMode::Rank, None).unwrap();
     assert!(lends_a(&rank.app[0]));
-    let other = Some(shuffled(500, 9));
-    let aligned = split(&r, &["k"], SortMode::AlignTo { other }).unwrap();
+    let first = Some(shuffled(500, 9));
+    let aligned = split(&r, &["k"], SortMode::AlignTo, first).unwrap();
     assert!(lends_a(&aligned.app[0]) && aligned.align.is_some());
-    let full = split(&r, &["k"], SortMode::Full).unwrap();
+    let full = split(&r, &["k"], SortMode::Full, None).unwrap();
     assert!(!lends_a(&full.app[0]));
 }
 
@@ -557,7 +555,7 @@ fn the_key_verdict_is_the_sorts_under_every_policy_and_check() {
             }
         }
         for mode in [SortMode::Full, SortMode::Skip] {
-            let verdict = split(&r, &["f"], mode.clone()).is_ok();
+            let verdict = split(&r, &["f"], mode, None).is_ok();
             assert_eq!(verdict, key, "{what}: split under {mode:?}");
         }
     }

@@ -407,7 +407,8 @@ fn explained_backend(explained: &str) -> &str {
 
 #[test]
 fn explained_backend_is_the_kernel_family_that_runs() {
-    use rma_core::{Backend, KernelUsed, ALL_OPS};
+    use rma_core::plan::{execute, optimize, NoTables};
+    use rma_core::{Backend, KernelUsed, LogicalPlan, ALL_OPS};
     let no_bat_kernel = [RmaOp::Evc, RmaOp::Evl, RmaOp::Dsv, RmaOp::Usv, RmaOp::Vsv];
     for op in ALL_OPS {
         // the dense copy: every 3 × 3 operand in and the result out
@@ -458,6 +459,80 @@ fn explained_backend_is_the_kernel_family_that_runs() {
                 assert_eq!(ran, KernelUsed::DenseFallback, "{op:?} under {label}");
             }
         }
+    }
+
+    // nested plans under a budget that sends the large inner nodes to Bat
+    // and the small outer ones to Dense: the kernel each node chooses at
+    // run time is the one the plan predicted for it
+    let x = RelationBuilder::new()
+        .column("id", (0..40i64).rev().collect::<Vec<_>>())
+        .column("x0", vec![1.0f64; 40])
+        .column(
+            "x1",
+            (0..40).map(|i| ((i * 7) % 11) as f64).collect::<Vec<_>>(),
+        )
+        .build()
+        .unwrap();
+    let y = RelationBuilder::new()
+        .column("id", (0..40i64).collect::<Vec<_>>())
+        .column(
+            "duration",
+            (0..40).map(|i| (i % 5) as f64).collect::<Vec<_>>(),
+        )
+        .build()
+        .unwrap();
+    let cpd = |b: &Relation| Frame::scan(x.clone()).cpd(&["id"], Frame::scan(b.clone()), &["id"]);
+    // 10 × 4 = 40 crossed rows (the cross charges 16 B a row), cut to 30
+    let cut = || {
+        Frame::scan(rma_relation::limit(&x, 10, 0))
+            .cross(Frame::scan(weather()))
+            .project(&["id", "T", "x1", "H"])
+            .limit(30)
+    };
+    // CPD copies 2 · (80 + 80) · 8 = 2 560 B (X, y: 1 920 B; the cut:
+    // 1 920 B); INV of the 2 × 2 result 64 B, MMU of 2 × 2 by 2 × 1 96 B
+    let budget = 1_000;
+    let nested = [
+        // trips_ols: MMU(INV(CPD(X, X)), CPD(X, y))
+        cpd(&x).inv(&["C"]).mmu(&["C"], cpd(&y), &["C"]),
+        // an RMA over a Limit over a Cross, under an INV
+        cut().cpd(&["id", "T"], cut(), &["id", "T"]).inv(&["C"]),
+    ];
+    let options = RmaOptions {
+        mem_budget: budget,
+        ..RmaOptions::default()
+    };
+    for frame in nested {
+        let ctx = RmaContext::new(options.clone());
+        let plan = optimize(frame.logical_plan().clone(), &ctx, &NoTables);
+        let nodes: Vec<(LogicalPlan, Backend)> = subtrees(&plan)
+            .into_iter()
+            .filter_map(|p| match &p {
+                LogicalPlan::Rma {
+                    backend: Some(b), ..
+                } => Some((p.clone(), *b)),
+                LogicalPlan::Rma { .. } => panic!("an RMA node without a plan-time backend"),
+                _ => None,
+            })
+            .collect();
+        let chosen: Vec<Backend> = nodes.iter().map(|(_, b)| *b).collect();
+        assert_eq!(chosen[0], Backend::Dense, "the outer node: {plan:?}");
+        assert!(chosen.contains(&Backend::Bat), "an inner node: {plan:?}");
+        // each node run on its own: the kernel its root ran is the one
+        // the plan predicted
+        for (node, backend) in &nodes {
+            let ctx = RmaContext::new(options.clone());
+            execute(node, &ctx, &NoTables).unwrap_or_else(|e| panic!("{e:?} {node:?}"));
+            let family = match ctx.stats().last_kernel.unwrap() {
+                KernelUsed::Bat => Backend::Bat,
+                KernelUsed::Dense | KernelUsed::DenseFallback => Backend::Dense,
+            };
+            assert_eq!(family, *backend, "{node:?}");
+        }
+        // and the whole plan runs every node once, ending on the outer one
+        execute(&plan, &ctx, &NoTables).unwrap();
+        assert_eq!(ctx.stats().ops_run as usize, nodes.len());
+        assert_eq!(ctx.stats().last_kernel, Some(KernelUsed::Dense));
     }
 }
 

@@ -248,6 +248,39 @@ fn spill_io_fault_is_typed_cleans_up_and_session_survives() {
     assert_eq!(m.spill_files_left, 0);
 }
 
+/// A plan that fails mid-spill still reports what it spilled: the
+/// session's `ExecStats` and its metrics read the same non-zero spill
+/// bytes and partitions.
+#[test]
+fn a_failed_plans_spills_reach_both_views_of_the_session() {
+    let server = Server::default();
+    let s = server.session();
+    s.create_table("o", orders(8000, 97)).unwrap();
+    s.create_table("c", customers(97)).unwrap();
+    s.set_mem_budget(TINY_BUDGET);
+    s.inject_fault(FaultPlan::new(FaultKind::SpillIo, 2));
+    let q = Frame::table("o").join(Frame::table("c"), &[("cust", "cid")]);
+    let err = s.query(q).unwrap_err();
+    assert!(
+        matches!(err, PlanError::Rma(RmaError::SpillIo(_))),
+        "got {err:?}"
+    );
+    let (stats, metrics) = (s.stats(), session_metrics(&server, &s));
+    assert!(metrics.spill_bytes > 0 && metrics.spill_partitions > 0);
+    assert_eq!(
+        (
+            stats.spill_bytes,
+            stats.spill_partitions,
+            stats.decode_sinks
+        ),
+        (
+            metrics.spill_bytes,
+            metrics.spill_partitions,
+            metrics.decode_sinks
+        )
+    );
+}
+
 /// Budgets that cut the 400 000-row external sort of [`sort_shapes`]'s
 /// table into runs of different shapes: 16 KiB gives 32 runs of 12 501
 /// rows, each a single spill chunk (the merge reads nothing more once its

@@ -146,9 +146,10 @@ pub fn order_by_parallel(
 
 /// Top-k (the Limit-into-Sort rewrite's execution): the first `n` rows of
 /// `ORDER BY attrs`, identical to `limit(order_by(r, ..), n, 0)`, from a
-/// bounded max-heap of row indices in O(|r| log n). It never spills; its
-/// heaps (8 B × `n` per worker) are charged. Pooled, each worker keeps one
-/// heap over its range and the candidates merge at the barrier.
+/// bounded max-heap of row indices in O(|r| log n). It never spills; the
+/// heaps it keeps (8 B × `n` each) are charged. Pooled, each worker keeps
+/// one heap over its range and the candidates merge at the barrier;
+/// serial, it keeps one.
 pub fn top_k(
     r: &Relation,
     attrs: &[&str],
@@ -159,8 +160,21 @@ pub fn top_k(
     // a LIMIT past the input keeps every row; clamped, the charge cannot
     // overflow
     let n = n.min(r.len());
-    let _heaps = super::ChargeScope::new(SORT_INDEX_BYTES * n as u64 * pool.threads() as u64)?;
+    let heaps = top_k_heaps(r.len(), n, pool) as u64;
+    let _heaps = super::ChargeScope::new(SORT_INDEX_BYTES * n as u64 * heaps)?;
     top_k_parallel(r, attrs, ascending, n, pool)
+}
+
+/// How many bounded heaps top-k keeps for `n` of `rows` rows: one per
+/// worker when pooled, one on the serial branch — a single worker, a small
+/// input, or `n` within a factor of the input size, where the bounded
+/// heaps approach a full sort per worker while still paying the merge.
+fn top_k_heaps(rows: usize, n: usize, pool: &WorkerPool) -> usize {
+    if pool.threads() <= 1 || rows < MIN_PARALLEL_ROWS || n * 4 >= rows {
+        1
+    } else {
+        pool.threads()
+    }
 }
 
 /// In-memory [`top_k`], charging nothing.
@@ -171,15 +185,13 @@ pub fn top_k_parallel(
     n: usize,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    // clamped, `n * 4` cannot overflow
+    // clamped, `n * 4` cannot overflow in `top_k_heaps`
     let n = n.min(r.len());
     let keys = sort_keys(r, attrs, ascending)?;
     if n == 0 {
         return Ok(r.take(&[]));
     }
-    // With k within a factor of the input size the bounded heaps approach a
-    // full sort per worker while still paying the merge — serial wins.
-    if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n * 4 >= r.len() {
+    if top_k_heaps(r.len(), n, pool) == 1 {
         let mut best = bounded_top_k(0..r.len(), n, &keys);
         best.sort_unstable_by(|&x, &y| keys.cmp_indexed(x, y));
         return Ok(r.take(&best));
@@ -478,6 +490,32 @@ mod tests {
                     assert_eq!(par, full, "n={n}");
                 }
             }
+        }
+    }
+
+    /// Top-k charges the heaps its branch keeps: the serial branch one at
+    /// any pool width (`LIMIT 2000` of 4 000 rows: 16 000 B under a
+    /// 20 096 B budget), the pooled branch one per worker.
+    #[test]
+    fn top_k_charges_the_heaps_its_branch_keeps() {
+        let r = RelationBuilder::new()
+            .column("x", (0..4000i64).rev().collect::<Vec<_>>())
+            .build()
+            .unwrap();
+        let run = |n: usize, budget: u64, pool: &WorkerPool| {
+            let guard = crate::QueryGuard::with_limits(None, budget);
+            let _active = guard.activate();
+            top_k(&r, &["x"], &[true], n, pool).map(|out| out.len())
+        };
+        for pool in pools() {
+            assert_eq!(run(2000, 20_096, &pool).unwrap(), 2000, "{pool:?}");
+            // 100 of 4 000 rows runs pooled above one worker: 800 B a heap
+            let pooled = run(100, 800 * pool.threads() as u64 - 1, &pool);
+            assert!(
+                matches!(pooled, Err(RelationError::ResourceExhausted { .. })),
+                "{pool:?}: {pooled:?}"
+            );
+            assert_eq!(run(100, 800 * pool.threads() as u64, &pool).unwrap(), 100);
         }
     }
 

@@ -83,14 +83,14 @@ impl Catalog {
 
     /// Drop a table from the store, returning the pinned relation it held
     /// (readers pinned elsewhere keep their view — a drop is a catalog
-    /// generation bump, not destruction of data).
+    /// generation bump, not destruction of data); `None` when there is no
+    /// such table, also when another session's drop lands between the
+    /// lookup and this one.
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
         let old = self.shared.snapshot().table_arc(name)?;
-        self.shared
-            .drop_table(name)
-            .expect("table pinned above cannot vanish: drops are serialized through the store");
+        let dropped = self.shared.drop_table(name).is_ok();
         self.refresh();
-        Some((*old).clone())
+        dropped.then(|| (*old).clone())
     }
 
     pub fn contains(&self, name: &str) -> bool {

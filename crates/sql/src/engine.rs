@@ -591,6 +591,40 @@ mod tests {
         assert_eq!((snap.queries, snap.rows), (4, 3 + 2 + 3 + 2));
     }
 
+    /// DROPs racing another session's CREATE OR REPLACE and each other on
+    /// one table: a drop that loses the race sees "no such table" —
+    /// `DROP IF EXISTS` succeeds, `DROP` errors with `UnknownTable` — and
+    /// nothing panics.
+    #[test]
+    fn concurrent_drops_of_one_table_never_panic() {
+        const ROUNDS: usize = 20_000;
+        let server = Server::new(rma_core::RmaContext::default());
+        let server = &server;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut e = Engine::session(server);
+                for _ in 0..ROUNDS {
+                    e.execute("CREATE OR REPLACE TABLE t (x INT)").unwrap();
+                }
+            });
+            for _ in 0..5 {
+                scope.spawn(move || {
+                    let mut e = Engine::session(server);
+                    for i in 0..ROUNDS {
+                        if i % 2 == 0 {
+                            e.execute("DROP TABLE IF EXISTS t").unwrap();
+                        } else {
+                            match e.execute("DROP TABLE t") {
+                                Ok(_) | Err(SqlError::UnknownTable(_)) => {}
+                                Err(other) => panic!("DROP TABLE t: {other:?}"),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn sql_consecutive_rma_ops_share_one_sort() {
         let mut e = engine_with_rating();
