@@ -6,7 +6,7 @@
 //! [`ExecStats`] measures the data-transformation share reported in Fig. 14.
 
 use crate::shape::RmaOp;
-use rma_relation::{PoolStats, WorkerPool};
+use rma_relation::{current_guard, should_spill, PoolStats, QueryGuard, WorkerPool};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -16,8 +16,8 @@ use std::time::Duration;
 pub enum Backend {
     /// The paper's policy: element-wise operations stay on BATs, complex
     /// operations are delegated to the dense (MKL-role) kernel unless the
-    /// dense copy would exceed [`RmaOptions::mem_budget`], in which case
-    /// the no-copy BAT kernel is used where available.
+    /// query's guard has no headroom for the dense copy, in which case the
+    /// no-copy BAT kernel is used where available.
     #[default]
     Auto,
     /// Force the no-copy column-at-a-time kernels (RMA+BAT). Operations
@@ -58,25 +58,21 @@ pub struct RmaOptions {
     /// serially too and a larger count parallelises them across exactly
     /// this context's workers. Defaults to [`default_threads`].
     pub threads: usize,
-    /// Per-query memory budget in bytes for the resource governor
-    /// (`0` = unlimited, the default). When set, plan execution mints a
-    /// `QueryGuard` and charges allocation-weight estimates for each
-    /// operator's working set while the operator runs (hash-join builds,
-    /// sort permutations, aggregate states, top-k heaps); the result's
-    /// final `materialize()` is not charged. A breach aborts the query
-    /// with `RmaError::ResourceExhausted` within one morsel's work, and a
-    /// serving session also runs admission against it
-    /// (`serve::Session::execute`). Sessions inherit it unless
-    /// `serve::Session::set_mem_budget` overrides it. The same budget
-    /// steers [`Backend::Auto`]'s kernel choice
-    /// ([`RmaContext::choose_kernel`]): a complex operation whose dense
-    /// copy would not fit it runs on the no-copy BAT kernel instead.
+    /// Per-query memory budget in bytes (`0` = unlimited, the default):
+    /// only the limit of the `QueryGuard` a plan or an eager operation
+    /// mints when none is active, and of a session's queries unless
+    /// `serve::Session::set_mem_budget` overrides it. Every memory
+    /// decision reads that guard: operators charge their working sets on
+    /// it or spill, a breach aborts the query with
+    /// `RmaError::ResourceExhausted`, a session runs admission against it,
+    /// and [`Backend::Auto`] sends a dense copy it has no room for to BATs
+    /// ([`RmaContext::choose_kernel`]).
     pub mem_budget: usize,
     /// Per-query deadline for the resource governor (`None` = no
-    /// deadline). Measured from the start of each plan execution; a query
-    /// that outlives it aborts with `RmaError::DeadlineExceeded` within
-    /// one morsel's work. Sessions inherit it unless
-    /// `serve::Session::set_deadline` overrides it.
+    /// deadline). Measured from the start of each plan or eager RMA call
+    /// whose guard is minted from these options; a query that outlives it
+    /// aborts with `RmaError::DeadlineExceeded` within one morsel's work.
+    /// Sessions inherit it unless `serve::Session::set_deadline` overrides it.
     pub deadline: Option<Duration>,
 }
 
@@ -384,17 +380,29 @@ impl RmaContext {
         self.stats.accumulate(s);
     }
 
+    /// Run `f` under the query guard active on this thread or, when there
+    /// is none, under one minted from this context's deadline and memory
+    /// budget: the one place those options become a guard's limits.
+    pub(crate) fn governed<T>(&self, f: impl FnOnce() -> T) -> T {
+        let o = &self.options;
+        let minted = current_guard()
+            .is_none()
+            .then(|| QueryGuard::with_limits(o.deadline, o.mem_budget as u64));
+        let _active = minted.as_ref().map(QueryGuard::activate);
+        f()
+    }
+
     /// Decide the kernel family that runs an operation on an `m × n`
     /// application part (plus the second operand's application dimensions
-    /// for binary ops) under the configured policy. A pure function of the
-    /// operation, the shapes and [`RmaOptions::mem_budget`] (`0` =
-    /// unlimited): under [`Backend::Auto`] a complex operation goes dense
-    /// exactly when `2 · cells · 8` bytes — every operand copied in and the
-    /// result out — fits the budget. The eigen and singular-value
-    /// operations (`evc`, `evl`, `dsv`, `usv`, `vsv`) have no BAT kernel
-    /// and run dense under every policy. Public so the plan-level optimizer
-    /// makes the same choice ahead of execution that execution makes at
-    /// run time.
+    /// for binary ops) under the configured policy. Under
+    /// [`Backend::Auto`] a complex operation goes dense exactly when the
+    /// active query guard has headroom for `2 · cells · 8` bytes — every
+    /// operand copied in and the result out, saturating — as the spill
+    /// decisions ask it ([`rma_relation::should_spill`]); with no guard
+    /// active, always. The eigen and singular-value operations (`evc`,
+    /// `evl`, `dsv`, `usv`, `vsv`) have no BAT kernel and run dense under
+    /// every policy. Public so the plan-level optimizer makes, under the
+    /// guard the query will run under, the choice execution makes.
     pub fn choose_kernel(
         &self,
         op: RmaOp,
@@ -411,24 +419,15 @@ impl RmaContext {
             Backend::Bat => Backend::Bat,
             Backend::Dense => Backend::Dense,
             Backend::Auto => {
-                if op.is_elementwise() {
-                    // linear ops: transformation cost can never be amortised
+                // linear ops: transformation cost can never be amortised;
+                // a complex op goes dense unless the guard has no headroom
+                // to copy every operand in and the result out
+                let cells = second.map_or(0, |(m2, n2)| m2.saturating_mul(n2));
+                let copy = cells.saturating_add(m.saturating_mul(n));
+                if op.is_elementwise() || should_spill(copy.saturating_mul(2 * 8) as u64) {
                     Backend::Bat
                 } else {
-                    // complex op: use dense unless copying every operand in
-                    // and the result out would not fit the memory budget
-                    // (0 = unlimited)
-                    let mut cells = m * n;
-                    if let Some((m2, n2)) = second {
-                        cells += m2 * n2;
-                    }
-                    let est = 2 * cells * std::mem::size_of::<f64>();
-                    let budget = self.options.mem_budget;
-                    if budget == 0 || est <= budget {
-                        Backend::Dense
-                    } else {
-                        Backend::Bat
-                    }
+                    Backend::Dense
                 }
             }
         }
@@ -463,33 +462,60 @@ mod tests {
         );
     }
 
+    /// `choose_kernel` of the default context under an active guard with
+    /// `budget` bytes.
+    fn under_budget(
+        budget: u64,
+        op: RmaOp,
+        m: usize,
+        n: usize,
+        second: Option<(usize, usize)>,
+    ) -> Backend {
+        let _guard = QueryGuard::with_limits(None, budget).activate();
+        RmaContext::default().choose_kernel(op, m, n, second)
+    }
+
     #[test]
     fn auto_policy_respects_memory_budget() {
-        let budget = |b: usize| {
-            RmaContext::new(RmaOptions {
-                mem_budget: b,
-                ..RmaOptions::default()
-            })
-        };
         // unary qqr on 100 × 10: the dense copy is 2 · 1000 · 8 = 16 000 B
-        let fits = budget(16_000);
         assert_eq!(
-            fits.choose_kernel(RmaOp::Qqr, 100, 10, None),
+            under_budget(16_000, RmaOp::Qqr, 100, 10, None),
             Backend::Dense
         );
-        let over = budget(15_999);
-        assert_eq!(over.choose_kernel(RmaOp::Qqr, 100, 10, None), Backend::Bat);
-        // 1M × 10 doubles ≈ 160 MB > 1 MiB → BAT
         assert_eq!(
-            budget(1 << 20).choose_kernel(RmaOp::Qqr, 1_000_000, 10, None),
+            under_budget(15_999, RmaOp::Qqr, 100, 10, None),
             Backend::Bat
         );
+        // 1M × 10 doubles ≈ 160 MB > 1 MiB → BAT
+        assert_eq!(
+            under_budget(1 << 20, RmaOp::Qqr, 1_000_000, 10, None),
+            Backend::Bat
+        );
+        // the guard's headroom, not its budget alone: a charge held by
+        // another operator of the query leaves less room for the copy
+        let guard = QueryGuard::with_limits(None, 16_000);
+        let _active = guard.activate();
+        guard.try_charge(1).unwrap();
+        assert_eq!(
+            RmaContext::default().choose_kernel(RmaOp::Qqr, 100, 10, None),
+            Backend::Bat
+        );
+        // a context's own budget is the limit of the guard it mints, not
+        // a second budget: under an active guard it is not read
+        let budgeted = RmaContext::new(RmaOptions {
+            mem_budget: 1,
+            ..RmaOptions::default()
+        });
+        guard.release(1);
+        assert_eq!(
+            budgeted.choose_kernel(RmaOp::Qqr, 100, 10, None),
+            Backend::Dense
+        );
         // 0 = unlimited: every complex op is dense, every linear op BAT
-        let unlimited = budget(0);
         for op in crate::shape::ALL_OPS {
             let linear = matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu);
             assert_eq!(
-                unlimited.choose_kernel(op, 1_000_000, 1_000, Some((1_000_000, 1_000))),
+                under_budget(0, op, 1_000_000, 1_000, Some((1_000_000, 1_000))),
                 if linear { Backend::Bat } else { Backend::Dense },
                 "{op:?}"
             );
@@ -500,23 +526,24 @@ mod tests {
     fn binary_budget_counts_both_operands() {
         // mmu of 32 × 100 by 100 × 32: 2 · (3200 + 3200) · 8 = 102 400 B
         // copied; one operand alone is half of that
-        let ctx = |b: usize| {
-            RmaContext::new(RmaOptions {
-                mem_budget: b,
-                ..RmaOptions::default()
-            })
-        };
+        let mmu = |budget, second| under_budget(budget, RmaOp::Mmu, 32, 100, second);
+        assert_eq!(mmu(102_400, Some((100, 32))), Backend::Dense);
+        assert_eq!(mmu(102_399, Some((100, 32))), Backend::Bat);
+        assert_eq!(mmu(102_399, None), Backend::Dense);
+    }
+
+    #[test]
+    fn dense_copy_size_saturates() {
+        // 10¹⁸ rows × 2 columns: 2 · cells · 8 overflows u64
+        let rows = 1_000_000_000_000_000_000;
+        assert_eq!(under_budget(0, RmaOp::Qqr, rows, 2, None), Backend::Dense);
         assert_eq!(
-            ctx(102_400).choose_kernel(RmaOp::Mmu, 32, 100, Some((100, 32))),
-            Backend::Dense
-        );
-        assert_eq!(
-            ctx(102_399).choose_kernel(RmaOp::Mmu, 32, 100, Some((100, 32))),
+            under_budget(u64::MAX - 1, RmaOp::Qqr, rows, 2, None),
             Backend::Bat
         );
         assert_eq!(
-            ctx(102_399).choose_kernel(RmaOp::Mmu, 32, 100, None),
-            Backend::Dense
+            under_budget(u64::MAX - 1, RmaOp::Mmu, rows, 2, Some((usize::MAX, 2))),
+            Backend::Bat
         );
     }
 

@@ -7,7 +7,7 @@
 //! base result — yielding a relation with row and column origins
 //! (Theorem 6.8).
 
-use crate::context::RmaContext;
+use crate::context::{ExecStats, RmaContext};
 use crate::error::RmaError;
 use crate::kernels::{eval, KernelOut};
 use crate::shape::{Dim, RmaOp};
@@ -41,7 +41,7 @@ impl RmaContext {
     /// Dispatch a unary relational matrix operation `op_U(r)`.
     pub fn unary(&self, op: RmaOp, r: &Relation, order: &[&str]) -> Result<Relation, RmaError> {
         assert!(!op.is_binary(), "unary() called with binary op {op:?}");
-        self.run(op, &[Arg::new(r, order)])
+        Ok(self.run(op, &[Arg::new(r, order)])?.0)
     }
 
     /// Dispatch a binary relational matrix operation `op_{U;V}(r, s)`.
@@ -54,42 +54,47 @@ impl RmaContext {
         s_order: &[&str],
     ) -> Result<Relation, RmaError> {
         assert!(op.is_binary(), "binary() called with unary op {op:?}");
-        self.run(op, &[Arg::new(r, r_order), Arg::new(s, s_order)])
+        let args = [Arg::new(r, r_order), Arg::new(s, s_order)];
+        Ok(self.run(op, &args)?.0)
     }
 
     /// Algorithm 1 for either arity: check the schemas, split every
     /// argument by the modes [`sort_modes`] picks, evaluate the base result
     /// ([`eval`], which chooses the kernel) and morph the context into the
-    /// result. Split, sort and merge time is recorded as `ExecStats::sort`.
-    pub(crate) fn run(&self, op: RmaOp, args: &[Arg]) -> Result<Relation, RmaError> {
-        check_schemas(op, args)?;
-        let mut stats = crate::context::ExecStats::default();
-        let t_sort = Instant::now();
-        let sorted: Vec<bool> = args.iter().map(|a| a.sorted).collect();
-        let modes = sort_modes(op, self.options.sort_policy, &sorted);
-        stats.sorts = modes.iter().filter(|m| m.sorts()).count() as u32;
-        let mut splits: Vec<Split> = Vec::with_capacity(args.len());
-        for (a, mode) in args.iter().zip(modes) {
-            // relative sorting: the second argument aligns to the first's
-            // ranks
-            let first = match (mode, splits.first_mut()) {
-                (SortMode::AlignTo, Some(first)) => first.perm.take(),
-                _ => None,
-            };
-            splits.push(split(a.rel, a.order, mode, first)?);
-        }
-        stats.sort += t_sort.elapsed();
+    /// result, under the thread's guard or one the context mints. Split,
+    /// sort and merge time is `ExecStats::sort`; the operation's own stats
+    /// are recorded on the context and returned with the result.
+    pub(crate) fn run(&self, op: RmaOp, args: &[Arg]) -> Result<(Relation, ExecStats), RmaError> {
+        self.governed(|| {
+            check_schemas(op, args)?;
+            let mut stats = ExecStats::default();
+            let t_sort = Instant::now();
+            let sorted: Vec<bool> = args.iter().map(|a| a.sorted).collect();
+            let modes = sort_modes(op, self.options.sort_policy, &sorted);
+            stats.sorts = modes.iter().filter(|m| m.sorts()).count() as u32;
+            let mut splits: Vec<Split> = Vec::with_capacity(args.len());
+            for (a, mode) in args.iter().zip(modes) {
+                // relative sorting: the second argument aligns to the first's
+                // ranks
+                let first = match (mode, splits.first_mut()) {
+                    (SortMode::AlignTo, Some(first)) => first.perm.take(),
+                    _ => None,
+                };
+                splits.push(split(a.rel, a.order, mode, first)?);
+            }
+            stats.sort += t_sort.elapsed();
 
-        let second = splits.get(1).map(|s| (&s.app[..], s.align.as_deref()));
-        let out = eval(self, op, &splits[0].app, second, &mut stats)?;
+            let second = splits.get(1).map(|s| (&s.app[..], s.align.as_deref()));
+            let out = eval(self, op, &splits[0].app, second, &mut stats)?;
 
-        let t_merge = Instant::now();
-        let span = trace::clock();
-        let result = morph(op, args[0].rel, &splits, out)?;
-        record_merge(span, splits.iter().map(|s| s.rows).sum(), &result);
-        stats.sort += t_merge.elapsed();
-        self.record(&stats);
-        Ok(result)
+            let t_merge = Instant::now();
+            let span = trace::clock();
+            let result = morph(op, args[0].rel, &splits, out)?;
+            record_merge(span, splits.iter().map(|s| s.rows).sum(), &result);
+            stats.sort += t_merge.elapsed();
+            self.record(&stats);
+            Ok((result, stats))
+        })
     }
 
     // ------------------------------------------------------------------

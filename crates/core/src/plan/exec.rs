@@ -28,13 +28,14 @@
 //!
 //! Attribution: every plan runs under its own
 //! [`QueryGuard`](rma_relation::QueryGuard), which the pool carries to
-//! every worker; plan-level [`crate::context::ExecStats`] and per-node
-//! [`NodeActual`]s are differences of that guard's counters, never of a
-//! process-wide total another query can bump. Spilled bytes surface in
-//! both.
+//! every worker and whose budget every memory decision reads, the kernel
+//! choice included; plan-level [`ExecStats`] and per-node [`NodeActual`]s
+//! are differences of that guard's counters or, for an RMA node, the
+//! operation's own [`ExecStats`], never of a total another query can bump.
+//! Spilled bytes surface in both.
 
 use super::{LogicalPlan, PlanError, TableProvider};
-use crate::context::RmaContext;
+use crate::context::{ExecStats, KernelUsed, RmaContext};
 use crate::error::RmaError;
 use crate::ops::Arg;
 use rma_relation::trace;
@@ -72,23 +73,20 @@ fn run_governed<T>(
     ctx: &RmaContext,
     body: impl FnOnce() -> Result<T, PlanError>,
 ) -> Result<T, PlanError> {
-    let o = &ctx.options;
-    let minted = rel::current_guard()
-        .is_none()
-        .then(|| rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64));
-    let _active = minted.as_ref().map(rel::QueryGuard::activate);
-    let before = counts();
-    // a failed plan's spills and decodes count too, as they do in the
-    // serving session's metrics
-    let out = body();
-    let [spill_bytes, spill_partitions, decode_sinks, _] = since(before);
-    ctx.record(&crate::context::ExecStats {
-        spill_bytes,
-        spill_partitions,
-        decode_sinks,
-        ..Default::default()
-    });
-    out
+    ctx.governed(|| {
+        let before = counts();
+        // a failed plan's spills and decodes count too, as they do in the
+        // serving session's metrics
+        let out = body();
+        let [spill_bytes, spill_partitions, decode_sinks, _] = since(before);
+        ctx.record(&ExecStats {
+            spill_bytes,
+            spill_partitions,
+            decode_sinks,
+            ..Default::default()
+        });
+        out
+    })
 }
 
 /// The guard of the plan running on this thread.
@@ -157,11 +155,14 @@ pub struct NodeActual {
     pub decode_sinks: u64,
     /// `Rma` nodes only: this node's own order-schema handling (split,
     /// sort, align and the merge into the result relation, for either
-    /// arity — `ExecStats::sort`), in nanoseconds.
+    /// arity — the operation's own `ExecStats::sort`), in nanoseconds.
     pub order_nanos: u64,
     /// `Rma` nodes only: this node's own kernel time including the
     /// BAT↔dense copies, in nanoseconds.
     pub kernel_nanos: u64,
+    /// `Rma` nodes only: the kernel that ran (EXPLAIN ANALYZE prints its
+    /// family, `ran=Bat` or `ran=Dense`).
+    pub ran: Option<KernelUsed>,
     /// Select, aggregate, join, sort and top-k nodes only: the path the
     /// operator's own call took (`serial`, `pooled` or `spilled`), its
     /// subtree excluded.
@@ -226,8 +227,8 @@ fn execute_inner(
     let started = analyze.map(|_| Instant::now());
     let counts0 = counts();
     let span = trace::clock();
-    // an RMA node's (order handling, kernel) split, from its ExecStats delta
-    let mut rma_nanos = (0u64, 0u64);
+    // an RMA node's own stats
+    let mut rma = ExecStats::default();
     let mut strategy = None;
     let result = match plan {
         LogicalPlan::Values { rel, projection } => {
@@ -313,17 +314,9 @@ fn execute_inner(
                 .iter()
                 .map(|a| execute_inner(&a.input, ctx, provider, analyze))
                 .collect::<Result<_, _>>()?;
-            let before = analyze.map(|_| ctx.stats());
-            let result = dispatch_rma(ctx, *op, args, &inputs);
-            if let Some(before) = before {
-                let after = ctx.stats();
-                let kernel = |s: &crate::context::ExecStats| s.compute + s.copy_in + s.copy_out;
-                rma_nanos = (
-                    (after.sort - before.sort).as_nanos() as u64,
-                    (kernel(&after) - kernel(&before)).as_nanos() as u64,
-                );
-            }
-            result
+            let (result, stats) = dispatch_rma(ctx, *op, args, &inputs)?;
+            rma = stats;
+            Ok(result)
         }
         LogicalPlan::AssertKey { input, attrs } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -350,8 +343,9 @@ fn execute_inner(
             spill_bytes,
             spill_partitions,
             decode_sinks,
-            order_nanos: rma_nanos.0,
-            kernel_nanos: rma_nanos.1,
+            order_nanos: rma.sort.as_nanos() as u64,
+            kernel_nanos: (rma.compute + rma.copy_in + rma.copy_out).as_nanos() as u64,
+            ran: rma.last_kernel,
             strategy,
         };
     }
@@ -359,13 +353,13 @@ fn execute_inner(
 }
 
 /// Run an RMA node on its evaluated arguments through the one dispatch,
-/// with the optimizer's sortedness hints.
+/// with the optimizer's sortedness hints; returns the operation's stats too.
 fn dispatch_rma(
     ctx: &RmaContext,
     op: crate::shape::RmaOp,
     args: &[super::RmaArg],
     inputs: &[Relation],
-) -> Result<Relation, PlanError> {
+) -> Result<(Relation, ExecStats), PlanError> {
     let orders: Vec<Vec<&str>> = args
         .iter()
         .map(|a| a.order.iter().map(String::as_str).collect())

@@ -401,8 +401,8 @@ pub fn explain_with_stats(plan: &LogicalPlan, provider: &dyn TableProvider) -> S
 /// q-error is `max(est/actual, actual/est)` (clamped to ≥ 1-row sides) —
 /// the standard one-glance measure of estimator drift. The six relational
 /// operators' lines add `strategy=` ([`NodeActual::strategy`]). `Rma` lines add
-/// `order=T kernel=T`: the node's own order-schema handling apart from its
-/// kernel. `actuals` must come
+/// `order=T kernel=T ran=F`: the node's own order-schema handling apart from
+/// its kernel, and the kernel family that ran. `actuals` must come
 /// from an analyzed execution of **this** plan (same pre-order).
 pub fn explain_analyze(
     plan: &LogicalPlan,
@@ -612,9 +612,14 @@ fn walk_explain(
             if matches!(p, LogicalPlan::Rma { .. }) {
                 let _ = write!(
                     out,
-                    " order={} kernel={}",
+                    " order={} kernel={} ran={}",
                     fmt_nanos(act.order_nanos),
-                    fmt_nanos(act.kernel_nanos)
+                    fmt_nanos(act.kernel_nanos),
+                    if act.ran == Some(crate::KernelUsed::Bat) {
+                        "Bat"
+                    } else {
+                        "Dense"
+                    }
                 );
             }
         }

@@ -33,10 +33,11 @@
 //! 8. **Plan-level backend prediction** — when the estimate fixes an RMA
 //!    node's argument sizes ([`stats::PlanEst::exact`]), the kernel
 //!    decision execution will make ([`RmaContext::choose_kernel`], the
-//!    same pure function on the same sizes) is recorded on the node for
-//!    EXPLAIN's `backend=`. Execution does not read it: the kernel is
-//!    chosen once, at run time. Join ordering runs first, so the
-//!    prediction sees the reordered (cheaper) argument shapes.
+//!    same function on the same sizes under the guard execution mints or
+//!    finds) is recorded on the node for EXPLAIN's `backend=`. Execution
+//!    does not read it: the kernel is chosen once, at run time. Join
+//!    ordering runs first, so the prediction sees the reordered (cheaper)
+//!    argument shapes.
 //!
 //! ```
 //! use rma_core::plan::Frame;
@@ -98,7 +99,7 @@ pub fn optimize(plan: LogicalPlan, ctx: &RmaContext, provider: &dyn TableProvide
         // materialised sort so ablations measure what they claim to
         plan
     };
-    choose_backends(plan, ctx, provider)
+    ctx.governed(|| choose_backends(plan, ctx, provider))
 }
 
 // ---------------------------------------------------------------------
@@ -1219,8 +1220,9 @@ fn rma_output_sorted(op: RmaOp, args: &[RmaArg]) -> Option<Vec<String>> {
 // ---------------------------------------------------------------------
 
 /// Record the kernel choice on every RMA node whose arguments' sizes the
-/// plan fixes ([`stats::PlanEst::exact`]): the choice is a pure function of
-/// those sizes and the context, so it predicts the one execution makes.
+/// plan fixes ([`stats::PlanEst::exact`]): the choice is a function of
+/// those sizes, the context and the guard's headroom, so it predicts the
+/// one execution makes.
 fn choose_backends(
     plan: LogicalPlan,
     ctx: &RmaContext,

@@ -167,8 +167,15 @@ impl Session {
     /// snapshot (several queries against one pin see the identical
     /// database state), under the session's governor ([`Session::execute`]).
     pub fn query_at(&self, snap: &CatalogSnapshot, frame: Frame) -> Result<Relation, PlanError> {
-        let plan = optimize(frame.into_plan(), &self.ctx, snap);
+        let plan = self.optimize(frame.into_plan(), snap);
         self.execute(&plan, snap)
+    }
+
+    /// Optimize a plan under this session's memory budget, so EXPLAIN's
+    /// `backend=` names the kernels [`Session::execute`] runs.
+    pub fn optimize(&self, plan: LogicalPlan, provider: &dyn TableProvider) -> LogicalPlan {
+        let _limits = QueryGuard::with_limits(None, self.mem_budget()).activate();
+        optimize(plan, &self.ctx, provider)
     }
 
     /// Execute an already-optimized plan under the session's governor,
@@ -325,7 +332,8 @@ impl Session {
     }
 
     /// Set the per-query memory budget in bytes (`0` = inherit
-    /// `RmaOptions::mem_budget`, itself 0-as-unlimited by default).
+    /// `RmaOptions::mem_budget`, itself 0-as-unlimited by default): later
+    /// queries' guards hold it, so it steers kernels as it steers spills.
     pub fn set_mem_budget(&self, bytes: u64) {
         self.mem_budget.store(bytes, Ordering::Relaxed);
     }
@@ -339,8 +347,8 @@ impl Session {
         }
     }
 
-    /// The budget queries of this session are held to: the session value
-    /// when set, else the context option.
+    /// The budget queries of this session are planned and held to: the
+    /// session value when set, else the context option.
     fn mem_budget(&self) -> u64 {
         match self.mem_budget.load(Ordering::Relaxed) {
             0 => self.ctx.options.mem_budget as u64,

@@ -72,7 +72,8 @@ impl Drop for ChargeScope {
 
 /// Should an operator with a working set of `bytes` spill? Only when the
 /// active guard's budget has no headroom for them; never trips the guard.
-pub(crate) fn should_spill(bytes: u64) -> bool {
+/// `rma-core`'s kernel choice asks it of a dense copy.
+pub fn should_spill(bytes: u64) -> bool {
     current_guard().is_some_and(|g| !g.fits(bytes))
 }
 

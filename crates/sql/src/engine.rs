@@ -4,7 +4,6 @@
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::optimizer::optimize;
 use crate::parser::{parse, parse_script};
 use crate::plan::{explain_with_stats, plan_select, Plan};
 use rma_core::plan::explain_analyze;
@@ -173,11 +172,8 @@ impl Engine {
     }
 
     fn build_plan(&self, sel: &crate::ast::SelectStmt) -> Result<Plan, SqlError> {
-        Ok(optimize(
-            plan_select(sel)?,
-            &self.catalog,
-            self.rma_context(),
-        ))
+        // planned under the session's budget, like the run
+        Ok(self.session.optimize(plan_select(sel)?, &self.catalog))
     }
 
     /// Plan, optimize and run a SELECT through the session.

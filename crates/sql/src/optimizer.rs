@@ -4,7 +4,8 @@
 //! (`rma_core::plan::optimize`): selection pushdown, projection pushdown,
 //! the cross-algebra double-transpose rewrite, redundant-sort elimination,
 //! and plan-level kernel choice run identically for SQL queries and lazy
-//! `Frame` pipelines. This module only adapts the SQL engine's types.
+//! `Frame` pipelines. The engine plans through `Session::optimize`, which
+//! calls them under the session's memory budget.
 
 use crate::catalog::Catalog;
 use crate::plan::Plan;

@@ -187,3 +187,42 @@ fn limit_past_the_table_keeps_every_row_in_order() {
         }
     }
 }
+
+#[test]
+fn a_session_budget_steers_the_kernel() {
+    // 5 000 × 10 application columns: QQR's dense copy is 800 000 B
+    let mut t =
+        rma_relation::RelationBuilder::new().column("k", (0..5_000i64).rev().collect::<Vec<_>>());
+    for j in 0..10 {
+        let x: Vec<f64> = (0..5_000)
+            .map(|i| ((i * (j + 1)) as f64 * 0.37).sin())
+            .collect();
+        t = t.column(format!("x{j}"), x);
+    }
+    let mut e = Engine::new();
+    e.register("t", t.build().unwrap()).unwrap();
+    let sql = "SELECT * FROM QQR(t BY k)";
+    for (budget, kernel, family) in [
+        (500_000, rma_core::KernelUsed::Bat, "Bat"),
+        (0, rma_core::KernelUsed::Dense, "Dense"),
+    ] {
+        e.session_handle().set_mem_budget(budget);
+        e.rma_context().reset_stats();
+        e.query(sql).unwrap();
+        assert_eq!(
+            e.rma_context().stats().last_kernel,
+            Some(kernel),
+            "{budget} B"
+        );
+        let explained = e.explain(sql).unwrap();
+        assert!(
+            explained.contains(&format!("backend={family}")),
+            "{budget} B:\n{explained}"
+        );
+        let analyzed = e.explain_analyze(sql).unwrap();
+        assert!(
+            analyzed.contains(&format!("ran={family}")),
+            "{budget} B:\n{analyzed}"
+        );
+    }
+}
